@@ -27,6 +27,9 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +65,34 @@ _CHECK_INSTRUCTIONS = 6      # per-op verdict in the conflict kernel
 _APPLY_INSTRUCTIONS = 4      # per-cell install in the writeback kernel
 
 
+_tid_of = attrgetter("tid")
+_procedure_of = attrgetter("procedure_name")
+_attempts_of = attrgetter("attempts")
+
+#: ``abort_reason`` for every (waw, raw, war) combination, indexed by
+#: ``waw + 2 * raw + 4 * war``.
+_ABORT_REASONS = tuple(
+    abort_reason(bool(c & 1), bool(c & 2), bool(c & 4)) for c in range(8)
+)
+
+
+class _WitnessColumns(NamedTuple):
+    """What :meth:`BatchResult.serial_order` is built from: the batch's
+    conflict-key reservations as the phases left them (one entry per
+    reserved key, with the lane and TID that reserved it) and which
+    lanes committed.  Every array is allocated by the batch that
+    produced it and never written again, so a result may be asked for
+    its order however many batches later."""
+
+    committed: np.ndarray  # bool per lane
+    read_txn: np.ndarray
+    read_tid: np.ndarray
+    read_keys: np.ndarray
+    write_txn: np.ndarray
+    write_tid: np.ndarray
+    write_keys: np.ndarray
+
+
 @dataclass
 class BatchResult:
     """Everything one batch produced."""
@@ -70,13 +101,34 @@ class BatchResult:
     committed: list[Transaction]
     aborted: list[Transaction]
     logic_aborted: list[Transaction]
-    #: (tid, read_keys, write_keys) per committed txn — lazy inputs for
-    #: the serial-order witness used in serializability tests.
-    _witness_sets: list[tuple[int, set, set]] = field(default_factory=list)
+    #: Inputs of the serial-order witness; the per-transaction key sets
+    #: are only built if :meth:`serial_order` is called.
+    _witness: _WitnessColumns | None = None
+    _serial_order: list[int] | None = field(default=None, init=False, repr=False)
 
     def serial_order(self) -> list[int]:
-        """TIDs of committed transactions in an equivalent serial order."""
-        return logical_order(self._witness_sets)
+        """TIDs of committed transactions in an equivalent serial order
+        (computed on the first call)."""
+        if self._serial_order is None:
+            reads: dict[int, set] = {}
+            writes: dict[int, set] = {}
+            w = self._witness
+            if w is not None:
+                reads = _grouped_key_sets(
+                    w.read_txn, w.read_tid, w.read_keys, w.committed
+                )
+                writes = _grouped_key_sets(
+                    w.write_txn, w.write_tid, w.write_keys, w.committed
+                )
+            none: frozenset = frozenset()
+            self._serial_order = logical_order(
+                [
+                    (t.tid, reads.get(t.tid, none), writes.get(t.tid, none))
+                    for t in self.committed
+                ]
+            )
+            self._witness = None
+        return list(self._serial_order)
 
     def explain(self, limit: int = 20) -> str:
         """A human-readable per-transaction outcome summary (debugging
@@ -523,8 +575,8 @@ class LTPGEngine:
         self.conflict_log.end_batch()
         self.batch_log.record_outcome(
             batch_index,
-            [t.tid for t in result.committed],
-            [t.tid for t in result.aborted],
+            list(map(_tid_of, result.committed)),
+            list(map(_tid_of, result.aborted)),
         )
         return result
 
@@ -1480,9 +1532,13 @@ class LTPGEngine:
         ctx.add_instructions(_CHECK_INSTRUCTIONS * max(1, data.total_ops))
 
         # Logic aborts never commit, whatever their flags say.
-        for idx, txn in enumerate(transactions):
-            if txn.status is TxnStatus.LOGIC_ABORTED:
-                waw[idx] = True
+        logic_aborted = TxnStatus.LOGIC_ABORTED
+        data.logic_mask = np.fromiter(
+            (txn.status is logic_aborted for txn in transactions),
+            dtype=bool,
+            count=n,
+        )
+        waw |= data.logic_mask
         return ConflictFlags(waw=waw, raw=raw, war=war)
 
     # ------------------------------------------------------------------
@@ -1804,61 +1860,53 @@ class LTPGEngine:
         transfer_ns: float,
         phase_ns: dict[str, float],
     ) -> BatchResult:
-        committed: list[Transaction] = []
-        aborted: list[Transaction] = []
-        logic_aborted: list[Transaction] = []
+        # The batch stays columns: three masks partition the lanes, the
+        # counters are counts over them, and the only per-lane Python
+        # left is stamping each transaction with its own verdict.
+        commit = np.asarray(committed_mask, dtype=bool)
+        logic = data.logic_mask
+        abort = ~(commit | logic)
+        committed = list(compress(transactions, commit.tolist()))
+        aborted = list(compress(transactions, abort.tolist()))
+        logic_aborted = list(compress(transactions, logic.tolist()))
+        committed_status = TxnStatus.COMMITTED
+        for txn in committed:
+            txn.status = committed_status
+        codes = (flags.waw + 2 * flags.raw + 4 * flags.war)[abort]
+        aborted_status = TxnStatus.ABORTED
+        for txn, code in zip(aborted, codes.tolist()):
+            txn.status = aborted_status
+            txn.abort_reason = _ABORT_REASONS[code]
+        # Logic aborts carry the reason their execution stamped, so the
+        # stats and explain() read the same thing.
+        abort_reasons = Counter(t.abort_reason for t in logic_aborted)
+        for code, count in enumerate(np.bincount(codes, minlength=8).tolist()):
+            if count:
+                abort_reasons[_ABORT_REASONS[code]] += count
         stats = BatchStats(
             batch_index=batch_index,
             num_txns=len(transactions),
-            committed=0,
-            aborted=0,
+            committed=len(committed),
+            aborted=len(aborted),
+            logic_aborted=len(logic_aborted),
             latency_ns=latency_ns,
             transfer_ns=transfer_ns,
             phase_ns=phase_ns,
+            committed_by_proc=Counter(map(_procedure_of, committed)),
+            total_by_proc=Counter(map(_procedure_of, transactions)),
+            abort_reasons=abort_reasons,
+            commit_attempts=Counter(map(_attempts_of, committed)),
         )
-        witness: list[tuple[int, set, set]] = []
-        # Witness sets are only needed for committed transactions, so
-        # group keys by txn with one argsort + unique-slice pass instead
-        # of per-element dict/set churn.
-        committed_arr = np.asarray(committed_mask, dtype=bool)
-        reads_by_txn = _grouped_key_sets(
-            data.read_txn_arr, data.read_keys, committed_arr
-        )
-        writes_by_txn = _grouped_key_sets(
-            data.write_txn_arr, data.write_keys, committed_arr
-        )
-        for idx, txn in enumerate(transactions):
-            stats.total_by_proc[txn.procedure_name] += 1
-            if txn.status is TxnStatus.LOGIC_ABORTED:
-                # Keep stats and explain() in agreement: both read the
-                # reason off the transaction itself.
-                txn.abort_reason = txn.abort_reason or "logic"
-                logic_aborted.append(txn)
-                stats.logic_aborted += 1
-                stats.abort_reasons[txn.abort_reason] += 1
-            elif committed_mask[idx]:
-                txn.status = TxnStatus.COMMITTED
-                committed.append(txn)
-                stats.committed += 1
-                stats.committed_by_proc[txn.procedure_name] += 1
-                stats.commit_attempts[txn.attempts] += 1
-                witness.append(
-                    (txn.tid, reads_by_txn.get(idx, set()), writes_by_txn.get(idx, set()))
-                )
-            else:
-                txn.status = TxnStatus.ABORTED
-                txn.abort_reason = abort_reason(
-                    bool(flags.waw[idx]), bool(flags.raw[idx]), bool(flags.war[idx])
-                )
-                aborted.append(txn)
-                stats.aborted += 1
-                stats.abort_reasons[txn.abort_reason] += 1
         return BatchResult(
             stats=stats,
             committed=committed,
             aborted=aborted,
             logic_aborted=logic_aborted,
-            _witness_sets=witness,
+            _witness=_WitnessColumns(
+                commit,
+                data.read_txn_arr, data.read_tid_arr, data.read_keys,
+                data.write_txn_arr, data.write_tid_arr, data.write_keys,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -1983,13 +2031,13 @@ def _dedup_reservations(op_txn, table, row, group, mask):
     return tb[keep], r[keep], g[keep], t[keep]
 
 
-def _grouped_key_sets(txn_arr, key_arr, committed_mask) -> dict[int, set]:
-    """{txn index -> set(conflict keys)} over committed transactions,
-    built from argsort + np.unique slice boundaries."""
+def _grouped_key_sets(txn_arr, tid_arr, key_arr, committed_mask) -> dict[int, set]:
+    """{tid -> set(conflict keys)} over committed transactions, built
+    from argsort + np.unique slice boundaries."""
     if txn_arr.size == 0:
         return {}
     mask = committed_mask[txn_arr]
-    t = txn_arr[mask]
+    t = tid_arr[mask]
     if t.size == 0:
         return {}
     k = key_arr[mask]
@@ -2032,6 +2080,9 @@ class _ExecutionData:
         #: Batch-wide columnar locals (set by the batched executor; its
         #: presence routes write-back through the scatter path).
         self.batch_locals: GroupLocals | None = None
+        #: Lanes whose procedure rolled itself back (set by the conflict
+        #: phase, which must keep them from committing).
+        self.logic_mask = np.empty(0, dtype=bool)
         self.read_keys = np.empty(0, dtype=np.int64)
         self.write_keys = np.empty(0, dtype=np.int64)
         # The *_arr views start empty so the columnar collector can set

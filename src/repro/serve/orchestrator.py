@@ -31,8 +31,14 @@ byte-identical final database state.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Any
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import Any, NamedTuple, cast
+
+import numpy as np
 
 from repro.core.stats import RunStats
 from repro.serve.admission import AdmissionController
@@ -48,9 +54,16 @@ SERVE_BATCH_TRACK = "serve.batches"
 SERVE_QUEUE_COUNTER = "serve.queue_depth"
 
 
-@dataclass(frozen=True)
-class ServeResponse:
-    """What a client gets back for one admitted request."""
+_seq_of = attrgetter("seq")
+_tid_of = attrgetter("tid")
+
+#: ``searchsorted(_POW2, x, side="right")`` is ``x.bit_length()`` for
+#: every positive int64.
+_POW2 = 1 << np.arange(63, dtype=np.int64)
+
+
+class ServeResponse(NamedTuple):
+    """What a client gets back for one admitted request (immutable)."""
 
     status: TxnStatus
     tid: int
@@ -82,12 +95,13 @@ class ServeResponse:
         return self.status is TxnStatus.COMMITTED
 
 
-@dataclass
-class _Request:
-    """Book-keeping for one admitted request."""
+@dataclass(kw_only=True, repr=False, eq=False)
+class _Request(Transaction):
+    """One admitted request: the transaction the scheduler queues and
+    the engine runs, carrying its own serve-side book-keeping — so a
+    batch or a result list *is* the list of requests it concerns."""
 
     seq: int
-    txn: Transaction
     tenant: str
     submit_ns: int
     #: when it (re-)entered the ingress queue — retries refresh this
@@ -96,15 +110,43 @@ class _Request:
     first_cut_ns: int | None = None
 
 
-@dataclass
+class _Members(Sequence):
+    """``(request seq, tid)`` pairs over a batch's two int columns."""
+
+    __slots__ = ("_seqs", "_tids")
+
+    def __init__(self, seqs: array, tids: array):
+        self._seqs = seqs
+        self._tids = tids
+
+    def __len__(self) -> int:
+        return len(self._seqs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self._seqs[i], self._tids[i]))
+        return (self._seqs[i], self._tids[i])
+
+    def __iter__(self):
+        return zip(self._seqs, self._tids)
+
+
+@dataclass(slots=True)
 class BatchRecord:
     """One cut batch, as the equivalence tests replay it."""
 
     index: int
     cut_ns: int
     done_ns: int
-    #: (request seq, tid) per member, in batch order
-    members: list[tuple[int, int]] = field(default_factory=list)
+    #: request seq and tid per member, in batch order
+    seqs: array
+    tids: array
+
+    @property
+    def members(self) -> Sequence[tuple[int, int]]:
+        """``(request seq, tid)`` per member, in batch order: a
+        read-only view over the two columns."""
+        return _Members(self.seqs, self.tids)
 
 
 class Orchestrator:
@@ -133,7 +175,6 @@ class Orchestrator:
             retry_delay_batches=engine.config.effective_retry_delay,
         )
         self._queued: dict[int, _Request] = {}
-        self._by_txn: dict[int, _Request] = {}
         self._next_seq = 0
         self._arrival: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
@@ -187,19 +228,18 @@ class Orchestrator:
         except Exception:
             self.metrics.counter("serve.shed").inc()
             raise
-        txn = Transaction(procedure, tuple(params))
         request = _Request(
+            procedure,
+            tuple(params),
             seq=self._next_seq,
-            txn=txn,
             tenant=tenant,
             submit_ns=now,
             enqueue_ns=now,
             future=asyncio.get_running_loop().create_future(),
         )
         self._next_seq += 1
-        self._scheduler.admit([txn])
+        self._scheduler.admit([request])
         self._queued[request.seq] = request
-        self._by_txn[id(txn)] = request
         self.metrics.counter("serve.submitted").inc()
         assert self._arrival is not None
         self._arrival.set()
@@ -223,7 +263,10 @@ class Orchestrator:
         )
         oldest = None
         if self._queued:
-            oldest = min(r.enqueue_ns for r in self._queued.values())
+            # The first entry is the oldest: the dict keeps insertion
+            # order, and post() and the retry re-entry both stamp the
+            # monotone clock at the moment they insert.
+            oldest = next(iter(self._queued.values())).enqueue_ns
         return QueueView(
             eligible=eligible,
             oldest_enqueue_ns=oldest,
@@ -280,20 +323,24 @@ class Orchestrator:
 
     async def _run_one_batch(self) -> None:
         cut_ns = self.clock.now_ns()
-        batch = self._scheduler.next_batch()
-        record = BatchRecord(
-            index=len(self.batch_records), cut_ns=cut_ns, done_ns=cut_ns
-        )
-        for txn in batch:
-            request = self._by_txn[id(txn)]
-            del self._queued[request.seq]
+        # every transaction the scheduler holds is a _Request of ours
+        batch = cast("list[_Request]", self._scheduler.next_batch())
+        queued = self._queued
+        for request in batch:
+            del queued[request.seq]
             if request.first_cut_ns is None:
                 request.first_cut_ns = cut_ns
-            record.members.append((request.seq, txn.tid))
+        record = BatchRecord(
+            index=len(self.batch_records),
+            cut_ns=cut_ns,
+            done_ns=cut_ns,
+            seqs=array("q", map(_seq_of, batch)),
+            tids=array("q", map(_tid_of, batch)),
+        )
         self.batch_records.append(record)
         self.metrics.counter("serve.batches").inc()
         self.metrics.histogram("serve.batch_size").observe(len(batch))
-        self.metrics.gauge("serve.queue_depth").set(len(self._queued))
+        self.metrics.gauge("serve.queue_depth").set(len(queued))
         if not batch:
             # index-advancing empty cut (retry pipeline delay)
             self.engine.run_batch(batch)
@@ -312,17 +359,17 @@ class Orchestrator:
         self.run_stats.add(result.stats)
 
         self._scheduler.requeue_aborted(result.aborted)
-        for txn in result.aborted:
-            request = self._by_txn[id(txn)]
+        for request in result.aborted:
             request.enqueue_ns = done_ns
-            self._queued[request.seq] = request
-            self.metrics.counter("serve.retries").inc()
-        for txn in result.committed:
-            self._resolve(txn, done_ns)
-            self.metrics.counter("serve.committed").inc()
-        for txn in result.logic_aborted:
-            self._resolve(txn, done_ns)
-            self.metrics.counter("serve.logic_aborted").inc()
+            queued[request.seq] = request
+        self._resolve(result.committed, result.logic_aborted, done_ns)
+        for name, group in (
+            ("serve.retries", result.aborted),
+            ("serve.committed", result.committed),
+            ("serve.logic_aborted", result.logic_aborted),
+        ):
+            if group:
+                self.metrics.counter(name).inc(len(group))
 
         tracer = getattr(self.engine, "tracer", None)
         if tracer is not None:
@@ -340,37 +387,56 @@ class Orchestrator:
                 },
             )
             tracer.counter(
-                SERVE_QUEUE_COUNTER, float(done_ns), depth=len(self._queued)
+                SERVE_QUEUE_COUNTER, float(done_ns), depth=len(queued)
             )
 
-    def _resolve(self, txn: Transaction, done_ns: int) -> None:
-        request = self._by_txn.pop(id(txn))
-        assert request.first_cut_ns is not None
-        response = ServeResponse(
-            status=txn.status,
-            tid=txn.tid,
-            attempts=txn.attempts,
-            abort_reason=txn.abort_reason,
-            submit_ns=request.submit_ns,
-            first_cut_ns=request.first_cut_ns,
-            done_ns=done_ns,
-        )
-        self.latency.observe(response.latency_ns)
-        self.queue_wait.observe(response.queue_wait_ns)
-        self.metrics.histogram("serve.latency_us_pow2").observe(
-            1 << max(response.latency_ns // 1000, 1).bit_length()
-        )
-        if not request.future.done():
-            request.future.set_result(response)
+    def _resolve(
+        self,
+        committed: list[_Request],
+        logic_aborted: list[_Request],
+        done_ns: int,
+    ) -> None:
+        """Hand every decided request of one batch its response, and
+        book the batch's latencies in one go."""
+        latencies: list[int] = []
+        waits: list[int] = []
+        for request in chain(committed, logic_aborted):
+            submit_ns = request.submit_ns
+            first_cut_ns = request.first_cut_ns
+            assert first_cut_ns is not None
+            latencies.append(done_ns - submit_ns)
+            waits.append(first_cut_ns - submit_ns)
+            future = request.future
+            if not future.done():
+                future.set_result(
+                    ServeResponse(
+                        request.status,
+                        request.tid,
+                        request.attempts,
+                        request.abort_reason,
+                        submit_ns,
+                        first_cut_ns,
+                        done_ns,
+                    )
+                )
+        if not latencies:
+            return
+        self.latency.extend(latencies)
+        self.queue_wait.extend(waits)
+        # bucket = 1 << max(latency_us, 1).bit_length()
+        micros = np.maximum(np.asarray(latencies, dtype=np.int64) // 1000, 1)
+        bits = np.bincount(np.searchsorted(_POW2, micros, side="right"))
+        histogram = self.metrics.histogram("serve.latency_us_pow2")
+        for nbits in np.flatnonzero(bits).tolist():
+            histogram.observe(1 << nbits, int(bits[nbits]))
 
     def _fail_batch(
-        self, record: BatchRecord, batch: list[Transaction], exc: Exception
+        self, record: BatchRecord, batch: list[_Request], exc: Exception
     ) -> None:
         """Engine blew up mid-batch: fail exactly this batch's futures
         (cause preserved) and keep the ingress loop alive."""
         self.metrics.counter("serve.batch_failures").inc()
         error = BatchExecutionError(record.index, exc)
-        for txn in batch:
-            request = self._by_txn.pop(id(txn), None)
-            if request is not None and not request.future.done():
+        for request in batch:
+            if not request.future.done():
                 request.future.set_exception(error)

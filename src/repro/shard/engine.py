@@ -49,6 +49,7 @@ slice like any other access.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -201,8 +202,10 @@ class ShardedEngine:
         # Statuses live on the transaction objects, so the result lists
         # rebuild in *admission* order — schedulers composing retries
         # across batches see exactly the reference engine's sequences.
-        return BatchResult(
-            stats=stats,
+        # Everything else, the lazy serial-order witness included, is
+        # the inner result's (the witness is keyed by TID, not by lane).
+        return dataclasses.replace(
+            result,
             committed=[
                 t for t in transactions if t.status is TxnStatus.COMMITTED
             ],
@@ -210,7 +213,6 @@ class ShardedEngine:
             logic_aborted=[
                 t for t in transactions if t.status is TxnStatus.LOGIC_ABORTED
             ],
-            _witness_sets=result._witness_sets,
         )
 
     # -- drains (must route through this run_batch) ---------------------------

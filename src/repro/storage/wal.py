@@ -10,19 +10,37 @@ transactions from the log, while preserving their original TIDs."
 procedure, params) plus the commit decisions, and can replay the whole
 history onto a snapshot — which is exactly how the determinism tests
 validate that re-running the log reproduces the database state.
+
+The log's granularity is the *batch*: one entry holds the batch's
+transactions as three columns (TIDs, procedure names, parameter
+tuples) serialized once into a single ``bytes`` payload.  Rows
+(:class:`LogRecord`) are decoded only when somebody asks for them, so
+appending costs a constant number of garbage-collector-tracked objects
+per batch however many lanes it has.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable
+import pickle
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from repro.errors import StorageError
 
+_tid_of = attrgetter("tid")
+_procedure_of = attrgetter("procedure_name")
+_params_of = attrgetter("params")
 
-@dataclass(frozen=True)
-class LogRecord:
+
+def _as_tuples(value):
+    """JSON arrays back to the (nested) tuples they were dumped from."""
+    if isinstance(value, list):
+        return tuple(_as_tuples(v) for v in value)
+    return value
+
+
+class LogRecord(NamedTuple):
     """One transaction as it entered a batch."""
 
     tid: int
@@ -37,17 +55,45 @@ class LogRecord:
     @classmethod
     def from_json(cls, text: str) -> "LogRecord":
         obj = json.loads(text)
-        return cls(tid=obj["tid"], procedure=obj["procedure"], params=tuple(obj["params"]))
+        return cls(
+            tid=obj["tid"],
+            procedure=obj["procedure"],
+            params=_as_tuples(obj["params"]),
+        )
 
 
-@dataclass
 class BatchRecord:
-    """The log entry for one processed batch."""
+    """The log entry for one processed batch.
 
-    batch_index: int
-    records: list[LogRecord]
-    committed_tids: list[int] = field(default_factory=list)
-    aborted_tids: list[int] = field(default_factory=list)
+    The inputs live in ``_payload`` — ``(tids, procedures, params)`` as
+    three aligned lists, pickled once.  :attr:`records` decodes them
+    afresh on every access and keeps nothing.
+
+    ``committed_tids`` / ``aborted_tids`` stay ``None`` until
+    :meth:`BatchLog.record_outcome` ran: "no outcome recorded" and
+    "recorded, nothing committed" are different facts to recovery.
+    """
+
+    __slots__ = ("batch_index", "_payload", "committed_tids", "aborted_tids")
+
+    def __init__(self, batch_index: int, transactions) -> None:
+        self.batch_index = batch_index
+        self._payload = pickle.dumps(
+            (
+                list(map(_tid_of, transactions)),
+                list(map(_procedure_of, transactions)),
+                list(map(tuple, map(_params_of, transactions))),
+            ),
+            pickle.HIGHEST_PROTOCOL,
+        )
+        self.committed_tids: list[int] | None = None
+        self.aborted_tids: list[int] | None = None
+
+    @property
+    def records(self) -> list[LogRecord]:
+        """The batch's transactions in batch order, decoded on demand."""
+        # only ever bytes this process pickled in __init__
+        return list(map(LogRecord._make, zip(*pickle.loads(self._payload))))
 
 
 class BatchLog:
@@ -55,52 +101,45 @@ class BatchLog:
 
     def __init__(self) -> None:
         self._batches: list[BatchRecord] = []
+        #: batch_index -> its most recent entry
+        self._by_index: dict[int, BatchRecord] = {}
 
     def __len__(self) -> int:
         return len(self._batches)
 
     def append_batch(self, batch_index: int, transactions) -> BatchRecord:
         """Log a batch's inputs before execution."""
-        records = [
-            LogRecord(tid=t.tid, procedure=t.procedure_name, params=tuple(t.params))
-            for t in transactions
-        ]
-        entry = BatchRecord(batch_index=batch_index, records=records)
+        entry = BatchRecord(batch_index, transactions)
         self._batches.append(entry)
+        self._by_index[batch_index] = entry
         return entry
 
     def record_outcome(
         self, batch_index: int, committed: list[int], aborted: list[int]
     ) -> None:
-        entry = self._find(batch_index)
+        entry = self._by_index.get(batch_index)
+        if entry is None:
+            raise StorageError(f"batch {batch_index} was never logged")
         entry.committed_tids = sorted(committed)
         entry.aborted_tids = sorted(aborted)
-
-    def _find(self, batch_index: int) -> BatchRecord:
-        for entry in reversed(self._batches):
-            if entry.batch_index == batch_index:
-                return entry
-        raise StorageError(f"batch {batch_index} was never logged")
 
     def batches(self) -> list[BatchRecord]:
         return list(self._batches)
 
     def dump_lines(self) -> list[str]:
         """Serialized log lines (one JSON record per transaction)."""
-        lines = []
-        for entry in self._batches:
-            for record in entry.records:
-                lines.append(
-                    json.dumps(
-                        {
-                            "batch": entry.batch_index,
-                            "tid": record.tid,
-                            "procedure": record.procedure,
-                            "params": list(record.params),
-                        }
-                    )
-                )
-        return lines
+        return [
+            json.dumps(
+                {
+                    "batch": entry.batch_index,
+                    "tid": record.tid,
+                    "procedure": record.procedure,
+                    "params": list(record.params),
+                }
+            )
+            for entry in self._batches
+            for record in entry.records
+        ]
 
     def replay(self, run_batch: Callable[[BatchRecord], None]) -> None:
         """Feed every logged batch, in order, to ``run_batch``."""

@@ -106,6 +106,11 @@ class LatencyDigest:
         self._values.append(int(value_ns))
         self._sorted = None
 
+    def extend(self, values_ns: list[int]) -> None:
+        """A whole batch of integer samples at once."""
+        self._values.extend(values_ns)
+        self._sorted = None
+
     def __len__(self) -> int:
         return len(self._values)
 

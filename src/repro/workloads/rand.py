@@ -66,4 +66,6 @@ class ZipfGenerator:
         return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
 
     def sample_one(self, rng: np.random.Generator) -> int:
-        return int(self.sample(rng, 1)[0])
+        """One rank; draws exactly what ``sample(rng, 1)`` draws (one
+        double), without the array round trip."""
+        return int(self._cdf.searchsorted(rng.random(), side="left"))

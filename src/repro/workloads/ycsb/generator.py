@@ -270,32 +270,28 @@ class YcsbGenerator:
             np.searchsorted(thresholds, rng.random(total_ops), side="right"), 3
         )
         ranks = self.zipf.sample(rng, total_ops)
-        txns: list[Transaction] = []
-        pos = 0
-        for _ in range(size):
-            flat: list[int] = []
-            for _ in range(OPS_PER_TXN):
-                code = int(codes[pos])
-                rank = int(ranks[pos])
-                pos += 1
-                if code == 2:  # insert: fresh unique key
-                    key = self._next_insert_key
-                    self._next_insert_key += 1
-                elif code == 3:  # scan: clamp the range start
-                    key = min(rank, self.num_records - SCAN_LENGTH)
-                elif wl.read_latest and code == 0:
-                    # Read-latest: popular keys are the newest ones.
-                    key = max(latest_limit - 1 - rank, 0)
-                else:
-                    key = rank
-                if code == 1 and not self.commutative_updates:
-                    # Ablation mode: plain read-modify-write on the read
-                    # field, exposing full Zipfian write contention.
-                    flat.extend((4, key))
-                    continue
-                flat.extend((code, key))
-            txns.append(Transaction("ycsb_txn", tuple(flat)))
-        return txns
+        # One key per op, by op kind; position in the flat op stream is
+        # (transaction, slot) in row-major order.
+        keys = ranks.copy()
+        inserts = np.flatnonzero(codes == 2)  # fresh unique keys, in op order
+        keys[inserts] = self._next_insert_key + np.arange(
+            inserts.size, dtype=np.int64
+        )
+        self._next_insert_key += int(inserts.size)
+        scans = codes == 3  # clamp the range start
+        keys[scans] = np.minimum(ranks[scans], self.num_records - SCAN_LENGTH)
+        if wl.read_latest:
+            # Read-latest: popular keys are the newest ones.
+            reads = codes == 0
+            keys[reads] = np.maximum(latest_limit - 1 - ranks[reads], 0)
+        if not self.commutative_updates:
+            # Ablation mode: plain read-modify-write on the read field,
+            # exposing full Zipfian write contention.
+            codes = np.where(codes == 1, 4, codes)
+        flat = np.empty((size, 2 * OPS_PER_TXN), dtype=np.int64)
+        flat[:, 0::2] = codes.reshape(size, OPS_PER_TXN)
+        flat[:, 1::2] = keys.reshape(size, OPS_PER_TXN)
+        return [Transaction("ycsb_txn", tuple(row)) for row in flat.tolist()]
 
 
 def build_ycsb(

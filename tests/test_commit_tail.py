@@ -1,0 +1,190 @@
+"""The columnar commit tail: lazy witness, one-payload batch log,
+per-batch serve bookkeeping.
+
+Three guards on what runs after write-back:
+
+* the serial-order witness is built from arrays the batch result holds
+  on to, so it must not matter *when* it is asked for;
+* the batch log stores one pickled payload per batch, so every row
+  shape a client can send must survive the round trip;
+* nothing retained per served batch — log entries, serve batch
+  records, latency digests — may cost garbage-collector-tracked objects
+  in proportion to the batch's lanes.  That one is a *count*: a timer
+  cannot tell a per-transaction object creeping back from a noisy host.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.workload import WORKLOAD_NAMES, build_workload
+from repro.core import LTPGConfig
+from repro.serve.clock import run_simulation
+from repro.serve.orchestrator import Orchestrator
+from repro.serve.policies import make_policy
+from repro.shard import make_engine
+from repro.storage import BatchLog, LogRecord
+from repro.txn import BatchScheduler, Transaction
+
+SEED = 77
+
+
+# -- (a) the lazy witness is alias-safe ---------------------------------
+
+def _run_batches(name: str, shards: int, batches: int, eager: bool):
+    """Serve ``batches`` batches (retries carried over); returns each
+    batch's serial order — asked for at once (``eager``) or only after
+    every later batch has run."""
+    setup = build_workload(name, seed=SEED)
+    config = LTPGConfig(
+        batch_size=256,
+        batched_exec=True,
+        shards=shards,
+        **setup.config_kwargs,
+    )
+    scheduler = BatchScheduler(256)
+    results, orders = [], []
+    with make_engine(setup.database, setup.registry, config) as engine:
+        for _ in range(batches):
+            fresh = 256 - scheduler.eligible_backlog
+            scheduler.admit(setup.generator.make_batch(fresh))
+            result = engine.run_batch(scheduler.next_batch())
+            scheduler.requeue_aborted(result.aborted)
+            results.append(result)
+            if eager:
+                orders.append(result.serial_order())
+    if not eager:
+        orders = [result.serial_order() for result in results]
+    return orders, results
+
+
+@pytest.mark.sharded
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_serial_order_does_not_depend_on_when_it_is_asked(name, shards):
+    eager, _ = _run_batches(name, shards, batches=4, eager=True)
+    late, results = _run_batches(name, shards, batches=4, eager=False)
+    assert late == eager
+    for order, result in zip(late, results):
+        assert sorted(order) == sorted(t.tid for t in result.committed)
+        assert order, "every batch commits at least its lowest TID"
+        # asking again is free and gives a fresh list
+        again = result.serial_order()
+        assert again == order and again is not order
+
+
+# -- (b) log round trip ---------------------------------------------------
+
+_ints = st.one_of(
+    st.integers(-10, 10),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**63, max_value=2**65),
+)
+_params = st.recursive(
+    st.one_of(_ints, st.text(max_size=8)),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+_rows = st.lists(
+    st.tuples(_ints, st.text(min_size=1, max_size=8), st.lists(_params, max_size=4)),
+    max_size=6,
+)
+
+
+def _jsonable(value):
+    """What ``json`` makes of a (nested) tuple."""
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+@settings(deadline=None, max_examples=40)
+@given(batches=st.lists(_rows, min_size=1, max_size=2))
+def test_log_round_trips_every_row_shape(batches):
+    log = BatchLog()
+    expected = []
+    for index, rows in enumerate(batches):
+        txns = [Transaction(proc, tuple(params), tid=tid) for tid, proc, params in rows]
+        entry = log.append_batch(index, txns)
+        records = [LogRecord(tid, proc, tuple(params)) for tid, proc, params in rows]
+        assert entry.records == records
+        assert entry.committed_tids is None and entry.aborted_tids is None
+        for record in entry.records:
+            assert LogRecord.from_json(record.to_json()) == record
+        expected.extend(
+            {
+                "batch": index,
+                "tid": r.tid,
+                "procedure": r.procedure,
+                "params": _jsonable(r.params),
+            }
+            for r in records
+        )
+    assert [json.loads(line) for line in log.dump_lines()] == expected
+    assert [e.batch_index for e in log.batches()] == list(range(len(batches)))
+
+
+def test_log_payload_is_one_untracked_object_per_batch():
+    log = BatchLog()
+    txns = [Transaction("p", (i, (i, "x")), tid=i) for i in range(500)]
+    entry = log.append_batch(0, txns)
+    log.record_outcome(0, [t.tid for t in txns[::2]], [t.tid for t in txns[1::2]])
+    held = [o for o in gc.get_referents(entry) if not isinstance(o, type)]
+    assert sum(map(gc.is_tracked, held)) == 2  # the two outcome lists
+    assert not any(isinstance(obj, LogRecord) for obj in held)
+
+
+# -- (c) retained tracked objects grow per batch, not per lane -----------
+
+LANES = 256
+
+
+def _tracked_objects() -> int:
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def test_served_batches_retain_tracked_objects_per_batch_not_per_lane():
+    setup = build_workload("smallbank", seed=SEED)
+    engine = setup.engine(batch_size=LANES, sanitize=False, batched_exec=True)
+
+    # hybrid: a full batch cuts at once, the retry tail after a deadline
+    policy = make_policy("hybrid", LANES, max_wait_ns=2_000)
+
+    async def main():
+        async with Orchestrator(engine, policy=policy) as orch:
+
+            async def serve(requests):
+                futures = [
+                    orch.post(t.procedure_name, t.params)
+                    for t in setup.generator.make_batch(requests)
+                ]
+                for future in futures:
+                    await future
+                del futures, future
+                assert orch.queue_depth == 0
+                return len(orch.batch_records), _tracked_objects()
+
+            await serve(2 * LANES)  # lazy caches, first-use registries
+            before = await serve(2 * LANES)
+            after = await serve(10 * LANES)
+        return orch, before, after
+
+    try:
+        orch, (batches0, objects0), (batches1, objects1) = run_simulation(main())
+    finally:
+        engine.close()
+    batches = batches1 - batches0
+    assert batches >= 10
+    assert len(engine.batch_log) == batches1
+    assert len(orch.latency) == len(orch.queue_wait) == 14 * LANES
+    per_batch = (objects1 - objects0) / batches
+    # BatchStats with its counters, kernel timeline entries, one log
+    # entry, one serve record: a few dozen.  One object per lane would
+    # be LANES or more.
+    assert per_batch < LANES / 4, f"{per_batch:.1f} tracked objects per batch"

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from helpers import build_bank, txn
+from repro.analysis.workload import WORKLOAD_NAMES, build_workload
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import StorageError
 from repro.storage import BatchLog, Snapshot
 from repro.storage.recovery import recover, transactions_from_record
-from repro.txn import BatchScheduler
+from repro.txn import BatchScheduler, ProcedureRegistry
 
 
 def run_workload(engine, scheduler, batches):
@@ -74,6 +75,53 @@ class TestRecovery:
         with pytest.raises(StorageError):
             recover(snapshot, engine.batch_log, self.make_engine)
 
+    def test_recover_checks_a_batch_that_committed_nothing(self):
+        """An empty recorded outcome is an outcome: a replay that
+        commits where the original run did not must not pass."""
+        db, self.registry = build_bank(accounts=8)
+        engine = LTPGEngine(db, self.registry, LTPGConfig(batch_size=8))
+        snapshot = Snapshot.capture(db, batch_index=0)
+        batch = [txn("bad", 1), txn("bad", 2)]
+        batch[0].tid, batch[1].tid = 0, 1
+        result = engine.run_batch(batch)
+        assert result.committed == [] and len(result.logic_aborted) == 2
+        entry = engine.batch_log.batches()[0]
+        assert entry.committed_tids == [] and entry.aborted_tids == []
+
+        # faithful replay: nothing commits, recovery agrees
+        _, report = recover(snapshot, engine.batch_log, self.make_engine)
+        assert report.final_digest == db.state_digest()
+
+        # a replay engine whose "bad" no longer rolls back commits both
+        divergent = ProcedureRegistry()
+
+        @divergent.register("bad")
+        def bad(ctx, a):
+            ctx.write("accounts", a, "flags", 1)
+
+        with pytest.raises(StorageError, match="non-deterministic replay"):
+            recover(
+                snapshot,
+                engine.batch_log,
+                lambda database: LTPGEngine(
+                    database, divergent, LTPGConfig(batch_size=8)
+                ),
+            )
+
+    def test_recover_replays_a_batch_whose_outcome_was_never_logged(self):
+        """A crash between append_batch and record_outcome leaves the
+        outcome ``None``: the batch replays, with nothing to compare."""
+        db, self.registry = build_bank(accounts=8)
+        snapshot = Snapshot.capture(db, batch_index=0)
+        log = BatchLog()
+        batch = [txn("deposit", 1, 5)]
+        batch[0].tid = 0
+        entry = log.append_batch(0, batch)
+        assert entry.committed_tids is None and entry.aborted_tids is None
+        engine, report = recover(snapshot, log, self.make_engine)
+        assert report.transactions_replayed == 1
+        assert engine.database.table("accounts").read(1, "balance") == 1005
+
     def test_transactions_from_record_preserve_tids(self):
         db, self.registry = build_bank(accounts=8)
         engine = LTPGEngine(db, self.registry, LTPGConfig(batch_size=8))
@@ -90,6 +138,37 @@ class TestRecovery:
         follow_up[0].tid = 10_000
         result = engine.run_batch(follow_up)
         assert result.stats.committed == 1
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_recovery_digest_matches_on_every_workload(name):
+    """Snapshot + decoded log payloads reproduce the crashed state on
+    TPC-C, YCSB-A and SmallBank (retries carried across batches)."""
+    setup = build_workload(name, seed=5)
+    engine = setup.engine(batch_size=128, sanitize=False)
+    config = engine.config
+    scheduler = BatchScheduler(128)
+    snapshot = Snapshot.capture(setup.database, batch_index=0)
+    for _ in range(3):
+        scheduler.admit(
+            setup.generator.make_batch(128 - scheduler.eligible_backlog)
+        )
+        result = engine.run_batch(scheduler.next_batch())
+        scheduler.requeue_aborted(result.aborted)
+    recovered, report = recover(
+        snapshot,
+        engine.batch_log,
+        lambda database: LTPGEngine(database, setup.registry, config),
+    )
+    assert report.batches_replayed == 3
+    assert report.final_digest == setup.database.state_digest()
+    assert [
+        [(r.tid, r.procedure, r.params) for r in entry.records]
+        for entry in recovered.batch_log.batches()
+    ] == [
+        [(r.tid, r.procedure, r.params) for r in entry.records]
+        for entry in engine.batch_log.batches()
+    ]
 
 
 class TestRecoveryProperty:

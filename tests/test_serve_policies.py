@@ -211,3 +211,59 @@ def test_partition_holds_with_retries(gaps, capacity):
     assert len(placements) == 2 * len(gaps)
     for rec in orch.batch_records:
         assert len(rec.members) <= capacity
+
+
+class _CheckedOrchestrator(Orchestrator):
+    """Asserts, on every policy check, that the O(1) oldest-entry read
+    agrees with a scan of the whole ingress queue."""
+
+    checks = 0
+
+    def _view(self, draining):
+        view = super()._view(draining)
+        scanned = min(
+            (r.enqueue_ns for r in self._queued.values()), default=None
+        )
+        assert view.oldest_enqueue_ns == scanned
+        self.checks += 1
+        return view
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    gaps=st.lists(st.integers(0, 400), min_size=2, max_size=40),
+    spec=policy_specs,
+    latency_ns=st.integers(0, 900),
+    abort_mask=st.integers(0, 2**16 - 1),
+)
+def test_oldest_queued_request_is_the_first_entry(
+    gaps, spec, latency_ns, abort_mask
+):
+    """Posts, cuts and retry re-entries interleave (a nonzero batch
+    latency lets arrivals land while a batch runs, then its aborts
+    re-enter behind them): the queue's first entry always carries the
+    smallest ``enqueue_ns``."""
+    name, capacity, max_wait_ns = spec
+
+    def verdict(t):
+        # each request aborts up to twice, on attempts picked per TID
+        bit = (t.tid * 2 + t.attempts - 1) % 16
+        return "abort" if t.attempts <= 2 and abort_mask >> bit & 1 else "commit"
+
+    engine = StubEngine(
+        batch_size=capacity, latency_ns=float(latency_ns), verdict=verdict
+    )
+    policy = make_policy(name, capacity, max_wait_ns=max_wait_ns)
+
+    async def main():
+        orch = _CheckedOrchestrator(engine, policy=policy)
+        futures = []
+        async with orch:
+            for i, gap in enumerate(gaps):
+                await orch.clock.sleep_ns(gap)
+                futures.append(orch.post("noop", (i,)))
+        return orch, [await f for f in futures]
+
+    orch, responses = run_simulation(main())
+    assert orch.checks > 0
+    assert all(r.committed for r in responses)

@@ -241,6 +241,28 @@ class TestBatchLog:
         assert entry.committed_tids == [0, 2]
         assert entry.aborted_tids == [1]
 
+    def test_outcome_is_none_until_recorded(self):
+        log = BatchLog()
+        entry = log.append_batch(0, self.make_txns())
+        assert entry.committed_tids is None and entry.aborted_tids is None
+        log.record_outcome(0, committed=[], aborted=[2, 0, 1])
+        assert entry.committed_tids == [] and entry.aborted_tids == [0, 1, 2]
+
+    def test_outcome_goes_to_the_latest_entry_of_an_index(self):
+        log = BatchLog()
+        first = log.append_batch(3, self.make_txns())
+        log.append_batch(4, [Transaction("q", (), tid=9)])
+        again = log.append_batch(3, self.make_txns())
+        log.record_outcome(3, committed=[1], aborted=[])
+        assert first.committed_tids is None
+        assert again.committed_tids == [1]
+
+    def test_records_decode_on_demand(self):
+        log = BatchLog()
+        entry = log.append_batch(0, self.make_txns())
+        assert entry.records == [LogRecord(i, "p", (1, 2)) for i in range(3)]
+        assert entry.records is not entry.records  # nothing is kept
+
     def test_outcome_for_unlogged_batch(self):
         log = BatchLog()
         with pytest.raises(StorageError):

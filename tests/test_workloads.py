@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ from repro.workloads.tpcc import (
     tpcc_nbytes,
 )
 from repro.workloads.ycsb import WORKLOADS, build_ycsb, ycsb_delayed_columns
+from repro.workloads.ycsb.generator import (
+    OPS_PER_TXN,
+    SCAN_LENGTH,
+    YcsbGenerator,
+)
 
 
 class TestRandHelpers:
@@ -57,6 +64,18 @@ class TestRandHelpers:
         a = z.sample(np.random.default_rng(7), 100)
         b = z.sample(np.random.default_rng(7), 100)
         assert (a == b).all()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.2, 2.5])
+    def test_zipf_sample_one_is_sample_of_one(self, alpha):
+        """Same draw from the stream, same rank: interleaving
+        ``sample_one`` with other draws reproduces ``sample(rng, 1)``."""
+        z = ZipfGenerator(1000, alpha)
+        one, arr = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(500):
+            rank = z.sample_one(one)
+            assert type(rank) is int
+            assert rank == int(z.sample(arr, 1)[0])
+            assert one.integers(0, 100) == arr.integers(0, 100)
 
 
 class TestTpccSchemaAndLoader:
@@ -265,3 +284,84 @@ class TestYcsb:
 
     def test_all_five_workloads_defined(self):
         assert set(WORKLOADS) == {"a", "b", "c", "d", "e"}
+
+
+def _ycsb_batch_by_loop(gen: YcsbGenerator, size: int) -> list[tuple]:
+    """The per-op loop ``YcsbGenerator.make_batch`` vectorises, kept as
+    the reference: same draws, one op at a time."""
+    rng, wl = gen._rng, gen.workload
+    latest_limit = gen._next_insert_key
+    thresholds = np.cumsum([wl.read, wl.update, wl.insert, wl.scan])
+    total_ops = size * OPS_PER_TXN
+    codes = np.minimum(
+        np.searchsorted(thresholds, rng.random(total_ops), side="right"), 3
+    )
+    ranks = gen.zipf.sample(rng, total_ops)
+    out, pos = [], 0
+    for _ in range(size):
+        flat: list[int] = []
+        for _ in range(OPS_PER_TXN):
+            code, rank = int(codes[pos]), int(ranks[pos])
+            pos += 1
+            if code == 2:
+                key = gen._next_insert_key
+                gen._next_insert_key += 1
+            elif code == 3:
+                key = min(rank, gen.num_records - SCAN_LENGTH)
+            elif wl.read_latest and code == 0:
+                key = max(latest_limit - 1 - rank, 0)
+            else:
+                key = rank
+            if code == 1 and not gen.commutative_updates:
+                code = 4
+            flat.extend((code, key))
+        out.append(tuple(flat))
+    return out
+
+
+class TestYcsbGeneratorStream:
+    """The vectorised generator emits the per-op loop's exact stream."""
+
+    SIZES = (257, 64, 1)  # three consecutive batches per generator
+
+    @staticmethod
+    def _generator(name, commutative):
+        return YcsbGenerator(
+            5000, workload=name, zipf_alpha=0.9, seed=31,
+            commutative_updates=commutative,
+        )
+
+    @pytest.mark.parametrize("commutative", [True, False])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_matches_the_per_op_loop(self, name, commutative):
+        fast = self._generator(name, commutative)
+        slow = self._generator(name, commutative)
+        for size in self.SIZES:
+            batch = fast.make_batch(size)
+            assert [t.params for t in batch] == _ycsb_batch_by_loop(slow, size)
+            assert all(type(p) is int for t in batch for p in t.params)
+            assert all(
+                (t.procedure_name, t.tid) == ("ycsb_txn", -1) for t in batch
+            )
+        assert fast._next_insert_key == slow._next_insert_key
+
+    def test_golden_hash_of_every_workload(self):
+        """Pinned from the loop implementation: a seed keeps meaning the
+        same requests across versions (the benchmark's request pool and
+        every committed BENCH row depend on it)."""
+        h = hashlib.sha256()
+        for name in sorted(WORKLOADS):
+            for commutative in (True, False):
+                gen = self._generator(name, commutative)
+                for size in self.SIZES:
+                    for t in gen.make_batch(size):
+                        h.update(
+                            repr((t.procedure_name, t.params, t.tid)).encode()
+                        )
+                h.update(str(gen._next_insert_key).encode())
+        assert h.hexdigest() == (
+            "ae2acd03e717e7e3ee35817548df0f42e0985b187f4eee315864b0fd32abc96d"
+        )
+
+    def test_empty_batch(self):
+        assert self._generator("a", True).make_batch(0) == []
