@@ -44,8 +44,13 @@ def test_wallclock_columnar_speedup(benchmark, bench_scale, bench_rounds):
 def main() -> int:
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     out = os.path.join(root, "BENCH_wallclock.json")
-    # min-of-8: matches the perf gate's estimator (scripts/check_wallclock.py)
-    result = wallclock.run_and_write(scale=1.0, rounds=8, path=out)
+    # min-of-8: matches the perf gate's estimator (scripts/check_wallclock.py).
+    # The mockgpu columns are what fills transfers_per_batch — the
+    # per-phase transfer ledger EXPERIMENTS.md documents for every batch
+    # size (scripts/check_wallclock.py --schema holds the file to it).
+    result = wallclock.run_and_write(
+        scale=1.0, rounds=8, path=out, backend="mockgpu"
+    )
     print(result.format())
     headline = wallclock.HEADLINE_BATCH
     if headline in result.seconds.get("reference", {}):

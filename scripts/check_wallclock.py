@@ -25,6 +25,12 @@ phases, zero float upcasts — this part gates).  Backends that are not
 constructible on this host auto-skip; ``--quick`` drops the
 machine-dependent wall-clock gates and runs only the backend gate,
 which is what CI uses (``--quick --backend mockgpu``).
+
+``--schema`` runs nothing and times nothing: it only checks that every
+key EXPERIMENTS.md and docs/ARCHITECTURE.md document for
+``BENCH_wallclock.json`` and ``BENCH_serve.json`` is present in the
+committed files and not empty (a documented-but-empty key is how an
+artifact rots without any gate noticing), then exits.
 """
 
 from __future__ import annotations
@@ -576,6 +582,112 @@ def check_serve(
     return 0
 
 
+#: Keys the docs promise, as dotted paths; ``*`` is "every child, and
+#: at least one", ``{a,b}`` a fixed set of children.  Documented in
+#: EXPERIMENTS.md "Host wall-clock" / "Transfer traffic under mockgpu"
+#: and docs/ARCHITECTURE.md §2, §7, §8, §9, §14.
+WALLCLOCK_SCHEMA = (
+    "batch_sizes",
+    "meta.{cpu_count,rounds,scale,seed,warehouses,workload,estimator}",
+    "meta.{parallel_workers,shards,python,numpy,platform}",
+    "meta.array_backend.{backend,library,version}",
+    "seconds_per_batch.{reference,columnar,batched,parallel,sharded}.*"
+    ".{execute,conflict,writeback,assemble,total}",
+    "seconds_per_batch.sharded.*.sequencer",
+    "speedup_execute_conflict.*",
+    "speedup_execute_total.*.{execute,total}",
+    "speedup_parallel.*.{execute,total}",
+    "speedup_sharded.*.execute_conflict_writeback",
+    "sharded.shards",
+    "sharded.balance_ledger.*",
+    "sharded.metrics.{max_balance,mean_multi_home_fraction,sequencer_stall_ns}",
+    "metrics.{abort_reasons,atomic,conflict_log,reschedule_depth,shard,warp}",
+    "transfers_per_batch.*.*.{execute,conflict,writeback}",
+)
+
+#: EXPERIMENTS.md "End-to-end serve latency", docs/ARCHITECTURE.md §12.
+SERVE_SCHEMA = (
+    "meta.{arrival_rate_per_s,batch_size,max_wait_us,requests_per_cell,seed}",
+    "meta.clock",
+    "rows.*.{workload,policy,requests,committed,batches,mean_batch,retries}",
+    "rows.*.{goodput_mtps,p50_us,p95_us,p99_us,queue_p99_us,shed_pct}",
+)
+
+
+def _schema_problems(node, path: str, where: str = "") -> list[str]:
+    """Where ``path`` (see :data:`WALLCLOCK_SCHEMA`) is missing or
+    empty under ``node``."""
+    head, _, rest = path.partition(".")
+    if head == "*":
+        children = node if isinstance(node, list) else list(node.values())
+        keys = range(len(node)) if isinstance(node, list) else list(node)
+        if not children:
+            return [f"{where or '<root>'}: empty"]
+        picked = list(zip(keys, children))
+    else:
+        names = head.strip("{}").split(",")
+        missing = [n for n in names if not isinstance(node, dict) or n not in node]
+        if missing:
+            return [f"{where + '.' if where else ''}{n}: missing" for n in missing]
+        picked = [(n, node[n]) for n in names]
+    problems = []
+    for key, child in picked:
+        here = f"{where}.{key}" if where else str(key)
+        if child is None or (
+            isinstance(child, (dict, list, str)) and len(child) == 0
+        ):
+            problems.append(f"{here}: empty")
+        elif rest:
+            if isinstance(child, (dict, list)):
+                problems += _schema_problems(child, rest, here)
+            else:
+                problems.append(f"{here}: not a container")
+    return problems
+
+
+def check_schema(wallclock_path: str, serve_path: str) -> int:
+    """Every documented key of both committed artifacts is present and
+    non-empty; the transfer ledger covers every batch-size column."""
+    rc = 0
+    for path, schema in (
+        (wallclock_path, WALLCLOCK_SCHEMA),
+        (serve_path, SERVE_SCHEMA),
+    ):
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"schema: cannot read {path}: {exc}")
+            rc = 1
+            continue
+        problems = [p for entry in schema for p in _schema_problems(doc, entry)]
+        if schema is WALLCLOCK_SCHEMA:
+            sizes = {str(b) for b in doc.get("batch_sizes", ())}
+            for column, by_batch in doc.get("transfers_per_batch", {}).items():
+                gone = sorted(sizes - set(by_batch), key=int)
+                if gone:
+                    problems.append(
+                        f"transfers_per_batch.{column}: no entry for batch "
+                        f"size(s) {', '.join(gone)}"
+                    )
+        name = os.path.basename(path)
+        if problems:
+            rc = 1
+            print(f"schema: {name}: {len(problems)} documented key(s) not there")
+            for problem in problems[:20]:
+                print(f"  {problem}")
+            if len(problems) > 20:
+                print(f"  ... and {len(problems) - 20} more")
+        else:
+            print(f"schema: {name}: OK ({len(schema)} documented paths)")
+    if rc:
+        print(
+            "regenerate with: python benchmarks/bench_wallclock.py / "
+            "python -m repro.bench serve — or correct the docs; they must agree"
+        )
+    return rc
+
+
 def main(argv: list[str] | None = None) -> int:
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -668,7 +780,15 @@ def main(argv: list[str] | None = None) -> int:
         "the backend + serve gates at reduced rounds (the CI "
         "configuration; both are machine-independent)",
     )
+    parser.add_argument(
+        "--schema", action="store_true",
+        help="only check that every documented key of the two committed "
+        "artifacts is present and non-empty (no measurement; safe on "
+        "any runner)",
+    )
     args = parser.parse_args(argv)
+    if args.schema:
+        return check_schema(args.baseline, args.serve_baseline)
     rc = 0
     if not args.quick:
         rc = check(args.baseline, args.allowed_factor, args.rounds)

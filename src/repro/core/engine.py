@@ -50,9 +50,14 @@ from repro.txn.batch import BatchScheduler
 from repro.txn.batch_context import BatchedContext, GroupLocals, pack_sort_key
 from repro.txn.context import BufferedContext, LocalSets, apply_local_sets
 from repro.txn.decompose import plan, plan_arrays
-from repro.txn.operations import NUM_OP_KINDS, OP_FIELDS, OpColumns, OpKind, column_name
+from repro.txn.operations import NUM_OP_KINDS, OP_FIELDS, OpFrame, OpKind, column_name
 from repro.txn.procedures import Procedure, ProcedureRegistry
-from repro.txn.transaction import Transaction, TxnStatus
+from repro.txn.transaction import (
+    Transaction,
+    TxnStatus,
+    batch_columns,
+    begin_framed_attempt,
+)
 
 # Per-operation hardware cost shape (events per op in the execute phase).
 _READ_GLOBAL_READS = 3       # two index-probe loads + one data load
@@ -443,7 +448,8 @@ class LTPGEngine:
             return BatchResult(empty, [], [], [])
         batch_index = self._batch_counter
         self._batch_counter += 1
-        self.batch_log.append_batch(batch_index, transactions)
+        columns = batch_columns(transactions)
+        self.batch_log.append_batch(batch_index, transactions, columns)
         backend = self._ensure_backend()
         xfer0 = backend.transfer_stats().snapshot()
         device = self.device
@@ -459,36 +465,45 @@ class LTPGEngine:
         device.stream(self.h2d_stream).record_event(h2d_done)
         device.stream(self.compute_stream).wait_event(h2d_done)
 
-        # -- phase 1: execute -------------------------------------------
-        exec_data = _ExecutionData()
-        host_t0 = time.perf_counter()
-        self._trace_begin_phase("phase:execute")
-        with device.kernel(
-            "execute", threads=max(1, len(transactions)), stream=self.compute_stream
-        ) as ctx, backend.kernel_phase("execute"):
-            self._execute_phase(transactions, exec_data, ctx)
-        exec_entry = device.profiler.entries[-1]
-        exec_ns = exec_entry.duration_ns
-        exec_kernel_stats = ctx.stats
-        exec_geometry = ctx.geometry
-        self._phase_sync()
-        self._trace_end_phase()
-        host_t1 = time.perf_counter()
-        xfer_exec = backend.transfer_stats().snapshot()
+        # The two phases that only read the snapshot.  If either raises,
+        # nothing was installed and the batch has no outcome to
+        # reproduce: the log entry is marked so recovery skips it.
+        try:
+            # -- phase 1: execute ---------------------------------------
+            exec_data = _ExecutionData(columns)
+            host_t0 = time.perf_counter()
+            self._trace_begin_phase("phase:execute")
+            with device.kernel(
+                "execute",
+                threads=max(1, len(transactions)),
+                stream=self.compute_stream,
+            ) as ctx, backend.kernel_phase("execute"):
+                self._execute_phase(transactions, exec_data, ctx)
+            exec_entry = device.profiler.entries[-1]
+            exec_ns = exec_entry.duration_ns
+            exec_kernel_stats = ctx.stats
+            exec_geometry = ctx.geometry
+            self._phase_sync()
+            self._trace_end_phase()
+            host_t1 = time.perf_counter()
+            xfer_exec = backend.transfer_stats().snapshot()
 
-        # -- phase 2: conflict detection --------------------------------
-        self._trace_begin_phase("phase:conflict")
-        with device.kernel(
-            "conflict",
-            threads=max(1, exec_data.total_ops),
-            stream=self.compute_stream,
-        ) as ctx, backend.kernel_phase("conflict"):
-            flags = self._conflict_phase(transactions, exec_data, ctx)
-        conflict_ns = device.profiler.entries[-1].duration_ns
-        self._phase_sync()
-        self._trace_end_phase()
-        host_t2 = time.perf_counter()
-        xfer_conf = backend.transfer_stats().snapshot()
+            # -- phase 2: conflict detection ----------------------------
+            self._trace_begin_phase("phase:conflict")
+            with device.kernel(
+                "conflict",
+                threads=max(1, exec_data.total_ops),
+                stream=self.compute_stream,
+            ) as ctx, backend.kernel_phase("conflict"):
+                flags = self._conflict_phase(transactions, exec_data, ctx)
+            conflict_ns = device.profiler.entries[-1].duration_ns
+            self._phase_sync()
+            self._trace_end_phase()
+            host_t2 = time.perf_counter()
+            xfer_conf = backend.transfer_stats().snapshot()
+        except Exception:
+            self.batch_log.mark_failed(batch_index)
+            raise
 
         # -- phase 3: write-back -----------------------------------------
         committed_mask = commit_mask(flags, self.config.logical_reordering)
@@ -936,14 +951,7 @@ class LTPGEngine:
                 self._execute_one(txn, proc, data)
 
         if self.tracer is not None or self.metrics is not None:
-            tallies: dict[str, list[int]] = {}
-            for txn in transactions:
-                t = tallies.setdefault(txn.procedure_name, [0, 0])
-                t[0] += 1
-                t[1] += len(txn.ops)
-            self._last_groups = [
-                (name, t[0], t[1]) for name, t in tallies.items()
-            ]
+            self._last_groups = self._group_tallies(transactions, data)
 
         # Collect op arrays + per-op costs, skipping logic aborts for
         # registration but keeping their cost (the lanes did the work).
@@ -1000,6 +1008,28 @@ class LTPGEngine:
         self._sanitize_table_reads(data)
 
     # ------------------------------------------------------------------
+    def _group_tallies(
+        self, transactions, data: "_ExecutionData"
+    ) -> list[tuple[str, int, int]]:
+        """``(procedure, lanes, ops)`` per procedure in first-appearance
+        order (observability only)."""
+        frame = data.frame
+        if frame is not None:
+            # counts over the frame: reading txn.ops here would copy
+            # every lane's rows out just to take their length
+            names, gid = data.group_names, data.group_ids
+            lanes = np.bincount(gid, minlength=len(names))
+            # exact: op counts are far below 2**53
+            ops = np.bincount(gid, weights=frame.counts, minlength=len(names))
+            return list(zip(names, lanes.tolist(), ops.astype(np.int64).tolist()))
+        tallies: dict[str, list[int]] = {}
+        for txn in transactions:
+            t = tallies.setdefault(txn.procedure_name, [0, 0])
+            t[0] += 1
+            t[1] += len(txn.ops)
+        return [(name, t[0], t[1]) for name, t in tallies.items()]
+
+    # ------------------------------------------------------------------
     def _execute_batched(self, transactions, data: "_ExecutionData") -> None:
         """Group-by-procedure vectorized execution (``batched_exec``).
 
@@ -1007,55 +1037,81 @@ class LTPGEngine:
         vectorized call over a :class:`BatchedContext`; groups without a
         twin — and individual lanes the twin sends to fallback — run
         through the scalar path, so third-party procedures keep working.
-        Either way every transaction ends with the same ``txn.ops``,
-        status and ranges the scalar loop would have produced, and the
-        batch-wide columnar locals land in ``data.batch_locals`` for the
+        The groups' op matrices go into the batch's :class:`OpFrame`
+        (``data.frame``), from which the collector takes the whole batch
+        and each transaction its own ``ops`` — the same ops, status and
+        ranges the scalar loop would have produced — and the batch-wide
+        columnar locals land in ``data.batch_locals`` for the
         scatter-based write-back.
         """
         n = len(transactions)
-        groups: dict[str, list[int]] = {}
-        for i, txn in enumerate(transactions):
-            txn.reset_for_execution()
-            groups.setdefault(txn.procedure_name, []).append(i)
-        if self.config.parallel_workers > 0:
-            self._execute_batched_parallel(transactions, data, groups)
-            return
-        delayed_fn = (
-            self.delayed.delayed_mask if self.delayed.columns else None
+        frame = data.frame = OpFrame(n)
+        begin_framed_attempt(transactions, frame)
+        # Procedure groups in first-appearance order, as lane indices.
+        names = data.group_names = list(dict.fromkeys(data.procedures))
+        code = {name: k for k, name in enumerate(names)}
+        gid = data.group_ids = np.fromiter(
+            map(code.__getitem__, data.procedures), dtype=np.int64, count=n
         )
-        parts: list[GroupLocals] = []
-        for name, idxs in groups.items():
-            proc = self._resolve_procedure(name)
-            batched = self.procedures.get_batched(name)
-            if batched is None:
-                parts.append(
-                    self._execute_scalar_group(transactions, data, proc, idxs)
-                )
-                continue
-            bctx = BatchedContext(
-                self.database,
-                [transactions[i].params for i in idxs],
-                delayed_mask_fn=delayed_fn,
-                xp=self._ensure_backend(),
-                residency=self._ensure_residency(),
-            )
-            batched(bctx, bctx.params)
-            mat, counts, g_locals, ranges_by_lane = bctx.finalize()
-            parts.append(self._apply_batched_group(
-                transactions, data, proc, idxs, mat, counts, g_locals,
-                ranges_by_lane, bctx.fallback, bctx.aborted,
+        groups = []
+        for k, name in enumerate(names):
+            member = gid == k
+            groups.append((
+                name,
+                np.flatnonzero(member),
+                list(compress(data.params, member.tolist())),
             ))
+        if self.config.parallel_workers > 0:
+            parts = self._execute_batched_parallel(transactions, data, groups)
+        else:
+            delayed_fn = (
+                self.delayed.delayed_mask if self.delayed.columns else None
+            )
+            parts = []
+            for name, idxs, params in groups:
+                proc = self._resolve_procedure(name)
+                batched = self.procedures.get_batched(name)
+                if batched is None:
+                    parts.append(
+                        self._execute_scalar_group(transactions, data, proc, idxs)
+                    )
+                    continue
+                bctx = BatchedContext(
+                    self.database,
+                    params,
+                    delayed_mask_fn=delayed_fn,
+                    xp=self._ensure_backend(),
+                    residency=self._ensure_residency(),
+                )
+                batched(bctx, bctx.params)
+                mat, counts, g_locals, ranges_by_lane = bctx.finalize()
+                parts.append(self._apply_batched_group(
+                    transactions, data, proc, idxs, mat, counts, g_locals,
+                    ranges_by_lane, bctx.fallback, bctx.aborted,
+                ))
         data.batch_locals = GroupLocals.merge(parts, n)
+        frame.seal()
+        data.logic_mask = frame.logic
+
+    def _execute_scalar_lane(
+        self, transactions, data: "_ExecutionData", proc, part: GroupLocals, i: int
+    ) -> None:
+        """One lane of a batched batch through the scalar path: locals
+        folded columnar, recorded ops copied into the frame."""
+        txn = transactions[i]
+        self._execute_one(txn, proc, data)
+        self._fold_scalar_locals(part, i, txn, data)
+        data.frame.add_scalar(
+            i, txn.ops, txn.status is TxnStatus.LOGIC_ABORTED
+        )
 
     def _execute_scalar_group(
-        self, transactions, data: "_ExecutionData", proc, idxs: list[int]
+        self, transactions, data: "_ExecutionData", proc, idxs: np.ndarray
     ) -> GroupLocals:
         """One twin-less group through the scalar path, folded columnar."""
         part = GroupLocals(len(transactions))
-        for i in idxs:
-            txn = transactions[i]
-            self._execute_one(txn, proc, data)
-            self._fold_scalar_locals(part, i, txn, data)
+        for i in idxs.tolist():
+            self._execute_scalar_lane(transactions, data, proc, part, i)
         return part
 
     def _apply_batched_group(
@@ -1063,7 +1119,7 @@ class LTPGEngine:
         transactions,
         data: "_ExecutionData",
         proc,
-        idxs: list[int],
+        idxs: np.ndarray,
         mat: np.ndarray,
         counts: np.ndarray,
         g_locals: GroupLocals,
@@ -1072,46 +1128,29 @@ class LTPGEngine:
         aborted: np.ndarray,
     ) -> GroupLocals:
         """Apply one group's finalized vectorized results — produced
-        in-process or merged back from worker shards — to the
-        transactions: slice per-lane ops out of the matrix, set
-        statuses, re-run fallback lanes through the scalar path."""
-        n = len(transactions)
-        # zero-copy byte window over the lane-sorted op matrix;
-        # per-lane slices stay views until frombytes copies them
-        if mat.size:
-            raw = memoryview(np.ascontiguousarray(mat)).cast("B")
-        else:
-            raw = b""
-        bounds = np.zeros(len(idxs) + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        bounds *= OP_FIELDS * 8
-        part = g_locals.rekeyed(np.asarray(idxs, dtype=np.int64), n)
-        bounds_l = bounds.tolist()
-        fallback_l = fallback.tolist()
-        aborted_l = aborted.tolist()
-        from_flat = OpColumns.from_flat
-        executed = TxnStatus.EXECUTED
-        get_ranges = ranges_by_lane.get
-        for li, i in enumerate(idxs):
+        in-process or merged back from worker shards: the op matrix
+        goes to the frame whole, and only the lanes that differ from
+        the rest are visited — logic aborts get their status, range
+        readers their predicates, fallback lanes a scalar re-run."""
+        part = g_locals.rekeyed(idxs, len(transactions))
+        data.frame.add_group(idxs, mat, counts, aborted)
+        for i in idxs[aborted].tolist():
             txn = transactions[i]
-            if fallback_l[li]:
-                self._execute_one(txn, proc, data)
-                self._fold_scalar_locals(part, i, txn, data)
-                continue
-            txn.ops = from_flat(raw[bounds_l[li]:bounds_l[li + 1]])
-            if aborted_l[li]:
-                txn.status = TxnStatus.LOGIC_ABORTED
-                txn.abort_reason = "logic"
-            else:
-                txn.status = executed
-                lane_ranges = get_ranges(li)
-                if lane_ranges:
-                    data.ranges_by_tid[txn.tid] = lane_ranges
+            txn.status = TxnStatus.LOGIC_ABORTED
+            txn.abort_reason = "logic"
+        tids = data.tids
+        for li, lane_ranges in ranges_by_lane.items():
+            data.ranges_by_tid[tids[idxs[li]]] = lane_ranges
+        for i in idxs[fallback].tolist():
+            self._execute_scalar_lane(transactions, data, proc, part, i)
         return part
 
     def _execute_batched_parallel(
-        self, transactions, data: "_ExecutionData", groups: dict[str, list[int]]
-    ) -> None:
+        self,
+        transactions,
+        data: "_ExecutionData",
+        groups: list[tuple[str, np.ndarray, list[tuple]]],
+    ) -> list[GroupLocals]:
         """Shard twin-backed groups across the worker pool
         (``config.parallel_workers``).
 
@@ -1122,19 +1161,14 @@ class LTPGEngine:
         Fallback lanes are re-run scalar in the parent, exactly as the
         in-process path does.
         """
-        n = len(transactions)
         pool = self._ensure_pool()
-        plan_groups: list[tuple[str, list[int]]] = []
-        sharded: list[tuple[str, list[tuple]]] = []
-        for name, idxs in groups.items():
-            # resolve up front: unknown procedures must raise before any
-            # dispatch, like the in-process group loop would
+        # resolve up front: unknown procedures must raise before any
+        # dispatch, like the in-process group loop would
+        for name, _idxs, _params in groups:
             self._resolve_procedure(name)
-            if self.procedures.get_batched(name) is not None:
-                plan_groups.append((name, idxs))
-                sharded.append(
-                    (name, [transactions[i].params for i in idxs])
-                )
+        twinned = [
+            g for g in groups if self.procedures.get_batched(g[0]) is not None
+        ]
         splits = None
         if self.shard_plan is not None:
             # Shard-major batches split by ownership, not evenly: worker
@@ -1143,17 +1177,18 @@ class LTPGEngine:
             # contiguous runs).
             splits = [
                 np.bincount(
-                    self.shard_plan[np.asarray(idxs, dtype=np.int64)],
-                    minlength=pool.num_workers,
+                    self.shard_plan[idxs], minlength=pool.num_workers
                 ).tolist()
-                for _name, idxs in plan_groups
+                for _name, idxs, _params in twinned
             ]
-        pool.dispatch(sharded, splits=splits)
+        pool.dispatch(
+            [(name, params) for name, _idxs, params in twinned], splits=splits
+        )
         # parent-side work overlaps the workers: twin-less groups run
         # scalar here while the shards execute
         scalar_parts: dict[str, GroupLocals] = {}
         try:
-            for name, idxs in groups.items():
+            for name, idxs, _params in groups:
                 if self.procedures.get_batched(name) is None:
                     scalar_parts[name] = self._execute_scalar_group(
                         transactions, data, self._resolve_procedure(name), idxs
@@ -1169,7 +1204,7 @@ class LTPGEngine:
         merged = pool.collect()
         parts: list[GroupLocals] = []
         si = 0
-        for name, idxs in groups.items():
+        for name, idxs, _params in groups:
             if name in scalar_parts:
                 parts.append(scalar_parts[name])
                 continue
@@ -1179,10 +1214,10 @@ class LTPGEngine:
                 transactions, data, self._resolve_procedure(name), idxs,
                 mat, counts, g_locals, ranges_by_lane, fallback, aborted,
             ))
-        data.batch_locals = GroupLocals.merge(parts, n)
         if self.tracer is not None or self.metrics is not None:
             self._last_shards = list(pool.last_shard_stats)
             self._last_merge_s = pool.last_merge_s
+        return parts
 
     def _fold_scalar_locals(
         self, part: GroupLocals, idx: int, txn, data: "_ExecutionData"
@@ -1197,6 +1232,29 @@ class LTPGEngine:
         )
 
     # ------------------------------------------------------------------
+    def _gather_lane_ops(self, transactions, data: "_ExecutionData"):
+        """``(mat, counts)`` of a batch whose lanes each recorded their
+        own buffer (the per-transaction execute path); also leaves
+        ``data.logic_mask``."""
+        counts_l: list[int] = []
+        logic_l: list[bool] = []
+        logic_aborted = TxnStatus.LOGIC_ABORTED
+        flat = array("q")
+        for txn in transactions:
+            buf = txn.ops.buffer
+            flat += buf  # one C-level memcpy per transaction
+            counts_l.append(len(buf))
+            logic_l.append(txn.status is logic_aborted)
+        data.logic_mask = np.asarray(logic_l, dtype=bool)
+        counts = np.asarray(counts_l, dtype=np.int64) // OP_FIELDS
+        total = len(flat) // OP_FIELDS
+        if total:
+            # Zero-copy view: `flat` is local and never grows past here.
+            mat = np.frombuffer(flat, dtype=np.int64).reshape(total, OP_FIELDS)
+        else:
+            mat = np.empty((0, OP_FIELDS), dtype=np.int64)
+        return mat, counts
+
     def _collect_columnar(self, transactions, data: "_ExecutionData", ctx):
         """Batch-wide columnar op collection.
 
@@ -1207,26 +1265,14 @@ class LTPGEngine:
         """
         db = self.database
         n = len(transactions)
-        counts_l: list[int] = []
-        tids_l: list[int] = []
-        registers_l: list[bool] = []
-        executed = TxnStatus.EXECUTED
-        flat = array("q")
-        for txn in transactions:
-            buf = txn.ops.buffer
-            flat += buf  # one C-level memcpy per transaction
-            counts_l.append(len(buf))
-            tids_l.append(txn.tid)
-            registers_l.append(txn.status is executed)
-        counts = np.asarray(counts_l, dtype=np.int64) // OP_FIELDS
-        tids = np.asarray(tids_l, dtype=np.int64)
-        registers = np.asarray(registers_l, dtype=bool)
-        total = len(flat) // OP_FIELDS
-        if total:
-            # Zero-copy view: `flat` is local and never grows past here.
-            mat = np.frombuffer(flat, dtype=np.int64).reshape(total, OP_FIELDS)
+        frame = data.frame
+        if frame is not None:
+            mat, counts = frame.mat, frame.counts
         else:
-            mat = np.empty((0, OP_FIELDS), dtype=np.int64)
+            mat, counts = self._gather_lane_ops(transactions, data)
+        tids = np.fromiter(data.tids, dtype=np.int64, count=n)
+        registers = ~data.logic_mask
+        total = mat.shape[0]
         kind = mat[:, 0]
         table = mat[:, 1]
         row = mat[:, 2]
@@ -1358,8 +1404,10 @@ class LTPGEngine:
         ctx.add_divergent_branches(exec_plan.divergent_branches)
 
         touched_rows: dict[int, set[int]] = {}
+        data.logic_mask = np.zeros(len(transactions), dtype=bool)
         for idx, txn in enumerate(transactions):
             registers = txn.status is TxnStatus.EXECUTED
+            data.logic_mask[idx] = not registers
             tables_seen: set[int] = set()
             # One reservation per (item, group) per transaction: the
             # local set holds a single entry per item, so repeated
@@ -1532,12 +1580,6 @@ class LTPGEngine:
         ctx.add_instructions(_CHECK_INSTRUCTIONS * max(1, data.total_ops))
 
         # Logic aborts never commit, whatever their flags say.
-        logic_aborted = TxnStatus.LOGIC_ABORTED
-        data.logic_mask = np.fromiter(
-            (txn.status is logic_aborted for txn in transactions),
-            dtype=bool,
-            count=n,
-        )
         waw |= data.logic_mask
         return ConflictFlags(waw=waw, raw=raw, war=war)
 
@@ -1893,7 +1935,7 @@ class LTPGEngine:
             transfer_ns=transfer_ns,
             phase_ns=phase_ns,
             committed_by_proc=Counter(map(_procedure_of, committed)),
-            total_by_proc=Counter(map(_procedure_of, transactions)),
+            total_by_proc=Counter(data.procedures),
             abort_reasons=abort_reasons,
             commit_attempts=Counter(map(_attempts_of, committed)),
         )
@@ -2054,7 +2096,14 @@ def _grouped_key_sets(txn_arr, tid_arr, key_arr, committed_mask) -> dict[int, se
 class _ExecutionData:
     """Scratch arrays shared between the three phases of one batch."""
 
-    def __init__(self) -> None:
+    def __init__(self, columns: tuple) -> None:
+        #: The batch as columns, gathered once (``batch_columns``).
+        self.tids, self.procedures, self.params = columns
+        #: Batched executor only: the batch's ops, and its procedure
+        #: groups as first-appearance names + a group id per lane.
+        self.frame: OpFrame | None = None
+        self.group_names: list[str] = []
+        self.group_ids = np.empty(0, dtype=np.int64)
         self.read_table: list[int] = []
         self.read_row: list[int] = []
         self.read_group: list[int] = []
@@ -2080,8 +2129,8 @@ class _ExecutionData:
         #: Batch-wide columnar locals (set by the batched executor; its
         #: presence routes write-back through the scatter path).
         self.batch_locals: GroupLocals | None = None
-        #: Lanes whose procedure rolled itself back (set by the conflict
-        #: phase, which must keep them from committing).
+        #: Lanes whose procedure rolled itself back (left by the execute
+        #: phase; the conflict phase keeps them from committing).
         self.logic_mask = np.empty(0, dtype=bool)
         self.read_keys = np.empty(0, dtype=np.int64)
         self.write_keys = np.empty(0, dtype=np.int64)

@@ -32,6 +32,9 @@ class RecoveryReport:
     batches_replayed: int
     transactions_replayed: int
     final_digest: str
+    #: Entries skipped because the engine raised on them before
+    #: installing anything (``BatchRecord.failed``).
+    batches_failed: int = 0
 
 
 def transactions_from_record(record: BatchRecord) -> list[Transaction]:
@@ -63,11 +66,17 @@ def recover(
     database = snapshot.restore()
     engine = make_engine(database)
     replayed = 0
+    failed = 0
     txn_count = 0
     # Convention: snapshot.batch_index counts batches already applied
     # when the snapshot was captured, so replay resumes at that index.
     for record in log.batches():
         if record.batch_index < snapshot.batch_index:
+            continue
+        if record.failed:
+            # the live run raised on this batch and left the snapshot
+            # alone; replaying it would only raise again
+            failed += 1
             continue
         batch = transactions_from_record(record)
         result = engine.run_batch(batch)
@@ -88,5 +97,6 @@ def recover(
         batches_replayed=replayed,
         transactions_replayed=txn_count,
         final_digest=database.state_digest(),
+        batches_failed=failed,
     )
     return engine, report

@@ -23,14 +23,10 @@ from __future__ import annotations
 
 import json
 import pickle
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from repro.errors import StorageError
-
-_tid_of = attrgetter("tid")
-_procedure_of = attrgetter("procedure_name")
-_params_of = attrgetter("params")
+from repro.txn.transaction import batch_columns
 
 
 def _as_tuples(value):
@@ -72,22 +68,26 @@ class BatchRecord:
     ``committed_tids`` / ``aborted_tids`` stay ``None`` until
     :meth:`BatchLog.record_outcome` ran: "no outcome recorded" and
     "recorded, nothing committed" are different facts to recovery.
+    ``failed`` is the third fact: the engine raised on this batch
+    before touching the snapshot (:meth:`BatchLog.mark_failed`), so it
+    has no outcome and must not be replayed.
     """
 
-    __slots__ = ("batch_index", "_payload", "committed_tids", "aborted_tids")
+    __slots__ = (
+        "batch_index", "_payload", "committed_tids", "aborted_tids", "failed",
+    )
 
-    def __init__(self, batch_index: int, transactions) -> None:
+    def __init__(
+        self, batch_index: int, tids: list[int], procedures: list[str], params: list
+    ) -> None:
         self.batch_index = batch_index
         self._payload = pickle.dumps(
-            (
-                list(map(_tid_of, transactions)),
-                list(map(_procedure_of, transactions)),
-                list(map(tuple, map(_params_of, transactions))),
-            ),
+            (tids, procedures, list(map(tuple, params))),
             pickle.HIGHEST_PROTOCOL,
         )
         self.committed_tids: list[int] | None = None
         self.aborted_tids: list[int] | None = None
+        self.failed = False
 
     @property
     def records(self) -> list[LogRecord]:
@@ -107,21 +107,36 @@ class BatchLog:
     def __len__(self) -> int:
         return len(self._batches)
 
-    def append_batch(self, batch_index: int, transactions) -> BatchRecord:
-        """Log a batch's inputs before execution."""
-        entry = BatchRecord(batch_index, transactions)
+    def append_batch(
+        self, batch_index: int, transactions, columns: tuple | None = None
+    ) -> BatchRecord:
+        """Log a batch's inputs before execution.  A caller that already
+        holds the batch's :func:`~repro.txn.transaction.batch_columns`
+        passes them as ``columns``."""
+        if columns is None:
+            columns = batch_columns(transactions)
+        entry = BatchRecord(batch_index, *columns)
         self._batches.append(entry)
         self._by_index[batch_index] = entry
+        return entry
+
+    def _entry(self, batch_index: int) -> BatchRecord:
+        entry = self._by_index.get(batch_index)
+        if entry is None:
+            raise StorageError(f"batch {batch_index} was never logged")
         return entry
 
     def record_outcome(
         self, batch_index: int, committed: list[int], aborted: list[int]
     ) -> None:
-        entry = self._by_index.get(batch_index)
-        if entry is None:
-            raise StorageError(f"batch {batch_index} was never logged")
+        entry = self._entry(batch_index)
         entry.committed_tids = sorted(committed)
         entry.aborted_tids = sorted(aborted)
+
+    def mark_failed(self, batch_index: int) -> None:
+        """The engine raised on this batch and left the snapshot as it
+        found it: recovery skips the entry."""
+        self._entry(batch_index).failed = True
 
     def batches(self) -> list[BatchRecord]:
         return list(self._batches)

@@ -129,6 +129,9 @@ _KEY_COLUMN_ID = intern_column(KEY_COLUMN)
 #: Fields per op row in :class:`OpColumns` (kind, table, row, col, value, key).
 OP_FIELDS = 6
 
+#: One op row as an opaque item.
+_OP_ROW = np.dtype((np.void, OP_FIELDS * 8))
+
 
 class OpColumns:
     """A growable columnar buffer of operations.
@@ -248,3 +251,84 @@ class OpColumns:
 
     def __repr__(self) -> str:
         return f"OpColumns(n={len(self)})"
+
+
+class OpFrame:
+    """One batch's ops as a single lane-major ``(n_ops, OP_FIELDS)``
+    matrix — what the batched executor hands the collector.
+
+    Lanes are batch positions.  While a batch executes, each procedure
+    group registers its lane-sorted op matrix (:meth:`add_group`) and
+    each scalar-path lane its recorded buffer (:meth:`add_scalar`);
+    :meth:`seal` lays them out in batch order.  Until then every lane
+    reads as empty, which is also how a batch whose execute phase
+    raised is left.  A sealed frame is never written again:
+    transactions of the batch read their ops out of it
+    (:meth:`ops_of`) however many batches later.
+    """
+
+    __slots__ = ("mat", "counts", "logic", "_bounds", "_groups", "_scalars")
+
+    def __init__(self, num_lanes: int) -> None:
+        #: all ops of the batch, lane-major (set by :meth:`seal`)
+        self.mat = np.empty((0, OP_FIELDS), dtype=np.int64)
+        #: ops per lane
+        self.counts = np.zeros(num_lanes, dtype=np.int64)
+        #: lanes whose procedure rolled itself back
+        self.logic = np.zeros(num_lanes, dtype=bool)
+        self._bounds = np.zeros(num_lanes + 1, dtype=np.int64)
+        self._groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._scalars: list[tuple[int, array]] = []
+
+    def add_group(
+        self,
+        lanes: np.ndarray,
+        mat: np.ndarray,
+        counts: np.ndarray,
+        aborted: np.ndarray,
+    ) -> None:
+        """One procedure group's finalized twin output: ``mat`` holds
+        the ops of ``lanes`` (ascending batch positions) lane by lane,
+        ``counts[i]`` of them for ``lanes[i]``; ``aborted`` marks the
+        group lanes that logic-aborted."""
+        self.counts[lanes] = counts
+        self.logic[lanes[aborted]] = True
+        self._groups.append((lanes, mat, counts))
+
+    def add_scalar(self, lane: int, ops: OpColumns, logic_aborted: bool) -> None:
+        """A lane that ran through its scalar procedure."""
+        self.counts[lane] = len(ops)
+        self.logic[lane] = logic_aborted
+        self._scalars.append((lane, ops.buffer))
+
+    def seal(self) -> None:
+        """Lay every registered lane's rows out in batch order."""
+        groups, scalars = self._groups, self._scalars
+        self._groups, self._scalars = [], []
+        bounds = self._bounds
+        np.cumsum(self.counts, out=bounds[1:])
+        if len(groups) == 1 and not scalars and groups[0][0].size == self.counts.size:
+            # one group covering the batch is already in batch order
+            self.mat = groups[0][1]
+            return
+        mat = np.empty((int(bounds[-1]), OP_FIELDS), dtype=np.int64)
+        # whole rows move as single items: half the cost of a 2-D store
+        rows = mat.view(_OP_ROW).reshape(-1)
+        for lanes, g_mat, g_counts in groups:
+            # row j of the group's lane i goes to bounds[lanes[i]] + j
+            shift = bounds[lanes] - (np.cumsum(g_counts) - g_counts)
+            rows[np.repeat(shift, g_counts) + np.arange(g_mat.shape[0])] = (
+                np.ascontiguousarray(g_mat).view(_OP_ROW).reshape(-1)
+            )
+        for lane, buf in scalars:
+            mat[bounds[lane]:bounds[lane + 1]] = np.frombuffer(
+                buf, dtype=np.int64
+            ).reshape(-1, OP_FIELDS)
+        self.mat = mat
+
+    def ops_of(self, lane: int) -> OpColumns:
+        """A copy of one lane's ops."""
+        bounds = self._bounds
+        return OpColumns.from_flat(
+            self.mat[bounds[lane]:bounds[lane + 1]].tobytes()
+        )

@@ -146,3 +146,58 @@ def tids(transactions) -> None:
         t.tid = i
 
 
+def mixed_bank_registry():
+    """:func:`build_bank` (32 accounts) with batched twins for
+    ``deposit`` and ``transfer`` only — and ``transfer``'s twin sends
+    its odd lanes to fallback — so one batch can hold vectorized,
+    fallback and twin-less lanes."""
+    db, registry = build_bank(accounts=32)
+
+    @registry.register_batched("deposit")
+    def deposit_b(bctx, p):
+        lanes = bctx.active_lanes()
+        keys = p.column(0)[lanes]
+        amounts = p.column(1)[lanes]
+        rows, found = bctx.rows_for_keys("accounts", lanes, keys)
+        bctx.add("accounts", lanes[found], rows[found], "balance", amounts[found])
+
+    @registry.register_batched("transfer")
+    def transfer_b(bctx, p):
+        lanes = bctx.active_lanes()
+        # send odd lanes to the scalar re-run on purpose: the test wants
+        # vectorized, fallback, and scalar-only lanes in the same batch
+        odd = lanes % 2 == 1
+        bctx.fall_back(lanes[odd])
+        lanes = lanes[~odd]
+        a = p.column(0)[lanes]
+        b = p.column(1)[lanes]
+        amount = p.column(2)[lanes]
+        bal_a, rows_a, found = bctx.read_keys("accounts", lanes, a, "balance")
+        lanes, b, amount = lanes[found], b[found], amount[found]
+        bal_b, rows_b, found_b = bctx.read_keys("accounts", lanes, b, "balance")
+        lanes = lanes[found_b]
+        bctx.write(
+            "accounts", lanes, rows_a[found_b], "balance",
+            bal_a[found_b] - amount[found_b],
+        )
+        bctx.write("accounts", lanes, rows_b, "balance", bal_b + amount[found_b])
+
+    return db, registry
+
+
+def mixed_bank_specs() -> list[tuple[str, tuple]]:
+    """One batch of ``(procedure, params)`` for
+    :func:`mixed_bank_registry` that takes all three execution routes
+    and has logic aborts (``bad``) and inserts."""
+    specs: list[tuple[str, tuple]] = []
+    for i in range(48):
+        specs.append(("transfer", (i % 32, (i + 7) % 32, 1 + i % 5)))
+        specs.append(("deposit", (i % 32, 2 + i % 3)))
+        # audit/open_account/bad have no batched twins: whole groups run
+        # through the engine's automatic per-transaction fallback
+        specs.append(("audit", (i % 32, (i + 3) % 32)))
+        if i % 11 == 0:
+            specs.append(("open_account", (100 + i, 9)))
+        if i % 13 == 0:
+            specs.append(("bad", (i % 32,)))
+    return specs

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import build_bank
+from helpers import build_bank, mixed_bank_registry, mixed_bank_specs
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
 from repro.txn import Transaction
@@ -179,57 +179,12 @@ def test_smallbank_three_way_identical():
 # Mixed registry: some procedures batched, some scalar-only, plus
 # in-twin fall_back lanes — the three execution routes inside one batch
 # ---------------------------------------------------------------------------
-def _mixed_bank_registry():
-    db, registry = build_bank(accounts=32)
-
-    @registry.register_batched("deposit")
-    def deposit_b(bctx, p):
-        lanes = bctx.active_lanes()
-        keys = p.column(0)[lanes]
-        amounts = p.column(1)[lanes]
-        rows, found = bctx.rows_for_keys("accounts", lanes, keys)
-        bctx.add("accounts", lanes[found], rows[found], "balance", amounts[found])
-
-    @registry.register_batched("transfer")
-    def transfer_b(bctx, p):
-        lanes = bctx.active_lanes()
-        # send odd lanes to the scalar re-run on purpose: the test wants
-        # vectorized, fallback, and scalar-only lanes in the same batch
-        odd = lanes % 2 == 1
-        bctx.fall_back(lanes[odd])
-        lanes = lanes[~odd]
-        a = p.column(0)[lanes]
-        b = p.column(1)[lanes]
-        amount = p.column(2)[lanes]
-        bal_a, rows_a, found = bctx.read_keys("accounts", lanes, a, "balance")
-        lanes, b, amount = lanes[found], b[found], amount[found]
-        bal_b, rows_b, found_b = bctx.read_keys("accounts", lanes, b, "balance")
-        lanes = lanes[found_b]
-        bctx.write(
-            "accounts", lanes, rows_a[found_b], "balance",
-            bal_a[found_b] - amount[found_b],
-        )
-        bctx.write("accounts", lanes, rows_b, "balance", bal_b + amount[found_b])
-
-    return db, registry
-
-
 def test_mixed_batched_and_scalar_procedures_identical():
-    specs = []
-    for i in range(48):
-        specs.append(("transfer", (i % 32, (i + 7) % 32, 1 + i % 5)))
-        specs.append(("deposit", (i % 32, 2 + i % 3)))
-        # audit/open_account/bad have no batched twins: whole groups run
-        # through the engine's automatic per-transaction fallback
-        specs.append(("audit", (i % 32, (i + 3) % 32)))
-        if i % 11 == 0:
-            specs.append(("open_account", (100 + i, 9)))
-        if i % 13 == 0:
-            specs.append(("bad", (i % 32,)))
+    specs = mixed_bank_specs()
     batches = [specs, specs[::-1]]
 
     def build(mode_kwargs):
-        db, registry = _mixed_bank_registry()
+        db, registry = mixed_bank_registry()
         return LTPGEngine(db, registry, LTPGConfig(batch_size=256, **mode_kwargs))
 
     _three_way(build, batches)

@@ -1,0 +1,304 @@
+"""The batch-wide op frame (``OpFrame``) and the lazy ``Transaction.ops``.
+
+The batched executor hands the collector one lane-major op matrix per
+batch; a transaction's ``ops`` is cut out of it on first read.  Four
+guards:
+
+* what a transaction shows — ``ops.raw``, status, abort reason — is what
+  the per-transaction columnar path records, on every execution route
+  (twin lanes, ``fall_back`` lanes, logic aborts, twin-less groups),
+  in-process, across worker processes and across shards;
+* a frame is never written after its batch: ops read batches later are
+  the ops of that attempt, and a retried transaction shows its latest;
+* ``run_batch`` allocates garbage-collector-tracked objects per
+  *group*, not per lane — a count, because a timer cannot tell a
+  per-lane object creeping back from a noisy host — tracing included;
+* every attribute of a ``Transaction`` / serve ``_Request`` exists from
+  ``__init__`` on: one first stored later would move every instance off
+  CPython's compact attribute layout.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from helpers import mixed_bank_registry, mixed_bank_specs
+from repro.analysis.workload import build_workload
+from repro.core import LTPGConfig, LTPGEngine
+from repro.serve.clock import run_simulation
+from repro.serve.orchestrator import Orchestrator
+from repro.serve.policies import make_policy
+from repro.shard import make_engine
+from repro.txn import BatchScheduler, OpColumns, Transaction, TxnStatus
+from repro.workloads.smallbank import build_smallbank
+from repro.workloads.tpcc import DELAYED_COLUMNS, SPLIT_COLUMNS, TpccMix, build_tpcc
+from repro.workloads.ycsb import build_ycsb
+from repro.workloads.ycsb.generator import ycsb_delayed_columns
+
+pytestmark = pytest.mark.batched
+
+FULL_MIX = TpccMix(
+    neworder=0.4, payment=0.3, orderstatus=0.1, stocklevel=0.1, delivery=0.1
+)
+
+
+def _tpcc():
+    db, registry, gen = build_tpcc(
+        warehouses=2, num_items=2000, mix=FULL_MIX, seed=7
+    )
+    return db, registry, gen, dict(
+        delayed_columns=DELAYED_COLUMNS, split_columns=SPLIT_COLUMNS
+    )
+
+
+def _ycsb_a():
+    db, registry, gen = build_ycsb(
+        num_records=2000, workload="a", zipf_alpha=1.2, seed=5
+    )
+    return db, registry, gen, dict(delayed_columns=ycsb_delayed_columns())
+
+
+def _ycsb_e():
+    db, registry, gen = build_ycsb(
+        num_records=2000, workload="e", zipf_alpha=0.9, seed=11, btree_scans=True
+    )
+    return db, registry, gen, {}
+
+
+def _smallbank():
+    db, registry, gen = build_smallbank(num_accounts=500, zipf_alpha=1.2, seed=3)
+    return db, registry, gen, {}
+
+
+WORKLOADS = {
+    "tpcc-full-mix": _tpcc,
+    "ycsb-a": _ycsb_a,
+    "ycsb-e": _ycsb_e,
+    "smallbank": _smallbank,
+}
+
+
+def _observe(engine, batches):
+    """Per batch: what every transaction shows after ``run_batch``."""
+    out = []
+    with engine:
+        for specs in batches:
+            batch = [Transaction(n, p, tid=i) for i, (n, p) in enumerate(specs)]
+            engine.run_batch(batch)
+            out.append(
+                [(t.ops.raw, t.status, t.abort_reason, t.attempts) for t in batch]
+            )
+    return out
+
+
+# -- (a) the frame shows what the per-transaction path records ----------
+
+@pytest.mark.parametrize("workers, shards", [(0, 1), (2, 1), (0, 2), (2, 2)])
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_framed_ops_equal_the_columnar_path(workload, workers, shards):
+    build = WORKLOADS[workload]
+    _, _, gen, _ = build()
+    batches = [
+        [(t.procedure_name, t.params) for t in gen.make_batch(256)]
+        for _ in range(2)
+    ]
+
+    db, registry, _, marks = build()
+    expected = _observe(
+        LTPGEngine(db, registry, LTPGConfig(batch_size=256, **marks)), batches
+    )
+    db, registry, _, marks = build()
+    config = LTPGConfig(
+        batch_size=256,
+        batched_exec=True,
+        parallel_workers=workers,
+        shards=shards,
+        **marks,
+    )
+    assert _observe(make_engine(db, registry, config), batches) == expected
+    # the comparison means something: ops were recorded, and on TPC-C
+    # some lanes rolled back
+    assert any(raw for raw, *_ in expected[0])
+    if workload == "tpcc-full-mix":
+        statuses = {status for batch in expected for _, status, *_ in batch}
+        assert TxnStatus.LOGIC_ABORTED in statuses
+
+
+def test_framed_ops_on_every_execution_route():
+    """Twin lanes, ``fall_back`` lanes, twin-less groups and logic
+    aborts in one batch."""
+    specs = mixed_bank_specs()
+    batches = [specs, specs[::-1]]
+    db, registry = mixed_bank_registry()
+    expected = _observe(
+        LTPGEngine(db, registry, LTPGConfig(batch_size=256)), batches
+    )
+    db, registry = mixed_bank_registry()
+    framed = _observe(
+        LTPGEngine(db, registry, LTPGConfig(batch_size=256, batched_exec=True)),
+        batches,
+    )
+    assert framed == expected
+    by_proc: dict[str, set] = {}
+    for (name, _), (raw, status, reason, _) in zip(specs, expected[0]):
+        by_proc.setdefault(name, set()).add(status)
+        if name == "bad":
+            assert raw and reason == "logic"  # a rolled-back lane keeps its ops
+    assert by_proc["bad"] == {TxnStatus.LOGIC_ABORTED}
+    assert set(by_proc) == {"transfer", "deposit", "audit", "open_account", "bad"}
+
+
+def test_a_batch_that_raises_leaves_empty_ops():
+    db, registry = mixed_bank_registry()
+    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=8, batched_exec=True))
+    batch = [
+        Transaction("deposit", (1, 5), tid=0),
+        Transaction("no_such_proc", (1,), tid=1),
+    ]
+    with pytest.raises(Exception, match="no_such_proc"):
+        engine.run_batch(batch)
+    assert [len(t.ops) for t in batch] == [0, 0]
+
+
+# -- (b) lifetime --------------------------------------------------------
+
+def test_ops_outlive_later_batches_and_retries_show_the_latest_attempt():
+    setup = build_workload("smallbank", seed=77)
+    engine = setup.engine(batch_size=256, sanitize=False, batched_exec=True)
+    # the same batches, one transaction at a time, on a twin database:
+    # what each attempt's ops must read as
+    reference = build_workload("smallbank", seed=77).engine(
+        batch_size=256, sanitize=False
+    )
+    scheduler = BatchScheduler(256)
+    batches, expected = [], []
+    for _ in range(4):
+        scheduler.admit(
+            setup.generator.make_batch(256 - scheduler.eligible_backlog)
+        )
+        batch = scheduler.next_batch()
+        scheduler.requeue_aborted(engine.run_batch(batch).aborted)
+        copies = [
+            Transaction(t.procedure_name, t.params, tid=t.tid) for t in batch
+        ]
+        reference.run_batch(copies)
+        batches.append(batch)
+        expected.append([c.ops.raw for c in copies])
+
+    last_seen = {id(t): k for k, batch in enumerate(batches) for t in batch}
+    appearances: dict[int, int] = {}
+    for batch in batches:
+        for txn in batch:
+            appearances[id(txn)] = appearances.get(id(txn), 0) + 1
+    read_late = retried = 0
+    for k, batch in enumerate(batches):
+        for lane, txn in enumerate(batch):
+            if last_seen[id(txn)] != k:
+                continue  # ran again later: shows that attempt
+            # first read of these ops, up to three batches after they ran
+            assert txn.ops.raw == expected[k][lane]
+            assert txn.ops is txn.ops
+            assert txn.attempts == appearances[id(txn)]
+            read_late += k < len(batches) - 1
+            retried += txn.attempts > 1
+    assert read_late and retried
+
+
+# -- (c) tracked objects per batch: O(groups), not O(lanes) --------------
+
+LANES = 4096
+
+
+def _census() -> tuple[int, int]:
+    """(GC-tracked objects, live per-transaction op buffers)."""
+    gc.collect()
+    objects = gc.get_objects()
+    return len(objects), sum(type(o) is OpColumns for o in objects)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+def test_run_batch_allocates_tracked_objects_per_group_not_per_lane(trace):
+    setup = build_workload("smallbank", seed=77)
+    engine = setup.engine(
+        batch_size=LANES, sanitize=False, batched_exec=True, trace=trace
+    )
+    scheduler = BatchScheduler(LANES)
+
+    def cut():
+        scheduler.admit(
+            setup.generator.make_batch(LANES - scheduler.eligible_backlog)
+        )
+        return scheduler.next_batch()
+
+    for _ in range(2):  # lazy caches, first-use registries
+        scheduler.requeue_aborted(engine.run_batch(cut()).aborted)
+    batch = cut()
+    objects0, buffers0 = _census()
+    result = engine.run_batch(batch)
+    objects1, buffers1 = _census()
+    assert result.stats.num_txns == LANES
+    # SmallBank's six twins never fall back: no lane gets a buffer of
+    # its own (tracing used to take len(txn.ops) of every lane)
+    assert buffers1 - buffers0 <= 0
+    # What the batch leaves behind — three result lists, a log entry,
+    # the frame, per-group arrays — is tens of objects, not one per lane.
+    assert objects1 - objects0 < LANES // 8
+    # ...until somebody asks: then exactly the lanes asked for
+    for txn in batch[:10]:
+        assert len(txn.ops) > 0
+    assert _census()[1] - buffers1 == 10
+
+
+# -- (d) layout: no attribute appears after __init__ ---------------------
+
+def test_transaction_attributes_all_exist_from_init():
+    db, registry = mixed_bank_registry()
+    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=256, batched_exec=True))
+    batch = [
+        Transaction(n, p, tid=i) for i, (n, p) in enumerate(mixed_bank_specs())
+    ]
+    before = [set(vars(t)) for t in batch]
+    engine.run_batch(batch)
+    for txn in batch:
+        txn.ops  # materialising must not add one either
+    assert [set(vars(t)) for t in batch] == before
+
+    plain = LTPGEngine(*mixed_bank_registry(), LTPGConfig(batch_size=256))
+    batch = [
+        Transaction(n, p, tid=i) for i, (n, p) in enumerate(mixed_bank_specs())
+    ]
+    plain.run_batch(batch)
+    assert [set(vars(t)) for t in batch] == before
+
+
+def test_serve_request_attributes_all_exist_from_init(monkeypatch):
+    setup = build_workload("smallbank", seed=77)
+    engine = setup.engine(batch_size=64, sanitize=False, batched_exec=True)
+    seen: list = []
+    run_batch = engine.run_batch
+
+    def spy(batch):
+        seen.append([(request, set(vars(request))) for request in batch])
+        return run_batch(batch)
+
+    monkeypatch.setattr(engine, "run_batch", spy)
+
+    # hybrid: a full batch cuts at once, the retry tail after a deadline
+    policy = make_policy("hybrid", 64, max_wait_ns=2_000)
+
+    async def main():
+        async with Orchestrator(engine, policy=policy) as orch:
+            futures = [
+                orch.post(t.procedure_name, t.params)
+                for t in setup.generator.make_batch(128)
+            ]
+            for future in futures:
+                await future
+
+    run_simulation(main())
+    assert seen
+    for batch in seen:
+        for request, before in batch:
+            assert set(vars(request)) == before

@@ -55,3 +55,45 @@ def test_parallel_beats_batched_on_execute():
         "4 parallel workers no longer beat the in-process batched path "
         "by the required floor on execute at the headline batch size"
     )
+
+
+# -- artifact schema: not a timing, so it runs in the default suite -------
+
+_SERVE = os.path.join(_ROOT, "BENCH_serve.json")
+
+
+def test_committed_bench_artifacts_have_every_documented_key():
+    assert _load_gate().check_schema(_BASELINE, _SERVE) == 0
+
+
+def test_schema_gate_catches_empty_and_partial_documented_keys(tmp_path, capsys):
+    import json
+
+    gate = _load_gate()
+    with open(_BASELINE) as fh:
+        doc = json.load(fh)
+
+    def verdict(mutate) -> tuple[int, str]:
+        broken = json.loads(json.dumps(doc))
+        mutate(broken)
+        path = tmp_path / "wallclock.json"
+        path.write_text(json.dumps(broken))
+        rc = gate.check_schema(str(path), _SERVE)
+        return rc, capsys.readouterr().out
+
+    # the state the file was committed in before the gate existed
+    rc, out = verdict(lambda d: d.update(transfers_per_batch={}))
+    assert rc == 1 and "transfers_per_batch: empty" in out
+
+    def drop_one_batch_size(d):
+        column = next(iter(d["transfers_per_batch"].values()))
+        del column[str(d["batch_sizes"][-1])]
+
+    rc, out = verdict(drop_one_batch_size)
+    assert rc == 1 and "no entry for batch size" in out
+
+    rc, out = verdict(lambda d: d["seconds_per_batch"]["batched"].clear())
+    assert rc == 1 and "seconds_per_batch.batched: empty" in out
+
+    rc, out = verdict(lambda d: d["meta"].pop("cpu_count"))
+    assert rc == 1 and "meta.cpu_count: missing" in out

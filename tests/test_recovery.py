@@ -7,7 +7,7 @@ import pytest
 from helpers import build_bank, txn
 from repro.analysis.workload import WORKLOAD_NAMES, build_workload
 from repro.core import LTPGConfig, LTPGEngine
-from repro.errors import StorageError
+from repro.errors import StorageError, TransactionError
 from repro.storage import BatchLog, Snapshot
 from repro.storage.recovery import recover, transactions_from_record
 from repro.txn import BatchScheduler, ProcedureRegistry
@@ -121,6 +121,90 @@ class TestRecovery:
         engine, report = recover(snapshot, log, self.make_engine)
         assert report.transactions_replayed == 1
         assert engine.database.table("accounts").read(1, "balance") == 1005
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+    @pytest.mark.parametrize("fault", ["unknown-procedure", "delayed-column-write"])
+    def test_recover_skips_a_batch_the_engine_raised_on(self, fault, batched):
+        """A batch whose execute phase raises is in the log but has no
+        outcome and changed nothing: recovery must not replay it (it
+        would only raise again), while a ``None`` outcome — the process
+        died — still replays."""
+        db, self.registry = build_bank(accounts=16)
+        config = LTPGConfig(
+            batch_size=16,
+            batched_exec=batched,
+            delayed_columns=frozenset({("accounts", "balance")}),
+        )
+        engine = LTPGEngine(db, self.registry, config)
+        scheduler = BatchScheduler(16)
+        snapshot = Snapshot.capture(db, batch_index=0)
+
+        def good_batch(i):
+            scheduler.admit([txn("deposit", (i + j) % 8, 5) for j in range(10)])
+            return scheduler.next_batch()
+
+        engine.run_batch(good_batch(0))
+        before_fault = db.state_digest()
+        bad = (
+            txn("no_such_proc", 1)
+            if fault == "unknown-procedure"
+            # a delayed column may only be ADDed to within a batch
+            else txn("transfer", 1, 2, 5)
+        )
+        scheduler.admit([txn("deposit", 3, 1), bad, txn("deposit", 4, 1)])
+        with pytest.raises(TransactionError):
+            engine.run_batch(scheduler.next_batch())
+        assert db.state_digest() == before_fault
+        engine.run_batch(good_batch(2))
+
+        entries = engine.batch_log.batches()
+        assert [e.failed for e in entries] == [False, True, False]
+        assert entries[1].committed_tids is None
+        assert entries[0].committed_tids and entries[2].committed_tids
+
+        recovered, report = recover(
+            snapshot, engine.batch_log, lambda d: LTPGEngine(d, self.registry, config)
+        )
+        assert report.batches_failed == 1
+        assert report.batches_replayed == 2
+        assert report.final_digest == db.state_digest()
+
+    def test_recover_after_a_served_batch_failed(self):
+        """The serve layer fails the batch's futures and keeps serving
+        (``Orchestrator._fail_batch``); the log it leaves recovers to
+        the live state."""
+        import asyncio
+
+        from repro.serve import BatchExecutionError, Orchestrator, SizePolicy
+        from repro.serve.clock import run_simulation
+
+        db, self.registry = build_bank(accounts=16)
+        engine = LTPGEngine(db, self.registry, LTPGConfig(batch_size=4))
+        snapshot = Snapshot.capture(db, batch_index=0)
+
+        async def main():
+            async with Orchestrator(engine, policy=SizePolicy(4)) as orch:
+                futures = []
+                for names in (
+                    ["deposit"] * 4,
+                    ["deposit", "no_such_proc", "deposit", "deposit"],
+                    ["deposit"] * 4,
+                ):
+                    futures += [
+                        orch.post(name, (len(futures) + j, 5))
+                        for j, name in enumerate(names)
+                    ]
+                    await asyncio.sleep(0)
+                return await asyncio.gather(*futures, return_exceptions=True), orch
+
+        results, orch = run_simulation(main())
+        assert all(r.committed for r in results[:4] + results[8:])
+        assert all(isinstance(r, BatchExecutionError) for r in results[4:8])
+        assert orch.metrics.counter("serve.batch_failures").value == 1
+
+        _, report = recover(snapshot, engine.batch_log, self.make_engine)
+        assert (report.batches_replayed, report.batches_failed) == (2, 1)
+        assert report.final_digest == db.state_digest()
 
     def test_transactions_from_record_preserve_tids(self):
         db, self.registry = build_bank(accounts=8)
