@@ -27,6 +27,7 @@ import pytest
 from helpers import mixed_bank_registry, mixed_bank_specs
 from repro.analysis.workload import build_workload
 from repro.core import LTPGConfig, LTPGEngine
+from repro.errors import TransactionError
 from repro.serve.clock import run_simulation
 from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import make_policy
@@ -157,7 +158,7 @@ def test_a_batch_that_raises_leaves_empty_ops():
         Transaction("deposit", (1, 5), tid=0),
         Transaction("no_such_proc", (1,), tid=1),
     ]
-    with pytest.raises(Exception, match="no_such_proc"):
+    with pytest.raises(TransactionError, match="no_such_proc"):
         engine.run_batch(batch)
     assert [len(t.ops) for t in batch] == [0, 0]
 
