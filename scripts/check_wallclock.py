@@ -64,26 +64,6 @@ BATCHED_FLOOR = 1.5
 #: allowed factor — the limit stays equally strict on the true cost.
 DEFAULT_ROUNDS = 8
 
-#: Worker count and speedup floor for the process-parallel execute gate:
-#: at the headline batch, 4 workers must beat the in-process batched
-#: path by 1.5x on the execute phase.  Hosts with fewer than
-#: PARALLEL_MIN_CORES cores cannot meaningfully run 4 workers, so the
-#: gate auto-skips there (exit 0 with a message) instead of failing on
-#: honest scheduling contention.
-PARALLEL_WORKERS = 4
-PARALLEL_FLOOR = 1.5
-PARALLEL_MIN_CORES = 4
-
-#: Shard count and speedup floor for the multi-shard gate: at the
-#: headline batch, 4 shards driving 4 process workers must beat the
-#: in-process batched path by 1.5x on the detection pipeline
-#: (execute+conflict+writeback).  Same auto-skip as the parallel gate:
-#: below PARALLEL_MIN_CORES cores the measurement would only time the
-#: OS scheduler, so the gate skips (exit 0) with the reason recorded.
-SHARDED_SHARDS = 4
-SHARDED_FLOOR = 1.5
-
-
 def check(
     baseline_path: str,
     allowed_factor: float = DEFAULT_ALLOWED_FACTOR,
@@ -156,109 +136,6 @@ def check_batched(rounds: int = DEFAULT_ROUNDS, floor: float = BATCHED_FLOOR) ->
         print(
             "batched executor no longer beats the columnar path by the "
             f"required {floor:.2f}x on execute+writeback"
-        )
-        return 1
-    return 0
-
-
-def check_parallel(
-    rounds: int = DEFAULT_ROUNDS,
-    floor: float = PARALLEL_FLOOR,
-    workers: int = PARALLEL_WORKERS,
-) -> int:
-    """Gate the process-parallel executor: at the headline batch,
-    ``workers`` workers must beat the in-process batched path by at
-    least ``floor`` on the execute phase.
-
-    Like the batched gate this is a ratio of two fresh local
-    measurements.  On hosts without enough cores to actually run the
-    workers side by side the gate skips (exit 0): a 1-core container
-    would only be measuring the OS scheduler.
-    """
-    cores = os.cpu_count() or 1
-    if cores < PARALLEL_MIN_CORES:
-        print(
-            f"parallel gate skipped: host has {cores} core(s), "
-            f"need >= {PARALLEL_MIN_CORES} to run {workers} workers "
-            "side by side"
-        )
-        return 0
-    from repro.bench import wallclock
-
-    batched = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True,
-    )
-    parallel = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True, parallel=workers,
-    )
-    ratio = batched["execute"] / max(parallel["execute"], 1e-12)
-    status = "OK" if ratio >= floor else "FAIL"
-    print(
-        f"parallel execute @ batch {BATCHED_GATE_BATCH} ({workers} workers): "
-        f"batched {batched['execute'] * 1e3:.1f} ms, parallel "
-        f"{parallel['execute'] * 1e3:.1f} ms, speedup {ratio:.2f}x "
-        f"(floor {floor:.2f}x) -> {status}"
-    )
-    if status == "FAIL":
-        print(
-            f"{workers} parallel workers no longer beat the in-process "
-            f"batched path by the required {floor:.2f}x on execute"
-        )
-        return 1
-    return 0
-
-
-def check_sharded(
-    rounds: int = DEFAULT_ROUNDS,
-    floor: float = SHARDED_FLOOR,
-    shards: int = SHARDED_SHARDS,
-) -> int:
-    """Gate the multi-shard engine: at the headline batch, ``shards``
-    shards driving ``shards`` process workers must beat the in-process
-    batched path by at least ``floor`` on the detection pipeline
-    (execute+conflict+writeback — the phases the shard split
-    parallelizes; the router's sequencer cost is reported alongside).
-
-    Same skip rule as the parallel gate: below PARALLEL_MIN_CORES cores
-    the ratio would only measure scheduler contention, so the gate
-    records the reason and exits 0.
-    """
-    cores = os.cpu_count() or 1
-    if cores < PARALLEL_MIN_CORES:
-        print(
-            f"sharded gate skipped: host has {cores} core(s), "
-            f"need >= {PARALLEL_MIN_CORES} to run {shards} shard workers "
-            "side by side"
-        )
-        return 0
-    from repro.bench import wallclock
-
-    batched = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True,
-    )
-    sharded = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True, parallel=shards, shards=shards,
-    )
-    pipeline = ("execute", "conflict", "writeback")
-    bat = sum(batched[p] for p in pipeline)
-    sha = sum(sharded[p] for p in pipeline)
-    ratio = bat / max(sha, 1e-12)
-    status = "OK" if ratio >= floor else "FAIL"
-    print(
-        f"sharded execute+conflict+writeback @ batch {BATCHED_GATE_BATCH} "
-        f"({shards} shards, {shards} workers): batched {bat * 1e3:.1f} ms, "
-        f"sharded {sha * 1e3:.1f} ms (+ sequencer "
-        f"{sharded['sequencer'] * 1e3:.2f} ms), speedup {ratio:.2f}x "
-        f"(floor {floor:.2f}x) -> {status}"
-    )
-    if status == "FAIL":
-        print(
-            f"{shards} shards no longer beat the in-process batched path "
-            f"by the required {floor:.2f}x on execute+conflict+writeback"
         )
         return 1
     return 0
@@ -589,14 +466,15 @@ def check_serve(
 WALLCLOCK_SCHEMA = (
     "batch_sizes",
     "meta.{cpu_count,rounds,scale,seed,warehouses,workload,estimator}",
-    "meta.{parallel_workers,shards,python,numpy,platform}",
+    "meta.{shards,python,numpy,platform}",
     "meta.array_backend.{backend,library,version}",
-    "seconds_per_batch.{reference,columnar,batched,parallel,sharded}.*"
+    "seconds_per_batch.{reference,columnar,batched,sharded}.*"
+    ".{execute,conflict,writeback,assemble,total}",
+    "seconds_per_batch.{batched[mockgpu],resident[mockgpu]}.*"
     ".{execute,conflict,writeback,assemble,total}",
     "seconds_per_batch.sharded.*.sequencer",
     "speedup_execute_conflict.*",
     "speedup_execute_total.*.{execute,total}",
-    "speedup_parallel.*.{execute,total}",
     "speedup_sharded.*.execute_conflict_writeback",
     "sharded.shards",
     "sharded.balance_ledger.*",
@@ -608,7 +486,7 @@ WALLCLOCK_SCHEMA = (
 #: EXPERIMENTS.md "End-to-end serve latency", docs/ARCHITECTURE.md §12.
 SERVE_SCHEMA = (
     "meta.{arrival_rate_per_s,batch_size,max_wait_us,requests_per_cell,seed}",
-    "meta.clock",
+    "meta.{clock,arrival_seed,scale,python,platform}",
     "rows.*.{workload,policy,requests,committed,batches,mean_batch,retries}",
     "rows.*.{goodput_mtps,p50_us,p95_us,p99_us,queue_p99_us,shed_pct}",
 )
@@ -645,9 +523,32 @@ def _schema_problems(node, path: str, where: str = "") -> list[str]:
     return problems
 
 
+def _undocumented(doc: dict, schema: tuple[str, ...]) -> list[str]:
+    """Keys of ``doc`` no schema entry names, at the root and under
+    every root key whose entries all spell their children out — what a
+    removed column leaves behind in a file that was not regenerated."""
+    named: dict[str, set[str] | None] = {}
+    for entry in schema:
+        head, _, rest = entry.partition(".")
+        second = rest.partition(".")[0]
+        if second in ("", "*"):
+            named[head] = None
+        elif named.setdefault(head, set()) is not None:
+            named[head].update(second.strip("{}").split(","))
+    problems = [f"{key}: not documented" for key in doc if key not in named]
+    for head, children in named.items():
+        if children is not None and isinstance(doc.get(head), dict):
+            problems += [
+                f"{head}.{key}: not documented"
+                for key in doc[head] if key not in children
+            ]
+    return problems
+
+
 def check_schema(wallclock_path: str, serve_path: str) -> int:
     """Every documented key of both committed artifacts is present and
-    non-empty; the transfer ledger covers every batch-size column."""
+    non-empty, no key is there that the docs do not describe, and the
+    transfer ledger covers every batch-size column."""
     rc = 0
     for path, schema in (
         (wallclock_path, WALLCLOCK_SCHEMA),
@@ -661,6 +562,7 @@ def check_schema(wallclock_path: str, serve_path: str) -> int:
             rc = 1
             continue
         problems = [p for entry in schema for p in _schema_problems(doc, entry)]
+        problems += _undocumented(doc, schema)
         if schema is WALLCLOCK_SCHEMA:
             sizes = {str(b) for b in doc.get("batch_sizes", ())}
             for column, by_batch in doc.get("transfers_per_batch", {}).items():
@@ -673,7 +575,7 @@ def check_schema(wallclock_path: str, serve_path: str) -> int:
         name = os.path.basename(path)
         if problems:
             rc = 1
-            print(f"schema: {name}: {len(problems)} documented key(s) not there")
+            print(f"schema: {name}: {len(problems)} key(s) disagree with the docs")
             for problem in problems[:20]:
                 print(f"  {problem}")
             if len(problems) > 20:
@@ -714,28 +616,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--skip-batched", action="store_true",
         help="only run the columnar regression gate",
-    )
-    parser.add_argument(
-        "--parallel-floor", type=float, default=PARALLEL_FLOOR,
-        help=f"{PARALLEL_WORKERS} workers must beat the batched path on "
-        f"execute by this factor at batch {BATCHED_GATE_BATCH} "
-        f"(default {PARALLEL_FLOOR}; auto-skips below "
-        f"{PARALLEL_MIN_CORES} cores)",
-    )
-    parser.add_argument(
-        "--skip-parallel", action="store_true",
-        help="skip the process-parallel speedup gate",
-    )
-    parser.add_argument(
-        "--sharded-floor", type=float, default=SHARDED_FLOOR,
-        help=f"{SHARDED_SHARDS} shards ({SHARDED_SHARDS} workers) must "
-        "beat the batched path on execute+conflict+writeback by this "
-        f"factor at batch {BATCHED_GATE_BATCH} (default {SHARDED_FLOOR}; "
-        f"auto-skips below {PARALLEL_MIN_CORES} cores)",
-    )
-    parser.add_argument(
-        "--skip-sharded", action="store_true",
-        help="skip the multi-shard speedup gate",
     )
     parser.add_argument(
         "--backend", default=None,
@@ -794,10 +674,6 @@ def main(argv: list[str] | None = None) -> int:
         rc = check(args.baseline, args.allowed_factor, args.rounds)
         if rc == 0 and not args.skip_batched:
             rc = check_batched(args.rounds, args.batched_floor)
-        if rc == 0 and not args.skip_parallel:
-            rc = check_parallel(args.rounds, args.parallel_floor)
-        if rc == 0 and not args.skip_sharded:
-            rc = check_sharded(args.rounds, args.sharded_floor)
     if rc == 0 and not args.skip_backend:
         rc = check_backend(args.backend, 2 if args.quick else args.rounds)
     if rc == 0 and (args.transfer_ceiling or args.transfer_ceiling_full):

@@ -11,8 +11,8 @@ would give the real system:
   procedures: a static AST pass rejecting nondeterminism sources plus a
   dynamic twin that replays procedures and diffs their op streams.
 * :mod:`repro.analysis.kernellint` — static backend-contract,
-  determinism, pickle-safety, and twin-drift analysis for the batched
-  procedure twins (``KLxxx`` rule codes, SARIF-ready findings).
+  determinism, and twin-drift analysis for the batched procedure twins
+  (``KLxxx`` rule codes, SARIF-ready findings).
 * :mod:`repro.analysis.passes` — workload-level runners behind
   ``python -m repro.analysis <pass> [--workload tpcc|ycsb|smallbank]``.
 
@@ -41,7 +41,6 @@ from repro.analysis.findings import (
 )
 from repro.analysis.kernellint import (
     RULES,
-    lint_pickle_safety,
     lint_registry_twins,
     lint_twin_unit,
     source_unit,
@@ -59,7 +58,6 @@ __all__ = [
     "RULES",
     "Sanitizer",
     "ShadowBuffer",
-    "lint_pickle_safety",
     "lint_procedure",
     "lint_registry",
     "lint_registry_twins",

@@ -1,10 +1,10 @@
 """Kernel-lint: static analysis of the vectorized ``BatchProcedure`` twins.
 
 The batched hot path runs twins over a pluggable
-:class:`~repro.xp.ArrayBackend` and ships them pickled into parallel
-workers; mockgpu catches contract violations *at runtime* on the inputs
-we happen to execute, while this pass catches them *statically* on every
-code path.  Four analyses over every registered twin:
+:class:`~repro.xp.ArrayBackend`; mockgpu catches contract violations
+*at runtime* on the inputs we happen to execute, while this pass catches
+them *statically* on every code path.  Three analyses over every
+registered twin:
 
 1. **Backend-contract lint** (``KL1xx``) — operations that escape the
    ``ArrayBackend`` protocol: implicit scalar conversions (``int()``,
@@ -23,12 +23,7 @@ code path.  Four analyses over every registered twin:
    and the scalar-pass bans (``random``, wall clock) detlint already
    knows.
 
-3. **Pickle-safety lint** (``KL3xx``) — every twin the parallel executor
-   dispatches must be a module-level callable with no closure-captured
-   state, so ``parallel_workers`` failures surface as lint findings
-   instead of opaque worker crashes.
-
-4. **Twin-drift audit** (``KL4xx``) — the static read/write footprint
+3. **Twin-drift audit** (``KL4xx``) — the static read/write footprint
    (tables, columns, op kinds) of each scalar procedure diffed against
    its twin: columns written scalar-side but never twin-side, missing
    abort/fallback/range guards for hazards the scalar path handles,
@@ -64,9 +59,7 @@ import ast
 import functools
 import inspect
 import os
-import pickle
 import re
-import sys
 import textwrap
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -87,9 +80,6 @@ RULES: dict[str, str] = {
     "KL202": "scatter-non-disjoint",
     "KL203": "unordered-iteration",
     "KL204": "nondeterministic-source",
-    "KL301": "pickle-closure",
-    "KL302": "pickle-not-module-level",
-    "KL303": "pickle-failure",
     "KL401": "twin-missing-write",
     "KL402": "twin-missing-read",
     "KL403": "twin-missing-abort",
@@ -823,71 +813,6 @@ def _banned_source_findings(unit: SourceUnit) -> list[Finding]:
     return out
 
 
-# -- pickle-safety lint -------------------------------------------------------
-
-def lint_pickle_safety(proc_name: str, twin_obj: Any) -> list[Finding]:
-    """Verify a registered twin can ship to spawn-started workers."""
-    findings: list[Finding] = []
-    subject = f"{proc_name}[batched]"
-    fn = unwrap_twin(twin_obj)
-    file: str | None = None
-    span: tuple[int, int] | None = None
-    if inspect.isfunction(fn):
-        try:
-            _, first = inspect.getsourcelines(fn)
-            file = _repo_relative(inspect.getsourcefile(fn) or "<unknown>")
-            span = (first, first)
-        except (OSError, TypeError):
-            pass
-        if fn.__name__ == "<lambda>" or "<locals>" in fn.__qualname__:
-            findings.append(
-                Finding(
-                    KERNELLINT, RULES["KL302"], subject,
-                    f"twin {fn.__qualname__!r} is not a module-level "
-                    "callable: spawn-started workers import twins by "
-                    "module attribute, so lambdas/local defs crash the "
-                    "pool at dispatch",
-                    code="KL302", file=file, span=span,
-                )
-            )
-        elif getattr(
-            sys.modules.get(fn.__module__), fn.__name__, None
-        ) is not fn:
-            findings.append(
-                Finding(
-                    KERNELLINT, RULES["KL302"], subject,
-                    f"twin {fn.__qualname__!r} is not reachable as "
-                    f"{fn.__module__}.{fn.__name__}: pickling resolves "
-                    "twins by module attribute",
-                    code="KL302", file=file, span=span,
-                )
-            )
-        if fn.__closure__:
-            captured = ", ".join(fn.__code__.co_freevars)
-            findings.append(
-                Finding(
-                    KERNELLINT, RULES["KL301"], subject,
-                    f"twin {fn.__qualname__!r} captures closure state "
-                    f"({captured}): bind configuration via "
-                    "functools.partial at registration instead",
-                    code="KL301", file=file, span=span,
-                )
-            )
-    if not findings:
-        try:
-            pickle.dumps(twin_obj)
-        except Exception as exc:
-            findings.append(
-                Finding(
-                    KERNELLINT, RULES["KL303"], subject,
-                    f"twin does not pickle ({exc!r}): the parallel "
-                    "executor cannot dispatch it to worker processes",
-                    code="KL303", file=file, span=span,
-                )
-            )
-    return findings
-
-
 # -- twin-drift audit ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -1162,7 +1087,7 @@ def drift_findings(
 def lint_registry_twins(
     registry: ProcedureRegistry,
 ) -> tuple[list[Finding], int, int]:
-    """All four analyses over every registered twin.
+    """All three analyses over every registered twin.
 
     Returns ``(findings, twins_checked, suppressed)``.
     """
@@ -1172,7 +1097,6 @@ def lint_registry_twins(
     names = registry.batched_names()
     for name in names:
         twin_obj = registry.get_batched(name)
-        findings.extend(lint_pickle_safety(name, twin_obj))
         fn = unwrap_twin(twin_obj)
         unit = source_unit(f"{name}[batched]", fn)
         if isinstance(unit, Finding):
@@ -1216,7 +1140,6 @@ __all__ = [
     "SourceUnit",
     "drift_findings",
     "lint_helper_unit",
-    "lint_pickle_safety",
     "lint_registry_twins",
     "lint_twin_unit",
     "scalar_footprint",

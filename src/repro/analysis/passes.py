@@ -6,8 +6,8 @@
   and the pass reports that pass's findings.
 * ``detlint`` — static AST lint over every registered procedure plus
   the dynamic replay twin over a generated transaction sample.
-* ``kernellint`` — static backend-contract, determinism, pickle-safety,
-  and twin-drift analysis over every registered batched twin (no engine
+* ``kernellint`` — static backend-contract, determinism, and
+  twin-drift analysis over every registered batched twin (no engine
   run; see :mod:`repro.analysis.kernellint`).
 """
 

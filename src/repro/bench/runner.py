@@ -9,8 +9,6 @@ batch is full, and throughput is committed work over simulated time.
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 
 from repro.core.engine import LTPGEngine
@@ -59,118 +57,28 @@ class SteadyStateResult:
         return total / len(self.run.batches) / 1e3
 
 
-class _AssemblyPrefetcher:
-    """Assemble batch *k+1* on a thread while batch *k* executes.
-
-    The workload generators draw their RNG per ``make_batch`` call, so
-    replaying an identical run requires the prefetcher to issue the
-    exact same sequence of shortfall sizes the synchronous loop would.
-    That sequence is knowable one batch early only when the retry delay
-    is at least two: right after ``next_batch()`` forms batch *k*, any
-    aborts batch *k* will produce become eligible at index ``k + delay
-    >= k + 2``, so the eligible backlog — and with it the next
-    shortfall — is already final.  :func:`steady_state_run` therefore
-    only engages the prefetcher at ``effective_retry_delay >= 2`` and
-    verifies the precomputed size at the top of every iteration.
-
-    The generator is only ever touched from this thread while the
-    prefetcher is engaged, so its RNG stream stays single-threaded.
-    """
-
-    def __init__(self, generator):
-        self._gen = generator
-        self._req: queue.Queue = queue.Queue(maxsize=1)
-        self._res: queue.Queue = queue.Queue(maxsize=1)
-        self._thread = threading.Thread(
-            target=self._loop, name="assembly-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            size = self._req.get()
-            if size is None:
-                return
-            try:
-                self._res.put(self._gen.make_batch(size) if size > 0 else [])
-            except BaseException as exc:  # noqa: B036 - re-raised in take()
-                self._res.put(exc)
-
-    def submit(self, size: int) -> None:
-        self._req.put(size)
-
-    def take(self) -> list:
-        out = self._res.get()
-        if isinstance(out, BaseException):
-            raise out
-        return out
-
-    def close(self) -> None:
-        self._req.put(None)
-        self._thread.join(timeout=10)
-
-
 def steady_state_run(
     engine: LTPGEngine,
     generator,
     batch_size: int,
     num_batches: int,
 ) -> SteadyStateResult:
-    """Run ``num_batches`` full batches; retries merge with fresh load.
-
-    With ``LTPGConfig.prefetch_assembly`` the assembly of batch *k+1*
-    (generator RNG draws, parameter tuples) overlaps batch *k*'s
-    execution on a double-buffer thread; scheduling decisions and
-    results are identical either way (see :class:`_AssemblyPrefetcher`).
-    """
+    """Run ``num_batches`` full batches; retries merge with fresh load."""
     if num_batches <= 0:
         raise BenchmarkError("need at least one batch")
     scheduler = BatchScheduler(
         batch_size, retry_delay_batches=engine.config.effective_retry_delay
     )
-    # Delay 1 means the next shortfall depends on the current batch's
-    # abort count — nothing to overlap; stay synchronous.
-    prefetcher = (
-        _AssemblyPrefetcher(generator)
-        if engine.config.prefetch_assembly
-        and engine.config.effective_retry_delay >= 2
-        else None
-    )
     run = RunStats()
     start_ns = engine.device.elapsed_ns()
-    prefetched_size: int | None = None
-    try:
-        for k in range(num_batches):
-            shortfall = batch_size - min(scheduler.eligible_backlog, batch_size)
-            if prefetched_size is not None:
-                if prefetched_size != shortfall:
-                    raise BenchmarkError(
-                        "prefetched batch size diverged from the "
-                        f"scheduler's shortfall ({prefetched_size} != "
-                        f"{shortfall}); assembly prefetch requires "
-                        "retry_delay_batches >= 2"
-                    )
-                fresh = prefetcher.take()
-            elif shortfall > 0:
-                fresh = generator.make_batch(shortfall)
-            else:
-                fresh = []
-            if fresh:
-                scheduler.admit(fresh)
-            batch = scheduler.next_batch()
-            if prefetcher is not None and k + 1 < num_batches:
-                prefetched_size = batch_size - min(
-                    scheduler.eligible_backlog, batch_size
-                )
-                prefetcher.submit(prefetched_size)
-            else:
-                prefetched_size = None
-            result = engine.run_batch(batch)
-            scheduler.requeue_aborted(result.aborted)
-            run.add(result.stats)
-    finally:
-        if prefetcher is not None:
-            prefetcher.close()
+    for _ in range(num_batches):
+        shortfall = batch_size - min(scheduler.eligible_backlog, batch_size)
+        if shortfall > 0:
+            scheduler.admit(generator.make_batch(shortfall))
+        batch = scheduler.next_batch()
+        result = engine.run_batch(batch)
+        scheduler.requeue_aborted(result.aborted)
+        run.add(result.stats)
     makespan = engine.device.elapsed_ns() - start_ns
     metrics = engine.metrics.snapshot() if engine.metrics is not None else None
     return SteadyStateResult(run=run, makespan_ns=makespan, metrics=metrics)

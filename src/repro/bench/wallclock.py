@@ -11,7 +11,7 @@ reports per-batch seconds for all three paths, plus two speedup series
 recorded in ``BENCH_wallclock.json`` (see docs/ARCHITECTURE.md for how
 to read it): reference/columnar on execute+conflict (the PR 1 headline)
 and columnar/batched on execute and total (the batched-executor
-headline).  A ``sharded`` column (N shards driving N process workers
+headline).  A ``sharded`` column (:data:`SHARDS` in-process shards
 through the multi-shard engine) and a per-shard balance ledger ride
 along; the ``sequencer`` entry in that column is the host cost of the
 deterministic router.
@@ -47,6 +47,9 @@ PHASES: tuple[str, ...] = ("execute", "conflict", "writeback", "assemble")
 
 #: The acceptance batch size (2^14, the paper's headline batch).
 HEADLINE_BATCH = 16_384
+
+#: Shard count of the ``sharded`` column and the balance ledger.
+SHARDS = 4
 
 
 @dataclass
@@ -92,16 +95,10 @@ class WallclockResult:
             self.seconds["batched"][batch][phase], 1e-12
         )
 
-    def parallel_speedup(self, batch: int, phase: str = "execute") -> float:
-        """Batched (in-process) / parallel on one phase (or ``total``)."""
-        return self.seconds["batched"][batch][phase] / max(
-            self.seconds["parallel"][batch][phase], 1e-12
-        )
-
     def sharded_speedup(self, batch: int) -> float:
         """Batched (in-process, unsharded) / sharded on the detection
-        pipeline (execute+conflict+writeback) — the ``--sharded-floor``
-        gate's ratio."""
+        pipeline (execute+conflict+writeback).  Below 1: partitioning
+        costs batch time, it is not a speed-up."""
         return self.exec_conflict_writeback("batched", batch) / max(
             self.exec_conflict_writeback("sharded", batch), 1e-12
         )
@@ -112,7 +109,6 @@ class WallclockResult:
 
     def format(self) -> str:
         have_batched = "batched" in self.seconds
-        have_parallel = "parallel" in self.seconds
         have_sharded = "sharded" in self.seconds
         backends = self.backend_paths()
         headers = [
@@ -123,8 +119,6 @@ class WallclockResult:
         ]
         if have_batched:
             headers += ["batched exec (s)", "batched speedup (exec)"]
-        if have_parallel:
-            headers += ["parallel exec (s)", "parallel speedup (exec)"]
         if have_sharded and have_batched:
             headers += ["sharded e+c+w (s)", "sharded speedup (e+c+w)"]
         headers += [f"{p} exec (s)" for p in backends]
@@ -141,11 +135,6 @@ class WallclockResult:
                     self.seconds["batched"][b]["execute"],
                     f"{self.batched_speedup(b):.2f}x",
                 ]
-            if have_parallel:
-                row += [
-                    self.seconds["parallel"][b]["execute"],
-                    f"{self.parallel_speedup(b):.2f}x",
-                ]
             if have_sharded and have_batched:
                 row += [
                     self.exec_conflict_writeback("sharded", b),
@@ -154,13 +143,12 @@ class WallclockResult:
             row += [self.seconds[p][b]["execute"] for p in backends]
             rows.append(row)
         table = format_table(
-            "Host wall-clock per batch: parallel vs batched vs columnar "
-            "vs reference op path (TPC-C 50/50)",
+            "Host wall-clock per batch: batched vs columnar vs reference "
+            "op path (TPC-C 50/50)",
             headers,
             rows,
             note="speedup = reference / columnar on execute+conflict; "
             "batched speedup = columnar / batched on execute; "
-            "parallel speedup = batched / parallel on execute; "
             "sharded speedup = batched / sharded on "
             "execute+conflict+writeback; "
             "simulated-time results are identical by construction.",
@@ -226,14 +214,6 @@ class WallclockResult:
                 for b in sorted(self.seconds.get("columnar", {}))
                 if b in self.seconds.get("batched", {})
             },
-            "speedup_parallel": {
-                str(b): {
-                    "execute": round(self.parallel_speedup(b, "execute"), 3),
-                    "total": round(self.parallel_speedup(b, "total"), 3),
-                }
-                for b in sorted(self.seconds.get("batched", {}))
-                if b in self.seconds.get("parallel", {})
-            },
             "speedup_sharded": {
                 str(b): {
                     "execute_conflict_writeback": round(
@@ -266,7 +246,6 @@ def measure_path(
     neworder_pct: int = 50,
     seed: int = 7,
     batched: bool = False,
-    parallel: int = 0,
     backend: str = "numpy",
     device_resident: bool = False,
     transfers_out: dict | None = None,
@@ -275,13 +254,11 @@ def measure_path(
     """Min-of-rounds per-phase host seconds for one op path.
 
     Builds a fresh database (all paths see byte-identical transaction
-    streams for a given seed) and discards one warm-up batch.  A
-    ``parallel`` worker count > 0 measures the process-parallel sharded
-    execute (implies the batched path); the warm-up batch also absorbs
-    the pool start-up and snapshot export.  ``backend`` selects the
-    ``repro.xp`` array backend (non-numpy backends require the batched
-    path; the warm-up batch also absorbs any device initialization) and
-    ``device_resident`` pins table columns device-side across batches.
+    streams for a given seed) and discards one warm-up batch.
+    ``backend`` selects the ``repro.xp`` array backend (non-numpy
+    backends require the batched path; the warm-up batch also absorbs
+    any device initialization) and ``device_resident`` pins table
+    columns device-side across batches.
     ``shards`` > 1 routes the batch through the multi-shard engine
     (implies the batched path; an extra ``sequencer`` entry reports the
     deterministic router's host cost and counts toward ``total``).
@@ -297,9 +274,8 @@ def measure_path(
     )
     config = dataclasses.replace(
         ltpg_config(bench.batch_size),
-        columnar_ops=columnar or batched or parallel > 0 or shards > 1,
-        batched_exec=batched or parallel > 0 or shards > 1,
-        parallel_workers=parallel,
+        columnar_ops=columnar or batched or shards > 1,
+        batched_exec=batched or shards > 1,
         array_backend=backend,
         device_resident=device_resident,
         shards=shards if shards > 1 else 1,
@@ -358,7 +334,7 @@ def measure_metrics(
 
 
 def measure_sharded_profile(
-    shards: int,
+    shards: int = SHARDS,
     batch_size: int = HEADLINE_BATCH,
     scale: float = 1.0,
     batches: int = 2,
@@ -370,9 +346,6 @@ def measure_sharded_profile(
     balance ledger of the headline database under the workload's
     partition map, plus the ``shard`` block (multi-home fraction,
     balance, sequencer stall) of a short traced sharded run.
-
-    Runs serially (no worker pool) — routing statistics and the ledger
-    do not depend on how the shard lanes are executed.
     """
     bench = tpcc_bench(
         warehouses, neworder_pct=neworder_pct, batch_size=batch_size,
@@ -399,12 +372,6 @@ def measure_sharded_profile(
     }
 
 
-#: Worker count the ``parallel`` sweep path runs with (the acceptance
-#: gate's configuration; ``os.cpu_count()`` decides whether the gate is
-#: enforced, not how the measurement runs).
-PARALLEL_WORKERS = 4
-
-
 def run(
     scale: float = 1.0,
     rounds: int = 2,
@@ -412,7 +379,6 @@ def run(
     warehouses: int = 32,
     neworder_pct: int = 50,
     seed: int = 7,
-    parallel_workers: int = PARALLEL_WORKERS,
     backend: str | None = None,
 ) -> WallclockResult:
     """Sweep all op paths; ``backend`` adds an optional per-backend
@@ -434,34 +400,29 @@ def run(
         "numpy": np.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "parallel_workers": parallel_workers,
-        # the sharded column runs N shards with N process workers
-        "shards": parallel_workers,
+        "shards": SHARDS,
         # active array backend + library version: the per-backend
         # column's backend when one was requested, else the reference
         # every standard path runs on
         "array_backend": get_backend(backend or "numpy").device_info(),
     }
     paths = [
-        ("sharded", True, True, parallel_workers, "numpy", False, parallel_workers),
-        ("parallel", True, True, parallel_workers, "numpy", False, 0),
-        ("batched", True, True, 0, "numpy", False, 0),
-        ("columnar", True, False, 0, "numpy", False, 0),
-        ("reference", False, False, 0, "numpy", False, 0),
+        ("sharded", True, True, "numpy", False, SHARDS),
+        ("batched", True, True, "numpy", False, 0),
+        ("columnar", True, False, "numpy", False, 0),
+        ("reference", False, False, "numpy", False, 0),
     ]
     if backend is not None and backend != "numpy":
-        paths.insert(0, (f"batched[{backend}]", True, True, 0, backend, False, 0))
-        paths.insert(0, (f"resident[{backend}]", True, True, 0, backend, True, 0))
-    for path, columnar, batched, workers, xp_name, resident, shards in paths:
-        if path in ("parallel", "sharded") and workers <= 1:
-            continue
+        paths.insert(0, (f"batched[{backend}]", True, True, backend, False, 0))
+        paths.insert(0, (f"resident[{backend}]", True, True, backend, True, 0))
+    for path, columnar, batched, xp_name, resident, shards in paths:
         by_batch: dict[int, dict[str, float]] = {}
         for batch in batch_sizes:
             transfers: dict[str, dict[str, int]] = {}
             by_batch[batch] = measure_path(
                 columnar, batch, scale=scale, rounds=rounds,
                 warehouses=warehouses, neworder_pct=neworder_pct, seed=seed,
-                batched=batched, parallel=workers, backend=xp_name,
+                batched=batched, backend=xp_name,
                 device_resident=resident, transfers_out=transfers,
                 shards=shards,
             )
@@ -472,11 +433,10 @@ def run(
         scale=scale, warehouses=warehouses, neworder_pct=neworder_pct,
         seed=seed,
     )
-    if parallel_workers > 1:
-        result.sharded = measure_sharded_profile(
-            parallel_workers, scale=scale, warehouses=warehouses,
-            neworder_pct=neworder_pct, seed=seed,
-        )
+    result.sharded = measure_sharded_profile(
+        scale=scale, warehouses=warehouses, neworder_pct=neworder_pct,
+        seed=seed,
+    )
     return result
 
 

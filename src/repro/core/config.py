@@ -15,7 +15,6 @@ ablation benches (Fig 6(b), Table VI) can enable them one at a time:
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
@@ -78,26 +77,6 @@ class LTPGConfig:
     #: requires ``columnar_ops``.
     batched_exec: bool = False
 
-    #: Process-parallel execute (the host analog of the paper's multi-SM
-    #: data parallelism): shard each batched procedure group across a
-    #: persistent pool of this many worker processes reading the snapshot
-    #: through shared memory.  ``0`` (the default) keeps execution
-    #: in-process; any N produces byte-identical outcomes.  Requires
-    #: ``batched_exec`` and is incompatible with ``sanitize`` (the shadow
-    #: access log cannot observe child processes).
-    parallel_workers: int = 0
-
-    #: Multiprocessing start method for the worker pool: ``"fork"``,
-    #: ``"spawn"``, ``"forkserver"``, or ``""`` to defer to the
-    #: ``REPRO_PARALLEL_START_METHOD`` environment variable and then the
-    #: platform default.
-    parallel_start_method: str = ""
-
-    #: Overlap batch assembly with execution: the steady-state runner
-    #: generates batch k+1 on a helper thread while batch k executes.
-    #: Produces identical RunStats; purely a wall-clock optimization.
-    prefetch_assembly: bool = False
-
     #: Array backend the batched hot path runs on (:mod:`repro.xp`):
     #: ``"numpy"`` (the pinned reference), ``"mockgpu"`` (NumPy semantics
     #: plus device-contract checking: transfer ledger, implicit-sync and
@@ -105,8 +84,7 @@ class LTPGConfig:
     #: device-resident execution when the library and a device exist),
     #: or ``"auto"`` (best available device, else numpy).  Non-numpy
     #: backends require ``batched_exec`` and are incompatible with
-    #: ``parallel_workers`` (device handles don't cross process
-    #: boundaries) and ``sanitize`` (the shadow log reads host arrays).
+    #: ``sanitize`` (the shadow log reads host arrays).
     array_backend: str = "numpy"
 
     #: Device-resident table residency (:mod:`repro.xp.residency`): pin
@@ -132,9 +110,8 @@ class LTPGConfig:
     #: shard and multi-home ones sequenced Calvin-style at a
     #: deterministic coordinator.  ``1`` (the default) is today's
     #: single-engine pipeline; any N produces byte-identical final
-    #: states.  Requires ``batched_exec``; combined with
-    #: ``parallel_workers`` the worker count must equal the shard count
-    #: (worker *w* owns shard *w*'s lanes).
+    #: states.  Requires ``batched_exec``; built through
+    #: :func:`repro.shard.make_engine`.
     shards: int = 1
 
     #: Which partition spec maps rows and transactions to shards:
@@ -177,25 +154,6 @@ class LTPGConfig:
                 "batched_exec requires columnar_ops (the batched executor "
                 "feeds the columnar collection pipeline)"
             )
-        if self.parallel_workers < 0:
-            raise ConfigError("parallel_workers must be >= 0")
-        if self.parallel_workers > 0 and self.sanitize:
-            raise ConfigError(
-                "parallel_workers is incompatible with sanitize: the shadow "
-                "access log cannot observe worker processes, so racecheck/"
-                "memcheck coverage would silently be lost.  Run sanitized "
-                "batches with parallel_workers=0 (outcomes are byte-identical)"
-            )
-        if self.parallel_workers > 0 and not self.batched_exec:
-            raise ConfigError(
-                "parallel_workers requires batched_exec: only vectorized "
-                "BatchProcedure twins are sharded across worker processes"
-            )
-        if self.parallel_start_method not in ("", "fork", "spawn", "forkserver"):
-            raise ConfigError(
-                "parallel_start_method must be '', 'fork', 'spawn', or "
-                f"'forkserver', not {self.parallel_start_method!r}"
-            )
         from repro.xp import BACKEND_NAMES  # noqa: PLC0415 (cycle: xp -> errors)
 
         if self.array_backend not in (*BACKEND_NAMES, "auto"):
@@ -210,13 +168,6 @@ class LTPGConfig:
                     "batched_exec: only the vectorized twins run on the "
                     "xp shim (the scalar path is host-only by design)"
                 )
-            if self.parallel_workers > 0:
-                raise ConfigError(
-                    f"array_backend={self.array_backend!r} is incompatible "
-                    "with parallel_workers: device allocations cannot be "
-                    "shared with worker processes.  Use the in-process "
-                    "executor (parallel_workers=0) for device backends"
-                )
             if self.sanitize:
                 raise ConfigError(
                     f"array_backend={self.array_backend!r} is incompatible "
@@ -230,15 +181,6 @@ class LTPGConfig:
                 "shards > 1 requires batched_exec: the sharded pipeline "
                 "routes the columnar conflict registration and write-back "
                 "paths, which only the batched executor produces"
-            )
-        if self.shards > 1 and self.parallel_workers > 0 and (
-            self.parallel_workers != self.shards
-        ):
-            raise ConfigError(
-                f"parallel_workers ({self.parallel_workers}) must equal "
-                f"shards ({self.shards}) when both are set: worker w "
-                "executes exactly shard w's lanes, so the pool and the "
-                "partition must agree on the fan-out"
             )
         if self.shard_spec not in ("auto", "tpcc", "ycsb", "smallbank"):
             raise ConfigError(
@@ -256,16 +198,6 @@ class LTPGConfig:
                 "resident_tables is a device_resident pinning policy; set "
                 "device_resident=True (or drop the table list)"
             )
-
-    def resolved_start_method(self) -> str | None:
-        """The multiprocessing start method the worker pool should use:
-        the explicit config value, else ``REPRO_PARALLEL_START_METHOD``
-        from the environment, else ``None`` (platform default)."""
-        return (
-            self.parallel_start_method
-            or os.environ.get("REPRO_PARALLEL_START_METHOD", "")
-            or None
-        )
 
     @property
     def effective_retry_delay(self) -> int:

@@ -41,7 +41,12 @@ from repro.core.memory_modes import MemoryPlan, resolve_memory_mode, transfer_la
 from repro.core.occ import ConflictFlags, abort_reason, commit_mask, logical_order
 from repro.core.split_flags import FlagGroups
 from repro.core.stats import BatchStats, RunStats
-from repro.errors import KeyNotFound, TransactionAborted, TransactionError
+from repro.errors import (
+    ConfigError,
+    KeyNotFound,
+    TransactionAborted,
+    TransactionError,
+)
 from repro.gpusim.device import Device
 from repro.gpusim.occupancy import KernelResources, occupancy
 from repro.storage.database import Database
@@ -176,10 +181,18 @@ class LTPGEngine:
         procedures: ProcedureRegistry,
         config: LTPGConfig | None = None,
         device: Device | None = None,
+        *,
+        shard_router=None,
     ):
         self.database = database
         self.procedures = procedures
         self.config = config or LTPGConfig()
+        if self.config.shards > 1 and shard_router is None:
+            raise ConfigError(
+                f"shards={self.config.shards} takes effect only through "
+                "repro.shard.make_engine (or ShardedEngine), which routes "
+                "each batch; a bare LTPGEngine would run it unsharded"
+            )
         self.device = device or Device()
         self.flags = FlagGroups(
             database,
@@ -235,60 +248,42 @@ class LTPGEngine:
         # (procedure, lanes, ops) per execute group of the last batch,
         # recorded only when tracing/metrics are on (observability).
         self._last_groups: list[tuple[str, int, int]] = []
-        # Worker pool for config.parallel_workers > 0, created lazily on
-        # the first batched execute so procedures registered after
-        # engine construction are picked up.  Owned by this engine:
-        # close() (or the context manager) tears it down.
-        self._pool = None
-        # (worker, lanes, ops) per dispatched shard of the last batch,
-        # plus host seconds spent merging shard results.
-        self._last_shards: list[tuple[int, int, int]] = []
-        self._last_merge_s = 0.0
-        # Resolved array backend (repro.xp) for the batched hot path,
-        # re-resolved when config.array_backend changes after
-        # construction (mirrors the pool's registry-version check).
+        # Resolved array backend (repro.xp) for the batched hot path and,
+        # under config.device_resident, the device-resident table cache
+        # on it; both re-resolved by _ensure_backend when a swapped
+        # config object changes the key below.
         self._backend = None
-        self._backend_name: str | None = None
+        self._residency = None
+        self._resource_key: tuple | None = None
         # Per-batch transfer-ledger deltas of the last batch (zero on
         # the numpy backend), recorded for metrics/tracing.
         self._last_transfers: dict[str, int] = {}
         # Same deltas split per phase (execute/conflict/writeback plus
         # "other" for inter-phase traffic like the full-sync fence).
         self._last_phase_transfers: dict[str, dict[str, int]] = {}
-        # Device-resident table cache (config.device_resident), built
-        # lazily per backend by _ensure_residency.
-        self._residency = None
-        self._residency_key: tuple | None = None
-        # Sharding hooks, installed per batch by repro.shard's
-        # ShardedEngine wrapper and cleared after.  shard_plan maps
-        # batch position -> coordinator shard (the wrapper lays the
-        # batch out shard-major, so each execute group's lanes are
-        # shard-contiguous and worker w runs exactly shard w's lanes);
-        # shard_router partitions write-back cells by row owner;
-        # shard_updaters are the per-shard delayed-update mergers.
-        self.shard_plan = None
-        self.shard_router = None
+        # Sharding hooks of repro.shard's ShardedEngine wrapper (None on
+        # a plain engine): shard_router partitions write-back cells by
+        # row owner, shard_updaters are the per-shard delayed-update
+        # mergers, and shard_order — set per batch — maps batch position
+        # j to its admission-order index (the wrapper lays each batch out
+        # shard-major).  The insert install keys its slot assignment on
+        # shard_order so appended rows claim exactly the physical slots
+        # the unsharded engine would assign — slot order feeds the
+        # secondary/ordered indexes, which later batches observe.
+        self.shard_router = shard_router
         self.shard_updaters = None
-        # shard_order[j] = the admission-order index of batch position j.
-        # The insert install keys its slot assignment on it so appended
-        # rows claim exactly the physical slots the unsharded engine
-        # would assign — slot order feeds the secondary/ordered indexes,
-        # which later batches observe.
         self.shard_order = None
-        # Config facets the pool was built against; _ensure_pool
-        # rebuilds when a swapped config changes any of them (the
-        # registry version alone missed worker-count swaps and leaked
-        # the old pool's shared-memory segments).
-        self._pool_key: tuple | None = None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release engine-owned process resources (the parallel worker
-        pool and its shared-memory snapshot).  Idempotent; running with
-        ``parallel_workers=0`` makes this a no-op."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Release the device-resident table cache: dirty columns fence
+        back to host and the tables are unhooked, as on a backend swap.
+        Idempotent, and a no-op without ``device_resident``; a batch run
+        after ``close`` rebuilds the cache."""
+        if self._residency is not None:
+            self._residency.detach()
+            self._residency = None
+            self._resource_key = None
 
     def __enter__(self) -> "LTPGEngine":
         return self
@@ -317,7 +312,7 @@ class LTPGEngine:
         :meth:`Device.reset_clock`), tracer spans, the metrics registry,
         the batch counter (span/stat names embed batch indices), the
         batch log and last-batch observability scratch.  Database state,
-        procedure caches, worker pools and device allocations survive —
+        procedure caches and device allocations survive —
         they model persistent state, not run history.  Back-to-back
         serve runs reset through here must produce bit-identical traces
         (pinned by ``tests/test_trace_observability.py``).
@@ -331,8 +326,6 @@ class LTPGEngine:
         self.batch_log = BatchLog()
         self.last_host_phase_s = {}
         self._last_groups = []
-        self._last_shards = []
-        self._last_merge_s = 0.0
         self._last_transfers = {}
         self._last_phase_transfers = {}
         if self._residency is not None:
@@ -342,102 +335,42 @@ class LTPGEngine:
             # params-only from the first batch of the next run.
             self._residency.sync_all_to_host()
 
-    def _ensure_pool(self):
-        """The lazily-created worker pool, rebuilt if the procedure
-        registry — or any pool-shaping config facet (worker count,
-        start method, delayed columns) — changed since the pool pickled
-        its twins."""
-        delayed = (
-            self.config.delayed_columns
-            if self.config.delayed_update
-            else frozenset()
-        )
-        key = (
-            self.procedures.version,
-            self.config.parallel_workers,
-            self.config.resolved_start_method(),
-            delayed,
-        )
-        if self._pool is not None and self._pool_key != key:
-            self._pool.close()
-            self._pool = None
-        if self._pool is None:
-            from repro.parallel import WorkerPool
-
-            twins = {
-                name: self.procedures.get_batched(name)
-                for name in self.procedures.batched_names()
-            }
-            self._pool = WorkerPool(
-                self.database,
-                twins,
-                num_workers=self.config.parallel_workers,
-                start_method=self.config.resolved_start_method(),
-                delayed_columns=delayed,
-                registry_version=self.procedures.version,
-            )
-            self._pool_key = key
-        return self._pool
-
     def _ensure_backend(self):
-        """The resolved array backend, re-resolved when
-        ``config.array_backend`` changes after engine construction (the
-        config is frozen, but callers swap whole config objects — the
-        same invalidation contract :meth:`_ensure_pool` honors for the
-        procedure registry)."""
-        name = self.config.array_backend
-        if self._backend is not None and self._backend_name == name:
+        """The resolved array backend — and, as ``self._residency``, the
+        device-resident table cache on it (``None`` without
+        ``config.device_resident``) — re-resolved when a config object
+        swapped in after construction changes the backend name, the
+        residency flag or the pinning policy.  :meth:`run_batch`
+        resolves once per batch; the phases read the attributes."""
+        config = self.config
+        name = config.array_backend
+        key = (name, config.device_resident, config.resident_tables)
+        if self._resource_key == key:
             return self._backend
-        from repro.xp import resolve_backend
-
         if self._residency is not None:
             # The resident columns belong to the outgoing backend: fence
             # dirty state back to host with *its* crossings, then unhook
-            # so the new backend re-uploads lazily from current host.
+            # so the next cache re-uploads lazily from current host.
             self._residency.detach()
             self._residency = None
-            self._residency_key = None
-        resolved = name
-        if name == "auto" and (
-            not self.config.batched_exec
-            or self.config.parallel_workers > 0
-            or self.config.sanitize
-        ):
-            # device backends are invalid under these configurations
-            # (explicit names fail ConfigError); auto degrades to host
-            resolved = "numpy"
-        backend = resolve_backend(resolved)
-        self._backend = backend
-        self._backend_name = name
-        self.conflict_log.set_backend(backend)
-        return backend
+        if self._resource_key is None or self._resource_key[0] != name:
+            from repro.xp import resolve_backend
 
-    def _ensure_residency(self):
-        """The device-resident table cache for the current backend, or
-        ``None`` when ``config.device_resident`` is off.  Re-keyed on
-        (backend, flag, pinning policy) the same way :meth:`_ensure_pool`
-        re-keys on the registry version — a swapped config object
-        detaches the old cache (fencing dirty columns through the old
-        backend) and builds a fresh one lazily."""
-        backend = self._ensure_backend()
-        if not self.config.device_resident:
-            if self._residency is not None:
-                self._residency.detach()
-                self._residency = None
-                self._residency_key = None
-            return None
-        key = (self._backend_name, self.config.resident_tables)
-        if self._residency is not None and self._residency_key == key:
-            return self._residency
-        from repro.xp.residency import ResidencyManager
+            resolved = name
+            if name == "auto" and (not config.batched_exec or config.sanitize):
+                # device backends are invalid under these configurations
+                # (explicit names fail ConfigError); auto degrades to host
+                resolved = "numpy"
+            self._backend = resolve_backend(resolved)
+            self.conflict_log.set_backend(self._backend)
+        if config.device_resident:
+            from repro.xp.residency import ResidencyManager
 
-        if self._residency is not None:
-            self._residency.detach()
-        self._residency = ResidencyManager(
-            backend, self.database, self.config.resident_tables
-        )
-        self._residency_key = key
-        return self._residency
+            self._residency = ResidencyManager(
+                self._backend, self.database, config.resident_tables
+            )
+        self._resource_key = key
+        return self._backend
 
     # ------------------------------------------------------------------
     def run_batch(self, transactions: list[Transaction]) -> BatchResult:
@@ -633,7 +566,6 @@ class LTPGEngine:
         if self.tracer is None and self.metrics is None:
             return
         self._record_group_observability(exec_span)
-        self._record_shard_observability(exec_span)
         log_metrics = self.conflict_log.batch_metrics()
         stats.bucket_load_factor = float(log_metrics["load_factor"])
         stats.bucket_expanded_slots = int(log_metrics["expanded_slots"])
@@ -755,49 +687,6 @@ class LTPGEngine:
             for name, lanes, ops in groups:
                 ops_hist.observe(name, ops)
                 size_hist.observe(name, lanes)
-
-    #: Track carrying per-worker shard spans when the process-parallel
-    #: executor is on (empty track otherwise).
-    SHARD_TRACK = "execute.shards"
-
-    def _record_shard_observability(
-        self, exec_span: tuple[float, float] | None
-    ) -> None:
-        """Per-worker shard spans and counters (parallel execute only).
-
-        Shard spans subdivide the simulated execute window by op count,
-        like the group spans: the simulated cost model charges the same
-        work regardless of which process ran a lane, so the spans stay
-        deterministic.  The one host-clock measurement — shard merge
-        time — goes only to the metrics registry, never the tracer, so
-        traces remain byte-stable run to run.
-        """
-        shards = self._last_shards
-        if not shards:
-            return
-        if self.tracer is not None and exec_span is not None:
-            g_start, g_dur = exec_span
-            total_ops = sum(ops for _, _, ops in shards) or 1
-            cursor = g_start
-            for si, (worker, lanes, ops) in enumerate(shards):
-                end = (
-                    max(cursor, g_start + g_dur)
-                    if si == len(shards) - 1
-                    else cursor + g_dur * ops / total_ops
-                )
-                self.tracer.complete(
-                    f"shard:w{worker}", self.SHARD_TRACK, cursor,
-                    end - cursor, cat="shard",
-                    args={"worker": worker, "lanes": lanes, "ops": ops},
-                )
-                cursor = end
-        if self.metrics is not None:
-            lanes_hist = self.metrics.histogram("execute.shard_lanes")
-            for worker, lanes, _ops in shards:
-                lanes_hist.observe(f"w{worker}", lanes)
-            self.metrics.gauge("execute.merge_ns").set(
-                self._last_merge_s * 1e9
-            )
 
     # ------------------------------------------------------------------
     # Shadow-access recording (``config.sanitize``).  Addresses are
@@ -1061,34 +950,29 @@ class LTPGEngine:
                 np.flatnonzero(member),
                 list(compress(data.params, member.tolist())),
             ))
-        if self.config.parallel_workers > 0:
-            parts = self._execute_batched_parallel(transactions, data, groups)
-        else:
-            delayed_fn = (
-                self.delayed.delayed_mask if self.delayed.columns else None
-            )
-            parts = []
-            for name, idxs, params in groups:
-                proc = self._resolve_procedure(name)
-                batched = self.procedures.get_batched(name)
-                if batched is None:
-                    parts.append(
-                        self._execute_scalar_group(transactions, data, proc, idxs)
-                    )
-                    continue
-                bctx = BatchedContext(
-                    self.database,
-                    params,
-                    delayed_mask_fn=delayed_fn,
-                    xp=self._ensure_backend(),
-                    residency=self._ensure_residency(),
+        delayed_fn = self.delayed.delayed_mask if self.delayed.columns else None
+        parts = []
+        for name, idxs, params in groups:
+            proc = self._resolve_procedure(name)
+            batched = self.procedures.get_batched(name)
+            if batched is None:
+                parts.append(
+                    self._execute_scalar_group(transactions, data, proc, idxs)
                 )
-                batched(bctx, bctx.params)
-                mat, counts, g_locals, ranges_by_lane = bctx.finalize()
-                parts.append(self._apply_batched_group(
-                    transactions, data, proc, idxs, mat, counts, g_locals,
-                    ranges_by_lane, bctx.fallback, bctx.aborted,
-                ))
+                continue
+            bctx = BatchedContext(
+                self.database,
+                params,
+                delayed_mask_fn=delayed_fn,
+                xp=self._backend,
+                residency=self._residency,
+            )
+            batched(bctx, bctx.params)
+            mat, counts, g_locals, ranges_by_lane = bctx.finalize()
+            parts.append(self._apply_batched_group(
+                transactions, data, proc, idxs, mat, counts, g_locals,
+                ranges_by_lane, bctx.fallback, bctx.aborted,
+            ))
         data.batch_locals = GroupLocals.merge(parts, n)
         frame.seal()
         data.logic_mask = frame.logic
@@ -1127,8 +1011,7 @@ class LTPGEngine:
         fallback: np.ndarray,
         aborted: np.ndarray,
     ) -> GroupLocals:
-        """Apply one group's finalized vectorized results — produced
-        in-process or merged back from worker shards: the op matrix
+        """Apply one group's finalized vectorized results: the op matrix
         goes to the frame whole, and only the lanes that differ from
         the rest are visited — logic aborts get their status, range
         readers their predicates, fallback lanes a scalar re-run."""
@@ -1144,80 +1027,6 @@ class LTPGEngine:
         for i in idxs[fallback].tolist():
             self._execute_scalar_lane(transactions, data, proc, part, i)
         return part
-
-    def _execute_batched_parallel(
-        self,
-        transactions,
-        data: "_ExecutionData",
-        groups: list[tuple[str, np.ndarray, list[tuple]]],
-    ) -> list[GroupLocals]:
-        """Shard twin-backed groups across the worker pool
-        (``config.parallel_workers``).
-
-        Workers execute contiguous lane shards against the shared-memory
-        snapshot while the parent runs the twin-less groups; results
-        merge back in lane order, so every array fed to conflict
-        detection is byte-identical to the in-process batched path.
-        Fallback lanes are re-run scalar in the parent, exactly as the
-        in-process path does.
-        """
-        pool = self._ensure_pool()
-        # resolve up front: unknown procedures must raise before any
-        # dispatch, like the in-process group loop would
-        for name, _idxs, _params in groups:
-            self._resolve_procedure(name)
-        twinned = [
-            g for g in groups if self.procedures.get_batched(g[0]) is not None
-        ]
-        splits = None
-        if self.shard_plan is not None:
-            # Shard-major batches split by ownership, not evenly: worker
-            # w gets exactly shard w's lanes of each group (the plan is
-            # nondecreasing within a group, so the counts describe
-            # contiguous runs).
-            splits = [
-                np.bincount(
-                    self.shard_plan[idxs], minlength=pool.num_workers
-                ).tolist()
-                for _name, idxs, _params in twinned
-            ]
-        pool.dispatch(
-            [(name, params) for name, _idxs, params in twinned], splits=splits
-        )
-        # parent-side work overlaps the workers: twin-less groups run
-        # scalar here while the shards execute
-        scalar_parts: dict[str, GroupLocals] = {}
-        try:
-            for name, idxs, _params in groups:
-                if self.procedures.get_batched(name) is None:
-                    scalar_parts[name] = self._execute_scalar_group(
-                        transactions, data, self._resolve_procedure(name), idxs
-                    )
-        except BaseException:
-            # still drain the pipes (or the next dispatch deadlocks),
-            # but never let a pool error mask the scalar one
-            try:
-                pool.collect()
-            except Exception:
-                pass
-            raise
-        merged = pool.collect()
-        parts: list[GroupLocals] = []
-        si = 0
-        for name, idxs, _params in groups:
-            if name in scalar_parts:
-                parts.append(scalar_parts[name])
-                continue
-            mat, counts, g_locals, ranges_by_lane, fallback, aborted = merged[si]
-            si += 1
-            parts.append(self._apply_batched_group(
-                transactions, data, self._resolve_procedure(name), idxs,
-                mat, counts, g_locals, ranges_by_lane, fallback, aborted,
-            ))
-        if self.tracer is not None or self.metrics is not None:
-            self._last_shards = list(pool.last_shard_stats)
-            self._last_merge_s = pool.last_merge_s
-        return parts
 
     def _fold_scalar_locals(
         self, part: GroupLocals, idx: int, txn, data: "_ExecutionData"
@@ -1658,9 +1467,9 @@ class LTPGEngine:
         a_keep = commit[bl.a_txn] if bl.a_txn.size else np.zeros(0, dtype=bool)
         d_keep = commit[bl.d_txn] if bl.d_txn.size else np.zeros(0, dtype=bool)
         cells = int(w_keep.sum()) + int(a_keep.sum())
-        xp = self._ensure_backend()
+        xp = self._backend
         on_device = xp.is_device
-        residency = self._ensure_residency()
+        residency = self._residency
 
         def scatter(tables, rows, cols, vals, accumulate: bool) -> None:
             if tables.size == 0:

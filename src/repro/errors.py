@@ -62,12 +62,6 @@ class BackendContractError(BackendError):
     through ``xp.to_host``/``xp.item`` at a phase boundary."""
 
 
-class ParallelExecutionError(ReproError):
-    """Raised when the process-parallel execute pool cannot be built or
-    a worker process dies (unpicklable procedure twin, crashed worker,
-    broken pipe, ...)."""
-
-
 class TransactionAborted(TransactionError):
     """Raised inside a stored procedure to signal a logic-initiated abort
     (e.g. TPC-C NewOrder's 1%% rollback)."""

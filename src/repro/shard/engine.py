@@ -12,10 +12,8 @@ and partitions every stage of its batch pipeline by data ownership:
   — the cross-shard sequencer), followed by single-home ones in
   admission order.  A multi-home transaction executes at its
   *coordinator*: the smallest of its home shards.
-* **execute** — with ``parallel_workers == shards``, the shard-major
-  layout makes every procedure group's lanes shard-contiguous, so
-  worker *w* of the process pool executes exactly shard *w*'s lanes
-  (per-group split counts ride along with the dispatch).
+* **execute** — one in-process pass over the shard-major batch; the
+  shards partition data and bookkeeping, not host threads.
 * **conflict** — the engine's conflict log is swapped for a
   :class:`~repro.shard.conflict.ShardedConflictLog`: registrations are
   routed to the owning shard's slice of the key space (the read-set
@@ -58,12 +56,10 @@ from repro.baselines.calvin import deterministic_order
 from repro.core.config import LTPGConfig
 from repro.core.delayed_update import DelayedUpdater
 from repro.core.engine import BatchResult, LTPGEngine
-from repro.core.stats import RunStats
 from repro.gpusim.device import Device
 from repro.shard.conflict import ShardedConflictLog
 from repro.shard.partition import BoundPartition, PartitionSpec, resolve_spec
 from repro.storage.database import Database
-from repro.txn.batch import BatchScheduler
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.transaction import Transaction, TxnStatus
 
@@ -86,20 +82,23 @@ class ShardedEngine:
         spec: PartitionSpec | None = None,
     ):
         config = config or LTPGConfig()
-        self._inner = LTPGEngine(database, procedures, config, device=device)
         self.shards = config.shards
         self.partition: BoundPartition | None = None
-        self._updaters: list[DelayedUpdater] | None = None
         if self.shards > 1:
             spec = spec or resolve_spec(config.shard_spec, database)
             self.partition = BoundPartition(spec, database, self.shards)
-            self._inner.conflict_log = ShardedConflictLog(
+        inner = self._inner = LTPGEngine(
+            database, procedures, config, device=device,
+            shard_router=self.partition,
+        )
+        if self.partition is not None:
+            inner.conflict_log = ShardedConflictLog(
                 database,
-                self._inner.flags,
+                inner.flags,
                 self.partition,
                 dynamic_buckets=config.dynamic_buckets,
             )
-            self._updaters = [
+            inner.shard_updaters = [
                 DelayedUpdater(
                     database,
                     config.delayed_columns,
@@ -168,19 +167,12 @@ class ShardedEngine:
         t0 = time.perf_counter_ns()
         order, coord, multi = self.plan_batch(transactions)
         ordered = [transactions[i] for i in order]
-        shard_plan = coord[np.asarray(order, dtype=np.int64)]
         stall_ns = time.perf_counter_ns() - t0
 
-        inner.shard_plan = shard_plan
-        inner.shard_router = self.partition
-        inner.shard_updaters = self._updaters
         inner.shard_order = np.asarray(order, dtype=np.int64)
         try:
             result = inner.run_batch(ordered)
         finally:
-            inner.shard_plan = None
-            inner.shard_router = None
-            inner.shard_updaters = None
             inner.shard_order = None
         inner.last_host_phase_s["sequencer"] = stall_ns * 1e-9
 
@@ -215,38 +207,11 @@ class ShardedEngine:
             ],
         )
 
-    # -- drains (must route through this run_batch) ---------------------------
-    def process(
-        self,
-        scheduler: BatchScheduler,
-        max_batches: int | None = None,
-    ) -> RunStats:
-        """Drain a scheduler through the sharded pipeline (same contract
-        as :meth:`LTPGEngine.process`)."""
-        run = RunStats()
-        batches = 0
-        while scheduler.has_work():
-            if max_batches is not None and batches >= max_batches:
-                break
-            batch = scheduler.next_batch()
-            if not batch:
-                batches += 1
-                continue
-            result = self.run_batch(batch)
-            scheduler.requeue_aborted(result.aborted)
-            run.add(result.stats)
-            batches += 1
-        return run
-
-    def run_transactions(
-        self, transactions: list[Transaction], max_batches: int = 1000
-    ) -> RunStats:
-        scheduler = BatchScheduler(
-            self._inner.config.batch_size,
-            retry_delay_batches=self._inner.config.effective_retry_delay,
-        )
-        scheduler.admit(transactions)
-        return self.process(scheduler, max_batches=max_batches)
+    # -- drains --------------------------------------------------------------
+    # LTPGEngine's own loops: they need only ``self.run_batch`` (the
+    # sharded one above) and ``self.config`` (delegated).
+    process = LTPGEngine.process
+    run_transactions = LTPGEngine.run_transactions
 
 
 def make_engine(
@@ -254,7 +219,7 @@ def make_engine(
     procedures: ProcedureRegistry,
     config: LTPGConfig | None = None,
     device: Device | None = None,
-):
+) -> LTPGEngine | ShardedEngine:
     """Engine factory honoring ``config.shards``: the sharded wrapper
     for N > 1, the plain engine otherwise."""
     config = config or LTPGConfig()

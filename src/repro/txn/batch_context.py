@@ -183,53 +183,6 @@ class GroupLocals:
         )
         return out
 
-    @staticmethod
-    def concat_shards(
-        parts: list["GroupLocals"], lane_offsets: list[int], num_lanes: int
-    ) -> "GroupLocals":
-        """Concatenate per-shard locals (each keyed by shard-local lane)
-        into one group-level locals keyed by group lane.
-
-        ``lane_offsets[i]`` is shard i's first group lane; shards cover
-        contiguous lane ranges in order, so the per-txn arrays simply
-        concatenate.  ``i_seq`` values get a per-shard base offset: the
-        whole-group finalize numbers insert emissions globally, but
-        write-back only uses ``i_seq`` to order inserts *within* one
-        transaction — and a transaction's inserts never span shards — so
-        any shard-monotone renumbering reproduces identical outcomes.
-        """
-        out = GroupLocals(0)
-        pieces: dict[str, list[np.ndarray]] = {
-            name: [] for name in out.__slots__[:out._NUM_ARRAYS]
-        }
-        chunk_off = 0
-        seq_off = 0
-        for part, off in zip(parts, lane_offsets):
-            for name, dest in pieces.items():
-                arr = getattr(part, name)
-                if name.endswith("_txn"):
-                    arr = arr + off
-                elif name == "i_seq":
-                    arr = arr + seq_off
-                elif name == "i_chunk":
-                    arr = arr + chunk_off
-                dest.append(arr)
-            out.i_meta.extend(part.i_meta)
-            chunk_off += len(part.i_meta)
-            seq_off += part.i_seq.size
-        empty = np.empty(0, dtype=np.int64)
-        for name, arrs in pieces.items():
-            setattr(out, name, np.concatenate(arrs) if arrs else empty)
-        zeros = np.zeros(num_lanes, dtype=np.int64)
-        out.nbytes_by_txn = (
-            np.concatenate([p.nbytes_by_txn for p in parts]) if parts else zeros
-        )
-        out.delayed_count_by_txn = (
-            np.concatenate([p.delayed_count_by_txn for p in parts])
-            if parts else zeros
-        )
-        return out
-
     def rekeyed(self, idx_arr: np.ndarray, num_txns: int) -> "GroupLocals":
         """Re-key lane-indexed locals to batch positions: ``idx_arr``
         maps lane -> batch index (the group's transaction positions)."""

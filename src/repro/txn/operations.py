@@ -94,33 +94,6 @@ def column_interner_size() -> int:
     return len(_COLUMN_NAMES)
 
 
-def interned_columns() -> tuple[str, ...]:
-    """Snapshot of every interned name in id order (for shipping the
-    parent's interner state to worker processes)."""
-    return tuple(_COLUMN_NAMES)
-
-
-def seed_column_interner(names: tuple[str, ...] | list[str]) -> None:
-    """Align this process's interner with a parent snapshot.
-
-    Ids are assigned in first-use order, so a worker process must adopt
-    the parent's assignment before running any procedure — otherwise the
-    int64 column field in shipped op matrices would decode differently.
-    Names already interned here must occupy the same ids (anything else
-    means the processes diverged before seeding, which is unrecoverable).
-    """
-    for i, name in enumerate(names):
-        if i < len(_COLUMN_NAMES):
-            if _COLUMN_NAMES[i] != name:
-                raise ValueError(
-                    f"column interner mismatch at id {i}: parent has "
-                    f"{name!r}, worker has {_COLUMN_NAMES[i]!r}"
-                )
-        else:
-            _COLUMN_IDS[name] = i
-            _COLUMN_NAMES.append(name)
-
-
 # The empty column (inserts) and the key pseudo-column are always present.
 _EMPTY_COLUMN_ID = intern_column("")
 KEY_COLUMN = "__key__"

@@ -101,8 +101,8 @@ class ProcedureRegistry:
         return name in self._batched
 
     def batched_names(self) -> list[str]:
-        """Names with a registered vectorized twin (sorted; the worker
-        pool ships exactly these to child processes)."""
+        """Names with a registered vectorized twin (sorted; what the
+        twin linters walk)."""
         return sorted(self._batched)
 
     def __contains__(self, name: str) -> bool:

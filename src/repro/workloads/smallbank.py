@@ -86,11 +86,6 @@ def _register_procedures(registry: ProcedureRegistry) -> None:
     _register_batched(registry)
 
 
-# The twins are module-level functions (not closures) so the
-# process-parallel executor can pickle them to worker processes under
-# the "spawn" start method.
-
-
 def _balance_b(bctx, params):
     lanes = bctx.all_lanes()
     rows, found = bctx.rows_for_keys("smallbank", lanes, params.column(0))

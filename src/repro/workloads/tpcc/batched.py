@@ -63,10 +63,8 @@ def _dup_in_rows(
     return (srt[:, 1:] == srt[:, :-1]).any(axis=1)
 
 
-# Twins live at module level (bound to their scale via functools.partial
-# at registration) so they stay picklable: the process-parallel executor
-# ships them to worker processes, which under the "spawn" start method
-# requires importable module-level callables, not closures.
+# Twins live at module level, bound to their scale via functools.partial
+# at registration.
 
 
 def _neworder_b(scale: TpccScale, bctx: BatchedContext, params: ParamColumns):

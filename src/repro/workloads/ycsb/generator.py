@@ -113,9 +113,6 @@ def _register_procedures(
 def _ycsb_txn_b(btree_scans, bctx, params):
     """Vectorized twin: one emission pass per op position.
 
-    Module-level (bound via ``functools.partial``) so the parallel
-    executor can pickle it to spawn-started workers.
-
     Lanes whose op sequence needs a read-your-own-writes overlay —
     a later op reading a key this lane already wrote (code 4) or
     inserted — fall back to the scalar procedure; generated

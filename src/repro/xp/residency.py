@@ -20,12 +20,12 @@ Coherence protocol (the dirty-epoch fence):
 
 * :meth:`DeviceTableView.column` lazily uploads a column on first use
   and revalidates the cached host-array *identity* on every access —
-  a table ``_grow`` (``np.resize``) or shm re-export swaps the host
-  array out from under the cache, and the view heals and re-uploads.
+  a table ``_grow`` (``np.resize``) swaps the host array out from
+  under the cache, and the view heals and re-uploads.
 * Device-side scatters call :meth:`DeviceTableView.mark_dirty`; while
   a column is dirty the host copy is stale.
 * Host readers (``Table.read``/``column``/``state_signature``/``copy``
-  — validation, recovery, shm export, tests) trigger a **lazy fence**
+  — validation, recovery, tests) trigger a **lazy fence**
   through the ``Table._resident_view`` hook: the dirty column ships
   down once (D2H) and the dirty bit clears.  This is the runtime
   stale-host-read check; kernellint's KL106 is its static twin.
@@ -47,8 +47,7 @@ to the scalar one (ARCHITECTURE §13 spells it out).
 On host-identity backends (numpy) ``from_host`` is identity, the
 "device" copy *is* the host array, and the manager stays inert
 (:attr:`ResidencyManager.active` is False): ``device_resident=1``
-under numpy — including the ``parallel_workers`` shm path — is
-byte-identical by construction.
+under numpy is byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -112,12 +111,12 @@ class DeviceTableView:
         self._dirty.discard(name)
 
     def _heal(self, name: str | None, host: np.ndarray) -> None:
-        """The cached host array was swapped out (``np.resize`` grow or
-        shm re-export).  ``_grow`` fences before reallocating and shm
-        export copies values, so the new array's prefix already agrees
-        with the device copy; healing writes the device prefix over it
-        (a value-preserving no-op in those flows, a correction in any
-        other identity swap) and drops the stale device copy."""
+        """The cached host array was swapped out (``np.resize`` grow).
+        ``_grow`` fences before reallocating, so the new array's prefix
+        already agrees with the device copy; healing writes the device
+        prefix over it (a value-preserving no-op in that flow, a
+        correction in any other identity swap) and drops the stale
+        device copy."""
         if name in self._dirty:
             data = self.xp.to_host(self._cols[name])
             m = min(data.shape[0], host.shape[0])

@@ -201,3 +201,28 @@ def mixed_bank_specs() -> list[tuple[str, tuple]]:
         if i % 13 == 0:
             specs.append(("bad", (i % 32,)))
     return specs
+
+
+def observe_cell(workload: str, batches: int = 2, batch_size: int = 256, **config):
+    """One cell of the conformance lattice: ``batches`` generated batches
+    of a shipped workload (``tpcc`` | ``ycsb`` | ``smallbank`` with its
+    paper markings, seeded, so every cell sees the same transactions) on
+    an engine built from ``config`` through ``make_engine``.  Returns
+    each batch's per-lane statuses and abort reasons, then the final
+    state digest — what every cell must share with the reference cell."""
+    from repro.analysis.workload import build_workload
+    from repro.txn import assign_tids
+
+    setup = build_workload(workload)
+    out: list = []
+    next_tid = 0
+    with setup.engine(batch_size=batch_size, sanitize=False, **config) as engine:
+        for _ in range(batches):
+            batch = setup.generator.make_batch(batch_size)
+            next_tid = assign_tids(batch, next_tid)
+            engine.run_batch(batch)
+            out.append(
+                ([t.status for t in batch], [t.abort_reason for t in batch])
+            )
+    out.append(setup.database.state_digest())
+    return out

@@ -6,8 +6,8 @@ anchored inside the twin's own source span in this file.  The committed
 workload twins must stay clean (the suppressed sanctioned readbacks in
 ``tpcc/batched.py`` carry explicit allow markers).
 
-The violation twins are module-level functions (not nested in the
-tests) so the pickle-safety rules don't fire on them incidentally.
+The violation twins are module-level functions so ``inspect`` finds
+their source.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.analysis.findings import KERNELLINT
 from repro.analysis.kernellint import (
     RULES,
     drift_findings,
-    lint_pickle_safety,
     lint_registry_twins,
     lint_twin_unit,
     source_unit,
@@ -35,7 +34,7 @@ from repro.txn.procedures import ProcedureRegistry
 pytestmark = pytest.mark.analysis
 
 
-# -- seeded violation twins (module level: see module docstring) ----------
+# -- seeded violation twins -------------------------------------------------
 
 def _bad_implicit_int(bctx, params):
     v = params.column(0)
@@ -143,24 +142,6 @@ def _bad_random_twin(bctx, params):
     import random
 
     return random.random()
-
-
-def _make_closure_twin(scale):
-    def twin(bctx, params):
-        return scale
-
-    return twin
-
-
-_lambda_twin = lambda bctx, params: None  # noqa: E731
-
-
-class _Unpicklable:
-    def __init__(self):
-        self.gen = (x for x in range(3))
-
-    def __call__(self, bctx, params):
-        return None
 
 
 # -- drift-audit fixtures: scalar/twin pairs -------------------------------
@@ -353,33 +334,10 @@ def test_kl204_nondeterministic_source_in_twin():
         assert finding.file.endswith("test_analysis_kernellint.py")
 
 
-# -- pickle-safety rules (KL3xx) -------------------------------------------
-
-def test_kl301_closure_twin():
-    twin = _make_closure_twin(3)
-    findings = lint_pickle_safety("closure_proc", twin)
-    codes = {f.code for f in findings}
-    assert "KL301" in codes, [f.describe() for f in findings]
-    kl301 = next(f for f in findings if f.code == "KL301")
-    assert "scale" in kl301.message
-    assert kl301.subject == "closure_proc[batched]"
-
-
-def test_kl302_lambda_twin():
-    findings = lint_pickle_safety("lambda_proc", _lambda_twin)
-    assert "KL302" in {f.code for f in findings}
-
-
-def test_kl303_unpicklable_twin():
-    findings = lint_pickle_safety("obj_proc", _Unpicklable())
-    assert [f.code for f in findings] == ["KL303"]
-
-
-def test_pickle_safety_accepts_module_level_partial():
+def test_unwrap_twin_peels_partial():
     import functools
 
     twin = functools.partial(_twin_writes_one)
-    assert lint_pickle_safety("ok_proc", twin) == []
     assert unwrap_twin(twin) is _twin_writes_one
 
 

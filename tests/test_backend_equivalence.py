@@ -240,15 +240,6 @@ def _smallbank_engine(**config_kwargs):
                 array_backend="mockgpu",
                 columnar_ops=True,
                 batched_exec=True,
-                parallel_workers=2,
-            ),
-            "parallel_workers",
-        ),
-        (
-            dict(
-                array_backend="mockgpu",
-                columnar_ops=True,
-                batched_exec=True,
                 sanitize=True,
             ),
             "sanitize",
@@ -258,7 +249,6 @@ def _smallbank_engine(**config_kwargs):
         "unknown-name",
         "case-sensitive",
         "needs-batched-exec",
-        "no-parallel-workers",
         "no-sanitize",
     ],
 )
@@ -272,7 +262,6 @@ def test_auto_backend_degrades_instead_of_raising():
     # to numpy when the batched device path cannot run
     for kwargs in (
         dict(batched_exec=False),
-        dict(columnar_ops=True, batched_exec=True, parallel_workers=2),
         dict(sanitize=True),
     ):
         engine = _smallbank_engine(batch_size=64, array_backend="auto", **kwargs)
@@ -308,7 +297,7 @@ def test_config_swap_invalidates_resolved_backend():
     expected = _observe(ref_engine, specs)
 
     # same batches, but the backend is swapped to mockgpu between them
-    # (mirrors _ensure_pool: config mutation after construction re-resolves)
+    # (config mutation after construction re-resolves)
     engine = fresh_engine("numpy")
     first = _observe(engine, specs[:1])[:-1]
     assert engine._ensure_backend().name == "numpy"

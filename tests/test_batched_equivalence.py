@@ -181,13 +181,20 @@ def test_smallbank_three_way_identical():
 # ---------------------------------------------------------------------------
 def test_mixed_batched_and_scalar_procedures_identical():
     specs = mixed_bank_specs()
-    batches = [specs, specs[::-1]]
 
     def build(mode_kwargs):
         db, registry = mixed_bank_registry()
         return LTPGEngine(db, registry, LTPGConfig(batch_size=256, **mode_kwargs))
 
-    _three_way(build, batches)
+    _three_way(build, [specs, specs[::-1]])
+    # groups of one or two lanes, down to a one-transaction batch
+    _three_way(
+        build,
+        [
+            [("deposit", (1, 5)), ("deposit", (2, 7)), ("transfer", (3, 4, 1))],
+            [("deposit", (5, 1))],
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.core import (
     resolve_memory_mode,
 )
 from repro.core.stats import BatchStats, RunStats
-from repro.errors import StorageError, TransactionError
+from repro.errors import ConfigError, StorageError, TransactionError
 from repro.gpusim import Device, DeviceConfig, KernelContext, LaunchGeometry
 from repro.storage import Database, make_schema
 
@@ -259,6 +259,19 @@ class TestConfig:
     def test_invalid_batch_size(self):
         with pytest.raises(TransactionError):
             LTPGConfig(batch_size=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(retry_delay_batches=0), "retry delay"),
+            (dict(columnar_ops=False, batched_exec=True), "columnar_ops"),
+            (dict(device_resident=True), "batched_exec"),
+            (dict(batched_exec=True, resident_tables=frozenset({"t"})), "device_resident"),
+        ],
+    )
+    def test_invalid_combinations(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            LTPGConfig(**kwargs)
 
 
 class TestStats:

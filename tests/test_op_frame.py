@@ -7,7 +7,7 @@ guards:
 * what a transaction shows — ``ops.raw``, status, abort reason — is what
   the per-transaction columnar path records, on every execution route
   (twin lanes, ``fall_back`` lanes, logic aborts, twin-less groups),
-  in-process, across worker processes and across shards;
+  unsharded and across shards;
 * a frame is never written after its batch: ops read batches later are
   the ops of that attempt, and a retried transaction shows its latest;
 * ``run_batch`` allocates garbage-collector-tracked objects per
@@ -96,9 +96,9 @@ def _observe(engine, batches):
 
 # -- (a) the frame shows what the per-transaction path records ----------
 
-@pytest.mark.parametrize("workers, shards", [(0, 1), (2, 1), (0, 2), (2, 2)])
+@pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("workload", list(WORKLOADS))
-def test_framed_ops_equal_the_columnar_path(workload, workers, shards):
+def test_framed_ops_equal_the_columnar_path(workload, shards):
     build = WORKLOADS[workload]
     _, _, gen, _ = build()
     batches = [
@@ -114,7 +114,6 @@ def test_framed_ops_equal_the_columnar_path(workload, workers, shards):
     config = LTPGConfig(
         batch_size=256,
         batched_exec=True,
-        parallel_workers=workers,
         shards=shards,
         **marks,
     )

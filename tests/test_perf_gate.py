@@ -46,17 +46,6 @@ def test_batched_beats_columnar_on_execute_writeback():
     )
 
 
-@pytest.mark.perf
-def test_parallel_beats_batched_on_execute():
-    """The sharded executor's speedup gate (auto-skips below 4 cores —
-    check_parallel returns 0 with a message there, same as the CLI)."""
-    gate = _load_gate()
-    assert gate.check_parallel() == 0, (
-        "4 parallel workers no longer beat the in-process batched path "
-        "by the required floor on execute at the headline batch size"
-    )
-
-
 # -- artifact schema: not a timing, so it runs in the default suite -------
 
 _SERVE = os.path.join(_ROOT, "BENCH_serve.json")
@@ -97,3 +86,7 @@ def test_schema_gate_catches_empty_and_partial_documented_keys(tmp_path, capsys)
 
     rc, out = verdict(lambda d: d["meta"].pop("cpu_count"))
     assert rc == 1 and "meta.cpu_count: missing" in out
+
+    # a column the sweep no longer has, left behind by a stale file
+    rc, out = verdict(lambda d: d["seconds_per_batch"].update(parallel={}))
+    assert rc == 1 and "seconds_per_batch.parallel: not documented" in out

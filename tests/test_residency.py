@@ -13,9 +13,6 @@ edges where that ownership inversion could go stale:
   backend's crossings before the new backend re-uploads);
 * ``reset_run_state`` (run boundary = full host sync, device copies
   survive for the next run);
-* ``parallel_workers`` shm export under the numpy backend (residency is
-  inert on host-identity backends, so the exported snapshot is current
-  by construction);
 * table ``_grow`` / ``append_keys`` during inserts (capacity doubling
   swaps the host ndarray out from under the device cache; the view must
   fence first and re-upload lazily);
@@ -222,32 +219,26 @@ def test_reset_run_state_syncs_host_and_keeps_device_cache():
 
 
 # ---------------------------------------------------------------------------
-# parallel_workers shm export (numpy backend, residency inert)
+# close(): what is left to release is the residency cache
 # ---------------------------------------------------------------------------
-def test_parallel_shm_export_with_resident_flag():
-    def run(resident):
-        db, registry, gen = build_smallbank(
-            num_accounts=200, zipf_alpha=1.2, seed=3
-        )
-        config = LTPGConfig(
-            batch_size=128,
-            columnar_ops=True,
-            batched_exec=True,
-            parallel_workers=2,
-            array_backend="numpy",
-            device_resident=resident,
-        )
-        engine = LTPGEngine(db, registry, config)
-        try:
-            batches = [
-                [(t.procedure_name, t.params) for t in gen.make_batch(128)]
-                for _ in range(2)
-            ]
-            return _observe(engine, batches)
-        finally:
-            engine.close()
+def test_close_fences_and_unhooks_and_a_later_batch_rebuilds():
+    engine, gen = _tpcc_build("mockgpu", resident=True)
+    reference_engine, _ = _tpcc_build("mockgpu", resident=False)
+    batches = [
+        [(t.procedure_name, t.params) for t in gen.make_batch(BATCH)]
+        for _ in range(2)
+    ]
+    expected = _observe(reference_engine, batches)
 
-    assert run(True) == run(False)
+    out = _observe(engine, batches[:1])[:-1]
+    assert engine._residency is not None
+    engine.close()
+    engine.close()  # idempotent
+    assert engine._residency is None
+    assert all(t._resident_view is None for t in engine.database.tables)
+    out.extend(_observe(engine, batches[1:]))
+    assert out == expected
+    assert engine._residency is not None  # rebuilt by the next batch
 
 
 # ---------------------------------------------------------------------------

@@ -9,26 +9,23 @@ tests pin the full outcome surface instead.)
 
 Also covered here: the deterministic router's edge cases (all-multi-home
 batches, empty shards, more shards than warehouses), the Calvin-style
-sequencer, per-shard metrics, config validation, and the worker-pool
-rebuild on a config swap (which used to leak ``/dev/shm`` segments).
+sequencer, per-shard metrics, and config validation.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import gc
-import multiprocessing as mp
-import os
-import time
+import functools
 
 import numpy as np
 import pytest
 
+from helpers import observe_cell
+from repro.analysis.workload import WORKLOAD_NAMES, build_workload
+
 from repro.baselines.calvin import deterministic_order
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import ConfigError
-from repro.parallel import SHM_PREFIX
-from repro.parallel.pool import WorkerPool
+from repro.serve.api import serve_run
 from repro.shard import (
     BoundPartition,
     ShardedEngine,
@@ -55,13 +52,6 @@ SHARD_COUNTS = (1, 2, 4)
 FULL_MIX = TpccMix(
     neworder=0.4, payment=0.3, orderstatus=0.1, stocklevel=0.1, delivery=0.1
 )
-
-
-def _shm_segments() -> list[str]:
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith(SHM_PREFIX)]
-    except FileNotFoundError:  # non-Linux
-        return []
 
 
 def _observe(engine, batches):
@@ -104,7 +94,6 @@ def _across_shard_counts(build, batches, counts=SHARD_COUNTS, **config_kwargs):
         assert _observe(engine, batches) == reference, (
             f"divergence at {shards} shards"
         )
-    assert _shm_segments() == []
 
 
 def _tpcc_build(config_kwargs):
@@ -184,16 +173,6 @@ def test_smallbank_identical_across_shard_counts():
         return make_engine(db, registry, config)
 
     _across_shard_counts(build, batches)
-
-
-def test_sharded_with_matching_worker_pool_identical():
-    """shards=2 + parallel_workers=2: worker w executes exactly shard
-    w's lanes, and the result still matches the serial reference."""
-    batches = _tpcc_batches(n=2, size=128)
-    reference = _observe(_tpcc_build({}), batches)
-    engine = _tpcc_build(dict(shards=2, parallel_workers=2))
-    assert _observe(engine, batches) == reference
-    assert _shm_segments() == []
 
 
 def test_run_transactions_with_retries_identical():
@@ -414,9 +393,14 @@ def test_shards_require_batched_exec():
         LTPGConfig(shards=2)
 
 
-def test_shards_must_match_worker_count():
-    with pytest.raises(ConfigError, match="parallel_workers"):
-        LTPGConfig(batched_exec=True, shards=2, parallel_workers=3)
+def test_bare_engine_refuses_shards():
+    """``shards`` only routes through the wrapper: a directly built
+    engine would run unsharded without a word."""
+    db, registry, _ = build_smallbank(num_accounts=100, seed=1)
+    config = LTPGConfig(batched_exec=True, shards=2)
+    with pytest.raises(ConfigError, match="make_engine"):
+        LTPGEngine(db, registry, config)
+    assert isinstance(make_engine(db, registry, config), ShardedEngine)
 
 
 def test_unknown_shard_spec_raises():
@@ -479,62 +463,58 @@ def test_metrics_summary_has_shard_block():
 
 
 # ---------------------------------------------------------------------------
-# Pool rebuild on config swap (regression: leaked /dev/shm segments)
+# Cross-product: shards x device residency, against the unsharded numpy cell
 # ---------------------------------------------------------------------------
-def _live_workers() -> list:
-    return [p for p in mp.active_children() if p.name.startswith("ltpg-worker")]
+BACKEND_CELLS = {
+    "numpy": {},
+    "mockgpu-resident": dict(array_backend="mockgpu", device_resident=True),
+}
 
 
-def test_pool_rebuilt_on_worker_count_swap_without_leaks():
-    """Swapping the config to a different worker count (a shard-count
-    swap does exactly this) must rebuild the pool — closing the old
-    one's processes and segments — not silently keep the stale pool."""
-    db, registry, gen = build_smallbank(num_accounts=200, zipf_alpha=1.0, seed=1)
-    config = LTPGConfig(batch_size=64, batched_exec=True, parallel_workers=2)
-    engine = LTPGEngine(db, registry, config)
-
-    def batch(b):
-        out = gen.make_batch(64)
-        for i, t in enumerate(out):
-            t.tid = b * 1000 + i
-        return out
-
-    engine.run_batch(batch(0))
-    assert len(_live_workers()) == 2
-    first_segments = set(_shm_segments())
-    assert first_segments
-
-    engine.config = dataclasses.replace(config, parallel_workers=4)
-    engine.run_batch(batch(1))
-    assert len(_live_workers()) == 4
-    # the old pool's segments are gone, not unioned with the new ones
-    assert not (first_segments & set(_shm_segments()))
-
-    engine.close()
-    deadline = time.monotonic() + 10
-    while _live_workers() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert _live_workers() == []
-    assert _shm_segments() == []
+@functools.lru_cache(maxsize=None)
+def _reference_cell(workload):
+    return observe_cell(workload, batched_exec=True)
 
 
-def test_dropped_pool_reference_is_collected():
-    """A pool that loses its last reference without close() must clean
-    up on garbage collection, not linger until atexit."""
-    db, registry, _ = build_smallbank(num_accounts=100, seed=1)
-    twins = {
-        name: registry.get_batched(name) for name in registry.batched_names()
-    }
-    pool = WorkerPool(db, twins, num_workers=1)
-    assert _shm_segments()
-    del pool
-    gc.collect()
-    deadline = time.monotonic() + 10
-    while _live_workers() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert _live_workers() == []
-    assert _shm_segments() == []
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+@pytest.mark.parametrize(
+    "backend, shards",
+    [
+        (backend, shards)
+        for backend in BACKEND_CELLS
+        for shards in SHARD_COUNTS
+        if (backend, shards) != ("numpy", 1)  # the reference cell itself
+    ],
+)
+def test_shards_by_residency_cells_match_unsharded_numpy(workload, backend, shards):
+    cell = observe_cell(
+        workload, batched_exec=True, shards=shards, **BACKEND_CELLS[backend]
+    )
+    assert cell == _reference_cell(workload)
 
 
-def test_no_shm_segments_leaked():
-    assert _shm_segments() == []
+# ---------------------------------------------------------------------------
+# Builders that take config overrides honour ``shards``
+# ---------------------------------------------------------------------------
+def test_served_run_with_shards_is_sharded_and_ends_on_unsharded_digest():
+    """``WorkloadSetup.engine`` (what ``simulate_serve``, ``python -m
+    repro.trace`` and the analysis CLI build with) used to construct a
+    bare engine and serve ``shards=2`` unsharded."""
+
+    def served(shards):
+        setup = build_workload("tpcc")
+        with setup.engine(
+            batch_size=64, sanitize=False, batched_exec=True, trace=True,
+            shards=shards,
+        ) as engine:
+            # size cuts: batch membership must not depend on simulated
+            # timings, which sharding changes
+            report = serve_run(
+                engine, setup.generator, policy="size", num_requests=256
+            )
+            balance = engine.metrics.snapshot()["gauges"].get("shard_balance")
+        return report.committed, setup.database.state_digest(), balance
+
+    committed, digest, balance = served(2)
+    assert balance is not None and balance["last"] > 0
+    assert (committed, digest, None) == served(1)
