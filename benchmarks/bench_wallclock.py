@@ -3,7 +3,9 @@
 As a pytest benchmark this runs the scaled-down sweep like every other
 harness.  Run directly — ``python benchmarks/bench_wallclock.py`` — it
 reproduces the committed ``BENCH_wallclock.json`` at full scale
-(batch sizes 2^10..2^16, TPC-C 50/50) and rewrites the file.
+(batch sizes 2^10..2^16, TPC-C 50/50) and rewrites the file (~20 min).
+``python benchmarks/bench_wallclock.py --small-batch`` re-measures only
+the file's ``small_batch`` section (~1 min) and leaves the rest as is.
 """
 
 from __future__ import annotations
@@ -41,9 +43,17 @@ def test_wallclock_columnar_speedup(benchmark, bench_scale, bench_rounds):
     )
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     out = os.path.join(root, "BENCH_wallclock.json")
+    if argv == ["--small-batch"]:
+        section = wallclock.refresh_small_batch(out, rounds=8)
+        print(wallclock.format_small_batch(section))
+        print(f"rewrote small_batch in {out}")
+        return 0
+    if argv:
+        print(f"usage: {sys.argv[0]} [--small-batch]", file=sys.stderr)
+        return 2
     # min-of-8: matches the perf gate's estimator (scripts/check_wallclock.py).
     # The mockgpu columns are what fills transfers_per_batch — the
     # per-phase transfer ledger EXPERIMENTS.md documents for every batch
@@ -75,4 +85,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -461,8 +461,8 @@ def check_serve(
 
 #: Keys the docs promise, as dotted paths; ``*`` is "every child, and
 #: at least one", ``{a,b}`` a fixed set of children.  Documented in
-#: EXPERIMENTS.md "Host wall-clock" / "Transfer traffic under mockgpu"
-#: and docs/ARCHITECTURE.md §2, §7, §8, §9, §14.
+#: EXPERIMENTS.md "Host wall-clock" / "Small batches" / "Transfer traffic
+#: under mockgpu" and docs/ARCHITECTURE.md §2, §7, §8, §9, §14.
 WALLCLOCK_SCHEMA = (
     "batch_sizes",
     "meta.{cpu_count,rounds,scale,seed,warehouses,workload,estimator}",
@@ -479,6 +479,9 @@ WALLCLOCK_SCHEMA = (
     "sharded.shards",
     "sharded.balance_ledger.*",
     "sharded.metrics.{max_balance,mean_multi_home_fraction,sequencer_stall_ns}",
+    "small_batch.{workload,warehouses,rounds,batches_per_round,lanes}",
+    "small_batch.ms_per_batch.{per_transaction,batched}.*",
+    "small_batch.speedup_batched.*",
     "metrics.{abort_reasons,atomic,conflict_log,reschedule_depth,shard,warp}",
     "transfers_per_batch.*.*.{execute,conflict,writeback}",
 )
@@ -545,10 +548,25 @@ def _undocumented(doc: dict, schema: tuple[str, ...]) -> list[str]:
     return problems
 
 
+def _uncovered(columns: dict, wanted, what: str, where: str) -> list[str]:
+    """Columns of ``columns`` (name -> {size: ...}) that lack an entry
+    for one of the ``wanted`` sizes."""
+    sizes = {str(size) for size in wanted}
+    problems = []
+    for column, by_size in columns.items():
+        gone = sorted(sizes - set(by_size), key=int)
+        if gone:
+            problems.append(
+                f"{where}.{column}: no entry for {what}(s) {', '.join(gone)}"
+            )
+    return problems
+
+
 def check_schema(wallclock_path: str, serve_path: str) -> int:
     """Every documented key of both committed artifacts is present and
-    non-empty, no key is there that the docs do not describe, and the
-    transfer ledger covers every batch-size column."""
+    non-empty, no key is there that the docs do not describe, the
+    transfer ledger covers every batch-size column and the small-batch
+    section every lane count."""
     rc = 0
     for path, schema in (
         (wallclock_path, WALLCLOCK_SCHEMA),
@@ -564,14 +582,15 @@ def check_schema(wallclock_path: str, serve_path: str) -> int:
         problems = [p for entry in schema for p in _schema_problems(doc, entry)]
         problems += _undocumented(doc, schema)
         if schema is WALLCLOCK_SCHEMA:
-            sizes = {str(b) for b in doc.get("batch_sizes", ())}
-            for column, by_batch in doc.get("transfers_per_batch", {}).items():
-                gone = sorted(sizes - set(by_batch), key=int)
-                if gone:
-                    problems.append(
-                        f"transfers_per_batch.{column}: no entry for batch "
-                        f"size(s) {', '.join(gone)}"
-                    )
+            problems += _uncovered(
+                doc.get("transfers_per_batch", {}), doc.get("batch_sizes", ()),
+                "batch size", "transfers_per_batch",
+            )
+            small = doc.get("small_batch", {})
+            problems += _uncovered(
+                small.get("ms_per_batch", {}), small.get("lanes", ()),
+                "lane count", "small_batch.ms_per_batch",
+            )
         name = os.path.basename(path)
         if problems:
             rc = 1

@@ -14,7 +14,12 @@ and columnar/batched on execute and total (the batched-executor
 headline).  A ``sharded`` column (:data:`SHARDS` in-process shards
 through the multi-shard engine) and a per-shard balance ledger ride
 along; the ``sequencer`` entry in that column is the host cost of the
-deterministic router.
+deterministic router.  A separate ``small_batch`` section
+(:func:`measure_small_batch`) times whole ``run_batch`` calls at 1..256
+lanes on the per-transaction path and on the default batched one: the
+twins' fixed cost per batch loses below a few dozen lanes, and the
+section records where, so that a later change to that fixed cost has a
+before to stand on.
 
 Methodology: per (batch size, path) a fresh benchmark database is built
 from the same seed, one warm-up batch is run, then ``rounds`` measured
@@ -31,6 +36,7 @@ import json
 import os
 import platform
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +44,7 @@ import numpy as np
 from repro.bench.common import ltpg_config, tpcc_bench
 from repro.bench.reporting import format_metrics, format_table
 from repro.core.stats import RunStats
+from repro.txn import assign_tids
 
 #: The paper's batch-size sweep (Fig. 6a uses the same span).
 BATCH_SIZES: tuple[int, ...] = tuple(2**k for k in range(10, 17))
@@ -50,6 +57,16 @@ HEADLINE_BATCH = 16_384
 
 #: Shard count of the ``sharded`` column and the balance ledger.
 SHARDS = 4
+
+#: Lane counts of the ``small_batch`` section: what a deadline cut
+#: yields at low arrival rates, up to the served benchmark's
+#: interactive batch size.
+SMALL_BATCH_LANES: tuple[int, ...] = (1, 4, 16, 32, 64, 128, 256)
+
+#: Batches timed back to back per round of the ``small_batch`` section
+#: (a one-lane batch is a single NewOrder *or* Payment, so one batch is
+#: not a sample of the mix).
+SMALL_BATCH_BATCHES = 32
 
 
 @dataclass
@@ -74,6 +91,8 @@ class WallclockResult:
     #: (rows by owning shard), and the ``shard`` metrics block from a
     #: short traced sharded run at the headline batch
     sharded: dict = field(default_factory=dict)
+    #: :func:`measure_small_batch`'s section
+    small_batch: dict = field(default_factory=dict)
 
     def exec_conflict(self, path: str, batch: int) -> float:
         phases = self.seconds[path][batch]
@@ -187,6 +206,8 @@ class WallclockResult:
                 note="one post-warm-up batch per cell; per-phase splits "
                 "are in BENCH_wallclock.json under transfers_per_batch.",
             )
+        if self.small_batch:
+            table += "\n\n" + format_small_batch(self.small_batch)
         if self.metrics:
             table += "\n\n" + format_metrics(
                 self.metrics, title="Observability (traced headline batch)"
@@ -224,6 +245,7 @@ class WallclockResult:
                 if b in self.seconds.get("sharded", {})
             },
             "sharded": self.sharded,
+            "small_batch": self.small_batch,
             "metrics": self.metrics,
             "transfers_per_batch": {
                 path: {str(b): phases for b, phases in by_batch.items()}
@@ -232,9 +254,13 @@ class WallclockResult:
         }
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_json())
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def measure_path(
@@ -311,7 +337,7 @@ def measure_metrics(
     neworder_pct: int = 50,
     seed: int = 7,
 ) -> dict:
-    """Observability summary from a short traced columnar run.
+    """Observability summary from a short traced run.
 
     Runs a few batches at the (scaled) headline batch size with
     ``LTPGConfig.trace`` enabled and returns
@@ -370,6 +396,102 @@ def measure_sharded_profile(
         "balance_ledger": ledger,
         "metrics": run_stats.metrics_summary().get("shard", {}),
     }
+
+
+def measure_small_batch(
+    lanes: tuple[int, ...] = SMALL_BATCH_LANES,
+    rounds: int = 2,
+    scale: float = 1.0,
+    warehouses: int = 8,
+    neworder_pct: int = 50,
+    seed: int = 7,
+) -> dict:
+    """Host milliseconds per whole ``run_batch`` call at small lane
+    counts, per-transaction path (``batched_exec=False``) against the
+    default batched one.
+
+    Per (path, lane count) a fresh database is built from the same
+    seed, :data:`SMALL_BATCH_BATCHES` warm-up batches are discarded,
+    then each round times that many fresh batches back to back (TIDs
+    assigned, aborts dropped — both paths decide identically, so both
+    see the same database at every batch); a cell is the minimum over
+    rounds of a round's mean.  The engine's ``batch_size`` stays at the
+    largest lane count, as it does when a deadline cuts a short batch.
+    """
+    paths = {"per_transaction": dict(batched_exec=False), "batched": {}}
+    ms: dict[str, dict[str, float]] = {path: {} for path in paths}
+    for path, overrides in paths.items():
+        for n in lanes:
+            bench = tpcc_bench(
+                warehouses, neworder_pct=neworder_pct, scale=scale, seed=seed
+            )
+            next_tid = 0
+
+            def cut() -> list:
+                nonlocal next_tid
+                batch = bench.generator.make_batch(n)
+                next_tid = assign_tids(batch, next_tid)
+                return batch
+
+            with bench.engine(ltpg_config(max(lanes), **overrides)) as engine:
+                for _ in range(SMALL_BATCH_BATCHES):
+                    engine.run_batch(cut())
+                best = float("inf")
+                for _ in range(max(rounds, 1)):
+                    batches = [cut() for _ in range(SMALL_BATCH_BATCHES)]
+                    start = time.perf_counter()
+                    for batch in batches:
+                        engine.run_batch(batch)
+                    best = min(best, time.perf_counter() - start)
+            ms[path][str(n)] = round(best / SMALL_BATCH_BATCHES * 1e3, 4)
+    return {
+        "workload": f"tpcc neworder={neworder_pct}%",
+        "warehouses": warehouses,
+        "rounds": rounds,
+        "batches_per_round": SMALL_BATCH_BATCHES,
+        "lanes": list(lanes),
+        "ms_per_batch": ms,
+        "speedup_batched": {
+            n: round(ms["per_transaction"][n] / max(ms["batched"][n], 1e-9), 3)
+            for n in ms["batched"]
+        },
+    }
+
+
+def format_small_batch(section: dict) -> str:
+    """:func:`measure_small_batch`'s section as a table."""
+    ms = section["ms_per_batch"]
+    return format_table(
+        f"Small batches: host ms per run_batch call "
+        f"({section['workload']}, {section['warehouses']} warehouses)",
+        ["lanes", "per-transaction (ms)", "batched (ms)", "speedup"],
+        [
+            [
+                n,
+                ms["per_transaction"][str(n)],
+                ms["batched"][str(n)],
+                f"{section['speedup_batched'][str(n)]:.2f}x",
+            ]
+            for n in section["lanes"]
+        ],
+        note="speedup = per-transaction / batched (the default); below 1 "
+        "the twins' fixed cost per batch outweighs what they vectorise.",
+    )
+
+
+def refresh_small_batch(path: str, rounds: int = 2) -> dict:
+    """Re-measure only the ``small_batch`` section of the artifact at
+    ``path`` (written by :meth:`WallclockResult.write`), leaving the
+    sweep's sections as they are; returns the new section."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["small_batch"] = measure_small_batch(
+        rounds=rounds,
+        scale=doc["meta"]["scale"],
+        seed=doc["meta"]["seed"],
+    )
+    _write_json(path, doc)
+    return doc["small_batch"]
 
 
 def run(
@@ -436,6 +558,9 @@ def run(
     result.sharded = measure_sharded_profile(
         scale=scale, warehouses=warehouses, neworder_pct=neworder_pct,
         seed=seed,
+    )
+    result.small_batch = measure_small_batch(
+        rounds=rounds, scale=scale, neworder_pct=neworder_pct, seed=seed
     )
     return result
 

@@ -62,20 +62,23 @@ class LTPGConfig:
 
     #: Host implementation detail, not a paper toggle: consume the
     #: execute-phase op stream through the columnar NumPy path (True) or
-    #: the retained per-op reference loop (False).  Both produce
+    #: the retained per-op reference collector (False).  Both produce
     #: identical batch outcomes and simulated timings; the reference
-    #: path exists for differential testing and the wallclock bench.
+    #: collector is the test oracle and the wallclock bench's baseline.
     columnar_ops: bool = True
 
     #: Batched procedure execution (the host analog of §IV-C's warp
-    #: division): group the batch by procedure name and run each group
-    #: through its vectorized ``BatchProcedure`` twin over parameter
-    #: columns, with automatic per-transaction fallback for procedures
-    #: lacking one.  Carries a columnar local-set representation through
-    #: write-back (grouped scatters instead of per-transaction
-    #: ``apply_local_sets``).  Byte-identical outcomes to both op paths;
-    #: requires ``columnar_ops``.
-    batched_exec: bool = False
+    #: division), the default execute path: group the batch by procedure
+    #: name and run each group through its vectorized ``BatchProcedure``
+    #: twin over parameter columns, with automatic per-transaction
+    #: fallback for procedures lacking one.  Carries a columnar
+    #: local-set representation through write-back (grouped scatters
+    #: instead of per-transaction ``apply_local_sets``).  ``False``
+    #: selects the per-transaction path — one procedure call per
+    #: transaction, byte-identical outcomes — which survives as the
+    #: differential-test oracle and as the scalar fallback the batched
+    #: path already uses for hazard lanes and twin-less procedures.
+    batched_exec: bool = True
 
     #: Array backend the batched hot path runs on (:mod:`repro.xp`):
     #: ``"numpy"`` (the pinned reference), ``"mockgpu"`` (NumPy semantics
@@ -149,11 +152,6 @@ class LTPGConfig:
             raise ConfigError("batch size must be positive")
         if self.retry_delay_batches < 1:
             raise ConfigError("retry delay must be >= 1 batch")
-        if self.batched_exec and not self.columnar_ops:
-            raise ConfigError(
-                "batched_exec requires columnar_ops (the batched executor "
-                "feeds the columnar collection pipeline)"
-            )
         from repro.xp import BACKEND_NAMES  # noqa: PLC0415 (cycle: xp -> errors)
 
         if self.array_backend not in (*BACKEND_NAMES, "auto"):

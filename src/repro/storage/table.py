@@ -65,18 +65,25 @@ class Table:
 
     def _grow(self, needed: int) -> None:
         if self._resident_view is not None:
-            # Fence before reallocating so np.resize copies a current
+            # Fence before reallocating so the copy takes a current
             # prefix; the grown arrays re-upload lazily on next touch.
             self._resident_view.fence()
         new_capacity = self._capacity
         while new_capacity < needed:
             new_capacity *= 2
-        self._keys = np.resize(self._keys, new_capacity)
-        self._keys[self._capacity:] = 0
+        # Zeroed allocation + one copy of the old contents: the new tail
+        # is never written, so capacity no row occupies yet costs no
+        # resident page (np.resize tiles the old array across it).
+        old_capacity = self._capacity
+
+        def grown(arr: np.ndarray) -> np.ndarray:
+            out = np.zeros(new_capacity, dtype=arr.dtype)
+            out[:old_capacity] = arr
+            return out
+
+        self._keys = grown(self._keys)
         for name, arr in self._columns.items():
-            grown = np.resize(arr, new_capacity)
-            grown[self._capacity:] = 0
-            self._columns[name] = grown
+            self._columns[name] = grown(arr)
         self._capacity = new_capacity
 
     # -- ordered (B-tree) index ------------------------------------------------

@@ -2,13 +2,13 @@
 
 Scalar execution runs every transaction through its own
 :class:`~repro.txn.context.BufferedContext`; the batched executor
-(``LTPGConfig.batched_exec``) instead groups a batch by procedure name
-and hands each group a single :class:`BatchedContext`.  A vectorized
-``BatchProcedure`` then reads snapshot columns with NumPy gathers,
-computes all lanes' effects at once, and emits op/write-set *chunks*
-into columnar arrays — the host analog of the paper's adaptive warp
-division (§IV-C), where sub-transactions of one type share a warp so the
-same instruction stream runs data-parallel across lanes.
+(``LTPGConfig.batched_exec``, the default) instead groups a batch by
+procedure name and hands each group a single :class:`BatchedContext`.
+A vectorized ``BatchProcedure`` then reads snapshot columns with NumPy
+gathers, computes all lanes' effects at once, and emits op/write-set
+*chunks* into columnar arrays — the host analog of the paper's adaptive
+warp division (§IV-C), where sub-transactions of one type share a warp
+so the same instruction stream runs data-parallel across lanes.
 
 Byte-identity with the scalar path is preserved structurally:
 

@@ -1,7 +1,11 @@
 """TPC-C transaction generation.
 
-Vectorized, seeded and deterministic: the same seed always produces the
-same batches, so every engine can be fed identical inputs.
+Seeded and deterministic: the same seed always produces the same
+batches, so every engine can be fed identical inputs.  Transactions are
+drawn one at a time (each type's draws depend on the ones before it),
+with as few generator calls per transaction as the fixed draw order
+allows; ``tests/test_workloads.py`` keeps the draw-by-draw form as the
+reference and pins the stream's hash.
 
 Customer selection for Payment mixes a skewed hot set (a few frequent
 shoppers per district) with a NURand tail — this reproduces the paper's
@@ -36,17 +40,17 @@ ROLLBACK_PROB = 0.01
 #: warehouse while the YTD updates stay with the local one.
 REMOTE_PAYMENT_PROB = 0.15
 
-_NURAND_C_ITEM = 2177  # C constant for NURand(8191)
 _NURAND_C_CUST = 463   # C constant for NURand(1023)
 
+#: NewOrder orders 5..15 lines (spec 2.4.1.3).
+_MIN_ORDER_LINES = 5
+_MAX_ORDER_LINES = 15
 
-def _nurand_array(
-    rng: np.random.Generator, a: int, c: int, n: int, size: int
-) -> np.ndarray:
-    """Vectorized NURand(A, 0, n-1) with constant ``c``."""
-    r1 = rng.integers(0, a + 1, size)
-    r2 = rng.integers(0, n, size)
-    return ((r1 | r2) + c) % n
+
+def _nurand_customer(r1: int, r2: int) -> int:
+    """NURand(1023, 0, CUSTOMERS_PER_DISTRICT - 1) from its two uniform
+    draws, ``r1`` in [0, 1023] and ``r2`` in [0, CUSTOMERS_PER_DISTRICT)."""
+    return ((r1 | r2) + _NURAND_C_CUST) % CUSTOMERS_PER_DISTRICT
 
 
 @dataclass(frozen=True)
@@ -98,33 +102,52 @@ class TpccGenerator:
         # any loaded rows.
         self._next_order_id = 1_000_000
         self._next_history_id = 1
+        # One bounded draw with per-element bounds consumes the bit
+        # stream exactly as the same draws made one call at a time, at
+        # the cost of one call.  NewOrder's head is (w, d, NURand r1,
+        # NURand r2, line count); its tail for ``n`` lines is ``n`` item
+        # ids then ``n`` quantities.
+        self._neworder_head = (
+            np.array([0, 0, 0, 0, _MIN_ORDER_LINES], dtype=np.int64),
+            np.array(
+                [
+                    scale.warehouses,
+                    DISTRICTS_PER_WAREHOUSE,
+                    1024,
+                    CUSTOMERS_PER_DISTRICT,
+                    _MAX_ORDER_LINES + 1,
+                ],
+                dtype=np.int64,
+            ),
+        )
+        self._neworder_tail = {
+            n: (
+                np.repeat(np.array([0, 1], dtype=np.int64), n),
+                np.repeat(np.array([scale.num_items, 11], dtype=np.int64), n),
+            )
+            for n in range(_MIN_ORDER_LINES, _MAX_ORDER_LINES + 1)
+        }
 
     # ------------------------------------------------------------------
     def make_batch(self, size: int) -> list[Transaction]:
         """Generate ``size`` fresh transactions following the mix."""
         if size <= 0:
             raise WorkloadError("batch size must be positive")
-        rng = self._rng
         mix = self.mix
         thresholds = np.cumsum(
             [mix.neworder, mix.payment, mix.orderstatus, mix.stocklevel, mix.delivery]
         )
-        draws = rng.random(size)
+        draws = self._rng.random(size)
         kinds = np.searchsorted(thresholds, draws, side="right")
         kinds = np.minimum(kinds, 4)
-        txns: list[Transaction] = []
-        for kind in kinds:
-            if kind == 0:
-                txns.append(self._neworder())
-            elif kind == 1:
-                txns.append(self._payment())
-            elif kind == 2:
-                txns.append(self._orderstatus())
-            elif kind == 3:
-                txns.append(self._stocklevel())
-            else:
-                txns.append(self._delivery())
-        return txns
+        makers = (
+            self._neworder,
+            self._payment,
+            self._orderstatus,
+            self._stocklevel,
+            self._delivery,
+        )
+        return [makers[kind]() for kind in kinds.tolist()]
 
     # ------------------------------------------------------------------
     def _pick_wd(self) -> tuple[int, int]:
@@ -133,79 +156,67 @@ class TpccGenerator:
         d = int(rng.integers(0, DISTRICTS_PER_WAREHOUSE))
         return w, d
 
-    def _customer_uniform_nurand(self, w: int, d: int) -> int:
-        c = int(
-            _nurand_array(self._rng, 1023, _NURAND_C_CUST, CUSTOMERS_PER_DISTRICT, 1)[0]
-        )
-        return self.scale.customer_key(w, d, c)
-
-    def _customer_skewed(self, w: int, d: int) -> int:
+    def _draw_nurand_customer(self) -> int:
         rng = self._rng
-        if rng.random() < self.hot_customer_prob:
-            c = int(rng.integers(0, self.hot_customers))
-        else:
-            c = int(
-                _nurand_array(rng, 1023, _NURAND_C_CUST, CUSTOMERS_PER_DISTRICT, 1)[0]
-            )
-        return self.scale.customer_key(w, d, c)
+        r1 = int(rng.integers(0, 1024))
+        r2 = int(rng.integers(0, CUSTOMERS_PER_DISTRICT))
+        return _nurand_customer(r1, r2)
 
     # ------------------------------------------------------------------
     def _neworder(self) -> Transaction:
         rng = self._rng
-        w, d = self._pick_wd()
-        c_key = self._customer_uniform_nurand(w, d)
-        n_items = int(rng.integers(5, 16))
+        w, d, r1, r2, n_items = rng.integers(*self._neworder_head).tolist()
+        c = _nurand_customer(r1, r2)
         # Uniform item choice: the paper's NewOrder commit rates (88.3%
         # at 32 WH, 63.4% at 8 WH, batch 16384) match the uniform
         # birthday-collision prediction exactly, so their generator did
         # not apply NURand(8191) skew; see EXPERIMENTS.md.
-        item_ids = rng.integers(0, self.scale.num_items, n_items)
-        quantities = rng.integers(1, 11, n_items)
+        tail = rng.integers(*self._neworder_tail[n_items]).tolist()
         o_id = self._next_order_id
         self._next_order_id += 1
         rollback = 1 if rng.random() < ROLLBACK_PROB else 0
-        items: list[int] = []
-        for i in range(n_items):
-            items.append(int(item_ids[i]))
-            items.append(int(quantities[i]))
-        return Transaction(
-            "neworder", (w, d, c_key, o_id, rollback, *items)
-        )
+        items = [0] * (2 * n_items)  # item id, quantity per line
+        items[0::2] = tail[:n_items]
+        items[1::2] = tail[n_items:]
+        c_key = self.scale.customer_key(w, d, c)
+        return Transaction("neworder", (w, d, c_key, o_id, rollback, *items))
 
     def _payment(self) -> Transaction:
         rng = self._rng
+        warehouses = self.scale.warehouses
         w, d = self._pick_wd()
         # 15% remote payments: the paying customer lives in another
         # warehouse; the YTD updates stay with the local one (spec 2.5).
         c_w, c_d = w, d
-        if (
-            self.scale.warehouses > 1
-            and rng.random() < self.remote_payment_prob
-        ):
-            c_w = int(rng.integers(0, self.scale.warehouses - 1))
+        if warehouses > 1 and rng.random() < self.remote_payment_prob:
+            c_w = int(rng.integers(0, warehouses - 1))
             if c_w >= w:
                 c_w += 1
             c_d = int(rng.integers(0, DISTRICTS_PER_WAREHOUSE))
-        c_key = self._customer_skewed(c_w, c_d)
+        if rng.random() < self.hot_customer_prob:
+            c = int(rng.integers(0, self.hot_customers))
+        else:
+            c = self._draw_nurand_customer()
         amount = int(rng.integers(100, 500_001))
         h_id = self._next_history_id
         self._next_history_id += 1
-        return Transaction("payment", (w, d, c_key, amount, h_id))
+        return Transaction(
+            "payment", (w, d, self.scale.customer_key(c_w, c_d, c), amount, h_id)
+        )
 
     def _orderstatus(self) -> Transaction:
         w, d = self._pick_wd()
         return Transaction(
-            "orderstatus", (self._customer_uniform_nurand(w, d),)
+            "orderstatus",
+            (self.scale.customer_key(w, d, self._draw_nurand_customer()),),
         )
 
     def _stocklevel(self) -> Transaction:
         rng = self._rng
         w, _ = self._pick_wd()
         threshold = int(rng.integers(10, 21))
-        item_ids = rng.integers(0, self.scale.num_items, 20)
-        return Transaction(
-            "stocklevel", (w, threshold, *(int(i) for i in item_ids))
-        )
+        item_ids = rng.integers(0, self.scale.num_items, 20).tolist()
+        return Transaction("stocklevel", (w, threshold, *item_ids))
 
     def _delivery(self) -> Transaction:
         rng = self._rng
@@ -217,7 +228,5 @@ class TpccGenerator:
         # abort, matching a real pre-resolution miss).
         if self._next_order_id == 1_000_000:
             return Transaction("delivery", (w, carrier))
-        o_ids = rng.integers(1_000_000, self._next_order_id, 2)
-        return Transaction(
-            "delivery", (w, carrier, *(int(o) for o in o_ids))
-        )
+        o_ids = rng.integers(1_000_000, self._next_order_id, 2).tolist()
+        return Transaction("delivery", (w, carrier, *o_ids))

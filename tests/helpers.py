@@ -209,7 +209,9 @@ def observe_cell(workload: str, batches: int = 2, batch_size: int = 256, **confi
     paper markings, seeded, so every cell sees the same transactions) on
     an engine built from ``config`` through ``make_engine``.  Returns
     each batch's per-lane statuses and abort reasons, then the final
-    state digest — what every cell must share with the reference cell."""
+    state digest — what every cell must share with the reference cell,
+    ``observe_cell(workload, batched_exec=False)``: the unsharded numpy
+    engine running one procedure call per transaction."""
     from repro.analysis.workload import build_workload
     from repro.txn import assign_tids
 

@@ -10,7 +10,9 @@ numbers in ``BENCH_wallclock.json`` claim the batched path changes host
 time and nothing else.
 
 Each test runs identical batch specs through all three paths and
-compares the full observable surface byte for byte.
+compares the full observable surface byte for byte.  The batched
+executor is the default, so the two per-transaction cells say
+``batched_exec=False`` (``_mode_config``).
 """
 
 from __future__ import annotations
@@ -78,6 +80,19 @@ def _three_way(build, batches, **overrides):
     assert runs["batched"] == runs["reference"]
 
 
+def _reference_collector_after_batched_execute(build, batches):
+    """``LTPGConfig(columnar_ops=False)`` leaves the executor at its
+    default, so it is the batched executor feeding the per-op collector,
+    which must read the frame's ops the way the columnar one does."""
+    calls = []
+    engine = build(dict(columnar_ops=False))
+    assert engine.config.batched_exec
+    collect = engine._collect_reference
+    engine._collect_reference = lambda *a: calls.append(1) or collect(*a)
+    assert _observe(engine, batches) == _observe(build({}), batches)
+    assert len(calls) == len(batches)
+
+
 # ---------------------------------------------------------------------------
 # TPC-C: full procedure mix with the paper's optimizations on
 # ---------------------------------------------------------------------------
@@ -103,7 +118,9 @@ def test_tpcc_full_mix_three_way_identical():
         )
         return LTPGEngine(db, registry, config)
 
-    _three_way(build, make())
+    batches = make()
+    _three_way(build, batches)
+    _reference_collector_after_batched_execute(build, batches)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +204,7 @@ def test_mixed_batched_and_scalar_procedures_identical():
         return LTPGEngine(db, registry, LTPGConfig(batch_size=256, **mode_kwargs))
 
     _three_way(build, [specs, specs[::-1]])
+    _reference_collector_after_batched_execute(build, [specs, specs[::-1]])
     # groups of one or two lanes, down to a one-transaction batch
     _three_way(
         build,
@@ -202,7 +220,7 @@ def test_mixed_batched_and_scalar_procedures_identical():
 # ---------------------------------------------------------------------------
 def test_unknown_procedure_clear_error_and_clean_cache():
     db, registry = build_bank(accounts=8)
-    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=8))
+    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=8, batched_exec=False))
 
     with pytest.raises(TransactionError) as excinfo:
         engine.run_batch([Transaction("no_such_proc", (1,), tid=0)])

@@ -199,3 +199,55 @@ class TestRunnerValidation:
         bench = tpcc_bench(2, scale=TINY)
         with pytest.raises(BenchmarkError):
             steady_state_run(bench.engine(), bench.generator, 32, 0)
+
+
+class TestWallclockSmallBatch:
+    def test_section_times_both_paths_at_every_lane_count(self):
+        from repro.bench import wallclock
+
+        section = wallclock.measure_small_batch(
+            lanes=(1, 8), rounds=1, scale=TINY, warehouses=2
+        )
+        assert section["lanes"] == [1, 8]
+        ms = section["ms_per_batch"]
+        assert set(ms) == {"per_transaction", "batched"}
+        for path in ms:
+            assert set(ms[path]) == {"1", "8"}
+            assert all(v > 0 for v in ms[path].values())
+        assert set(section["speedup_batched"]) == {"1", "8"}
+        result = wallclock.WallclockResult(small_batch=section)
+        assert result.to_json()["small_batch"] is section
+        assert "per-transaction (ms)" in wallclock.format_small_batch(section)
+
+    def test_refresh_rewrites_only_its_own_section(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.bench import wallclock
+
+        result = wallclock.WallclockResult(
+            meta={"scale": 4.0, "seed": 11, "rounds": 8},
+            seconds={"columnar": {1024: {"execute": 0.125, "total": 0.5}}},
+            small_batch={"stale": True},
+        )
+        path = tmp_path / "wallclock.json"
+        result.write(str(path))
+        before = json.loads(path.read_text())
+        seen = {}
+
+        def fake(**kwargs):
+            seen.update(kwargs)
+            return {"lanes": [1]}
+
+        monkeypatch.setattr(wallclock, "measure_small_batch", fake)
+        assert wallclock.refresh_small_batch(str(path), rounds=3) == {"lanes": [1]}
+        assert seen == {"rounds": 3, "scale": 4.0, "seed": 11}
+        after = json.loads(path.read_text())
+        assert after.pop("small_batch") == {"lanes": [1]}
+        before.pop("small_batch")
+        assert after == before
+        # same serialisation as write(): an untouched section is
+        # byte-identical, so the artifact's diff is the section alone
+        result.small_batch = {"lanes": [1]}
+        expected = tmp_path / "expected.json"
+        result.write(str(expected))
+        assert path.read_text() == expected.read_text()

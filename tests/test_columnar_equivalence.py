@@ -8,6 +8,11 @@ observable — per-transaction statuses and abort reasons, the full
 state — must agree byte for byte.  These tests are the contract that
 lets the wall-clock harness (``BENCH_wallclock.json``) claim its speedup
 changes nothing but host time.
+
+Both cells here are the per-transaction execute path
+(``batched_exec=False``, stated in every config): this suite compares
+the two *collectors*.  The batched executor, the default, is compared
+against this same pair in ``test_batched_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ def _tpcc_builder(scale: float = 64.0, **config_overrides):
         config = dataclasses.replace(
             ltpg_config(bench.batch_size),
             columnar_ops=columnar,
+            batched_exec=False,
             **config_overrides,
         )
         build_engine.batch_size = bench.batch_size
@@ -118,6 +124,7 @@ def test_tpcc_without_optimizations_identical():
         config = dataclasses.replace(
             ltpg_config(bench.batch_size).without_optimizations(),
             columnar_ops=columnar,
+            batched_exec=False,
         )
         build_engine.batch_size = bench.batch_size
         build_engine.generator = bench.generator
@@ -141,9 +148,10 @@ def _ycsb_builder(workload: str, zipf_alpha: float, btree_scans: bool = False):
             btree_scans=btree_scans,
         )
         build_engine.generator = generator
-        return LTPGEngine(
-            db, registry, LTPGConfig(batch_size=256, columnar_ops=columnar)
+        config = LTPGConfig(
+            batch_size=256, columnar_ops=columnar, batched_exec=False
         )
+        return LTPGEngine(db, registry, config)
 
     def make_batches(rounds: int = 3):
         gen = build_engine.generator
@@ -179,6 +187,7 @@ def _delayed_misuse_engine(columnar: bool) -> tuple[LTPGEngine, list[Transaction
         delayed_update=True,
         delayed_columns=frozenset({("accounts", "balance")}),
         columnar_ops=columnar,
+        batched_exec=False,
     )
     batch = [
         Transaction("deposit", (1, 5), tid=0),
@@ -235,7 +244,9 @@ def bank_batches(draw):
 def test_property_columnar_matches_reference_on_random_batches(batches):
     def build_engine(columnar: bool):
         db, registry = build_bank(accounts=12)
-        config = LTPGConfig(batch_size=32, columnar_ops=columnar)
+        config = LTPGConfig(
+            batch_size=32, columnar_ops=columnar, batched_exec=False
+        )
         return LTPGEngine(db, registry, config)
 
     _assert_paths_agree(build_engine, lambda: iter(batches))

@@ -264,9 +264,8 @@ class TestConfig:
         "kwargs, match",
         [
             (dict(retry_delay_batches=0), "retry delay"),
-            (dict(columnar_ops=False, batched_exec=True), "columnar_ops"),
-            (dict(device_resident=True), "batched_exec"),
-            (dict(batched_exec=True, resident_tables=frozenset({"t"})), "device_resident"),
+            (dict(resident_tables=frozenset({"t"})), "device_resident"),
+            (dict(batched_exec=False, device_resident=True), "batched_exec"),
         ],
     )
     def test_invalid_combinations(self, kwargs, match):

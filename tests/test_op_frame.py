@@ -32,7 +32,14 @@ from repro.serve.clock import run_simulation
 from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import make_policy
 from repro.shard import make_engine
-from repro.txn import BatchScheduler, OpColumns, Transaction, TxnStatus
+from repro.txn import (
+    BatchScheduler,
+    OpColumns,
+    Transaction,
+    TxnStatus,
+    assign_tids,
+)
+from repro.txn.operations import OpFrame
 from repro.workloads.smallbank import build_smallbank
 from repro.workloads.tpcc import DELAYED_COLUMNS, SPLIT_COLUMNS, TpccMix, build_tpcc
 from repro.workloads.ycsb import build_ycsb
@@ -108,7 +115,10 @@ def test_framed_ops_equal_the_columnar_path(workload, shards):
 
     db, registry, _, marks = build()
     expected = _observe(
-        LTPGEngine(db, registry, LTPGConfig(batch_size=256, **marks)), batches
+        LTPGEngine(
+            db, registry, LTPGConfig(batch_size=256, batched_exec=False, **marks)
+        ),
+        batches,
     )
     db, registry, _, marks = build()
     config = LTPGConfig(
@@ -133,12 +143,14 @@ def test_framed_ops_on_every_execution_route():
     batches = [specs, specs[::-1]]
     db, registry = mixed_bank_registry()
     expected = _observe(
-        LTPGEngine(db, registry, LTPGConfig(batch_size=256)), batches
+        LTPGEngine(db, registry, LTPGConfig(batch_size=256, batched_exec=False)),
+        batches,
     )
     db, registry = mixed_bank_registry()
+    # the default config: twin-less procedures ride along on the scalar
+    # fallback without anyone asking for it
     framed = _observe(
-        LTPGEngine(db, registry, LTPGConfig(batch_size=256, batched_exec=True)),
-        batches,
+        LTPGEngine(db, registry, LTPGConfig(batch_size=256)), batches
     )
     assert framed == expected
     by_proc: dict[str, set] = {}
@@ -162,6 +174,50 @@ def test_a_batch_that_raises_leaves_empty_ops():
     assert [len(t.ops) for t in batch] == [0, 0]
 
 
+def test_default_config_attaches_a_frame_direct_and_served(monkeypatch):
+    """``LTPGConfig()`` is the batched executor: every lane of a batch
+    points into one ``OpFrame``, whether a caller or the serve layer cut
+    the batch; ``batched_exec=False`` is how to ask for the other path."""
+
+    def run(config):
+        setup = build_workload("smallbank", seed=77)
+        engine = LTPGEngine(setup.database, setup.registry, config)
+        batch = setup.generator.make_batch(64)
+        assign_tids(batch, 0)
+        engine.run_batch(batch)
+        return {id(t._frame) for t in batch}, {type(t._frame) for t in batch}
+
+    frames, types = run(LTPGConfig())
+    assert len(frames) == 1 and types == {OpFrame}
+    assert run(LTPGConfig(batched_exec=False))[1] == {type(None)}
+
+    setup = build_workload("smallbank", seed=77)
+    engine = LTPGEngine(setup.database, setup.registry, LTPGConfig(batch_size=64))
+    served: list[set] = []
+    run_batch = engine.run_batch
+
+    def spy(batch):
+        result = run_batch(batch)
+        served.append({type(request._frame) for request in batch})
+        return result
+
+    monkeypatch.setattr(engine, "run_batch", spy)
+
+    # hybrid: the retry tail cuts after a deadline
+    policy = make_policy("hybrid", 64, max_wait_ns=2_000)
+
+    async def main():
+        async with Orchestrator(engine, policy=policy) as orch:
+            for future in [
+                orch.post(t.procedure_name, t.params)
+                for t in setup.generator.make_batch(64)
+            ]:
+                await future
+
+    run_simulation(main())
+    assert served and all(types == {OpFrame} for types in served)
+
+
 # -- (b) lifetime --------------------------------------------------------
 
 def test_ops_outlive_later_batches_and_retries_show_the_latest_attempt():
@@ -170,7 +226,7 @@ def test_ops_outlive_later_batches_and_retries_show_the_latest_attempt():
     # the same batches, one transaction at a time, on a twin database:
     # what each attempt's ops must read as
     reference = build_workload("smallbank", seed=77).engine(
-        batch_size=256, sanitize=False
+        batch_size=256, sanitize=False, batched_exec=False
     )
     scheduler = BatchScheduler(256)
     batches, expected = [], []
@@ -265,7 +321,9 @@ def test_transaction_attributes_all_exist_from_init():
         txn.ops  # materialising must not add one either
     assert [set(vars(t)) for t in batch] == before
 
-    plain = LTPGEngine(*mixed_bank_registry(), LTPGConfig(batch_size=256))
+    plain = LTPGEngine(
+        *mixed_bank_registry(), LTPGConfig(batch_size=256, batched_exec=False)
+    )
     batch = [
         Transaction(n, p, tid=i) for i, (n, p) in enumerate(mixed_bank_specs())
     ]

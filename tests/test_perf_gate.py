@@ -87,6 +87,17 @@ def test_schema_gate_catches_empty_and_partial_documented_keys(tmp_path, capsys)
     rc, out = verdict(lambda d: d["meta"].pop("cpu_count"))
     assert rc == 1 and "meta.cpu_count: missing" in out
 
+    # the small-batch section: gone, or short of a lane count
+    rc, out = verdict(lambda d: d.pop("small_batch"))
+    assert rc == 1 and "small_batch: missing" in out
+
+    def drop_one_lane_count(d):
+        small = d["small_batch"]
+        del small["ms_per_batch"]["batched"][str(small["lanes"][0])]
+
+    rc, out = verdict(drop_one_lane_count)
+    assert rc == 1 and "small_batch.ms_per_batch.batched: no entry for lane" in out
+
     # a column the sweep no longer has, left behind by a stale file
     rc, out = verdict(lambda d: d["seconds_per_batch"].update(parallel={}))
     assert rc == 1 and "seconds_per_batch.parallel: not documented" in out

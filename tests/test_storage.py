@@ -17,6 +17,7 @@ from repro.storage import (
     make_schema,
 )
 from repro.txn import Transaction
+from repro.workloads import build_smallbank, build_tpcc, build_ycsb
 
 
 class TestSchema:
@@ -79,6 +80,48 @@ class TestTable:
             t.insert(k, {"a": k})
         assert t.num_rows == 100
         assert t.read(t.lookup(77), "a") == 77
+
+    def test_growth_copies_the_rows_once_and_leaves_the_tail_zero(self):
+        """Three doublings (4 -> 32) under non-zero data, by ``insert``
+        and by ``append_keys``: every reallocation keeps the live rows,
+        and capacity no row occupies reads zero (``np.resize``, which
+        ``_grow`` used before, tiles the old rows across it first)."""
+        t = self.make()
+        for k in range(9):  # 4 -> 8 -> 16
+            t.insert(k + 1, {"a": 7 * k + 3, "b": -k - 1})
+        rows = t.append_keys(np.arange(10, 21, dtype=np.int64))  # 16 -> 32
+        t.column("a")[rows] = 7 * rows + 3
+        t.column("b")[rows] = -rows - 1
+        assert (t._capacity, t.num_rows) == (32, 20)
+        assert t._keys[:20].tolist() == list(range(1, 21))
+        assert t.column("a")[:20].tolist() == [7 * k + 3 for k in range(20)]
+        assert t.column("b")[:20].tolist() == [-k - 1 for k in range(20)]
+        for arr in (t._keys, t.column("a"), t.column("b")):
+            assert arr.size == 32 and not arr[20:].any()
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                lambda: build_tpcc(warehouses=2, num_items=2000, seed=7),
+                "8557a47ab96a00e371af63cea66e2709a9e248a865c1f199a15cbea827c05e94",
+            ),
+            (
+                lambda: build_ycsb(5000, seed=7),
+                "30e2444728d554de058d796b583af3b0937391bd1bcc13b889629156a66a178a",
+            ),
+            (
+                lambda: build_smallbank(3000, seed=7),
+                "daed689ab837d5d169b1550938a6a3261bc7baab17cd3823eaf260cdfa089b84",
+            ),
+        ],
+        ids=["tpcc", "ycsb", "smallbank"],
+    )
+    def test_bulk_loaded_workloads_keep_their_digest(self, build, digest):
+        """Every table of a shipped workload is bulk-loaded through one
+        ``_grow`` from the default capacity; digests recorded before
+        ``_grow`` stopped tiling."""
+        assert build()[0].state_digest() == digest
 
     def test_write_and_add(self):
         t = self.make()

@@ -19,6 +19,11 @@ from repro.workloads.tpcc import (
     build_tpcc,
     tpcc_nbytes,
 )
+from repro.workloads.tpcc.generator import ROLLBACK_PROB
+from repro.workloads.tpcc.schema import (
+    CUSTOMERS_PER_DISTRICT,
+    DISTRICTS_PER_WAREHOUSE,
+)
 from repro.workloads.ycsb import WORKLOADS, build_ycsb, ycsb_delayed_columns
 from repro.workloads.ycsb.generator import (
     OPS_PER_TXN,
@@ -141,6 +146,145 @@ class TestTpccGenerator:
         gen = TpccGenerator(TpccScale(2, 100))
         with pytest.raises(WorkloadError):
             gen.make_batch(0)
+
+
+def _tpcc_batch_by_draws(gen: TpccGenerator, size: int) -> list[tuple]:
+    """The draw-by-draw generator ``TpccGenerator`` batches its NumPy
+    calls over, kept as the reference: one size-1 (or per-array) draw at
+    a time, in the order a seed has always meant."""
+    rng, scale, mix = gen._rng, gen.scale, gen.mix
+
+    def one(lo, hi):
+        return int(rng.integers(lo, hi, 1)[0])
+
+    def pick_wd():
+        return one(0, scale.warehouses), one(0, DISTRICTS_PER_WAREHOUSE)
+
+    def nurand_customer():
+        r1, r2 = one(0, 1024), one(0, CUSTOMERS_PER_DISTRICT)
+        return ((r1 | r2) + 463) % CUSTOMERS_PER_DISTRICT
+
+    def neworder():
+        w, d = pick_wd()
+        c_key = scale.customer_key(w, d, nurand_customer())
+        n_items = one(5, 16)
+        item_ids = rng.integers(0, scale.num_items, n_items)
+        quantities = rng.integers(1, 11, n_items)
+        o_id = gen._next_order_id
+        gen._next_order_id += 1
+        rollback = 1 if rng.random() < ROLLBACK_PROB else 0
+        items = []
+        for i in range(n_items):
+            items += [int(item_ids[i]), int(quantities[i])]
+        return "neworder", (w, d, c_key, o_id, rollback, *items)
+
+    def payment():
+        w, d = pick_wd()
+        c_w, c_d = w, d
+        if scale.warehouses > 1 and rng.random() < gen.remote_payment_prob:
+            c_w = one(0, scale.warehouses - 1)
+            if c_w >= w:
+                c_w += 1
+            c_d = one(0, DISTRICTS_PER_WAREHOUSE)
+        if rng.random() < gen.hot_customer_prob:
+            c = one(0, gen.hot_customers)
+        else:
+            c = nurand_customer()
+        amount = one(100, 500_001)
+        h_id = gen._next_history_id
+        gen._next_history_id += 1
+        return "payment", (w, d, scale.customer_key(c_w, c_d, c), amount, h_id)
+
+    def orderstatus():
+        w, d = pick_wd()
+        return "orderstatus", (scale.customer_key(w, d, nurand_customer()),)
+
+    def stocklevel():
+        w, _ = pick_wd()
+        threshold = one(10, 21)
+        item_ids = rng.integers(0, scale.num_items, 20)
+        return "stocklevel", (w, threshold, *(int(i) for i in item_ids))
+
+    def delivery():
+        w, _ = pick_wd()
+        carrier = one(1, 11)
+        if gen._next_order_id == 1_000_000:
+            return "delivery", (w, carrier)
+        o_ids = rng.integers(1_000_000, gen._next_order_id, 2)
+        return "delivery", (w, carrier, *(int(o) for o in o_ids))
+
+    makers = (neworder, payment, orderstatus, stocklevel, delivery)
+    thresholds = np.cumsum(
+        [mix.neworder, mix.payment, mix.orderstatus, mix.stocklevel, mix.delivery]
+    )
+    kinds = np.minimum(
+        np.searchsorted(thresholds, rng.random(size), side="right"), 4
+    )
+    return [makers[int(kind)]() for kind in kinds]
+
+
+class TestTpccGeneratorStream:
+    """``TpccGenerator`` emits the draw-by-draw stream exactly.
+
+    It replaces size-1 draws by scalar ones and runs of draws by one
+    call with per-element bounds, which relies on NumPy consuming the
+    PCG64 stream identically either way; a NumPy that stops doing so
+    fails here, per transaction, before any benchmark request pool or
+    committed BENCH row silently changes meaning."""
+
+    FULL_MIX = TpccMix(
+        neworder=0.45, payment=0.43, orderstatus=0.04, stocklevel=0.04,
+        delivery=0.04,
+    )
+    SIZES = (257, 64, 1, 1000)  # consecutive batches per generator
+    #: case -> (scale, mix, seed, first procedure, sha256 of the stream
+    #: recorded from the draw-by-draw implementation)
+    CASES = {
+        "half-32wh-seed7": (
+            TpccScale(32, 100_000), TpccMix.neworder_percentage(50), 7, "payment",
+            "496d2316664cbdc05be4678b639a7741ebb763dbb7ac9c984ed052747fdee289",
+        ),
+        "half-32wh-seed23": (
+            TpccScale(32, 100_000), TpccMix.neworder_percentage(50), 23, "payment",
+            "91e3a724de102162170fbd12ea8e831bc96a72cd05b86a00d016eba69015c7d1",
+        ),
+        "full-mix-8wh": (
+            TpccScale(8, 20_000), FULL_MIX, 7, "payment",
+            "b1d4b812fa07bbb7154b5546827764b93654f75fa6954cc42119ce4bae9e9d1c",
+        ),
+        # one warehouse: the remote-payment branch never draws
+        "full-mix-1wh": (
+            TpccScale(1, 1_000), FULL_MIX, 7, "payment",
+            "f9dfd5edae742aa399459e0add8aea43d5b0c5f3deee58b41591601efcdf4de5",
+        ),
+        # Delivery before the first NewOrder: no order ids to sample yet
+        "delivery-first": (
+            TpccScale(4, 1_000),
+            TpccMix(neworder=0.2, payment=0.0, delivery=0.8), 5, "delivery",
+            "6fd0c1fb65b140e4bca9951e9cb0522569d35828e6a8a8dffb6879dd30b6349c",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_draw_by_draw_stream_and_its_golden_hash(self, case):
+        scale, mix, seed, first, golden = self.CASES[case]
+        fast = TpccGenerator(scale, mix=mix, seed=seed)
+        slow = TpccGenerator(scale, mix=mix, seed=seed)
+        h = hashlib.sha256()
+        for size in self.SIZES:
+            batch = fast.make_batch(size)
+            expected = _tpcc_batch_by_draws(slow, size)
+            assert len(batch) == len(expected) == size
+            for position, (t, spec) in enumerate(zip(batch, expected)):
+                assert (t.procedure_name, t.params) == spec, (size, position)
+                h.update(repr((t.procedure_name, t.params, t.tid)).encode())
+            assert all(type(p) is int for t in batch for p in t.params)
+            if size == self.SIZES[0]:
+                assert batch[0].procedure_name == first
+        counters = (fast._next_order_id, fast._next_history_id)
+        assert counters == (slow._next_order_id, slow._next_history_id)
+        h.update(repr(counters).encode())
+        assert h.hexdigest() == golden
 
 
 class TestTpccProcedures:
