@@ -1,9 +1,9 @@
-"""Host wall-clock: columnar vs reference op path, per phase.
+"""Host wall-clock: vectorized twins vs scalar lanes, per phase.
 
 As a pytest benchmark this runs the scaled-down sweep like every other
 harness.  Run directly — ``python benchmarks/bench_wallclock.py`` — it
 reproduces the committed ``BENCH_wallclock.json`` at full scale
-(batch sizes 2^10..2^16, TPC-C 50/50) and rewrites the file (~20 min).
+(batch sizes 2^10..2^16, TPC-C 50/50) and rewrites the file (~7 min).
 ``python benchmarks/bench_wallclock.py --small-batch`` re-measures only
 the file's ``small_batch`` section (~1 min) and leaves the rest as is.
 """
@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from repro.bench import wallclock  # noqa: E402
 
 
-def test_wallclock_columnar_speedup(benchmark, bench_scale, bench_rounds):
+def test_wallclock_batched_speedup(benchmark, bench_scale, bench_rounds):
     from bench_util import run_once
 
     # Scaled batches are tiny; only sweep up to 2^14 to keep it quick.
@@ -35,11 +35,12 @@ def test_wallclock_columnar_speedup(benchmark, bench_scale, bench_rounds):
     print(result.format())
     # At scaled-down batch sizes the per-batch times are sub-millisecond
     # and noisy, so only sanity-check that the sweep produced data; the
-    # >=3x acceptance ratio is asserted at full scale by
-    # scripts/check_wallclock.py and recorded in BENCH_wallclock.json.
+    # full-scale numbers are recorded in BENCH_wallclock.json and gated
+    # by scripts/check_wallclock.py.
     assert all(
-        result.exec_conflict("columnar", b) > 0
-        for b in result.seconds["columnar"]
+        result.seconds[path][b]["execute"] > 0
+        for path in ("batched", "columnar")
+        for b in result.seconds[path]
     )
 
 
@@ -63,15 +64,11 @@ def main(argv: list[str]) -> int:
     )
     print(result.format())
     headline = wallclock.HEADLINE_BATCH
-    if headline in result.seconds.get("reference", {}):
-        print(
-            f"\nexecute+conflict speedup at batch {headline}: "
-            f"{result.speedup(headline):.2f}x (acceptance floor: 3x)"
-        )
     if headline in result.seconds.get("batched", {}):
         print(
-            f"batched execute speedup over columnar at batch {headline}: "
-            f"{result.batched_speedup(headline):.2f}x (acceptance floor: 3x)"
+            f"\nbatched execute speedup over columnar at batch {headline}: "
+            f"{result.batched_speedup(headline):.2f}x (informational: what "
+            "the twins save over one procedure call per transaction)"
         )
     if headline in result.seconds.get("sharded", {}):
         print(

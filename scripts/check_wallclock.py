@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Perf gate: fail if the execute phase regressed vs BENCH_wallclock.json.
 
-Measures the columnar path's execute-phase host time at batch 2^12
-(full-scale TPC-C 50/50, the committed baseline's configuration) and
-exits non-zero if it exceeds the committed number by more than the
+Measures the default engine's execute-phase host time at batch 2^12
+(full-scale TPC-C 50/50, the committed baseline's ``batched`` column)
+and exits non-zero if it exceeds the committed number by more than the
 allowed factor (default 1.30, i.e. a >30%% regression).  The conflict
 phase rides along informationally but only the execute phase gates —
-it is the phase the columnar op path exists to accelerate.
+it is the largest phase of a batch and the one the vectorized twins
+exist to accelerate.
 
 Wall-clock gates are machine-dependent; the committed baseline and a CI
 runner differ in absolute speed, so the gate can also be pointed at a
@@ -47,16 +48,6 @@ sys.path.insert(
 GATE_BATCH = 4096  # 2^12
 DEFAULT_ALLOWED_FACTOR = 1.30
 
-#: Batch size for the batched-executor gate (the paper's headline 2^14).
-BATCHED_GATE_BATCH = 16_384
-
-#: Batched execute+writeback must beat columnar by at least this factor
-#: at the headline batch.  The committed baseline shows ~3x on execute
-#: and ~3x on writeback; 1.5x is a conservative floor that survives a
-#: noisy shared host without ever letting the batched path quietly decay
-#: to parity.
-BATCHED_FLOOR = 1.5
-
 #: Measured batches per check; the per-phase minimum over them is the
 #: estimator.  On a busy shared host three rounds is not enough for the
 #: min to converge (identical code has been observed spanning 290-410 ms
@@ -74,16 +65,14 @@ def check(
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     try:
-        base = baseline["seconds_per_batch"]["columnar"][str(GATE_BATCH)]
+        base = baseline["seconds_per_batch"]["batched"][str(GATE_BATCH)]
     except KeyError:
         print(
-            f"error: {baseline_path} has no columnar batch-{GATE_BATCH} entry; "
+            f"error: {baseline_path} has no batched batch-{GATE_BATCH} entry; "
             "regenerate it with: python benchmarks/bench_wallclock.py"
         )
         return 2
-    measured = wallclock.measure_path(
-        columnar=True, batch_size=GATE_BATCH, scale=1.0, rounds=rounds
-    )
+    measured = wallclock.measure_path(GATE_BATCH, scale=1.0, rounds=rounds)
     limit = base["execute"] * allowed_factor
     status = "OK" if measured["execute"] <= limit else "FAIL"
     print(
@@ -101,41 +90,6 @@ def check(
         print(
             "execute-phase host time regressed by more than "
             f"{(allowed_factor - 1) * 100:.0f}% over the committed baseline"
-        )
-        return 1
-    return 0
-
-
-def check_batched(rounds: int = DEFAULT_ROUNDS, floor: float = BATCHED_FLOOR) -> int:
-    """Gate the batched executor: at the headline batch size, batched
-    execute+writeback must beat columnar by at least ``floor``.
-
-    Both paths are measured fresh on this host (a ratio of two local
-    measurements, unlike the columnar gate's comparison against the
-    committed baseline), so the gate is machine-independent.
-    """
-    from repro.bench import wallclock
-
-    columnar = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds
-    )
-    batched = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True,
-    )
-    col = columnar["execute"] + columnar["writeback"]
-    bat = batched["execute"] + batched["writeback"]
-    ratio = col / max(bat, 1e-12)
-    status = "OK" if ratio >= floor else "FAIL"
-    print(
-        f"batched execute+writeback @ batch {BATCHED_GATE_BATCH}: "
-        f"columnar {col * 1e3:.1f} ms, batched {bat * 1e3:.1f} ms, "
-        f"speedup {ratio:.2f}x (floor {floor:.2f}x) -> {status}"
-    )
-    if status == "FAIL":
-        print(
-            "batched executor no longer beats the columnar path by the "
-            f"required {floor:.2f}x on execute+writeback"
         )
         return 1
     return 0
@@ -174,13 +128,9 @@ def check_backend(backend: str | None, rounds: int = DEFAULT_ROUNDS) -> int:
         print(f"backend gate skipped: backend {backend!r} not constructible here")
         return 0
 
-    reference = wallclock.measure_path(
-        columnar=True, batch_size=GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True,
-    )
+    reference = wallclock.measure_path(GATE_BATCH, scale=1.0, rounds=rounds)
     through = wallclock.measure_path(
-        columnar=True, batch_size=GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True, backend=backend,
+        GATE_BATCH, scale=1.0, rounds=rounds, backend=backend
     )
     ratio = through["total"] / max(reference["total"], 1e-12)
     print(
@@ -193,7 +143,7 @@ def check_backend(backend: str | None, rounds: int = DEFAULT_ROUNDS) -> int:
     bench = tpcc_bench(32, neworder_pct=50, batch_size=GATE_BATCH, scale=1.0)
     config = dataclasses.replace(
         ltpg_config(bench.batch_size),
-        columnar_ops=True, batched_exec=True, array_backend=backend,
+        batched_exec=True, array_backend=backend,
     )
     engine = bench.engine(config)
     try:
@@ -271,7 +221,7 @@ def _steady_transfers(
         )
         config = dataclasses.replace(
             ltpg_config(batch_size),
-            columnar_ops=True, batched_exec=True, array_backend=backend,
+            batched_exec=True, array_backend=backend,
             device_resident=device_resident,
         )
         engine = LTPGEngine(db, registry, config)
@@ -282,7 +232,7 @@ def _steady_transfers(
         )
         config = dataclasses.replace(
             ltpg_config(batch_size),
-            columnar_ops=True, batched_exec=True, array_backend=backend,
+            batched_exec=True, array_backend=backend,
             device_resident=device_resident,
         )
         engine = bench.engine(config)
@@ -468,12 +418,11 @@ WALLCLOCK_SCHEMA = (
     "meta.{cpu_count,rounds,scale,seed,warehouses,workload,estimator}",
     "meta.{shards,python,numpy,platform}",
     "meta.array_backend.{backend,library,version}",
-    "seconds_per_batch.{reference,columnar,batched,sharded}.*"
+    "seconds_per_batch.{columnar,batched,sharded}.*"
     ".{execute,conflict,writeback,assemble,total}",
     "seconds_per_batch.{batched[mockgpu],resident[mockgpu]}.*"
     ".{execute,conflict,writeback,assemble,total}",
     "seconds_per_batch.sharded.*.sequencer",
-    "speedup_execute_conflict.*",
     "speedup_execute_total.*.{execute,total}",
     "speedup_sharded.*.execute_conflict_writeback",
     "sharded.shards",
@@ -628,15 +577,6 @@ def main(argv: list[str] | None = None) -> int:
         help="measured batches (min is taken)",
     )
     parser.add_argument(
-        "--batched-floor", type=float, default=BATCHED_FLOOR,
-        help="batched must beat columnar on execute+writeback by this "
-        f"factor at batch {BATCHED_GATE_BATCH} (default {BATCHED_FLOOR})",
-    )
-    parser.add_argument(
-        "--skip-batched", action="store_true",
-        help="only run the columnar regression gate",
-    )
-    parser.add_argument(
         "--backend", default=None,
         help="repro.xp backend for the array-backend gate (default: "
         "first constructible device backend, skipping when none is)",
@@ -691,8 +631,6 @@ def main(argv: list[str] | None = None) -> int:
     rc = 0
     if not args.quick:
         rc = check(args.baseline, args.allowed_factor, args.rounds)
-        if rc == 0 and not args.skip_batched:
-            rc = check_batched(args.rounds, args.batched_floor)
     if rc == 0 and not args.skip_backend:
         rc = check_backend(args.backend, 2 if args.quick else args.rounds)
     if rc == 0 and (args.transfer_ceiling or args.transfer_ceiling_full):

@@ -35,7 +35,7 @@ def measure(device_resident: bool, backend: str) -> dict:
     )
     config = dataclasses.replace(
         ltpg_config(BATCH_SIZE),
-        columnar_ops=True, batched_exec=True, array_backend=backend,
+        batched_exec=True, array_backend=backend,
         device_resident=device_resident,
     )
     engine = bench.engine(config)

@@ -1,25 +1,25 @@
-"""Host wall-clock of the engine's phases: batched vs columnar vs reference.
+"""Host wall-clock of the engine's phases: vectorized twins vs scalar lanes.
 
 Every other harness in this package reports the *simulated* GPU clock,
-which is deliberately identical across the three execute-phase
-implementations (``LTPGConfig.columnar_ops`` / ``batched_exec``; the
+which is deliberately identical whatever runs a batch's procedures (the
 differential tests in ``tests/test_columnar_equivalence.py`` and
-``tests/test_batched_equivalence.py`` pin that down).  This harness
-measures the one thing that *does* differ: how long the host takes to
-run each phase.  It sweeps batch sizes 2^10..2^16 on TPC-C 50/50 and
-reports per-batch seconds for all three paths, plus two speedup series
-recorded in ``BENCH_wallclock.json`` (see docs/ARCHITECTURE.md for how
-to read it): reference/columnar on execute+conflict (the PR 1 headline)
-and columnar/batched on execute and total (the batched-executor
-headline).  A ``sharded`` column (:data:`SHARDS` in-process shards
-through the multi-shard engine) and a per-shard balance ledger ride
-along; the ``sequencer`` entry in that column is the host cost of the
-deterministic router.  A separate ``small_batch`` section
-(:func:`measure_small_batch`) times whole ``run_batch`` calls at 1..256
-lanes on the per-transaction path and on the default batched one: the
-twins' fixed cost per batch loses below a few dozen lanes, and the
-section records where, so that a later change to that fixed cost has a
-before to stand on.
+``tests/test_batched_equivalence.py`` pin that down against the test
+oracle).  This harness measures the one thing that *does* differ: how
+long the host takes to run each phase.  It sweeps batch sizes 2^10..2^16
+on TPC-C 50/50 and reports per-batch seconds for the default engine
+(``batched``: one vectorized twin call per procedure group) and for
+``batched_exec=False`` (``columnar``: the same pipeline with every lane
+a scalar lane — what a registry without twins costs), plus their ratio
+on execute and total, recorded in ``BENCH_wallclock.json`` (see
+docs/ARCHITECTURE.md for how to read it).  A ``sharded`` column
+(:data:`SHARDS` in-process shards through the multi-shard engine) and a
+per-shard balance ledger ride along; the ``sequencer`` entry in that
+column is the host cost of the deterministic router.  A separate
+``small_batch`` section (:func:`measure_small_batch`) times whole
+``run_batch`` calls at 1..256 lanes with and without the twins: their
+fixed cost per batch loses below a few dozen lanes, and the section
+records where, so that a later change to that fixed cost has a before
+to stand on.
 
 Methodology: per (batch size, path) a fresh benchmark database is built
 from the same seed, one warm-up batch is run, then ``rounds`` measured
@@ -71,7 +71,7 @@ SMALL_BATCH_BATCHES = 32
 
 @dataclass
 class WallclockResult:
-    """Per-batch host seconds by phase, for both op paths."""
+    """Per-batch host seconds by phase, per measured path."""
 
     #: path name -> batch size -> phase -> seconds per batch (min of rounds)
     seconds: dict[str, dict[int, dict[str, float]]] = field(default_factory=dict)
@@ -94,19 +94,9 @@ class WallclockResult:
     #: :func:`measure_small_batch`'s section
     small_batch: dict = field(default_factory=dict)
 
-    def exec_conflict(self, path: str, batch: int) -> float:
-        phases = self.seconds[path][batch]
-        return phases["execute"] + phases["conflict"]
-
     def exec_conflict_writeback(self, path: str, batch: int) -> float:
         phases = self.seconds[path][batch]
         return phases["execute"] + phases["conflict"] + phases["writeback"]
-
-    def speedup(self, batch: int) -> float:
-        """Reference / columnar on the execute+conflict phases."""
-        return self.exec_conflict("reference", batch) / max(
-            self.exec_conflict("columnar", batch), 1e-12
-        )
 
     def batched_speedup(self, batch: int, phase: str = "execute") -> float:
         """Columnar / batched on one phase (or ``total``)."""
@@ -127,34 +117,26 @@ class WallclockResult:
         return sorted(p for p in self.seconds if p.startswith("batched["))
 
     def format(self) -> str:
-        have_batched = "batched" in self.seconds
         have_sharded = "sharded" in self.seconds
         backends = self.backend_paths()
         headers = [
             "batch size",
-            "columnar exec+conf (s)",
-            "reference exec+conf (s)",
-            "speedup",
+            "batched exec (s)",
+            "columnar exec (s)",
+            "batched speedup (exec)",
         ]
-        if have_batched:
-            headers += ["batched exec (s)", "batched speedup (exec)"]
-        if have_sharded and have_batched:
+        if have_sharded:
             headers += ["sharded e+c+w (s)", "sharded speedup (e+c+w)"]
         headers += [f"{p} exec (s)" for p in backends]
         rows = []
-        for b in sorted(self.seconds.get("columnar", {})):
+        for b in sorted(self.seconds.get("batched", {})):
             row = [
                 b,
-                self.exec_conflict("columnar", b),
-                self.exec_conflict("reference", b),
-                f"{self.speedup(b):.2f}x",
+                self.seconds["batched"][b]["execute"],
+                self.seconds["columnar"][b]["execute"],
+                f"{self.batched_speedup(b):.2f}x",
             ]
-            if have_batched:
-                row += [
-                    self.seconds["batched"][b]["execute"],
-                    f"{self.batched_speedup(b):.2f}x",
-                ]
-            if have_sharded and have_batched:
+            if have_sharded:
                 row += [
                     self.exec_conflict_writeback("sharded", b),
                     f"{self.sharded_speedup(b):.2f}x",
@@ -162,12 +144,11 @@ class WallclockResult:
             row += [self.seconds[p][b]["execute"] for p in backends]
             rows.append(row)
         table = format_table(
-            "Host wall-clock per batch: batched vs columnar vs reference "
-            "op path (TPC-C 50/50)",
+            "Host wall-clock per batch: vectorized twins (batched) vs "
+            "scalar lanes (columnar) (TPC-C 50/50)",
             headers,
             rows,
-            note="speedup = reference / columnar on execute+conflict; "
-            "batched speedup = columnar / batched on execute; "
+            note="batched speedup = columnar / batched on execute; "
             "sharded speedup = batched / sharded on "
             "execute+conflict+writeback; "
             "simulated-time results are identical by construction.",
@@ -217,15 +198,10 @@ class WallclockResult:
     def to_json(self) -> dict:
         return {
             "meta": self.meta,
-            "batch_sizes": sorted(self.seconds.get("columnar", {})),
+            "batch_sizes": sorted(self.seconds.get("batched", {})),
             "seconds_per_batch": {
                 path: {str(b): phases for b, phases in by_batch.items()}
                 for path, by_batch in self.seconds.items()
-            },
-            "speedup_execute_conflict": {
-                str(b): round(self.speedup(b), 3)
-                for b in sorted(self.seconds.get("columnar", {}))
-                if b in self.seconds.get("reference", {})
             },
             "speedup_execute_total": {
                 str(b): {
@@ -264,30 +240,29 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def measure_path(
-    columnar: bool,
     batch_size: int,
     scale: float = 1.0,
     rounds: int = 2,
     warehouses: int = 32,
     neworder_pct: int = 50,
     seed: int = 7,
-    batched: bool = False,
+    batched: bool = True,
     backend: str = "numpy",
     device_resident: bool = False,
     transfers_out: dict | None = None,
     shards: int = 0,
 ) -> dict[str, float]:
-    """Min-of-rounds per-phase host seconds for one op path.
+    """Min-of-rounds per-phase host seconds for one path.
 
     Builds a fresh database (all paths see byte-identical transaction
     streams for a given seed) and discards one warm-up batch.
-    ``backend`` selects the ``repro.xp`` array backend (non-numpy
-    backends require the batched path; the warm-up batch also absorbs
-    any device initialization) and ``device_resident`` pins table
-    columns device-side across batches.
-    ``shards`` > 1 routes the batch through the multi-shard engine
-    (implies the batched path; an extra ``sequencer`` entry reports the
-    deterministic router's host cost and counts toward ``total``).
+    ``batched=False`` is ``LTPGConfig(batched_exec=False)``: every lane
+    a scalar lane.  ``backend`` selects the ``repro.xp`` array backend
+    (the warm-up batch also absorbs any device initialization) and
+    ``device_resident`` pins table columns device-side across batches.
+    ``shards`` > 1 routes the batch through the multi-shard engine (an
+    extra ``sequencer`` entry reports the deterministic router's host
+    cost and counts toward ``total``).
 
     When ``transfers_out`` is given and the backend has a transfer
     ledger, the final measured batch's per-phase ledger deltas are
@@ -300,8 +275,7 @@ def measure_path(
     )
     config = dataclasses.replace(
         ltpg_config(bench.batch_size),
-        columnar_ops=columnar or batched or shards > 1,
-        batched_exec=batched or shards > 1,
+        batched_exec=batched,
         array_backend=backend,
         device_resident=device_resident,
         shards=shards if shards > 1 else 1,
@@ -348,9 +322,7 @@ def measure_metrics(
         warehouses, neworder_pct=neworder_pct, batch_size=batch_size,
         scale=scale, seed=seed,
     )
-    config = dataclasses.replace(
-        ltpg_config(bench.batch_size), columnar_ops=True, trace=True
-    )
+    config = dataclasses.replace(ltpg_config(bench.batch_size), trace=True)
     engine = bench.engine(config)
     run_stats = RunStats()
     for _ in range(max(batches, 1)):
@@ -379,7 +351,7 @@ def measure_sharded_profile(
     )
     config = dataclasses.replace(
         ltpg_config(bench.batch_size),
-        columnar_ops=True, batched_exec=True, trace=True, shards=shards,
+        batched_exec=True, trace=True, shards=shards,
     )
     engine = bench.engine(config)
     run_stats = RunStats()
@@ -407,8 +379,8 @@ def measure_small_batch(
     seed: int = 7,
 ) -> dict:
     """Host milliseconds per whole ``run_batch`` call at small lane
-    counts, per-transaction path (``batched_exec=False``) against the
-    default batched one.
+    counts, one procedure call per transaction (``batched_exec=False``:
+    every lane a scalar lane) against the default vectorized twins.
 
     Per (path, lane count) a fresh database is built from the same
     seed, :data:`SMALL_BATCH_BATCHES` warm-up batches are discarded,
@@ -503,7 +475,7 @@ def run(
     seed: int = 7,
     backend: str | None = None,
 ) -> WallclockResult:
-    """Sweep all op paths; ``backend`` adds an optional per-backend
+    """Sweep all paths; ``backend`` adds an optional per-backend
     column (a ``batched[<backend>]`` series measured through the
     ``repro.xp`` shim) when that backend is constructible here."""
     from repro.xp import available_backends, get_backend
@@ -529,20 +501,19 @@ def run(
         "array_backend": get_backend(backend or "numpy").device_info(),
     }
     paths = [
-        ("sharded", True, True, "numpy", False, SHARDS),
-        ("batched", True, True, "numpy", False, 0),
-        ("columnar", True, False, "numpy", False, 0),
-        ("reference", False, False, "numpy", False, 0),
+        ("sharded", True, "numpy", False, SHARDS),
+        ("batched", True, "numpy", False, 0),
+        ("columnar", False, "numpy", False, 0),
     ]
     if backend is not None and backend != "numpy":
-        paths.insert(0, (f"batched[{backend}]", True, True, backend, False, 0))
-        paths.insert(0, (f"resident[{backend}]", True, True, backend, True, 0))
-    for path, columnar, batched, xp_name, resident, shards in paths:
+        paths.insert(0, (f"batched[{backend}]", True, backend, False, 0))
+        paths.insert(0, (f"resident[{backend}]", True, backend, True, 0))
+    for path, batched, xp_name, resident, shards in paths:
         by_batch: dict[int, dict[str, float]] = {}
         for batch in batch_sizes:
             transfers: dict[str, dict[str, int]] = {}
             by_batch[batch] = measure_path(
-                columnar, batch, scale=scale, rounds=rounds,
+                batch, scale=scale, rounds=rounds,
                 warehouses=warehouses, neworder_pct=neworder_pct, seed=seed,
                 batched=batched, backend=xp_name,
                 device_resident=resident, transfers_out=transfers,

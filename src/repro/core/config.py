@@ -60,24 +60,17 @@ class LTPGConfig:
     #: bookkeeping costs host time the perf gate must not see.
     trace: bool = False
 
-    #: Host implementation detail, not a paper toggle: consume the
-    #: execute-phase op stream through the columnar NumPy path (True) or
-    #: the retained per-op reference collector (False).  Both produce
-    #: identical batch outcomes and simulated timings; the reference
-    #: collector is the test oracle and the wallclock bench's baseline.
-    columnar_ops: bool = True
-
     #: Batched procedure execution (the host analog of §IV-C's warp
-    #: division), the default execute path: group the batch by procedure
-    #: name and run each group through its vectorized ``BatchProcedure``
-    #: twin over parameter columns, with automatic per-transaction
-    #: fallback for procedures lacking one.  Carries a columnar
-    #: local-set representation through write-back (grouped scatters
-    #: instead of per-transaction ``apply_local_sets``).  ``False``
-    #: selects the per-transaction path — one procedure call per
-    #: transaction, byte-identical outcomes — which survives as the
-    #: differential-test oracle and as the scalar fallback the batched
-    #: path already uses for hazard lanes and twin-less procedures.
+    #: division): group the batch by procedure name and run each group
+    #: through its vectorized ``BatchProcedure`` twin over parameter
+    #: columns; procedures lacking a twin, and lanes a twin sends to
+    #: fallback, run one call per transaction inside the same pipeline —
+    #: their ops land in the batch's ``OpFrame`` and their effects in the
+    #: columnar locals like every other lane's.  ``False`` treats every
+    #: procedure as twin-less: same pipeline, same outcomes, one
+    #: procedure call per transaction.  Not a tuning knob (the twins win
+    #: from a few dozen lanes up); it stays a field because the served
+    #: benchmark's configs name it (ROADMAP item 1(b)).
     batched_exec: bool = True
 
     #: Array backend the batched hot path runs on (:mod:`repro.xp`):
@@ -86,8 +79,9 @@ class LTPGConfig:
     #: dtype-discipline enforcement), ``"cupy"``/``"torch"`` (real
     #: device-resident execution when the library and a device exist),
     #: or ``"auto"`` (best available device, else numpy).  Non-numpy
-    #: backends require ``batched_exec`` and are incompatible with
-    #: ``sanitize`` (the shadow log reads host arrays).
+    #: backends are incompatible with ``sanitize`` (the shadow log reads
+    #: host arrays); scalar-executed lanes stay on the host under any
+    #: backend.
     array_backend: str = "numpy"
 
     #: Device-resident table residency (:mod:`repro.xp.residency`): pin
@@ -97,8 +91,8 @@ class LTPGConfig:
     #: and host readers lazily sync through a dirty-column fence.
     #: Steady-state per-batch H2D drops to parameters plus op-sized
     #: shuttle traffic (the ``--transfer-ceiling`` gate pins the ≥10x
-    #: reduction on mockgpu).  Requires ``batched_exec``; inert on
-    #: host-identity backends (numpy), where crossings are free.
+    #: reduction on mockgpu).  Inert on host-identity backends (numpy),
+    #: where crossings are free.
     device_resident: bool = False
 
     #: Pinning policy for ``device_resident``: the table names to keep
@@ -113,8 +107,7 @@ class LTPGConfig:
     #: shard and multi-home ones sequenced Calvin-style at a
     #: deterministic coordinator.  ``1`` (the default) is today's
     #: single-engine pipeline; any N produces byte-identical final
-    #: states.  Requires ``batched_exec``; built through
-    #: :func:`repro.shard.make_engine`.
+    #: states.  Built through :func:`repro.shard.make_engine`.
     shards: int = 1
 
     #: Which partition spec maps rows and transactions to shards:
@@ -159,37 +152,18 @@ class LTPGConfig:
                 f"unknown array_backend {self.array_backend!r}; expected one "
                 f"of {', '.join(BACKEND_NAMES)} or 'auto'"
             )
-        if self.array_backend not in ("numpy", "auto"):
-            if not self.batched_exec:
-                raise ConfigError(
-                    f"array_backend={self.array_backend!r} requires "
-                    "batched_exec: only the vectorized twins run on the "
-                    "xp shim (the scalar path is host-only by design)"
-                )
-            if self.sanitize:
-                raise ConfigError(
-                    f"array_backend={self.array_backend!r} is incompatible "
-                    "with sanitize: the shadow access log instruments host "
-                    "arrays and would not observe device-resident kernels"
-                )
+        if self.array_backend not in ("numpy", "auto") and self.sanitize:
+            raise ConfigError(
+                f"array_backend={self.array_backend!r} is incompatible "
+                "with sanitize: the shadow access log instruments host "
+                "arrays and would not observe device-resident kernels"
+            )
         if self.shards < 1:
             raise ConfigError("shards must be >= 1")
-        if self.shards > 1 and not self.batched_exec:
-            raise ConfigError(
-                "shards > 1 requires batched_exec: the sharded pipeline "
-                "routes the columnar conflict registration and write-back "
-                "paths, which only the batched executor produces"
-            )
         if self.shard_spec not in ("auto", "tpcc", "ycsb", "smallbank"):
             raise ConfigError(
                 f"unknown shard_spec {self.shard_spec!r}; expected 'auto', "
                 "'tpcc', 'ycsb', or 'smallbank'"
-            )
-        if self.device_resident and not self.batched_exec:
-            raise ConfigError(
-                "device_resident requires batched_exec: only the batched "
-                "write-back/delayed-update scatters operate on device-"
-                "resident columns (the scalar path is host-only by design)"
             )
         if self.resident_tables and not self.device_resident:
             raise ConfigError(

@@ -24,7 +24,6 @@ transactions keep their TIDs and are re-queued by the caller (usually a
 from __future__ import annotations
 
 import time
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
@@ -53,9 +52,9 @@ from repro.storage.database import Database
 from repro.storage.wal import BatchLog
 from repro.txn.batch import BatchScheduler
 from repro.txn.batch_context import BatchedContext, GroupLocals, pack_sort_key
-from repro.txn.context import BufferedContext, LocalSets, apply_local_sets
-from repro.txn.decompose import plan, plan_arrays
-from repro.txn.operations import NUM_OP_KINDS, OP_FIELDS, OpFrame, OpKind, column_name
+from repro.txn.context import BufferedContext
+from repro.txn.decompose import plan_arrays
+from repro.txn.operations import NUM_OP_KINDS, OpFrame, OpKind, column_name
 from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.txn.transaction import (
     Transaction,
@@ -234,7 +233,7 @@ class LTPGEngine:
         # Host wall-clock spent in each phase of the most recent batch
         # (seconds).  Deliberately *not* part of BatchStats: the
         # simulated-time stats must stay byte-identical between the
-        # columnar and reference op paths, and host timings never are.
+        # engine and the test oracle, and host timings never are.
         self.last_host_phase_s: dict[str, float] = {}
         # Procedure lookups cached across batches; invalidated only when
         # the registry version changes (registration bumps it).
@@ -357,9 +356,9 @@ class LTPGEngine:
             from repro.xp import resolve_backend
 
             resolved = name
-            if name == "auto" and (not config.batched_exec or config.sanitize):
-                # device backends are invalid under these configurations
-                # (explicit names fail ConfigError); auto degrades to host
+            if name == "auto" and config.sanitize:
+                # device backends are invalid under sanitize (explicit
+                # names fail ConfigError); auto degrades to host
                 resolved = "numpy"
             self._backend = resolve_backend(resolved)
             self.conflict_log.set_backend(self._backend)
@@ -733,35 +732,6 @@ class LTPGEngine:
                 AccessKind.READ,
             )
 
-    def _sanitize_writeback(self, txn_idx: int, local, delayed_adds) -> None:
-        """One committed transaction's installs.  Plain writes for owned
-        cells (the WAW rule guarantees a single committed writer per
-        conflict group); atomic adds for delayed columns (commutative,
-        multiple committers allowed)."""
-        san = self.sanitizer
-        if san is None:
-            return
-        from repro.analysis.sanitizer import AccessKind
-
-        group_of = self.flags.group_of
-        for table_id, row, column in (*local.writes, *local.adds):
-            table = self.database.table_by_id(table_id)
-            num_groups = max(1, self.flags.num_groups(table_id))
-            addr = row * num_groups + group_of(table_id, column)
-            san.record(f"table:{table.name}", addr, txn_idx, AccessKind.WRITE)
-        for table_id, key in local.inserts:
-            table = self.database.table_by_id(table_id)
-            san.record(
-                f"table:{table.name}:inserts", key, txn_idx, AccessKind.WRITE
-            )
-        for table_id, row, column, _delta in delayed_adds:
-            table = self.database.table_by_id(table_id)
-            num_groups = max(1, self.flags.num_groups(table_id))
-            addr = row * num_groups + group_of(table_id, column)
-            san.record(
-                f"table:{table.name}", addr, txn_idx, AccessKind.WRITE, atomic=True
-            )
-
     # ------------------------------------------------------------------
     def _procedure_cache(self) -> dict[str, Procedure]:
         """Engine-level procedure lookup cache, rebuilt only when the
@@ -790,66 +760,28 @@ class LTPGEngine:
             cache[name] = proc
         return proc
 
-    def _execute_one(self, txn, proc, data: "_ExecutionData") -> None:
-        """Run one transaction through its scalar procedure (the
-        per-transaction path; also the batched executor's fallback)."""
-        local_ctx = BufferedContext(self.database)
-        try:
-            proc(local_ctx, *txn.params)
-        except (TransactionAborted, KeyNotFound):
-            # Procedure rolled back, or a client-pre-resolved key
-            # missed (e.g. Delivery naming an order whose NewOrder
-            # aborted): a deterministic logic abort either way.
-            txn.status = TxnStatus.LOGIC_ABORTED
-            txn.abort_reason = "logic"
-            txn.ops = local_ctx.ops
-            data.locals_by_tid[txn.tid] = LocalSets()
-            return
-        txn.status = TxnStatus.EXECUTED
-        txn.ops = local_ctx.ops
-        local = local_ctx.local
-        # Deltas on delayed columns leave the local set: they are
-        # merged by the delayed updater at write-back, not by
-        # apply_local_sets.
-        delayed_set = self.delayed.columns  # frozenset[(table_id, column)]
-        delayed_locs = [
-            loc
-            for loc in local.adds
-            if (loc[0], loc[2]) in delayed_set
-        ] if delayed_set and local.adds else []
-        if delayed_locs:
-            data.delayed_adds_by_txn[txn.tid] = [
-                (t, row, col, local.adds.pop((t, row, col)))
-                for t, row, col in delayed_locs
-            ]
-        data.locals_by_tid[txn.tid] = local
-        if local_ctx.ranges:
-            data.ranges_by_tid[txn.tid] = local_ctx.ranges
-
     def _execute_phase(self, transactions, data: "_ExecutionData", ctx) -> None:
         """Run procedures, buffer effects, register TIDs."""
-        if self.config.batched_exec:
-            self._execute_batched(transactions, data)
-        else:
-            cache = self._procedure_cache()
-            for txn in transactions:
-                txn.reset_for_execution()
-                proc = cache.get(txn.procedure_name)
-                if proc is None:
-                    proc = self._resolve_procedure(txn.procedure_name)
-                self._execute_one(txn, proc, data)
-
+        self._execute_batched(transactions, data)
         if self.tracer is not None or self.metrics is not None:
-            self._last_groups = self._group_tallies(transactions, data)
-
+            self._last_groups = self._group_tallies(data)
         # Collect op arrays + per-op costs, skipping logic aborts for
         # registration but keeping their cost (the lanes did the work).
-        db = self.database
-        if self.config.columnar_ops:
-            table_txns, touched_rows = self._collect_columnar(transactions, data, ctx)
-        else:
-            table_txns, touched_rows = self._collect_reference(transactions, data, ctx)
+        table_txns, touched_rows = self._collect_columnar(transactions, data, ctx)
+        self._register_batch(data, table_txns, touched_rows, ctx)
 
+    def _register_batch(
+        self,
+        data: "_ExecutionData",
+        table_txns: dict[int, int],
+        touched_rows: dict[int, np.ndarray],
+        ctx,
+    ) -> None:
+        """The execute phase's tail, whatever collected the ops: bucket
+        sizes from ``table_txns`` (accessing transactions per table),
+        unified-memory faults for ``touched_rows`` (accessed row slots
+        per table), then TID registration in the conflict log."""
+        db = self.database
         # Popularity verdicts drive this batch's bucket sizes.
         self.last_heats = self.hotspot.measure(table_txns)
         self.conflict_log.begin_batch(self.last_heats)
@@ -860,16 +792,10 @@ class LTPGEngine:
         if self.memory_plan.mode is MemoryMode.UNIFIED:
             faults = 0
             for table_id in sorted(touched_rows):
-                rows = touched_rows[table_id]
                 table = db.table_by_id(table_id)
-                row_bytes = table.schema.row_bytes
-                rows_arr = (
-                    rows
-                    if isinstance(rows, np.ndarray)
-                    else np.fromiter(rows, dtype=np.int64, count=len(rows))
-                )
                 pages = np.unique(
-                    rows_arr * row_bytes // self.device.config.um_page_bytes
+                    touched_rows[table_id] * table.schema.row_bytes
+                    // self.device.config.um_page_bytes
                 )
                 faults += self.device.memory.pages.touch(table.name, pages)
             ctx.add_page_faults(faults)
@@ -897,44 +823,35 @@ class LTPGEngine:
         self._sanitize_table_reads(data)
 
     # ------------------------------------------------------------------
-    def _group_tallies(
-        self, transactions, data: "_ExecutionData"
-    ) -> list[tuple[str, int, int]]:
+    def _group_tallies(self, data: "_ExecutionData") -> list[tuple[str, int, int]]:
         """``(procedure, lanes, ops)`` per procedure in first-appearance
-        order (observability only)."""
-        frame = data.frame
-        if frame is not None:
-            # counts over the frame: reading txn.ops here would copy
-            # every lane's rows out just to take their length
-            names, gid = data.group_names, data.group_ids
-            lanes = np.bincount(gid, minlength=len(names))
-            # exact: op counts are far below 2**53
-            ops = np.bincount(gid, weights=frame.counts, minlength=len(names))
-            return list(zip(names, lanes.tolist(), ops.astype(np.int64).tolist()))
-        tallies: dict[str, list[int]] = {}
-        for txn in transactions:
-            t = tallies.setdefault(txn.procedure_name, [0, 0])
-            t[0] += 1
-            t[1] += len(txn.ops)
-        return [(name, t[0], t[1]) for name, t in tallies.items()]
+        order (observability only).  Counts over the frame: reading
+        ``txn.ops`` here would copy every lane's rows out just to take
+        their length."""
+        names, gid = data.group_names, data.group_ids
+        lanes = np.bincount(gid, minlength=len(names))
+        # exact: op counts are far below 2**53
+        ops = np.bincount(gid, weights=data.frame.counts, minlength=len(names))
+        return list(zip(names, lanes.tolist(), ops.astype(np.int64).tolist()))
 
     # ------------------------------------------------------------------
     def _execute_batched(self, transactions, data: "_ExecutionData") -> None:
-        """Group-by-procedure vectorized execution (``batched_exec``).
+        """Group-by-procedure execution of one batch.
 
         Each group with a registered ``BatchProcedure`` twin runs as one
         vectorized call over a :class:`BatchedContext`; groups without a
-        twin — and individual lanes the twin sends to fallback — run
-        through the scalar path, so third-party procedures keep working.
-        The groups' op matrices go into the batch's :class:`OpFrame`
+        twin — every group under ``batched_exec=False`` — and individual
+        lanes the twin sends to fallback run one at a time through their
+        scalar procedure, so third-party procedures keep working.  Either
+        way a lane's ops go into the batch's :class:`OpFrame`
         (``data.frame``), from which the collector takes the whole batch
-        and each transaction its own ``ops`` — the same ops, status and
-        ranges the scalar loop would have produced — and the batch-wide
-        columnar locals land in ``data.batch_locals`` for the
-        scatter-based write-back.
+        and each transaction its own ``ops``, and its buffered effects
+        into the batch-wide columnar locals (``data.batch_locals``) for
+        the scatter-based write-back: a twin-less group is one more
+        group of the same bulk.
         """
         n = len(transactions)
-        frame = data.frame = OpFrame(n)
+        frame = data.frame
         begin_framed_attempt(transactions, frame)
         # Procedure groups in first-appearance order, as lane indices.
         names = data.group_names = list(dict.fromkeys(data.procedures))
@@ -951,10 +868,11 @@ class LTPGEngine:
                 list(compress(data.params, member.tolist())),
             ))
         delayed_fn = self.delayed.delayed_mask if self.delayed.columns else None
+        use_twins = self.config.batched_exec
         parts = []
         for name, idxs, params in groups:
             proc = self._resolve_procedure(name)
-            batched = self.procedures.get_batched(name)
+            batched = self.procedures.get_batched(name) if use_twins else None
             if batched is None:
                 parts.append(
                     self._execute_scalar_group(transactions, data, proc, idxs)
@@ -980,14 +898,25 @@ class LTPGEngine:
     def _execute_scalar_lane(
         self, transactions, data: "_ExecutionData", proc, part: GroupLocals, i: int
     ) -> None:
-        """One lane of a batched batch through the scalar path: locals
-        folded columnar, recorded ops copied into the frame."""
+        """One lane through its scalar procedure: recorded ops into the
+        frame, buffered effects into its group's columnar locals."""
         txn = transactions[i]
-        self._execute_one(txn, proc, data)
-        self._fold_scalar_locals(part, i, txn, data)
-        data.frame.add_scalar(
-            i, txn.ops, txn.status is TxnStatus.LOGIC_ABORTED
-        )
+        local_ctx = BufferedContext(self.database)
+        try:
+            proc(local_ctx, *txn.params)
+        except (TransactionAborted, KeyNotFound):
+            # Procedure rolled back, or a client-pre-resolved key
+            # missed (e.g. Delivery naming an order whose NewOrder
+            # aborted): a deterministic logic abort either way.  The
+            # lane keeps the ops it recorded and contributes no effects.
+            txn.status = TxnStatus.LOGIC_ABORTED
+            txn.abort_reason = "logic"
+            data.frame.add_scalar(i, local_ctx.ops, True)
+            return
+        data.frame.add_scalar(i, local_ctx.ops, False)
+        part.add_scalar_locals(i, local_ctx.local, self.delayed.columns)
+        if local_ctx.ranges:
+            data.ranges_by_tid[txn.tid] = local_ctx.ranges
 
     def _execute_scalar_group(
         self, transactions, data: "_ExecutionData", proc, idxs: np.ndarray
@@ -996,6 +925,7 @@ class LTPGEngine:
         part = GroupLocals(len(transactions))
         for i in idxs.tolist():
             self._execute_scalar_lane(transactions, data, proc, part, i)
+        part.seal()
         return part
 
     def _apply_batched_group(
@@ -1026,59 +956,21 @@ class LTPGEngine:
             data.ranges_by_tid[tids[idxs[li]]] = lane_ranges
         for i in idxs[fallback].tolist():
             self._execute_scalar_lane(transactions, data, proc, part, i)
+        part.seal()
         return part
 
-    def _fold_scalar_locals(
-        self, part: GroupLocals, idx: int, txn, data: "_ExecutionData"
-    ) -> None:
-        """Fold one scalar-executed transaction's local sets into the
-        batch-wide columnar locals (fallback lanes, scalar-only
-        procedures, and logic aborts — whose locals are empty)."""
-        part.add_scalar_locals(
-            idx,
-            data.locals_by_tid[txn.tid],
-            data.delayed_adds_by_txn.get(txn.tid, ()),
-        )
-
     # ------------------------------------------------------------------
-    def _gather_lane_ops(self, transactions, data: "_ExecutionData"):
-        """``(mat, counts)`` of a batch whose lanes each recorded their
-        own buffer (the per-transaction execute path); also leaves
-        ``data.logic_mask``."""
-        counts_l: list[int] = []
-        logic_l: list[bool] = []
-        logic_aborted = TxnStatus.LOGIC_ABORTED
-        flat = array("q")
-        for txn in transactions:
-            buf = txn.ops.buffer
-            flat += buf  # one C-level memcpy per transaction
-            counts_l.append(len(buf))
-            logic_l.append(txn.status is logic_aborted)
-        data.logic_mask = np.asarray(logic_l, dtype=bool)
-        counts = np.asarray(counts_l, dtype=np.int64) // OP_FIELDS
-        total = len(flat) // OP_FIELDS
-        if total:
-            # Zero-copy view: `flat` is local and never grows past here.
-            mat = np.frombuffer(flat, dtype=np.int64).reshape(total, OP_FIELDS)
-        else:
-            mat = np.empty((0, OP_FIELDS), dtype=np.int64)
-        return mat, counts
-
     def _collect_columnar(self, transactions, data: "_ExecutionData", ctx):
         """Batch-wide columnar op collection.
 
         One flat ``(n_ops, 6)`` int64 matrix feeds everything: warp
         planning, ``np.bincount`` cost accounting, lexsort reservation
         dedup, touched-page collection, and table popularity counts.
-        Returns ``(table_txns, touched_rows)`` for the shared tail.
+        Returns ``(table_txns, touched_rows)`` for :meth:`_register_batch`.
         """
         db = self.database
         n = len(transactions)
-        frame = data.frame
-        if frame is not None:
-            mat, counts = frame.mat, frame.counts
-        else:
-            mat, counts = self._gather_lane_ops(transactions, data)
+        mat, counts = data.frame.mat, data.frame.counts
         tids = np.fromiter(data.tids, dtype=np.int64, count=n)
         registers = ~data.logic_mask
         total = mat.shape[0]
@@ -1156,7 +1048,7 @@ class LTPGEngine:
 
         # Delayed-column discipline: within a batch those columns may
         # only be touched through ADD (checked before the own-insert
-        # row filter, exactly like the reference loop).
+        # row filter, exactly like the test oracle's per-op loop).
         non_insert = reg_op & (kind != OpKind.INSERT)
         is_add = kind == OpKind.ADD
         if self.delayed.columns:
@@ -1197,107 +1089,6 @@ class LTPGEngine:
         ) = write_res
         data.write_tid_arr = tids[data.write_txn_arr]
         return table_txns, touched_rows
-
-    # ------------------------------------------------------------------
-    def _collect_reference(self, transactions, data: "_ExecutionData", ctx):
-        """Per-op reference collector (the seed implementation),
-        retained behind ``config.columnar_ops=False`` for differential
-        testing and as the wallclock-bench baseline."""
-        db = self.database
-        delayed = self.delayed
-        group_of = self.flags.group_of
-        table_txns: Counter = Counter()
-
-        # Warp planning over the whole batch (grouped vs naive).
-        exec_plan = plan(transactions, self.config.adaptive_warps)
-        ctx.add_divergent_branches(exec_plan.divergent_branches)
-
-        touched_rows: dict[int, set[int]] = {}
-        data.logic_mask = np.zeros(len(transactions), dtype=bool)
-        for idx, txn in enumerate(transactions):
-            registers = txn.status is TxnStatus.EXECUTED
-            data.logic_mask[idx] = not registers
-            tables_seen: set[int] = set()
-            # One reservation per (item, group) per transaction: the
-            # local set holds a single entry per item, so repeated
-            # column ops on one row register exactly once.
-            seen_reads: set[tuple[int, int, int]] = set()
-            seen_writes: set[tuple[int, int, int]] = set()
-            for op in txn.ops:
-                kind = op.kind
-                ctx.add_instructions(_OP_INSTRUCTIONS)
-                if kind == OpKind.READ:
-                    ctx.add_global_reads(_READ_GLOBAL_READS)
-                elif kind == OpKind.INSERT:
-                    ctx.add_global_writes(_INSERT_GLOBAL_WRITES)
-                else:
-                    ctx.add_global_reads(_WRITE_GLOBAL_READS)
-                    ctx.add_global_writes(_WRITE_GLOBAL_WRITES)
-                tables_seen.add(op.table_id)
-                if op.row >= 0:
-                    touched_rows.setdefault(op.table_id, set()).add(op.row)
-                if not registers:
-                    continue
-                if kind == OpKind.INSERT:
-                    data.ins_table.append(op.table_id)
-                    data.ins_key.append(op.key)
-                    data.ins_tid.append(txn.tid)
-                    data.ins_txn.append(idx)
-                    continue
-                is_delayed = delayed.is_delayed(op.table_id, op.column)
-                if kind == OpKind.ADD and is_delayed:
-                    continue  # collected from the local set above
-                if is_delayed:
-                    raise TransactionError(
-                        f"column {op.column!r} is delayed-update managed and "
-                        f"may only be accessed with ADD in a batch"
-                    )
-                if op.row < 0:
-                    # A read of the transaction's own insert: the insert
-                    # reservation already guards this key, and the row
-                    # has no slot yet to register against.
-                    continue
-                group = group_of(op.table_id, op.column)
-                entry = (op.table_id, op.row, group)
-                if kind == OpKind.READ:
-                    if entry not in seen_reads:
-                        seen_reads.add(entry)
-                        data.read_table.append(op.table_id)
-                        data.read_row.append(op.row)
-                        data.read_group.append(group)
-                        data.read_tid.append(txn.tid)
-                        data.read_txn.append(idx)
-                else:  # WRITE, or ADD treated as read-modify-write
-                    if entry not in seen_writes:
-                        seen_writes.add(entry)
-                        data.write_table.append(op.table_id)
-                        data.write_row.append(op.row)
-                        data.write_group.append(group)
-                        data.write_tid.append(txn.tid)
-                        data.write_txn.append(idx)
-                    if kind == OpKind.ADD and entry not in seen_reads:
-                        # The RMW's read half participates in RAW checks.
-                        seen_reads.add(entry)
-                        data.read_table.append(op.table_id)
-                        data.read_row.append(op.row)
-                        data.read_group.append(group)
-                        data.read_tid.append(txn.tid)
-                        data.read_txn.append(idx)
-            if registers:
-                for table_id, lo, hi in data.ranges_by_tid.get(txn.tid, ()):
-                    data.range_table.append(table_id)
-                    data.range_lo.append(lo)
-                    data.range_hi.append(hi)
-                    data.range_tid.append(txn.tid)
-                    data.range_txn.append(idx)
-                    ordered = db.table_by_id(table_id).ordered
-                    if ordered is not None:  # B-tree descent per range
-                        ctx.add_global_reads(ordered.height)
-                    tables_seen.add(table_id)
-            for table_id in tables_seen:
-                table_txns[table_id] += 1
-        data.finalize()
-        return dict(table_txns), touched_rows
 
     # ------------------------------------------------------------------
     def _conflict_phase(self, transactions, data: "_ExecutionData", ctx) -> ConflictFlags:
@@ -1395,74 +1186,26 @@ class LTPGEngine:
     # ------------------------------------------------------------------
     def _writeback_phase(self, transactions, data, committed_mask, ctx) -> int:
         """Install committed effects; returns read/write-set bytes for
-        the copy-back transfer."""
-        if data.batch_locals is not None:
-            return self._writeback_columnar(transactions, data, committed_mask, ctx)
-        db = self.database
-        rwset_bytes = 0
-        cells = 0
-        delayed_deltas: list[tuple[int, int, str, int]] = []
-        written_rows: dict[int, set[int]] = {}
-        for idx, txn in enumerate(transactions):
-            local = data.locals_by_tid[txn.tid]
-            if not committed_mask[idx] or txn.status is TxnStatus.LOGIC_ABORTED:
-                continue
-            # Only committed write-sets ship back for the CPU-side
-            # snapshot merge; aborted transactions re-execute anyway.
-            # Delayed deltas are part of the shipped set too (the CPU
-            # must merge them into its primary copy).
-            rwset_bytes += local.nbytes
-            rwset_bytes += 16 * len(data.delayed_adds_by_txn.get(txn.tid, ()))
-            if self.sanitizer is not None:
-                self._sanitize_writeback(
-                    idx, local, data.delayed_adds_by_txn.get(txn.tid, ())
-                )
-            apply_local_sets(db, local)
-            cells += len(local.writes) + len(local.adds)
-            for _, values in local.inserts.items():
-                cells += 1 + len(values)
-            delayed_deltas.extend(data.delayed_adds_by_txn.get(txn.tid, ()))
-            if self.memory_plan.mode is MemoryMode.UNIFIED:
-                for table_id, row, _column in local.writes:
-                    written_rows.setdefault(table_id, set()).add(row)
-                for table_id, row, _column in local.adds:
-                    written_rows.setdefault(table_id, set()).add(row)
-        ctx.add_global_writes(cells)
-        ctx.add_instructions(_APPLY_INSTRUCTIONS * max(1, cells))
-        self.delayed.apply(delayed_deltas, ctx)
-        if written_rows:
-            # Sorted tables and pages, so the LRU tracker sees the same
-            # sequence whichever write-back path built the row sets.
-            faults = 0
-            for table_id in sorted(written_rows):
-                rows = written_rows[table_id]
-                table = db.table_by_id(table_id)
-                row_bytes = table.schema.row_bytes
-                rows_arr = np.fromiter(rows, dtype=np.int64, count=len(rows))
-                pages = np.unique(
-                    rows_arr * row_bytes // self.device.config.um_page_bytes
-                )
-                faults += self.device.memory.pages.touch(table.name, pages)
-            ctx.add_page_faults(faults)
-        return rwset_bytes
+        the copy-back transfer.
 
-    # ------------------------------------------------------------------
-    def _writeback_columnar(self, transactions, data, committed_mask, ctx) -> int:
-        """Columnar write-back for ``batched_exec``: masked grouped
-        scatters per (table, column) instead of per-transaction
-        ``apply_local_sets`` calls.  Safe because the WAW rule leaves at
-        most one committed writer per (row, conflict-group): committed
-        write cells are disjoint, committed adds commute, and each
+        Masked grouped scatters per (table, column) over the batch-wide
+        columnar locals instead of one ``apply_local_sets`` call per
+        transaction.  Safe because the WAW rule leaves at most one
+        committed writer per (row, conflict-group): committed write
+        cells are disjoint, committed adds commute, and each
         transaction's own write-kills-add ordering was already resolved
-        when the batched context finalized its local sets."""
+        when its local sets were built."""
         db = self.database
         bl = data.batch_locals
         commit = np.asarray(committed_mask, dtype=bool)
+        # Only committed write-sets ship back for the CPU-side snapshot
+        # merge (aborted transactions re-execute anyway), delayed deltas
+        # included: the CPU must merge them into its primary copy.
         rwset_bytes = int(bl.nbytes_by_txn[commit].sum()) + 16 * int(
             bl.delayed_count_by_txn[commit].sum()
         )
         if self.sanitizer is not None:
-            self._sanitize_writeback_columnar(bl, commit)
+            self._sanitize_writeback(bl, commit)
         w_keep = commit[bl.w_txn] if bl.w_txn.size else np.zeros(0, dtype=bool)
         a_keep = commit[bl.a_txn] if bl.a_txn.size else np.zeros(0, dtype=bool)
         d_keep = commit[bl.d_txn] if bl.d_txn.size else np.zeros(0, dtype=bool)
@@ -1654,9 +1397,11 @@ class LTPGEngine:
             ctx.add_page_faults(faults)
         return rwset_bytes
 
-    def _sanitize_writeback_columnar(self, bl, commit) -> None:
-        """Columnar twin of :meth:`_sanitize_writeback`: same shadow
-        cells (conflict-granular addresses), same access kinds."""
+    def _sanitize_writeback(self, bl, commit) -> None:
+        """The committed installs.  Plain writes for owned cells (the
+        WAW rule guarantees a single committed writer per conflict
+        group); atomic adds for delayed columns (commutative, multiple
+        committers allowed)."""
         san = self.sanitizer
         if san is None:
             return
@@ -1850,8 +1595,8 @@ def _dedup_reservations(op_txn, table, row, group, mask):
     field is part of the sort key, so which duplicate survives does not
     matter; downstream consumers (atomicMin registration, per-txn
     bincounts, witness sets) are all order-insensitive, which is what
-    lets this sorted dedup replace the reference loop's first-seen sets
-    without changing any batch outcome.
+    lets this sorted dedup stand in for the test oracle's first-seen
+    sets without changing any batch outcome.
     """
     t = op_txn[mask]
     if t.size == 0:
@@ -1908,44 +1653,23 @@ class _ExecutionData:
     def __init__(self, columns: tuple) -> None:
         #: The batch as columns, gathered once (``batch_columns``).
         self.tids, self.procedures, self.params = columns
-        #: Batched executor only: the batch's ops, and its procedure
-        #: groups as first-appearance names + a group id per lane.
-        self.frame: OpFrame | None = None
+        #: The batch's ops, one lane per transaction (sealed by the
+        #: execute phase), and its procedure groups as first-appearance
+        #: names + a group id per lane.
+        self.frame = OpFrame(len(self.tids))
         self.group_names: list[str] = []
         self.group_ids = np.empty(0, dtype=np.int64)
-        self.read_table: list[int] = []
-        self.read_row: list[int] = []
-        self.read_group: list[int] = []
-        self.read_tid: list[int] = []
-        self.read_txn: list[int] = []
-        self.write_table: list[int] = []
-        self.write_row: list[int] = []
-        self.write_group: list[int] = []
-        self.write_tid: list[int] = []
-        self.write_txn: list[int] = []
-        self.ins_table: list[int] = []
-        self.ins_key: list[int] = []
-        self.ins_tid: list[int] = []
-        self.ins_txn: list[int] = []
-        self.range_table: list[int] = []
-        self.range_lo: list[int] = []
-        self.range_hi: list[int] = []
-        self.range_tid: list[int] = []
-        self.range_txn: list[int] = []
-        self.locals_by_tid: dict[int, LocalSets] = {}
-        self.delayed_adds_by_txn: dict[int, list[tuple[int, int, str, int]]] = {}
+        #: Batch-wide columnar locals, set by the execute phase; the
+        #: write-back scatters them.
+        self.batch_locals: GroupLocals
         self.ranges_by_tid: dict[int, list[tuple[int, int, int]]] = {}
-        #: Batch-wide columnar locals (set by the batched executor; its
-        #: presence routes write-back through the scatter path).
-        self.batch_locals: GroupLocals | None = None
         #: Lanes whose procedure rolled itself back (left by the execute
         #: phase; the conflict phase keeps them from committing).
         self.logic_mask = np.empty(0, dtype=bool)
         self.read_keys = np.empty(0, dtype=np.int64)
         self.write_keys = np.empty(0, dtype=np.int64)
-        # The *_arr views start empty so the columnar collector can set
-        # them directly; the reference collector overwrites them via
-        # finalize() from the append lists above.
+        # Reservations per side, one entry per reserved (lane, item):
+        # set by the collector, read by every later phase.
         def empty() -> np.ndarray:
             return np.empty(0, dtype=np.int64)
 
@@ -1968,31 +1692,6 @@ class _ExecutionData:
         self.range_hi_arr = empty()
         self.range_tid_arr = empty()
         self.range_txn_arr = empty()
-
-    def finalize(self) -> None:
-        """Freeze the Python lists into NumPy arrays."""
-        def as_arr(lst: list[int]) -> np.ndarray:
-            return np.asarray(lst, dtype=np.int64)
-
-        self.read_table_arr = as_arr(self.read_table)
-        self.read_row_arr = as_arr(self.read_row)
-        self.read_group_arr = as_arr(self.read_group)
-        self.read_tid_arr = as_arr(self.read_tid)
-        self.read_txn_arr = as_arr(self.read_txn)
-        self.write_table_arr = as_arr(self.write_table)
-        self.write_row_arr = as_arr(self.write_row)
-        self.write_group_arr = as_arr(self.write_group)
-        self.write_tid_arr = as_arr(self.write_tid)
-        self.write_txn_arr = as_arr(self.write_txn)
-        self.ins_table_arr = as_arr(self.ins_table)
-        self.ins_key_arr = as_arr(self.ins_key)
-        self.ins_tid_arr = as_arr(self.ins_tid)
-        self.ins_txn_arr = as_arr(self.ins_txn)
-        self.range_table_arr = as_arr(self.range_table)
-        self.range_lo_arr = as_arr(self.range_lo)
-        self.range_hi_arr = as_arr(self.range_hi)
-        self.range_tid_arr = as_arr(self.range_tid)
-        self.range_txn_arr = as_arr(self.range_txn)
 
     @property
     def total_ops(self) -> int:

@@ -31,6 +31,7 @@ scatters instead of per-transaction ``apply_local_sets`` calls.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.txn.operations import (
     column_name,
     intern_column,
 )
+from repro.txn.operations import _COLUMN_IDS  # interner fast path
 from repro.xp import ArrayBackend, get_backend
 
 _READ = int(OpKind.READ)
@@ -139,6 +141,10 @@ class GroupLocals:
     :meth:`iter_inserts` walks them in (transaction, emission) order.
     ``nbytes_by_txn`` and ``delayed_count_by_txn`` reproduce the scalar
     accounting exactly.
+
+    Lanes that ran through their scalar procedure join the same arrays:
+    :meth:`add_scalar_locals` buffers each lane's ``LocalSets`` as rows
+    and :meth:`seal` turns all of them into columns at once.
     """
 
     _NUM_ARRAYS = 21
@@ -149,6 +155,7 @@ class GroupLocals:
         "d_txn", "d_table", "d_row", "d_col", "d_val",
         "i_txn", "i_seq", "i_table", "i_key", "i_chunk", "i_pos",
         "i_meta", "nbytes_by_txn", "delayed_count_by_txn",
+        "_rows", "_ins_rows", "_payloads",
     )
 
     def __init__(self, num_txns: int):
@@ -158,6 +165,13 @@ class GroupLocals:
         self.i_meta: list[tuple] = []
         self.nbytes_by_txn = np.zeros(num_txns, dtype=np.int64)
         self.delayed_count_by_txn = np.zeros(num_txns, dtype=np.int64)
+        # Scalar-executed lanes, buffered row-major until :meth:`seal`:
+        # (txn, table, row, col, value) per w/a/d array family,
+        # (txn, seq, table, key, chunk, pos) per insert, and the insert
+        # payloads per distinct column tuple.
+        self._rows = {prefix: array("q") for prefix in "wad"}
+        self._ins_rows = array("q")
+        self._payloads: dict[tuple, list] = {}
 
     # -- batch-wide accumulation ------------------------------------------
     @staticmethod
@@ -222,50 +236,67 @@ class GroupLocals:
                 rows = rows_cache[ch] = vals.tolist()
             yield txn, tbl, key, names, rows[pos]
 
-    def add_scalar_locals(self, txn_idx: int, local, delayed_adds) -> None:
-        """Fold one scalar-executed transaction's ``LocalSets`` (and its
-        extracted delayed deltas) into columnar rows."""
-        rows_w = [
-            (txn_idx, t, row, intern_column(col), val)
-            for (t, row, col), val in local.writes.items()
-        ]
-        rows_a = [
-            (txn_idx, t, row, intern_column(col), val)
-            for (t, row, col), val in local.adds.items()
-        ]
-        rows_d = [
-            (txn_idx, t, row, intern_column(col), val)
-            for t, row, col, val in delayed_adds
-        ]
-        for prefix, rows in (("w", rows_w), ("a", rows_a), ("d", rows_d)):
-            if not rows:
+    def add_scalar_locals(self, txn_idx: int, local, delayed_columns) -> None:
+        """Buffer one scalar-executed transaction's ``LocalSets`` as
+        rows (its adds on ``delayed_columns`` — ``(table_id, column)``
+        pairs — as delayed deltas); :meth:`seal` makes them columns.
+        Nothing is converted per lane: that would copy every column
+        once per lane and give every inserted row a payload chunk of
+        its own for the write-back to walk."""
+        col_id = _COLUMN_IDS.__getitem__  # recording the ops interned them
+        emit_w = self._rows["w"].extend
+        for (t, row, col), val in local.writes.items():
+            emit_w((txn_idx, t, row, col_id(col), val))
+        emit_a, emit_d = self._rows["a"].extend, self._rows["d"].extend
+        delayed = 0
+        for (t, row, col), val in local.adds.items():
+            if (t, col) in delayed_columns:
+                emit_d((txn_idx, t, row, col_id(col), val))
+                delayed += 1
+            else:
+                emit_a((txn_idx, t, row, col_id(col), val))
+        nbytes = 8 * (len(local.writes) + len(local.adds) - delayed)
+        payloads = self._payloads
+        for seq, ((t, key), values) in enumerate(local.inserts.items()):
+            names = tuple(values)
+            chunk = payloads.get(names)
+            if chunk is None:
+                # [chunk id, rows so far, their values row-major]
+                chunk = payloads[names] = [len(payloads), 0, array("q")]
+            self._ins_rows.extend((txn_idx, seq, t, key, chunk[0], chunk[1]))
+            chunk[1] += 1
+            chunk[2].extend(values.values())
+            nbytes += 8 + 4 * len(names)
+        self.nbytes_by_txn[txn_idx] += nbytes
+        self.delayed_count_by_txn[txn_idx] += delayed
+
+    def seal(self) -> None:
+        """Append the rows :meth:`add_scalar_locals` buffered to the
+        arrays — one conversion per array however many lanes there
+        were, and one payload chunk per distinct insert column tuple."""
+        # The buffers are handed over to the arrays made from them (an
+        # exported array('q') cannot be cleared), so start fresh ones.
+        rows, self._rows = self._rows, {prefix: array("q") for prefix in "wad"}
+        ins_rows, self._ins_rows = self._ins_rows, array("q")
+        payloads, self._payloads = self._payloads, {}
+        for prefix, buf in rows.items():
+            if not buf:
                 continue
-            arr = np.asarray(rows, dtype=np.int64)
+            arr = np.frombuffer(buf, dtype=np.int64).reshape(-1, 5)
             for field, suffix in enumerate(("txn", "table", "row", "col", "val")):
                 name = f"{prefix}_{suffix}"
                 setattr(self, name, np.concatenate((getattr(self, name), arr[:, field])))
-        if local.inserts:
-            k = len(local.inserts)
-            head = np.empty((k, 4), dtype=np.int64)
-            base = len(self.i_meta)
-            for seq, ((t, key), values) in enumerate(local.inserts.items()):
-                head[seq] = (txn_idx, seq, t, key)
-                self.i_meta.append((
-                    tuple(values),
-                    np.asarray([list(values.values())], dtype=np.int64),
-                ))
-            self.i_txn = np.concatenate((self.i_txn, head[:, 0]))
-            self.i_seq = np.concatenate((self.i_seq, head[:, 1]))
-            self.i_table = np.concatenate((self.i_table, head[:, 2]))
-            self.i_key = np.concatenate((self.i_key, head[:, 3]))
-            self.i_chunk = np.concatenate((
-                self.i_chunk, np.arange(base, base + k, dtype=np.int64)
-            ))
-            self.i_pos = np.concatenate((
-                self.i_pos, np.zeros(k, dtype=np.int64)
-            ))
-        self.nbytes_by_txn[txn_idx] += local.nbytes
-        self.delayed_count_by_txn[txn_idx] += len(delayed_adds)
+        if ins_rows:
+            head = np.frombuffer(ins_rows, dtype=np.int64).reshape(-1, 6)
+            for field, name in enumerate(
+                ("i_txn", "i_seq", "i_table", "i_key", "i_chunk", "i_pos")
+            ):
+                setattr(self, name, np.concatenate((getattr(self, name), head[:, field])))
+            self.i_chunk[-head.shape[0]:] += len(self.i_meta)
+            self.i_meta.extend(
+                (names, np.frombuffer(buf, dtype=np.int64).reshape(count, len(names)))
+                for names, (_, count, buf) in payloads.items()
+            )
 
 
 class BatchedContext:

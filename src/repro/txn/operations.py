@@ -228,7 +228,7 @@ class OpColumns:
 
 class OpFrame:
     """One batch's ops as a single lane-major ``(n_ops, OP_FIELDS)``
-    matrix — what the batched executor hands the collector.
+    matrix — what the engine's execute phase hands its collector.
 
     Lanes are batch positions.  While a batch executes, each procedure
     group registers its lane-sorted op matrix (:meth:`add_group`) and

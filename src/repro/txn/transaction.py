@@ -57,9 +57,9 @@ class Transaction:
         :class:`OpColumns` buffer after running under an engine (its
         indexing yields :class:`OpRecord` views), or a plain list.
 
-        After a batched run the ops live in the batch's frame; the
-        first read copies this lane's rows out (and lets go of the
-        frame), later reads return the same buffer.
+        After a run under ``LTPGEngine`` the ops live in the batch's
+        frame; the first read copies this lane's rows out (and lets go
+        of the frame), later reads return the same buffer.
         """
         frame = self._frame
         if frame is None:

@@ -203,26 +203,50 @@ def mixed_bank_specs() -> list[tuple[str, tuple]]:
     return specs
 
 
-def observe_cell(workload: str, batches: int = 2, batch_size: int = 256, **config):
+def observe_cell(
+    workload: str,
+    batches: int = 2,
+    batch_size: int = 256,
+    reference: bool = False,
+    **config,
+):
     """One cell of the conformance lattice: ``batches`` generated batches
     of a shipped workload (``tpcc`` | ``ycsb`` | ``smallbank`` with its
     paper markings, seeded, so every cell sees the same transactions) on
     an engine built from ``config`` through ``make_engine``.  Returns
     each batch's per-lane statuses and abort reasons, then the final
     state digest — what every cell must share with the reference cell,
-    ``observe_cell(workload, batched_exec=False)``: the unsharded numpy
-    engine running one procedure call per transaction."""
+    ``observe_cell(workload, reference=True)``: the unsharded host-only
+    :class:`~reference_engine.ReferenceEngine`.
+
+    Agreement with another engine is never the only evidence: every
+    batch of every cell is also replayed serially, in witness order, on
+    a copy of the state it started from, and must land on the state the
+    engine left (:func:`repro.validate.replay_in_witness_order`)."""
+    from reference_engine import ReferenceEngine
     from repro.analysis.workload import build_workload
     from repro.txn import assign_tids
+    from repro.validate import replay_in_witness_order
 
     setup = build_workload(workload)
+    if reference:
+        engine = ReferenceEngine(
+            setup.database,
+            setup.registry,
+            LTPGConfig(batch_size=batch_size, **setup.config_kwargs, **config),
+        )
+    else:
+        engine = setup.engine(batch_size=batch_size, sanitize=False, **config)
     out: list = []
     next_tid = 0
-    with setup.engine(batch_size=batch_size, sanitize=False, **config) as engine:
+    with engine:
         for _ in range(batches):
             batch = setup.generator.make_batch(batch_size)
             next_tid = assign_tids(batch, next_tid)
-            engine.run_batch(batch)
+            before = setup.database.copy()
+            result = engine.run_batch(batch)
+            replay_in_witness_order(before, setup.registry, result)
+            assert before.state_digest() == setup.database.state_digest()
             out.append(
                 ([t.status for t in batch], [t.abort_reason for t in batch])
             )

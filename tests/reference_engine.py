@@ -1,0 +1,239 @@
+"""The seed pipeline, kept as the test oracle.
+
+:class:`ReferenceEngine` is an :class:`~repro.core.engine.LTPGEngine`
+whose execute and write-back phases are the implementation the repo
+started from: one procedure call per transaction into its own
+``BufferedContext``, a per-op Python loop that collects reservations and
+charges costs one ``OpRecord`` at a time, and a write-back that installs
+each committed transaction's ``LocalSets`` with ``apply_local_sets`` and
+merges delayed deltas through ``DelayedUpdater.apply``.  It builds no
+``OpFrame`` and no columnar locals, so it shares neither the collector
+nor the write-back with the engine it checks — only what sits between
+them (conflict-log registration, the conflict phase, result assembly).
+
+Every observable must agree with the engine byte for byte: statuses,
+abort reasons, ``txn.ops.raw``, every simulated time in ``BatchStats``,
+and the database digest.  Unsharded, host-only, no sanitizer: the
+configurations the engine must match *it* on, not the other way round.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+
+from repro.core.config import MemoryMode
+from repro.core.engine import (
+    _APPLY_INSTRUCTIONS,
+    _INSERT_GLOBAL_WRITES,
+    _OP_INSTRUCTIONS,
+    _READ_GLOBAL_READS,
+    _WRITE_GLOBAL_READS,
+    _WRITE_GLOBAL_WRITES,
+    LTPGEngine,
+)
+from repro.errors import KeyNotFound, TransactionAborted, TransactionError
+from repro.txn.context import BufferedContext, LocalSets, apply_local_sets
+from repro.txn.decompose import plan
+from repro.txn.operations import OpKind
+from repro.txn.transaction import TxnStatus
+
+
+def _as_arr(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
+def _columns(rows: list[tuple], width: int) -> list[np.ndarray]:
+    """Same-width tuples as ``width`` int64 columns."""
+    arr = _as_arr(rows).reshape(len(rows), width)
+    return [np.ascontiguousarray(arr[:, i]) for i in range(width)]
+
+
+class ReferenceEngine(LTPGEngine):
+    """Per-transaction execute, per-op collect, per-transaction install."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        assert self.sanitizer is None, "the oracle records no shadow accesses"
+        # Buffered effects of the batch in flight, execute -> write-back.
+        self._locals: list[LocalSets] = []
+        self._delayed_adds: list[list[tuple[int, int, str, int]]] = []
+
+    # -- execute ----------------------------------------------------------
+    def _run_one(self, txn) -> tuple[LocalSets, list, list]:
+        """``(local sets, delayed deltas, range predicates)`` of one
+        transaction run through its scalar procedure."""
+        txn.reset_for_execution()
+        proc = self._resolve_procedure(txn.procedure_name)
+        ctx = BufferedContext(self.database)
+        try:
+            proc(ctx, *txn.params)
+        except (TransactionAborted, KeyNotFound):
+            txn.status = TxnStatus.LOGIC_ABORTED
+            txn.abort_reason = "logic"
+            txn.ops = ctx.ops
+            return LocalSets(), [], []
+        txn.status = TxnStatus.EXECUTED
+        txn.ops = ctx.ops
+        local = ctx.local
+        # Deltas on delayed columns leave the local set: the delayed
+        # updater merges them, not apply_local_sets.
+        delayed_locs = [
+            loc for loc in local.adds if self.delayed.is_delayed(loc[0], loc[2])
+        ]
+        delayed = [(*loc, local.adds.pop(loc)) for loc in delayed_locs]
+        return local, delayed, ctx.ranges
+
+    def _execute_phase(self, transactions, data, ctx) -> None:
+        db = self.database
+        delayed = self.delayed
+        group_of = self.flags.group_of
+        self._locals, self._delayed_adds = [], []
+        ranges_by_lane = []
+        for txn in transactions:
+            local, delayed_adds, ranges = self._run_one(txn)
+            self._locals.append(local)
+            self._delayed_adds.append(delayed_adds)
+            ranges_by_lane.append(ranges)
+
+        if self.tracer is not None or self.metrics is not None:
+            tallies: dict[str, list[int]] = {}
+            for txn in transactions:
+                t = tallies.setdefault(txn.procedure_name, [0, 0])
+                t[0] += 1
+                t[1] += len(txn.ops)
+            self._last_groups = [(n, t[0], t[1]) for n, t in tallies.items()]
+
+        # Warp planning over the whole batch (grouped vs naive).
+        exec_plan = plan(transactions, self.config.adaptive_warps)
+        ctx.add_divergent_branches(exec_plan.divergent_branches)
+
+        read: list[tuple[int, int, int, int, int]] = []  # table,row,group,tid,lane
+        write: list[tuple[int, int, int, int, int]] = []
+        ins: list[tuple[int, int, int, int]] = []  # table,key,tid,lane
+        rng: list[tuple[int, int, int, int, int]] = []  # table,lo,hi,tid,lane
+        table_txns: Counter = Counter()
+        touched_rows: dict[int, set[int]] = {}
+        data.logic_mask = np.zeros(len(transactions), dtype=bool)
+        for idx, txn in enumerate(transactions):
+            registers = txn.status is TxnStatus.EXECUTED
+            data.logic_mask[idx] = not registers
+            tables_seen: set[int] = set()
+            # One reservation per (item, group) per transaction: the
+            # local set holds a single entry per item, so repeated
+            # column ops on one row register exactly once.
+            seen_reads: set[tuple[int, int, int]] = set()
+            seen_writes: set[tuple[int, int, int]] = set()
+            for op in txn.ops:
+                kind = op.kind
+                ctx.add_instructions(_OP_INSTRUCTIONS)
+                if kind == OpKind.READ:
+                    ctx.add_global_reads(_READ_GLOBAL_READS)
+                elif kind == OpKind.INSERT:
+                    ctx.add_global_writes(_INSERT_GLOBAL_WRITES)
+                else:
+                    ctx.add_global_reads(_WRITE_GLOBAL_READS)
+                    ctx.add_global_writes(_WRITE_GLOBAL_WRITES)
+                tables_seen.add(op.table_id)
+                if op.row >= 0:
+                    touched_rows.setdefault(op.table_id, set()).add(op.row)
+                if not registers:
+                    continue
+                if kind == OpKind.INSERT:
+                    ins.append((op.table_id, op.key, txn.tid, idx))
+                    continue
+                is_delayed = delayed.is_delayed(op.table_id, op.column)
+                if kind == OpKind.ADD and is_delayed:
+                    continue  # merged by the delayed updater, never checked
+                if is_delayed:
+                    raise TransactionError(
+                        f"column {op.column!r} is delayed-update managed and "
+                        f"may only be accessed with ADD in a batch"
+                    )
+                if op.row < 0:
+                    # A read of the transaction's own insert: the insert
+                    # reservation already guards this key, and the row
+                    # has no slot yet to register against.
+                    continue
+                group = group_of(op.table_id, op.column)
+                entry = (op.table_id, op.row, group)
+                if kind == OpKind.READ:
+                    if entry not in seen_reads:
+                        seen_reads.add(entry)
+                        read.append((*entry, txn.tid, idx))
+                else:  # WRITE, or ADD treated as read-modify-write
+                    if entry not in seen_writes:
+                        seen_writes.add(entry)
+                        write.append((*entry, txn.tid, idx))
+                    if kind == OpKind.ADD and entry not in seen_reads:
+                        # The RMW's read half participates in RAW checks.
+                        seen_reads.add(entry)
+                        read.append((*entry, txn.tid, idx))
+            if registers:
+                for table_id, lo, hi in ranges_by_lane[idx]:
+                    rng.append((table_id, lo, hi, txn.tid, idx))
+                    ordered = db.table_by_id(table_id).ordered
+                    if ordered is not None:  # B-tree descent per range
+                        ctx.add_global_reads(ordered.height)
+                    tables_seen.add(table_id)
+            for table_id in tables_seen:
+                table_txns[table_id] += 1
+
+        (data.read_table_arr, data.read_row_arr, data.read_group_arr,
+         data.read_tid_arr, data.read_txn_arr) = _columns(read, 5)
+        (data.write_table_arr, data.write_row_arr, data.write_group_arr,
+         data.write_tid_arr, data.write_txn_arr) = _columns(write, 5)
+        (data.ins_table_arr, data.ins_key_arr, data.ins_tid_arr,
+         data.ins_txn_arr) = _columns(ins, 4)
+        (data.range_table_arr, data.range_lo_arr, data.range_hi_arr,
+         data.range_tid_arr, data.range_txn_arr) = _columns(rng, 5)
+        self._register_batch(
+            data,
+            dict(table_txns),
+            {t: _as_arr(sorted(rows)) for t, rows in touched_rows.items()},
+            ctx,
+        )
+
+    # -- write-back -------------------------------------------------------
+    def _writeback_phase(self, transactions, data, committed_mask, ctx) -> int:
+        db = self.database
+        rwset_bytes = 0
+        cells = 0
+        delayed_deltas: list[tuple[int, int, str, int]] = []
+        written_rows: dict[int, set[int]] = {}
+        for idx, txn in enumerate(transactions):
+            if not committed_mask[idx] or txn.status is TxnStatus.LOGIC_ABORTED:
+                continue
+            local = self._locals[idx]
+            delayed_adds = self._delayed_adds[idx]
+            # Only committed write-sets ship back for the CPU-side
+            # snapshot merge; aborted transactions re-execute anyway.
+            # Delayed deltas are part of the shipped set too (the CPU
+            # must merge them into its primary copy).
+            rwset_bytes += local.nbytes + 16 * len(delayed_adds)
+            apply_local_sets(db, local)
+            cells += len(local.writes) + len(local.adds)
+            for values in local.inserts.values():
+                cells += 1 + len(values)
+            delayed_deltas.extend(delayed_adds)
+            if self.memory_plan.mode is MemoryMode.UNIFIED:
+                for table_id, row, _column in (*local.writes, *local.adds):
+                    written_rows.setdefault(table_id, set()).add(row)
+        ctx.add_global_writes(cells)
+        ctx.add_instructions(_APPLY_INSTRUCTIONS * max(1, cells))
+        self.delayed.apply(delayed_deltas, ctx)
+        if written_rows:
+            # Sorted tables and pages: the LRU tracker must see the
+            # sequence the engine's write-back produces.
+            faults = 0
+            for table_id in sorted(written_rows):
+                table = db.table_by_id(table_id)
+                pages = np.unique(
+                    _as_arr(sorted(written_rows[table_id]))
+                    * table.schema.row_bytes
+                    // self.device.config.um_page_bytes
+                )
+                faults += self.device.memory.pages.touch(table.name, pages)
+            ctx.add_page_faults(faults)
+        return rwset_bytes

@@ -16,9 +16,9 @@ Riding along, because they are cheapest to assert right here:
   the execute/conflict/writeback kernel phases, zero float upcasts
   (the mechanical dtype-discipline audit);
 * the numpy backend's zero-transfer contract;
-* ``LTPGConfig.array_backend`` validation (unknown names, incompatible
-  feature combinations) and the engine's backend re-resolution when the
-  config changes after construction;
+* ``LTPGConfig.array_backend`` validation (unknown names, ``sanitize``)
+  and the engine's backend re-resolution when the config changes after
+  construction;
 * the ``transfer.*`` metrics surfaced through the observability stack.
 """
 
@@ -29,6 +29,7 @@ import os
 
 import pytest
 
+from reference_engine import ReferenceEngine
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import ConfigError
 from repro.txn import Transaction
@@ -124,7 +125,6 @@ def _tpcc_case(batch_size, n_batches):
         )
         config = LTPGConfig(
             batch_size=batch_size,
-            columnar_ops=True,
             batched_exec=True,
             delayed_update=True,
             delayed_columns=DELAYED_COLUMNS,
@@ -184,7 +184,6 @@ def test_ycsb_identical_across_backends(ycsb_kwargs, delayed):
         db, registry, _ = build_ycsb(**ycsb_kwargs)
         config = LTPGConfig(
             batch_size=SMALL_BATCH,
-            columnar_ops=True,
             batched_exec=True,
             delayed_update=delayed,
             delayed_columns=ycsb_delayed_columns() if delayed else frozenset(),
@@ -209,13 +208,38 @@ def test_smallbank_identical_across_backends():
         db, registry, _ = build_smallbank(num_accounts=500, zipf_alpha=1.2, seed=3)
         config = LTPGConfig(
             batch_size=SMALL_BATCH,
-            columnar_ops=True,
             batched_exec=True,
             array_backend=backend,
         )
         return LTPGEngine(db, registry, _maybe_resident(config))
 
     _pairwise_identical(build, batches)
+
+
+def test_twin_less_lanes_identical_across_backends():
+    """``batched_exec=False`` under a device backend (once a
+    ``ConfigError``): every lane runs its scalar procedure on the host,
+    the write-back scatters still cross to the device and back, and the
+    batch is the one the test oracle produces."""
+    _, _, gen = build_smallbank(num_accounts=500, zipf_alpha=1.2, seed=3)
+    batches = [
+        [(t.procedure_name, t.params) for t in gen.make_batch(SMALL_BATCH)]
+        for _ in range(2)
+    ]
+
+    def build(backend, engine_cls=LTPGEngine):
+        db, registry, _ = build_smallbank(num_accounts=500, zipf_alpha=1.2, seed=3)
+        config = LTPGConfig(
+            batch_size=SMALL_BATCH, batched_exec=False, array_backend=backend
+        )
+        if engine_cls is LTPGEngine:
+            config = _maybe_resident(config)
+        return engine_cls(db, registry, config)
+
+    _pairwise_identical(build, batches)
+    assert _observe(build("numpy"), batches) == _observe(
+        build("numpy", ReferenceEngine), batches
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +256,8 @@ def _smallbank_engine(**config_kwargs):
         (dict(array_backend="cuda"), "unknown"),
         (dict(array_backend="NUMPY"), "unknown"),  # names are case-sensitive
         (
-            dict(array_backend="mockgpu", columnar_ops=True, batched_exec=False),
-            "batched_exec",
-        ),
-        (
             dict(
                 array_backend="mockgpu",
-                columnar_ops=True,
                 batched_exec=True,
                 sanitize=True,
             ),
@@ -248,7 +267,6 @@ def _smallbank_engine(**config_kwargs):
     ids=[
         "unknown-name",
         "case-sensitive",
-        "needs-batched-exec",
         "no-sanitize",
     ],
 )
@@ -259,13 +277,9 @@ def test_invalid_backend_configs_raise_config_error(kwargs, match):
 
 def test_auto_backend_degrades_instead_of_raising():
     # "auto" accepts every feature combination: the engine resolves it
-    # to numpy when the batched device path cannot run
-    for kwargs in (
-        dict(batched_exec=False),
-        dict(sanitize=True),
-    ):
-        engine = _smallbank_engine(batch_size=64, array_backend="auto", **kwargs)
-        assert engine._ensure_backend().name == "numpy"
+    # to numpy where an explicit device backend would be rejected
+    engine = _smallbank_engine(batch_size=64, array_backend="auto", sanitize=True)
+    assert engine._ensure_backend().name == "numpy"
 
 
 def test_explicit_numpy_accepts_every_mode():
@@ -287,7 +301,7 @@ def test_config_swap_invalidates_resolved_backend():
     def fresh_engine(backend):
         db, registry, _ = build_smallbank(num_accounts=100, zipf_alpha=1.2, seed=3)
         config = LTPGConfig(
-            batch_size=128, columnar_ops=True, batched_exec=True,
+            batch_size=128, batched_exec=True,
             array_backend=backend,
         )
         return LTPGEngine(db, registry, _maybe_resident(config))
@@ -320,7 +334,7 @@ def test_config_swap_invalidates_resolved_backend():
 def test_transfer_metrics_surface_under_mockgpu():
     db, registry, gen = build_smallbank(num_accounts=100, zipf_alpha=1.2, seed=3)
     config = LTPGConfig(
-        batch_size=128, columnar_ops=True, batched_exec=True,
+        batch_size=128, batched_exec=True,
         array_backend="mockgpu", trace=True,
     )
     engine = LTPGEngine(db, registry, config)
@@ -342,7 +356,7 @@ def test_transfer_metrics_surface_under_mockgpu():
 def test_no_transfer_metrics_under_numpy():
     db, registry, gen = build_smallbank(num_accounts=100, zipf_alpha=1.2, seed=3)
     config = LTPGConfig(
-        batch_size=128, columnar_ops=True, batched_exec=True,
+        batch_size=128, batched_exec=True,
         array_backend="numpy", trace=True,
     )
     engine = LTPGEngine(db, registry, config)

@@ -1,28 +1,30 @@
-"""Differential tests for the batched executor (``LTPGConfig.batched_exec``).
+"""Differential tests for the execute phase, whatever runs the procedures.
 
-Three implementations of the execute phase coexist: the retained
-per-transaction reference loop, the columnar op-collection path, and the
-batched executor (one vectorized ``BatchProcedure`` invocation per
-procedure group).  They must be observationally identical — statuses,
-abort reasons, per-transaction op streams (``txn.ops.raw``), simulated
-phase times, and the final database digest — because the wall-clock
-numbers in ``BENCH_wallclock.json`` claim the batched path changes host
-time and nothing else.
+One pipeline, three ways to fill it: the default engine (one vectorized
+``BatchProcedure`` invocation per procedure group, scalar lanes for the
+rest), the same engine with ``batched_exec=False`` (every procedure
+treated as twin-less, so every lane is a scalar lane), and the test
+oracle (``reference_engine.ReferenceEngine``: the seed's per-transaction
+loop, per-op collector and per-transaction write-back).  They must be
+observationally identical — statuses, abort reasons, per-transaction op
+streams (``txn.ops.raw``), simulated phase times, and the final database
+digest — because the wall-clock numbers in ``BENCH_wallclock.json``
+claim the twins change host time and nothing else.
 
-Each test runs identical batch specs through all three paths and
-compares the full observable surface byte for byte.  The batched
-executor is the default, so the two per-transaction cells say
-``batched_exec=False`` (``_mode_config``).
+Each test runs identical batch specs through all three and compares the
+full observable surface byte for byte.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from helpers import build_bank, mixed_bank_registry, mixed_bank_specs
+from reference_engine import ReferenceEngine
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
-from repro.txn import Transaction
+from repro.txn import ProcedureRegistry, Transaction
 from repro.workloads.smallbank import build_smallbank
 from repro.workloads.tpcc import DELAYED_COLUMNS, SPLIT_COLUMNS, TpccMix, build_tpcc
 from repro.workloads.ycsb import build_ycsb
@@ -62,35 +64,11 @@ def _observe(engine, batches):
     return out
 
 
-def _mode_config(mode: str, **overrides) -> dict:
-    return dict(
-        columnar_ops=(mode != "reference"),
-        batched_exec=(mode == "batched"),
-        **overrides,
-    )
-
-
-def _three_way(build, batches, **overrides):
-    """Assert reference == columnar == batched on fresh engines."""
-    runs = {}
-    for mode in ("reference", "columnar", "batched"):
-        engine = build(_mode_config(mode, **overrides))
-        runs[mode] = _observe(engine, batches)
-    assert runs["columnar"] == runs["reference"]
-    assert runs["batched"] == runs["reference"]
-
-
-def _reference_collector_after_batched_execute(build, batches):
-    """``LTPGConfig(columnar_ops=False)`` leaves the executor at its
-    default, so it is the batched executor feeding the per-op collector,
-    which must read the frame's ops the way the columnar one does."""
-    calls = []
-    engine = build(dict(columnar_ops=False))
-    assert engine.config.batched_exec
-    collect = engine._collect_reference
-    engine._collect_reference = lambda *a: calls.append(1) or collect(*a)
-    assert _observe(engine, batches) == _observe(build({}), batches)
-    assert len(calls) == len(batches)
+def _three_way(build, batches):
+    """Assert oracle == twin-less == default on fresh engines."""
+    reference = _observe(build({}, ReferenceEngine), batches)
+    assert _observe(build(dict(batched_exec=False)), batches) == reference
+    assert _observe(build({}), batches) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +82,7 @@ def test_tpcc_full_mix_three_way_identical():
             for _ in range(3)
         ]
 
-    def build(mode_kwargs):
+    def build(mode_kwargs, engine_cls=LTPGEngine):
         db, registry, _ = build_tpcc(
             warehouses=2, num_items=2000, mix=FULL_MIX, seed=7
         )
@@ -116,11 +94,9 @@ def test_tpcc_full_mix_three_way_identical():
             split_columns=SPLIT_COLUMNS,
             **mode_kwargs,
         )
-        return LTPGEngine(db, registry, config)
+        return engine_cls(db, registry, config)
 
-    batches = make()
-    _three_way(build, batches)
-    _reference_collector_after_batched_execute(build, batches)
+    _three_way(build, make())
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +136,7 @@ def test_ycsb_three_way_identical(ycsb_kwargs, delayed):
         for _ in range(3)
     ]
 
-    def build(mode_kwargs):
+    def build(mode_kwargs, engine_cls=LTPGEngine):
         db, registry, _ = build_ycsb(**ycsb_kwargs)
         config = LTPGConfig(
             batch_size=256,
@@ -168,7 +144,7 @@ def test_ycsb_three_way_identical(ycsb_kwargs, delayed):
             delayed_columns=ycsb_delayed_columns() if delayed else frozenset(),
             **mode_kwargs,
         )
-        return LTPGEngine(db, registry, config)
+        return engine_cls(db, registry, config)
 
     _three_way(build, batches)
 
@@ -183,11 +159,11 @@ def test_smallbank_three_way_identical():
         for _ in range(3)
     ]
 
-    def build(mode_kwargs):
+    def build(mode_kwargs, engine_cls=LTPGEngine):
         db, registry, _ = build_smallbank(
             num_accounts=500, zipf_alpha=1.2, seed=3
         )
-        return LTPGEngine(db, registry, LTPGConfig(batch_size=256, **mode_kwargs))
+        return engine_cls(db, registry, LTPGConfig(batch_size=256, **mode_kwargs))
 
     _three_way(build, batches)
 
@@ -199,12 +175,11 @@ def test_smallbank_three_way_identical():
 def test_mixed_batched_and_scalar_procedures_identical():
     specs = mixed_bank_specs()
 
-    def build(mode_kwargs):
+    def build(mode_kwargs, engine_cls=LTPGEngine):
         db, registry = mixed_bank_registry()
-        return LTPGEngine(db, registry, LTPGConfig(batch_size=256, **mode_kwargs))
+        return engine_cls(db, registry, LTPGConfig(batch_size=256, **mode_kwargs))
 
     _three_way(build, [specs, specs[::-1]])
-    _reference_collector_after_batched_execute(build, [specs, specs[::-1]])
     # groups of one or two lanes, down to a one-transaction batch
     _three_way(
         build,
@@ -213,6 +188,63 @@ def test_mixed_batched_and_scalar_procedures_identical():
             [("deposit", (5, 1))],
         ],
     )
+
+
+# ---------------------------------------------------------------------------
+# A registry without twins under the default config: the scalar lanes'
+# fold into the columnar locals is linear in the lanes
+# ---------------------------------------------------------------------------
+def test_twin_less_registry_folds_once_per_batch(monkeypatch):
+    """Third-party procedures have no twins, so under ``LTPGConfig()``
+    every lane is a scalar lane.  Folding their local sets used to
+    re-concatenate every column for every lane and give every inserted
+    row a payload chunk of its own (which the write-back walked chunk
+    by chunk): a count of both, not a timer."""
+
+    def build(mode_kwargs, engine_cls=LTPGEngine):
+        db, registry, _ = build_tpcc(warehouses=2, num_items=2000, seed=7)
+        twin_less = ProcedureRegistry()
+        for name in registry.names():
+            twin_less.register(name, registry.get(name))
+        config = LTPGConfig(
+            batch_size=2048,
+            delayed_columns=DELAYED_COLUMNS,
+            split_columns=SPLIT_COLUMNS,
+            **mode_kwargs,
+        )
+        return engine_cls(db, twin_less, config)
+
+    concatenates = {}
+    for lanes in (256, 2048):
+        _, _, gen = build_tpcc(
+            warehouses=2, num_items=2000, mix=TpccMix.neworder_percentage(50), seed=7
+        )
+        specs = [(t.procedure_name, t.params) for t in gen.make_batch(lanes)]
+        engine = build({})
+        seen = []
+        writeback = engine._writeback_phase
+        monkeypatch.setattr(
+            engine,
+            "_writeback_phase",
+            lambda txns, data, *rest: seen.append(data) or writeback(txns, data, *rest),
+        )
+        calls = []
+        concatenate = np.concatenate
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                np, "concatenate", lambda *a, **k: calls.append(1) or concatenate(*a, **k)
+            )
+            observed = _observe(engine, [specs])
+        concatenates[lanes] = len(calls)
+        assert observed == _observe(build({}, ReferenceEngine), [specs])
+        (data,) = seen
+        locals_ = data.batch_locals
+        # one payload chunk per distinct insert column tuple, however
+        # many rows were inserted
+        column_tuples = [names for names, _ in locals_.i_meta]
+        assert len(column_tuples) == len(set(column_tuples)) <= 4
+        assert locals_.i_txn.size > lanes
+    assert concatenates[2048] == concatenates[256]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +275,7 @@ def test_unknown_procedure_same_error_in_batched_mode():
     db, registry = build_bank(accounts=8)
     engine = LTPGEngine(
         db, registry,
-        LTPGConfig(batch_size=8, columnar_ops=True, batched_exec=True),
+        LTPGConfig(batch_size=8, batched_exec=True),
     )
     with pytest.raises(TransactionError, match="no_such_proc"):
         engine.run_batch([Transaction("no_such_proc", (1,), tid=0)])

@@ -38,7 +38,8 @@ class TestValidator:
         rc = validate.main([])
         assert rc == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3
+        # determinism, recovery, and serial replay on three workloads
+        assert out.count("[PASS]") == 5
         assert "all checks passed" in out
 
     def test_report_formatting_on_failure(self):

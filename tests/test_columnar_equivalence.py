@@ -1,17 +1,18 @@
-"""Differential tests: columnar op path vs the retained reference path.
+"""Differential tests: the columnar collector vs the test oracle's per-op loop.
 
-``LTPGConfig.columnar_ops`` selects between the vectorized execute-phase
-collection (NumPy over flat op arrays) and the seed's per-op Python
-loop.  They are two implementations of the *same* algorithm, so every
+The engine's execute phase collects a batch's reservations and costs
+with NumPy over one flat op matrix; ``reference_engine.ReferenceEngine``
+walks the same ops one ``OpRecord`` at a time, the way the seed did.
+They are two implementations of the *same* algorithm, so every
 observable — per-transaction statuses and abort reasons, the full
 :class:`BatchStats` including simulated times, and the final database
 state — must agree byte for byte.  These tests are the contract that
-lets the wall-clock harness (``BENCH_wallclock.json``) claim its speedup
-changes nothing but host time.
+lets the wall-clock harness (``BENCH_wallclock.json``) claim its numbers
+are host time and nothing else.
 
-Both cells here are the per-transaction execute path
-(``batched_exec=False``, stated in every config): this suite compares
-the two *collectors*.  The batched executor, the default, is compared
+The engine cell here says ``batched_exec=False``: every lane runs its
+scalar procedure, as every lane of the oracle does, so what differs is
+the collector and the write-back.  The vectorized twins are compared
 against this same pair in ``test_batched_equivalence.py``.
 """
 
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_bank
+from reference_engine import ReferenceEngine
 from repro.bench.common import ltpg_config, tpcc_bench
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
@@ -56,9 +58,10 @@ def _stats_snapshot(stats) -> dict:
     }
 
 
-def _run_path(build_engine, make_batches, columnar: bool):
-    """Run identical batches through one op path; return observables."""
-    engine = build_engine(columnar)
+def _run_path(build_engine, make_batches, oracle: bool):
+    """Run identical batches through the engine (``batched_exec=False``)
+    or the oracle; return observables."""
+    engine = build_engine(ReferenceEngine if oracle else LTPGEngine)
     out = []
     for specs in make_batches():
         batch = [
@@ -79,8 +82,8 @@ def _run_path(build_engine, make_batches, columnar: bool):
 
 
 def _assert_paths_agree(build_engine, make_batches):
-    columnar = _run_path(build_engine, make_batches, columnar=True)
-    reference = _run_path(build_engine, make_batches, columnar=False)
+    columnar = _run_path(build_engine, make_batches, oracle=False)
+    reference = _run_path(build_engine, make_batches, oracle=True)
     assert columnar == reference
 
 
@@ -88,17 +91,16 @@ def _assert_paths_agree(build_engine, make_batches):
 # TPC-C and YCSB (the acceptance workloads)
 # ---------------------------------------------------------------------------
 def _tpcc_builder(scale: float = 64.0, **config_overrides):
-    def build_engine(columnar: bool):
+    def build_engine(engine_cls):
         bench = tpcc_bench(warehouses=8, neworder_pct=50, scale=scale, seed=7)
         config = dataclasses.replace(
             ltpg_config(bench.batch_size),
-            columnar_ops=columnar,
             batched_exec=False,
             **config_overrides,
         )
         build_engine.batch_size = bench.batch_size
         build_engine.generator = bench.generator
-        return bench.engine(config)
+        return engine_cls(bench.database, bench.registry, config)
 
     def make_batches(rounds: int = 3):
         # Each path builds its own bench from the same seed, so the
@@ -119,16 +121,15 @@ def test_tpcc_without_optimizations_identical():
     """Naive warp planning + no split flags / delayed updates / buckets:
     exercises plan_naive_arrays and the undecorated dedup path."""
 
-    def build_engine(columnar: bool):
+    def build_engine(engine_cls):
         bench = tpcc_bench(warehouses=8, neworder_pct=50, scale=64.0, seed=7)
         config = dataclasses.replace(
             ltpg_config(bench.batch_size).without_optimizations(),
-            columnar_ops=columnar,
             batched_exec=False,
         )
         build_engine.batch_size = bench.batch_size
         build_engine.generator = bench.generator
-        return bench.engine(config)
+        return engine_cls(bench.database, bench.registry, config)
 
     def make_batches(rounds: int = 2):
         gen = build_engine.generator
@@ -139,7 +140,7 @@ def test_tpcc_without_optimizations_identical():
 
 
 def _ycsb_builder(workload: str, zipf_alpha: float, btree_scans: bool = False):
-    def build_engine(columnar: bool):
+    def build_engine(engine_cls):
         db, registry, generator = build_ycsb(
             num_records=2_000,
             workload=workload,
@@ -148,10 +149,8 @@ def _ycsb_builder(workload: str, zipf_alpha: float, btree_scans: bool = False):
             btree_scans=btree_scans,
         )
         build_engine.generator = generator
-        config = LTPGConfig(
-            batch_size=256, columnar_ops=columnar, batched_exec=False
-        )
-        return LTPGEngine(db, registry, config)
+        config = LTPGConfig(batch_size=256, batched_exec=False)
+        return engine_cls(db, registry, config)
 
     def make_batches(rounds: int = 3):
         gen = build_engine.generator
@@ -175,7 +174,7 @@ def test_ycsb_e_btree_ranges_identical():
 # ---------------------------------------------------------------------------
 # Delayed-column misuse must fail identically
 # ---------------------------------------------------------------------------
-def _delayed_misuse_engine(columnar: bool) -> tuple[LTPGEngine, list[Transaction]]:
+def _delayed_misuse_engine(engine_cls) -> tuple[LTPGEngine, list[Transaction]]:
     db, registry = build_bank(accounts=8)
 
     @registry.register("misuse")
@@ -186,20 +185,19 @@ def _delayed_misuse_engine(columnar: bool) -> tuple[LTPGEngine, list[Transaction
         batch_size=8,
         delayed_update=True,
         delayed_columns=frozenset({("accounts", "balance")}),
-        columnar_ops=columnar,
         batched_exec=False,
     )
     batch = [
         Transaction("deposit", (1, 5), tid=0),
         Transaction("misuse", (2,), tid=1),
     ]
-    return LTPGEngine(db, registry, config), batch
+    return engine_cls(db, registry, config), batch
 
 
 def test_delayed_misuse_raises_identically():
     errors = []
-    for columnar in (True, False):
-        engine, batch = _delayed_misuse_engine(columnar)
+    for engine_cls in (LTPGEngine, ReferenceEngine):
+        engine, batch = _delayed_misuse_engine(engine_cls)
         with pytest.raises(TransactionError) as excinfo:
             engine.run_batch(batch)
         errors.append(str(excinfo.value))
@@ -242,12 +240,10 @@ def bank_batches(draw):
 @given(bank_batches())
 @settings(max_examples=40, deadline=None)
 def test_property_columnar_matches_reference_on_random_batches(batches):
-    def build_engine(columnar: bool):
+    def build_engine(engine_cls):
         db, registry = build_bank(accounts=12)
-        config = LTPGConfig(
-            batch_size=32, columnar_ops=columnar, batched_exec=False
-        )
-        return LTPGEngine(db, registry, config)
+        config = LTPGConfig(batch_size=32, batched_exec=False)
+        return engine_cls(db, registry, config)
 
     _assert_paths_agree(build_engine, lambda: iter(batches))
 

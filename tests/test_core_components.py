@@ -265,7 +265,6 @@ class TestConfig:
         [
             (dict(retry_delay_batches=0), "retry delay"),
             (dict(resident_tables=frozenset({"t"})), "device_resident"),
-            (dict(batched_exec=False, device_resident=True), "batched_exec"),
         ],
     )
     def test_invalid_combinations(self, kwargs, match):

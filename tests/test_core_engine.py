@@ -9,7 +9,8 @@ import pytest
 from helpers import bank_engine, build_bank, tids, txn
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
-from repro.txn import BatchScheduler, TxnStatus, apply_local_sets, BufferedContext
+from repro.txn import BatchScheduler, TxnStatus
+from repro.validate import replay_in_witness_order
 
 
 def run_batch(engine, txns):
@@ -194,25 +195,14 @@ class TestDeterminism:
 
 
 class TestSerializability:
-    def replay(self, db_before, registry, result):
-        """Replay committed transactions serially in witness order."""
-        order = result.serial_order()
-        by_tid = {t.tid: t for t in result.committed}
-        for tid in order:
-            t = by_tid[tid]
-            ctx = BufferedContext(db_before)
-            registry.get(t.procedure_name)(ctx, *t.params)
-            apply_local_sets(db_before, ctx.local)
-        return db_before
-
     def test_committed_state_equals_serial_replay(self):
         engine, db, registry = bank_engine()
         before = db.copy()
         txns = [txn("transfer", i % 6, (i + 3) % 6, i + 1) for i in range(24)]
         txns += [txn("audit", 1, 2) for _ in range(4)]
         result = run_batch(engine, txns)
-        replayed = self.replay(before, registry, result)
-        assert replayed.state_digest() == db.state_digest()
+        replay_in_witness_order(before, registry, result)
+        assert before.state_digest() == db.state_digest()
 
     def test_replay_with_reordered_readers(self):
         engine, db, registry = bank_engine()
@@ -220,8 +210,8 @@ class TestSerializability:
         txns = [txn("transfer", 0, 1, 7), txn("audit", 0, 1), txn("audit", 1, 0)]
         result = run_batch(engine, txns)
         assert result.stats.committed == 3
-        replayed = self.replay(before, registry, result)
-        assert replayed.state_digest() == db.state_digest()
+        replay_in_witness_order(before, registry, result)
+        assert before.state_digest() == db.state_digest()
 
 
 class TestProcessLoop:

@@ -1,13 +1,13 @@
 """The batch-wide op frame (``OpFrame``) and the lazy ``Transaction.ops``.
 
-The batched executor hands the collector one lane-major op matrix per
-batch; a transaction's ``ops`` is cut out of it on first read.  Four
-guards:
+The execute phase hands the collector one lane-major op matrix per
+batch, whatever ran each lane's procedure; a transaction's ``ops`` is
+cut out of it on first read.  Four guards:
 
 * what a transaction shows — ``ops.raw``, status, abort reason — is what
-  the per-transaction columnar path records, on every execution route
-  (twin lanes, ``fall_back`` lanes, logic aborts, twin-less groups),
-  unsharded and across shards;
+  the test oracle's per-transaction loop records, on every execution
+  route (twin lanes, ``fall_back`` lanes, logic aborts, twin-less
+  groups), unsharded and across shards;
 * a frame is never written after its batch: ops read batches later are
   the ops of that attempt, and a retried transaction shows its latest;
 * ``run_batch`` allocates garbage-collector-tracked objects per
@@ -25,6 +25,7 @@ import gc
 import pytest
 
 from helpers import mixed_bank_registry, mixed_bank_specs
+from reference_engine import ReferenceEngine
 from repro.analysis.workload import build_workload
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
@@ -101,7 +102,7 @@ def _observe(engine, batches):
     return out
 
 
-# -- (a) the frame shows what the per-transaction path records ----------
+# -- (a) the frame shows what the per-transaction oracle records --------
 
 @pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("workload", list(WORKLOADS))
@@ -115,19 +116,15 @@ def test_framed_ops_equal_the_columnar_path(workload, shards):
 
     db, registry, _, marks = build()
     expected = _observe(
-        LTPGEngine(
-            db, registry, LTPGConfig(batch_size=256, batched_exec=False, **marks)
-        ),
+        ReferenceEngine(db, registry, LTPGConfig(batch_size=256, **marks)),
         batches,
     )
-    db, registry, _, marks = build()
-    config = LTPGConfig(
-        batch_size=256,
-        batched_exec=True,
-        shards=shards,
-        **marks,
-    )
-    assert _observe(make_engine(db, registry, config), batches) == expected
+    for batched_exec in (True, False):
+        db, registry, _, marks = build()
+        config = LTPGConfig(
+            batch_size=256, batched_exec=batched_exec, shards=shards, **marks
+        )
+        assert _observe(make_engine(db, registry, config), batches) == expected
     # the comparison means something: ops were recorded, and on TPC-C
     # some lanes rolled back
     assert any(raw for raw, *_ in expected[0])
@@ -143,8 +140,7 @@ def test_framed_ops_on_every_execution_route():
     batches = [specs, specs[::-1]]
     db, registry = mixed_bank_registry()
     expected = _observe(
-        LTPGEngine(db, registry, LTPGConfig(batch_size=256, batched_exec=False)),
-        batches,
+        ReferenceEngine(db, registry, LTPGConfig(batch_size=256)), batches
     )
     db, registry = mixed_bank_registry()
     # the default config: twin-less procedures ride along on the scalar
@@ -175,9 +171,10 @@ def test_a_batch_that_raises_leaves_empty_ops():
 
 
 def test_default_config_attaches_a_frame_direct_and_served(monkeypatch):
-    """``LTPGConfig()`` is the batched executor: every lane of a batch
-    points into one ``OpFrame``, whether a caller or the serve layer cut
-    the batch; ``batched_exec=False`` is how to ask for the other path."""
+    """One frame per batch on every path: every lane of a batch points
+    into one ``OpFrame``, whether a caller or the serve layer cut the
+    batch and whether twins (``LTPGConfig()``) or scalar procedures
+    (``batched_exec=False``) ran its lanes."""
 
     def run(config):
         setup = build_workload("smallbank", seed=77)
@@ -187,9 +184,9 @@ def test_default_config_attaches_a_frame_direct_and_served(monkeypatch):
         engine.run_batch(batch)
         return {id(t._frame) for t in batch}, {type(t._frame) for t in batch}
 
-    frames, types = run(LTPGConfig())
-    assert len(frames) == 1 and types == {OpFrame}
-    assert run(LTPGConfig(batched_exec=False))[1] == {type(None)}
+    for config in (LTPGConfig(), LTPGConfig(batched_exec=False)):
+        frames, types = run(config)
+        assert len(frames) == 1 and types == {OpFrame}
 
     setup = build_workload("smallbank", seed=77)
     engine = LTPGEngine(setup.database, setup.registry, LTPGConfig(batch_size=64))
@@ -225,8 +222,9 @@ def test_ops_outlive_later_batches_and_retries_show_the_latest_attempt():
     engine = setup.engine(batch_size=256, sanitize=False, batched_exec=True)
     # the same batches, one transaction at a time, on a twin database:
     # what each attempt's ops must read as
-    reference = build_workload("smallbank", seed=77).engine(
-        batch_size=256, sanitize=False, batched_exec=False
+    twin = build_workload("smallbank", seed=77)
+    reference = ReferenceEngine(
+        twin.database, twin.registry, LTPGConfig(batch_size=256)
     )
     scheduler = BatchScheduler(256)
     batches, expected = [], []

@@ -31,18 +31,10 @@ def test_execute_phase_within_30pct_of_committed_baseline():
         pytest.skip("no committed BENCH_wallclock.json baseline")
     gate = _load_gate()
     assert gate.check(_BASELINE) == 0, (
-        "execute-phase host time regressed >30% vs BENCH_wallclock.json; "
+        "execute-phase host time of the default (batched) engine regressed "
+        ">30% vs BENCH_wallclock.json; "
         "investigate, or regenerate the baseline with "
         "`python benchmarks/bench_wallclock.py` if the change is intended"
-    )
-
-
-@pytest.mark.perf
-def test_batched_beats_columnar_on_execute_writeback():
-    gate = _load_gate()
-    assert gate.check_batched() == 0, (
-        "the batched executor no longer beats the columnar path by the "
-        "required floor on execute+writeback at the headline batch size"
     )
 
 

@@ -11,13 +11,8 @@ from helpers import build_bank, txn
 from repro.core import ConflictFlags, LTPGConfig, LTPGEngine, commit_mask, logical_order
 from repro.gpusim.atomics import collision_profile
 from repro.storage import Table, make_schema
-from repro.txn import (
-    BatchScheduler,
-    BufferedContext,
-    Transaction,
-    TxnStatus,
-    apply_local_sets,
-)
+from repro.txn import BatchScheduler, Transaction, TxnStatus
+from repro.validate import replay_in_witness_order
 from repro.workloads import ZipfGenerator
 
 
@@ -209,12 +204,7 @@ def test_engine_is_deterministic(specs):
 def test_engine_commits_are_serializable(specs):
     db, registry, batch, result = _run_once(specs)
     reference, _ = build_bank(accounts=16)
-    by_tid = {t.tid: t for t in result.committed}
-    for tid in result.serial_order():
-        t = by_tid[tid]
-        ctx = BufferedContext(reference)
-        registry.get(t.procedure_name)(ctx, *t.params)
-        apply_local_sets(reference, ctx.local)
+    replay_in_witness_order(reference, registry, result)
     assert reference.state_digest() == db.state_digest()
 
 

@@ -50,7 +50,6 @@ def _tpcc_build(backend, resident, **overrides):
     )
     config = LTPGConfig(
         batch_size=BATCH,
-        columnar_ops=True,
         batched_exec=True,
         delayed_update=True,
         delayed_columns=DELAYED_COLUMNS,
@@ -68,7 +67,6 @@ def _ycsb_build(backend, resident):
     db, registry, gen = build_ycsb(**kwargs)
     config = LTPGConfig(
         batch_size=BATCH,
-        columnar_ops=True,
         batched_exec=True,
         delayed_update=True,
         delayed_columns=ycsb_delayed_columns(),
@@ -82,7 +80,6 @@ def _smallbank_build(backend, resident):
     db, registry, gen = build_smallbank(num_accounts=500, zipf_alpha=1.2, seed=3)
     config = LTPGConfig(
         batch_size=BATCH,
-        columnar_ops=True,
         batched_exec=True,
         array_backend=backend,
         device_resident=resident,
@@ -308,7 +305,6 @@ def test_serve_loop_reuse_back_to_back_runs():
         )
         config = LTPGConfig(
             batch_size=256,
-            columnar_ops=True,
             batched_exec=True,
             array_backend="mockgpu",
             device_resident=resident,

@@ -102,7 +102,6 @@ def _tpcc_build(config_kwargs):
     )
     config = LTPGConfig(
         batch_size=256,
-        columnar_ops=True,
         batched_exec=True,
         delayed_update=True,
         delayed_columns=DELAYED_COLUMNS,
@@ -144,7 +143,6 @@ def test_ycsb_identical_across_shard_counts(workload):
         db, registry, _ = build_ycsb(**kwargs)
         config = LTPGConfig(
             batch_size=256,
-            columnar_ops=True,
             batched_exec=True,
             delayed_update=True,
             delayed_columns=ycsb_delayed_columns(),
@@ -167,7 +165,7 @@ def test_smallbank_identical_across_shard_counts():
             num_accounts=500, zipf_alpha=1.2, seed=3
         )
         config = LTPGConfig(
-            batch_size=256, columnar_ops=True, batched_exec=True,
+            batch_size=256, batched_exec=True,
             **config_kwargs,
         )
         return make_engine(db, registry, config)
@@ -184,7 +182,7 @@ def test_run_transactions_with_retries_identical():
             num_accounts=200, zipf_alpha=1.5, seed=11
         )
         config = LTPGConfig(
-            batch_size=64, columnar_ops=True, batched_exec=True,
+            batch_size=64, batched_exec=True,
             shards=shards,
         )
         with make_engine(db, registry, config) as engine:
@@ -219,7 +217,7 @@ def test_all_multi_home_batch():
     def build(config_kwargs):
         db, registry, _ = build_smallbank(num_accounts=500, seed=3)
         config = LTPGConfig(
-            batch_size=256, columnar_ops=True, batched_exec=True,
+            batch_size=256, batched_exec=True,
             **config_kwargs,
         )
         return make_engine(db, registry, config)
@@ -229,7 +227,7 @@ def test_all_multi_home_batch():
     db, registry, _ = build_smallbank(num_accounts=500, seed=3)
     engine = make_engine(
         db, registry,
-        LTPGConfig(batch_size=256, columnar_ops=True, batched_exec=True, shards=2),
+        LTPGConfig(batch_size=256, batched_exec=True, shards=2),
     )
     batch = [Transaction(n, p, tid=i) for i, (n, p) in enumerate(specs)]
     result = engine.run_batch(batch)
@@ -243,7 +241,7 @@ def test_empty_shard_batch():
     def build(config_kwargs):
         db, registry, _ = build_smallbank(num_accounts=500, seed=3)
         config = LTPGConfig(
-            batch_size=64, columnar_ops=True, batched_exec=True,
+            batch_size=64, batched_exec=True,
             **config_kwargs,
         )
         return make_engine(db, registry, config)
@@ -253,7 +251,7 @@ def test_empty_shard_batch():
     db, registry, _ = build_smallbank(num_accounts=500, seed=3)
     engine = make_engine(
         db, registry,
-        LTPGConfig(batch_size=64, columnar_ops=True, batched_exec=True, shards=4),
+        LTPGConfig(batch_size=64, batched_exec=True, shards=4),
     )
     batch = [Transaction(n, p, tid=i) for i, (n, p) in enumerate(specs)]
     result = engine.run_batch(batch)
@@ -268,7 +266,7 @@ def test_tpcc_multi_home_payments_exercised():
         warehouses=2, num_items=2000, mix=FULL_MIX, seed=7
     )
     config = LTPGConfig(
-        batch_size=256, columnar_ops=True, batched_exec=True, shards=2
+        batch_size=256, batched_exec=True, shards=2
     )
     with make_engine(db, registry, config) as engine:
         fractions = []
@@ -286,7 +284,7 @@ def test_empty_batch_delegates():
     db, registry, _ = build_smallbank(num_accounts=100, seed=1)
     engine = make_engine(
         db, registry,
-        LTPGConfig(batch_size=8, columnar_ops=True, batched_exec=True, shards=2),
+        LTPGConfig(batch_size=8, batched_exec=True, shards=2),
     )
     result = engine.run_batch([])
     assert result.stats.num_txns == 0
@@ -388,12 +386,6 @@ def test_zero_shards_raises():
         LTPGConfig(shards=0)
 
 
-def test_shards_require_batched_exec():
-    with pytest.raises(ConfigError, match="batched_exec"):
-        LTPGConfig(shards=2, batched_exec=False)
-    assert LTPGConfig(shards=2).batched_exec  # the default shards as is
-
-
 def test_bare_engine_refuses_shards():
     """``shards`` only routes through the wrapper: a directly built
     engine would run unsharded without a word."""
@@ -417,7 +409,7 @@ def test_sharded_metrics_surface():
         warehouses=2, num_items=2000, mix=FULL_MIX, seed=7
     )
     config = LTPGConfig(
-        batch_size=256, columnar_ops=True, batched_exec=True,
+        batch_size=256, batched_exec=True,
         shards=2, trace=True,
     )
     with make_engine(db, registry, config) as engine:
@@ -464,9 +456,11 @@ def test_metrics_summary_has_shard_block():
 
 
 # ---------------------------------------------------------------------------
-# Cross-product: shards x device residency, against the unsharded numpy
-# engine on the per-transaction path (every cell below runs the batched
-# executor, so agreement between two batched cells is never the evidence)
+# Cross-product: shards x device residency, against the test oracle
+# (``ReferenceEngine``: unsharded, host-only, sharing neither collector
+# nor write-back with the engine under test), so agreement between two
+# cells of the same pipeline is never the evidence; ``observe_cell``
+# also replays every batch of every cell serially in witness order
 # ---------------------------------------------------------------------------
 BACKEND_CELLS = {
     "numpy": {},
@@ -476,7 +470,7 @@ BACKEND_CELLS = {
 
 @functools.lru_cache(maxsize=None)
 def _reference_cell(workload):
-    return observe_cell(workload, batched_exec=False)
+    return observe_cell(workload, reference=True)
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
@@ -490,6 +484,26 @@ def _reference_cell(workload):
 )
 def test_shards_by_residency_cells_match_unsharded_numpy(workload, backend, shards):
     cell = observe_cell(workload, shards=shards, **BACKEND_CELLS[backend])
+    assert cell == _reference_cell(workload)
+
+
+@pytest.mark.parametrize(
+    "workload, backend, shards",
+    [
+        ("smallbank", backend, shards)
+        for backend in BACKEND_CELLS
+        for shards in SHARD_COUNTS
+    ]
+    + [("tpcc", "numpy", 2), ("tpcc", "mockgpu-resident", 1)],
+)
+def test_twin_less_cells_match_unsharded_numpy(workload, backend, shards):
+    """``batched_exec=False`` (every procedure treated as twin-less, so
+    every lane is a scalar lane) next to shards, a device backend and
+    residency: each pairing used to be a ``ConfigError``, and is the
+    same pipeline."""
+    cell = observe_cell(
+        workload, batched_exec=False, shards=shards, **BACKEND_CELLS[backend]
+    )
     assert cell == _reference_cell(workload)
 
 

@@ -10,6 +10,7 @@ import pytest
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import WorkloadError
 from repro.txn import BufferedContext, apply_local_sets, assign_tids
+from repro.validate import replay_in_witness_order
 from repro.workloads.smallbank import DEFAULT_MIX, build_smallbank
 
 
@@ -131,12 +132,7 @@ class TestOnLtpg:
         txns = gen.make_batch(128)
         assign_tids(txns, 0)
         result = engine.run_batch(txns)
-        by_tid = {t.tid: t for t in result.committed}
-        for tid in result.serial_order():
-            t = by_tid[tid]
-            ctx = BufferedContext(reference)
-            registry.get(t.procedure_name)(ctx, *t.params)
-            apply_local_sets(reference, ctx.local)
+        replay_in_witness_order(reference, registry, result)
         assert reference.state_digest() == db.state_digest()
 
 

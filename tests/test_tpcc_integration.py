@@ -7,7 +7,8 @@ import pytest
 from repro.bench.common import ltpg_config
 from repro.bench.runner import steady_state_baseline_run, steady_state_run
 from repro.core import LTPGEngine
-from repro.txn import BufferedContext, apply_local_sets, assign_tids
+from repro.txn import assign_tids
+from repro.validate import replay_in_witness_order
 from repro.workloads.tpcc import TpccMix, build_tpcc
 
 
@@ -41,12 +42,7 @@ class TestTpccEndToEnd:
         assign_tids(batch, 0)
         result = engine.run_batch(batch)
         reference = db.copy()
-        by_tid = {t.tid: t for t in result.committed}
-        for tid in result.serial_order():
-            t = by_tid[tid]
-            ctx = BufferedContext(reference)
-            registry.get(t.procedure_name)(ctx, *t.params)
-            apply_local_sets(reference, ctx.local)
+        replay_in_witness_order(reference, registry, result)
         assert reference.state_digest() == engine.database.state_digest()
 
     def test_payment_collapse_without_optimizations(self, setup):
