@@ -13,7 +13,6 @@ from typing import Any, Protocol
 
 from repro.core.config import LTPGConfig
 from repro.core.engine import LTPGEngine
-from repro.shard import ShardedEngine, make_engine
 from repro.storage.database import Database
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.transaction import Transaction
@@ -46,11 +45,11 @@ class WorkloadSetup:
         batch_size: int = DEFAULT_BATCH_SIZE,
         sanitize: bool = True,
         **overrides: Any,
-    ) -> LTPGEngine | ShardedEngine:
+    ) -> LTPGEngine:
         kwargs: dict[str, Any] = dict(self.config_kwargs)
         kwargs.update(overrides)
         config = LTPGConfig(batch_size=batch_size, sanitize=sanitize, **kwargs)
-        return make_engine(self.database, self.registry, config)
+        return LTPGEngine(self.database, self.registry, config)
 
 
 def build_workload(name: str, seed: int = 7) -> WorkloadSetup:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.core.config import LTPGConfig
 from repro.core.engine import LTPGEngine
 from repro.gpusim.device import Device
-from repro.shard import ShardedEngine, make_engine
 from repro.storage.database import Database
 from repro.txn.procedures import ProcedureRegistry
 from repro.workloads.tpcc import (
@@ -64,10 +63,8 @@ class TpccBench:
 
     def engine(
         self, config: LTPGConfig | None = None, device: Device | None = None
-    ) -> LTPGEngine | ShardedEngine:
-        """An engine honoring ``config.shards`` (the sharded wrapper for
-        N > 1, the plain engine otherwise)."""
-        return make_engine(
+    ) -> LTPGEngine:
+        return LTPGEngine(
             self.database,
             self.registry,
             config or ltpg_config(self.batch_size),

@@ -12,7 +12,7 @@ on TPC-C 50/50 and reports per-batch seconds for the default engine
 a scalar lane — what a registry without twins costs), plus their ratio
 on execute and total, recorded in ``BENCH_wallclock.json`` (see
 docs/ARCHITECTURE.md for how to read it).  A ``sharded`` column
-(:data:`SHARDS` in-process shards through the multi-shard engine) and a
+(``LTPGConfig(shards=SHARDS)``, in-process) and a
 per-shard balance ledger ride along; the ``sequencer`` entry in that
 column is the host cost of the deterministic router.  A separate
 ``small_batch`` section (:func:`measure_small_batch`) times whole
@@ -44,6 +44,7 @@ import numpy as np
 from repro.bench.common import ltpg_config, tpcc_bench
 from repro.bench.reporting import format_metrics, format_table
 from repro.core.stats import RunStats
+from repro.shard import BoundPartition
 from repro.txn import assign_tids
 
 #: The paper's batch-size sweep (Fig. 6a uses the same span).
@@ -260,7 +261,7 @@ def measure_path(
     a scalar lane.  ``backend`` selects the ``repro.xp`` array backend
     (the warm-up batch also absorbs any device initialization) and
     ``device_resident`` pins table columns device-side across batches.
-    ``shards`` > 1 routes the batch through the multi-shard engine (an
+    ``shards`` > 1 is ``LTPGConfig(shards=...)`` (an
     extra ``sequencer`` entry reports the deterministic router's host
     cost and counts toward ``total``).
 
@@ -359,8 +360,8 @@ def measure_sharded_profile(
         for _ in range(max(batches, 1)):
             batch = bench.generator.make_batch(bench.batch_size)
             run_stats.add(engine.run_batch(batch).stats)
-        part = getattr(engine, "partition", None)
-        ledger = part.profile() if part is not None else {}
+        part = engine.partition
+        ledger = part.profile() if isinstance(part, BoundPartition) else {}
     finally:
         engine.close()
     return {

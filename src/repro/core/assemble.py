@@ -1,0 +1,242 @@
+"""The assemble stage: results come back over the d2h leg and the
+batch's verdicts become a :class:`BatchResult`."""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.core.batch import TXN_FLAG_BYTES, Batch
+from repro.core.memory_modes import transfer_latency_factor
+from repro.core.occ import abort_reason, logical_order
+from repro.core.stats import BatchStats
+from repro.gpusim.occupancy import KernelResources, occupancy
+from repro.txn.transaction import Transaction, TxnStatus
+
+_procedure_of = attrgetter("procedure_name")
+_attempts_of = attrgetter("attempts")
+
+#: ``abort_reason`` for every (waw, raw, war) combination, indexed by
+#: ``waw + 2 * raw + 4 * war``.
+_ABORT_REASONS = tuple(
+    abort_reason(bool(c & 1), bool(c & 2), bool(c & 4)) for c in range(8)
+)
+
+
+class _WitnessColumns(NamedTuple):
+    """What :meth:`BatchResult.serial_order` is built from: the batch's
+    conflict-key reservations as the phases left them (one entry per
+    reserved key, with the lane and TID that reserved it) and which
+    lanes committed.  Every array is allocated by the batch that
+    produced it and never written again, so a result may be asked for
+    its order however many batches later."""
+
+    committed: np.ndarray  # bool per lane
+    read_txn: np.ndarray
+    read_tid: np.ndarray
+    read_keys: np.ndarray
+    write_txn: np.ndarray
+    write_tid: np.ndarray
+    write_keys: np.ndarray
+
+
+@dataclass
+class BatchResult:
+    """Everything one batch produced."""
+
+    stats: BatchStats
+    committed: list[Transaction]
+    aborted: list[Transaction]
+    logic_aborted: list[Transaction]
+    #: Inputs of the serial-order witness; the per-transaction key sets
+    #: are only built if :meth:`serial_order` is called.
+    _witness: _WitnessColumns | None = None
+    _serial_order: list[int] | None = field(default=None, init=False, repr=False)
+
+    def serial_order(self) -> list[int]:
+        """TIDs of committed transactions in an equivalent serial order
+        (computed on the first call)."""
+        if self._serial_order is None:
+            reads: dict[int, set] = {}
+            writes: dict[int, set] = {}
+            w = self._witness
+            if w is not None:
+                reads = _grouped_key_sets(
+                    w.read_txn, w.read_tid, w.read_keys, w.committed
+                )
+                writes = _grouped_key_sets(
+                    w.write_txn, w.write_tid, w.write_keys, w.committed
+                )
+            none: frozenset = frozenset()
+            self._serial_order = logical_order(
+                [
+                    (t.tid, reads.get(t.tid, none), writes.get(t.tid, none))
+                    for t in self.committed
+                ]
+            )
+            self._witness = None
+        return list(self._serial_order)
+
+    def explain(self, limit: int = 20) -> str:
+        """A human-readable per-transaction outcome summary (debugging
+        aid; the first ``limit`` transactions of each outcome class)."""
+        lines = [
+            f"batch {self.stats.batch_index}: {self.stats.committed} committed, "
+            f"{self.stats.aborted} aborted, {self.stats.logic_aborted} "
+            f"logic-aborted of {self.stats.num_txns}"
+        ]
+        if self.stats.abort_reasons:
+            # Same counters the stats carry; per-txn lines below show the
+            # same reasons so the two views always agree.
+            summary = ", ".join(
+                f"{reason}={count}"
+                for reason, count in sorted(self.stats.abort_reasons.items())
+            )
+            lines.append(f"  abort reasons: {summary}")
+        for label, group in (
+            ("committed", self.committed),
+            ("aborted", self.aborted),
+            ("logic-aborted", self.logic_aborted),
+        ):
+            for txn in group[:limit]:
+                reason = f" [{txn.abort_reason}]" if txn.abort_reason else ""
+                lines.append(
+                    f"  {label:>13} tid={txn.tid} {txn.procedure_name}"
+                    f" attempt={txn.attempts}{reason}"
+                )
+            if len(group) > limit:
+                lines.append(f"  ... and {len(group) - limit} more {label}")
+        return "\n".join(lines)
+
+
+def assemble(engine, batch: Batch, ctx) -> None:
+    """Ship the read/write sets and conflict flags back, then build
+    ``batch.result`` — its lists in admission order, whatever the lane
+    layout, so schedulers composing retries across batches see the same
+    sequences under any shard count."""
+    _ship_back(engine, batch)
+    # The batch stays columns: three masks partition the lanes, the
+    # counters are counts over them, and the only per-lane Python
+    # left is stamping each transaction with its own verdict.
+    transactions = batch.admitted
+    flags = batch.flags
+
+    def admitted(by_lane: np.ndarray) -> np.ndarray:
+        out = np.empty_like(by_lane)
+        out[batch.rank] = by_lane
+        return out
+
+    commit = admitted(batch.commit)
+    logic = admitted(batch.logic_mask)
+    abort = ~(commit | logic)
+    committed = list(compress(transactions, commit.tolist()))
+    aborted = list(compress(transactions, abort.tolist()))
+    logic_aborted = list(compress(transactions, logic.tolist()))
+    committed_status = TxnStatus.COMMITTED
+    for txn in committed:
+        txn.status = committed_status
+    codes = admitted(flags.waw + 2 * flags.raw + 4 * flags.war)[abort]
+    aborted_status = TxnStatus.ABORTED
+    for txn, code in zip(aborted, codes.tolist()):
+        txn.status = aborted_status
+        txn.abort_reason = _ABORT_REASONS[code]
+    # Logic aborts carry the reason their execution stamped, so the
+    # stats and explain() read the same thing.
+    abort_reasons = Counter(t.abort_reason for t in logic_aborted)
+    for code, count in enumerate(np.bincount(codes, minlength=8).tolist()):
+        if count:
+            abort_reasons[_ABORT_REASONS[code]] += count
+    launch = batch.clocks.launches["execute"]
+    stats = BatchStats(
+        batch_index=batch.index,
+        num_txns=len(transactions),
+        committed=len(committed),
+        aborted=len(aborted),
+        logic_aborted=len(logic_aborted),
+        latency_ns=batch.end_ns - batch.start_ns,
+        transfer_ns=batch.transfer_ns,
+        rwset_ns=batch.rwset_ns,
+        phase_ns=batch.clocks.sim_ns(),
+        committed_by_proc=Counter(map(_procedure_of, committed)),
+        total_by_proc=Counter(batch.procedures),
+        abort_reasons=abort_reasons,
+        commit_attempts=Counter(map(_attempts_of, committed)),
+        registered_reads=int(batch.read_keys.size),
+        registered_writes=int(batch.write_keys.size),
+        max_atomic_chain=launch.stats.atomic_max_chain,
+        atomic_ops=launch.stats.atomic_ops,
+        atomic_serialized=launch.stats.atomic_serialized,
+        divergent_branches=launch.stats.divergent_branches,
+        occupancy=occupancy(
+            KernelResources(threads_per_block=launch.geometry.block)
+        ).occupancy,
+        multi_home_fraction=batch.multi_home_fraction,
+        shard_balance=batch.shard_balance,
+        sequencer_stall_ns=batch.sequencer_stall_ns,
+    )
+    batch.result = BatchResult(
+        stats=stats,
+        committed=committed,
+        aborted=aborted,
+        logic_aborted=logic_aborted,
+        # lane-indexed like the reservations; the witness is keyed by TID
+        _witness=_WitnessColumns(
+            batch.commit,
+            batch.read_txn_arr, batch.read_tid_arr, batch.read_keys,
+            batch.write_txn_arr, batch.write_tid_arr, batch.write_keys,
+        ),
+    )
+
+
+def _ship_back(engine, batch: Batch) -> None:
+    """device -> host: read/write sets + conflict flags (the d2h leg),
+    closing the batch's simulated envelope."""
+    device = engine.device
+    compute_done = device.create_event("compute_done")
+    device.stream(engine.compute_stream).record_event(compute_done)
+    d2h = device.stream(engine.d2h_stream)
+    d2h.wait_event(compute_done)
+    d2h_bytes = batch.rwset_bytes + len(batch.transactions) * TXN_FLAG_BYTES
+    batch.rwset_ns = device.copy(
+        int(d2h_bytes * transfer_latency_factor(engine.memory_plan)),
+        "d2h", name="rwsets", stream=engine.d2h_stream,
+    )
+    batch.transfer_ns += batch.rwset_ns
+    interval = engine.config.full_sync_interval
+    if interval and (batch.index + 1) % interval == 0:
+        # Synchronization method 1 (§IV): ship the whole snapshot
+        # back to the CPU on the user-defined interval.
+        batch.transfer_ns += device.copy(
+            engine.database.nbytes, "d2h", name="full_sync",
+            stream=engine.d2h_stream,
+        )
+        if engine._residency is not None:
+            # Under residency the interval sync is a *real* fence:
+            # every dirty resident column ships back to host.
+            engine._residency.sync_all_to_host()
+    batch.end_ns = d2h.time_ns
+
+
+def _grouped_key_sets(txn_arr, tid_arr, key_arr, committed_mask) -> dict[int, set]:
+    """{tid -> set(conflict keys)} over committed transactions, built
+    from argsort + np.unique slice boundaries."""
+    if txn_arr.size == 0:
+        return {}
+    mask = committed_mask[txn_arr]
+    t = tid_arr[mask]
+    if t.size == 0:
+        return {}
+    k = key_arr[mask]
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    k = k[order]
+    uniq, starts = np.unique(t, return_index=True)
+    ends = np.append(starts[1:], t.size)
+    return {
+        int(u): set(k[s:e].tolist()) for u, s, e in zip(uniq, starts, ends)
+    }

@@ -1,0 +1,218 @@
+"""One batch on its way through the engine's stage table.
+
+:class:`Batch` is everything a batch owns between admission and its
+:class:`~repro.core.assemble.BatchResult`: the lanes and their layout,
+the scratch arrays the stages hand to each other, the verdicts, and —
+as :class:`StageClocks` — what the stage runner measured at every stage
+boundary.  A :class:`Stage` is one row of the table the runner walks
+(:data:`repro.core.engine.STAGES`); a :class:`BatchObserver` is what an
+overlay (``config.sanitize``, ``config.trace``, a test's fault injector)
+implements to be called at those boundaries.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
+
+import numpy as np
+
+from repro.core.occ import ConflictFlags
+from repro.gpusim.kernel import KernelContext
+from repro.gpusim.profiler import TimelineEntry
+from repro.txn.batch_context import GroupLocals
+from repro.txn.operations import OpFrame
+from repro.txn.transaction import Transaction
+
+if TYPE_CHECKING:
+    from repro.core.assemble import BatchResult
+    from repro.core.engine import LTPGEngine
+
+# Per-operation hardware cost shape (events per op in the kernel stages)
+# and the per-transaction size of the two DMA legs.
+READ_GLOBAL_READS = 3       # two index-probe loads + one data load
+WRITE_GLOBAL_WRITES = 1     # append to the local write-set
+WRITE_GLOBAL_READS = 2      # index probe
+INSERT_GLOBAL_WRITES = 2    # key + payload append
+OP_INSTRUCTIONS = 8         # decode, hash, bounds checks per op
+REGISTER_INSTRUCTIONS = 4   # conflict-log hash computation per op
+CHECK_INSTRUCTIONS = 6      # per-op verdict in the conflict kernel
+APPLY_INSTRUCTIONS = 4      # per-cell install in the writeback kernel
+TXN_PARAM_BYTES = 64        # host->device per transaction (parameters)
+TXN_FLAG_BYTES = 8          # device->host per transaction (conflict flags)
+
+#: Ledger keys of ``ArrayBackend.transfer_stats().snapshot()``.
+Ledger = dict[str, int]
+
+
+class Stage(NamedTuple):
+    """One row of the stage table."""
+
+    name: str
+    run: Callable[[LTPGEngine, Batch, KernelContext | None], None]
+    #: Lanes of the stage's simulated kernel launch; ``None`` for a
+    #: host stage (no kernel, no closing sync, ``ctx`` is ``None``).
+    threads: Callable[[Batch], int] | None = None
+    #: The stage writes the snapshot: once it starts, a failure can no
+    #: longer be marked in the log as "nothing happened".
+    installs: bool = False
+
+
+class BatchObserver(Protocol):
+    """Called by the stage runner, and by nothing else, at the stage
+    boundaries of every non-empty batch.  An exception from any call
+    fails the batch exactly as one from the stage itself would."""
+
+    def stage_entered(
+        self, engine: LTPGEngine, batch: Batch, stage: Stage
+    ) -> None:
+        """Before the stage body (inside its kernel launch, if any)."""
+
+    def stage_leaving(
+        self, engine: LTPGEngine, batch: Batch, stage: Stage
+    ) -> None:
+        """After the stage body, still inside its kernel launch."""
+
+    def stage_synced(
+        self, engine: LTPGEngine, batch: Batch, stage: Stage
+    ) -> None:
+        """After a kernel stage's closing device sync (never called
+        for host stages)."""
+
+    def batch_done(self, engine: LTPGEngine, batch: Batch) -> None:
+        """Once per batch, after the last stage — or after the stage
+        that failed, with ``batch.result`` still ``None`` — and before
+        the conflict log forgets the batch."""
+
+
+class StageClocks:
+    """The runner's three clocks, stamped per stage name: simulated
+    device time (kernel stages only), host seconds, and the array
+    backend's transfer-ledger delta.  Outlives its batch as the
+    engine's ``last_*`` properties."""
+
+    def __init__(self, ledger: Ledger | None = None) -> None:
+        self.timeline: dict[str, TimelineEntry] = {}
+        self.launches: dict[str, KernelContext] = {}
+        #: stage -> seconds, plus ``sequencer`` from a sharded route
+        self.host_s: dict[str, float] = {}
+        self.transfers: dict[str, Ledger] = {}
+        #: the ledger when the batch began, and at the latest stamp
+        self._start = self._ledger = ledger or {}
+
+    def stamp(self, stage: str, host_s: float, ledger: Ledger) -> None:
+        """The stage is over: its host seconds, and what the ledger
+        moved since the previous stamp."""
+        self.host_s[stage] = host_s
+        before, self._ledger = self._ledger, ledger
+        self.transfers[stage] = {k: ledger[k] - before[k] for k in ledger}
+
+    def sim_ns(self) -> dict[str, float]:
+        return {name: e.duration_ns for name, e in self.timeline.items()}
+
+    def total_transfers(self) -> Ledger:
+        return {k: v - self._start[k] for k, v in self._ledger.items()}
+
+    def phase_transfers(self) -> dict[str, Ledger]:
+        """The ledger split by kernel stage, plus ``other`` for host
+        stages' traffic (e.g. the full-sync fence in assemble)."""
+        if not self.transfers:
+            return {}
+        out = {
+            name: delta for name, delta in self.transfers.items()
+            if name in self.timeline
+        }
+        out["other"] = {
+            key: value - sum(delta[key] for delta in out.values())
+            for key, value in self.total_transfers().items()
+        }
+        return out
+
+
+class Batch:
+    """Scratch state shared by the stages of one batch."""
+
+    def __init__(
+        self, index: int, transactions: list[Transaction], ledger: Ledger
+    ) -> None:
+        n = len(transactions)
+        self.index = index
+        #: The batch in admission order, and in lane order (the same
+        #: list until a sharded route lays it out shard-major);
+        #: ``rank[lane]`` is the lane's admission position.
+        self.admitted = self.transactions = transactions
+        self.rank = np.arange(n, dtype=np.int64)
+        #: Routing tallies of a sharded route (lanes per coordinator
+        #: shard; empty when unsharded).
+        self.shard_lanes = np.empty(0, dtype=np.int64)
+        self.multi_home_fraction = 0.0
+        self.shard_balance = 0.0
+        self.sequencer_stall_ns = 0
+        #: Logged, and the snapshot is still as the batch found it: a
+        #: failure now is marked in the log and skipped by recovery.
+        self.clean = False
+        self.clocks = StageClocks(ledger)
+        #: Simulated batch envelope and DMA time (the two copy legs).
+        self.start_ns = self.end_ns = 0.0
+        self.transfer_ns = self.rwset_ns = 0.0
+        #: The lanes as columns (``batch_columns``), set by the route
+        #: stage once the layout is final.
+        self.tids: list[int] = []
+        self.procedures: list[str] = []
+        self.params: list[tuple] = []
+        #: The batch's ops, one lane per transaction (sealed by the
+        #: execute stage), and its procedure groups as first-appearance
+        #: names + a group id per lane.
+        self.frame = OpFrame(n)
+        self.group_names: list[str] = []
+        self.group_ids = np.empty(0, dtype=np.int64)
+        #: Batch-wide columnar locals, set by the execute stage; the
+        #: write-back scatters them.
+        self.batch_locals: GroupLocals
+        self.ranges_by_tid: dict[int, list[tuple[int, int, int]]] = {}
+        #: Lanes whose procedure rolled itself back (left by the execute
+        #: stage; the conflict stage keeps them from committing).
+        self.logic_mask = np.empty(0, dtype=bool)
+        self.read_keys = np.empty(0, dtype=np.int64)
+        self.write_keys = np.empty(0, dtype=np.int64)
+        # Reservations per side, one entry per reserved (lane, item):
+        # set by the collector, read by every later stage.
+        def empty() -> np.ndarray:
+            return np.empty(0, dtype=np.int64)
+
+        self.read_table_arr = empty()
+        self.read_row_arr = empty()
+        self.read_group_arr = empty()
+        self.read_tid_arr = empty()
+        self.read_txn_arr = empty()
+        self.write_table_arr = empty()
+        self.write_row_arr = empty()
+        self.write_group_arr = empty()
+        self.write_tid_arr = empty()
+        self.write_txn_arr = empty()
+        self.ins_table_arr = empty()
+        self.ins_key_arr = empty()
+        self.ins_tid_arr = empty()
+        self.ins_txn_arr = empty()
+        self.range_table_arr = empty()
+        self.range_lo_arr = empty()
+        self.range_hi_arr = empty()
+        self.range_tid_arr = empty()
+        self.range_txn_arr = empty()
+        #: The conflict stage's verdicts and the commit rule's answer;
+        #: write-back bytes for the copy-back leg; the assembled result.
+        self.flags: ConflictFlags
+        self.commit = np.empty(0, dtype=bool)
+        self.rwset_bytes = 0
+        self.result: BatchResult | None = None
+
+    def lay_out(self, order: list[int]) -> None:
+        """Re-lay the lanes: lane ``j`` runs the transaction admitted
+        at position ``order[j]``."""
+        self.rank = np.asarray(order, dtype=np.int64)
+        self.transactions = [self.admitted[i] for i in order]
+
+    @property
+    def total_ops(self) -> int:
+        return (
+            self.read_tid_arr.size + self.write_tid_arr.size + self.ins_tid_arr.size
+        )

@@ -85,7 +85,7 @@ class LTPGConfig:
     array_backend: str = "numpy"
 
     #: Device-resident table residency (:mod:`repro.xp.residency`): pin
-    #: table columns on the active backend once and keep them
+    #: every table's columns on the active backend once and keep them
     #: authoritative across batches — write-back and delayed updates
     #: become device-side scatters instead of host scatter + re-upload,
     #: and host readers lazily sync through a dirty-column fence.
@@ -95,26 +95,15 @@ class LTPGConfig:
     #: where crossings are free.
     device_resident: bool = False
 
-    #: Pinning policy for ``device_resident``: the table names to keep
-    #: resident.  Empty (the default) pins every table; unpinned tables
-    #: keep the baseline per-batch round-trip path.
-    resident_tables: frozenset[str] = frozenset()
-
-    #: Engine shards (:mod:`repro.shard`): partition the database by a
-    #: workload partition spec (TPC-C by warehouse, SmallBank/YCSB by
-    #: key range) and run conflict registration + write-back per shard,
-    #: with single-home transactions executing entirely on their home
-    #: shard and multi-home ones sequenced Calvin-style at a
-    #: deterministic coordinator.  ``1`` (the default) is today's
-    #: single-engine pipeline; any N produces byte-identical final
-    #: states.  Built through :func:`repro.shard.make_engine`.
+    #: Engine shards (:mod:`repro.shard`): partition the database by the
+    #: workload's partition spec (recognized from the table names: TPC-C
+    #: by warehouse, SmallBank/YCSB by key range) and run conflict
+    #: registration + write-back per shard, with single-home
+    #: transactions executing entirely on their home shard and
+    #: multi-home ones sequenced Calvin-style at a deterministic
+    #: coordinator.  ``1`` (the default) routes nothing; any N produces
+    #: byte-identical final states.
     shards: int = 1
-
-    #: Which partition spec maps rows and transactions to shards:
-    #: ``"auto"`` (inspect the database's table names and pick the
-    #: matching workload spec), ``"tpcc"``, ``"ycsb"`` or
-    #: ``"smallbank"``.  Ignored when ``shards == 1``.
-    shard_spec: str = "auto"
 
     #: Columns managed by delayed updates: {(table, column), ...}.  These
     #: must be accessed only through ADD operations within a batch.
@@ -133,10 +122,6 @@ class LTPGConfig:
     #: read/write-set shipping), which is the paper's preferred mode.
     full_sync_interval: int | None = None
 
-    #: Bytes shipped host->device per transaction (parameters).
-    txn_param_bytes: int = 64
-    #: Extra bytes shipped device->host per transaction (conflict flags).
-    txn_flag_bytes: int = 8
     #: How many batches later an abort retries (1, or 2 when pipelined).
     retry_delay_batches: int = 1
 
@@ -160,16 +145,6 @@ class LTPGConfig:
             )
         if self.shards < 1:
             raise ConfigError("shards must be >= 1")
-        if self.shard_spec not in ("auto", "tpcc", "ycsb", "smallbank"):
-            raise ConfigError(
-                f"unknown shard_spec {self.shard_spec!r}; expected 'auto', "
-                "'tpcc', 'ycsb', or 'smallbank'"
-            )
-        if self.resident_tables and not self.device_resident:
-            raise ConfigError(
-                "resident_tables is a device_resident pinning policy; set "
-                "device_resident=True (or drop the table list)"
-            )
 
     @property
     def effective_retry_delay(self) -> int:

@@ -23,6 +23,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from repro.core.scatter import scatter_cells
 from repro.gpusim.kernel import KernelContext
 from repro.storage.database import Database
 from repro.txn.operations import column_interner_size, intern_column
@@ -118,55 +119,18 @@ class DelayedUpdater:
         Addition commutes, so the grouped-scatter merge order cannot
         change the snapshot :meth:`apply` would produce.
 
-        When an array backend ``xp`` is supplied, the per-segment
-        scatter runs through ``xp.scatter_add`` on a device copy of the
-        column and the merged result is copied back — one H2D/D2H pair
-        per (table, column) segment, matching the per-batch column
-        shipping the rest of the write-back path uses.  With a
-        :class:`~repro.xp.residency.ResidencyManager`, the scatter
-        lands in the resident device column instead and only marks the
-        host side stale — delayed adds commute, so merging them on the
-        device copy produces the same snapshot."""
+        The deltas install through the write-back's one cell scatter
+        (:func:`~repro.core.scatter.scatter_cells`, which also explains
+        ``xp`` and ``residency``); the merge is charged one global
+        write per distinct row of each (table, column) segment."""
         n = int(table_ids.size)
         if n == 0:
             return 0
-        from repro.txn.operations import column_name
-
-        order = np.lexsort((col_ids, table_ids))
-        t_s, r_s, c_s, v_s = (
-            table_ids[order], rows[order], col_ids[order], deltas[order]
+        segments = scatter_cells(
+            self._db, table_ids, rows, col_ids, deltas,
+            accumulate=True, xp=xp, residency=residency,
         )
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = (t_s[1:] != t_s[:-1]) | (c_s[1:] != c_s[:-1])
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], n)
-        distinct_rows = 0
-        device = xp is not None and xp.is_device
-        for s, e in zip(starts, ends):
-            table = self._db.table_by_id(int(t_s[s]))
-            cname = column_name(int(c_s[s]))
-            if device and residency is not None:
-                dev = residency.device_column(table, cname)
-                if dev is not None:
-                    xp.scatter_add(
-                        dev, xp.from_host(r_s[s:e]), xp.from_host(v_s[s:e])
-                    )
-                    residency.mark_dirty(table, cname)
-                    distinct_rows += int(np.unique(r_s[s:e]).size)
-                    continue
-            target = table.column(cname)
-            if device:
-                dev = xp.from_host(target)
-                xp.scatter_add(
-                    dev, xp.from_host(r_s[s:e]), xp.from_host(v_s[s:e])
-                )
-                host = xp.to_host(dev)
-                if not np.shares_memory(host, target):
-                    target[:] = host
-            else:
-                np.add.at(target, r_s[s:e], v_s[s:e])
-            distinct_rows += int(np.unique(r_s[s:e]).size)
+        distinct_rows = sum(int(np.unique(seg).size) for seg in segments)
         if ctx is not None:
             ctx.add_instructions(n * _MERGE_INSTRUCTIONS_PER_DELTA)
             ctx.add_shared_accesses(n)

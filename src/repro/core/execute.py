@@ -1,0 +1,148 @@
+"""The execute stage: run every lane's procedure against the snapshot,
+buffer its effects, collect the batch's ops and register its TIDs
+(:mod:`repro.core.collect`)."""
+
+from __future__ import annotations
+
+from itertools import compress
+
+import numpy as np
+
+from repro.core.batch import Batch
+from repro.core.collect import collect_columnar, register_batch
+from repro.errors import KeyNotFound, TransactionAborted
+from repro.txn.batch_context import BatchedContext, GroupLocals
+from repro.txn.context import BufferedContext
+from repro.txn.transaction import TxnStatus, begin_framed_attempt
+
+
+def execute(engine, batch: Batch, ctx) -> None:
+    """Run procedures, buffer effects, register TIDs."""
+    run_procedures(engine, batch)
+    # Collect op arrays + per-op costs, skipping logic aborts for
+    # registration but keeping their cost (the lanes did the work).
+    table_txns, touched_rows = collect_columnar(engine, batch, ctx)
+    register_batch(engine, batch, table_txns, touched_rows, ctx)
+
+
+def run_procedures(engine, batch: Batch) -> None:
+    """Group-by-procedure execution of one batch.
+
+    Each group with a registered ``BatchProcedure`` twin runs as one
+    vectorized call over a :class:`BatchedContext`; groups without a
+    twin — every group under ``batched_exec=False`` — and individual
+    lanes the twin sends to fallback run one at a time through their
+    scalar procedure, so third-party procedures keep working.  Either
+    way a lane's ops go into the batch's :class:`OpFrame`
+    (``batch.frame``), from which the collector takes the whole batch
+    and each transaction its own ``ops``, and its buffered effects
+    into the batch-wide columnar locals (``batch.batch_locals``) for
+    the scatter-based write-back: a twin-less group is one more
+    group of the same bulk.
+    """
+    transactions = batch.transactions
+    n = len(transactions)
+    frame = batch.frame
+    begin_framed_attempt(transactions, frame)
+    # Procedure groups in first-appearance order, as lane indices.
+    names = batch.group_names = list(dict.fromkeys(batch.procedures))
+    code = {name: k for k, name in enumerate(names)}
+    gid = batch.group_ids = np.fromiter(
+        map(code.__getitem__, batch.procedures), dtype=np.int64, count=n
+    )
+    groups = []
+    for k, name in enumerate(names):
+        member = gid == k
+        groups.append((
+            name,
+            np.flatnonzero(member),
+            list(compress(batch.params, member.tolist())),
+        ))
+    delayed_fn = engine.delayed.delayed_mask if engine.delayed.columns else None
+    use_twins = engine.config.batched_exec
+    parts = []
+    for name, idxs, params in groups:
+        proc = engine._resolve_procedure(name)
+        batched = engine.procedures.get_batched(name) if use_twins else None
+        if batched is None:
+            parts.append(_scalar_group(engine, batch, proc, idxs))
+            continue
+        bctx = BatchedContext(
+            engine.database,
+            params,
+            delayed_mask_fn=delayed_fn,
+            xp=engine._backend,
+            residency=engine._residency,
+        )
+        batched(bctx, bctx.params)
+        mat, counts, g_locals, ranges_by_lane = bctx.finalize()
+        parts.append(_apply_batched_group(
+            engine, batch, proc, idxs, mat, counts, g_locals,
+            ranges_by_lane, bctx.fallback, bctx.aborted,
+        ))
+    batch.batch_locals = GroupLocals.merge(parts, n)
+    frame.seal()
+    batch.logic_mask = frame.logic
+
+
+def _scalar_lane(engine, batch: Batch, proc, part: GroupLocals, i: int) -> None:
+    """One lane through its scalar procedure: recorded ops into the
+    frame, buffered effects into its group's columnar locals."""
+    txn = batch.transactions[i]
+    local_ctx = BufferedContext(engine.database)
+    try:
+        proc(local_ctx, *txn.params)
+    except (TransactionAborted, KeyNotFound):
+        # Procedure rolled back, or a client-pre-resolved key
+        # missed (e.g. Delivery naming an order whose NewOrder
+        # aborted): a deterministic logic abort either way.  The
+        # lane keeps the ops it recorded and contributes no effects.
+        txn.status = TxnStatus.LOGIC_ABORTED
+        txn.abort_reason = "logic"
+        batch.frame.add_scalar(i, local_ctx.ops, True)
+        return
+    batch.frame.add_scalar(i, local_ctx.ops, False)
+    part.add_scalar_locals(i, local_ctx.local, engine.delayed.columns)
+    if local_ctx.ranges:
+        batch.ranges_by_tid[txn.tid] = local_ctx.ranges
+
+
+def _scalar_group(engine, batch: Batch, proc, idxs: np.ndarray) -> GroupLocals:
+    """One twin-less group through the scalar path, folded columnar."""
+    part = GroupLocals(len(batch.transactions))
+    for i in idxs.tolist():
+        _scalar_lane(engine, batch, proc, part, i)
+    part.seal()
+    return part
+
+
+def _apply_batched_group(
+    engine,
+    batch: Batch,
+    proc,
+    idxs: np.ndarray,
+    mat: np.ndarray,
+    counts: np.ndarray,
+    g_locals: GroupLocals,
+    ranges_by_lane: dict,
+    fallback: np.ndarray,
+    aborted: np.ndarray,
+) -> GroupLocals:
+    """Apply one group's finalized vectorized results: the op matrix
+    goes to the frame whole, and only the lanes that differ from
+    the rest are visited — logic aborts get their status, range
+    readers their predicates, fallback lanes a scalar re-run."""
+    transactions = batch.transactions
+    part = g_locals.rekeyed(idxs, len(transactions))
+    batch.frame.add_group(idxs, mat, counts, aborted)
+    for i in idxs[aborted].tolist():
+        txn = transactions[i]
+        txn.status = TxnStatus.LOGIC_ABORTED
+        txn.abort_reason = "logic"
+    tids = batch.tids
+    for li, lane_ranges in ranges_by_lane.items():
+        batch.ranges_by_tid[tids[idxs[li]]] = lane_ranges
+    for i in idxs[fallback].tolist():
+        _scalar_lane(engine, batch, proc, part, i)
+    part.seal()
+    return part

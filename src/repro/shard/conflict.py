@@ -1,6 +1,6 @@
 """Per-shard conflict registration with a single minima allocation.
 
-The sharded engine gives "each shard its own conflict log" without N
+Sharding gives "each shard its own conflict log" without N
 copies of the registration tables: the global encoded key space
 ``base[table] + row * groups[table] + group`` partitions *by row
 ownership*, so shard *s*'s log is simply the (disjoint) slice of keys
@@ -72,35 +72,16 @@ class ShardedConflictLog(ConflictLog):
         rows = (keys - self._base[table_ids]) // self._groups[table_ids]
         return self.partition.owner_cells(table_ids, rows)
 
-    def _route(self, owners: np.ndarray):
-        """Yield ``(shard, mask)`` for each shard with registrations,
-        in fixed ascending shard order."""
-        for s in range(self.shards):
-            m = owners == s
-            if m.any():
-                yield s, m
-
     # -- routed registration -------------------------------------------------
-    def register_reads(
-        self, keys: np.ndarray, tids: np.ndarray, table_ids: np.ndarray,
-        ctx: KernelContext | None = None,
+    def _register(
+        self, minima: np.ndarray, keys: np.ndarray, tids: np.ndarray,
+        table_ids: np.ndarray, ctx: KernelContext | None, buffer: str,
     ) -> None:
         if keys.size == 0:
             return
         owners = self._owners_of_encoded(keys, table_ids)
-        for s, m in self._route(owners):
-            super().register_reads(keys[m], tids[m], table_ids[m], ctx)
-            self.registrations_by_shard[s] += int(m.sum())
-
-    def register_writes(
-        self, keys: np.ndarray, tids: np.ndarray, table_ids: np.ndarray,
-        ctx: KernelContext | None = None,
-    ) -> None:
-        if keys.size == 0:
-            return
-        owners = self._owners_of_encoded(keys, table_ids)
-        for s, m in self._route(owners):
-            super().register_writes(keys[m], tids[m], table_ids[m], ctx)
+        for s, m in self.partition.subsets(owners):
+            super()._register(minima, keys[m], tids[m], table_ids[m], ctx, buffer)
             self.registrations_by_shard[s] += int(m.sum())
 
     def register_inserts(
@@ -116,6 +97,6 @@ class ShardedConflictLog(ConflictLog):
         for t in np.unique(table_ids):
             m = table_ids == t
             owners[m] = self.partition.owner_keys(int(t), insert_keys[m])
-        for s, m in self._route(owners):
+        for s, m in self.partition.subsets(owners):
             super().register_inserts(table_ids[m], insert_keys[m], tids[m], ctx)
             self.registrations_by_shard[s] += int(m.sum())

@@ -11,7 +11,7 @@ transaction from its parameters alone:
 
 * **single-home** — every key the transaction can touch lives on one
   shard; it executes entirely there, with no cross-shard traffic.
-* **multi-home** — its key set spans shards; the sharded engine runs it
+* **multi-home** — its key set spans shards; the route stage runs it
   at a deterministic coordinator (the smallest home shard) and
   sequences it with Calvin's deterministic order
   (:func:`repro.baselines.calvin.deterministic_order`).
@@ -30,11 +30,13 @@ Three rule forms cover the supported workloads:
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines.calvin import deterministic_order
 from repro.errors import ConfigError
 from repro.storage.database import Database
 
@@ -77,11 +79,25 @@ class PartitionSpec:
     classify: Callable[..., tuple[int, ...]]
 
 
+class Unpartitioned:
+    """``shards=1``: a batch runs as admitted and every cell has the
+    same owner.  The two calls the engine's stages make of a partition,
+    answered trivially."""
+
+    shards = 1
+
+    def route(self, batch) -> None:
+        """Leave the lanes in admission order."""
+
+    def owner_subsets(self, table_ids: np.ndarray, rows: np.ndarray):
+        yield slice(None)
+
+
 class BoundPartition:
     """A :class:`PartitionSpec` resolved against one database and a
     fixed shard count: vectorized key->owner and (table, row)->owner
-    maps, shared by the router, the sharded conflict log, and the
-    write-back partitioner."""
+    maps, shared by the route stage, the sharded conflict log, and the
+    write-back."""
 
     def __init__(self, spec: PartitionSpec, database: Database, shards: int):
         if shards < 1:
@@ -142,9 +158,70 @@ class BoundPartition:
             owners[m] = self.owner_keys(int(t), keys)
         return owners
 
+    def subsets(self, owners: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """``(shard, mask)`` for each shard that owns something, in
+        fixed ascending shard order."""
+        for s in range(self.shards):
+            m = owners == s
+            if m.any():
+                yield s, m
+
+    def owner_subsets(
+        self, table_ids: np.ndarray, rows: np.ndarray
+    ) -> Iterator[np.ndarray]:
+        """The cells partitioned by owner (the write-back's unit)."""
+        for _, m in self.subsets(self.owner_cells(table_ids, rows)):
+            yield m
+
     def classify(self, txn) -> tuple[int, ...]:
         """Sorted home-shard tuple of one transaction."""
         return self.spec.classify(txn, self)
+
+    # -- routing -------------------------------------------------------------
+    def plan_batch(self, transactions) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Classify and order one batch.
+
+        Returns ``(order, coordinators, multi_mask)`` where ``order``
+        is the shard-major permutation (admission indices) and the
+        other two are per admission index.  Pure function of parameters
+        and TIDs — identical on every replay, and the identity on a
+        batch that is already shard-major (a logged one, at recovery).
+        """
+        n = len(transactions)
+        coord = np.zeros(n, dtype=np.int64)
+        multi = np.zeros(n, dtype=bool)
+        for i, txn in enumerate(transactions):
+            homes = self.classify(txn)
+            coord[i] = homes[0] if homes else 0
+            multi[i] = len(homes) > 1
+        order: list[int] = []
+        pos = {id(t): i for i, t in enumerate(transactions)}
+        for s in range(self.shards):
+            seg_multi = [
+                transactions[i] for i in range(n) if coord[i] == s and multi[i]
+            ]
+            # the Calvin sequencer: multi-home transactions commit in
+            # the agreed deterministic order, ahead of the shard's
+            # single-home segment
+            order.extend(pos[id(t)] for t in deterministic_order(seg_multi))
+            order.extend(i for i in range(n) if coord[i] == s and not multi[i])
+        return order, coord, multi
+
+    def route(self, batch) -> None:
+        """The route stage under sharding: lay the batch out shard-major
+        — each shard's multi-home transactions (executing at their
+        coordinator, the smallest home shard) ahead of its single-home
+        ones — and leave the routing tallies on the batch record."""
+        t0 = time.perf_counter_ns()
+        order, coord, multi = self.plan_batch(batch.admitted)
+        batch.lay_out(order)
+        stall_ns = time.perf_counter_ns() - t0
+        lanes = np.bincount(coord, minlength=self.shards)
+        batch.shard_lanes = lanes
+        batch.multi_home_fraction = float(multi.sum()) / len(order)
+        batch.shard_balance = float(lanes.max() / lanes.mean())
+        batch.sequencer_stall_ns = int(stall_ns)
+        batch.clocks.host_s["sequencer"] = stall_ns * 1e-9
 
     def profile(self) -> dict[str, list[int]]:
         """Per-table row counts by owning shard — the balance ledger
@@ -152,35 +229,25 @@ class BoundPartition:
         return self.database.partition_profile(self.owner_keys, self.shards)
 
 
-def resolve_spec(name: str, database: Database) -> PartitionSpec:
-    """Look up a partition spec by config name; ``"auto"`` inspects the
-    database's table names."""
-    if name == "auto":
-        tables = {database.table_by_id(t).name for t in range(database.num_tables)}
-        if "warehouse" in tables:
-            name = "tpcc"
-        elif "smallbank" in tables:
-            name = "smallbank"
-        elif "usertable" in tables:
-            name = "ycsb"
-        else:
-            raise ConfigError(
-                "shard_spec='auto' could not recognize the workload from "
-                f"table names {sorted(tables)}; pass an explicit spec "
-                "('tpcc', 'ycsb', or 'smallbank')"
-            )
+def resolve_spec(database: Database) -> PartitionSpec:
+    """The partition spec of the workload ``database`` holds, recognized
+    from its table names."""
+    tables = {database.table_by_id(t).name for t in range(database.num_tables)}
     # Lazy imports: the workload modules import this module for the
     # rule/spec types, so the registry must not import them at load time.
-    if name == "tpcc":
+    if "warehouse" in tables:
         from repro.workloads.tpcc.partition import tpcc_partition_spec
 
         return tpcc_partition_spec()
-    if name == "ycsb":
+    if "usertable" in tables:
         from repro.workloads.ycsb.generator import ycsb_partition_spec
 
         return ycsb_partition_spec()
-    if name == "smallbank":
+    if "smallbank" in tables:
         from repro.workloads.smallbank import smallbank_partition_spec
 
         return smallbank_partition_spec()
-    raise ConfigError(f"unknown shard_spec {name!r}")
+    raise ConfigError(
+        f"shards > 1 needs a partition spec, and no shipped workload "
+        f"(tpcc, ycsb, smallbank) has the table names {sorted(tables)}"
+    )

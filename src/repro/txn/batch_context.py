@@ -394,9 +394,7 @@ class BatchedContext:
         if not self.xp.is_device:
             return t._keys if column is None else t.column(column)
         if self._residency is not None:
-            dev = self._residency.device_column(t, column)
-            if dev is not None:
-                return dev
+            return self._residency.device_column(t, column)
         col = t._keys if column is None else t.column(column)
         key = (id(t), column)
         dev = self._dev_cols.get(key)

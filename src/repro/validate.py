@@ -20,8 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.analysis.workload import WORKLOAD_NAMES, build_workload
-from repro.core import LTPGConfig
-from repro.shard import make_engine
+from repro.core import LTPGConfig, LTPGEngine
 from repro.storage import Snapshot, recover
 from repro.txn import BufferedContext, apply_local_sets, assign_tids
 from repro.workloads.tpcc import (
@@ -71,7 +70,7 @@ def check_determinism(report: ValidationReport, seed: int = 11) -> None:
     outcomes = []
     for _ in range(2):
         db, registry, generator, config = _setup(seed)
-        engine = make_engine(db, registry, config)
+        engine = LTPGEngine(db, registry, config)
         batch = generator.make_batch(512)
         assign_tids(batch, 0)
         result = engine.run_batch(batch)
@@ -117,7 +116,7 @@ def check_serializability(report: ValidationReport, seed: int = 12) -> None:
 def check_recovery(report: ValidationReport, seed: int = 13) -> None:
     """Snapshot + log replay reproduces the pre-crash state."""
     db, registry, generator, config = _setup(seed)
-    engine = make_engine(db, registry, config)
+    engine = LTPGEngine(db, registry, config)
     snapshot = Snapshot.capture(db, batch_index=0)
     pending: list = []
     next_tid = 0
@@ -131,7 +130,7 @@ def check_recovery(report: ValidationReport, seed: int = 13) -> None:
     recovered, rec_report = recover(
         snapshot,
         engine.batch_log,
-        lambda database: make_engine(database, registry, config),
+        lambda database: LTPGEngine(database, registry, config),
     )
     ok = rec_report.final_digest == expected
     report.record(

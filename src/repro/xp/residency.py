@@ -9,7 +9,7 @@ megabytes per batch of pure table traffic — the transfer wall both
 GPU-OLTP analyses in PAPERS.md identify as the dominant non-kernel
 cost.
 
-:class:`ResidencyManager` inverts the ownership: each pinned table's
+:class:`ResidencyManager` inverts the ownership: each table's
 columns are uploaded to the active backend **once** and stay
 authoritative across batches.  Write-back and delayed updates become
 device-side scatters into the cached columns (no round trip), and the
@@ -220,34 +220,25 @@ class DeviceTableView:
 
 
 class ResidencyManager:
-    """Per-engine registry of :class:`DeviceTableView`\\ s.
-
-    ``tables`` is the pinning policy: an empty set pins every table,
-    otherwise only the named tables are cached (others keep the
-    baseline round-trip path).  On host-identity backends the manager
-    reports :attr:`active` = False and hands out no views — residency
-    is meaningful only when crossings are real transfers.
+    """Per-engine registry of :class:`DeviceTableView`\\ s, one per
+    table.  On host-identity backends the manager reports
+    :attr:`active` = False and hands out no views — residency is
+    meaningful only when crossings are real transfers.
     """
 
-    def __init__(self, xp, database, tables=()) -> None:
+    def __init__(self, xp, database) -> None:
         self.xp = xp
         self.database = database
-        self.pinned_tables = frozenset(tables)
         self.stats = ResidencyStats()
         self._views: dict[int, DeviceTableView] = {}
         #: False on host-identity backends: views would cache the host
         #: arrays themselves, so the baseline path is already "resident"
         self.active = bool(getattr(xp, "is_device", False))
 
-    def is_pinned(self, table) -> bool:
-        return self.active and (
-            not self.pinned_tables or table.name in self.pinned_tables
-        )
-
     def view(self, table) -> DeviceTableView | None:
         """The table's view, creating and hooking it on first use;
-        ``None`` for unpinned tables and on host backends."""
-        if not self.is_pinned(table):
+        ``None`` on host backends."""
+        if not self.active:
             return None
         v = self._views.get(id(table))
         if v is None:
@@ -258,8 +249,7 @@ class ResidencyManager:
 
     def device_column(self, table, name: str | None):
         """The resident device array for ``(table, name)``, or ``None``
-        when the table is unpinned (caller falls back to the baseline
-        upload path)."""
+        on host backends."""
         v = self.view(table)
         return None if v is None else v.column(name)
 

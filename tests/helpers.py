@@ -136,6 +136,40 @@ class StubEngine:
         return BatchResult(stats, committed, aborted, logic)
 
 
+class BoundaryObserver:
+    """A :class:`repro.core.batch.BatchObserver` for tests — attach with
+    ``engine.observers += (BoundaryObserver(...),)``.
+
+    ``at=(call, stage)`` names one boundary, e.g. ``("stage_leaving",
+    "execute")`` or ``("batch_done", None)``; the first time the runner
+    reaches it, ``RuntimeError("injected")`` is raised (the engine
+    crashed there, once).  ``batch_done`` is called with every batch
+    record once it is over.
+    """
+
+    def __init__(self, at=None, batch_done=None):
+        self.at, self.on_done = at, batch_done
+
+    def _reach(self, call, stage=None):
+        if self.at == (call, stage):
+            self.at = None
+            raise RuntimeError("injected")
+
+    def stage_entered(self, engine, batch, stage):
+        self._reach("stage_entered", stage.name)
+
+    def stage_leaving(self, engine, batch, stage):
+        self._reach("stage_leaving", stage.name)
+
+    def stage_synced(self, engine, batch, stage):
+        self._reach("stage_synced", stage.name)
+
+    def batch_done(self, engine, batch):
+        if self.on_done is not None:
+            self.on_done(batch)
+        self._reach("batch_done")
+
+
 def txn(name: str, *params) -> Transaction:
     return Transaction(name, tuple(params))
 
@@ -213,7 +247,7 @@ def observe_cell(
     """One cell of the conformance lattice: ``batches`` generated batches
     of a shipped workload (``tpcc`` | ``ycsb`` | ``smallbank`` with its
     paper markings, seeded, so every cell sees the same transactions) on
-    an engine built from ``config`` through ``make_engine``.  Returns
+    an engine built from ``config``.  Returns
     each batch's per-lane statuses and abort reasons, then the final
     state digest — what every cell must share with the reference cell,
     ``observe_cell(workload, reference=True)``: the unsharded host-only

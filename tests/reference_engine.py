@@ -1,19 +1,20 @@
 """The seed pipeline, kept as the test oracle.
 
 :class:`ReferenceEngine` is an :class:`~repro.core.engine.LTPGEngine`
-whose execute and write-back phases are the implementation the repo
+whose execute and write-back stages are the implementation the repo
 started from: one procedure call per transaction into its own
 ``BufferedContext``, a per-op Python loop that collects reservations and
 charges costs one ``OpRecord`` at a time, and a write-back that installs
 each committed transaction's ``LocalSets`` with ``apply_local_sets`` and
 merges delayed deltas through ``DelayedUpdater.apply``.  It builds no
 ``OpFrame`` and no columnar locals, so it shares neither the collector
-nor the write-back with the engine it checks — only what sits between
-them (conflict-log registration, the conflict phase, result assembly).
+nor the write-back with the engine it checks — only what sits around
+them (the stage runner, conflict-log registration, the conflict stage,
+result assembly).
 
 Every observable must agree with the engine byte for byte: statuses,
 abort reasons, ``txn.ops.raw``, every simulated time in ``BatchStats``,
-and the database digest.  Unsharded, host-only, no sanitizer: the
+and the database digest.  Unsharded, host-only, no observers: the
 configurations the engine must match *it* on, not the other way round.
 """
 
@@ -23,16 +24,17 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.config import MemoryMode
-from repro.core.engine import (
-    _APPLY_INSTRUCTIONS,
-    _INSERT_GLOBAL_WRITES,
-    _OP_INSTRUCTIONS,
-    _READ_GLOBAL_READS,
-    _WRITE_GLOBAL_READS,
-    _WRITE_GLOBAL_WRITES,
-    LTPGEngine,
+from repro.core.batch import (
+    APPLY_INSTRUCTIONS,
+    INSERT_GLOBAL_WRITES,
+    OP_INSTRUCTIONS,
+    READ_GLOBAL_READS,
+    WRITE_GLOBAL_READS,
+    WRITE_GLOBAL_WRITES,
 )
+from repro.core.collect import register_batch
+from repro.core.config import MemoryMode
+from repro.core.engine import LTPGEngine
 from repro.errors import KeyNotFound, TransactionAborted, TransactionError
 from repro.txn.context import BufferedContext, LocalSets, apply_local_sets
 from repro.txn.decompose import plan
@@ -55,7 +57,8 @@ class ReferenceEngine(LTPGEngine):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        assert self.sanitizer is None, "the oracle records no shadow accesses"
+        assert not self.observers, "the oracle builds no frame to observe"
+        assert self.partition.shards == 1
         # Buffered effects of the batch in flight, execute -> write-back.
         self._locals: list[LocalSets] = []
         self._delayed_adds: list[list[tuple[int, int, str, int]]] = []
@@ -85,7 +88,8 @@ class ReferenceEngine(LTPGEngine):
         delayed = [(*loc, local.adds.pop(loc)) for loc in delayed_locs]
         return local, delayed, ctx.ranges
 
-    def _execute_phase(self, transactions, data, ctx) -> None:
+    def _execute(self, data, ctx) -> None:
+        transactions = data.transactions
         db = self.database
         delayed = self.delayed
         group_of = self.flags.group_of
@@ -96,14 +100,6 @@ class ReferenceEngine(LTPGEngine):
             self._locals.append(local)
             self._delayed_adds.append(delayed_adds)
             ranges_by_lane.append(ranges)
-
-        if self.tracer is not None or self.metrics is not None:
-            tallies: dict[str, list[int]] = {}
-            for txn in transactions:
-                t = tallies.setdefault(txn.procedure_name, [0, 0])
-                t[0] += 1
-                t[1] += len(txn.ops)
-            self._last_groups = [(n, t[0], t[1]) for n, t in tallies.items()]
 
         # Warp planning over the whole batch (grouped vs naive).
         exec_plan = plan(transactions, self.config.adaptive_warps)
@@ -127,14 +123,14 @@ class ReferenceEngine(LTPGEngine):
             seen_writes: set[tuple[int, int, int]] = set()
             for op in txn.ops:
                 kind = op.kind
-                ctx.add_instructions(_OP_INSTRUCTIONS)
+                ctx.add_instructions(OP_INSTRUCTIONS)
                 if kind == OpKind.READ:
-                    ctx.add_global_reads(_READ_GLOBAL_READS)
+                    ctx.add_global_reads(READ_GLOBAL_READS)
                 elif kind == OpKind.INSERT:
-                    ctx.add_global_writes(_INSERT_GLOBAL_WRITES)
+                    ctx.add_global_writes(INSERT_GLOBAL_WRITES)
                 else:
-                    ctx.add_global_reads(_WRITE_GLOBAL_READS)
-                    ctx.add_global_writes(_WRITE_GLOBAL_WRITES)
+                    ctx.add_global_reads(WRITE_GLOBAL_READS)
+                    ctx.add_global_writes(WRITE_GLOBAL_WRITES)
                 tables_seen.add(op.table_id)
                 if op.row >= 0:
                     touched_rows.setdefault(op.table_id, set()).add(op.row)
@@ -188,7 +184,8 @@ class ReferenceEngine(LTPGEngine):
          data.ins_txn_arr) = _columns(ins, 4)
         (data.range_table_arr, data.range_lo_arr, data.range_hi_arr,
          data.range_tid_arr, data.range_txn_arr) = _columns(rng, 5)
-        self._register_batch(
+        register_batch(
+            self,
             data,
             dict(table_txns),
             {t: _as_arr(sorted(rows)) for t, rows in touched_rows.items()},
@@ -196,7 +193,8 @@ class ReferenceEngine(LTPGEngine):
         )
 
     # -- write-back -------------------------------------------------------
-    def _writeback_phase(self, transactions, data, committed_mask, ctx) -> int:
+    def _writeback(self, data, ctx) -> None:
+        transactions, committed_mask = data.transactions, data.commit
         db = self.database
         rwset_bytes = 0
         cells = 0
@@ -221,7 +219,7 @@ class ReferenceEngine(LTPGEngine):
                 for table_id, row, _column in (*local.writes, *local.adds):
                     written_rows.setdefault(table_id, set()).add(row)
         ctx.add_global_writes(cells)
-        ctx.add_instructions(_APPLY_INSTRUCTIONS * max(1, cells))
+        ctx.add_instructions(APPLY_INSTRUCTIONS * max(1, cells))
         self.delayed.apply(delayed_deltas, ctx)
         if written_rows:
             # Sorted tables and pages: the LRU tracker must see the
@@ -236,4 +234,12 @@ class ReferenceEngine(LTPGEngine):
                 )
                 faults += self.device.memory.pages.touch(table.name, pages)
             ctx.add_page_faults(faults)
-        return rwset_bytes
+        data.rwset_bytes = rwset_bytes
+
+
+#: The engine's table with the two stages above swapped in.
+_OWN = {"execute": ReferenceEngine._execute, "writeback": ReferenceEngine._writeback}
+ReferenceEngine.STAGES = tuple(
+    stage._replace(run=_OWN.get(stage.name, stage.run))
+    for stage in LTPGEngine.STAGES
+)

@@ -20,7 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import build_bank, mixed_bank_registry, mixed_bank_specs
+from helpers import (
+    BoundaryObserver,
+    build_bank,
+    mixed_bank_registry,
+    mixed_bank_specs,
+)
 from reference_engine import ReferenceEngine
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
@@ -222,12 +227,7 @@ def test_twin_less_registry_folds_once_per_batch(monkeypatch):
         specs = [(t.procedure_name, t.params) for t in gen.make_batch(lanes)]
         engine = build({})
         seen = []
-        writeback = engine._writeback_phase
-        monkeypatch.setattr(
-            engine,
-            "_writeback_phase",
-            lambda txns, data, *rest: seen.append(data) or writeback(txns, data, *rest),
-        )
+        engine.observers += (BoundaryObserver(batch_done=seen.append),)
         calls = []
         concatenate = np.concatenate
         with monkeypatch.context() as patch:

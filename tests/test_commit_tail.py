@@ -23,11 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.workload import WORKLOAD_NAMES, build_workload
-from repro.core import LTPGConfig
+from repro.core import LTPGConfig, LTPGEngine
 from repro.serve.clock import run_simulation
 from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import make_policy
-from repro.shard import make_engine
 from repro.storage import BatchLog, LogRecord
 from repro.txn import BatchScheduler, Transaction
 
@@ -49,7 +48,7 @@ def _run_batches(name: str, shards: int, batches: int, eager: bool):
     )
     scheduler = BatchScheduler(256)
     results, orders = [], []
-    with make_engine(setup.database, setup.registry, config) as engine:
+    with LTPGEngine(setup.database, setup.registry, config) as engine:
         for _ in range(batches):
             fresh = 256 - scheduler.eligible_backlog
             scheduler.admit(setup.generator.make_batch(fresh))

@@ -264,7 +264,6 @@ class TestConfig:
         "kwargs, match",
         [
             (dict(retry_delay_batches=0), "retry delay"),
-            (dict(resident_tables=frozenset({"t"})), "device_resident"),
         ],
     )
     def test_invalid_combinations(self, kwargs, match):

@@ -32,7 +32,6 @@ from repro.errors import TransactionError
 from repro.serve.clock import run_simulation
 from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import make_policy
-from repro.shard import make_engine
 from repro.txn import (
     BatchScheduler,
     OpColumns,
@@ -124,7 +123,7 @@ def test_framed_ops_equal_the_columnar_path(workload, shards):
         config = LTPGConfig(
             batch_size=256, batched_exec=batched_exec, shards=shards, **marks
         )
-        assert _observe(make_engine(db, registry, config), batches) == expected
+        assert _observe(LTPGEngine(db, registry, config), batches) == expected
     # the comparison means something: ops were recorded, and on TPC-C
     # some lanes rolled back
     assert any(raw for raw, *_ in expected[0])

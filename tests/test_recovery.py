@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import build_bank, txn
+from helpers import BoundaryObserver, build_bank, txn
 from repro.analysis.workload import WORKLOAD_NAMES, build_workload
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import StorageError, TransactionError
 from repro.storage import BatchLog, Snapshot
 from repro.storage.recovery import recover, transactions_from_record
-from repro.txn import BatchScheduler, ProcedureRegistry
+from repro.trace import validate_nesting
+from repro.txn import BatchScheduler, ProcedureRegistry, assign_tids
+from repro.workloads.smallbank import build_smallbank
 
 
 def run_workload(engine, scheduler, batches):
@@ -224,20 +226,32 @@ class TestRecovery:
         assert result.stats.committed == 1
 
 
-@pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_recovery_digest_matches_on_every_workload(name):
+@pytest.mark.parametrize(
+    "name, shards",
+    [
+        pytest.param(name, shards, id=name if shards == 1 else f"{name}-shards{shards}")
+        for shards in (1, 2)
+        for name in WORKLOAD_NAMES
+    ],
+)
+def test_recovery_digest_matches_on_every_workload(name, shards):
     """Snapshot + decoded log payloads reproduce the crashed state on
-    TPC-C, YCSB-A and SmallBank (retries carried across batches)."""
+    TPC-C, YCSB-A and SmallBank (retries carried across batches).
+    Under sharding the log holds each batch as it ran — shard-major,
+    the route stage comes before the log append — and routing a routed
+    batch again changes nothing, so the replay runs the same lanes."""
     setup = build_workload(name, seed=5)
-    engine = setup.engine(batch_size=128, sanitize=False)
+    engine = setup.engine(batch_size=128, sanitize=False, shards=shards)
     config = engine.config
     scheduler = BatchScheduler(128)
     snapshot = Snapshot.capture(setup.database, batch_index=0)
+    admitted = []
     for _ in range(3):
         scheduler.admit(
             setup.generator.make_batch(128 - scheduler.eligible_backlog)
         )
-        result = engine.run_batch(scheduler.next_batch())
+        admitted.append(scheduler.next_batch())
+        result = engine.run_batch(admitted[-1])
         scheduler.requeue_aborted(result.aborted)
     recovered, report = recover(
         snapshot,
@@ -246,13 +260,119 @@ def test_recovery_digest_matches_on_every_workload(name):
     )
     assert report.batches_replayed == 3
     assert report.final_digest == setup.database.state_digest()
-    assert [
-        [(r.tid, r.procedure, r.params) for r in entry.records]
-        for entry in recovered.batch_log.batches()
-    ] == [
+    logged = [
         [(r.tid, r.procedure, r.params) for r in entry.records]
         for entry in engine.batch_log.batches()
     ]
+    assert logged == [
+        [(r.tid, r.procedure, r.params) for r in entry.records]
+        for entry in recovered.batch_log.batches()
+    ]
+    if shards > 1:
+        plan = engine.partition.plan_batch
+        for batch, entry in zip(admitted, engine.batch_log.batches()):
+            lanes = transactions_from_record(entry)
+            assert [t.tid for t in lanes] == [batch[i].tid for i in plan(batch)[0]]
+            assert plan(lanes)[0] == list(range(len(lanes)))
+
+
+# -- crash it at every stage boundary -------------------------------------
+
+#: (observer call, stage) -> has the snapshot been written by then?
+BOUNDARIES = {
+    "leaving-execute": (("stage_leaving", "execute"), False),
+    "entering-conflict": (("stage_entered", "conflict"), False),
+    "leaving-conflict": (("stage_leaving", "conflict"), False),
+    "entering-writeback": (("stage_entered", "writeback"), False),
+    "leaving-writeback": (("stage_leaving", "writeback"), True),
+    "after-assemble": (("stage_leaving", "assemble"), True),
+    "before-log-outcome": (("stage_entered", "log"), True),
+}
+
+
+def _smallbank_lattice_run(batches, crash_at=None, trace=False):
+    """Run ``batches`` (indices into three fixed 64-lane SmallBank
+    batches) on a fresh engine; ``crash_at`` injects a fault at that
+    boundary of the *second* batch run.  Returns the engine, a snapshot
+    taken before the second batch, and each surviving batch's
+    (statuses, abort reasons, digest after it)."""
+    db, registry, gen = build_smallbank(num_accounts=200, seed=3)
+    fixed, next_tid = [], 0
+    for _ in range(3):
+        fixed.append(gen.make_batch(64))
+        next_tid = assign_tids(fixed[-1], next_tid)
+    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=64, trace=trace))
+    out, before_second = [], None
+    for position, index in enumerate(batches):
+        batch = fixed[index]
+        if position == 1:
+            before_second = Snapshot.capture(db, batch_index=1)
+            if crash_at is not None:
+                engine.observers += (BoundaryObserver(at=crash_at),)
+                with pytest.raises(RuntimeError, match="injected"):
+                    engine.run_batch(batch)
+                out.append((None, None, db.state_digest()))
+                continue
+        engine.run_batch(batch)
+        out.append(
+            (
+                [t.status for t in batch],
+                [t.abort_reason for t in batch],
+                db.state_digest(),
+            )
+        )
+    return engine, before_second, out
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_engine_survives_a_failure_at_every_stage_boundary(boundary, trace):
+    """An observer raises at each stage boundary of the middle batch of
+    three and the engine stays in service.
+
+    Up to and including *entering* write-back nothing was installed:
+    the entry is marked failed, the snapshot is untouched, the next
+    batch is judged as if the failed one never ran (its registrations
+    must not survive in the conflict log), and recovery skips it.  From
+    *leaving* write-back on the batch is fully installed and only its
+    outcome is missing: the next batch equals a never-crashed run's and
+    recovery replays the entry.  Either way no trace span stays open.
+
+    A failure *inside* write-back — the snapshot partly installed — is
+    the hole ROADMAP item 5(a) still has open; nothing here closes it.
+    """
+    crash_at, installed = BOUNDARIES[boundary]
+    engine, before_crash, (first, crashed, after) = _smallbank_lattice_run(
+        [0, 1, 2], crash_at=crash_at, trace=trace
+    )
+    entries = engine.batch_log.batches()
+    assert [e.committed_tids is None for e in entries] == [False, True, False]
+    assert entries[1].failed is not installed
+    # the twin the survivor must match: one that never saw the failed
+    # batch, or one that ran it to the end
+    _, _, twin = _smallbank_lattice_run([0, 1, 2] if installed else [0, 2])
+    assert crashed[2] == (twin[1][2] if installed else first[2])
+    assert after == twin[-1]
+    live = engine.database.state_digest()
+
+    def fresh(database):
+        return LTPGEngine(database, engine.procedures, LTPGConfig(batch_size=64))
+
+    start = Snapshot.capture(build_smallbank(num_accounts=200, seed=3)[0], 0)
+    _, report = recover(start, engine.batch_log, fresh)
+    assert report.final_digest == live
+    assert (report.batches_replayed, report.batches_failed) == (
+        (3, 0) if installed else (2, 1)
+    )
+    _, report = recover(before_crash, engine.batch_log, fresh)
+    assert report.final_digest == live
+    if trace:
+        tracer = engine.tracer
+        assert all(
+            tracer.open_depth(track) == 0
+            for track in (*tracer.tracks(), engine.compute_stream)
+        )
+        assert validate_nesting(tracer) == []
 
 
 class TestRecoveryProperty:

@@ -1,7 +1,7 @@
-"""Differential tests for the multi-shard engine (:mod:`repro.shard`).
+"""Differential tests for sharding (:mod:`repro.shard`).
 
-``shards=N`` must be *byte-identical* to ``shards=1`` (and to a plain
-``LTPGEngine``) for every workload and shard count: per-transaction
+``LTPGConfig(shards=N)`` must be *byte-identical* to ``shards=1`` for
+every workload and shard count: per-transaction
 statuses, abort reasons, op streams, and the final database digest.
 (Simulated phase timings are exempt — sharded conflict registration
 arrives as per-shard kernel sub-passes — which is exactly why these
@@ -19,20 +19,14 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import observe_cell
+from helpers import build_bank, observe_cell
 from repro.analysis.workload import WORKLOAD_NAMES, build_workload
 
 from repro.baselines.calvin import deterministic_order
-from repro.core import LTPGConfig, LTPGEngine
+from repro.core import ConflictLog, LTPGConfig, LTPGEngine
 from repro.errors import ConfigError
 from repro.serve.api import serve_run
-from repro.shard import (
-    BoundPartition,
-    ShardedEngine,
-    TableRule,
-    make_engine,
-    resolve_spec,
-)
+from repro.shard import BoundPartition, TableRule, Unpartitioned, resolve_spec
 from repro.txn import Transaction
 from repro.workloads.smallbank import build_smallbank, smallbank_partition_spec
 from repro.workloads.tpcc import (
@@ -87,7 +81,7 @@ def _observe(engine, batches):
 
 
 def _across_shard_counts(build, batches, counts=SHARD_COUNTS, **config_kwargs):
-    """Assert a plain engine == make_engine(shards=n) for each n."""
+    """Assert the default engine == LTPGEngine(shards=n) for each n."""
     reference = _observe(build(dict(**config_kwargs)), batches)
     for shards in counts:
         engine = build(dict(shards=shards, **config_kwargs))
@@ -109,7 +103,7 @@ def _tpcc_build(config_kwargs):
         split_columns=SPLIT_COLUMNS,
         **config_kwargs,
     )
-    return make_engine(db, registry, config)
+    return LTPGEngine(db, registry, config)
 
 
 def _tpcc_batches(n=3, size=256):
@@ -148,7 +142,7 @@ def test_ycsb_identical_across_shard_counts(workload):
             delayed_columns=ycsb_delayed_columns(),
             **config_kwargs,
         )
-        return make_engine(db, registry, config)
+        return LTPGEngine(db, registry, config)
 
     _across_shard_counts(build, batches)
 
@@ -168,7 +162,7 @@ def test_smallbank_identical_across_shard_counts():
             batch_size=256, batched_exec=True,
             **config_kwargs,
         )
-        return make_engine(db, registry, config)
+        return LTPGEngine(db, registry, config)
 
     _across_shard_counts(build, batches)
 
@@ -185,7 +179,7 @@ def test_run_transactions_with_retries_identical():
             batch_size=64, batched_exec=True,
             shards=shards,
         )
-        with make_engine(db, registry, config) as engine:
+        with LTPGEngine(db, registry, config) as engine:
             txns = gen.make_batch(256)
             for i, t in enumerate(txns):
                 t.tid = i
@@ -220,12 +214,12 @@ def test_all_multi_home_batch():
             batch_size=256, batched_exec=True,
             **config_kwargs,
         )
-        return make_engine(db, registry, config)
+        return LTPGEngine(db, registry, config)
 
     _across_shard_counts(build, [specs], counts=(2,))
 
     db, registry, _ = build_smallbank(num_accounts=500, seed=3)
-    engine = make_engine(
+    engine = LTPGEngine(
         db, registry,
         LTPGConfig(batch_size=256, batched_exec=True, shards=2),
     )
@@ -244,12 +238,12 @@ def test_empty_shard_batch():
             batch_size=64, batched_exec=True,
             **config_kwargs,
         )
-        return make_engine(db, registry, config)
+        return LTPGEngine(db, registry, config)
 
     _across_shard_counts(build, [specs], counts=(4,))
 
     db, registry, _ = build_smallbank(num_accounts=500, seed=3)
-    engine = make_engine(
+    engine = LTPGEngine(
         db, registry,
         LTPGConfig(batch_size=64, batched_exec=True, shards=4),
     )
@@ -268,7 +262,7 @@ def test_tpcc_multi_home_payments_exercised():
     config = LTPGConfig(
         batch_size=256, batched_exec=True, shards=2
     )
-    with make_engine(db, registry, config) as engine:
+    with LTPGEngine(db, registry, config) as engine:
         fractions = []
         for b in range(3):
             batch = gen.make_batch(256)
@@ -282,7 +276,7 @@ def test_tpcc_multi_home_payments_exercised():
 
 def test_empty_batch_delegates():
     db, registry, _ = build_smallbank(num_accounts=100, seed=1)
-    engine = make_engine(
+    engine = LTPGEngine(
         db, registry,
         LTPGConfig(batch_size=8, batched_exec=True, shards=2),
     )
@@ -291,10 +285,14 @@ def test_empty_batch_delegates():
 
 
 def test_shards_one_is_plain_engine():
-    db, registry, _ = build_smallbank(num_accounts=100, seed=1)
-    engine = make_engine(db, registry, LTPGConfig(batch_size=8))
-    assert isinstance(engine, LTPGEngine)
-    assert not isinstance(engine, ShardedEngine)
+    """No partition spec is resolved (an unknown workload is fine) and
+    no registration is routed."""
+    db, registry = build_bank()
+    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=8))
+    assert isinstance(engine.partition, Unpartitioned)
+    assert type(engine.conflict_log) is ConflictLog
+    with pytest.raises(ConfigError, match="partition spec"):
+        LTPGEngine(db, registry, LTPGConfig(batch_size=8, shards=2))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +352,7 @@ def test_tpcc_classify_remote_payment_is_multi_home():
 
 def test_ycsb_classify_scan_spans_shards():
     db, _, _ = build_ycsb(num_records=2000, workload="e", seed=5)
-    part = BoundPartition(resolve_spec("auto", db), db, 2)
+    part = BoundPartition(resolve_spec(db), db, 2)
     assert part.spec.name == "ycsb"
     # block = 1000; a scan straddling the boundary is multi-home
     boundary = 1000 - SCAN_LENGTH // 2
@@ -366,9 +364,9 @@ def test_ycsb_classify_scan_spans_shards():
 
 def test_resolve_spec_auto_detects_workloads():
     db, _, _ = build_tpcc(warehouses=1, num_items=2000, seed=7)
-    assert resolve_spec("auto", db).name == "tpcc"
+    assert resolve_spec(db).name == "tpcc"
     db, _, _ = build_smallbank(num_accounts=10, seed=1)
-    assert resolve_spec("auto", db).name == "smallbank"
+    assert resolve_spec(db).name == "smallbank"
 
 
 def test_table_rule_validation():
@@ -386,19 +384,21 @@ def test_zero_shards_raises():
         LTPGConfig(shards=0)
 
 
-def test_bare_engine_refuses_shards():
-    """``shards`` only routes through the wrapper: a directly built
-    engine would run unsharded without a word."""
-    db, registry, _ = build_smallbank(num_accounts=100, seed=1)
-    config = LTPGConfig(batched_exec=True, shards=2)
-    with pytest.raises(ConfigError, match="make_engine"):
-        LTPGEngine(db, registry, config)
-    assert isinstance(make_engine(db, registry, config), ShardedEngine)
+def test_directly_built_engine_runs_sharded():
+    """``LTPGConfig(shards=2)`` needs no wrapper and no factory: the
+    engine partitions its own stages."""
+    _, _, gen = build_smallbank(num_accounts=100, seed=1)
+    specs = [(t.procedure_name, t.params) for t in gen.make_batch(64)]
 
+    def run(**config_kwargs):
+        db, registry, _ = build_smallbank(num_accounts=100, seed=1)
+        engine = LTPGEngine(db, registry, LTPGConfig(**config_kwargs))
+        return engine, _observe(engine, [specs])
 
-def test_unknown_shard_spec_raises():
-    with pytest.raises(ConfigError, match="shard_spec"):
-        LTPGConfig(batched_exec=True, shards=2, shard_spec="hash")
+    sharded, observed = run(shards=2)
+    assert isinstance(sharded.partition, BoundPartition)
+    assert sharded.conflict_log.registrations_by_shard.sum() > 0
+    assert observed == run()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +412,7 @@ def test_sharded_metrics_surface():
         batch_size=256, batched_exec=True,
         shards=2, trace=True,
     )
-    with make_engine(db, registry, config) as engine:
+    with LTPGEngine(db, registry, config) as engine:
         batch = gen.make_batch(256)
         for i, t in enumerate(batch):
             t.tid = i
