@@ -3,7 +3,7 @@
 As a pytest benchmark this runs the scaled-down sweep like every other
 harness.  Run directly — ``python benchmarks/bench_wallclock.py`` — it
 reproduces the committed ``BENCH_wallclock.json`` at full scale
-(batch sizes 2^10..2^16, TPC-C 50/50) and rewrites the file (~7 min).
+(batch sizes 2^10..2^16, TPC-C 50/50) and rewrites the file (~6 min).
 ``python benchmarks/bench_wallclock.py --small-batch`` re-measures only
 the file's ``small_batch`` section (~1 min) and leaves the rest as is.
 """
@@ -56,7 +56,7 @@ def main(argv: list[str]) -> int:
         print(f"usage: {sys.argv[0]} [--small-batch]", file=sys.stderr)
         return 2
     # min-of-8: matches the perf gate's estimator (scripts/check_wallclock.py).
-    # The mockgpu columns are what fills transfers_per_batch — the
+    # The mockgpu column is what fills transfers_per_batch — the
     # per-phase transfer ledger EXPERIMENTS.md documents for every batch
     # size (scripts/check_wallclock.py --schema holds the file to it).
     result = wallclock.run_and_write(

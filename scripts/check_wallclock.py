@@ -18,14 +18,13 @@ locally regenerated baseline::
 
 Opt-in from pytest via the ``perf`` marker: ``pytest -m perf``.
 
-``--backend NAME`` additionally runs the array-backend gate: the
-batched path is measured through the named ``repro.xp`` backend
+The array-backend gate runs next, on ``mockgpu`` (``--backend`` names
+another ``repro.xp`` backend): the batched path is measured through it
 (informational) and one batch's transfer ledger is checked for
 contract violations (zero implicit host round-trips inside kernel
-phases, zero float upcasts — this part gates).  Backends that are not
-constructible on this host auto-skip; ``--quick`` drops the
-machine-dependent wall-clock gates and runs only the backend gate,
-which is what CI uses (``--quick --backend mockgpu``).
+phases, zero float upcasts — this part gates).  ``--quick`` drops the
+machine-dependent wall-clock gates and runs only the backend and serve
+gates, which is what CI uses (``--quick --transfer-ceiling``).
 
 ``--schema`` runs nothing and times nothing: it only checks that every
 key EXPERIMENTS.md and docs/ARCHITECTURE.md document for
@@ -95,38 +94,16 @@ def check(
     return 0
 
 
-def check_backend(backend: str | None, rounds: int = DEFAULT_ROUNDS) -> int:
+def check_backend(backend: str, rounds: int = DEFAULT_ROUNDS) -> int:
     """Gate the array-backend path: measure the batched sweep through
     the ``repro.xp`` backend (informational — mockgpu pays bookkeeping
-    overhead by design, real devices vary by host) and verify the
-    device contract on one batch's transfer ledger (this part gates:
-    zero implicit host round-trips inside kernel phases, zero float
-    upcasts).
-
-    ``backend=None``/``"auto"`` picks the first constructible device
-    backend and skips (exit 0) when none is installed; a named backend
-    that is not constructible here also skips.
-    """
+    overhead by design) and verify the device contract on one batch's
+    transfer ledger (this part gates: zero implicit host round-trips
+    inside kernel phases, zero float upcasts)."""
     import dataclasses
 
     from repro.bench import wallclock
     from repro.bench.common import ltpg_config, tpcc_bench
-    from repro.xp import available_backends
-
-    avail = available_backends()
-    if backend in (None, "auto"):
-        device = [n for n in avail if n not in ("numpy", "mockgpu")]
-        if not device:
-            print(
-                "backend gate skipped: no device backend (cupy/torch) "
-                "constructible here; use --backend mockgpu to run the "
-                "contract checker"
-            )
-            return 0
-        backend = device[0]
-    if backend not in avail:
-        print(f"backend gate skipped: backend {backend!r} not constructible here")
-        return 0
 
     reference = wallclock.measure_path(GATE_BATCH, scale=1.0, rounds=rounds)
     through = wallclock.measure_path(
@@ -142,23 +119,20 @@ def check_backend(backend: str | None, rounds: int = DEFAULT_ROUNDS) -> int:
     # contract leg: one fresh batch, then inspect the transfer ledger
     bench = tpcc_bench(32, neworder_pct=50, batch_size=GATE_BATCH, scale=1.0)
     config = dataclasses.replace(
-        ltpg_config(bench.batch_size),
-        batched_exec=True, array_backend=backend,
+        ltpg_config(bench.batch_size), array_backend=backend
     )
-    engine = bench.engine(config)
-    try:
+    with bench.engine(config) as engine:
         engine.run_batch(bench.generator.make_batch(bench.batch_size))
-        resolved = engine._ensure_backend()
-        ledger = resolved.transfer_stats()
-        upcasts = list(getattr(resolved, "upcasts", ()))
-    finally:
-        engine.close()
+        # before close() fences the dirty columns back into the ledger
+        ledger = engine._backend.transfer_stats().snapshot()
+        upcasts = list(getattr(engine._backend, "upcasts", ()))
     print(
-        f"transfer ledger: {ledger.h2d_bytes} B h2d / {ledger.d2h_bytes} B d2h "
-        f"in {ledger.count} transfers, {ledger.dispatches} dispatches, "
-        f"{ledger.implicit_syncs} implicit syncs, {len(upcasts)} upcasts"
+        f"transfer ledger: {ledger['h2d_bytes']} B h2d / "
+        f"{ledger['d2h_bytes']} B d2h in {ledger['count']} transfers, "
+        f"{ledger['dispatches']} dispatches, "
+        f"{ledger['implicit_syncs']} implicit syncs, {len(upcasts)} upcasts"
     )
-    if ledger.implicit_syncs or upcasts:
+    if ledger["implicit_syncs"] or upcasts:
         print(
             f"backend contract violated on {backend}: implicit host "
             "round-trips or float upcasts inside the hot path"
@@ -167,181 +141,86 @@ def check_backend(backend: str | None, rounds: int = DEFAULT_ROUNDS) -> int:
     return 0
 
 
-#: Transfer-ceiling gate (``--transfer-ceiling``): with
-#: ``device_resident=1`` the steady-state per-batch H2D traffic must be
-#: op-proportional — transaction parameters, conflict registration and
-#: write-back scatters — never whole-column round-trips.  The budget is
-#: expressed per transaction: TXN_PARAM_BYTES approximates the
-#: parameter-column upload per transaction (ParamColumns ships ~18
-#: int64 fields) and the factor covers the other op-proportional
-#: streams (registration keys/tids, write-back rows/values, grow-driven
-#: re-uploads).  Crucially the budget does NOT scale with database
-#: size, so any per-batch column re-upload creeping back in trips it —
-#: the non-resident path exceeds it several-fold even at the small
-#: quick-gate scale (verified by the gate itself).
+#: Transfer-ceiling gate (``--transfer-ceiling``): on a device backend
+#: the snapshot is resident, so the steady-state per-batch H2D traffic
+#: must be op-proportional — transaction parameters, conflict
+#: registration and write-back scatters — never whole-column
+#: round-trips.  The budget is expressed per transaction:
+#: TXN_PARAM_BYTES approximates the parameter-column upload per
+#: transaction (ParamColumns ships ~18 int64 fields) and the factor
+#: covers the other op-proportional streams (registration keys/tids,
+#: write-back rows/values, grow-driven re-uploads).  The budget does
+#: NOT scale with database size, and the gate shows that it bites
+#: without a second mode to compare against: the same batches against a
+#: database four times the size must cost the same H2D to within
+#: TRANSFER_GATE_SPREAD.  Any per-batch column upload creeping back in
+#: scales with the tables and trips it (the shipped-copy layout this
+#: repo used to offer measured 26.21 MB against this 6.55 MB budget at
+#: 4 warehouses; EXPERIMENTS.md keeps the table).
 TXN_PARAM_BYTES = 160
 PARAMS_BUDGET_FACTOR = 10
-TRANSFER_GATE_WAREHOUSES = 4
+TRANSFER_GATE_WAREHOUSES = (4, 16)
+TRANSFER_GATE_SPREAD = 0.02
 TRANSFER_GATE_BATCHES = 3
-
-#: Full-mode acceptance numbers (``--transfer-ceiling-full``): at the
-#: paper's headline batch 2^14 on full-scale TPC-C (64 warehouses,
-#: standard five-transaction mix), residency must cut steady-state
-#: per-batch H2D+D2H bytes by at least 10x vs the non-resident batched
-#: path, with byte-identical final database state.
-TRANSFER_FULL_WAREHOUSES = 64
-TRANSFER_FULL_BATCH = 16_384
-TRANSFER_FULL_RATIO = 10.0
 
 
 def _steady_transfers(
-    backend: str,
-    device_resident: bool,
-    warehouses: int,
-    batch_size: int,
-    batches: int,
-    full_mix: bool,
-) -> tuple[dict[str, int], str]:
-    """Run ``batches`` batches and return (last-batch ledger deltas,
-    final database digest).  The last batch is steady state: batch 0
-    pays the initial residency upload, batch 1 the first-touch upload
-    of write-back-only columns.  mockgpu's ledger is deterministic, so
-    the gate reproduces exactly on any host."""
+    backend: str, warehouses: int, batch_size: int
+) -> dict[str, int]:
+    """Run TRANSFER_GATE_BATCHES batches and return the last one's
+    ledger deltas.  The last batch is steady state: batch 0 pays the
+    initial upload, batch 1 the first-touch upload of write-back-only
+    columns.  mockgpu's ledger is deterministic, so the gate reproduces
+    exactly on any host."""
     import dataclasses
 
     from repro.bench.common import ltpg_config, tpcc_bench
 
-    if full_mix:
-        from repro.bench.fullmix import FULL_MIX
-        from repro.core.engine import LTPGEngine
-        from repro.workloads.tpcc import build_tpcc
-
-        db, registry, generator = build_tpcc(
-            warehouses=warehouses, num_items=100_000, mix=FULL_MIX, seed=7
-        )
-        config = dataclasses.replace(
-            ltpg_config(batch_size),
-            batched_exec=True, array_backend=backend,
-            device_resident=device_resident,
-        )
-        engine = LTPGEngine(db, registry, config)
-        database = db
-    else:
-        bench = tpcc_bench(
-            warehouses, neworder_pct=50, batch_size=batch_size, seed=7
-        )
-        config = dataclasses.replace(
-            ltpg_config(batch_size),
-            batched_exec=True, array_backend=backend,
-            device_resident=device_resident,
-        )
-        engine = bench.engine(config)
-        generator = bench.generator
-        database = bench.database
-    try:
-        for _ in range(batches):
-            engine.run_batch(generator.make_batch(batch_size))
-        transfers = engine.last_transfers
-        if engine._residency is not None:
-            engine._residency.sync_all_to_host()
-        digest = database.state_digest()
-    finally:
-        engine.close()
-    return transfers, digest
-
-
-def check_transfer_ceiling(
-    backend: str | None,
-    batch_size: int = GATE_BATCH,
-    full: bool = False,
-) -> int:
-    """Gate device residency's whole point: with ``device_resident=1``
-    the steady-state per-batch H2D bytes must stay within the
-    op-proportional (params-only) budget, while the non-resident path
-    must exceed it — proving both that residency kills the per-phase
-    column round-trip and that the gate would catch its return.
-
-    Quick mode runs a small database so CI stays fast; byte identity of
-    the final state between the two paths rides along.  ``full=True``
-    additionally reruns the acceptance configuration (full-scale TPC-C,
-    five-transaction mix, batch 2^14) and holds the total H2D+D2H
-    reduction to >= {ratio}x.
-    """.format(ratio=TRANSFER_FULL_RATIO)
-    from repro.xp import available_backends
-
-    backend = backend or "mockgpu"
-    if backend == "auto":
-        backend = "mockgpu"
-    if backend not in available_backends() or backend == "numpy":
-        print(f"transfer-ceiling gate skipped: backend {backend!r} has no ledger")
-        return 0
-
-    resident, digest_r = _steady_transfers(
-        backend, True, TRANSFER_GATE_WAREHOUSES, batch_size,
-        TRANSFER_GATE_BATCHES, full_mix=False,
+    bench = tpcc_bench(
+        warehouses, neworder_pct=50, batch_size=batch_size, seed=7
     )
-    baseline, digest_b = _steady_transfers(
-        backend, False, TRANSFER_GATE_WAREHOUSES, batch_size,
-        TRANSFER_GATE_BATCHES, full_mix=False,
+    config = dataclasses.replace(
+        ltpg_config(batch_size), array_backend=backend
     )
+    with bench.engine(config) as engine:
+        for _ in range(TRANSFER_GATE_BATCHES):
+            engine.run_batch(bench.generator.make_batch(batch_size))
+        return engine.last_transfers
+
+
+def check_transfer_ceiling(backend: str, batch_size: int = GATE_BATCH) -> int:
+    """Gate what residency is for: the steady-state per-batch H2D bytes
+    stay within the op-proportional (params-only) budget, and do not
+    move with the size of the database — which a per-batch column
+    round-trip would, so the gate would catch its return."""
+    small, large = TRANSFER_GATE_WAREHOUSES
+    h2d = {
+        warehouses: _steady_transfers(backend, warehouses, batch_size)["h2d_bytes"]
+        for warehouses in TRANSFER_GATE_WAREHOUSES
+    }
     budget = batch_size * TXN_PARAM_BYTES * PARAMS_BUDGET_FACTOR
-    res_ok = resident["h2d_bytes"] <= budget
-    bites = baseline["h2d_bytes"] > budget
-    same = digest_r == digest_b
+    within = max(h2d.values()) <= budget
+    spread = abs(h2d[large] - h2d[small]) / max(h2d[small], 1)
+    flat = spread <= TRANSFER_GATE_SPREAD
     print(
-        f"transfer ceiling @ batch {batch_size} "
-        f"({TRANSFER_GATE_WAREHOUSES} warehouses, {backend}): steady "
-        f"H2D resident {resident['h2d_bytes'] / 1e6:.2f} MB, budget "
+        f"transfer ceiling @ batch {batch_size} ({backend}): steady H2D "
+        f"{h2d[small] / 1e6:.2f} MB at {small} warehouses, "
+        f"{h2d[large] / 1e6:.2f} MB at {large}, budget "
         f"{budget / 1e6:.2f} MB ({TXN_PARAM_BYTES} B/txn x "
-        f"{PARAMS_BUDGET_FACTOR}) -> {'OK' if res_ok else 'FAIL'}"
+        f"{PARAMS_BUDGET_FACTOR}) -> {'OK' if within else 'FAIL'}"
     )
     print(
-        f"  non-resident H2D {baseline['h2d_bytes'] / 1e6:.2f} MB "
-        f"{'exceeds' if bites else 'UNDER'} the budget (gate "
-        f"{'bites' if bites else 'would not catch a regression'})"
-        f" -> {'OK' if bites else 'FAIL'}"
+        f"  spread across database sizes {spread * 100:.2f}% (limit "
+        f"{TRANSFER_GATE_SPREAD * 100:.0f}%: op-proportional, not "
+        f"database-proportional) -> {'OK' if flat else 'FAIL'}"
     )
-    print(
-        f"  final state digest identical across paths -> "
-        f"{'OK' if same else 'FAIL'}"
-    )
-    if not res_ok:
+    if not within or not flat:
         print(
-            "steady-state H2D under device_resident=1 exceeds the "
-            "params-only budget: a per-batch column round-trip crept back in"
+            "steady-state H2D exceeds the params-only budget or grows "
+            "with the database: a per-batch column round-trip crept back in"
         )
         return 1
-    if not bites or not same:
-        return 1
-    if not full:
-        return 0
-
-    resident, digest_r = _steady_transfers(
-        backend, True, TRANSFER_FULL_WAREHOUSES, TRANSFER_FULL_BATCH,
-        TRANSFER_GATE_BATCHES, full_mix=True,
-    )
-    baseline, digest_b = _steady_transfers(
-        backend, False, TRANSFER_FULL_WAREHOUSES, TRANSFER_FULL_BATCH,
-        TRANSFER_GATE_BATCHES, full_mix=True,
-    )
-    res_total = resident["h2d_bytes"] + resident["d2h_bytes"]
-    base_total = baseline["h2d_bytes"] + baseline["d2h_bytes"]
-    ratio = base_total / max(res_total, 1)
-    ratio_ok = ratio >= TRANSFER_FULL_RATIO
-    same = digest_r == digest_b
-    print(
-        f"transfer ceiling (full) @ batch {TRANSFER_FULL_BATCH} "
-        f"({TRANSFER_FULL_WAREHOUSES} warehouses, full mix): "
-        f"baseline {base_total / 1e6:.1f} MB/batch, resident "
-        f"{res_total / 1e6:.1f} MB/batch, reduction {ratio:.2f}x "
-        f"(floor {TRANSFER_FULL_RATIO:.0f}x) -> "
-        f"{'OK' if ratio_ok else 'FAIL'}"
-    )
-    print(
-        f"  final state digest identical across paths -> "
-        f"{'OK' if same else 'FAIL'}"
-    )
-    return 0 if ratio_ok and same else 1
+    return 0
 
 
 #: Serve gate tolerance: measured p99 may exceed the committed baseline
@@ -420,7 +299,7 @@ WALLCLOCK_SCHEMA = (
     "meta.array_backend.{backend,library,version}",
     "seconds_per_batch.{columnar,batched,sharded}.*"
     ".{execute,conflict,writeback,assemble,total}",
-    "seconds_per_batch.{batched[mockgpu],resident[mockgpu]}.*"
+    "seconds_per_batch.batched[mockgpu].*"
     ".{execute,conflict,writeback,assemble,total}",
     "seconds_per_batch.sharded.*.sequencer",
     "speedup_execute_total.*.{execute,total}",
@@ -577,9 +456,9 @@ def main(argv: list[str] | None = None) -> int:
         help="measured batches (min is taken)",
     )
     parser.add_argument(
-        "--backend", default=None,
-        help="repro.xp backend for the array-backend gate (default: "
-        "first constructible device backend, skipping when none is)",
+        "--backend", default="mockgpu",
+        help="repro.xp backend for the array-backend and transfer gates "
+        "(default: mockgpu, the device contract checker)",
     )
     parser.add_argument(
         "--skip-backend", action="store_true",
@@ -587,16 +466,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--transfer-ceiling", action="store_true",
-        help="gate steady-state per-batch H2D under device_resident=1 "
-        "against the op-proportional (params-only) budget on the "
-        "ledger backend (deterministic; CI runs this with --quick)",
-    )
-    parser.add_argument(
-        "--transfer-ceiling-full", action="store_true",
-        help="also rerun the full-scale acceptance configuration "
-        f"({TRANSFER_FULL_WAREHOUSES} warehouses, full mix, batch "
-        f"{TRANSFER_FULL_BATCH}) and require a "
-        f">={TRANSFER_FULL_RATIO:.0f}x H2D+D2H reduction",
+        help="gate the device backend's steady-state per-batch H2D "
+        "against the op-proportional (params-only) budget, at two "
+        "database sizes (deterministic; CI runs this with --quick)",
     )
     parser.add_argument(
         "--serve-baseline",
@@ -633,10 +505,8 @@ def main(argv: list[str] | None = None) -> int:
         rc = check(args.baseline, args.allowed_factor, args.rounds)
     if rc == 0 and not args.skip_backend:
         rc = check_backend(args.backend, 2 if args.quick else args.rounds)
-    if rc == 0 and (args.transfer_ceiling or args.transfer_ceiling_full):
-        rc = check_transfer_ceiling(
-            args.backend, full=args.transfer_ceiling_full
-        )
+    if rc == 0 and args.transfer_ceiling:
+        rc = check_transfer_ceiling(args.backend)
     if rc == 0 and not args.skip_serve:
         rc = check_serve(args.serve_baseline, args.serve_factor)
     return rc

@@ -41,8 +41,8 @@ Scalar reductions (``arr.max()`` with no axis) are *not* findings: the
 shared contract models them as one-word readbacks, exactly as mockgpu
 accounts them at runtime.
 
-With ``device_resident=1`` the authoritative table snapshot lives on
-the device (:class:`~repro.xp.residency.DeviceTableView`), so twin or
+On a device backend the authoritative table snapshot lives on the
+device (:class:`~repro.xp.residency.DeviceTableView`), so twin or
 helper code that reads a table column through the host-side
 :class:`~repro.storage.table.Table` API (``table.column(...)`` or the
 private ``._columns``/``._keys`` storage) either observes a stale host

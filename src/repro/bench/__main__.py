@@ -32,6 +32,7 @@ from repro.bench import (
     table9,
     wallclock,
 )
+from repro.xp import BACKEND_NAMES
 
 
 def _runners(scale: float, rounds: int, backend: str | None = None):
@@ -78,8 +79,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend",
         default=None,
+        choices=BACKEND_NAMES,
         help="add a batched[<backend>] column to the wallclock sweep "
-        "(repro.xp backend name; skipped when not constructible here)",
+        "(repro.xp backend name)",
     )
     args = parser.parse_args(argv)
     runners = _runners(args.scale, args.rounds, args.backend)

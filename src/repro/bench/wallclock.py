@@ -82,9 +82,9 @@ class WallclockResult:
     metrics: dict = field(default_factory=dict)
     #: path name -> batch size -> engine phase -> transfer-ledger deltas
     #: (``h2d_bytes``/``d2h_bytes``/...) of one steady-state batch, for
-    #: every ledger-backed path and every batch-size column — this is
-    #: what makes the ``device_resident`` transfer win visible across
-    #: the sweep, not just at the traced headline batch
+    #: every ledger-backed path and every batch-size column (what a
+    #: device moves per batch across the sweep, not just at the traced
+    #: headline batch)
     transfers: dict[str, dict[int, dict[str, dict[str, int]]]] = field(
         default_factory=dict
     )
@@ -181,8 +181,8 @@ class WallclockResult:
                     d2h = sum(d.get("d2h_bytes", 0) for d in phases.values())
                     xrows.append([p, b, f"{h2d / 1e6:.1f}", f"{d2h / 1e6:.1f}"])
             table += "\n\n" + format_table(
-                "Steady-state transfer ledger per batch (mockgpu/device "
-                "backends only)",
+                "Steady-state transfer ledger per batch (device backend "
+                "only)",
                 xheaders,
                 xrows,
                 note="one post-warm-up batch per cell; per-phase splits "
@@ -249,7 +249,6 @@ def measure_path(
     seed: int = 7,
     batched: bool = True,
     backend: str = "numpy",
-    device_resident: bool = False,
     transfers_out: dict | None = None,
     shards: int = 0,
 ) -> dict[str, float]:
@@ -259,9 +258,8 @@ def measure_path(
     streams for a given seed) and discards one warm-up batch.
     ``batched=False`` is ``LTPGConfig(batched_exec=False)``: every lane
     a scalar lane.  ``backend`` selects the ``repro.xp`` array backend
-    (the warm-up batch also absorbs any device initialization) and
-    ``device_resident`` pins table columns device-side across batches.
-    ``shards`` > 1 is ``LTPGConfig(shards=...)`` (an
+    (on a device the warm-up batch also absorbs the first-touch column
+    uploads).  ``shards`` > 1 is ``LTPGConfig(shards=...)`` (an
     extra ``sequencer`` entry reports the deterministic router's host
     cost and counts toward ``total``).
 
@@ -278,7 +276,6 @@ def measure_path(
         ltpg_config(bench.batch_size),
         batched_exec=batched,
         array_backend=backend,
-        device_resident=device_resident,
         shards=shards if shards > 1 else 1,
     )
     phases = PHASES + ("sequencer",) if shards > 1 else PHASES
@@ -476,13 +473,11 @@ def run(
     seed: int = 7,
     backend: str | None = None,
 ) -> WallclockResult:
-    """Sweep all paths; ``backend`` adds an optional per-backend
+    """Sweep all paths; a non-numpy ``backend`` adds a per-backend
     column (a ``batched[<backend>]`` series measured through the
-    ``repro.xp`` shim) when that backend is constructible here."""
-    from repro.xp import available_backends, get_backend
+    ``repro.xp`` shim, with its transfer ledger)."""
+    from repro.xp import get_backend
 
-    if backend is not None and backend not in available_backends():
-        backend = None  # auto-skip: the device library is absent
     result = WallclockResult()
     result.meta = {
         "workload": f"tpcc neworder={neworder_pct}%",
@@ -502,14 +497,13 @@ def run(
         "array_backend": get_backend(backend or "numpy").device_info(),
     }
     paths = [
-        ("sharded", True, "numpy", False, SHARDS),
-        ("batched", True, "numpy", False, 0),
-        ("columnar", False, "numpy", False, 0),
+        ("sharded", True, "numpy", SHARDS),
+        ("batched", True, "numpy", 0),
+        ("columnar", False, "numpy", 0),
     ]
     if backend is not None and backend != "numpy":
-        paths.insert(0, (f"batched[{backend}]", True, backend, False, 0))
-        paths.insert(0, (f"resident[{backend}]", True, backend, True, 0))
-    for path, batched, xp_name, resident, shards in paths:
+        paths.insert(0, (f"batched[{backend}]", True, backend, 0))
+    for path, batched, xp_name, shards in paths:
         by_batch: dict[int, dict[str, float]] = {}
         for batch in batch_sizes:
             transfers: dict[str, dict[str, int]] = {}
@@ -517,8 +511,7 @@ def run(
                 batch, scale=scale, rounds=rounds,
                 warehouses=warehouses, neworder_pct=neworder_pct, seed=seed,
                 batched=batched, backend=xp_name,
-                device_resident=resident, transfers_out=transfers,
-                shards=shards,
+                transfers_out=transfers, shards=shards,
             )
             if transfers:
                 result.transfers.setdefault(path, {})[batch] = transfers

@@ -74,26 +74,16 @@ class LTPGConfig:
     batched_exec: bool = True
 
     #: Array backend the batched hot path runs on (:mod:`repro.xp`):
-    #: ``"numpy"`` (the pinned reference), ``"mockgpu"`` (NumPy semantics
-    #: plus device-contract checking: transfer ledger, implicit-sync and
-    #: dtype-discipline enforcement), ``"cupy"``/``"torch"`` (real
-    #: device-resident execution when the library and a device exist),
-    #: or ``"auto"`` (best available device, else numpy).  Non-numpy
-    #: backends are incompatible with ``sanitize`` (the shadow log reads
-    #: host arrays); scalar-executed lanes stay on the host under any
-    #: backend.
+    #: ``"numpy"`` (the host, the pinned reference) or ``"mockgpu"`` (a
+    #: device: NumPy semantics in memory of its own, plus the transfer
+    #: ledger and implicit-sync / dtype-discipline enforcement).  A
+    #: device backend keeps the snapshot resident
+    #: (:mod:`repro.xp.residency`): tables upload once, write-back and
+    #: delayed updates scatter device-side, host readers fence lazily,
+    #: and a batch moves parameters down and read/write sets back —
+    #: there is no flag for it.  ``mockgpu`` is incompatible with
+    #: ``sanitize`` (the shadow log reads host arrays).
     array_backend: str = "numpy"
-
-    #: Device-resident table residency (:mod:`repro.xp.residency`): pin
-    #: every table's columns on the active backend once and keep them
-    #: authoritative across batches — write-back and delayed updates
-    #: become device-side scatters instead of host scatter + re-upload,
-    #: and host readers lazily sync through a dirty-column fence.
-    #: Steady-state per-batch H2D drops to parameters plus op-sized
-    #: shuttle traffic (the ``--transfer-ceiling`` gate pins the ≥10x
-    #: reduction on mockgpu).  Inert on host-identity backends (numpy),
-    #: where crossings are free.
-    device_resident: bool = False
 
     #: Engine shards (:mod:`repro.shard`): partition the database by the
     #: workload's partition spec (recognized from the table names: TPC-C
@@ -132,12 +122,12 @@ class LTPGConfig:
             raise ConfigError("retry delay must be >= 1 batch")
         from repro.xp import BACKEND_NAMES  # noqa: PLC0415 (cycle: xp -> errors)
 
-        if self.array_backend not in (*BACKEND_NAMES, "auto"):
+        if self.array_backend not in BACKEND_NAMES:
             raise ConfigError(
                 f"unknown array_backend {self.array_backend!r}; expected one "
-                f"of {', '.join(BACKEND_NAMES)} or 'auto'"
+                f"of {', '.join(BACKEND_NAMES)}"
             )
-        if self.array_backend not in ("numpy", "auto") and self.sanitize:
+        if self.array_backend != "numpy" and self.sanitize:
             raise ConfigError(
                 f"array_backend={self.array_backend!r} is incompatible "
                 "with sanitize: the shadow access log instruments host "

@@ -87,15 +87,6 @@ class ConflictLog:
         self._touched = []
         self._clear_inserts()
 
-    def set_backend(self, xp: ArrayBackend) -> None:
-        """Re-home the registration tables on a new backend (engine
-        reconfiguration); the next :meth:`begin_batch` ships nothing —
-        the minima move here, once."""
-        self.xp = xp
-        self._min_read = xp.from_host(np.asarray(xp.to_host(self._min_read)))
-        self._min_write = xp.from_host(np.asarray(xp.to_host(self._min_write)))
-        self._touched = []
-
     def end_batch(self) -> None:
         """Reset every touched minimum back to the sentinel."""
         if self._touched:

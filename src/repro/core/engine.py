@@ -63,6 +63,7 @@ from repro.storage.wal import BatchLog
 from repro.txn.batch import BatchScheduler
 from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.txn.transaction import Transaction, batch_columns
+from repro.xp import ResidencyManager, get_backend
 
 _tid_of = attrgetter("tid")
 
@@ -143,6 +144,15 @@ class LTPGEngine:
         self.delayed = DelayedUpdater(
             database, config.delayed_columns, enabled=config.delayed_update
         )
+        #: The array backend the stages compute on (:mod:`repro.xp`) and,
+        #: iff it is a device, the snapshot resident on it — every
+        #: column access is the host column or the resident one, by
+        #: ``_backend.is_device`` and nothing a caller sets.
+        self._backend = get_backend(config.array_backend)
+        self._residency = (
+            ResidencyManager(self._backend, database)
+            if self._backend.is_device else None
+        )
         #: Who owns which row (:mod:`repro.shard`): the route stage lays
         #: a batch out by it, the conflict log registers by it and the
         #: write-back installs by it.
@@ -153,12 +163,13 @@ class LTPGEngine:
             )
             self.conflict_log: ConflictLog = ShardedConflictLog(
                 database, self.flags, self.partition,
-                dynamic_buckets=config.dynamic_buckets,
+                dynamic_buckets=config.dynamic_buckets, xp=self._backend,
             )
         else:
             self.partition = Unpartitioned()
             self.conflict_log = ConflictLog(
-                database, self.flags, dynamic_buckets=config.dynamic_buckets
+                database, self.flags,
+                dynamic_buckets=config.dynamic_buckets, xp=self._backend,
             )
         self.hotspot = HotspotDetector(database, config.hot_tables)
         self.memory_plan: MemoryPlan = resolve_memory_mode(
@@ -204,24 +215,15 @@ class LTPGEngine:
         self.compute_stream = "stream0"
         self.d2h_stream = "stream0"
         self._batch_counter = 0
-        # Resolved array backend (repro.xp) for the batched hot path and,
-        # under config.device_resident, the device-resident table cache
-        # on it; both re-resolved by _ensure_backend when a swapped
-        # config object changes the key below.
-        self._backend = None
-        self._residency = None
-        self._resource_key: tuple | None = None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the device-resident table cache: dirty columns fence
-        back to host and the tables are unhooked, as on a backend swap.
-        Idempotent, and a no-op without ``device_resident``; a batch run
-        after ``close`` rebuilds the cache."""
+        """Release the device-resident snapshot: dirty columns fence
+        back to host, the device copies are dropped and the tables
+        unhooked.  Idempotent, and a no-op on the host backend; a batch
+        run after ``close`` uploads again."""
         if self._residency is not None:
             self._residency.detach()
-            self._residency = None
-            self._resource_key = None
 
     def __enter__(self) -> LTPGEngine:
         return self
@@ -276,41 +278,6 @@ class LTPGEngine:
             # params-only from the first batch of the next run.
             self._residency.sync_all_to_host()
 
-    def _ensure_backend(self):
-        """The resolved array backend — and, as ``self._residency``, the
-        device-resident table cache on it (``None`` without
-        ``config.device_resident``) — re-resolved when a config object
-        swapped in after construction changes the backend name or the
-        residency flag.  :meth:`run_batch` resolves once per batch; the
-        stages read the attributes."""
-        config = self.config
-        name = config.array_backend
-        key = (name, config.device_resident)
-        if self._resource_key == key:
-            return self._backend
-        if self._residency is not None:
-            # The resident columns belong to the outgoing backend: fence
-            # dirty state back to host with *its* crossings, then unhook
-            # so the next cache re-uploads lazily from current host.
-            self._residency.detach()
-            self._residency = None
-        if self._resource_key is None or self._resource_key[0] != name:
-            from repro.xp import resolve_backend
-
-            resolved = name
-            if name == "auto" and config.sanitize:
-                # device backends are invalid under sanitize (explicit
-                # names fail ConfigError); auto degrades to host
-                resolved = "numpy"
-            self._backend = resolve_backend(resolved)
-            self.conflict_log.set_backend(self._backend)
-        if config.device_resident:
-            from repro.xp.residency import ResidencyManager
-
-            self._residency = ResidencyManager(self._backend, self.database)
-        self._resource_key = key
-        return self._backend
-
     # ------------------------------------------------------------------
     def run_batch(self, transactions: list[Transaction]) -> BatchResult:
         """Process one batch end to end; returns its result.
@@ -325,7 +292,7 @@ class LTPGEngine:
             empty = BatchStats(self._batch_counter, 0, 0, 0)
             self._batch_counter += 1
             return BatchResult(empty, [], [], [])
-        ledger = self._ensure_backend().transfer_stats()
+        ledger = self._backend.transfer_stats()
         batch = Batch(self._batch_counter, transactions, ledger.snapshot())
         self._batch_counter += 1
         self._clocks = batch.clocks

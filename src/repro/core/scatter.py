@@ -24,16 +24,14 @@ def scatter_cells(
     ``accumulate``, assignment otherwise.  Returns each segment's row
     slots.
 
-    Where a segment lands depends on the array backend ``xp``.  Host
-    backends (and ``None``) scatter straight into the table column.  A
-    device backend with a :class:`~repro.xp.residency.ResidencyManager`
-    scatters into the resident device column and marks the host side
-    stale — no round trip.  A device backend without one ships the
-    column down, scatters, and ships the merged column back: the
-    snapshot's authoritative copy is host memory (the paper's CPU-side
-    primary).  Callers pass WAW-disjoint assignments or commutative
-    adds, so neither the segment order nor the copy scattered into can
-    change the snapshot (ARCHITECTURE §13).
+    Where a segment lands depends on the array backend ``xp``, two
+    ways.  On the host (numpy, or ``None``) it scatters straight into
+    the table column.  On a device it scatters into the resident device
+    column (``residency``, the engine's
+    :class:`~repro.xp.residency.ResidencyManager`) and marks the host
+    side stale — no round trip.  Callers pass WAW-disjoint assignments
+    or commutative adds, so neither the segment order nor the copy
+    scattered into can change the snapshot (ARCHITECTURE §13).
     """
     if table_ids.size == 0:
         return []
@@ -59,21 +57,12 @@ def scatter_cells(
             else:
                 target[rows[s:e]] = vals[s:e]
             continue
-        if residency is not None:
-            dev = residency.device_column(table, cname)
-        else:
-            target = table.column(cname)
-            dev = xp.from_host(target)
+        dev = residency.device_column(table, cname)
         idx = xp.from_host(rows[s:e])
         val = xp.from_host(vals[s:e])
         if accumulate:
             xp.scatter_add(dev, idx, val)
         else:
             xp.scatter(dev, idx, val)
-        if residency is not None:
-            residency.mark_dirty(table, cname)
-        else:
-            host = xp.to_host(dev)
-            if not np.shares_memory(host, target):
-                target[:] = host
+        residency.mark_dirty(table, cname)
     return segments

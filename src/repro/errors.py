@@ -46,13 +46,8 @@ class ConfigError(TransactionError):
 
 
 class BackendError(ReproError):
-    """Raised for array-backend misuse (:mod:`repro.xp`): unknown or
-    unavailable backend names, malformed primitive arguments, ..."""
-
-
-class BackendUnavailable(BackendError):
-    """Raised when a requested array backend's library (CuPy, PyTorch)
-    is not importable, or its device is not usable, in this process."""
+    """Raised for array-backend misuse (:mod:`repro.xp`): unknown
+    backend names, malformed primitive arguments, ..."""
 
 
 class BackendContractError(BackendError):

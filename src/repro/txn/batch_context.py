@@ -318,12 +318,10 @@ class BatchedContext:
         self._db = database
         #: the array backend all emission/finalize math runs on
         self.xp = xp if xp is not None else get_backend("numpy")
-        #: engine-owned device-resident table cache
-        #: (:class:`~repro.xp.residency.ResidencyManager`); when set,
-        #: snapshot columns come from it instead of re-uploading
+        #: the engine's device-resident snapshot
+        #: (:class:`~repro.xp.residency.ResidencyManager`) when ``xp``
+        #: is a device; ``None`` on the host
         self._residency = residency
-        #: device-resident snapshot columns, shipped once per group
-        self._dev_cols: dict[tuple[int, str], np.ndarray] = {}
         self.n = len(params_list)
         self.params = ParamColumns(params_list, xp=self.xp)
         #: lanes not yet logic-aborted and not sent to fallback
@@ -381,26 +379,14 @@ class BatchedContext:
         return self._db.resolve(table)
 
     def _column(self, t, column: str) -> np.ndarray:
-        """Snapshot column, device-resident under a device backend.
-
-        With an engine residency cache the column comes from the
-        persistent :class:`~repro.xp.residency.DeviceTableView` — it
-        was uploaded once for the whole session, not per group, and it
-        carries every committed write-back since.  Otherwise each
-        (table, column) ships to the device at most once per group —
-        the per-batch column shipping the paper's kernels assume.  On
-        the host backend this is the column itself (zero copies).
-        """
+        """Snapshot column, two ways: on the host the table column
+        itself (zero copies); on a device the resident column from the
+        engine's :class:`~repro.xp.residency.DeviceTableView` — uploaded
+        once for the whole session, carrying every committed write-back
+        since."""
         if not self.xp.is_device:
             return t._keys if column is None else t.column(column)
-        if self._residency is not None:
-            return self._residency.device_column(t, column)
-        col = t._keys if column is None else t.column(column)
-        key = (id(t), column)
-        dev = self._dev_cols.get(key)
-        if dev is None:
-            dev = self._dev_cols[key] = self.xp.from_host(col)
-        return dev
+        return self._residency.device_column(t, column)
 
     def column_of(self, table: str, column: str | None) -> np.ndarray:
         """Snapshot column as a backend array (device-resident and

@@ -101,8 +101,14 @@ class BufferedContext:
         loc = (table_id, row, column)
         value = local.writes.get(loc)
         if value is None:
+            view = t._resident_view
             try:
-                value = int(t._columns[column][row])
+                if view is None:
+                    value = int(t._columns[column][row])
+                else:
+                    # the snapshot is on the device: take the one
+                    # cell, not Table.read's whole-column fence
+                    value = view.read_cell(column, row)
             except KeyError:
                 raise StorageError(
                     f"table {t.name!r} has no column {column!r}"

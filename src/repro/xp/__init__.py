@@ -1,114 +1,55 @@
 """``repro.xp`` — the array-backend shim for the batched hot path.
 
-Selects between the NumPy reference, the ``mockgpu`` contract checker,
-and the optional device backends (CuPy, PyTorch) by name:
+Two backends, both of which run everywhere the repo does:
 
 >>> from repro import xp
->>> backend = xp.get_backend("numpy")      # the pinned reference
->>> backend = xp.get_backend("mockgpu")    # device contract under CI
->>> backend = xp.resolve_backend("auto")   # best available device, else numpy
+>>> backend = xp.get_backend("numpy")      # host: the pinned reference
+>>> backend = xp.get_backend("mockgpu")    # device contract + transfer ledger
 
-``get_backend`` raises :class:`~repro.errors.BackendError` for unknown
-names and :class:`~repro.errors.BackendUnavailable` when a known
-backend's library is missing — callers that validate configuration
-(:class:`~repro.core.config.LTPGConfig`) convert the former into
-``ConfigError`` at construction time, so a typo'd backend name fails
+``numpy`` is the host: crossings are identity and the snapshot is the
+table columns themselves.  ``mockgpu`` is a device (``is_device``): its
+arrays live in memory of their own, every crossing is counted, and the
+engine keeps the snapshot resident on it (:mod:`repro.xp.residency`) —
+that is what a device backend means here, not an option beside it.
+
+``get_backend`` raises :class:`~repro.errors.BackendError` for any
+other name; :class:`~repro.core.config.LTPGConfig` rejects the same
+names with ``ConfigError`` at construction, so a typo'd backend fails
 before any engine state exists.
 
 The numpy backend is a shared singleton (it is stateless: its transfer
-ledger is zero by contract); device and mock backends are constructed
-fresh per call so each engine owns an isolated transfer ledger.
+ledger is zero by contract); a mock backend is constructed fresh per
+call so each engine owns an isolated transfer ledger.
 """
 
 from __future__ import annotations
 
-from repro.errors import BackendError, BackendUnavailable
+from repro.errors import BackendError
 from repro.xp.base import CONTRACT, ArrayBackend, BackendContract, TransferStats
 from repro.xp.mockgpu import MockGpuBackend
 from repro.xp.numpy_backend import NumpyBackend
 from repro.xp.residency import DeviceTableView, ResidencyManager, ResidencyStats
 
-#: Names accepted by :func:`get_backend` / ``LTPGConfig.array_backend``
-#: ("auto" additionally resolves through :func:`resolve_backend`).
-BACKEND_NAMES = ("numpy", "mockgpu", "cupy", "torch")
+#: Names accepted by :func:`get_backend` / ``LTPGConfig.array_backend``.
+BACKEND_NAMES = ("numpy", "mockgpu")
 
-#: Preference order for ``array_backend="auto"``: real devices first,
-#: falling back to the host reference when none is importable.
-AUTO_ORDER = ("cupy", "torch", "numpy")
-
-_numpy_singleton: NumpyBackend | None = None
-
-
-def _build(name: str) -> ArrayBackend:
-    if name == "numpy":
-        global _numpy_singleton
-        if _numpy_singleton is None:
-            _numpy_singleton = NumpyBackend()
-        return _numpy_singleton
-    if name == "mockgpu":
-        return MockGpuBackend()
-    if name == "cupy":
-        from repro.xp.cupy_backend import CupyBackend  # noqa: PLC0415
-
-        return CupyBackend()
-    if name == "torch":
-        from repro.xp.torch_backend import TorchBackend  # noqa: PLC0415
-
-        return TorchBackend()
-    raise BackendError(
-        f"unknown array backend {name!r}; expected one of "
-        f"{', '.join(BACKEND_NAMES)} or 'auto'"
-    )
+_numpy_singleton = NumpyBackend()
 
 
 def get_backend(name: str) -> ArrayBackend:
-    """Construct the backend called ``name``.
-
-    Raises :class:`BackendError` for names outside :data:`BACKEND_NAMES`
-    and :class:`BackendUnavailable` when the backing library (or its
-    device) is absent.  ``"auto"`` is accepted and delegates to
-    :func:`resolve_backend`.
-    """
-    if name == "auto":
-        return resolve_backend("auto")
-    if not isinstance(name, str) or name not in BACKEND_NAMES:
-        raise BackendError(
-            f"unknown array backend {name!r}; expected one of "
-            f"{', '.join(BACKEND_NAMES)} or 'auto'"
-        )
-    return _build(name)
-
-
-def resolve_backend(name: str = "auto") -> ArrayBackend:
-    """Like :func:`get_backend`, but ``"auto"`` walks :data:`AUTO_ORDER`
-    and returns the first backend that constructs."""
-    if name != "auto":
-        return get_backend(name)
-    for candidate in AUTO_ORDER:
-        try:
-            return _build(candidate)
-        except BackendUnavailable:
-            continue
-    raise BackendUnavailable(
-        "no array backend available (not even numpy?)"
-    )  # pragma: no cover - numpy is a hard dependency
-
-
-def available_backends() -> tuple[str, ...]:
-    """The subset of :data:`BACKEND_NAMES` that construct in this
-    process (used by bench/CI gates to auto-skip device columns)."""
-    out = []
-    for name in BACKEND_NAMES:
-        try:
-            _build(name)
-        except BackendUnavailable:
-            continue
-        out.append(name)
-    return tuple(out)
+    """Construct the backend called ``name``; raises
+    :class:`BackendError` for names outside :data:`BACKEND_NAMES`."""
+    if name == "numpy":
+        return _numpy_singleton
+    if name == "mockgpu":
+        return MockGpuBackend()
+    raise BackendError(
+        f"unknown array backend {name!r}; expected one of "
+        f"{', '.join(BACKEND_NAMES)}"
+    )
 
 
 __all__ = [
-    "AUTO_ORDER",
     "BACKEND_NAMES",
     "CONTRACT",
     "ArrayBackend",
@@ -119,7 +60,5 @@ __all__ = [
     "ResidencyManager",
     "ResidencyStats",
     "TransferStats",
-    "available_backends",
     "get_backend",
-    "resolve_backend",
 ]

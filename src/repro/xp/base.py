@@ -5,8 +5,10 @@ The batched executor's whole data path — twin emission over a
 conflict-log registration, delayed-update merge, write-back scatter —
 is pure vectorized int64 array code.  :class:`ArrayBackend` names the
 primitives that code is allowed to call, so the same twins run on
-NumPy (the pinned reference), CuPy or PyTorch (device-resident), or
-the ``mockgpu`` contract checker, by passing a different ``xp``.
+NumPy (the host, the pinned reference) or on the ``mockgpu`` device
+(the contract checker and transfer ledger) by passing a different
+``xp``.  A real device library would be a third subclass; none is
+installed where this repo runs, so none is kept (ARCHITECTURE §10).
 
 Conventions every backend must honor:
 
@@ -17,8 +19,8 @@ Conventions every backend must honor:
   stable; the batched context's byte-identity argument depends on it.
 * **Explicit sync points** — ``from_host``/``to_host``/``item``/
   ``tolist`` are the only host<->device crossings.  On the NumPy
-  backend they are identity (zero copies); on device backends they are
-  the paper's per-batch parameter shipping (H2D) and read/write-set
+  backend they are identity (zero copies); on a device backend they
+  are the paper's per-batch parameter shipping (H2D) and read/write-set
   shipping (D2H), and they are where ``mockgpu`` counts transfers.
 * **Scatter ordering** — ``scatter_add``/``scatter_min`` must apply
   *all* updates (``np.add.at`` semantics, not buffered fancy-index
@@ -93,8 +95,8 @@ CONTRACT = BackendContract(
 class TransferStats:
     """Host<->device traffic ledger for one backend instance.
 
-    The NumPy backend leaves this at zero (there is no device); device
-    backends and ``mockgpu`` account every crossing.  ``implicit_syncs``
+    The NumPy backend leaves this at zero (there is no device);
+    ``mockgpu`` accounts every crossing.  ``implicit_syncs``
     counts device-to-host round-trips that did *not* go through the
     explicit primitives — the contract violations ``mockgpu`` exists to
     catch (always zero on a disciplined hot path).
@@ -135,7 +137,8 @@ class ArrayBackend:
 
     Subclasses set :attr:`name`, :attr:`module` (the wrapped array
     namespace) and :attr:`is_device` (whether arrays live off-host and
-    crossings are real transfers).
+    crossings are real transfers — in which case the engine keeps the
+    snapshot resident on the backend, :mod:`repro.xp.residency`).
     """
 
     name: str = "base"
@@ -165,8 +168,7 @@ class ArrayBackend:
     @contextmanager
     def kernel_phase(self, name: str):
         """Mark a device-kernel region.  ``mockgpu`` forbids implicit
-        host round-trips inside it; other backends treat it as a
-        documentation no-op (CuPy/torch launches are already async)."""
+        host round-trips inside it; on the host it is a no-op."""
         yield self
 
     def synchronize(self) -> None:

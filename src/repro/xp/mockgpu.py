@@ -1,8 +1,11 @@
 """The ``mockgpu`` backend: NumPy semantics, device discipline.
 
-Arrays produced by this backend are "device-resident" — a zero-copy
-:class:`numpy.ndarray` subclass tagged with the owning backend — and
-every host<->device crossing is accounted in the transfer ledger:
+Arrays produced by this backend are "device-resident" — a
+:class:`numpy.ndarray` subclass tagged with the owning backend, in
+memory of its own: ``from_host`` copies, as ``to_host`` does, so a host
+read that skipped the residency fence sees the stale host value instead
+of quietly aliasing the device one — and every host<->device crossing
+is accounted in the transfer ledger:
 
 * ``from_host``/``asarray`` of host data → H2D (bytes + count);
 * ``to_host``/``item``/``tolist`` → D2H;
@@ -212,7 +215,7 @@ class MockGpuBackend(ArrayBackend):
     def from_host(self, arr):
         if isinstance(arr, self.DeviceArray):
             return arr
-        a = np.asarray(arr)
+        a = np.array(arr)  # the device's own copy
         self._check_dtype("from_host", a)
         t = self.transfers
         t.h2d_count += 1

@@ -1,27 +1,21 @@
-"""Device-resident table residency: the snapshot's authoritative copy
-moves device-side (``LTPGConfig.device_resident``).
+"""Device residency: on a device backend the snapshot's authoritative
+copy lives device-side.
 
-The baseline engine treats host memory as the authoritative snapshot
-and round-trips every phase: the batched context uploads each touched
-column per batch (H2D), and the write-back scatter ships every merged
-column back (D2H + next-batch H2D).  At batch 2^14 that is hundreds of
-megabytes per batch of pure table traffic — the transfer wall both
-GPU-OLTP analyses in PAPERS.md identify as the dominant non-kernel
-cost.
-
-:class:`ResidencyManager` inverts the ownership: each table's
-columns are uploaded to the active backend **once** and stay
-authoritative across batches.  Write-back and delayed updates become
-device-side scatters into the cached columns (no round trip), and the
-steady-state per-batch H2D drops to parameters plus op-proportional
-shuttle traffic.
+This is what ``is_device`` means to the engine, not a mode beside it:
+an engine built on a device backend owns one :class:`ResidencyManager`,
+an engine on the host (numpy) owns none and every column access is the
+table column itself.  Each table's columns are uploaded to the backend
+**once** and stay authoritative across batches.  Write-back and delayed
+updates are device-side scatters into the cached columns (no round
+trip), and the steady-state per-batch H2D is parameters plus
+op-proportional shuttle traffic — independent of the database's size.
 
 Coherence protocol (the dirty-epoch fence):
 
 * :meth:`DeviceTableView.column` lazily uploads a column on first use
   and revalidates the cached host-array *identity* on every access —
-  a table ``_grow`` (``np.resize``) swaps the host array out from
-  under the cache, and the view heals and re-uploads.
+  a table ``_grow`` swaps the host array out from under the cache, and
+  the view heals and re-uploads.
 * Device-side scatters call :meth:`DeviceTableView.mark_dirty`; while
   a column is dirty the host copy is stale.
 * Host readers (``Table.read``/``column``/``state_signature``/``copy``
@@ -29,10 +23,15 @@ Coherence protocol (the dirty-epoch fence):
   through the ``Table._resident_view`` hook: the dirty column ships
   down once (D2H) and the dirty bit clears.  This is the runtime
   stale-host-read check; kernellint's KL106 is its static twin.
+* A scalar-executed lane (a ``fall_back`` lane, a twin-less procedure)
+  reads point cells through ``BufferedContext.read``, inside the
+  execute kernel and once per op: it takes the one cell off the device
+  (:meth:`DeviceTableView.read_cell`, an explicit one-word D2H) rather
+  than fence a column that is tens of megabytes and dirty every batch.
 * Host writers (``Table.write``/``insert``/``bulk_load``) fence first,
   apply on host, then drop the device copy (lazy re-upload).
-* ``Table._grow`` fences *before* reallocating, so ``np.resize``
-  always copies a current prefix; the grown column re-uploads lazily
+* ``Table._grow`` fences *before* reallocating, so the copy always
+  takes a current prefix; the grown column re-uploads lazily
   (amortized-logarithmic thanks to capacity doubling).
 * Freshly appended rows (the insert install path) are mirrored
   device-side by :meth:`DeviceTableView.note_appended` as op-sized
@@ -43,11 +42,6 @@ the commit rule and delayed adds are commutative, so applying them on
 the device copy instead of the host copy cannot reorder visible state
 — the same argument that makes the columnar write-back byte-identical
 to the scalar one (ARCHITECTURE §13 spells it out).
-
-On host-identity backends (numpy) ``from_host`` is identity, the
-"device" copy *is* the host array, and the manager stays inert
-(:attr:`ResidencyManager.active` is False): ``device_resident=1``
-under numpy is byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -120,8 +114,7 @@ class DeviceTableView:
         if name in self._dirty:
             data = self.xp.to_host(self._cols[name])
             m = min(data.shape[0], host.shape[0])
-            if not np.shares_memory(data, host):
-                host[:m] = data[:m]
+            host[:m] = data[:m]
             self.stats.fences += 1
             self.stats.fence_bytes += int(data.nbytes)
         self._drop(name)
@@ -163,8 +156,7 @@ class DeviceTableView:
             self._heal(name, host)
             return
         data = self.xp.to_host(self._cols[name])
-        if not np.shares_memory(data, host):
-            host[:] = data
+        host[:] = data
         self._dirty.discard(name)
         self.stats.fences += 1
         self.stats.fence_bytes += int(data.nbytes)
@@ -173,6 +165,14 @@ class DeviceTableView:
         """Fence every dirty column (full host sync)."""
         for name in list(self._dirty):
             self.fence_column(name)
+
+    def read_cell(self, name: str, row: int) -> int:
+        """One cell of the snapshot without a fence: off the device (a
+        one-word D2H — an explicit crossing, legal inside a kernel
+        phase) while ``name`` is dirty, off the host otherwise."""
+        if name in self._dirty:
+            return self.xp.item(self._cols[name][row : row + 1])
+        return int(self._host_of(name)[row])
 
     # -- host writers -------------------------------------------------------
     def host_written(self, name: str | None) -> None:
@@ -221,25 +221,16 @@ class DeviceTableView:
 
 class ResidencyManager:
     """Per-engine registry of :class:`DeviceTableView`\\ s, one per
-    table.  On host-identity backends the manager reports
-    :attr:`active` = False and hands out no views — residency is
-    meaningful only when crossings are real transfers.
-    """
+    table, on the engine's device backend ``xp``."""
 
     def __init__(self, xp, database) -> None:
         self.xp = xp
         self.database = database
         self.stats = ResidencyStats()
         self._views: dict[int, DeviceTableView] = {}
-        #: False on host-identity backends: views would cache the host
-        #: arrays themselves, so the baseline path is already "resident"
-        self.active = bool(getattr(xp, "is_device", False))
 
-    def view(self, table) -> DeviceTableView | None:
-        """The table's view, creating and hooking it on first use;
-        ``None`` on host backends."""
-        if not self.active:
-            return None
+    def view(self, table) -> DeviceTableView:
+        """The table's view, creating and hooking it on first use."""
         v = self._views.get(id(table))
         if v is None:
             v = DeviceTableView(table, self.xp, self.stats)
@@ -248,10 +239,8 @@ class ResidencyManager:
         return v
 
     def device_column(self, table, name: str | None):
-        """The resident device array for ``(table, name)``, or ``None``
-        on host backends."""
-        v = self.view(table)
-        return None if v is None else v.column(name)
+        """The resident device array for ``(table, name)``."""
+        return self.view(table).column(name)
 
     def mark_dirty(self, table, name: str | None) -> None:
         v = self._views.get(id(table))
@@ -270,8 +259,8 @@ class ResidencyManager:
             v.fence()
 
     def detach(self) -> None:
-        """Fence everything and unhook all views (backend swap or
-        residency turned off); the manager must not be reused."""
+        """Fence everything, drop the device copies and unhook all
+        views (``LTPGEngine.close``); the next access re-uploads."""
         for v in self._views.values():
             v.detach()
         self._views.clear()

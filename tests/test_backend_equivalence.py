@@ -16,16 +16,12 @@ Riding along, because they are cheapest to assert right here:
   the execute/conflict/writeback kernel phases, zero float upcasts
   (the mechanical dtype-discipline audit);
 * the numpy backend's zero-transfer contract;
-* ``LTPGConfig.array_backend`` validation (unknown names, ``sanitize``)
-  and the engine's backend re-resolution when the config changes after
-  construction;
+* ``LTPGConfig.array_backend`` validation (unknown names, ``auto``
+  among them, and ``sanitize``);
 * the ``transfer.*`` metrics surfaced through the observability stack.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import os
 
 import pytest
 
@@ -46,16 +42,6 @@ FULL_MIX = TpccMix(
 
 SMALL_BATCH = 1024  # 2^10
 HEADLINE_BATCH = 16_384  # 2^14, the paper's headline batch
-
-
-def _maybe_resident(config: LTPGConfig) -> LTPGConfig:
-    """CI hook: ``LTPG_DEVICE_RESIDENT=1`` reruns the whole equivalence
-    suite with device-resident table residency pinned on, so every
-    byte-identity assertion here doubles as a residency-coherence check
-    (residency is inert on the numpy reference by construction)."""
-    if os.environ.get("LTPG_DEVICE_RESIDENT") == "1":
-        return dataclasses.replace(config, device_resident=True)
-    return config
 
 
 def _observe(engine, batches):
@@ -90,7 +76,7 @@ def _pairwise_identical(build, batches):
     for name in ("numpy", "mockgpu"):
         engine = build(name)
         runs[name] = _observe(engine, batches)
-        backend = engine._ensure_backend()
+        backend = engine._backend
         if name == "mockgpu":
             mock_backend = backend
             t = backend.transfer_stats()
@@ -132,7 +118,7 @@ def _tpcc_case(batch_size, n_batches):
             split_columns=SPLIT_COLUMNS,
             array_backend=backend,
         )
-        return LTPGEngine(db, registry, _maybe_resident(config))
+        return LTPGEngine(db, registry, config)
 
     return build, batches
 
@@ -189,7 +175,7 @@ def test_ycsb_identical_across_backends(ycsb_kwargs, delayed):
             delayed_columns=ycsb_delayed_columns() if delayed else frozenset(),
             array_backend=backend,
         )
-        return LTPGEngine(db, registry, _maybe_resident(config))
+        return LTPGEngine(db, registry, config)
 
     _pairwise_identical(build, batches)
 
@@ -211,7 +197,7 @@ def test_smallbank_identical_across_backends():
             batched_exec=True,
             array_backend=backend,
         )
-        return LTPGEngine(db, registry, _maybe_resident(config))
+        return LTPGEngine(db, registry, config)
 
     _pairwise_identical(build, batches)
 
@@ -232,8 +218,6 @@ def test_twin_less_lanes_identical_across_backends():
         config = LTPGConfig(
             batch_size=SMALL_BATCH, batched_exec=False, array_backend=backend
         )
-        if engine_cls is LTPGEngine:
-            config = _maybe_resident(config)
         return engine_cls(db, registry, config)
 
     _pairwise_identical(build, batches)
@@ -255,6 +239,7 @@ def _smallbank_engine(**config_kwargs):
     [
         (dict(array_backend="cuda"), "unknown"),
         (dict(array_backend="NUMPY"), "unknown"),  # names are case-sensitive
+        (dict(array_backend="auto"), "unknown"),  # nothing to resolve
         (
             dict(
                 array_backend="mockgpu",
@@ -267,6 +252,7 @@ def _smallbank_engine(**config_kwargs):
     ids=[
         "unknown-name",
         "case-sensitive",
+        "no-auto",
         "no-sanitize",
     ],
 )
@@ -275,57 +261,10 @@ def test_invalid_backend_configs_raise_config_error(kwargs, match):
         LTPGConfig(batch_size=64, **kwargs)
 
 
-def test_auto_backend_degrades_instead_of_raising():
-    # "auto" accepts every feature combination: the engine resolves it
-    # to numpy where an explicit device backend would be rejected
-    engine = _smallbank_engine(batch_size=64, array_backend="auto", sanitize=True)
-    assert engine._ensure_backend().name == "numpy"
-
-
 def test_explicit_numpy_accepts_every_mode():
     for kwargs in (dict(batched_exec=False), dict(sanitize=True)):
         engine = _smallbank_engine(batch_size=64, array_backend="numpy", **kwargs)
-        assert engine._ensure_backend().name == "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Backend invalidation: config swaps after construction re-resolve
-# ---------------------------------------------------------------------------
-def test_config_swap_invalidates_resolved_backend():
-    _, _, gen = build_smallbank(num_accounts=100, zipf_alpha=1.2, seed=3)
-    specs = [
-        [(t.procedure_name, t.params) for t in gen.make_batch(128)]
-        for _ in range(2)
-    ]
-
-    def fresh_engine(backend):
-        db, registry, _ = build_smallbank(num_accounts=100, zipf_alpha=1.2, seed=3)
-        config = LTPGConfig(
-            batch_size=128, batched_exec=True,
-            array_backend=backend,
-        )
-        return LTPGEngine(db, registry, _maybe_resident(config))
-
-    # reference: both batches on one numpy engine
-    ref_engine = fresh_engine("numpy")
-    expected = _observe(ref_engine, specs)
-
-    # same batches, but the backend is swapped to mockgpu between them
-    # (config mutation after construction re-resolves)
-    engine = fresh_engine("numpy")
-    first = _observe(engine, specs[:1])[:-1]
-    assert engine._ensure_backend().name == "numpy"
-    engine.config = dataclasses.replace(engine.config, array_backend="mockgpu")
-    backend = engine._ensure_backend()
-    assert backend.name == "mockgpu"
-    second = _observe(engine, specs[1:])
-    assert first + second == expected
-    # the swapped-in backend really ran the second batch
-    t = backend.transfer_stats()
-    assert t.h2d_count > 0 and t.implicit_syncs == 0
-    # swapping back re-resolves again (cache keyed on the config name)
-    engine.config = dataclasses.replace(engine.config, array_backend="numpy")
-    assert engine._ensure_backend().name == "numpy"
+        assert engine._backend.name == "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +283,10 @@ def test_transfer_metrics_surface_under_mockgpu():
     ]
     engine.run_batch(batch)
     snap = engine.metrics.snapshot()["counters"]
-    ledger = engine._ensure_backend().transfer_stats()
+    ledger = engine._backend.transfer_stats()
     assert snap["transfer.h2d_bytes"] == ledger.h2d_bytes
     assert snap["transfer.d2h_bytes"] == ledger.d2h_bytes
-    # the metric is a per-batch delta: it excludes the zero-byte
-    # crossings conflict_log.set_backend makes at backend resolution,
-    # which the lifetime ledger does count
-    assert 0 < snap["transfer.count"] <= ledger.count
+    assert snap["transfer.count"] == ledger.count
 
 
 def test_no_transfer_metrics_under_numpy():

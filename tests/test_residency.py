@@ -1,33 +1,34 @@
-"""Device-resident table residency: coherence edges and byte identity.
+"""Device residency: coherence edges and byte identity.
 
-The residency layer (:mod:`repro.xp.residency`) keeps the authoritative
-table snapshot on the device across batches; everything here pins the
-edges where that ownership inversion could go stale:
+On a device backend (``mockgpu``) the residency layer
+(:mod:`repro.xp.residency`) keeps the authoritative table snapshot on
+the device across batches, in memory the host does not alias;
+everything here pins the edges where that ownership inversion could go
+stale:
 
 * byte identity of the full observable surface (statuses, op streams,
-  final digest) between ``device_resident=0`` and ``device_resident=1``
-  on TPC-C, YCSB and SmallBank;
-* the steady-state transfer drop the feature exists for (ledger-counted
-  on mockgpu, deterministic);
-* backend swap mid-session (dirty columns fence through the *outgoing*
-  backend's crossings before the new backend re-uploads);
+  final digest) between ``mockgpu`` and the numpy reference on TPC-C,
+  YCSB and SmallBank — including the lanes that execute on the host
+  (``fall_back`` lanes, twin-less procedures) and must still read the
+  device's snapshot;
+* steady-state transfer that follows the batch's ops, not the
+  database's size (ledger-counted on mockgpu, deterministic);
 * ``reset_run_state`` (run boundary = full host sync, device copies
-  survive for the next run);
+  survive for the next run) and ``close``;
 * table ``_grow`` / ``append_keys`` during inserts (capacity doubling
   swaps the host ndarray out from under the device cache; the view must
   fence first and re-upload lazily);
 * serve-loop reuse: back-to-back :func:`~repro.serve.api.serve_run`
-  calls on one resident engine.
+  calls on one device engine.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core import LTPGConfig, LTPGEngine
+from repro.core.batch import BatchObserver
 from repro.storage.database import Database
 from repro.storage.schema import ColumnDef, Schema
 from repro.txn import Transaction
@@ -44,46 +45,53 @@ FULL_MIX = TpccMix(
 BATCH = 1024
 
 
-def _tpcc_build(backend, resident, **overrides):
+def _tpcc_build(
+    backend, warehouses=2, num_items=2000, mix=FULL_MIX, **overrides
+):
     db, registry, gen = build_tpcc(
-        warehouses=2, num_items=2000, mix=FULL_MIX, seed=7
+        warehouses=warehouses, num_items=num_items, mix=mix, seed=7
     )
     config = LTPGConfig(
         batch_size=BATCH,
-        batched_exec=True,
         delayed_update=True,
         delayed_columns=DELAYED_COLUMNS,
         split_flags=True,
         split_columns=SPLIT_COLUMNS,
         array_backend=backend,
-        device_resident=resident,
         **overrides,
     )
     return LTPGEngine(db, registry, config), gen
 
 
-def _ycsb_build(backend, resident):
+def _tpcc_repeated_items_build(backend):
+    # NewOrders of 5-15 lines over 40 items: most repeat an item, and a
+    # repeated item sends the lane to ``fall_back`` — a scalar lane whose
+    # ``ctx.read`` of ``stock`` must see what the device wrote back
+    return _tpcc_build(
+        backend, num_items=40, mix=TpccMix.neworder_percentage(100)
+    )
+
+
+def _tpcc_twin_less_build(backend):
+    # every lane of every procedure a scalar lane
+    return _tpcc_build(backend, batched_exec=False)
+
+
+def _ycsb_build(backend):
     kwargs = dict(num_records=2000, workload="a", zipf_alpha=2.5, seed=11)
     db, registry, gen = build_ycsb(**kwargs)
     config = LTPGConfig(
         batch_size=BATCH,
-        batched_exec=True,
         delayed_update=True,
         delayed_columns=ycsb_delayed_columns(),
         array_backend=backend,
-        device_resident=resident,
     )
     return LTPGEngine(db, registry, config), gen
 
 
-def _smallbank_build(backend, resident):
+def _smallbank_build(backend):
     db, registry, gen = build_smallbank(num_accounts=500, zipf_alpha=1.2, seed=3)
-    config = LTPGConfig(
-        batch_size=BATCH,
-        batched_exec=True,
-        array_backend=backend,
-        device_resident=resident,
-    )
+    config = LTPGConfig(batch_size=BATCH, array_backend=backend)
     return LTPGEngine(db, registry, config), gen
 
 
@@ -91,7 +99,30 @@ _BUILDS = {
     "tpcc": _tpcc_build,
     "ycsb": _ycsb_build,
     "smallbank": _smallbank_build,
+    "tpcc-repeated-items": _tpcc_repeated_items_build,
+    "tpcc-twin-less": _tpcc_twin_less_build,
 }
+
+
+class _ExecuteFences(BatchObserver):
+    """Counts the residency fences that land inside the execute stage."""
+
+    grown = 0
+
+    def stage_entered(self, engine, batch, stage):
+        if stage.name == "execute":
+            self._before = engine._residency.stats.fences
+
+    def stage_leaving(self, engine, batch, stage):
+        if stage.name == "execute":
+            self.grown += engine._residency.stats.fences - self._before
+
+
+def _specs(gen, n_batches):
+    return [
+        [(t.procedure_name, t.params) for t in gen.make_batch(BATCH)]
+        for _ in range(n_batches)
+    ]
 
 
 def _observe(engine, batches):
@@ -112,130 +143,89 @@ def _observe(engine, batches):
     return out
 
 
-def _run(workload, backend, resident, n_batches=3):
-    engine, gen = _BUILDS[workload](backend, resident)
-    batches = [
-        [(t.procedure_name, t.params) for t in gen.make_batch(BATCH)]
-        for _ in range(n_batches)
-    ]
-    observed = _observe(engine, batches)
-    transfers = engine.last_transfers
-    return observed, transfers
+def _run(workload, backend, *observers):
+    engine, gen = _BUILDS[workload](backend)
+    engine.observers += observers
+    return _observe(engine, _specs(gen, 3)), engine
 
 
 # ---------------------------------------------------------------------------
-# Byte identity across device_resident on all three workloads
+# Byte identity with the numpy reference, scalar lanes included
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("workload", ["tpcc", "ycsb", "smallbank"])
+@pytest.mark.parametrize("workload", sorted(_BUILDS))
 def test_resident_byte_identical(workload):
-    baseline, _ = _run(workload, "mockgpu", resident=False)
-    resident, _ = _run(workload, "mockgpu", resident=True)
-    reference, _ = _run(workload, "numpy", resident=False)
-    assert resident == baseline
-    assert resident == reference
-
-
-@pytest.mark.parametrize("workload", ["tpcc", "ycsb", "smallbank"])
-def test_resident_inert_on_numpy(workload):
-    # host-identity backend: the flag changes nothing, including the
-    # (all-zero) transfer ledger
-    off, t_off = _run(workload, "numpy", resident=False)
-    on, t_on = _run(workload, "numpy", resident=True)
-    assert on == off
-    assert t_on == t_off
+    fences = _ExecuteFences()
+    device, engine = _run(workload, "mockgpu", fences)
+    reference, _ = _run(workload, "numpy")
+    assert device == reference
+    if workload == "tpcc-repeated-items":
+        # the scalar lanes read their cells off the device one word at a
+        # time (``DeviceTableView.read_cell``) — they did run, and not
+        # one of them fenced a column (``read_at`` and range reads, which
+        # NewOrder does not make, still go through ``Table.read``'s)
+        events = engine._backend.transfer_stats().events
+        assert ("d2h", "execute:item") in events
+        assert fences.grown == 0
 
 
 def test_resident_steady_state_transfer_drop():
-    # the reason the feature exists: steady-state per-batch H2D falls
-    # from whole-column round-trips to op-proportional shuttle traffic
-    _, baseline = _run("tpcc", "mockgpu", resident=False)
-    _, resident = _run("tpcc", "mockgpu", resident=True)
-    assert resident["h2d_bytes"] * 3 <= baseline["h2d_bytes"]
-    assert resident["d2h_bytes"] < baseline["d2h_bytes"]
-
-
-# ---------------------------------------------------------------------------
-# Backend swap mid-session
-# ---------------------------------------------------------------------------
-def test_backend_swap_mid_session_fences_through_old_backend():
-    engine, gen = _tpcc_build("mockgpu", resident=True)
-    batches = [
-        [(t.procedure_name, t.params) for t in gen.make_batch(BATCH)]
-        for _ in range(2)
-    ]
-    reference_engine, _ = _tpcc_build("numpy", resident=False)
-    expected = _observe(reference_engine, batches)
-
-    out = _observe(engine, batches[:1])[:-1]
-    # swap the whole config object mid-session: _ensure_backend must
-    # fence the dirty resident columns through the outgoing mockgpu
-    # crossings before numpy takes over on the same host arrays
-    engine.config = dataclasses.replace(
-        engine.config, array_backend="numpy", device_resident=False
-    )
-    out.extend(_observe(engine, batches[1:]))
-    assert out == expected
-    assert engine._residency is None  # old cache detached, not reused
-
-
-def test_resident_flag_flip_mid_session():
-    engine, gen = _tpcc_build("mockgpu", resident=True)
-    batches = [
-        [(t.procedure_name, t.params) for t in gen.make_batch(BATCH)]
-        for _ in range(2)
-    ]
-    reference_engine, _ = _tpcc_build("mockgpu", resident=False)
-    expected = _observe(reference_engine, batches)
-
-    out = _observe(engine, batches[:1])[:-1]
-    engine.config = dataclasses.replace(engine.config, device_resident=False)
-    out.extend(_observe(engine, batches[1:]))
-    assert out == expected
+    # what residency is for: once the columns are up (the first three
+    # batches here pay first-touch uploads), a batch moves parameters
+    # and op-sized shuttle traffic — so the same requests against a
+    # database four times the size cost the same H2D.  Shipping columns
+    # per batch, the layout this replaced, scaled with the tables.
+    _, gen = _tpcc_build("numpy")
+    batches = _specs(gen, 5)
+    steady = {}
+    for warehouses in (2, 8):
+        engine, _ = _tpcc_build("mockgpu", warehouses=warehouses)
+        _observe(engine, batches)
+        steady[warehouses] = engine.last_transfers["h2d_bytes"]
+    assert abs(steady[8] - steady[2]) <= 0.02 * steady[2]
+    assert steady[8] * 10 < engine.database.nbytes
 
 
 # ---------------------------------------------------------------------------
 # reset_run_state: run boundary = host sync, device copies survive
 # ---------------------------------------------------------------------------
 def test_reset_run_state_syncs_host_and_keeps_device_cache():
-    engine, gen = _tpcc_build("mockgpu", resident=True)
-    reference_engine, _ = _tpcc_build("mockgpu", resident=False)
-    batches = [
-        [(t.procedure_name, t.params) for t in gen.make_batch(BATCH)]
-        for _ in range(2)
-    ]
+    engine, gen = _tpcc_build("mockgpu")
+    reference_engine, _ = _tpcc_build("numpy")
+    batches = _specs(gen, 2)
     expected_mid = _observe(reference_engine, batches[:1])[-1]
     expected_end = _observe(reference_engine, batches[1:])[-1]
 
     _observe(engine, batches[:1])
     engine.reset_run_state()
-    # after the run-boundary fence the *host* digest is current without
+    # after the run-boundary fence the *host* memory is current without
     # any further residency involvement
+    fences = engine._residency.stats.fences
     assert engine.database.state_digest() == expected_mid
+    assert engine._residency.stats.fences == fences
     # and the surviving device copies stay coherent for the next run
     assert _observe(engine, batches[1:])[-1] == expected_end
 
 
 # ---------------------------------------------------------------------------
-# close(): what is left to release is the residency cache
+# close(): what is left to release is the device-resident snapshot
 # ---------------------------------------------------------------------------
 def test_close_fences_and_unhooks_and_a_later_batch_rebuilds():
-    engine, gen = _tpcc_build("mockgpu", resident=True)
-    reference_engine, _ = _tpcc_build("mockgpu", resident=False)
-    batches = [
-        [(t.procedure_name, t.params) for t in gen.make_batch(BATCH)]
-        for _ in range(2)
-    ]
-    expected = _observe(reference_engine, batches)
+    engine, gen = _tpcc_build("mockgpu")
+    reference_engine, _ = _tpcc_build("numpy")
+    batches = _specs(gen, 2)
+    expected = [_observe(reference_engine, [specs]) for specs in batches]
 
-    out = _observe(engine, batches[:1])[:-1]
-    assert engine._residency is not None
+    first = _observe(engine, batches[:1])[:-1]
+    tables = list(engine.database.tables)
+    assert any(t._resident_view is not None for t in tables)
     engine.close()
     engine.close()  # idempotent
-    assert engine._residency is None
-    assert all(t._resident_view is None for t in engine.database.tables)
-    out.extend(_observe(engine, batches[1:]))
-    assert out == expected
-    assert engine._residency is not None  # rebuilt by the next batch
+    # fenced and unhooked: plain host memory holds the snapshot
+    assert all(t._resident_view is None for t in tables)
+    assert first + [engine.database.state_digest()] == expected[0]
+    assert _observe(engine, batches[1:]) == expected[1]
+    # the next batch uploaded and hooked the tables again
+    assert any(t._resident_view is not None for t in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +289,11 @@ def test_host_write_drops_stale_device_copy():
 def test_serve_loop_reuse_back_to_back_runs():
     from repro.serve.api import serve_run
 
-    def run_twice(resident):
+    def run_twice(backend):
         db, registry, gen = build_smallbank(
             num_accounts=500, zipf_alpha=1.2, seed=3
         )
-        config = LTPGConfig(
-            batch_size=256,
-            batched_exec=True,
-            array_backend="mockgpu",
-            device_resident=resident,
-        )
+        config = LTPGConfig(batch_size=256, array_backend=backend)
         engine = LTPGEngine(db, registry, config)
         reports = [
             serve_run(
@@ -322,7 +307,4 @@ def test_serve_loop_reuse_back_to_back_runs():
             (r.submitted, r.committed, r.batches, r.latency) for r in reports
         ], digest
 
-    resident_reports, resident_digest = run_twice(True)
-    baseline_reports, baseline_digest = run_twice(False)
-    assert resident_reports == baseline_reports
-    assert resident_digest == baseline_digest
+    assert run_twice("mockgpu") == run_twice("numpy")

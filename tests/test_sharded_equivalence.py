@@ -464,7 +464,9 @@ def test_metrics_summary_has_shard_block():
 # ---------------------------------------------------------------------------
 BACKEND_CELLS = {
     "numpy": {},
-    "mockgpu-resident": dict(array_backend="mockgpu", device_resident=True),
+    # a device backend is resident by definition (the key keeps its
+    # name so the test ids do not move)
+    "mockgpu-resident": dict(array_backend="mockgpu"),
 }
 
 
