@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.analysis.sanitizer import AccessKind, Sanitizer
+from repro.txn.batch_context import Cells
 
 if TYPE_CHECKING:
     from repro.core.batch import Batch, Stage
@@ -58,33 +59,28 @@ class SanitizeObserver:
     # -- what each kernel touched -----------------------------------------
     def _table_reads(self, engine: LTPGEngine, batch: Batch) -> None:
         """The execute kernel's snapshot reads, one per reservation."""
-        for t in np.unique(batch.read_table_arr):
-            m = batch.read_table_arr == t
+        reads = batch.reads
+        for t in np.unique(reads.table):
+            of_table = reads.take(reads.table == t)
             table = engine.database.table_by_id(int(t))
             num_groups = max(1, engine.flags.num_groups(int(t)))
-            addr = batch.read_row_arr[m] * num_groups + batch.read_group_arr[m]
             self.sanitizer.record(
-                f"table:{table.name}", addr, batch.read_txn_arr[m], AccessKind.READ
+                f"table:{table.name}",
+                of_table.row * num_groups + of_table.group,
+                of_table.txn,
+                AccessKind.READ,
             )
 
     def _minima_reads(self, batch: Batch) -> None:
         """Conflict-kernel loads of the registered minima (plain reads;
         the atomicMin writes happened one sync point earlier)."""
         san = self.sanitizer
-        if batch.write_keys.size:
-            san.record(
-                "conflict_log.write", batch.write_keys, batch.write_txn_arr,
-                AccessKind.READ,
-            )
-            san.record(
-                "conflict_log.read", batch.write_keys, batch.write_txn_arr,
-                AccessKind.READ,
-            )
-        if batch.read_keys.size:
-            san.record(
-                "conflict_log.write", batch.read_keys, batch.read_txn_arr,
-                AccessKind.READ,
-            )
+        reads, writes = batch.reads, batch.writes
+        if writes.size:
+            san.record("conflict_log.write", writes.key, writes.txn, AccessKind.READ)
+            san.record("conflict_log.read", writes.key, writes.txn, AccessKind.READ)
+        if reads.size:
+            san.record("conflict_log.write", reads.key, reads.txn, AccessKind.READ)
 
     def _installs(self, engine: LTPGEngine, batch: Batch) -> None:
         """The committed installs.  Plain writes for owned cells (the
@@ -94,40 +90,30 @@ class SanitizeObserver:
         san = self.sanitizer
         bl, commit = batch.batch_locals, batch.commit
 
-        def emit(
-            tables: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-            txns: np.ndarray, atomic: bool,
-        ) -> None:
-            if tables.size == 0:
+        def emit(cells: Cells, atomic: bool) -> None:
+            cells = cells.take(commit[cells.txn])
+            if cells.size == 0:
                 return
-            groups = engine.flags.group_lookup(tables, cols)
-            for table_id in np.unique(tables):
-                m = tables == table_id
+            groups = engine.flags.group_lookup(cells.table, cells.col)
+            for table_id in np.unique(cells.table):
+                m = cells.table == table_id
                 table = engine.database.table_by_id(int(table_id))
                 num_groups = max(1, engine.flags.num_groups(int(table_id)))
                 san.record(
                     f"table:{table.name}",
-                    rows[m] * num_groups + groups[m],
-                    txns[m],
+                    cells.row[m] * num_groups + groups[m],
+                    cells.txn[m],
                     AccessKind.WRITE,
                     atomic=atomic,
                 )
 
-        w_keep = commit[bl.w_txn] if bl.w_txn.size else np.zeros(0, dtype=bool)
-        a_keep = commit[bl.a_txn] if bl.a_txn.size else np.zeros(0, dtype=bool)
-        d_keep = commit[bl.d_txn] if bl.d_txn.size else np.zeros(0, dtype=bool)
-        emit(
-            np.concatenate((bl.w_table[w_keep], bl.a_table[a_keep])),
-            np.concatenate((bl.w_row[w_keep], bl.a_row[a_keep])),
-            np.concatenate((bl.w_col[w_keep], bl.a_col[a_keep])),
-            np.concatenate((bl.w_txn[w_keep], bl.a_txn[a_keep])),
-            atomic=False,
-        )
-        emit(
-            bl.d_table[d_keep], bl.d_row[d_keep], bl.d_col[d_keep],
-            bl.d_txn[d_keep], atomic=True,
-        )
-        for txn_idx, table_id, key, _names, _vals in bl.iter_inserts(commit):
+        emit(Cells.concat([bl.writes, bl.adds]), atomic=False)
+        emit(bl.delayed, atomic=True)
+        # in the order the write-back claims their slots
+        ins = bl.inserts.take(bl.inserts.install_order(batch.rank, commit))
+        for txn_idx, table_id, key in zip(
+            ins.txn.tolist(), ins.table.tolist(), ins.key.tolist()
+        ):
             table = engine.database.table_by_id(table_id)
             san.record(
                 f"table:{table.name}:inserts", key, txn_idx,

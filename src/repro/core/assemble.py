@@ -11,12 +11,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.batch import TXN_FLAG_BYTES, Batch
+from repro.core.batch import TXN_FLAG_BYTES, Batch, Reservations
 from repro.core.memory_modes import transfer_latency_factor
 from repro.core.occ import abort_reason, logical_order
 from repro.core.stats import BatchStats
 from repro.gpusim.occupancy import KernelResources, occupancy
 from repro.txn.transaction import Transaction, TxnStatus
+from repro.xp import sorted_runs
+from repro.xp.rows import run_ends
 
 _procedure_of = attrgetter("procedure_name")
 _attempts_of = attrgetter("attempts")
@@ -30,19 +32,15 @@ _ABORT_REASONS = tuple(
 
 class _WitnessColumns(NamedTuple):
     """What :meth:`BatchResult.serial_order` is built from: the batch's
-    conflict-key reservations as the phases left them (one entry per
-    reserved key, with the lane and TID that reserved it) and which
-    lanes committed.  Every array is allocated by the batch that
-    produced it and never written again, so a result may be asked for
-    its order however many batches later."""
+    reservations as the phases left them (one row per reserved key,
+    with the lane and TID that reserved it) and which lanes committed.
+    Every array is allocated by the batch that produced it and never
+    written again, so a result may be asked for its order however many
+    batches later."""
 
     committed: np.ndarray  # bool per lane
-    read_txn: np.ndarray
-    read_tid: np.ndarray
-    read_keys: np.ndarray
-    write_txn: np.ndarray
-    write_tid: np.ndarray
-    write_keys: np.ndarray
+    reads: Reservations
+    writes: Reservations
 
 
 @dataclass
@@ -66,12 +64,8 @@ class BatchResult:
             writes: dict[int, set] = {}
             w = self._witness
             if w is not None:
-                reads = _grouped_key_sets(
-                    w.read_txn, w.read_tid, w.read_keys, w.committed
-                )
-                writes = _grouped_key_sets(
-                    w.write_txn, w.write_tid, w.write_keys, w.committed
-                )
+                reads = _grouped_key_sets(w.reads, w.committed)
+                writes = _grouped_key_sets(w.writes, w.committed)
             none: frozenset = frozenset()
             self._serial_order = logical_order(
                 [
@@ -166,8 +160,8 @@ def assemble(engine, batch: Batch, ctx) -> None:
         total_by_proc=Counter(batch.procedures),
         abort_reasons=abort_reasons,
         commit_attempts=Counter(map(_attempts_of, committed)),
-        registered_reads=int(batch.read_keys.size),
-        registered_writes=int(batch.write_keys.size),
+        registered_reads=batch.reads.size,
+        registered_writes=batch.writes.size,
         max_atomic_chain=launch.stats.atomic_max_chain,
         atomic_ops=launch.stats.atomic_ops,
         atomic_serialized=launch.stats.atomic_serialized,
@@ -185,11 +179,7 @@ def assemble(engine, batch: Batch, ctx) -> None:
         aborted=aborted,
         logic_aborted=logic_aborted,
         # lane-indexed like the reservations; the witness is keyed by TID
-        _witness=_WitnessColumns(
-            batch.commit,
-            batch.read_txn_arr, batch.read_tid_arr, batch.read_keys,
-            batch.write_txn_arr, batch.write_tid_arr, batch.write_keys,
-        ),
+        _witness=_WitnessColumns(batch.commit, batch.reads, batch.writes),
     )
 
 
@@ -222,21 +212,18 @@ def _ship_back(engine, batch: Batch) -> None:
     batch.end_ns = d2h.time_ns
 
 
-def _grouped_key_sets(txn_arr, tid_arr, key_arr, committed_mask) -> dict[int, set]:
-    """{tid -> set(conflict keys)} over committed transactions, built
-    from argsort + np.unique slice boundaries."""
-    if txn_arr.size == 0:
-        return {}
-    mask = committed_mask[txn_arr]
-    t = tid_arr[mask]
-    if t.size == 0:
-        return {}
-    k = key_arr[mask]
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    k = k[order]
-    uniq, starts = np.unique(t, return_index=True)
-    ends = np.append(starts[1:], t.size)
+def _grouped_key_sets(res: Reservations, committed: np.ndarray) -> dict[int, set]:
+    """{tid -> set(conflict keys)} over committed transactions, one
+    set per run of the reservations grouped by TID."""
+    mask = committed[res.txn]
+    tids = res.tid[mask]
+    order, starts = sorted_runs(tids)
+    keys = res.key[mask][order]
     return {
-        int(u): set(k[s:e].tolist()) for u, s, e in zip(uniq, starts, ends)
+        tid: set(keys[s:e].tolist())
+        for tid, s, e in zip(
+            tids[order[starts]].tolist(),
+            starts.tolist(),
+            run_ends(starts, order.size).tolist(),
+        )
     }

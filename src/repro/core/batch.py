@@ -2,7 +2,7 @@
 
 :class:`Batch` is everything a batch owns between admission and its
 :class:`~repro.core.assemble.BatchResult`: the lanes and their layout,
-the scratch arrays the stages hand to each other, the verdicts, and —
+the scratch records the stages hand to each other, the verdicts, and —
 as :class:`StageClocks` — what the stage runner measured at every stage
 boundary.  A :class:`Stage` is one row of the table the runner walks
 (:data:`repro.core.engine.STAGES`); a :class:`BatchObserver` is what an
@@ -22,6 +22,7 @@ from repro.gpusim.profiler import TimelineEntry
 from repro.txn.batch_context import GroupLocals
 from repro.txn.operations import OpFrame
 from repro.txn.transaction import Transaction
+from repro.xp import Rows
 
 if TYPE_CHECKING:
     from repro.core.assemble import BatchResult
@@ -42,6 +43,45 @@ TXN_FLAG_BYTES = 8          # device->host per transaction (conflict flags)
 
 #: Ledger keys of ``ArrayBackend.transfer_stats().snapshot()``.
 Ledger = dict[str, int]
+
+
+class Reservations(Rows):
+    """One side's reservations, one row per reserved (lane, item):
+    lane ``txn`` with TID ``tid`` reserved conflict group ``group`` of
+    ``(table, row)``, whose conflict-log key is ``key``."""
+
+    FIELDS = ("txn", "tid", "table", "row", "group", "key")
+    __slots__ = FIELDS
+    txn: np.ndarray
+    tid: np.ndarray
+    table: np.ndarray
+    row: np.ndarray
+    group: np.ndarray
+    key: np.ndarray
+
+
+class InsertReservations(Rows):
+    """Primary keys being inserted, one row per (lane, key)."""
+
+    FIELDS = ("txn", "tid", "table", "key")
+    __slots__ = FIELDS
+    txn: np.ndarray
+    tid: np.ndarray
+    table: np.ndarray
+    key: np.ndarray
+
+
+class RangeReservations(Rows):
+    """Range predicates (phantom protection): lane ``txn`` scanned
+    keys ``lo..hi`` of ``table``."""
+
+    FIELDS = ("txn", "tid", "table", "lo", "hi")
+    __slots__ = FIELDS
+    txn: np.ndarray
+    tid: np.ndarray
+    table: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 class Stage(NamedTuple):
@@ -172,32 +212,11 @@ class Batch:
         #: Lanes whose procedure rolled itself back (left by the execute
         #: stage; the conflict stage keeps them from committing).
         self.logic_mask = np.empty(0, dtype=bool)
-        self.read_keys = np.empty(0, dtype=np.int64)
-        self.write_keys = np.empty(0, dtype=np.int64)
-        # Reservations per side, one entry per reserved (lane, item):
-        # set by the collector, read by every later stage.
-        def empty() -> np.ndarray:
-            return np.empty(0, dtype=np.int64)
-
-        self.read_table_arr = empty()
-        self.read_row_arr = empty()
-        self.read_group_arr = empty()
-        self.read_tid_arr = empty()
-        self.read_txn_arr = empty()
-        self.write_table_arr = empty()
-        self.write_row_arr = empty()
-        self.write_group_arr = empty()
-        self.write_tid_arr = empty()
-        self.write_txn_arr = empty()
-        self.ins_table_arr = empty()
-        self.ins_key_arr = empty()
-        self.ins_tid_arr = empty()
-        self.ins_txn_arr = empty()
-        self.range_table_arr = empty()
-        self.range_lo_arr = empty()
-        self.range_hi_arr = empty()
-        self.range_tid_arr = empty()
-        self.range_txn_arr = empty()
+        #: What each lane reserved, per side (set by the collector, read
+        #: by every later stage).
+        self.reads = self.writes = Reservations.empty()
+        self.inserts = InsertReservations.empty()
+        self.ranges = RangeReservations.empty()
         #: The conflict stage's verdicts and the commit rule's answer;
         #: write-back bytes for the copy-back leg; the assembled result.
         self.flags: ConflictFlags
@@ -213,6 +232,4 @@ class Batch:
 
     @property
     def total_ops(self) -> int:
-        return (
-            self.read_tid_arr.size + self.write_tid_arr.size + self.ins_tid_arr.size
-        )
+        return self.reads.size + self.writes.size + self.inserts.size

@@ -70,7 +70,7 @@ class LTPGConfig:
     #: procedure as twin-less: same pipeline, same outcomes, one
     #: procedure call per transaction.  Not a tuning knob (the twins win
     #: from a few dozen lanes up); it stays a field because the served
-    #: benchmark's configs name it (ROADMAP item 1(b)).
+    #: benchmark's configs name it (ROADMAP items 1(a), 8(a)).
     batched_exec: bool = True
 
     #: Array backend the batched hot path runs on (:mod:`repro.xp`):

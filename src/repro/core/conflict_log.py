@@ -27,8 +27,8 @@ from repro.errors import TransactionError
 from repro.gpusim.atomics import collision_profile
 from repro.gpusim.kernel import KernelContext
 from repro.storage.database import Database
-from repro.txn.batch_context import pack_sort_key
-from repro.xp import ArrayBackend, get_backend
+from repro.xp import ArrayBackend, get_backend, sorted_runs
+from repro.xp.rows import pack_fields, run_ends, run_starts
 
 #: "No TID registered" sentinel; larger than any real TID.
 NO_TID = np.iinfo(np.int64).max
@@ -146,19 +146,21 @@ class ConflictLog:
         # go down once per registration call (identity on numpy)
         dkeys = xp.from_host(keys)
         dtids = xp.from_host(tids)
-        packed = pack_sort_key(dkeys, dtids, xp=xp)
+        packed = pack_fields(dkeys, dtids, xp=xp)
         if packed is None:
+            # a TID below zero (transactions that bypassed TID
+            # assignment): no packed order, so the element-wise
+            # atomicMin twin and a separate dedup for the touched list
             xp.scatter_min(minima, dkeys, dtids)
             self._touched.append(xp.unique(dkeys))
         else:
-            # one sort replaces both the element-wise atomicMin twin and
-            # the np.unique for the touched list: the first entry of
-            # each (key, tid)-sorted key run carries the min TID
+            # one sort replaces both: the first entry of each
+            # (key, tid)-sorted key run carries the min TID.  Equal
+            # packed values are equal rows, so the sort need not be
+            # stable.
             order = xp.argsort(packed, stable=False)
             ks = dkeys[order]
-            first = xp.empty(ks.size, dtype=bool)
-            first[0] = True
-            first[1:] = ks[1:] != ks[:-1]
+            first = run_starts(ks, xp=xp)
             touched = ks[first]
             minima[touched] = xp.minimum(minima[touched], dtids[order][first])
             self._touched.append(touched)
@@ -187,26 +189,19 @@ class ConflictLog:
         each key, and losers will see a WAW at detection time."""
         if insert_keys.size == 0:
             return
-        order = np.lexsort((tids, insert_keys, table_ids))
-        t_sorted = table_ids[order]
-        k_sorted = insert_keys[order]
-        tid_sorted = tids[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (t_sorted[1:] != t_sorted[:-1]) | (k_sorted[1:] != k_sorted[:-1])
-        t_new = t_sorted[first]
-        k_new = k_sorted[first]
-        tid_new = tid_sorted[first]
+        order, starts = sorted_runs(table_ids, insert_keys)
+        first = order[starts]
+        t_new, k_new = table_ids[first], insert_keys[first]
+        tid_new = np.minimum.reduceat(tids[order], starts)
         if self._ins_keys.size:
             # A later registration call overrides an earlier winner for
-            # the same (table, key): stable-sort old-then-new and keep
-            # the *last* entry of each pair.
+            # the same (table, key): the sort is stable, so the *last*
+            # entry of each old-then-new pair run is the new one.
             t_all = np.concatenate((self._ins_tables, t_new))
             k_all = np.concatenate((self._ins_keys, k_new))
             tid_all = np.concatenate((self._ins_tids, tid_new))
-            merge = np.lexsort((np.arange(t_all.size), k_all, t_all))
-            t_all, k_all, tid_all = t_all[merge], k_all[merge], tid_all[merge]
-            last = np.ones(t_all.size, dtype=bool)
-            last[:-1] = (t_all[1:] != t_all[:-1]) | (k_all[1:] != k_all[:-1])
+            order, starts = sorted_runs(t_all, k_all)
+            last = order[run_ends(starts, order.size) - 1]
             t_new, k_new, tid_new = t_all[last], k_all[last], tid_all[last]
         self._ins_tables, self._ins_keys, self._ins_tids = t_new, k_new, tid_new
         if ctx is not None:

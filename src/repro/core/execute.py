@@ -19,10 +19,10 @@ from repro.txn.transaction import TxnStatus, begin_framed_attempt
 def execute(engine, batch: Batch, ctx) -> None:
     """Run procedures, buffer effects, register TIDs."""
     run_procedures(engine, batch)
-    # Collect op arrays + per-op costs, skipping logic aborts for
+    # Collect reservations + per-op costs, skipping logic aborts for
     # registration but keeping their cost (the lanes did the work).
-    table_txns, touched_rows = collect_columnar(engine, batch, ctx)
-    register_batch(engine, batch, table_txns, touched_rows, ctx)
+    collect_columnar(engine, batch, ctx)
+    register_batch(engine, batch, ctx)
 
 
 def run_procedures(engine, batch: Batch) -> None:

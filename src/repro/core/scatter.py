@@ -7,6 +7,8 @@ import numpy as np
 
 from repro.storage.database import Database
 from repro.txn.operations import column_name
+from repro.xp import sorted_runs
+from repro.xp.rows import run_ends
 
 
 def scatter_cells(
@@ -35,15 +37,11 @@ def scatter_cells(
     """
     if table_ids.size == 0:
         return []
-    order = np.lexsort((col_ids, table_ids))
+    order, starts = sorted_runs(table_ids, col_ids)
     table_ids, rows, col_ids, vals = (
         table_ids[order], rows[order], col_ids[order], vals[order]
     )
-    new = np.empty(table_ids.size, dtype=bool)
-    new[0] = True
-    new[1:] = (table_ids[1:] != table_ids[:-1]) | (col_ids[1:] != col_ids[:-1])
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], table_ids.size)
+    ends = run_ends(starts, order.size)
     on_device = xp is not None and xp.is_device
     segments = []
     for s, e in zip(starts, ends):

@@ -37,22 +37,18 @@ def writeback(engine, batch: Batch, ctx) -> None:
     batch.rwset_bytes = int(bl.nbytes_by_txn[commit].sum()) + 16 * int(
         bl.delayed_count_by_txn[commit].sum()
     )
-    w_keep = commit[bl.w_txn] if bl.w_txn.size else np.zeros(0, dtype=bool)
-    a_keep = commit[bl.a_txn] if bl.a_txn.size else np.zeros(0, dtype=bool)
-    d_keep = commit[bl.d_txn] if bl.d_txn.size else np.zeros(0, dtype=bool)
-    cells = int(w_keep.sum()) + int(a_keep.sum())
+    writes = bl.writes.take(commit[bl.writes.txn])
+    adds = bl.adds.take(commit[bl.adds.txn])
+    delayed = bl.delayed.take(commit[bl.delayed.txn])
+    cells = writes.size + adds.size
     xp = engine._backend
     residency = engine._residency
     owner_subsets = engine.partition.owner_subsets
-    for tables, rows, cols, vals, accumulate in (
-        (bl.w_table[w_keep], bl.w_row[w_keep], bl.w_col[w_keep],
-         bl.w_val[w_keep], False),
-        (bl.a_table[a_keep], bl.a_row[a_keep], bl.a_col[a_keep],
-         bl.a_val[a_keep], True),
-    ):
-        for m in owner_subsets(tables, rows):
+    for part, accumulate in ((writes, False), (adds, True)):
+        for m in owner_subsets(part.table, part.row):
+            own = part.take(m)
             scatter_cells(
-                db, tables[m], rows[m], cols[m], vals[m], accumulate,
+                db, own.table, own.row, own.col, own.val, accumulate,
                 xp=xp, residency=residency,
             )
     # Inserts claim slots per table in (transaction, emission) order
@@ -61,37 +57,19 @@ def writeback(engine, batch: Batch, ctx) -> None:
     # conflict phase guarantees a unique winner, this mirrors the
     # scalar get_row guard) drop out, the survivors take consecutive
     # slots, and the payload columns scatter per emission chunk.
-    if bl.i_txn.size:
-        # in *admission* order, not lane order: appended rows claim the
-        # physical slots whatever the layout (slot order feeds the
-        # secondary/ordered indexes, which later batches observe)
-        order = np.lexsort((bl.i_seq, batch.rank[bl.i_txn]))
-        order = order[commit[bl.i_txn[order]]]
-    else:
-        order = np.empty(0, dtype=np.int64)
-    if order.size:
-        meta = bl.i_meta
+    ins = bl.inserts.take(bl.inserts.install_order(batch.rank, commit))
+    if ins.size:
+        payloads = bl.payloads
         nlen = np.fromiter(
-            (len(m[0]) for m in meta), dtype=np.int64, count=len(meta)
+            (len(names) for names, _ in payloads), dtype=np.int64,
+            count=len(payloads),
         )
-        i_tb = bl.i_table[order]
-        i_keys = bl.i_key[order]
-        i_chs = bl.i_chunk[order]
-        i_pos = bl.i_pos[order]
-        cells += order.size + int(nlen[i_chs].sum())
-        for table_id in np.unique(i_tb):
-            m = i_tb == table_id
+        cells += ins.size + int(nlen[ins.chunk].sum())
+        for table_id in np.unique(ins.table):
+            m = ins.table == table_id
             table = db.table_by_id(int(table_id))
-            kt, ct, pt = i_keys[m], i_chs[m], i_pos[m]
-            exists = (kt >= 0) & (kt < table._dense_limit)
-            nd = np.flatnonzero(~exists)
-            if nd.size:
-                has = table.primary.__contains__
-                hits = np.fromiter(
-                    map(has, kt[nd].tolist()), dtype=bool, count=nd.size
-                )
-                exists[nd[hits]] = True
-            keep = ~exists
+            kt, ct, pt = ins.key[m], ins.chunk[m], ins.pos[m]
+            keep = table.rows_of_keys(kt) < 0
             if kt.size > 1:
                 first = np.zeros(kt.size, dtype=bool)
                 first[np.unique(kt, return_index=True)[1]] = True
@@ -102,7 +80,7 @@ def writeback(engine, batch: Batch, ctx) -> None:
             rows = table.append_keys(kt[keep])
             for c in np.unique(ck):
                 cm = ck == c
-                names, vals = meta[int(c)]
+                names, vals = payloads[int(c)]
                 block = vals[pk[cm]]
                 trows = rows[cm]
                 for j, name in enumerate(names):
@@ -114,18 +92,15 @@ def writeback(engine, batch: Batch, ctx) -> None:
                 residency.note_appended(table, rows)
     ctx.add_global_writes(cells)
     ctx.add_instructions(APPLY_INSTRUCTIONS * max(1, cells))
-    d_t, d_r = bl.d_table[d_keep], bl.d_row[d_keep]
-    d_c, d_v = bl.d_col[d_keep], bl.d_val[d_keep]
-    for m in owner_subsets(d_t, d_r):
+    for m in owner_subsets(delayed.table, delayed.row):
+        own = delayed.take(m)
         engine.delayed.apply_arrays(
-            d_t[m], d_r[m], d_c[m], d_v[m], ctx, xp=xp, residency=residency,
+            own.table, own.row, own.col, own.val, ctx, xp=xp, residency=residency,
         )
-    if engine.memory_plan.mode is MemoryMode.UNIFIED and (
-        w_keep.any() or a_keep.any()
-    ):
+    if engine.memory_plan.mode is MemoryMode.UNIFIED and (writes.size or adds.size):
         faults = 0
-        t_all = np.concatenate((bl.w_table[w_keep], bl.a_table[a_keep]))
-        r_all = np.concatenate((bl.w_row[w_keep], bl.a_row[a_keep]))
+        t_all = np.concatenate((writes.table, adds.table))
+        r_all = np.concatenate((writes.row, adds.row))
         for table_id in np.unique(t_all):
             table = db.table_by_id(int(table_id))
             row_bytes = table.schema.row_bytes

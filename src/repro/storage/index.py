@@ -9,6 +9,8 @@ the matching row slots in insertion order, which is deterministic.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.errors import DuplicateKey, KeyNotFound
 
 
@@ -43,6 +45,10 @@ class PrimaryIndex:
 
     def get(self, key: int) -> int | None:
         return self._map.get(key)
+
+    def slots(self, keys: list[int]) -> list[int]:
+        """The row slot of each key, ``-1`` where it is absent."""
+        return list(map(self._map.get, keys, repeat(-1)))
 
     def keys(self):
         return self._map.keys()

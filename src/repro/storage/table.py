@@ -15,6 +15,7 @@ from repro.errors import DuplicateKey, StorageError
 from repro.storage.btree import BTreeIndex
 from repro.storage.index import PrimaryIndex, SecondaryIndex
 from repro.storage.schema import Schema
+from repro.xp import HOST, ArrayBackend
 
 #: Initial capacity for tables created without an explicit size hint.
 _DEFAULT_CAPACITY = 1024
@@ -250,6 +251,21 @@ class Table:
         if 0 <= key < self._dense_limit:
             return key
         return self.primary.get(key)
+
+    def rows_of_keys(self, keys: np.ndarray, xp: ArrayBackend = HOST) -> np.ndarray:
+        """Vectorized :meth:`get_row`: the row slot of each key, ``-1``
+        where it is absent — the one place "dense below the limit, else
+        probe the index" is decided for arrays.  ``keys`` and the
+        result live on ``xp``; the hash probes are host work, so the
+        non-dense keys are read back explicitly and their slots ship
+        down in one go."""
+        dense = (keys >= 0) & (keys < self._dense_limit)
+        rows = xp.where(dense, keys, -1)
+        if not dense.all():
+            nd = xp.flatnonzero(~dense)
+            slots = self.primary.slots(xp.tolist(keys[nd]))
+            rows[nd] = xp.from_host(np.array(slots, dtype=np.int64))
+        return rows
 
     def key_of(self, row: int) -> int:
         self._check_row(row)

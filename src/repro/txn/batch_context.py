@@ -12,9 +12,10 @@ so the same instruction stream runs data-parallel across lanes.
 
 Byte-identity with the scalar path is preserved structurally:
 
-* every emitted op carries its lane and a per-lane sequence number, so
-  :meth:`BatchedContext.finalize` can lexsort chunks back into exactly
-  the order a per-transaction execution would have recorded;
+* every emitted op carries its lane, and chunks append in program
+  order, so one stable argsort by lane in
+  :meth:`BatchedContext.finalize` puts the ops back in exactly the
+  order a per-transaction execution would have recorded;
 * lanes that hit a case the vectorized code cannot express (duplicate
   keys needing read-your-own-writes, etc.) are *fallback* lanes — their
   chunk contributions are discarded and the engine re-runs them through
@@ -23,10 +24,10 @@ Byte-identity with the scalar path is preserved structurally:
   the abort and contributes empty local sets, exactly like the scalar
   ``TransactionAborted`` path.
 
-The group's resolved effects land in :class:`GroupLocals` — flat
-``(txn, table, row, col, value)`` arrays (the columnar ``LocalSets``)
-that the engine's write-back phase installs with masked grouped
-scatters instead of per-transaction ``apply_local_sets`` calls.
+The group's resolved effects land in :class:`GroupLocals` — three
+:class:`Cells` records and one :class:`InsertRows` (the columnar
+``LocalSets``) that the engine's write-back phase installs with masked
+grouped scatters instead of per-transaction ``apply_local_sets`` calls.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from repro.txn.operations import (
     intern_column,
 )
 from repro.txn.operations import _COLUMN_IDS  # interner fast path
-from repro.xp import ArrayBackend, get_backend
+from repro.xp import HOST, ArrayBackend, Rows, segment_sum, sorted_runs
+from repro.xp.rows import run_starts
 
 _READ = int(OpKind.READ)
 _WRITE = int(OpKind.WRITE)
@@ -54,43 +56,6 @@ _ADD = int(OpKind.ADD)
 _INSERT = int(OpKind.INSERT)
 _EMPTY_COL = intern_column("")
 _KEY_COL = intern_column(KEY_COLUMN)
-
-
-def pack_sort_key(
-    *fields: np.ndarray, xp: ArrayBackend | None = None
-) -> np.ndarray | None:
-    """Fold non-negative sort fields (major first) into one int64 key so
-    a single radix argsort can replace a multi-key lexsort.  Returns
-    ``None`` when any field is negative or the combined ranges cannot
-    fit 62 bits (the caller falls back to ``xp.lexsort``).
-
-    Runs on whichever backend owns ``fields``; pass ``xp`` so the packed
-    key stays device-resident (the min/max range probes are one-word
-    readbacks either way — device reductions with a scalar result).
-    """
-    spans = []
-    width = 1
-    for f in fields:
-        if int(f.min()) < 0:
-            return None
-        s = int(f.max()) + 1
-        spans.append(s)
-        width *= s
-        if width >= 1 << 62:
-            return None
-    if xp is None:
-        packed = fields[0].astype(np.int64, copy=True)
-    else:
-        packed = xp.astype(fields[0], np.int64, copy=True)
-    for f, s in zip(fields[1:], spans[1:]):
-        packed *= s
-        packed += f
-    return packed
-
-
-def _append_scalar(xp: ArrayBackend, arr, value: int):
-    """``np.append(arr, value)`` that stays on ``arr``'s device."""
-    return xp.concatenate((arr, xp.asarray([value], dtype=np.int64)))
 
 
 class ParamColumns:
@@ -103,7 +68,7 @@ class ParamColumns:
     __slots__ = ("padded", "lengths", "n", "xp")
 
     def __init__(self, params_list: list[tuple], xp: ArrayBackend | None = None):
-        self.xp = xp if xp is not None else get_backend("numpy")
+        self.xp = xp if xp is not None else HOST
         self.n = len(params_list)
         lengths = np.fromiter(
             map(len, params_list), dtype=np.int64, count=self.n
@@ -129,47 +94,80 @@ class ParamColumns:
         return self.padded[:, i]
 
 
+class Cells(Rows):
+    """Buffered cell effects: lane ``txn`` sets (or adds) ``val`` at
+    column ``col`` (interned id) of ``(table, row)``."""
+
+    FIELDS = ("txn", "table", "row", "col", "val")
+    __slots__ = FIELDS
+    txn: np.ndarray
+    table: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+
+class InsertRows(Rows):
+    """Buffered inserts: lane ``txn``'s ``seq``-th insert puts ``key``
+    into ``table``; its payload is row ``pos`` of payload chunk
+    ``chunk`` (:attr:`GroupLocals.payloads`)."""
+
+    FIELDS = ("txn", "seq", "table", "key", "chunk", "pos")
+    __slots__ = FIELDS
+    txn: np.ndarray
+    seq: np.ndarray
+    table: np.ndarray
+    key: np.ndarray
+    chunk: np.ndarray
+    pos: np.ndarray
+
+    def install_order(self, rank: np.ndarray, commit: np.ndarray) -> np.ndarray:
+        """The committed inserts in the order they claim slots: by the
+        lane's *admission* position (``rank[lane]``), not its lane —
+        appended rows take the physical slots the scalar write-back
+        would give them whatever the layout, and slot order feeds the
+        secondary/ordered indexes later batches observe — then by
+        emission within the lane."""
+        order, _ = sorted_runs(rank[self.txn], self.seq)
+        return order[commit[self.txn[order]]]
+
+
+#: The three cell sets of a :class:`GroupLocals`.
+_CELL_SETS = ("writes", "adds", "delayed")
+
+
 class GroupLocals:
     """One group's resolved buffered effects, columnar.
 
-    ``writes``/``adds`` are flat ``(txn, table, row, col_id, value)``
-    int64 arrays (the columnar ``LocalSets``); ``delayed`` carries the
-    extracted delayed-column deltas.  Inserts are columnar too —
-    ``(i_txn, i_seq, i_table, i_key)`` arrays plus ``(i_chunk, i_pos)``
-    locators into ``i_meta``, a list of ``(names, values_matrix)``
-    payload chunks — and only materialize per-row at write-back, where
-    :meth:`iter_inserts` walks them in (transaction, emission) order.
-    ``nbytes_by_txn`` and ``delayed_count_by_txn`` reproduce the scalar
-    accounting exactly.
+    ``writes`` / ``adds`` are :class:`Cells` (the columnar
+    ``LocalSets``); ``delayed`` carries the extracted delayed-column
+    deltas.  Inserts are columnar too — an :class:`InsertRows` whose
+    ``(chunk, pos)`` locate each row's values in ``payloads``, a list
+    of ``(names, values_matrix)`` chunks — and only materialize per
+    table at write-back.  ``nbytes_by_txn`` and ``delayed_count_by_txn``
+    reproduce the scalar accounting exactly.
 
-    Lanes that ran through their scalar procedure join the same arrays:
-    :meth:`add_scalar_locals` buffers each lane's ``LocalSets`` as rows
-    and :meth:`seal` turns all of them into columns at once.
+    Lanes that ran through their scalar procedure join the same
+    records: :meth:`add_scalar_locals` buffers each lane's ``LocalSets``
+    as rows and :meth:`seal` turns all of them into columns at once.
     """
 
-    _NUM_ARRAYS = 21
-
     __slots__ = (
-        "w_txn", "w_table", "w_row", "w_col", "w_val",
-        "a_txn", "a_table", "a_row", "a_col", "a_val",
-        "d_txn", "d_table", "d_row", "d_col", "d_val",
-        "i_txn", "i_seq", "i_table", "i_key", "i_chunk", "i_pos",
-        "i_meta", "nbytes_by_txn", "delayed_count_by_txn",
-        "_rows", "_ins_rows", "_payloads",
+        *_CELL_SETS, "inserts", "payloads",
+        "nbytes_by_txn", "delayed_count_by_txn",
+        "_cells", "_ins_rows", "_payloads",
     )
 
     def __init__(self, num_txns: int):
-        e = np.empty(0, dtype=np.int64)
-        for name in self.__slots__[:self._NUM_ARRAYS]:
-            setattr(self, name, e)
-        self.i_meta: list[tuple] = []
+        self.writes = self.adds = self.delayed = Cells.empty()
+        self.inserts = InsertRows.empty()
+        self.payloads: list[tuple] = []
         self.nbytes_by_txn = np.zeros(num_txns, dtype=np.int64)
         self.delayed_count_by_txn = np.zeros(num_txns, dtype=np.int64)
         # Scalar-executed lanes, buffered row-major until :meth:`seal`:
-        # (txn, table, row, col, value) per w/a/d array family,
-        # (txn, seq, table, key, chunk, pos) per insert, and the insert
-        # payloads per distinct column tuple.
-        self._rows = {prefix: array("q") for prefix in "wad"}
+        # one Cells row per effect, one InsertRows row per insert, and
+        # the insert payloads per distinct column tuple.
+        self._cells = {name: array("q") for name in _CELL_SETS}
         self._ins_rows = array("q")
         self._payloads: dict[tuple, list] = {}
 
@@ -177,64 +175,30 @@ class GroupLocals:
     @staticmethod
     def merge(parts: list["GroupLocals"], num_txns: int) -> "GroupLocals":
         out = GroupLocals(num_txns)
-        for name in out.__slots__[:out._NUM_ARRAYS]:
-            if name == "i_chunk":
-                continue  # needs per-part offsets, handled below
-            setattr(
-                out,
-                name,
-                np.concatenate([getattr(p, name) for p in parts])
-                if parts else np.empty(0, dtype=np.int64),
-            )
-        chunk_parts = []
+        for name in _CELL_SETS:
+            setattr(out, name, Cells.concat([getattr(p, name) for p in parts]))
+        inserts = []
         for p in parts:
-            chunk_parts.append(p.i_chunk + len(out.i_meta))
-            out.i_meta.extend(p.i_meta)
+            # payload chunks renumber as the parts' lists join
+            renumbered = p.inserts.chunk + len(out.payloads)
+            inserts.append(p.inserts.replace(chunk=renumbered))
+            out.payloads.extend(p.payloads)
             out.nbytes_by_txn += p.nbytes_by_txn
             out.delayed_count_by_txn += p.delayed_count_by_txn
-        out.i_chunk = (
-            np.concatenate(chunk_parts) if parts else np.empty(0, dtype=np.int64)
-        )
+        out.inserts = InsertRows.concat(inserts)
         return out
 
     def rekeyed(self, idx_arr: np.ndarray, num_txns: int) -> "GroupLocals":
         """Re-key lane-indexed locals to batch positions: ``idx_arr``
         maps lane -> batch index (the group's transaction positions)."""
         out = GroupLocals(num_txns)
-        for name in self.__slots__[:self._NUM_ARRAYS]:
-            if name.endswith("_txn"):
-                setattr(out, name, idx_arr[getattr(self, name)])
-            else:
-                setattr(out, name, getattr(self, name))
-        out.i_meta = self.i_meta
+        for name in (*_CELL_SETS, "inserts"):
+            rows = getattr(self, name)
+            setattr(out, name, rows.replace(txn=idx_arr[rows.txn]))
+        out.payloads = self.payloads
         out.nbytes_by_txn[idx_arr] = self.nbytes_by_txn
         out.delayed_count_by_txn[idx_arr] = self.delayed_count_by_txn
         return out
-
-    def iter_inserts(self, commit: np.ndarray | None = None):
-        """Insert records in (transaction, emission) order — the slot
-        assignment the scalar write-back produces.  Yields
-        ``(txn_idx, table_id, key, names, values)`` rows, restricted to
-        committed transactions when ``commit`` is given."""
-        if self.i_txn.size == 0:
-            return
-        order = np.lexsort((self.i_seq, self.i_txn))
-        if commit is not None:
-            order = order[commit[self.i_txn[order]]]
-        meta = self.i_meta
-        rows_cache: dict[int, list] = {}
-        for txn, tbl, key, ch, pos in zip(
-            self.i_txn[order].tolist(),
-            self.i_table[order].tolist(),
-            self.i_key[order].tolist(),
-            self.i_chunk[order].tolist(),
-            self.i_pos[order].tolist(),
-        ):
-            names, vals = meta[ch]
-            rows = rows_cache.get(ch)
-            if rows is None:
-                rows = rows_cache[ch] = vals.tolist()
-            yield txn, tbl, key, names, rows[pos]
 
     def add_scalar_locals(self, txn_idx: int, local, delayed_columns) -> None:
         """Buffer one scalar-executed transaction's ``LocalSets`` as
@@ -244,10 +208,10 @@ class GroupLocals:
         once per lane and give every inserted row a payload chunk of
         its own for the write-back to walk."""
         col_id = _COLUMN_IDS.__getitem__  # recording the ops interned them
-        emit_w = self._rows["w"].extend
+        emit_w = self._cells["writes"].extend
         for (t, row, col), val in local.writes.items():
             emit_w((txn_idx, t, row, col_id(col), val))
-        emit_a, emit_d = self._rows["a"].extend, self._rows["d"].extend
+        emit_a, emit_d = self._cells["adds"].extend, self._cells["delayed"].extend
         delayed = 0
         for (t, row, col), val in local.adds.items():
             if (t, col) in delayed_columns:
@@ -272,28 +236,27 @@ class GroupLocals:
 
     def seal(self) -> None:
         """Append the rows :meth:`add_scalar_locals` buffered to the
-        arrays — one conversion per array however many lanes there
+        records — one conversion per record however many lanes there
         were, and one payload chunk per distinct insert column tuple."""
         # The buffers are handed over to the arrays made from them (an
         # exported array('q') cannot be cleared), so start fresh ones.
-        rows, self._rows = self._rows, {prefix: array("q") for prefix in "wad"}
+        cells, self._cells = self._cells, {name: array("q") for name in _CELL_SETS}
         ins_rows, self._ins_rows = self._ins_rows, array("q")
         payloads, self._payloads = self._payloads, {}
-        for prefix, buf in rows.items():
-            if not buf:
-                continue
-            arr = np.frombuffer(buf, dtype=np.int64).reshape(-1, 5)
-            for field, suffix in enumerate(("txn", "table", "row", "col", "val")):
-                name = f"{prefix}_{suffix}"
-                setattr(self, name, np.concatenate((getattr(self, name), arr[:, field])))
+
+        def columns(buf: array, width: int) -> np.ndarray:
+            rows = np.frombuffer(buf, dtype=np.int64).reshape(-1, width)
+            return np.ascontiguousarray(rows.T)
+
+        for name, buf in cells.items():
+            if buf:
+                rows = Cells(*columns(buf, 5))
+                setattr(self, name, Cells.concat([getattr(self, name), rows]))
         if ins_rows:
-            head = np.frombuffer(ins_rows, dtype=np.int64).reshape(-1, 6)
-            for field, name in enumerate(
-                ("i_txn", "i_seq", "i_table", "i_key", "i_chunk", "i_pos")
-            ):
-                setattr(self, name, np.concatenate((getattr(self, name), head[:, field])))
-            self.i_chunk[-head.shape[0]:] += len(self.i_meta)
-            self.i_meta.extend(
+            rows = InsertRows(*columns(ins_rows, 6))
+            rows = rows.replace(chunk=rows.chunk + len(self.payloads))
+            self.inserts = InsertRows.concat([self.inserts, rows])
+            self.payloads.extend(
                 (names, np.frombuffer(buf, dtype=np.int64).reshape(count, len(names)))
                 for names, (_, count, buf) in payloads.items()
             )
@@ -317,7 +280,7 @@ class BatchedContext:
     ):
         self._db = database
         #: the array backend all emission/finalize math runs on
-        self.xp = xp if xp is not None else get_backend("numpy")
+        self.xp = xp if xp is not None else HOST
         #: the engine's device-resident snapshot
         #: (:class:`~repro.xp.residency.ResidencyManager`) when ``xp``
         #: is a device; ``None`` on the host
@@ -410,29 +373,9 @@ class BatchedContext:
         key is missing are logic-aborted (the scalar ``KeyNotFound``
         path) and carry ``found=False`` / ``rows=-1``.
         """
-        xp = self.xp
         _, t = self._db.resolve(table)
-        keys = xp.asarray(keys, dtype=np.int64)
-        dense = (keys >= 0) & (keys < t._dense_limit)
-        rows = xp.where(dense, keys, -1)
-        found = dense.copy()
-        if not dense.all():
-            # hash-index probes are host work: read the probe keys back
-            # explicitly, resolve, and ship the slots down in one go
-            get = t.primary.get
-            nd = xp.flatnonzero(~dense)
-            slots = np.fromiter(
-                (
-                    -1 if (slot := get(k)) is None else slot
-                    for k in xp.tolist(keys[nd])
-                ),
-                dtype=np.int64,
-                count=nd.size,
-            )
-            dslots = xp.from_host(slots)
-            hit = dslots >= 0
-            rows[nd[hit]] = dslots[hit]
-            found[nd[hit]] = True
+        rows = t.rows_of_keys(self.xp.asarray(keys, dtype=np.int64), self.xp)
+        found = rows >= 0
         missing = ~found
         if missing.any():
             self.logic_abort(lanes[missing])
@@ -456,23 +399,7 @@ class BatchedContext:
         """
         xp = self.xp
         _, t = self._db.resolve(table)
-        keys = xp.asarray(flat_keys, dtype=np.int64)
-        dense = (keys >= 0) & (keys < t._dense_limit)
-        rows = xp.where(dense, keys, -1)
-        nd = xp.flatnonzero(~dense)
-        if nd.size:
-            get = t.primary.get
-            slots = np.fromiter(
-                (
-                    -1 if (slot := get(k)) is None else slot
-                    for k in xp.tolist(keys[nd])
-                ),
-                dtype=np.int64,
-                count=nd.size,
-            )
-            dslots = xp.from_host(slots)
-            hit = dslots >= 0
-            rows[nd[hit]] = dslots[hit]
+        rows = t.rows_of_keys(xp.asarray(flat_keys, dtype=np.int64), xp)
         missing = rows < 0
         bad = np.zeros(lanes.size, dtype=bool)
         if missing.any():
@@ -600,14 +527,7 @@ class BatchedContext:
         xp = self.xp
         table_id, t = self._db.resolve(table)
         keys = xp.asarray(keys, dtype=np.int64)
-        exists = (keys >= 0) & (keys < t._dense_limit)
-        nd = xp.flatnonzero(~exists)
-        if nd.size:
-            has = t.primary.__contains__
-            hits = np.fromiter(
-                map(has, xp.tolist(keys[nd])), dtype=bool, count=nd.size
-            )
-            exists[nd[hits]] = True
+        exists = t.rows_of_keys(keys, xp) >= 0
         if exists.any():
             self.logic_abort(lanes[exists])
         ok = ~exists
@@ -641,10 +561,11 @@ class BatchedContext:
         """Resolve chunks into per-lane op streams and columnar locals.
 
         Returns ``(flat_ops, counts, locals, ranges_by_lane)`` where
-        ``flat_ops`` is the lexsorted ``(total, OP_FIELDS)`` matrix over
-        non-fallback lanes, ``counts`` the per-lane op counts, and
-        ``locals`` a :class:`GroupLocals` keyed by *lane* (the engine
-        re-keys to batch positions).
+        ``flat_ops`` is the ``(total, OP_FIELDS)`` matrix over
+        non-fallback lanes in lane order (a stable argsort by lane:
+        each lane's ops keep their program order), ``counts`` the
+        per-lane op counts, and ``locals`` a :class:`GroupLocals` keyed
+        by *lane* (the engine re-keys to batch positions).
         """
         xp = self.xp
         n = self.n
@@ -699,14 +620,12 @@ class BatchedContext:
         location wins, a write kills earlier adds on its location, adds
         after the last write sum, delayed-column adds split out."""
         xp = self.xp
-        locals_ = GroupLocals(self.n)
-        if xp.is_device:
-            # per-txn accounting accumulates on-device until the final
-            # D2H at the bottom of this method
-            locals_.nbytes_by_txn = xp.from_host(locals_.nbytes_by_txn)
-            locals_.delayed_count_by_txn = xp.from_host(
-                locals_.delayed_count_by_txn
-            )
+        n = self.n
+        locals_ = GroupLocals(n)
+        # per-txn accounting accumulates on ``xp`` until the D2H at the
+        # bottom of this method
+        nbytes = xp.from_host(locals_.nbytes_by_txn)
+        delayed_count = xp.from_host(locals_.delayed_count_by_txn)
         if lane.size:
             live = ~xp.from_host(self.aborted)[lane]
         else:
@@ -714,187 +633,110 @@ class BatchedContext:
         kind = mat[:, 0]
         wa = live & ((kind == _WRITE) | (kind == _ADD))
         if wa.any():
-            l = lane[wa]
-            t = mat[wa, 1]
-            r = mat[wa, 2]
-            c = mat[wa, 3]
-            v = mat[wa, 4]
-            is_w = kind[wa] == _WRITE
-            if self._delayed_mask_fn is not None:
-                dl = self._delayed_mask_fn(t, c) & ~is_w
-            else:
-                dl = np.zeros(l.size, dtype=bool)
-            # delayed adds: sum per (lane, table, row, col)
-            if dl.any():
-                dt, dr, dc, dlane, dv = t[dl], r[dl], c[dl], l[dl], v[dl]
-                packed = pack_sort_key(dlane, dt, dr, dc, xp=xp)
-                order = (
-                    xp.argsort(packed, stable=True)
-                    if packed is not None
-                    else xp.lexsort((dc, dr, dt, dlane))
-                )
-                dlane, dt, dr, dc, dv = (
-                    dlane[order], dt[order], dr[order], dc[order], dv[order]
-                )
-                new = xp.empty(dlane.size, dtype=bool)
-                new[0] = True
-                new[1:] = (
-                    (dlane[1:] != dlane[:-1]) | (dt[1:] != dt[:-1])
-                    | (dr[1:] != dr[:-1]) | (dc[1:] != dc[:-1])
-                )
-                first = xp.flatnonzero(new)
-                # int64 segment sums as cumsum differences at segment
-                # boundaries (exact; bincount weights would round-trip
-                # through float64)
-                cs = xp.cumsum(dv)
-                last = _append_scalar(xp, first[1:], dv.size) - 1
-                locals_.d_txn = dlane[first]
-                locals_.d_table = dt[first]
-                locals_.d_row = dr[first]
-                locals_.d_col = dc[first]
-                locals_.d_val = cs[last] - cs[first] + dv[first]
-                locals_.delayed_count_by_txn += xp.bincount(
-                    locals_.d_txn, minlength=self.n
-                )
-            nk = ~dl
-            if nk.any():
-                l2, t2, r2, c2, v2, w2 = l[nk], t[nk], r[nk], c[nk], v[nk], is_w[nk]
-                # the sort is stable, so within each (lane, loc) segment
-                # the emission order survives as the index order
-                packed = pack_sort_key(l2, t2, r2, c2, xp=xp)
-                order = (
-                    xp.argsort(packed, stable=True)
-                    if packed is not None
-                    else xp.lexsort((c2, r2, t2, l2))
-                )
-                l2, t2, r2, c2, v2, w2 = (
-                    l2[order], t2[order], r2[order], c2[order],
-                    v2[order], w2[order],
-                )
-                new = xp.empty(l2.size, dtype=bool)
-                new[0] = True
-                new[1:] = (
-                    (l2[1:] != l2[:-1]) | (t2[1:] != t2[:-1])
-                    | (r2[1:] != r2[:-1]) | (c2[1:] != c2[:-1])
-                )
-                seg = xp.cumsum(new) - 1
-                nseg = int(new.sum())
-                # last write position per segment (-1 when none): wi is
-                # ascending, so plain fancy assignment leaves each
-                # segment its final (= last) write index
-                last_w = xp.full(nseg, -1, dtype=np.int64)
-                wi = xp.flatnonzero(w2)
-                if wi.size:
-                    last_w[seg[wi]] = wi
-                has_w = last_w >= 0
-                if has_w.any():
-                    widx = last_w[has_w]
-                    locals_.w_txn = l2[widx]
-                    locals_.w_table = t2[widx]
-                    locals_.w_row = r2[widx]
-                    locals_.w_col = c2[widx]
-                    locals_.w_val = v2[widx]
-                # adds surviving: non-write entries past the segment's
-                # last write, summed per segment via cumsum differences
-                # (exact int64, no float round-trip)
-                idx = xp.arange(l2.size, dtype=np.int64)
-                surv = ~w2 & (idx > last_w[seg])
-                if surv.any():
-                    aseg = seg[surv]
-                    sv = v2[surv]
-                    anew = xp.empty(aseg.size, dtype=bool)
-                    anew[0] = True
-                    anew[1:] = aseg[1:] != aseg[:-1]
-                    astart = xp.flatnonzero(anew)
-                    cs = xp.cumsum(sv)
-                    alast = _append_scalar(xp, astart[1:], sv.size) - 1
-                    first_of_seg = xp.flatnonzero(new)
-                    fi = first_of_seg[aseg[astart]]
-                    locals_.a_txn = l2[fi]
-                    locals_.a_table = t2[fi]
-                    locals_.a_row = r2[fi]
-                    locals_.a_col = c2[fi]
-                    locals_.a_val = cs[alast] - cs[astart] + sv[astart]
-            cells = xp.bincount(locals_.w_txn, minlength=self.n) + xp.bincount(
-                locals_.a_txn, minlength=self.n
+            cells = Cells(lane[wa], mat[wa, 1], mat[wa, 2], mat[wa, 3], mat[wa, 4])
+            # One sorted pass over writes and adds, delayed columns
+            # included: the sort is stable, so within each (lane, cell)
+            # run the emission order survives as the index order.  A
+            # delayed column is only ever ADDed (the collector rejects
+            # the batch otherwise), so its runs hold no write and come
+            # out of the add rule below as plain per-cell sums.
+            order, starts = sorted_runs(
+                cells.txn, cells.table, cells.row, cells.col, xp=xp
             )
-            locals_.nbytes_by_txn += 8 * cells
-        # inserts: materialize ordered records, with intra-transaction
-        # duplicate detection (the scalar TransactionError)
+            cells = cells.take(order)
+            is_w = kind[wa][order] == _WRITE
+            run = xp.zeros(order.size, dtype=np.int64)
+            run[starts[1:]] = 1
+            run = xp.cumsum(run)
+            # last write position per run (-1 when none): wi is
+            # ascending, so plain fancy assignment leaves each run its
+            # final (= last) write index
+            last_w = xp.full(starts.size, -1, dtype=np.int64)
+            wi = xp.flatnonzero(is_w)
+            if wi.size:
+                last_w[run[wi]] = wi
+                locals_.writes = cells.take(last_w[last_w >= 0])
+            # adds surviving: non-write entries past the run's last
+            # write, summed per run
+            surv = ~is_w & (xp.arange(order.size, dtype=np.int64) > last_w[run])
+            if surv.any():
+                live_adds = cells.take(surv)
+                astarts = run_starts(run[surv], xp=xp)
+                adds = live_adds.take(astarts).replace(
+                    val=segment_sum(live_adds.val, astarts, xp=xp)
+                )
+                if self._delayed_mask_fn is not None:
+                    dl = self._delayed_mask_fn(adds.table, adds.col)
+                    locals_.delayed = adds.take(dl)
+                    adds = adds.take(~dl)
+                    delayed_count += xp.bincount(locals_.delayed.txn, minlength=n)
+                locals_.adds = adds
+            nbytes += 8 * (
+                xp.bincount(locals_.writes.txn, minlength=n)
+                + xp.bincount(locals_.adds.txn, minlength=n)
+            )
+        # read/write-set shipping: the group's resolved cells and their
+        # accounting land on the host here, one transfer per column
+        # (identity on numpy)
+        for name in _CELL_SETS:
+            setattr(locals_, name, getattr(locals_, name).to_host(xp))
+        locals_.nbytes_by_txn = xp.to_host(nbytes)
+        locals_.delayed_count_by_txn = xp.to_host(delayed_count)
         if self._ins_chunks:
-            parts = []
-            # no fallback and no aborts => every chunk survives whole;
-            # skip the per-chunk lane readback entirely
-            clean = not (self.fallback.any() or self.aborted.any())
-            for el, table_id, keys, names, vals in self._ins_chunks:
-                if clean:
-                    parts.append((el, table_id, keys, names, vals))
-                    continue
-                el_h = xp.to_host(el)
-                m = ~self.fallback[el_h] & ~self.aborted[el_h]
-                if m.all():
-                    parts.append((el, table_id, keys, names, vals))
-                elif m.any():
-                    parts.append((el[m], table_id, keys[m], names, vals[m]))
-            if parts:
-                L = xp.concatenate([p[0] for p in parts])
-                T = xp.concatenate(
-                    [xp.full(p[0].size, p[1], dtype=np.int64) for p in parts]
-                )
-                K = xp.concatenate([p[2] for p in parts])
-                if L.size > 1:
-                    packed = pack_sort_key(L, T, K, xp=xp)
-                    order = (
-                        xp.argsort(packed, stable=True)
-                        if packed is not None
-                        else xp.lexsort((K, T, L))
-                    )
-                    Ls, Ts, Ks = L[order], T[order], K[order]
-                    d = (
-                        (Ls[1:] == Ls[:-1]) & (Ts[1:] == Ts[:-1])
-                        & (Ks[1:] == Ks[:-1])
-                    )
-                    if d.any():
-                        Ts_h, Ks_h = xp.to_host(Ts), xp.to_host(Ks)
-                        i = int(np.flatnonzero(xp.to_host(d))[0]) + 1
-                        tname = self._db.table_by_id(int(Ts_h[i])).name
-                        raise TransactionError(
-                            f"transaction inserts key {int(Ks_h[i])} into "
-                            f"{tname!r} twice"
-                        )
-                nb = xp.concatenate([
-                    xp.full(p[0].size, 8 + 4 * len(p[3]), dtype=np.int64)
-                    for p in parts
-                ])
-                xp.scatter_add(locals_.nbytes_by_txn, L, nb)
-                # columnar insert records: chunks append in program
-                # order, so the global emission position doubles as the
-                # per-lane sequence number
-                sizes = np.fromiter(
-                    (p[0].size for p in parts), dtype=np.int64, count=len(parts)
-                )
-                locals_.i_txn = L
-                locals_.i_table = T
-                locals_.i_key = K
-                locals_.i_seq = np.arange(L.size, dtype=np.int64)
-                locals_.i_chunk = np.repeat(
-                    np.arange(len(parts), dtype=np.int64), sizes
-                )
-                starts = np.cumsum(sizes) - sizes
-                locals_.i_pos = locals_.i_seq - np.repeat(starts, sizes)
-                locals_.i_meta = [(p[3], xp.to_host(p[4])) for p in parts]
-        # read/write-set shipping: the group's resolved locals land on
-        # the host here, in one transfer per array (identity on numpy)
-        for name in GroupLocals.__slots__[:GroupLocals._NUM_ARRAYS]:
-            setattr(locals_, name, xp.to_host(getattr(locals_, name)))
-        locals_.nbytes_by_txn = xp.to_host(locals_.nbytes_by_txn)
-        locals_.delayed_count_by_txn = xp.to_host(locals_.delayed_count_by_txn)
+            self._resolve_inserts(locals_)
         return locals_
+
+    def _resolve_inserts(self, locals_: GroupLocals) -> None:
+        """The live lanes' inserts as one columnar record, with
+        intra-transaction duplicate detection (the scalar
+        ``TransactionError``)."""
+        xp = self.xp
+        chunks = self._ins_chunks
+        sizes = np.fromiter(
+            (c[0].size for c in chunks), dtype=np.int64, count=len(chunks)
+        )
+        L = xp.concatenate([c[0] for c in chunks])
+        T = xp.concatenate(
+            [xp.full(c[0].size, c[1], dtype=np.int64) for c in chunks]
+        )
+        K = xp.concatenate([c[2] for c in chunks])
+        # chunks append in program order, so the global emission
+        # position doubles as the per-lane sequence number; (chunk,
+        # pos) find a row's values in its chunk's matrix
+        seq = np.arange(L.size, dtype=np.int64)
+        chunk = np.repeat(np.arange(len(chunks), dtype=np.int64), sizes)
+        pos = seq - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # which lanes still count is host control state, so the lanes
+        # come up first (they are the record's txn column anyway)
+        txn = xp.to_host(L)
+        dead = (self.fallback | self.aborted)[txn]
+        if dead.any():
+            keep = np.flatnonzero(~dead)
+            L, T, K = L[keep], T[keep], K[keep]
+            txn, seq, chunk, pos = txn[keep], seq[keep], chunk[keep], pos[keep]
+        order, starts = sorted_runs(L, T, K, xp=xp)
+        if starts.size < L.size:  # some (lane, table, key) repeats
+            repeat = xp.ones(L.size, dtype=bool)
+            repeat[starts] = False
+            i = order[xp.flatnonzero(repeat)[:1]]
+            (table_id,), (key,) = xp.tolist(T[i]), xp.tolist(K[i])
+            raise TransactionError(
+                f"transaction inserts key {key} into "
+                f"{self._db.table_by_id(table_id).name!r} twice"
+            )
+        row_bytes = np.array([8 + 4 * len(c[3]) for c in chunks], dtype=np.int64)
+        np.add.at(locals_.nbytes_by_txn, txn, row_bytes[chunk])
+        locals_.inserts = InsertRows(
+            txn, seq, xp.to_host(T), xp.to_host(K), chunk, pos
+        )
+        locals_.payloads = [(c[3], xp.to_host(c[4])) for c in chunks]
 
 
 __all__ = [
     "BatchedContext",
+    "Cells",
     "GroupLocals",
+    "InsertRows",
     "ParamColumns",
     "column_name",
 ]

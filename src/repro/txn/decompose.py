@@ -23,6 +23,7 @@ import numpy as np
 from repro.gpusim.config import WARP_SIZE
 from repro.txn.operations import OpKind
 from repro.txn.transaction import Transaction
+from repro.xp import sorted_runs
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,10 @@ def plan_naive_arrays(
         # Distinct (warp, step, class) triples, then distinct classes per
         # (warp, step): every class beyond the first is one divergence
         # event — identical to the per-step set arithmetic above.
-        order = np.lexsort((cls, step, warp))
-        w, s, c = warp[order], step[order], cls[order]
-        new_triple = np.ones(total_ops, dtype=bool)
-        new_triple[1:] = (w[1:] != w[:-1]) | (s[1:] != s[:-1]) | (c[1:] != c[:-1])
-        new_step = np.ones(total_ops, dtype=bool)
-        new_step[1:] = (w[1:] != w[:-1]) | (s[1:] != s[:-1])
-        divergence = int(new_triple.sum()) - int(new_step.sum())
+        order, triples = sorted_runs(warp, step, cls)
+        heads = order[triples]
+        _, steps = sorted_runs(warp[heads], step[heads])
+        divergence = triples.size - steps.size
     return ExecutionPlan(
         mode="naive",
         total_ops=total_ops,

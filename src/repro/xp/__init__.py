@@ -27,20 +27,19 @@ from __future__ import annotations
 from repro.errors import BackendError
 from repro.xp.base import CONTRACT, ArrayBackend, BackendContract, TransferStats
 from repro.xp.mockgpu import MockGpuBackend
-from repro.xp.numpy_backend import NumpyBackend
+from repro.xp.numpy_backend import HOST, NumpyBackend
 from repro.xp.residency import DeviceTableView, ResidencyManager, ResidencyStats
+from repro.xp.rows import Rows, segment_sum, sorted_runs
 
 #: Names accepted by :func:`get_backend` / ``LTPGConfig.array_backend``.
 BACKEND_NAMES = ("numpy", "mockgpu")
-
-_numpy_singleton = NumpyBackend()
 
 
 def get_backend(name: str) -> ArrayBackend:
     """Construct the backend called ``name``; raises
     :class:`BackendError` for names outside :data:`BACKEND_NAMES`."""
     if name == "numpy":
-        return _numpy_singleton
+        return HOST
     if name == "mockgpu":
         return MockGpuBackend()
     raise BackendError(
@@ -52,6 +51,7 @@ def get_backend(name: str) -> ArrayBackend:
 __all__ = [
     "BACKEND_NAMES",
     "CONTRACT",
+    "HOST",
     "ArrayBackend",
     "BackendContract",
     "DeviceTableView",
@@ -59,6 +59,9 @@ __all__ = [
     "NumpyBackend",
     "ResidencyManager",
     "ResidencyStats",
+    "Rows",
     "TransferStats",
     "get_backend",
+    "segment_sum",
+    "sorted_runs",
 ]

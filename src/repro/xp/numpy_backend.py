@@ -68,4 +68,8 @@ class NumpyBackend(ArrayBackend):
         np.minimum.at(target, index, values)
 
 
-__all__ = ["NumpyBackend"]
+#: The host backend: stateless (its transfer ledger is zero by
+#: contract), so one instance serves every caller.
+HOST = NumpyBackend()
+
+__all__ = ["HOST", "NumpyBackend"]

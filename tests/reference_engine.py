@@ -31,8 +31,11 @@ from repro.core.batch import (
     READ_GLOBAL_READS,
     WRITE_GLOBAL_READS,
     WRITE_GLOBAL_WRITES,
+    InsertReservations,
+    RangeReservations,
+    Reservations,
 )
-from repro.core.collect import register_batch
+from repro.core.collect import open_log, register_batch
 from repro.core.config import MemoryMode
 from repro.core.engine import LTPGEngine
 from repro.errors import KeyNotFound, TransactionAborted, TransactionError
@@ -46,10 +49,9 @@ def _as_arr(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def _columns(rows: list[tuple], width: int) -> list[np.ndarray]:
+def _columns(rows: list[tuple], width: int) -> np.ndarray:
     """Same-width tuples as ``width`` int64 columns."""
-    arr = _as_arr(rows).reshape(len(rows), width)
-    return [np.ascontiguousarray(arr[:, i]) for i in range(width)]
+    return np.ascontiguousarray(_as_arr(rows).reshape(len(rows), width).T)
 
 
 class ReferenceEngine(LTPGEngine):
@@ -176,21 +178,24 @@ class ReferenceEngine(LTPGEngine):
             for table_id in tables_seen:
                 table_txns[table_id] += 1
 
-        (data.read_table_arr, data.read_row_arr, data.read_group_arr,
-         data.read_tid_arr, data.read_txn_arr) = _columns(read, 5)
-        (data.write_table_arr, data.write_row_arr, data.write_group_arr,
-         data.write_tid_arr, data.write_txn_arr) = _columns(write, 5)
-        (data.ins_table_arr, data.ins_key_arr, data.ins_tid_arr,
-         data.ins_txn_arr) = _columns(ins, 4)
-        (data.range_table_arr, data.range_lo_arr, data.range_hi_arr,
-         data.range_tid_arr, data.range_txn_arr) = _columns(rng, 5)
-        register_batch(
+        open_log(
             self,
-            data,
             dict(table_txns),
             {t: _as_arr(sorted(rows)) for t, rows in touched_rows.items()},
             ctx,
         )
+
+        def reservations(entries: list[tuple]) -> Reservations:
+            table, row, group, tid, lane = _columns(entries, 5)
+            key = self.conflict_log.encode(table, row, group)
+            return Reservations(lane, tid, table, row, group, key)
+
+        data.reads, data.writes = reservations(read), reservations(write)
+        table, key, tid, lane = _columns(ins, 4)
+        data.inserts = InsertReservations(lane, tid, table, key)
+        table, lo, hi, tid, lane = _columns(rng, 5)
+        data.ranges = RangeReservations(lane, tid, table, lo, hi)
+        register_batch(self, data, ctx)
 
     # -- write-back -------------------------------------------------------
     def _writeback(self, data, ctx) -> None:

@@ -30,6 +30,7 @@ from reference_engine import ReferenceEngine
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
 from repro.txn import ProcedureRegistry, Transaction
+from repro.txn.operations import column_name
 from repro.workloads.smallbank import build_smallbank
 from repro.workloads.tpcc import DELAYED_COLUMNS, SPLIT_COLUMNS, TpccMix, build_tpcc
 from repro.workloads.ycsb import build_ycsb
@@ -196,6 +197,94 @@ def test_mixed_batched_and_scalar_procedures_identical():
 
 
 # ---------------------------------------------------------------------------
+# One sorted pass resolves writes, adds and delayed adds together: the
+# interleaving that pass must get right, against the LocalSets oracle
+# ---------------------------------------------------------------------------
+def _churn_bank():
+    """:func:`build_bank` plus ``churn(a, d, amount, die)``, scalar and
+    twin: on cell ``a.balance`` an add the write kills, the write, two
+    adds that survive it; interleaved with them two delayed adds on
+    ``d.flags``; then, if ``die``, a rollback after all of it."""
+    db, registry = build_bank(accounts=32)
+
+    @registry.register("churn")
+    def churn(ctx, a, d, amount, die):
+        ctx.add("accounts", a, "balance", amount)
+        ctx.add("accounts", d, "flags", 1)
+        ctx.write("accounts", a, "balance", 7 * amount)
+        ctx.add("accounts", a, "balance", 2)
+        ctx.add("accounts", d, "flags", amount)
+        ctx.add("accounts", a, "balance", 3)
+        if die:
+            ctx.abort("rolls back after emitting everything")
+
+    @registry.register_batched("churn")
+    def churn_b(bctx, p):
+        lanes = bctx.active_lanes()
+        a, d, amount, die = (p.column(i)[lanes] for i in range(4))
+        rows_a, _ = bctx.rows_for_keys("accounts", lanes, a)
+        rows_d, _ = bctx.rows_for_keys("accounts", lanes, d)
+        bctx.add("accounts", lanes, rows_a, "balance", amount)
+        bctx.add("accounts", lanes, rows_d, "flags", 1)
+        bctx.write("accounts", lanes, rows_a, "balance", 7 * amount)
+        bctx.add("accounts", lanes, rows_a, "balance", 2)
+        bctx.add("accounts", lanes, rows_d, "flags", amount)
+        bctx.add("accounts", lanes, rows_a, "balance", 3)
+        bctx.logic_abort(lanes[die != 0])
+
+    return db, registry
+
+
+def _cells_by_lane(cells) -> dict[tuple, int]:
+    return {
+        (txn, table, row, column_name(col)): val
+        for txn, table, row, col, val in zip(*(c.tolist() for c in cells.columns()))
+    }
+
+
+def test_add_write_add_with_delayed_adds_resolves_like_local_sets():
+    # lanes 0-5 churn their own cell and share two delayed cells; lane 3
+    # rolls back after emitting the lot; lanes 6/7 collide on one cell
+    # (the later one aborts, so its resolved cells must not install);
+    # the deposits are plain adds in a second procedure group
+    specs = [("churn", (i, 20 + i % 2, 10 + i, int(i == 3))) for i in range(6)]
+    specs += [("churn", (9, 20, 5, 0)), ("churn", (9, 21, 6, 0))]
+    specs += [("deposit", (i, 4)) for i in range(10, 14)]
+
+    def build(mode_kwargs, engine_cls=LTPGEngine):
+        db, registry = _churn_bank()
+        config = LTPGConfig(
+            batch_size=64, delayed_columns={("accounts", "flags")}, **mode_kwargs
+        )
+        return engine_cls(db, registry, config)
+
+    _three_way(build, [specs, specs])
+
+    oracle = build({}, ReferenceEngine)
+    _observe(oracle, [specs])
+    writes, adds, delayed = {}, {}, {}
+    for lane, (local, late) in enumerate(zip(oracle._locals, oracle._delayed_adds)):
+        writes.update({(lane, *loc): v for loc, v in local.writes.items()})
+        adds.update({(lane, *loc): v for loc, v in local.adds.items()})
+        delayed.update({(lane, t, r, c): v for t, r, c, v in late})
+    assert (3, 0, 3, "balance") not in writes  # the rolled-back lane
+    assert writes[(0, 0, 0, "balance")] == 70 and adds[(0, 0, 0, "balance")] == 5
+    assert delayed[(0, 0, 20, "flags")] == 11
+
+    for mode_kwargs in ({}, dict(batched_exec=False)):
+        engine = build(mode_kwargs)
+        seen = []
+        engine.observers += (BoundaryObserver(batch_done=seen.append),)
+        _observe(engine, [specs])
+        bl = seen[0].batch_locals
+        assert _cells_by_lane(bl.writes) == writes
+        assert _cells_by_lane(bl.adds) == adds
+        assert _cells_by_lane(bl.delayed) == delayed
+        assert bl.writes.size == len(writes)  # one row per cell, no repeats
+        assert bl.adds.size == len(adds) and bl.delayed.size == len(delayed)
+
+
+# ---------------------------------------------------------------------------
 # A registry without twins under the default config: the scalar lanes'
 # fold into the columnar locals is linear in the lanes
 # ---------------------------------------------------------------------------
@@ -241,9 +330,9 @@ def test_twin_less_registry_folds_once_per_batch(monkeypatch):
         locals_ = data.batch_locals
         # one payload chunk per distinct insert column tuple, however
         # many rows were inserted
-        column_tuples = [names for names, _ in locals_.i_meta]
+        column_tuples = [names for names, _ in locals_.payloads]
         assert len(column_tuples) == len(set(column_tuples)) <= 4
-        assert locals_.i_txn.size > lanes
+        assert locals_.inserts.size > lanes
     assert concatenates[2048] == concatenates[256]
 
 

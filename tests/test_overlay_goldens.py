@@ -34,8 +34,7 @@ CELLS = {
     "mockgpu-resident": dict(array_backend="mockgpu"),
 }
 
-#: cell -> (trace JSON, metrics snapshot, sanitizer stream); the device
-#: backend rejects ``sanitize`` (the shadow log reads host arrays).
+#: cell -> (trace JSON, metrics snapshot, sanitizer stream).
 GOLDEN = {
     "default": (
         "991d75bda3a819bcc3da66da576f019f229f4e85c49915ac04d0603b89c2beb9",
@@ -47,16 +46,47 @@ GOLDEN = {
         "4785667dd3e8abf682b873a15db68ca33ff5b1de61b3d5657b5e655e1b87db7f",
         "13ebe27e0f07ad8246547259705d529cb1010761b78ef9186aa600f375411a9f",
     ),
-    # re-recorded once, when scalar lanes began reading dirty cells off
-    # the device (``DeviceTableView.read_cell``): the three batches make
-    # 22 one-word readbacks, so ``transfer.count`` 888 -> 910 and
-    # ``transfer.d2h_bytes`` / ``transfer.execute.d2h_bytes`` +176 B
-    # (two span args carry the same bytes); nothing else moved
-    "mockgpu-resident": (
-        "7f929aadf65c5553556024beca1ab38b19ccac687b154dedcb98a4e9f3255315",
-        "a0c925b6ce062008440f8e6492543151282d304271fe5c5ae9d18b42207e9060",
-        None,
-    ),
+}
+# The device cell is the default cell plus the transfer ledger: with
+# the per-batch ``transfers`` counter events out of the trace and the
+# ``transfer.*`` counters out of the metrics, what is left must hash to
+# the *default* cell's goldens (a device changes where the bytes live,
+# nothing else the overlays say about a batch).  The device backend
+# rejects ``sanitize`` (the shadow log reads host arrays).
+GOLDEN["mockgpu-resident"] = (*GOLDEN["default"][:2], None)
+
+#: The ledger itself, value by value, so a change that moves it shows
+#: which counter moved and by how much.  History: scalar lanes reading
+#: dirty cells off the device (``DeviceTableView.read_cell``) added 22
+#: one-word readbacks — ``transfer.count`` 888 -> 910, D2H +176 B.
+#: PR 21 (one sorted pass and one insert record per group; inserts
+#: resolve their keys through ``Table.rows_of_keys``) moved four
+#: counters, all in the execute phase —
+#:
+#:   transfer.count               910 ->       919
+#:   transfer.d2h_bytes     2,255,950 -> 2,222,916   (execute: same -33,034)
+#:   transfer.h2d_bytes     2,832,981 -> 2,870,677   (execute: same +37,696)
+#:
+#: and the per-batch (D2H, H2D) pairs from (748,490, 2,515,728),
+#: (724,306, 155,009), (783,154, 162,244); docs/ARCHITECTURE.md §13
+#: attributes every byte of that to a call site.
+LEDGER = {
+    "mockgpu-resident": {
+        "transfer.count": 919,
+        "transfer.d2h_bytes": 2_222_916,
+        "transfer.h2d_bytes": 2_870_677,
+        "transfer.execute.d2h_bytes": 2_078_972,
+        "transfer.execute.h2d_bytes": 1_562_117,
+        "transfer.conflict.d2h_bytes": 143_944,
+        "transfer.conflict.h2d_bytes": 0,
+        "transfer.writeback.d2h_bytes": 0,
+        "transfer.writeback.h2d_bytes": 1_308_560,
+        "per_batch": [
+            {"d2h_bytes": 737_868, "h2d_bytes": 2_528_224},
+            {"d2h_bytes": 713_188, "h2d_bytes": 167_113},
+            {"d2h_bytes": 771_860, "h2d_bytes": 175_340},
+        ],
+    },
 }
 
 
@@ -83,13 +113,24 @@ def _sha(obj) -> str:
     ).hexdigest()
 
 
-def _trace_and_metrics(cell: str) -> tuple[str, str]:
+def _trace_and_metrics(cell: str) -> tuple[dict, dict]:
     setup, engine = _run(cell, trace=True)
     _drive(setup, engine)
     snapshot = engine.metrics.snapshot()
     # the one host-clock value in the registry
     snapshot["counters"].pop("sequencer.stall_ns", None)
-    return _sha(engine.tracer.to_chrome()), _sha(snapshot)
+    return engine.tracer.to_chrome(), snapshot
+
+
+def _take_ledger(trace: dict, snapshot: dict) -> dict:
+    """Remove the transfer ledger from ``trace`` and ``snapshot`` and
+    return it, shaped like a :data:`LEDGER` entry."""
+    counters = snapshot["counters"]
+    ledger = {k: counters.pop(k) for k in sorted(counters) if k.startswith("transfer.")}
+    events = trace["traceEvents"]
+    ledger["per_batch"] = [e["args"] for e in events if e["name"] == "transfers"]
+    trace["traceEvents"] = [e for e in events if e["name"] != "transfers"]
+    return ledger
 
 
 def _sanitizer_stream(cell: str) -> str:
@@ -130,7 +171,9 @@ def _sanitizer_stream(cell: str) -> str:
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_trace_and_metrics_match_their_goldens(cell):
     trace, metrics = _trace_and_metrics(cell)
-    assert (trace, metrics) == GOLDEN[cell][:2]
+    if cell in LEDGER:
+        assert _take_ledger(trace, metrics) == LEDGER[cell]
+    assert (_sha(trace), _sha(metrics)) == GOLDEN[cell][:2]
 
 
 @pytest.mark.parametrize(

@@ -339,7 +339,7 @@ def test_engine_survives_a_failure_at_every_stage_boundary(boundary, trace):
     recovery replays the entry.  Either way no trace span stays open.
 
     A failure *inside* write-back — the snapshot partly installed — is
-    the hole ROADMAP item 5(a) still has open; nothing here closes it.
+    the hole ROADMAP item 6(a) still has open; nothing here closes it.
     """
     crash_at, installed = BOUNDARIES[boundary]
     engine, before_crash, (first, crashed, after) = _smallbank_lattice_run(

@@ -14,9 +14,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BackendContractError, BackendError
-from repro.xp import BACKEND_NAMES, MockGpuBackend, get_backend
+from repro.xp import (
+    BACKEND_NAMES,
+    MockGpuBackend,
+    Rows,
+    get_backend,
+    segment_sum,
+    sorted_runs,
+)
+from repro.xp.rows import pack_fields, run_ends
 
 pytestmark = pytest.mark.backend
 
@@ -122,6 +132,143 @@ def test_stable_argsort_preserves_tie_order():
         xp = get_backend(name)
         order = xp.to_host(xp.argsort(xp.from_host(keys), stable=True))
         np.testing.assert_array_equal(order, [1, 3, 5, 0, 2, 4])
+
+
+# ---------------------------------------------------------------------------
+# The sorted-run primitive: one property, both sort paths, both backends
+# ---------------------------------------------------------------------------
+def _sort_fields(shape: str, table: np.ndarray) -> list[np.ndarray]:
+    """Three sort fields from small non-negative columns, bent so that
+    they pack, or hold a negative value, or span more than one word."""
+    a, b, c = table[:, 0], table[:, 1], table[:, 2]
+    if shape == "negative":
+        b = b - 7
+    elif shape == "wide":
+        far = (np.arange(a.size, dtype=np.int64) % 2) << 40
+        b, c = b + far, c + far
+    return [a, b, c]
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("shape", ["packs", "negative", "wide"])
+@settings(max_examples=15, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(*(st.integers(0, 3),) * 3, st.integers(-(1 << 40), 1 << 40)),
+        min_size=2, max_size=40,
+    ),
+)
+def test_sorted_runs_and_segment_sum_match_a_group_by(backend, shape, rows):
+    """``sorted_runs`` is ``np.lexsort`` plus the run boundaries of a
+    Python group-by, and ``segment_sum`` that group-by's exact sums —
+    whichever sort it picks: a negative field or spans past one word
+    force the multi-key sort, anything else takes the packed key."""
+    table = np.array(rows, dtype=np.int64)
+    fields = _sort_fields(shape, table)
+    values = table[:, 3]
+    packs = pack_fields(*fields) is not None
+    assert packs == (shape == "packs")
+
+    xp = get_backend(backend)
+    order, starts = sorted_runs(*map(xp.from_host, fields), xp=xp)
+    sums = segment_sum(xp.from_host(values)[order], starts, xp=xp)
+    order, starts, sums = map(xp.to_host, (order, starts, sums))
+
+    np.testing.assert_array_equal(order, np.lexsort(fields[::-1]))
+    groups: dict[tuple, int] = {}
+    for i in order.tolist():  # dicts keep first-seen order: sorted order
+        key = tuple(int(f[i]) for f in fields)
+        groups[key] = groups.get(key, 0) + int(values[i])
+    heads = order[starts]
+    assert [tuple(int(f[i]) for f in fields) for i in heads] == list(groups)
+    assert sums.tolist() == list(groups.values())
+    assert sums.dtype == np.int64
+    lengths = run_ends(starts, order.size) - starts
+    assert lengths.sum() == order.size and (lengths > 0).all()
+    if xp.is_device:
+        assert xp.transfer_stats().implicit_syncs == 0
+
+
+def test_sorted_runs_of_nothing_and_of_one_field():
+    nothing = np.empty(0, dtype=np.int64)
+    order, starts = sorted_runs(nothing, nothing)
+    assert order.size == starts.size == 0
+    # a single field is its own key: negative values need no fallback
+    order, starts = sorted_runs(np.array([3, -1, 3, -1], dtype=np.int64))
+    assert order.tolist() == [1, 3, 0, 2] and starts.tolist() == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# The row record
+# ---------------------------------------------------------------------------
+class _Pairs(Rows):
+    FIELDS = ("a", "b")
+    __slots__ = FIELDS
+
+
+def _pairs(a, b) -> _Pairs:
+    return _Pairs(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+
+
+def test_rows_take_concat_replace_and_empty():
+    rows = _pairs([1, 2, 3, 4], [10, 20, 30, 40])
+    assert rows.size == 4
+    by_mask = rows.take(rows.a % 2 == 0)
+    assert (by_mask.a.tolist(), by_mask.b.tolist()) == ([2, 4], [20, 40])
+    by_index = rows.take(np.array([3, 0]))
+    assert (by_index.a.tolist(), by_index.b.tolist()) == ([4, 1], [40, 10])
+    joined = _Pairs.concat([by_mask, _Pairs.empty(), by_index])
+    assert isinstance(joined, _Pairs)
+    assert (joined.a.tolist(), joined.b.tolist()) == ([2, 4, 4, 1], [20, 40, 40, 10])
+    assert _Pairs.concat([]).size == _Pairs.empty().size == 0
+    swapped = rows.replace(b=rows.a)
+    assert swapped.b.tolist() == [1, 2, 3, 4] and rows.b.tolist() == [10, 20, 30, 40]
+
+
+def test_rows_reject_misaligned_columns():
+    with pytest.raises(ValueError, match="_Pairs.b"):
+        _pairs([1, 2, 3], [1, 2])
+    with pytest.raises(ValueError, match="takes 2 columns"):
+        _Pairs(np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="int64"):
+        _Pairs(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int32))
+    with pytest.raises(ValueError, match="_Pairs.b"):
+        _pairs([1, 2], [1, 2]).replace(a=np.zeros(3, dtype=np.int64))
+
+
+def test_rows_to_host_is_one_transfer_per_column_on_a_device():
+    host = get_backend("numpy")
+    rows = _pairs([1, 2], [3, 4])
+    assert rows.to_host(host) is rows
+    mock = get_backend("mockgpu")
+    dev = _Pairs(mock.from_host(rows.a), mock.from_host(rows.b))
+    before = mock.transfer_stats().d2h_count
+    back = dev.to_host(mock)
+    assert mock.transfer_stats().d2h_count == before + 2
+    assert not mock.is_device_array(back.a)
+    assert (back.a.tolist(), back.b.tolist()) == ([1, 2], [3, 4])
+
+
+def test_insert_rows_install_in_admission_order():
+    """One definition of insert order for the write-back and the
+    sanitizer: by the lane's admission rank, then emission — not by
+    lane index, which a sharded layout permutes."""
+    from repro.txn.batch_context import InsertRows
+
+    def col(*values):
+        return np.array(values, dtype=np.int64)
+
+    inserts = InsertRows(
+        col(0, 0, 1, 2, 2), col(0, 1, 0, 1, 0), col(5, 5, 5, 5, 5),
+        col(100, 101, 110, 121, 120), col(0, 0, 0, 0, 0), col(0, 1, 2, 3, 4),
+    )
+    rank = col(2, 0, 1)  # lane 1 was admitted first, then lane 2, then lane 0
+    commit = np.array([True, True, True])
+    order = inserts.install_order(rank, commit)
+    assert inserts.key[order].tolist() == [110, 120, 121, 100, 101]
+    commit[2] = False
+    order = inserts.install_order(rank, commit)
+    assert inserts.key[order].tolist() == [110, 100, 101]
 
 
 # ---------------------------------------------------------------------------
