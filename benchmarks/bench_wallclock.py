@@ -3,7 +3,7 @@
 As a pytest benchmark this runs the scaled-down sweep like every other
 harness.  Run directly — ``python benchmarks/bench_wallclock.py`` — it
 reproduces the committed ``BENCH_wallclock.json`` at full scale
-(batch sizes 2^10..2^16, TPC-C 50/50) and rewrites the file (~6 min).
+(batch sizes 2^10..2^16, TPC-C 50/50) and rewrites the file (~9 min).
 ``python benchmarks/bench_wallclock.py --small-batch`` re-measures only
 the file's ``small_batch`` section (~1 min) and leaves the rest as is.
 """

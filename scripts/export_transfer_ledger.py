@@ -2,18 +2,18 @@
 """Export the device backend's per-phase transfer ledger as a JSON
 artifact.
 
-Runs the quick transfer-gate configuration (small TPC-C, mockgpu) and
-dumps every batch's per-phase ledger deltas, the steady-state totals
-and the final-state digest.  mockgpu's ledger is deterministic, so the
-artifact is byte-stable for a given tree — CI uploads it next to the
-kernellint SARIF so a reviewer can see exactly which phase moved which
-bytes without rerunning anything.
+Runs the quick transfer-gate configuration (small TPC-C, mockgpu,
+the scheduled stream ``BENCH_wallclock.json`` is measured on) and dumps
+one steady-state batch's per-phase ledger deltas and their totals.
+mockgpu's ledger is deterministic, so the artifact is byte-stable for a
+given tree — CI uploads it next to the kernellint SARIF so a reviewer
+can see exactly which phase moved which bytes without rerunning
+anything.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -24,26 +24,26 @@ sys.path.insert(
 
 WAREHOUSES = 4
 BATCH_SIZE = 4096
-BATCHES = 3
 
 
 def measure(backend: str) -> dict:
-    from repro.bench.common import ltpg_config, tpcc_bench
+    from repro.bench import wallclock
 
-    bench = tpcc_bench(
-        WAREHOUSES, neworder_pct=50, batch_size=BATCH_SIZE, seed=7
+    phases: dict[str, dict[str, int]] = {}
+    cell = wallclock.measure_path(
+        BATCH_SIZE, rounds=1, warehouses=WAREHOUSES, backend=backend,
+        transfers_out=phases,
     )
-    config = dataclasses.replace(ltpg_config(BATCH_SIZE), array_backend=backend)
-    with bench.engine(config) as engine:
-        per_batch = []
-        for _ in range(BATCHES):
-            engine.run_batch(bench.generator.make_batch(BATCH_SIZE))
-            per_batch.append(engine.last_phase_transfers)
-        steady = engine.last_transfers
+    steady = {
+        key: sum(delta[key] for delta in phases.values())
+        for key in phases["execute"]
+    }
     return {
-        "phase_deltas_per_batch": per_batch,
+        "phase_deltas": phases,
         "steady_state": steady,
-        "state_digest": bench.database.state_digest(),
+        "warmup_batches": wallclock.WARMUP_BATCHES,
+        "commit_rate": cell["commit_rate"],
+        "attempts_per_commit": cell["attempts_per_commit"],
     }
 
 
@@ -58,7 +58,6 @@ def main(argv: list[str] | None = None) -> int:
             "workload": "tpcc neworder=50%",
             "warehouses": WAREHOUSES,
             "batch_size": BATCH_SIZE,
-            "batches": BATCHES,
             "backend": args.backend,
             "seed": 7,
         },

@@ -100,7 +100,7 @@ _BCTX_DEVICE_METHODS = frozenset({
 _BCTX_SINKS = frozenset({"logic_abort", "fall_back"})
 #: Emission methods (the effects side, for the unordered-iteration rule).
 _TWIN_WRITE_METHODS = frozenset({
-    "write", "add", "insert", "scatter", "scatter_add", "scatter_min",
+    "write", "add", "insert", "scatter", "scatter_add",
     "logic_abort", "fall_back",
 })
 #: Array attributes that are host metadata, never a transfer.
@@ -661,8 +661,8 @@ class _TwinLinter(ast.NodeVisitor):
                 "KL202", node,
                 "xp.scatter (assignment scatter) with an index expression "
                 "that cannot be shown WAW-disjoint: apply order would "
-                "change state across backends — use scatter_add/"
-                "scatter_min (commutative) or derive the index from "
+                "change state across backends — use scatter_add "
+                "(commutative) or derive the index from "
                 "flatnonzero/arange/unique",
             )
 

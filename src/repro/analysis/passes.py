@@ -82,14 +82,8 @@ def _sanitized_run(
     )
     for _ in range(batches):
         scheduler.admit(setup.generator.make_batch(batch_size))
-    ran = 0
-    while scheduler.has_work() and ran < 2 * batches:
-        batch = scheduler.next_batch()
-        ran += 1
-        if not batch:
-            continue
-        result = engine.run_batch(batch)
-        scheduler.requeue_aborted(result.aborted)
+    engine.process(scheduler, max_batches=2 * batches)
+    ran = scheduler.batch_index
     kernels = [
         entry.name
         for entry in engine.device.profiler.entries

@@ -20,10 +20,11 @@ from repro.core.stats import BatchStats, RunStats
 from repro.errors import KeyNotFound, TransactionAborted
 from repro.gpusim.config import CpuConfig
 from repro.storage.database import Database
+from repro.txn.batch import BatchScheduler, drive
 from repro.txn.context import BufferedContext, apply_local_sets
 from repro.txn.operations import OpKind, OpRecord
 from repro.txn.procedures import ProcedureRegistry
-from repro.txn.transaction import Transaction, TxnStatus, assign_tids
+from repro.txn.transaction import Transaction, TxnStatus
 
 
 @dataclass
@@ -85,7 +86,6 @@ class BaselineEngine(abc.ABC):
         self.procedures = procedures
         self.cpu = cpu or CpuConfig()
         self._batch_counter = 0
-        self._next_tid = 0
 
     # -- functional helpers -----------------------------------------------
     def _execute_serial(
@@ -139,19 +139,11 @@ class BaselineEngine(abc.ABC):
     ) -> RunStats:
         """Admit, batch, retry aborts, aggregate — mirroring
         :meth:`repro.core.engine.LTPGEngine.run_transactions`."""
-        self._next_tid = assign_tids(transactions, self._next_tid)
+        scheduler = BatchScheduler(batch_size)
+        scheduler.admit(transactions)
         run = RunStats()
-        pending = list(transactions)
-        batches = 0
-        while pending and batches < max_batches:
-            batch = pending[:batch_size]
-            pending = pending[batch_size:]
-            stats = self.run_batch(batch)
+        for stats in drive(self, scheduler, max_batches=max_batches):
             run.add(stats)
-            retries = [t for t in batch if t.status is TxnStatus.ABORTED]
-            retries.sort(key=lambda t: t.tid)
-            pending = retries + pending
-            batches += 1
         return run
 
 

@@ -2,7 +2,11 @@
 paper's evaluation (Section VI).
 
 Each module exposes ``run(scale=...) -> *Result`` with a ``format()``
-method printing the paper-shaped table.  ``python -m repro.bench``
+method printing the paper-shaped table.  Whatever runs batches back to
+back — :func:`steady_state_run` for LTPG and for the baselines, the
+host wall-clock harness — drives its engine through
+:func:`repro.txn.batch.drive`: full batches, TIDs assigned, aborts
+re-queued ahead of fresh load.  ``python -m repro.bench``
 drives them from the command line; the ``benchmarks/`` directory wires
 them into pytest-benchmark.
 """
@@ -28,7 +32,6 @@ from repro.bench.common import ltpg_config, scaled, tpcc_bench
 from repro.bench.reporting import format_table, mtps, us
 from repro.bench.runner import (
     SteadyStateResult,
-    steady_state_baseline_run,
     steady_state_run,
 )
 
@@ -55,6 +58,5 @@ __all__ = [
     "mtps",
     "us",
     "SteadyStateResult",
-    "steady_state_baseline_run",
     "steady_state_run",
 ]

@@ -16,7 +16,7 @@ from repro.baselines import make_engine
 from repro.bench import table7
 from repro.bench.common import ltpg_config, tpcc_bench
 from repro.bench.reporting import format_table
-from repro.bench.runner import steady_state_baseline_run, steady_state_run
+from repro.bench.runner import steady_state_run
 
 #: Paper Table II, 50% NewOrder / 8 warehouses column (10^6 TXs/s).
 PAPER_50_8 = {
@@ -82,7 +82,7 @@ def run(
             r = steady_state_run(engine, bench.generator, bench.batch_size, rounds)
         else:
             engine = make_engine(system, bench.database, bench.registry)
-            r = steady_state_baseline_run(
+            r = steady_state_run(
                 engine, bench.generator, bench.batch_size, rounds
             )
         result.record(f"TableII 50-8 {system} (MTPS)", r.mtps, PAPER_50_8[system])

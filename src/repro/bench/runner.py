@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.core.engine import LTPGEngine
 from repro.core.stats import RunStats
 from repro.errors import BenchmarkError
-from repro.txn.batch import BatchScheduler
+from repro.txn.batch import BatchScheduler, drive
 
 
 @dataclass(frozen=True)
@@ -58,59 +58,35 @@ class SteadyStateResult:
 
 
 def steady_state_run(
-    engine: LTPGEngine,
-    generator,
-    batch_size: int,
-    num_batches: int,
-) -> SteadyStateResult:
-    """Run ``num_batches`` full batches; retries merge with fresh load."""
-    if num_batches <= 0:
-        raise BenchmarkError("need at least one batch")
-    scheduler = BatchScheduler(
-        batch_size, retry_delay_batches=engine.config.effective_retry_delay
-    )
-    run = RunStats()
-    start_ns = engine.device.elapsed_ns()
-    for _ in range(num_batches):
-        shortfall = batch_size - min(scheduler.eligible_backlog, batch_size)
-        if shortfall > 0:
-            scheduler.admit(generator.make_batch(shortfall))
-        batch = scheduler.next_batch()
-        result = engine.run_batch(batch)
-        scheduler.requeue_aborted(result.aborted)
-        run.add(result.stats)
-    makespan = engine.device.elapsed_ns() - start_ns
-    metrics = engine.metrics.snapshot() if engine.metrics is not None else None
-    return SteadyStateResult(run=run, makespan_ns=makespan, metrics=metrics)
-
-
-def steady_state_baseline_run(
     engine,
     generator,
     batch_size: int,
     num_batches: int,
 ) -> SteadyStateResult:
-    """Steady-state driver for a :class:`BaselineEngine` (same topping-up
-    semantics; retries are whatever the engine marked ABORTED)."""
-    from repro.txn.transaction import TxnStatus, assign_tids
+    """Run ``num_batches`` full batches; retries merge with fresh load.
 
+    ``engine`` is an :class:`LTPGEngine` or a
+    :class:`~repro.baselines.base.BaselineEngine`.  LTPG retries after
+    its configured delay and is clocked by its device's makespan; a
+    baseline retries in the next batch, returns bare ``BatchStats`` and
+    is clocked by the sum of its batch latencies.
+    """
     if num_batches <= 0:
         raise BenchmarkError("need at least one batch")
+    if not isinstance(engine, LTPGEngine):
+        run = RunStats()
+        for stats in drive(
+            engine, BatchScheduler(batch_size), generator.make_batch, num_batches
+        ):
+            run.add(stats)
+        return SteadyStateResult(run=run)
+    scheduler = BatchScheduler(
+        batch_size, retry_delay_batches=engine.config.effective_retry_delay
+    )
     run = RunStats()
-    pending: list = []
-    next_tid = 0
-    for _ in range(num_batches):
-        if len(pending) < batch_size:
-            fresh = generator.make_batch(batch_size - len(pending))
-            next_tid = assign_tids(fresh, next_tid)
-            pending.extend(fresh)
-        batch = pending[:batch_size]
-        pending = pending[batch_size:]
-        stats = engine.run_batch(batch)
-        run.add(stats)
-        retries = sorted(
-            (t for t in batch if t.status is TxnStatus.ABORTED),
-            key=lambda t: t.tid,
-        )
-        pending = retries + pending
-    return SteadyStateResult(run=run)
+    start_ns = engine.device.elapsed_ns()
+    for result in drive(engine, scheduler, generator.make_batch, num_batches):
+        run.add(result.stats)
+    makespan = engine.device.elapsed_ns() - start_ns
+    metrics = engine.metrics.snapshot() if engine.metrics is not None else None
+    return SteadyStateResult(run=run, makespan_ns=makespan, metrics=metrics)

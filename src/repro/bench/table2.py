@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.baselines import make_engine
 from repro.bench.common import DEFAULT_ROUNDS, ltpg_config, tpcc_bench
 from repro.bench.reporting import format_table
-from repro.bench.runner import steady_state_baseline_run, steady_state_run
+from repro.bench.runner import steady_state_run
 
 #: Column order matches the paper's header: pct-NewOrder, warehouses.
 CONFIGS: tuple[tuple[int, int], ...] = tuple(
@@ -84,7 +84,7 @@ def run(
                 )
             else:
                 baseline = make_engine(system, bench.database, bench.registry)
-                r = steady_state_baseline_run(
+                r = steady_state_run(
                     baseline, bench.generator, bench.batch_size, rounds
                 )
             result.mtps[(system, pct, warehouses)] = r.mtps

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.baselines import GaccoEngine
 from repro.bench.common import DEFAULT_ROUNDS, ltpg_config, tpcc_bench
 from repro.bench.reporting import format_table
-from repro.bench.runner import steady_state_baseline_run, steady_state_run
+from repro.bench.runner import steady_state_run
 
 CONFIGS: tuple[tuple[int, int], ...] = (
     (8, 8_192),
@@ -69,7 +69,7 @@ def run(
             warehouses, neworder_pct=50, batch_size=batch, scale=scale, seed=seed
         )
         gacco = GaccoEngine(bench_g.database, bench_g.registry)
-        rg = steady_state_baseline_run(
+        rg = steady_state_run(
             gacco, bench_g.generator, bench_g.batch_size, rounds
         )
         result.cells[("gacco", warehouses, batch)] = (

@@ -15,29 +15,37 @@ docs/ARCHITECTURE.md for how to read it).  A ``sharded`` column
 (``LTPGConfig(shards=SHARDS)``, in-process) and a
 per-shard balance ledger ride along; the ``sequencer`` entry in that
 column is the host cost of the deterministic router.  A separate
-``small_batch`` section (:func:`measure_small_batch`) times whole
-``run_batch`` calls at 1..256 lanes with and without the twins: their
+``small_batch`` section (:func:`measure_small_batch`) times driven
+batches of 1..256 lanes with and without the twins: their
 fixed cost per batch loses below a few dozen lanes, and the section
 records where, so that a later change to that fixed cost has a before
 to stand on.
 
 Methodology: per (batch size, path) a fresh benchmark database is built
-from the same seed, one warm-up batch is run, then ``rounds`` measured
-batches; the per-phase time is the elementwise *minimum* across rounds
-(the least-noise estimator for a deterministic computation on a shared
-host).  Unlike the simulated-clock harnesses, these numbers are
-machine-dependent — compare ratios, not absolute seconds.
+from the same seed and the engine is driven the way anything that
+serves it drives it — :func:`repro.txn.batch.drive` over a
+``BatchScheduler``: every batch full, TIDs assigned, aborts re-queued
+ahead of fresh load.  :data:`WARMUP_BATCHES` batches are discarded
+(until the commit rate has settled), then ``rounds`` are measured; the
+per-phase time is the elementwise *minimum* across rounds (the
+least-noise estimator on a shared host), and each cell carries the
+``commit_rate`` and ``attempts_per_commit`` of the batches it timed,
+because a batch's cost depends on how many of its lanes commit.  Unlike
+the simulated-clock harnesses, these numbers are machine-dependent —
+compare ratios, not absolute seconds.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import json
 import os
 import platform
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -45,7 +53,7 @@ from repro.bench.common import ltpg_config, tpcc_bench
 from repro.bench.reporting import format_metrics, format_table
 from repro.core.stats import RunStats
 from repro.shard import BoundPartition
-from repro.txn import assign_tids
+from repro.txn import BatchScheduler, drive
 
 #: The paper's batch-size sweep (Fig. 6a uses the same span).
 BATCH_SIZES: tuple[int, ...] = tuple(2**k for k in range(10, 17))
@@ -55,6 +63,13 @@ PHASES: tuple[str, ...] = ("execute", "conflict", "writeback", "assemble")
 
 #: The acceptance batch size (2^14, the paper's headline batch).
 HEADLINE_BATCH = 16_384
+
+#: Full batches driven and discarded before the first timed one.  A
+#: scheduled stream starts at the commit rate of a batch with no
+#: retried lane in it (0.76 at the headline shape) and falls as the
+#: aborts it re-queues fill the later batches; at the headline shape it
+#: has settled (0.31-0.32) by batch 16.
+WARMUP_BATCHES = 16
 
 #: Shard count of the ``sharded`` column and the balance ledger.
 SHARDS = 4
@@ -74,7 +89,8 @@ SMALL_BATCH_BATCHES = 32
 class WallclockResult:
     """Per-batch host seconds by phase, per measured path."""
 
-    #: path name -> batch size -> phase -> seconds per batch (min of rounds)
+    #: path name -> batch size -> phase -> seconds per batch (min of
+    #: rounds), plus the cell's ``commit_rate`` / ``attempts_per_commit``
     seconds: dict[str, dict[int, dict[str, float]]] = field(default_factory=dict)
     meta: dict[str, object] = field(default_factory=dict)
     #: observability summary (``RunStats.metrics_summary``) from a short
@@ -122,6 +138,8 @@ class WallclockResult:
         backends = self.backend_paths()
         headers = [
             "batch size",
+            "commit rate",
+            "attempts / commit",
             "batched exec (s)",
             "columnar exec (s)",
             "batched speedup (exec)",
@@ -133,6 +151,8 @@ class WallclockResult:
         for b in sorted(self.seconds.get("batched", {})):
             row = [
                 b,
+                self.seconds["batched"][b]["commit_rate"],
+                self.seconds["batched"][b]["attempts_per_commit"],
                 self.seconds["batched"][b]["execute"],
                 self.seconds["columnar"][b]["execute"],
                 f"{self.batched_speedup(b):.2f}x",
@@ -149,7 +169,9 @@ class WallclockResult:
             "scalar lanes (columnar) (TPC-C 50/50)",
             headers,
             rows,
-            note="batched speedup = columnar / batched on execute; "
+            note="scheduled stream (TIDs assigned, aborts re-queued), "
+            "commit rate and attempts per commit of the timed batched "
+            "batches; batched speedup = columnar / batched on execute; "
             "sharded speedup = batched / sharded on "
             "execute+conflict+writeback; "
             "simulated-time results are identical by construction.",
@@ -240,6 +262,37 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+def driven(engine, batch_size: int, fresh, warmup: int = WARMUP_BATCHES):
+    """``engine`` driven through a scheduler at full batches of
+    ``batch_size`` — TIDs assigned, aborts re-queued, ``fresh(n)``
+    topping each batch up — with the first ``warmup`` batches run and
+    discarded; iterate it for the batch results that follow."""
+    scheduler = BatchScheduler(
+        batch_size, retry_delay_batches=engine.config.effective_retry_delay
+    )
+    stream = drive(engine, scheduler, fresh)
+    deque(islice(stream, warmup), maxlen=0)
+    return stream
+
+
+@contextlib.contextmanager
+def _steady_tpcc(
+    batch_size: int, scale: float, warehouses: int, neworder_pct: int,
+    seed: int, **config,
+):
+    """A fresh benchmark database (every path sees the same transaction
+    stream for a given seed) under an engine with the ``config``
+    overrides, past its warm-up: yields ``(engine, stream)``."""
+    bench = tpcc_bench(
+        warehouses, neworder_pct=neworder_pct, batch_size=batch_size,
+        scale=scale, seed=seed,
+    )
+    with bench.engine(ltpg_config(bench.batch_size, **config)) as engine:
+        yield engine, driven(
+            engine, bench.batch_size, bench.generator.make_batch
+        )
+
+
 def measure_path(
     batch_size: int,
     scale: float = 1.0,
@@ -252,13 +305,13 @@ def measure_path(
     transfers_out: dict | None = None,
     shards: int = 0,
 ) -> dict[str, float]:
-    """Min-of-rounds per-phase host seconds for one path.
+    """Min-of-rounds per-phase host seconds for one path, with the
+    ``commit_rate`` and ``attempts_per_commit`` (lanes run per lane
+    decided) of the ``rounds`` batches that were timed.
 
-    Builds a fresh database (all paths see byte-identical transaction
-    streams for a given seed) and discards one warm-up batch.
     ``batched=False`` is ``LTPGConfig(batched_exec=False)``: every lane
     a scalar lane.  ``backend`` selects the ``repro.xp`` array backend
-    (on a device the warm-up batch also absorbs the first-touch column
+    (on a device the warm-up also absorbs the first-touch column
     uploads).  ``shards`` > 1 is ``LTPGConfig(shards=...)`` (an
     extra ``sequencer`` entry reports the deterministic router's host
     cost and counts toward ``total``).
@@ -268,23 +321,15 @@ def measure_path(
     stored there (deltas are deterministic per batch index, so the
     last — steadiest — batch is the representative one).
     """
-    bench = tpcc_bench(
-        warehouses, neworder_pct=neworder_pct, batch_size=batch_size,
-        scale=scale, seed=seed,
-    )
-    config = dataclasses.replace(
-        ltpg_config(bench.batch_size),
-        batched_exec=batched,
-        array_backend=backend,
-        shards=shards if shards > 1 else 1,
-    )
     phases = PHASES + ("sequencer",) if shards > 1 else PHASES
-    engine = bench.engine(config)
-    try:
-        engine.run_batch(bench.generator.make_batch(bench.batch_size))  # warm-up
-        best: dict[str, float] = {}
-        for _ in range(max(rounds, 1)):
-            engine.run_batch(bench.generator.make_batch(bench.batch_size))
+    run = RunStats()
+    best: dict[str, float] = {}
+    with _steady_tpcc(
+        batch_size, scale, warehouses, neworder_pct, seed,
+        batched_exec=batched, array_backend=backend, shards=max(shards, 1),
+    ) as (engine, stream):
+        for result in islice(stream, max(rounds, 1)):
+            run.add(result.stats)
             for phase in phases:
                 t = engine.last_host_phase_s.get(phase, 0.0)
                 if phase not in best or t < best[phase]:
@@ -295,10 +340,23 @@ def measure_path(
             and engine.last_phase_transfers
         ):
             transfers_out.update(engine.last_phase_transfers)
-    finally:
-        engine.close()
     best["total"] = sum(best[p] for p in phases)
+    best["commit_rate"] = round(run.mean_commit_rate, 4)
+    best["attempts_per_commit"] = round(
+        run.total_admitted / max(run.total_committed, 1), 4
+    )
     return best
+
+
+def _traced_run(batches: int, *bench_args, **config) -> tuple[RunStats, object]:
+    """``batches`` traced steady-state batches: their stats and the
+    engine's partition.  A separate run on purpose: the timed sweep
+    never pays span/metrics bookkeeping."""
+    run = RunStats()
+    with _steady_tpcc(*bench_args, trace=True, **config) as (engine, stream):
+        for result in islice(stream, max(batches, 1)):
+            run.add(result.stats)
+        return run, engine.partition
 
 
 def measure_metrics(
@@ -309,24 +367,10 @@ def measure_metrics(
     neworder_pct: int = 50,
     seed: int = 7,
 ) -> dict:
-    """Observability summary from a short traced run.
-
-    Runs a few batches at the (scaled) headline batch size with
-    ``LTPGConfig.trace`` enabled and returns
-    :meth:`RunStats.metrics_summary`.  This is a separate run on purpose:
-    the timed sweep above never pays span/metrics bookkeeping.
-    """
-    bench = tpcc_bench(
-        warehouses, neworder_pct=neworder_pct, batch_size=batch_size,
-        scale=scale, seed=seed,
-    )
-    config = dataclasses.replace(ltpg_config(bench.batch_size), trace=True)
-    engine = bench.engine(config)
-    run_stats = RunStats()
-    for _ in range(max(batches, 1)):
-        batch = bench.generator.make_batch(bench.batch_size)
-        run_stats.add(engine.run_batch(batch).stats)
-    return run_stats.metrics_summary()
+    """Observability summary (:meth:`RunStats.metrics_summary`) of a
+    short traced run at the (scaled) headline batch size."""
+    run, _ = _traced_run(batches, batch_size, scale, warehouses, neworder_pct, seed)
+    return run.metrics_summary()
 
 
 def measure_sharded_profile(
@@ -343,28 +387,13 @@ def measure_sharded_profile(
     partition map, plus the ``shard`` block (multi-home fraction,
     balance, sequencer stall) of a short traced sharded run.
     """
-    bench = tpcc_bench(
-        warehouses, neworder_pct=neworder_pct, batch_size=batch_size,
-        scale=scale, seed=seed,
+    run, part = _traced_run(
+        batches, batch_size, scale, warehouses, neworder_pct, seed, shards=shards
     )
-    config = dataclasses.replace(
-        ltpg_config(bench.batch_size),
-        batched_exec=True, trace=True, shards=shards,
-    )
-    engine = bench.engine(config)
-    run_stats = RunStats()
-    try:
-        for _ in range(max(batches, 1)):
-            batch = bench.generator.make_batch(bench.batch_size)
-            run_stats.add(engine.run_batch(batch).stats)
-        part = engine.partition
-        ledger = part.profile() if isinstance(part, BoundPartition) else {}
-    finally:
-        engine.close()
     return {
         "shards": shards,
-        "balance_ledger": ledger,
-        "metrics": run_stats.metrics_summary().get("shard", {}),
+        "balance_ledger": part.profile() if isinstance(part, BoundPartition) else {},
+        "metrics": run.metrics_summary().get("shard", {}),
     }
 
 
@@ -376,42 +405,39 @@ def measure_small_batch(
     neworder_pct: int = 50,
     seed: int = 7,
 ) -> dict:
-    """Host milliseconds per whole ``run_batch`` call at small lane
-    counts, one procedure call per transaction (``batched_exec=False``:
-    every lane a scalar lane) against the default vectorized twins.
+    """Host milliseconds per driven batch at small lane counts, one
+    procedure call per transaction (``batched_exec=False``: every lane
+    a scalar lane) against the default vectorized twins.
 
     Per (path, lane count) a fresh database is built from the same
-    seed, :data:`SMALL_BATCH_BATCHES` warm-up batches are discarded,
-    then each round times that many fresh batches back to back (TIDs
-    assigned, aborts dropped — both paths decide identically, so both
-    see the same database at every batch); a cell is the minimum over
-    rounds of a round's mean.  The engine's ``batch_size`` stays at the
-    largest lane count, as it does when a deadline cuts a short batch.
+    seed and the requests are generated ahead of the clock;
+    :data:`SMALL_BATCH_BATCHES` warm-up batches are discarded, then
+    each round times that many scheduled batches back to back (TIDs
+    assigned, aborts re-queued — both paths decide identically, so both
+    see the same database at every batch; the scheduler's share of a
+    cell is the same on both); a cell is the minimum over rounds of a
+    round's mean.  The engine's ``batch_size`` stays at the largest
+    lane count, as it does when a deadline cuts a short batch.
     """
     paths = {"per_transaction": dict(batched_exec=False), "batched": {}}
     ms: dict[str, dict[str, float]] = {path: {} for path in paths}
+    rounds = max(rounds, 1)
     for path, overrides in paths.items():
         for n in lanes:
             bench = tpcc_bench(
                 warehouses, neworder_pct=neworder_pct, scale=scale, seed=seed
             )
-            next_tid = 0
-
-            def cut() -> list:
-                nonlocal next_tid
-                batch = bench.generator.make_batch(n)
-                next_tid = assign_tids(batch, next_tid)
-                return batch
-
+            pool = iter(
+                bench.generator.make_batch(n * SMALL_BATCH_BATCHES * (rounds + 1))
+            )
             with bench.engine(ltpg_config(max(lanes), **overrides)) as engine:
-                for _ in range(SMALL_BATCH_BATCHES):
-                    engine.run_batch(cut())
+                stream = driven(
+                    engine, n, lambda k: list(islice(pool, k)), SMALL_BATCH_BATCHES
+                )
                 best = float("inf")
-                for _ in range(max(rounds, 1)):
-                    batches = [cut() for _ in range(SMALL_BATCH_BATCHES)]
+                for _ in range(rounds):
                     start = time.perf_counter()
-                    for batch in batches:
-                        engine.run_batch(batch)
+                    deque(islice(stream, SMALL_BATCH_BATCHES), maxlen=0)
                     best = min(best, time.perf_counter() - start)
             ms[path][str(n)] = round(best / SMALL_BATCH_BATCHES * 1e3, 4)
     return {
@@ -432,7 +458,7 @@ def format_small_batch(section: dict) -> str:
     """:func:`measure_small_batch`'s section as a table."""
     ms = section["ms_per_batch"]
     return format_table(
-        f"Small batches: host ms per run_batch call "
+        f"Small batches: host ms per driven batch "
         f"({section['workload']}, {section['warehouses']} warehouses)",
         ["lanes", "per-transaction (ms)", "batched (ms)", "speedup"],
         [
@@ -485,7 +511,9 @@ def run(
         "rounds": rounds,
         "warehouses": warehouses,
         "seed": seed,
-        "estimator": "min over rounds, one warm-up batch discarded",
+        "estimator": "min over rounds of a scheduled stream (TIDs "
+        "assigned, aborts re-queued), warm-up batches discarded",
+        "warmup_batches": WARMUP_BATCHES,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),

@@ -10,6 +10,12 @@ Quickstart::
     engine = LTPGEngine(db, registry, LTPGConfig(batch_size=1024))
     stats = engine.run_transactions(generator.make_batch(4096))
     print(stats.throughput_tps, stats.mean_commit_rate)
+
+``run_transactions`` admits through a :class:`~repro.txn.batch.
+BatchScheduler` (TIDs assigned, aborts retried) and
+:func:`repro.txn.batch.drive`, the one loop every harness uses;
+:meth:`LTPGEngine.run_batch` itself takes one batch whose lanes already
+carry their TIDs and raises ``TransactionError`` on one that does not.
 """
 
 from repro.core.config import LTPGConfig, MemoryMode

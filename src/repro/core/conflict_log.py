@@ -28,7 +28,7 @@ from repro.gpusim.atomics import collision_profile
 from repro.gpusim.kernel import KernelContext
 from repro.storage.database import Database
 from repro.xp import ArrayBackend, get_backend, sorted_runs
-from repro.xp.rows import pack_fields, run_ends, run_starts
+from repro.xp.rows import run_ends, run_starts
 
 #: "No TID registered" sentinel; larger than any real TID.
 NO_TID = np.iinfo(np.int64).max
@@ -146,24 +146,16 @@ class ConflictLog:
         # go down once per registration call (identity on numpy)
         dkeys = xp.from_host(keys)
         dtids = xp.from_host(tids)
-        packed = pack_fields(dkeys, dtids, xp=xp)
-        if packed is None:
-            # a TID below zero (transactions that bypassed TID
-            # assignment): no packed order, so the element-wise
-            # atomicMin twin and a separate dedup for the touched list
-            xp.scatter_min(minima, dkeys, dtids)
-            self._touched.append(xp.unique(dkeys))
-        else:
-            # one sort replaces both: the first entry of each
-            # (key, tid)-sorted key run carries the min TID.  Equal
-            # packed values are equal rows, so the sort need not be
-            # stable.
-            order = xp.argsort(packed, stable=False)
-            ks = dkeys[order]
-            first = run_starts(ks, xp=xp)
-            touched = ks[first]
-            minima[touched] = xp.minimum(minima[touched], dtids[order][first])
-            self._touched.append(touched)
+        # one sort replaces the per-registration atomicMin and the
+        # dedup for the touched list: of the distinct (key, TID) rows,
+        # the first of each key carries the key's minimum TID
+        order, starts = sorted_runs(dkeys, dtids, xp=xp, stable=False)
+        rows = order[starts]
+        keys_by_tid = dkeys[rows]
+        first = run_starts(keys_by_tid, xp=xp)
+        touched = keys_by_tid[first]
+        minima[touched] = xp.minimum(minima[touched], dtids[rows[first]])
+        self._touched.append(touched)
         if ctx is not None:
             ctx.add_trace_arg(f"{buffer}.registrations", int(keys.size))
             if ctx.sanitizer is not None:

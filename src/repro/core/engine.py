@@ -28,8 +28,9 @@ owns the failure path.
 
 The stages run functionally in Python/NumPy while recording hardware
 events; the simulated clock yields latency and throughput.  Aborted
-transactions keep their TIDs and are re-queued by the caller (usually a
-:class:`~repro.txn.batch.BatchScheduler`).
+transactions keep their TIDs and are re-queued by the caller
+(:func:`repro.txn.batch.drive` over a
+:class:`~repro.txn.batch.BatchScheduler`, or the serve loop).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelContext
 from repro.storage.database import Database
 from repro.storage.wal import BatchLog
-from repro.txn.batch import BatchScheduler
+from repro.txn.batch import BatchScheduler, drive
 from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.txn.transaction import Transaction, batch_columns
 from repro.xp import ResidencyManager, get_backend
@@ -287,11 +288,22 @@ class LTPGEngine:
         outcome to reproduce, and recovery skips it); either way the
         observers are told the batch is over and the conflict log
         forgets its registrations, so the next batch is judged on its
-        own."""
+        own.
+
+        Every lane must carry its TID (a :class:`~repro.txn.batch.
+        BatchScheduler` or :func:`~repro.txn.transaction.assign_tids`
+        stamps it): the commit rule orders the batch by TID, so a lane
+        without one has no place in it, and the batch is refused before
+        the engine has counted, logged or registered anything."""
         if not transactions:
             empty = BatchStats(self._batch_counter, 0, 0, 0)
             self._batch_counter += 1
             return BatchResult(empty, [], [], [])
+        if min(map(_tid_of, transactions)) < 0:
+            raise TransactionError(
+                "batch holds a transaction without a TID; admit it through "
+                "a BatchScheduler (or assign_tids) before run_batch"
+            )
         ledger = self._backend.transfer_stats()
         batch = Batch(self._batch_counter, transactions, ledger.snapshot())
         self._batch_counter += 1
@@ -382,20 +394,8 @@ class LTPGEngine:
     ) -> RunStats:
         """Drain a scheduler: run batches, re-queue aborts, aggregate."""
         run = RunStats()
-        batches = 0
-        while scheduler.has_work():
-            if max_batches is not None and batches >= max_batches:
-                break
-            batch = scheduler.next_batch()
-            if not batch:
-                # Retries are delayed past the current index; spin the
-                # scheduler forward (an empty GPU slot in real time).
-                batches += 1
-                continue
-            result = self.run_batch(batch)
-            scheduler.requeue_aborted(result.aborted)
+        for result in drive(self, scheduler, max_batches=max_batches):
             run.add(result.stats)
-            batches += 1
         return run
 
     def run_transactions(

@@ -8,7 +8,7 @@ large GPU batches everything downstream assumes:
 * :mod:`repro.serve.clock` — deterministic virtual-time asyncio
   (:class:`VirtualTimeLoop`, :class:`SimClock`, :func:`run_simulation`);
 * :mod:`repro.serve.policies` — pluggable batch-cut strategies
-  (:class:`SizePolicy`, :class:`DeadlinePolicy`, :class:`HybridPolicy`);
+  (:class:`SizePolicy`, :class:`DeadlinePolicy`);
 * :mod:`repro.serve.admission` — bounded-queue + per-tenant token-bucket
   admission control with typed shed errors;
 * :mod:`repro.serve.orchestrator` — the transport-agnostic core that
@@ -54,7 +54,6 @@ from repro.serve.policies import (
     POLICY_NAMES,
     BatchPolicy,
     DeadlinePolicy,
-    HybridPolicy,
     QueueView,
     SizePolicy,
     make_policy,
@@ -77,7 +76,6 @@ __all__ = [
     "ClientProfile",
     "ClientStats",
     "DeadlinePolicy",
-    "HybridPolicy",
     "IngressClosed",
     "Orchestrator",
     "QueueFullRejected",

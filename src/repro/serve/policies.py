@@ -126,29 +126,19 @@ class DeadlinePolicy(BatchPolicy):
         )
 
 
-class HybridPolicy(DeadlinePolicy):
-    """Size-or-deadline: behaviourally the deadline policy's rule set —
-    cut at a full batch *or* at the age bound — but tuned as the
-    production default: capacity sized for device utilization, deadline
-    as the client-latency SLO backstop.  Kept a distinct named strategy
-    so configurations read as intent (and so the two can diverge — e.g.
-    a load-adaptive deadline — without renaming)."""
-
-    name = "hybrid"
-
-
 def make_policy(
     name: str,
     capacity: int,
     max_wait_ns: int = 1_000_000,
 ) -> BatchPolicy:
-    """Build a policy by CLI name (see :data:`POLICY_NAMES`)."""
+    """Build a policy by CLI name (see :data:`POLICY_NAMES`).
+    ``"hybrid"`` — size or deadline, whichever comes first — is what
+    :class:`DeadlinePolicy` does, under the name configurations use for
+    the production default."""
     if name == "size":
         return SizePolicy(capacity)
-    if name == "deadline":
+    if name in ("deadline", "hybrid"):
         return DeadlinePolicy(capacity, max_wait_ns)
-    if name == "hybrid":
-        return HybridPolicy(capacity, max_wait_ns)
     raise ServeError(
         f"unknown batch policy {name!r}; expected one of {POLICY_NAMES}"
     )

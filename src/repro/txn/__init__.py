@@ -5,7 +5,7 @@ Shared by LTPG and every baseline so that engine comparisons isolate
 the concurrency-control protocol.
 """
 
-from repro.txn.batch import BatchScheduler
+from repro.txn.batch import BatchScheduler, drive
 from repro.txn.context import (
     BufferedContext,
     LocalSets,
@@ -52,4 +52,5 @@ __all__ = [
     "Transaction",
     "TxnStatus",
     "assign_tids",
+    "drive",
 ]

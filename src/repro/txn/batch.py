@@ -1,4 +1,4 @@
-"""Batch formation and abort re-scheduling.
+"""Batch formation, abort re-scheduling, and the loop that drives both.
 
 The scheduler admits client transactions, forms fixed-size batches,
 assigns TIDs on first admission (kept across re-executions), and
@@ -12,14 +12,20 @@ re-queues concurrency-control aborts:
 Aborted transactions carry their original (smaller) TIDs, so on retry
 they outrank the newer transactions in conflict detection — the
 starvation-freedom argument the paper inherits from Aria.
+
+:func:`drive` is the one admit -> cut -> run -> requeue loop over a
+scheduler and an engine; everything that runs more than one batch goes
+through it, except the async serve loop (it cuts on a clock and answers
+callers) and the recovery replay (it re-queues nothing).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterator
 
 from repro.errors import TransactionError
-from repro.txn.transaction import Transaction, assign_tids
+from repro.txn.transaction import Transaction, TxnStatus, assign_tids
 
 
 class BatchScheduler:
@@ -98,3 +104,47 @@ class BatchScheduler:
 
     def has_work(self) -> bool:
         return self.backlog > 0
+
+
+def drive(
+    engine,
+    scheduler: BatchScheduler,
+    fresh: Callable[[int], list[Transaction]] | None = None,
+    max_batches: int | None = None,
+) -> Iterator:
+    """Cut batches from ``scheduler`` and run them on ``engine``,
+    yielding what ``engine.run_batch`` returned for each.
+
+    Before the next cut, every lane the batch left ``ABORTED`` is
+    re-queued; the verdicts are read off :attr:`Transaction.status`, so
+    an :class:`~repro.core.engine.LTPGEngine` and a
+    :class:`~repro.baselines.base.BaselineEngine` are driven by the
+    same code.
+
+    ``fresh(n)``, when given, supplies the ``n`` new transactions the
+    next batch is short of full (the steady state of the paper's
+    back-to-back runs: every batch full, retries merged with fresh
+    load); such a stream never runs dry, so bound it with
+    ``max_batches`` or stop consuming.  Without it the loop ends when
+    the scheduler has no work left.  ``max_batches`` counts cuts, empty
+    ones included: when every retry is still serving its delay the cut
+    is empty, which advances the scheduler — an idle device slot — and
+    runs nothing.
+    """
+    cuts = 0
+    while max_batches is None or cuts < max_batches:
+        if fresh is not None:
+            shortfall = scheduler.batch_size - scheduler.eligible_backlog
+            if shortfall > 0:
+                scheduler.admit(fresh(shortfall))
+        elif not scheduler.has_work():
+            return
+        batch = scheduler.next_batch()
+        cuts += 1
+        if not batch:
+            continue
+        result = engine.run_batch(batch)
+        scheduler.requeue_aborted(
+            [txn for txn in batch if txn.status is TxnStatus.ABORTED]
+        )
+        yield result

@@ -118,13 +118,7 @@ def check_recovery(report: ValidationReport, seed: int = 13) -> None:
     db, registry, generator, config = _setup(seed)
     engine = LTPGEngine(db, registry, config)
     snapshot = Snapshot.capture(db, batch_index=0)
-    pending: list = []
-    next_tid = 0
-    for _ in range(3):
-        batch = pending + generator.make_batch(512 - len(pending))
-        next_tid = assign_tids(batch, next_tid)
-        result = engine.run_batch(batch)
-        pending = result.aborted
+    engine.run_transactions(generator.make_batch(3 * 512), max_batches=3)
     expected = db.state_digest()
 
     recovered, rec_report = recover(

@@ -22,10 +22,10 @@ Conventions every backend must honor:
   backend they are identity (zero copies); on a device backend they
   are the paper's per-batch parameter shipping (H2D) and read/write-set
   shipping (D2H), and they are where ``mockgpu`` counts transfers.
-* **Scatter ordering** — ``scatter_add``/``scatter_min`` must apply
-  *all* updates (``np.add.at`` semantics, not buffered fancy-index
-  assignment).  The engine only ever feeds them commutative updates
-  (sums, minima), so apply order across backends cannot change state.
+* **Scatter ordering** — ``scatter_add`` must apply *all* updates
+  (``np.add.at`` semantics, not buffered fancy-index assignment).  The
+  engine only ever feeds it commutative updates (sums), so apply order
+  across backends cannot change state.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ CONTRACT = BackendContract(
         "argsort", "lexsort", "sort", "unique", "searchsorted",
         "flatnonzero",
         "cumsum", "bincount",
-        "scatter", "scatter_add", "scatter_min",
+        "scatter", "scatter_add",
     ),
-    commutative_scatters=("scatter_add", "scatter_min"),
+    commutative_scatters=("scatter_add",),
     assign_scatters=("scatter",),
     auxiliary=(
         "kernel_phase", "synchronize", "device_info",
@@ -210,7 +210,7 @@ class ArrayBackend:
     #:   searchsorted, flatnonzero
     #: Scans/reductions: cumsum, bincount, any, all, min, max, sum
     #: Scatter: scatter (assignment; caller guarantees disjoint
-    #:   indices), scatter_add (np.add.at), scatter_min (np.minimum.at)
+    #:   indices), scatter_add (np.add.at)
     #: Casting: astype
 
     def astype(self, arr, dtype, copy: bool = False):
@@ -223,9 +223,6 @@ class ArrayBackend:
         raise NotImplementedError
 
     def scatter_add(self, target, index, values) -> None:
-        raise NotImplementedError
-
-    def scatter_min(self, target, index, values) -> None:
         raise NotImplementedError
 
 

@@ -355,8 +355,5 @@ class MockGpuBackend(ArrayBackend):
     def scatter_add(self, target, index, values) -> None:
         self._scatter("scatter_add", np.add.at, target, index, values)
 
-    def scatter_min(self, target, index, values) -> None:
-        self._scatter("scatter_min", np.minimum.at, target, index, values)
-
 
 __all__ = ["MockGpuBackend"]

@@ -63,10 +63,6 @@ class NumpyBackend(ArrayBackend):
     def scatter_add(target, index, values) -> None:
         np.add.at(target, index, values)
 
-    @staticmethod
-    def scatter_min(target, index, values) -> None:
-        np.minimum.at(target, index, values)
-
 
 #: The host backend: stateless (its transfer ledger is zero by
 #: contract), so one instance serves every caller.

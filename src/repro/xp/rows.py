@@ -151,7 +151,7 @@ def run_ends(starts: np.ndarray, size: int, xp: ArrayBackend = HOST) -> np.ndarr
 
 
 def sorted_runs(
-    *fields: np.ndarray, xp: ArrayBackend = HOST
+    *fields: np.ndarray, xp: ArrayBackend = HOST, stable: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Group rows by ``fields`` (major first).
 
@@ -159,7 +159,9 @@ def sorted_runs(
     the rows — rows with equal fields keep their input order, which is
     what lets callers read "first" and "last" of a run as emission
     order — and the positions in that order where each run of equal
-    rows begins.
+    rows begins.  A caller to whom rows equal in every field are
+    interchangeable passes ``stable=False`` and is spared the stable
+    sort's cost.
 
     The sort is one radix argsort of a packed key whenever the fields
     pack (:func:`pack_fields`); a negative field or ranges too wide for
@@ -174,7 +176,7 @@ def sorted_runs(
     else:
         packed = pack_fields(*fields, xp=xp)
     if packed is not None:
-        order = xp.argsort(packed, stable=True)
+        order = xp.argsort(packed, stable=stable)
         return order, run_starts(packed[order], xp=xp)
     order = xp.lexsort(fields[::-1])
     return order, run_starts(*(f[order] for f in fields), xp=xp)

@@ -3,11 +3,36 @@ conftest.py so the module name never collides with benchmarks/)."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.bench import fig6, table2, table4
 from repro.core import LTPGConfig, LTPGEngine
 from repro.storage import Database, make_schema
 from repro.txn import ProcedureRegistry, Transaction
+
+
+#: The smoke scale of the bench tests: paper sizes divided by 64.
+TINY = 64.0
+
+
+@functools.cache
+def tiny_table2() -> table2.Table2Result:
+    """Table II's mixed 8-warehouse column, all nine systems, at the
+    smoke scale — run once for the shape assertions in ``test_bench``
+    and the exact goldens in ``test_driver_goldens`` (read-only)."""
+    return table2.run(scale=TINY, rounds=2, configs=((50, 8),))
+
+
+@functools.cache
+def tiny_table4() -> table4.Table4Result:
+    return table4.run(scale=TINY, rounds=2, configs=((8, 8_192),))
+
+
+@functools.cache
+def tiny_fig6b() -> fig6.Fig6bResult:
+    return fig6.run_b(scale=TINY, rounds=2)
 
 
 def build_bank(accounts: int = 64, balance: int = 1000) -> tuple[Database, ProcedureRegistry]:

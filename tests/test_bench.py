@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import TINY, tiny_fig6b, tiny_table2, tiny_table4
 from repro.bench import (
     fig6,
     fig7,
     reporting,
     table2,
     table3,
-    table4,
     table5,
     table6,
     table7,
@@ -20,8 +20,6 @@ from repro.bench import (
 )
 from repro.bench.common import scaled, tpcc_bench
 from repro.errors import BenchmarkError
-
-TINY = 64.0  # divide paper sizes by 64 for test speed
 
 
 class TestReporting:
@@ -65,12 +63,7 @@ class TestTable2:
         assert "ltpg" in text and "50-8" in text
 
     def test_gpu_systems_beat_cpu_systems_on_mixed(self):
-        result = table2.run(
-            scale=TINY,
-            rounds=2,
-            systems=("ltpg", "aria", "bohm"),
-            configs=((50, 8),),
-        )
+        result = tiny_table2()
         assert result.mtps[("ltpg", 50, 8)] > result.mtps[("aria", 50, 8)]
         assert result.mtps[("aria", 50, 8)] > result.mtps[("bohm", 50, 8)]
 
@@ -91,7 +84,7 @@ class TestTable3:
 
 class TestTable4:
     def test_ltpg_latency_below_gacco(self):
-        result = table4.run(scale=TINY, rounds=2, configs=((8, 8_192),))
+        result = tiny_table4()
         lat_l, xfer_l = result.cells[("ltpg", 8, 8_192)]
         lat_g, xfer_g = result.cells[("gacco", 8, 8_192)]
         assert lat_l < lat_g
@@ -161,7 +154,7 @@ class TestFig6:
         assert 0.0 < result.commit_rate[2**16] <= 1.0
 
     def test_each_optimization_step_helps(self):
-        result = fig6.run_b(scale=TINY, rounds=2)
+        result = tiny_fig6b()
         base = result.mtps["baseline"]
         assert result.mtps["+high-contention"] > base
         assert result.mtps["+hash-buckets"] >= result.mtps["+high-contention"] * 0.9

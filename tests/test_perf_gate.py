@@ -90,6 +90,20 @@ def test_schema_gate_catches_empty_and_partial_documented_keys(tmp_path, capsys)
     rc, out = verdict(drop_one_lane_count)
     assert rc == 1 and "small_batch.ms_per_batch.batched: no entry for lane" in out
 
+    # the conflict-free stream the sweep used to time (lanes without
+    # TIDs: every lane commits, only logic aborts), if it came back
+    headline = str(doc["batch_sizes"][-3])
+
+    def commit_everything(d):
+        d["seconds_per_batch"]["batched"][headline]["commit_rate"] = 1.0
+
+    rc, out = verdict(commit_everything)
+    assert rc == 1
+    assert f"seconds_per_batch.batched.{headline}: commit_rate 1.0" in out
+
+    rc, out = verdict(lambda d: d["metrics"].update(abort_reasons={"logic": 138}))
+    assert rc == 1 and "metrics.abort_reasons: only logic aborts" in out
+
     # a column the sweep no longer has, left behind by a stale file
     rc, out = verdict(lambda d: d["seconds_per_batch"].update(parallel={}))
     assert rc == 1 and "seconds_per_batch.parallel: not documented" in out

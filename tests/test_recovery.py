@@ -6,7 +6,7 @@ import pytest
 
 from helpers import BoundaryObserver, build_bank, txn
 from repro.analysis.workload import WORKLOAD_NAMES, build_workload
-from repro.core import LTPGConfig, LTPGEngine
+from repro.core import NO_TID, LTPGConfig, LTPGEngine
 from repro.errors import StorageError, TransactionError
 from repro.storage import BatchLog, Snapshot
 from repro.storage.recovery import recover, transactions_from_record
@@ -226,22 +226,48 @@ class TestRecovery:
         assert result.stats.committed == 1
 
 
+def _refused(engine, batch, database):
+    """``run_batch(batch)`` raises on the lane without a TID and leaves
+    no trace: the counter, the log, the conflict log's minima and the
+    state are what they were."""
+    before = (
+        engine._batch_counter, len(engine.batch_log), database.state_digest()
+    )
+    with pytest.raises(TransactionError, match="without a TID"):
+        engine.run_batch(batch)
+    assert before == (
+        engine._batch_counter, len(engine.batch_log), database.state_digest()
+    )
+    log = engine.conflict_log
+    assert (log._min_read == NO_TID).all() and (log._min_write == NO_TID).all()
+
+
 @pytest.mark.parametrize(
-    "name, shards",
+    "name, overrides",
     [
-        pytest.param(name, shards, id=name if shards == 1 else f"{name}-shards{shards}")
-        for shards in (1, 2)
+        pytest.param(name, overrides, id=name + suffix)
+        for suffix, overrides in (
+            ("", {}),
+            ("-shards2", dict(shards=2)),
+            ("-mockgpu", dict(array_backend="mockgpu")),
+        )
         for name in WORKLOAD_NAMES
     ],
 )
-def test_recovery_digest_matches_on_every_workload(name, shards):
+def test_recovery_digest_matches_on_every_workload(name, overrides):
     """Snapshot + decoded log payloads reproduce the crashed state on
     TPC-C, YCSB-A and SmallBank (retries carried across batches).
     Under sharding the log holds each batch as it ran — shard-major,
     the route stage comes before the log append — and routing a routed
-    batch again changes nothing, so the replay runs the same lanes."""
+    batch again changes nothing, so the replay runs the same lanes.
+
+    Between the scheduled batches the engine is handed what it must
+    refuse — lanes straight from the generator, and one such lane among
+    63 that carry TIDs.  The replay is the twin that never saw them: it
+    commits the same TIDs per batch (``recover`` checks) and reaches
+    the same digest only if a refused batch changed nothing."""
     setup = build_workload(name, seed=5)
-    engine = setup.engine(batch_size=128, sanitize=False, shards=shards)
+    engine = setup.engine(batch_size=128, sanitize=False, **overrides)
     config = engine.config
     scheduler = BatchScheduler(128)
     snapshot = Snapshot.capture(setup.database, batch_index=0)
@@ -253,6 +279,10 @@ def test_recovery_digest_matches_on_every_workload(name, shards):
         admitted.append(scheduler.next_batch())
         result = engine.run_batch(admitted[-1])
         scheduler.requeue_aborted(result.aborted)
+        _refused(engine, setup.generator.make_batch(128), setup.database)
+        mixed = setup.generator.make_batch(64)
+        assign_tids(mixed[:40] + mixed[41:], 10**9)
+        _refused(engine, mixed, setup.database)
     recovered, report = recover(
         snapshot,
         engine.batch_log,
@@ -268,7 +298,7 @@ def test_recovery_digest_matches_on_every_workload(name, shards):
         [(r.tid, r.procedure, r.params) for r in entry.records]
         for entry in recovered.batch_log.batches()
     ]
-    if shards > 1:
+    if config.shards > 1:
         plan = engine.partition.plan_batch
         for batch, entry in zip(admitted, engine.batch_log.batches()):
             lanes = transactions_from_record(entry)

@@ -27,7 +27,6 @@ from repro.serve.clock import run_simulation
 from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import (
     DeadlinePolicy,
-    HybridPolicy,
     QueueView,
     SizePolicy,
     make_policy,
