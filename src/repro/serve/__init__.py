@@ -13,7 +13,8 @@ large GPU batches everything downstream assumes:
   admission control with typed shed errors;
 * :mod:`repro.serve.orchestrator` — the transport-agnostic core that
   cuts batches, runs the engine, re-queues concurrency-control aborts
-  and resolves per-request futures;
+  and completes each request — the :data:`ServeTicket` that ``post()``
+  returned — a whole decided batch per loop callback;
 * :mod:`repro.serve.workload` — simulated open-/closed-loop client
   populations with Zipf-skewed users;
 * :mod:`repro.serve.api` — sessions, reports, and the one-call
@@ -49,6 +50,7 @@ from repro.serve.orchestrator import (
     BatchRecord,
     Orchestrator,
     ServeResponse,
+    ServeTicket,
 )
 from repro.serve.policies import (
     POLICY_NAMES,
@@ -85,6 +87,7 @@ __all__ = [
     "ServeReport",
     "ServeResponse",
     "ServeSession",
+    "ServeTicket",
     "SimClock",
     "SizePolicy",
     "TenantQuota",

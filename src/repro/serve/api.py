@@ -20,14 +20,13 @@ gate on p99 without flake.
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.serve.admission import AdmissionController
 from repro.serve.errors import ServeError
-from repro.serve.orchestrator import Orchestrator, ServeResponse
+from repro.serve.orchestrator import Orchestrator, ServeResponse, ServeTicket
 from repro.serve.policies import BatchPolicy, make_policy
 from repro.serve.workload import (
     ClientProfile,
@@ -49,8 +48,9 @@ class ServeSession:
         self._orchestrator = orchestrator
         self.tenant = tenant
 
-    def post(self, procedure: str, params: tuple) -> asyncio.Future:
-        """Fire-and-forget submit; returns the response future."""
+    def post(self, procedure: str, params: tuple) -> ServeTicket:
+        """Fire-and-forget submit; returns the request's awaitable
+        ticket (completes with its :class:`ServeResponse`)."""
         return self._orchestrator.post(procedure, params, self.tenant)
 
     async def submit(self, procedure: str, params: tuple) -> ServeResponse:

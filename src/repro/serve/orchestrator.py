@@ -12,14 +12,37 @@ single-transaction requests and the batch engine.  It owns:
   cuts batches via the pluggable :class:`~repro.serve.policies
   .BatchPolicy`, runs them through ``engine.run_batch`` and advances the
   virtual clock by each batch's *simulated* latency;
-* per-request futures: committed / logic-aborted requests resolve with a
+* the requests themselves, which are what callers wait on:
+  :meth:`Orchestrator.post` returns the admitted request (a
+  :data:`ServeTicket`), and that one object is both the transaction the
+  engine runs and an asyncio future-like — ``await`` it, ``gather`` it,
+  ``wait_for`` it, hang ``add_done_callback`` on it.  No
+  ``asyncio.Future``, ``Handle`` or ``Context`` exists per request.
+  Committed / logic-aborted requests complete with a
   :class:`ServeResponse` carrying the full latency breakdown;
   concurrency-control aborts re-enter the ingress queue transparently
-  (the client just sees a longer wait and ``attempts > 1``).
+  (the client just sees a longer wait and ``attempts > 1``).  A decided
+  batch is delivered by **one** ``loop.call_soon``: the callbacks of all
+  its requests run back to back, in decision order, from that single
+  loop callback; one that raises is reported to the loop's exception
+  handler and the rest still run.
 
 Admission control runs synchronously at :meth:`Orchestrator.post` time —
-sheds raise typed errors before a future is ever created, so rejected
+sheds raise typed errors before a request is ever created, so rejected
 requests cannot leak resources or deadlock a drain.
+
+Where a ticket differs from ``asyncio.Future``, on purpose:
+
+* a callback runs in the ``context=`` it was registered with when one
+  was passed (a ``Task``'s wake-up passes its own), otherwise in the
+  context of the delivering loop callback — there is no implicit
+  ``copy_context()`` per request;
+* ``cancel()`` withdraws the *caller*, not the work: the ticket reads
+  cancelled and its callbacks run once (via ``call_soon``), but the
+  lane stays queued, still executes and still counts in
+  ``serve.committed``;
+* the ticket is the request row, so holding one holds its params and —
+  until its ``ops`` are read — its batch's op frame.
 
 Everything observable — responses, metrics, spans, the recorded batch
 compositions — is a deterministic function of the arrival trace on the
@@ -32,7 +55,9 @@ from __future__ import annotations
 
 import asyncio
 from array import array
-from collections.abc import Sequence
+from asyncio import CancelledError, InvalidStateError
+from collections.abc import Callable, Generator, Iterable, Sequence
+from contextvars import Context
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -99,15 +124,159 @@ class ServeResponse(NamedTuple):
 class _Request(Transaction):
     """One admitted request: the transaction the scheduler queues and
     the engine runs, carrying its own serve-side book-keeping — so a
-    batch or a result list *is* the list of requests it concerns."""
+    batch or a result list *is* the list of requests it concerns — and
+    the awaitable :meth:`Orchestrator.post` hands back.
+
+    It implements asyncio's future-like protocol (what
+    :func:`asyncio.isfuture` tests for) instead of holding a
+    ``Future``; the module docstring lists where it differs from one.
+    """
 
     seq: int
     tenant: str
     submit_ns: int
     #: when it (re-)entered the ingress queue — retries refresh this
     enqueue_ns: int
-    future: asyncio.Future
+    _loop: asyncio.AbstractEventLoop
     first_cut_ns: int | None = None
+    #: ``None`` while pending; then the response, the error that failed
+    #: its batch, or the ``CancelledError`` that :meth:`cancel` made
+    _outcome: ServeResponse | BaseException | None = None
+    #: the first done-callback and the context it asked for, and any
+    #: further ``(callback, context)`` pairs
+    _callback: Callable[[Any], object] | None = None
+    _context: Context | None = None
+    _more: list[tuple[Callable[[Any], object], Context | None]] | None = None
+    #: asyncio's marker for "``yield``-ed from ``__await__``"
+    _asyncio_future_blocking: bool = False
+
+    # a ticket is one request, not a value: ``gather`` keys a dict by it
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+
+    def get_loop(self) -> asyncio.AbstractEventLoop:
+        return self._loop
+
+    def done(self) -> bool:
+        return self._outcome is not None
+
+    def cancelled(self) -> bool:
+        return isinstance(self._outcome, CancelledError)
+
+    def result(self) -> ServeResponse:
+        outcome = self._outcome
+        if isinstance(outcome, ServeResponse):
+            return outcome
+        if outcome is None:
+            raise InvalidStateError("Result is not ready.")
+        raise outcome
+
+    def exception(self) -> BaseException | None:
+        outcome = self._outcome
+        if outcome is None:
+            raise InvalidStateError("Exception is not set.")
+        if isinstance(outcome, ServeResponse):
+            return None
+        if isinstance(outcome, CancelledError):
+            raise outcome
+        return outcome
+
+    def cancel(self, msg: Any = None) -> bool:
+        """Stop waiting: the ticket reads cancelled and its callbacks
+        run; the lane itself stays in the queue and still executes."""
+        if self._outcome is not None:
+            return False
+        self._outcome = CancelledError() if msg is None else CancelledError(msg)
+        self._loop.call_soon(_deliver, (self,))
+        return True
+
+    def add_done_callback(
+        self, fn: Callable[[Any], object], *, context: Context | None = None
+    ) -> None:
+        if self._outcome is not None:
+            self._loop.call_soon(fn, self, context=context)
+        elif self._callback is None:
+            self._callback = fn
+            self._context = context
+        else:
+            if self._more is None:
+                self._more = []
+            self._more.append((fn, context))
+
+    def remove_done_callback(self, fn: Callable[[Any], object]) -> int:
+        if self._outcome is not None or self._callback is None:
+            # already handed to a delivery, or nothing registered
+            return 0
+        pairs = [(self._callback, self._context), *(self._more or ())]
+        kept = [pair for pair in pairs if pair[0] != fn]
+        self._callback, self._context = kept[0] if kept else (None, None)
+        self._more = kept[1:] or None
+        return len(pairs) - len(kept)
+
+    def __await__(self) -> Generator[Any, None, ServeResponse]:
+        if self._outcome is None:
+            self._asyncio_future_blocking = True
+            yield self  # the running Task registers its wake-up on us
+        if self._outcome is None:
+            raise RuntimeError("await wasn't used with future")
+        return self.result()
+
+    # asyncio.gather reads these two off a cancelled child
+    @property
+    def _cancel_message(self) -> Any:
+        outcome = self._outcome
+        if isinstance(outcome, CancelledError) and outcome.args:
+            return outcome.args[0]
+        return None
+
+    def _make_cancelled_error(self) -> CancelledError:
+        outcome = self._outcome
+        return outcome if isinstance(outcome, CancelledError) else CancelledError()
+
+
+#: What :meth:`Orchestrator.post` returns: an awaitable, future-like
+#: handle on one admitted request, completing with a :class:`ServeResponse`.
+ServeTicket = _Request
+
+
+def _deliver(requests: Iterable[_Request]) -> None:
+    """Run the done-callbacks of ``requests`` (all done), in order.
+
+    The one loop callback a decided batch costs.  A request whose
+    callbacks already ran (it was cancelled earlier) has none left.
+    """
+    for request in requests:
+        callback = request._callback
+        if callback is None:
+            continue
+        context, more = request._context, request._more
+        request._callback = request._context = request._more = None
+        _call(request, callback, context)
+        if more is not None:
+            for callback, context in more:
+                _call(request, callback, context)
+
+
+def _call(
+    request: _Request, callback: Callable[[Any], object], context: Context | None
+) -> None:
+    """What ``asyncio.Handle._run`` does for one callback: a failure is
+    the loop's exception handler's business, not the next callback's."""
+    try:
+        if context is None:
+            callback(request)
+        else:
+            context.run(callback, request)
+    except (SystemExit, KeyboardInterrupt):
+        raise
+    except BaseException as exc:
+        request._loop.call_exception_handler(
+            {
+                "message": f"Exception in callback {callback!r}",
+                "exception": exc,
+                "future": request,
+            }
+        )
 
 
 class _Members(Sequence):
@@ -176,6 +345,9 @@ class Orchestrator:
         )
         self._queued: dict[int, _Request] = {}
         self._next_seq = 0
+        self._submitted = self.metrics.counter("serve.submitted")
+        #: the loop the batch task runs on, bound by :meth:`start`
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._arrival: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._closed = False
@@ -185,8 +357,9 @@ class Orchestrator:
         """Start the batch-forming loop (idempotent; needs a running
         event loop)."""
         if self._task is None:
+            self._loop = asyncio.get_running_loop()
             self._arrival = asyncio.Event()
-            self._task = asyncio.get_running_loop().create_task(
+            self._task = self._loop.create_task(
                 self._batch_loop(), name="serve-batch-loop"
             )
 
@@ -211,9 +384,9 @@ class Orchestrator:
     # -- ingress -------------------------------------------------------
     def post(
         self, procedure: str, params: tuple, tenant: str = "default"
-    ) -> asyncio.Future:
-        """Admit one request; returns the future of its
-        :class:`ServeResponse`.
+    ) -> ServeTicket:
+        """Admit one request; returns it — the :data:`ServeTicket` that
+        completes with its :class:`ServeResponse`.
 
         Raises a typed :class:`~repro.serve.errors.AdmissionRejected`
         subclass synchronously when the request is shed, and
@@ -221,29 +394,31 @@ class Orchestrator:
         """
         if self._closed:
             raise IngressClosed("ingress is closed; request not admitted")
-        self.start()
+        if self._task is None:
+            self.start()
+        assert self._loop is not None and self._arrival is not None
         now = self.clock.now_ns()
         try:
             self.admission.admit(tenant, len(self._queued), now)
         except Exception:
             self.metrics.counter("serve.shed").inc()
             raise
+        seq = self._next_seq
+        self._next_seq = seq + 1
         request = _Request(
             procedure,
             tuple(params),
-            seq=self._next_seq,
+            seq=seq,
             tenant=tenant,
             submit_ns=now,
             enqueue_ns=now,
-            future=asyncio.get_running_loop().create_future(),
+            _loop=self._loop,
         )
-        self._next_seq += 1
-        self._scheduler.admit([request])
-        self._queued[request.seq] = request
-        self.metrics.counter("serve.submitted").inc()
-        assert self._arrival is not None
+        self._scheduler.admit((request,))
+        self._queued[seq] = request
+        self._submitted.inc()
         self._arrival.set()
-        return request.future
+        return request
 
     async def submit(
         self, procedure: str, params: tuple, tenant: str = "default"
@@ -396,8 +571,9 @@ class Orchestrator:
         logic_aborted: list[_Request],
         done_ns: int,
     ) -> None:
-        """Hand every decided request of one batch its response, and
-        book the batch's latencies in one go."""
+        """Stamp every decided request of one batch with its response,
+        book the batch's latencies in one go, and schedule the batch's
+        one delivery."""
         latencies: list[int] = []
         waits: list[int] = []
         for request in chain(committed, logic_aborted):
@@ -406,21 +582,20 @@ class Orchestrator:
             assert first_cut_ns is not None
             latencies.append(done_ns - submit_ns)
             waits.append(first_cut_ns - submit_ns)
-            future = request.future
-            if not future.done():
-                future.set_result(
-                    ServeResponse(
-                        request.status,
-                        request.tid,
-                        request.attempts,
-                        request.abort_reason,
-                        submit_ns,
-                        first_cut_ns,
-                        done_ns,
-                    )
+            if request._outcome is None:  # else: cancelled while queued
+                request._outcome = ServeResponse(
+                    request.status,
+                    request.tid,
+                    request.attempts,
+                    request.abort_reason,
+                    submit_ns,
+                    first_cut_ns,
+                    done_ns,
                 )
         if not latencies:
             return
+        assert self._loop is not None
+        self._loop.call_soon(_deliver, chain(committed, logic_aborted))
         self.latency.extend(latencies)
         self.queue_wait.extend(waits)
         # bucket = 1 << max(latency_us, 1).bit_length()
@@ -433,10 +608,12 @@ class Orchestrator:
     def _fail_batch(
         self, record: BatchRecord, batch: list[_Request], exc: Exception
     ) -> None:
-        """Engine blew up mid-batch: fail exactly this batch's futures
+        """Engine blew up mid-batch: fail exactly this batch's requests
         (cause preserved) and keep the ingress loop alive."""
         self.metrics.counter("serve.batch_failures").inc()
         error = BatchExecutionError(record.index, exc)
         for request in batch:
-            if not request.future.done():
-                request.future.set_exception(error)
+            if request._outcome is None:
+                request._outcome = error
+        assert self._loop is not None
+        self._loop.call_soon(_deliver, batch)

@@ -10,6 +10,7 @@ transactions from the log, while preserving their original TIDs").
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -40,8 +41,9 @@ class Transaction:
     status: TxnStatus = TxnStatus.PENDING
     #: How many batches this transaction has been through (1 = first try).
     attempts: int = 0
-    #: Backing store of :attr:`ops` while no frame is attached.
-    _ops: OpColumns | list[OpRecord] = field(default_factory=list, compare=False)
+    #: Backing store of :attr:`ops` while no frame is attached; until
+    #: something stores ops, every instance shares the one empty tuple.
+    _ops: OpColumns | Sequence[OpRecord] = field(default=(), compare=False)
     #: Why the last conflict-detection pass aborted it (for diagnostics):
     #: one of "", "waw", "raw", "war", "raw+war", "logic".
     abort_reason: str = ""
@@ -52,10 +54,11 @@ class Transaction:
     _lane: int = field(default=0, compare=False)
 
     @property
-    def ops(self) -> OpColumns | list[OpRecord]:
+    def ops(self) -> OpColumns | Sequence[OpRecord]:
         """Operation stream from the most recent execution — an
         :class:`OpColumns` buffer after running under an engine (its
-        indexing yields :class:`OpRecord` views), or a plain list.
+        indexing yields :class:`OpRecord` views), or a plain sequence
+        (empty before the first execution).
 
         After a run under ``LTPGEngine`` the ops live in the batch's
         frame; the first read copies this lane's rows out (and lets go
@@ -69,13 +72,13 @@ class Transaction:
         return ops
 
     @ops.setter
-    def ops(self, value: OpColumns | list[OpRecord]) -> None:
+    def ops(self, value: OpColumns | Sequence[OpRecord]) -> None:
         self._ops = value
         self._frame = None
 
     def reset_for_execution(self) -> None:
         """Clear per-attempt state before (re-)executing."""
-        self._ops = []
+        self._ops = ()
         self._frame = None
         self.status = TxnStatus.PENDING
         self.abort_reason = ""

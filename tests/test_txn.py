@@ -153,7 +153,7 @@ class TestTidAssignment:
         t = Transaction("p", (), tid=1, status=TxnStatus.ABORTED)
         t.ops = [object()]
         t.reset_for_execution()
-        assert t.ops == []
+        assert len(t.ops) == 0
         assert t.status is TxnStatus.PENDING
         assert t.attempts == 1
 
