@@ -9,8 +9,8 @@ fails if any finding surfaces.
 Exit codes (shared with ``python -m repro.analysis``):
 
 * ``0`` — every pass on every workload reported zero findings.
-* ``1`` — at least one finding (race, OOB/uninit access, determinism
-  hazard).
+* ``1`` — at least one finding (race, out-of-bounds access,
+  determinism hazard).
 * ``2`` — usage error.
 
 Examples::

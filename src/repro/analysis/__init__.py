@@ -5,8 +5,7 @@ would give the real system:
 
 * :mod:`repro.analysis.sanitizer` — shadow access log with racecheck
   (write-write / read-write / atomic-plain hazards between threads with
-  no intervening sync point) and memcheck (out-of-bounds indices, reads
-  of never-written slots).
+  no intervening sync point) and memcheck (out-of-bounds indices).
 * :mod:`repro.analysis.detlint` — determinism linter for stored
   procedures: a static AST pass rejecting nondeterminism sources plus a
   dynamic twin that replays procedures and diffs their op streams.

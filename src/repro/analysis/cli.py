@@ -5,8 +5,8 @@ Passes: ``racecheck`` ``memcheck`` ``detlint`` ``kernellint`` ``all``.
 Exit-code conventions (shared with ``scripts/run_analysis.py``):
 
 * ``0`` — every requested pass ran and reported zero findings.
-* ``1`` — at least one finding (race, OOB/uninit access, determinism
-  hazard).
+* ``1`` — at least one finding (race, out-of-bounds access,
+  determinism hazard).
 * ``2`` — usage error (unknown pass/workload, bad arguments).
 """
 

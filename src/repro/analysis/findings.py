@@ -1,8 +1,7 @@
 """Finding records shared by every analysis pass.
 
 A :class:`Finding` is one defect report — a race, an out-of-bounds
-access, an uninitialized read, or a determinism hazard in a stored
-procedure.  Passes accumulate findings into a :class:`FindingReport`,
+access, or a determinism hazard in a stored procedure.  Passes accumulate findings into a :class:`FindingReport`,
 which the CLI turns into human-readable output and an exit code
 (0 clean / 1 findings; usage errors exit 2 before a report exists).
 """

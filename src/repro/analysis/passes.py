@@ -114,7 +114,7 @@ def run_memcheck(
     batch_size: int = DEFAULT_BATCH_SIZE,
     seed: int = 7,
 ) -> AnalysisResult:
-    """Bounds/init-check the shadow buffers over a workload run."""
+    """Bounds-check the sized shadow buffers over a workload run."""
     setup = build_workload(workload, seed=seed)
     full, kernels, accesses, ran = _sanitized_run(setup, batches, batch_size)
     report = FindingReport(full.by_pass(MEMCHECK), suppressed=full.suppressed)

@@ -4,8 +4,8 @@ Works like ``compute-sanitizer`` does for real CUDA, scaled down to the
 SIMT simulator: instrumented code records every shared-memory access as
 ``(buffer, index, thread, kind, is_atomic)`` into the sanitizer bound to
 the running :class:`~repro.gpusim.kernel.KernelContext`.  Kernel launch
-boundaries and explicit ``barrier()`` calls are synchronization points;
-within one synchronization interval the sanitizer flags
+boundaries are the synchronization points; within one kernel epoch the
+sanitizer flags
 
 * **write-write** — two plain writes to one address by different threads,
 * **read-write** — a plain write racing a plain read by another thread,
@@ -17,9 +17,9 @@ within one synchronization interval the sanitizer flags
 while all-atomic contention on an address is clean (atomics serialize,
 and the deterministic ascending-thread-id schedule fixes the order).
 
-Memcheck runs inline on the same records: each registered buffer keeps a
-shadow init-bitmap, so out-of-bounds indices and reads of never-written
-slots are reported the moment they happen, in program order.
+Memcheck runs inline on the same records and is a bounds check: each
+buffer registered with a size reports out-of-bounds indices the moment
+they happen, in program order.
 """
 
 from __future__ import annotations
@@ -48,33 +48,15 @@ class ShadowBuffer:
     """Shadow state for one tracked allocation.
 
     ``size=None`` models an unbounded address space (auto-registered
-    buffers): no bounds check and no init tracking.  Sized buffers carry
-    an init bitmap unless registered fully initialized (``cudaMemset``
-    at alloc time, or a snapshot loaded before the batch).
+    buffers): no bounds check.
     """
 
     name: str
     size: int | None
-    fully_initialized: bool
-    init: np.ndarray | None  # bool bitmap, None when not tracked
-
-    @classmethod
-    def make(
-        cls, name: str, size: int | None, initialized: bool
-    ) -> "ShadowBuffer":
-        init = None
-        if size is not None and not initialized:
-            init = np.zeros(size, dtype=bool)
-        return cls(name=name, size=size, fully_initialized=initialized, init=init)
 
     def grow(self, size: int) -> None:
-        if self.size is None or size <= self.size:
-            return
-        if self.init is not None:
-            grown = np.zeros(size, dtype=bool)
-            grown[: self.size] = self.init
-            self.init = grown
-        self.size = size
+        if self.size is not None and size > self.size:
+            self.size = size
 
 
 @dataclass
@@ -92,9 +74,10 @@ class Sanitizer:
     """Shadow access log + racecheck/memcheck analyses.
 
     Bind to a :class:`~repro.gpusim.device.Device` (``device.sanitizer``)
-    and every kernel launch opens a fresh epoch; instrumented primitives
-    (:mod:`repro.gpusim.atomics`, :mod:`repro.gpusim.memory`, the warp
-    interpreter, the LTPG engine phases) record into it.  Standalone use
+    and every kernel launch opens a fresh epoch; the LTPG engine's phase
+    kernels record into it (the conflict log's atomics through the
+    kernel context, table and minima traffic through
+    :class:`~repro.analysis.observer.SanitizeObserver`).  Standalone use
     works too: record accesses, then call :meth:`flush`.
     """
 
@@ -112,20 +95,16 @@ class Sanitizer:
         #: Totals for reporting (accesses observed, kernels scanned).
         self.accesses_logged = 0
         self.kernels_scanned = 0
-        self.barriers_seen = 0
 
     # -- buffer registry --------------------------------------------------
-    def register_buffer(
-        self, name: str, size: int | None = None, initialized: bool = True
-    ) -> None:
+    def register_buffer(self, name: str, size: int | None = None) -> None:
         """Track ``name``; idempotent, growing the bound monotonically.
 
-        Sized + ``initialized=False`` buffers get an init bitmap so
-        memcheck can flag reads of never-written slots.
+        A sized buffer is bounds-checked by memcheck.
         """
         existing = self._buffers.get(name)
         if existing is None:
-            self._buffers[name] = ShadowBuffer.make(name, size, initialized)
+            self._buffers[name] = ShadowBuffer(name, size)
             self._intern(name)
         elif size is not None:
             existing.grow(size)
@@ -141,9 +120,9 @@ class Sanitizer:
     def _shadow(self, name: str) -> ShadowBuffer:
         shadow = self._buffers.get(name)
         if shadow is None:
-            # Auto-register: unbounded, fully initialized.  Explicit
-            # registration is what turns on bounds/init tracking.
-            shadow = ShadowBuffer.make(name, None, True)
+            # Auto-register: unbounded.  Explicit registration with a
+            # size is what turns on bounds checking.
+            shadow = ShadowBuffer(name, None)
             self._buffers[name] = shadow
             self._intern(name)
         return shadow
@@ -161,13 +140,6 @@ class Sanitizer:
         self._segment = []
         self._kernel = "<ambient>"
         self.kernels_scanned += 1
-
-    def barrier(self) -> None:
-        """An in-kernel barrier (``__syncthreads``): accesses before and
-        after it can never race each other."""
-        self._scan_segment()
-        self._segment = []
-        self.barriers_seen += 1
 
     def flush(self) -> None:
         """Analyze and clear any pending records (standalone use)."""
@@ -218,51 +190,29 @@ class Sanitizer:
         thr: np.ndarray,
         kind: AccessKind,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Report OOB / uninit accesses; returns the in-bounds
-        (indices, threads) pairs (OOB accesses never reach the race log
-        — like real hardware, where they fault instead of landing
-        anywhere meaningful)."""
+        """Report OOB accesses; returns the in-bounds (indices, threads)
+        pairs (OOB accesses never reach the race log — like real
+        hardware, where they fault instead of landing anywhere
+        meaningful)."""
         if shadow.size is None:
             return idx, thr
         oob = (idx < 0) | (idx >= shadow.size)
-        if oob.any():
-            bad = np.flatnonzero(oob)
-            for j in bad[:FINDINGS_PER_BUCKET]:
-                self._emit(
-                    Finding(
-                        MEMCHECK,
-                        "out-of-bounds",
-                        shadow.name,
-                        f"thread {int(thr[j])} {kind.name.lower()} at index "
-                        f"{int(idx[j])}, buffer size {shadow.size}",
-                        kernel=self._kernel,
-                        index=int(idx[j]),
-                        threads=(int(thr[j]), int(thr[j])),
-                    )
+        if not oob.any():
+            return idx, thr
+        for j in np.flatnonzero(oob)[:FINDINGS_PER_BUCKET]:
+            self._emit(
+                Finding(
+                    MEMCHECK,
+                    "out-of-bounds",
+                    shadow.name,
+                    f"thread {int(thr[j])} {kind.name.lower()} at index "
+                    f"{int(idx[j])}, buffer size {shadow.size}",
+                    kernel=self._kernel,
+                    index=int(idx[j]),
+                    threads=(int(thr[j]), int(thr[j])),
                 )
-            idx = idx[~oob]
-            thr = thr[~oob]
-            if idx.size == 0:
-                return idx, thr
-        if shadow.init is not None:
-            if kind == AccessKind.READ:
-                uninit = ~shadow.init[idx]
-                for j in np.flatnonzero(uninit)[:FINDINGS_PER_BUCKET]:
-                    self._emit(
-                        Finding(
-                            MEMCHECK,
-                            "uninitialized-read",
-                            shadow.name,
-                            f"thread {int(thr[j])} read never-written slot "
-                            f"{int(idx[j])}",
-                            kernel=self._kernel,
-                            index=int(idx[j]),
-                            threads=(int(thr[j]), int(thr[j])),
-                        )
-                    )
-            else:
-                shadow.init[idx] = True
-        return idx, thr
+            )
+        return idx[~oob], thr[~oob]
 
     # -- racecheck (per synchronization interval) -------------------------
     def _scan_segment(self) -> None:

@@ -5,7 +5,11 @@ database fits on the device) and {1024, 2048} in unified-memory mode
 (it does not), batch 16384.  Expected shape: zero-copy phase times are
 flat in database size; unified-memory phase times inflate severely —
 especially execution and write-back — because the working set faults
-pages in through PCIe.
+pages in through PCIe.  In the model, zero-copy differs from device
+mode only by its cheaper per-transfer DMA latency
+(:func:`repro.core.memory_modes.transfer_latency_factor`), and unified
+memory by the page faults the engine counts on the pages its stages
+touch.
 
 To keep the harness laptop-sized, the scaled run shrinks the item table
 and the simulated device memory together so that the two large scales

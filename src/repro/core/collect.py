@@ -176,7 +176,7 @@ def open_log(
                 touched_rows[table_id] * table.schema.row_bytes
                 // engine.device.config.um_page_bytes
             )
-            faults += engine.device.memory.pages.touch(table.name, pages)
+            faults += engine.device.pages.touch(table.name, pages)
         ctx.add_page_faults(faults)
 
 

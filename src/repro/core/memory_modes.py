@@ -4,8 +4,10 @@ LTPG keeps the database snapshot and the conflict logs resident in GPU
 memory when they fit.  Databases that exceed device capacity fall back
 to unified memory (automatic paging, page-fault costs); the zero-copy
 mode keeps the snapshot resident but exchanges batch inputs/outputs
-through host-pinned buffers, trading a small per-access premium on the
-exchange buffers for cheaper DMA setup.
+through host-pinned buffers.  In the model that is one thing only: a
+discount on the fixed per-transfer DMA latency
+(:func:`transfer_latency_factor`); kernel accesses cost the same as in
+device mode.
 """
 
 from __future__ import annotations

@@ -108,5 +108,5 @@ def writeback(engine, batch: Batch, ctx) -> None:
                 r_all[t_all == table_id] * row_bytes
                 // engine.device.config.um_page_bytes
             )
-            faults += engine.device.memory.pages.touch(table.name, pages)
+            faults += engine.device.pages.touch(table.name, pages)
         ctx.add_page_faults(faults)

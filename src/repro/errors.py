@@ -14,11 +14,7 @@ class ReproError(Exception):
 
 class DeviceError(ReproError):
     """Raised for invalid GPU-simulator operations (bad launch geometry,
-    out-of-memory allocations, use of a destroyed stream, ...)."""
-
-
-class OutOfDeviceMemory(DeviceError):
-    """Raised when an allocation exceeds the simulated device capacity."""
+    an unknown copy kind, use of a destroyed stream, ...)."""
 
 
 class StorageError(ReproError):

@@ -1,29 +1,30 @@
 """A SIMT GPU simulator: the hardware substrate for the LTPG reproduction.
 
 The real paper runs on an NVIDIA RTX A6000.  This package provides a
-functional + analytical stand-in: kernels execute as NumPy code while
-recording the hardware events (instructions, memory traffic, atomic
-collisions, branch divergence, page faults) that an analytical cost
-model converts into simulated time.  See DESIGN.md §2 for why this
-substitution preserves the paper's experimental shapes.
+functional + analytical stand-in: kernels compute their results as NumPy
+code while recording *counts* of the hardware events (instructions,
+memory traffic, atomic collisions, branch divergence, page faults) that
+an analytical cost model converts into simulated time.  Nothing here
+executes lane by lane: the counts come from the engine — divergence from
+the warp plan, atomic chains from :func:`collision_profile`, page faults
+from :class:`PageTracker`.  See DESIGN.md §2 for why this substitution
+preserves the paper's experimental shapes.
 
 Public surface:
 
 * :class:`DeviceConfig`, :class:`CpuConfig` — calibration constants.
 * :class:`Device` — streams, kernel launches, copies, synchronize.
-* :class:`AtomicArray` — CUDA-style atomics with contention accounting.
 * :class:`LaunchGeometry`, :class:`KernelContext`, :class:`KernelStats`.
-* :class:`Warp` — a genuine lock-step SIMT interpreter for fine-grained
-  correctness tests and divergence microbenches.
+* :func:`collision_profile` — same-address contention of an atomic batch.
+* :class:`PageTracker` — the unified-memory LRU resident set.
 """
 
-from repro.gpusim.atomics import AtomicArray, collision_profile
+from repro.gpusim.atomics import collision_profile
 from repro.gpusim.config import WARP_SIZE, CpuConfig, DeviceConfig
 from repro.gpusim.costmodel import CostModel, KernelTiming
 from repro.gpusim.device import DEFAULT_STREAM, Device
-from repro.gpusim.interpreter import Warp, WarpStats
 from repro.gpusim.kernel import KernelContext, KernelStats, LaunchGeometry
-from repro.gpusim.memory import DeviceBuffer, MemoryManager, MemorySpace, PageTracker
+from repro.gpusim.memory import PageTracker
 from repro.gpusim.occupancy import (
     KernelResources,
     OccupancyResult,
@@ -36,7 +37,6 @@ from repro.gpusim.stream import Event, Stream
 
 __all__ = [
     "WARP_SIZE",
-    "AtomicArray",
     "collision_profile",
     "CpuConfig",
     "DeviceConfig",
@@ -44,8 +44,6 @@ __all__ = [
     "KernelTiming",
     "DEFAULT_STREAM",
     "Device",
-    "Warp",
-    "WarpStats",
     "KernelContext",
     "KernelStats",
     "LaunchGeometry",
@@ -54,9 +52,6 @@ __all__ = [
     "SmLimits",
     "effective_lanes",
     "occupancy",
-    "DeviceBuffer",
-    "MemoryManager",
-    "MemorySpace",
     "PageTracker",
     "Profiler",
     "TimelineEntry",

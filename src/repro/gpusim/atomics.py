@@ -1,33 +1,17 @@
-"""Atomic operations over simulated device arrays.
+"""Contention accounting for batches of device atomics.
 
 Real GPU atomics on the same address serialize; the paper's dynamic hash
 bucket design exists precisely to shorten those serialization chains.
-:class:`AtomicArray` provides both scalar CUDA-style atomics
-(``atomic_min``/``atomic_add``/``atomic_cas``/``atomic_exch``) and
-vectorized batch forms that model *many threads issuing one atomic each*.
-Every call records, into the bound :class:`~repro.gpusim.kernel.KernelContext`,
-how many operations collided and the longest per-address chain.
-
-The batch forms are deterministic: ties are resolved as if threads issued
-their operations in ascending thread-id order, which matches the
-deterministic schedule LTPG relies on for reproducibility.
+The simulator does not execute atomics one by one: a kernel computes its
+result with NumPy and records, into its
+:class:`~repro.gpusim.kernel.KernelContext`, how many operations
+collided and the longest per-address chain — :func:`collision_profile`
+is that count.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-from repro.errors import DeviceError
-from repro.gpusim.kernel import KernelContext
-
-
-def _as_index_array(indices) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DeviceError("atomic batch indices must be one-dimensional")
-    return idx
 
 
 def collision_profile(indices: np.ndarray) -> tuple[int, int, int]:
@@ -44,210 +28,3 @@ def collision_profile(indices: np.ndarray) -> tuple[int, int, int]:
     _, counts = np.unique(np.asarray(indices), return_counts=True)
     serialized = int((counts - 1).sum())
     return total, serialized, int(counts.max())
-
-
-class AtomicArray:
-    """A flat int64 device array supporting CUDA-style atomics.
-
-    The array owns its storage (a NumPy array standing in for global
-    memory).  Bind a :class:`KernelContext` with :meth:`bind` before use
-    inside a kernel so contention statistics flow into the cost model;
-    unbound use is allowed for tests.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        fill: int = 0,
-        dtype=np.int64,
-        name: str | None = None,
-    ):
-        if size < 0:
-            raise DeviceError("atomic array size must be non-negative")
-        self.data = np.full(size, fill, dtype=dtype)
-        self._ctx: Optional[KernelContext] = None
-        #: Shadow-buffer name for sanitizer attribution.  Unnamed arrays
-        #: stay invisible to racecheck/memcheck (tests, scratch state).
-        self.name = name
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def bind(self, ctx: Optional[KernelContext]) -> "AtomicArray":
-        """Attach (or detach, with ``None``) the recording context."""
-        self._ctx = ctx
-        if (
-            ctx is not None
-            and ctx.sanitizer is not None
-            and self.name is not None
-        ):
-            ctx.sanitizer.register_buffer(self.name, size=int(self.data.size))
-        return self
-
-    def fill(self, value: int) -> None:
-        self.data.fill(value)
-
-    def _record(self, total: int, serialized: int, max_chain: int) -> None:
-        if self._ctx is not None:
-            self._ctx.record_atomics(total, serialized, max_chain)
-
-    def _sanitize(self, idx: np.ndarray, threads) -> None:
-        """Log atomic accesses into an attached sanitizer, if any."""
-        ctx = self._ctx
-        if ctx is None or ctx.sanitizer is None or self.name is None:
-            return
-        from repro.analysis.sanitizer import AccessKind
-
-        ctx.sanitizer.record(self.name, idx, threads, AccessKind.WRITE, atomic=True)
-
-    def _check_scalar_index(self, index: int) -> int:
-        i = int(index)
-        if not 0 <= i < self.data.size:
-            self._sanitize(np.asarray([i], dtype=np.int64), 0)
-            raise DeviceError(
-                f"atomic index {i} out of bounds for array of size {self.data.size}"
-            )
-        return i
-
-    def _check_batch_indices(self, idx: np.ndarray) -> np.ndarray:
-        """Reject negative or out-of-range batch indices.
-
-        CUDA would silently corrupt memory here (and NumPy would wrap
-        negative indices); the simulator raises :class:`DeviceError`
-        instead, after reporting the bad addresses to the sanitizer so a
-        memcheck pass names them.
-        """
-        bad = (idx < 0) | (idx >= self.data.size)
-        if bad.any():
-            bad_idx = idx[bad]
-            self._sanitize(bad_idx, np.flatnonzero(bad))
-            raise DeviceError(
-                f"atomic batch indices out of bounds for array of size "
-                f"{self.data.size}: {bad_idx[:8].tolist()}"
-                + ("..." if bad_idx.size > 8 else "")
-            )
-        return idx
-
-    # -- scalar atomics (return the OLD value, like CUDA) ----------------
-    def atomic_min(self, index: int, value: int) -> int:
-        index = self._check_scalar_index(index)
-        self._sanitize(np.asarray([index], dtype=np.int64), 0)
-        old = int(self.data[index])
-        if value < old:
-            self.data[index] = value
-        self._record(1, 0, 1)
-        return old
-
-    def atomic_max(self, index: int, value: int) -> int:
-        index = self._check_scalar_index(index)
-        self._sanitize(np.asarray([index], dtype=np.int64), 0)
-        old = int(self.data[index])
-        if value > old:
-            self.data[index] = value
-        self._record(1, 0, 1)
-        return old
-
-    def atomic_add(self, index: int, value: int) -> int:
-        index = self._check_scalar_index(index)
-        self._sanitize(np.asarray([index], dtype=np.int64), 0)
-        old = int(self.data[index])
-        self.data[index] = old + value
-        self._record(1, 0, 1)
-        return old
-
-    def atomic_exch(self, index: int, value: int) -> int:
-        index = self._check_scalar_index(index)
-        self._sanitize(np.asarray([index], dtype=np.int64), 0)
-        old = int(self.data[index])
-        self.data[index] = value
-        self._record(1, 0, 1)
-        return old
-
-    def atomic_cas(self, index: int, compare: int, value: int) -> int:
-        index = self._check_scalar_index(index)
-        self._sanitize(np.asarray([index], dtype=np.int64), 0)
-        old = int(self.data[index])
-        if old == compare:
-            self.data[index] = value
-        self._record(1, 0, 1)
-        return old
-
-    # -- batch atomics: one op per simulated thread ----------------------
-    def atomic_min_many(self, indices, values) -> None:
-        """All threads issue ``atomic_min(indices[i], values[i])``."""
-        idx = self._check_batch_indices(_as_index_array(indices))
-        vals = np.asarray(values, dtype=self.data.dtype)
-        if idx.size != vals.size:
-            raise DeviceError("indices and values must have equal length")
-        self._sanitize(idx, np.arange(idx.size, dtype=np.int64))
-        self._record(*collision_profile(idx))
-        np.minimum.at(self.data, idx, vals)
-
-    def atomic_max_many(self, indices, values) -> None:
-        idx = self._check_batch_indices(_as_index_array(indices))
-        vals = np.asarray(values, dtype=self.data.dtype)
-        if idx.size != vals.size:
-            raise DeviceError("indices and values must have equal length")
-        self._sanitize(idx, np.arange(idx.size, dtype=np.int64))
-        self._record(*collision_profile(idx))
-        np.maximum.at(self.data, idx, vals)
-
-    def atomic_add_many(self, indices, values) -> None:
-        idx = self._check_batch_indices(_as_index_array(indices))
-        vals = np.asarray(values, dtype=self.data.dtype)
-        if idx.size != vals.size:
-            raise DeviceError("indices and values must have equal length")
-        self._sanitize(idx, np.arange(idx.size, dtype=np.int64))
-        self._record(*collision_profile(idx))
-        np.add.at(self.data, idx, vals)
-
-    def atomic_exch_many(self, indices, values) -> np.ndarray:
-        """All threads exchange; the *last* thread (highest thread id)
-        wins, matching a serialized ascending-id schedule.  Returns the
-        values each thread observed as 'old' under that schedule."""
-        idx = self._check_batch_indices(_as_index_array(indices))
-        vals = np.asarray(values, dtype=self.data.dtype)
-        if idx.size != vals.size:
-            raise DeviceError("indices and values must have equal length")
-        self._sanitize(idx, np.arange(idx.size, dtype=np.int64))
-        self._record(*collision_profile(idx))
-        old = np.empty_like(vals)
-        for i in range(idx.size):  # serialized semantics, order = thread id
-            old[i] = self.data[idx[i]]
-            self.data[idx[i]] = vals[i]
-        return old
-
-    def atomic_min_with_old(self, indices, values) -> np.ndarray:
-        """``atomic_min`` per thread, returning each thread's observed old
-        value under the deterministic ascending-thread-id schedule.
-
-        The conflict log uses this to discover whether a thread's TID
-        became the bucket minimum.
-        """
-        idx = self._check_batch_indices(_as_index_array(indices))
-        vals = np.asarray(values, dtype=self.data.dtype)
-        if idx.size != vals.size:
-            raise DeviceError("indices and values must have equal length")
-        self._sanitize(idx, np.arange(idx.size, dtype=np.int64))
-        self._record(*collision_profile(idx))
-        # Deterministic serialization without a Python loop: sort ops by
-        # (address, thread id); within an address, thread i observes the
-        # running minimum of the initial value and all earlier values.
-        order = np.argsort(idx, kind="stable")
-        sidx = idx[order]
-        svals = vals[order]
-        boundaries = np.flatnonzero(np.diff(sidx)) + 1
-        starts = np.concatenate(([0], boundaries))
-        old_sorted = np.empty_like(svals)
-        initial = self.data[sidx]
-        # old[i] = min(initial, svals[start..i-1]); computed per segment.
-        for s, e in zip(starts, np.concatenate((starts[1:], [sidx.size]))):
-            run = initial[s]
-            for j in range(s, e):
-                old_sorted[j] = run
-                if svals[j] < run:
-                    run = svals[j]
-            self.data[sidx[s]] = run
-        old = np.empty_like(old_sorted)
-        old[order] = old_sorted
-        return old

@@ -75,9 +75,6 @@ class DeviceConfig:
     pcie_bandwidth_gbps: float = 24.0
     #: Fixed per-transfer latency (driver + DMA setup).
     pcie_latency_ns: float = 8_000.0
-    #: Multiplier on global access cost when the buffer lives in
-    #: zero-copy (host-pinned) memory and is accessed from a kernel.
-    zero_copy_access_factor: float = 3.0
 
     # --- unified memory -------------------------------------------------
     #: Unified-memory page size (matches CUDA's 64 KiB migration granule).

@@ -60,9 +60,6 @@ class CostModel:
             + stats.global_writes * cfg.global_write_ns
             + stats.shared_accesses * cfg.shared_access_ns
             + stats.atomic_ops * cfg.atomic_ns
-            + stats.zero_copy_accesses
-            * cfg.global_read_ns
-            * (cfg.zero_copy_access_factor - 1.0)
         )
         lanes = max(1, min(cfg.total_lanes, max(stats.threads, 1)))
         throughput_ns = work_ns / lanes

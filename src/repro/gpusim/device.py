@@ -25,7 +25,7 @@ from repro.errors import DeviceError
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.kernel import KernelContext, LaunchGeometry, SanitizerHook
-from repro.gpusim.memory import MemoryManager
+from repro.gpusim.memory import PageTracker
 from repro.gpusim.profiler import Profiler, TimelineEntry
 from repro.gpusim.stream import Event, Stream
 from repro.trace.tracer import Tracer
@@ -38,9 +38,13 @@ class Device:
     """One simulated GPU with streams, memory, a profiler and a clock."""
 
     def __init__(self, config: DeviceConfig | None = None):
-        self.config = config or DeviceConfig()
-        self.cost_model = CostModel(self.config)
-        self.memory = MemoryManager(self.config)
+        self.config = cfg = config or DeviceConfig()
+        self.cost_model = CostModel(cfg)
+        #: Unified-memory resident set, sized to the usable share of
+        #: device memory; the engine's unified-memory stages touch it.
+        self.pages = PageTracker(max(1, int(
+            cfg.device_memory_bytes * cfg.um_resident_fraction // cfg.um_page_bytes
+        )))
         self._streams: dict[str, Stream] = {DEFAULT_STREAM: Stream(DEFAULT_STREAM)}
         # The profiler shares the stream table so resetting it rewinds
         # the clocks too (a fresh timeline must start at start_ns=0).
@@ -62,13 +66,8 @@ class Device:
             stream.tracer = tracer
 
     def attach_sanitizer(self, sanitizer: SanitizerHook | None) -> None:
-        """Attach (or detach, with ``None``) a shadow-access recorder.
-
-        The memory manager shares it so allocations register shadow
-        buffers automatically.
-        """
+        """Attach (or detach, with ``None``) a shadow-access recorder."""
         self.sanitizer = sanitizer
-        self.memory.attach_sanitizer(sanitizer)
 
     # -- streams -----------------------------------------------------------
     def stream(self, name: str = DEFAULT_STREAM) -> Stream:
@@ -152,7 +151,7 @@ class Device:
         """
         if kind not in ("h2d", "d2h"):
             raise DeviceError(f"unknown copy kind {kind!r}")
-        duration = self.memory.transfer_cost_ns(nbytes)
+        duration = self.config.transfer_ns(nbytes)
         s = self.stream(stream)
         start = s.time_ns
         s.enqueue(duration)
@@ -187,7 +186,7 @@ class Device:
         return max(s.time_ns for s in self._streams.values())
 
     def reset_clock(self) -> None:
-        """Zero every stream clock and drop profiler history.  Memory
-        allocations and unified-memory residency survive (they model
-        persistent device state)."""
+        """Zero every stream clock and drop profiler history.
+        Unified-memory residency survives (it models persistent device
+        state)."""
         self.profiler.reset()  # rewinds the shared stream clocks too

@@ -30,11 +30,7 @@ class SanitizerHook(Protocol):
 
     def end_kernel(self) -> None: ...
 
-    def barrier(self) -> None: ...
-
-    def register_buffer(
-        self, name: str, size: int | None = None, initialized: bool = True
-    ) -> None: ...
+    def register_buffer(self, name: str, size: int | None = None) -> None: ...
 
     def record(
         self, buffer: str, indices, threads, kind, atomic: bool = False
@@ -90,7 +86,6 @@ class KernelStats:
     atomic_serialized: int = 0
     atomic_max_chain: int = 0
     divergent_branches: int = 0
-    zero_copy_accesses: int = 0
     um_page_faults: int = 0
     #: streaming (coalesced) device-memory traffic in bytes — costed
     #: against the device bandwidth, not per-lane latency
@@ -108,7 +103,6 @@ class KernelStats:
         self.atomic_serialized += other.atomic_serialized
         self.atomic_max_chain = max(self.atomic_max_chain, other.atomic_max_chain)
         self.divergent_branches += other.divergent_branches
-        self.zero_copy_accesses += other.zero_copy_accesses
         self.um_page_faults += other.um_page_faults
         self.coalesced_bytes += other.coalesced_bytes
 
@@ -117,8 +111,8 @@ class KernelContext:
     """Recording handle passed to functional kernel bodies.
 
     A kernel body calls the ``add_*`` methods to describe the work a real
-    CUDA kernel would perform.  Atomic arrays (:mod:`repro.gpusim.atomics`)
-    record into the context automatically when bound to it.
+    CUDA kernel would perform; :meth:`record_atomics` takes a batch's
+    :func:`~repro.gpusim.atomics.collision_profile`.
     """
 
     def __init__(self, name: str, geometry: LaunchGeometry, config: DeviceConfig):
@@ -127,7 +121,7 @@ class KernelContext:
         self.config = config
         self.stats = KernelStats(name=name, threads=geometry.threads)
         #: Optional shadow-access recorder (set by the device at launch
-        #: when one is attached); instrumented primitives feed it.
+        #: when one is attached); the conflict log's atomics feed it.
         self.sanitizer: SanitizerHook | None = None
         #: Free-form annotations that end up in the kernel's trace span
         #: ``args`` when a tracer is attached (e.g. the conflict log's
@@ -151,9 +145,6 @@ class KernelContext:
 
     def add_divergent_branches(self, count: int) -> None:
         self.stats.divergent_branches += int(count)
-
-    def add_zero_copy_accesses(self, count: int) -> None:
-        self.stats.zero_copy_accesses += int(count)
 
     def add_coalesced_bytes(self, nbytes: int) -> None:
         self.stats.coalesced_bytes += int(nbytes)

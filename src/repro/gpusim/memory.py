@@ -1,83 +1,17 @@
-"""Simulated device memory spaces and host<->device transfers.
+"""Unified-memory residency for the simulated device.
 
-Three placement modes matter to LTPG (paper §V-E, Table IX):
-
-* **device** — ordinary global memory; accesses cost ``global_read_ns``.
-* **zero-copy** — host-pinned memory mapped into the device; kernel
-  accesses cross PCIe and cost ``zero_copy_access_factor`` times more.
-* **unified** — CUDA managed memory; accesses to non-resident pages
-  fault and migrate at ``um_page_fault_ns`` each, with an LRU resident
-  set bounded by device capacity.
-
-Buffers are NumPy arrays; the :class:`MemoryManager` tracks capacity and
-produces transfer/page-fault costs for the cost model.
+Under CUDA managed memory (paper §V-E, Table IX) an access to a
+non-resident page faults and migrates over PCIe at ``um_page_fault_ns``
+each, with an LRU resident set bounded by device capacity.  The engine's
+unified-memory stages touch the pages backing the rows they access and
+record the faults on their kernel context; the cost model prices them.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.errors import DeviceError, OutOfDeviceMemory
-from repro.gpusim.config import DeviceConfig
-from repro.gpusim.kernel import SanitizerHook
-
-
-class MemorySpace(enum.Enum):
-    """Where a buffer lives, which determines its access cost."""
-
-    DEVICE = "device"
-    ZERO_COPY = "zero_copy"
-    UNIFIED = "unified"
-    HOST = "host"
-
-
-@dataclass
-class DeviceBuffer:
-    """An allocation in one of the simulated memory spaces.
-
-    :meth:`load` / :meth:`store` are the *instrumented* access path:
-    they perform the gather/scatter and, when the owning manager has a
-    sanitizer attached, log each access into its shadow log so
-    racecheck/memcheck see plain (non-atomic) traffic.  Kernel code may
-    still index :attr:`array` directly — that models an access the
-    sanitizer cannot see, exactly like uninstrumented CUDA.
-    """
-
-    name: str
-    array: np.ndarray
-    space: MemorySpace
-    sanitizer: SanitizerHook | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.array.nbytes)
-
-    def load(self, indices, threads=0) -> np.ndarray:
-        """Sanitizer-visible gather: ``array[indices]`` with each access
-        attributed to ``threads`` (scalar broadcasts)."""
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        if self.sanitizer is not None:
-            from repro.analysis.sanitizer import AccessKind
-
-            self.sanitizer.record(self.name, idx, threads, AccessKind.READ)
-        return self.array[np.clip(idx, 0, max(self.array.size - 1, 0))]
-
-    def store(self, indices, values, threads=0) -> None:
-        """Sanitizer-visible scatter: ``array[indices] = values``."""
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        if self.sanitizer is not None:
-            from repro.analysis.sanitizer import AccessKind
-
-            self.sanitizer.record(self.name, idx, threads, AccessKind.WRITE)
-        ok = (idx >= 0) & (idx < self.array.size)
-        vals = np.broadcast_to(
-            np.asarray(values, dtype=self.array.dtype), idx.shape
-        )
-        self.array[idx[ok]] = vals[ok]
+from repro.errors import DeviceError
 
 
 class PageTracker:
@@ -115,117 +49,3 @@ class PageTracker:
 
     def clear(self) -> None:
         self._resident.clear()
-
-
-class MemoryManager:
-    """Allocation and transfer accounting for one simulated device."""
-
-    def __init__(self, config: DeviceConfig):
-        self.config = config
-        self._buffers: dict[str, DeviceBuffer] = {}
-        self._device_bytes_used = 0
-        #: Shared with :class:`~repro.gpusim.device.Device` via
-        #: ``attach_sanitizer``; new allocations register shadow buffers.
-        self.sanitizer: SanitizerHook | None = None
-        capacity_pages = max(
-            1,
-            int(
-                config.device_memory_bytes
-                * config.um_resident_fraction
-                // config.um_page_bytes
-            ),
-        )
-        self.pages = PageTracker(capacity_pages)
-
-    def attach_sanitizer(self, sanitizer: SanitizerHook | None) -> None:
-        """Attach (or detach) a shadow recorder; existing allocations are
-        registered as already-initialized shadow buffers."""
-        self.sanitizer = sanitizer
-        for buf in self._buffers.values():
-            buf.sanitizer = sanitizer
-            if sanitizer is not None:
-                sanitizer.register_buffer(
-                    buf.name, size=int(buf.array.size), initialized=True
-                )
-
-    # -- allocation -------------------------------------------------------
-    def alloc(
-        self,
-        name: str,
-        shape,
-        dtype=np.int64,
-        space: MemorySpace = MemorySpace.DEVICE,
-        fill: int | float | None = 0,
-    ) -> DeviceBuffer:
-        """Allocate a named buffer in the given space.
-
-        ``fill=None`` models ``cudaMalloc`` without a memset: contents are
-        zeros functionally, but a memcheck-enabled sanitizer treats every
-        slot as uninitialized until first written.
-        """
-        if name in self._buffers:
-            raise DeviceError(f"buffer {name!r} already allocated")
-        array = np.full(shape, 0 if fill is None else fill, dtype=dtype)
-        buf = DeviceBuffer(name=name, array=array, space=space)
-        if space is MemorySpace.DEVICE:
-            if self._device_bytes_used + buf.nbytes > self.config.device_memory_bytes:
-                raise OutOfDeviceMemory(
-                    f"allocating {buf.nbytes} bytes for {name!r} exceeds "
-                    f"device capacity {self.config.device_memory_bytes}"
-                )
-            self._device_bytes_used += buf.nbytes
-        self._buffers[name] = buf
-        if self.sanitizer is not None:
-            buf.sanitizer = self.sanitizer
-            self.sanitizer.register_buffer(
-                name, size=int(array.size), initialized=fill is not None
-            )
-        return buf
-
-    def free(self, name: str) -> None:
-        buf = self._buffers.pop(name, None)
-        if buf is None:
-            raise DeviceError(f"buffer {name!r} is not allocated")
-        if buf.space is MemorySpace.DEVICE:
-            self._device_bytes_used -= buf.nbytes
-
-    def get(self, name: str) -> DeviceBuffer:
-        try:
-            return self._buffers[name]
-        except KeyError:
-            raise DeviceError(f"buffer {name!r} is not allocated") from None
-
-    @property
-    def device_bytes_used(self) -> int:
-        return self._device_bytes_used
-
-    @property
-    def device_bytes_free(self) -> int:
-        return self.config.device_memory_bytes - self._device_bytes_used
-
-    def fits_on_device(self, nbytes: int) -> bool:
-        """Would an allocation of ``nbytes`` fit in remaining capacity?"""
-        return nbytes <= self.device_bytes_free
-
-    # -- transfers ---------------------------------------------------------
-    def transfer_cost_ns(self, nbytes: int) -> float:
-        """Cost of one host<->device DMA of ``nbytes``."""
-        return self.config.transfer_ns(nbytes)
-
-    # -- unified memory -----------------------------------------------------
-    def unified_touch(self, buffer_name: str, byte_offsets) -> int:
-        """Record accesses at the given byte offsets of a unified buffer;
-        returns the number of page faults incurred."""
-        buf = self.get(buffer_name)
-        if buf.space is not MemorySpace.UNIFIED:
-            raise DeviceError(f"buffer {buffer_name!r} is not unified memory")
-        offsets = np.asarray(byte_offsets, dtype=np.int64)
-        pages = np.unique(offsets // self.config.um_page_bytes)
-        return self.pages.touch(buffer_name, pages)
-
-    def unified_touch_rows(
-        self, buffer_name: str, row_indices, row_bytes: int
-    ) -> int:
-        """Convenience: touch unified pages covering whole rows."""
-        rows = np.asarray(row_indices, dtype=np.int64)
-        return self.unified_touch(buffer_name, rows * row_bytes)

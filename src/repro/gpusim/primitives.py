@@ -1,18 +1,12 @@
-"""Device primitives: prefix sum, radix sort, histogram.
+"""Device primitive: radix sort.
 
-The GPU engines in this reproduction lean on three classic data-parallel
-building blocks — GaccO sorts its access table, LTPG's delayed updates
-merge deltas with segmented prefix sums, and popularity detection is a
-histogram.  Each primitive here *executes* functionally (NumPy) while
-recording the hardware events a CUDA implementation would generate, so
-callers get both the result and an honest cost contribution on their
-:class:`~repro.gpusim.kernel.KernelContext`.
-
-Cost shapes: prefix sum and radix sort stream memory with perfectly
-coalesced access, so they are charged as *bandwidth* (bytes over the
-device's memory bandwidth) plus per-element instructions; the histogram
-scatters atomics at arbitrary addresses, so it keeps the per-lane
-atomic accounting with the real per-bin collision profile.
+GaccO sorts its access table with a CUDA radix sort.  The primitive
+here computes the sort functionally (NumPy) while recording the hardware
+events a CUDA implementation would generate, so the caller gets both the
+result and an honest cost contribution on its
+:class:`~repro.gpusim.kernel.KernelContext`.  A radix sort streams memory
+with perfectly coalesced access, so it is charged as *bandwidth* (bytes
+over the device's memory bandwidth) plus per-element instructions.
 """
 
 from __future__ import annotations
@@ -22,23 +16,10 @@ import math
 import numpy as np
 
 from repro.errors import DeviceError
-from repro.gpusim.atomics import collision_profile
 from repro.gpusim.kernel import KernelContext
 
 #: Bits consumed per radix-sort pass (matches CUB's default).
 RADIX_BITS = 8
-
-
-def device_prefix_sum(values, ctx: KernelContext | None = None) -> np.ndarray:
-    """Inclusive prefix sum with Blelloch-sweep cost accounting."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1:
-        raise DeviceError("prefix sum expects a one-dimensional array")
-    if ctx is not None and arr.size:
-        passes = max(1, math.ceil(math.log2(max(arr.size, 2))))
-        ctx.add_instructions(arr.size)
-        ctx.add_coalesced_bytes(arr.size * 16 * passes)  # read + write
-    return np.cumsum(arr)
 
 
 def device_radix_sort(
@@ -71,54 +52,3 @@ def device_radix_sort(
     if vals.shape[0] != arr.size:
         raise DeviceError("values must align with keys")
     return sorted_keys, vals[order]
-
-
-def device_histogram(
-    keys,
-    num_bins: int,
-    ctx: KernelContext | None = None,
-) -> np.ndarray:
-    """Per-bin counts via one atomicAdd per element.
-
-    The real per-bin collision profile flows into the context, so a
-    skewed key distribution costs serialization time exactly like the
-    conflict log's hot buckets.
-    """
-    if num_bins <= 0:
-        raise DeviceError("histogram needs at least one bin")
-    arr = np.asarray(keys, dtype=np.int64)
-    if arr.ndim != 1:
-        raise DeviceError("histogram expects a one-dimensional array")
-    bins = arr % num_bins
-    counts = np.bincount(bins, minlength=num_bins)[:num_bins]
-    if ctx is not None and arr.size:
-        ctx.add_global_reads(arr.size)
-        ctx.record_atomics(*collision_profile(bins))
-    return counts
-
-
-def device_segmented_reduce(
-    segment_ids,
-    values,
-    ctx: KernelContext | None = None,
-) -> dict[int, int]:
-    """Sum ``values`` per segment (the delayed-update merge shape):
-    warp-level prefix sums within segments plus one write per segment."""
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    vals = np.asarray(values, dtype=np.int64)
-    if ids.shape != vals.shape:
-        raise DeviceError("segment ids and values must align")
-    if ids.size == 0:
-        return {}
-    order = np.argsort(ids, kind="stable")
-    sids = ids[order]
-    svals = vals[order]
-    boundaries = np.flatnonzero(np.diff(sids)) + 1
-    starts = np.concatenate(([0], boundaries))
-    totals = np.add.reduceat(svals, starts)
-    if ctx is not None:
-        passes = max(1, math.ceil(math.log2(max(ids.size, 2))))
-        ctx.add_instructions(ids.size * passes)
-        ctx.add_shared_accesses(ids.size)
-        ctx.add_global_writes(int(starts.size))
-    return {int(sids[s]): int(t) for s, t in zip(starts, totals)}

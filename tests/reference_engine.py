@@ -237,7 +237,7 @@ class ReferenceEngine(LTPGEngine):
                     * table.schema.row_bytes
                     // self.device.config.um_page_bytes
                 )
-                faults += self.device.memory.pages.touch(table.name, pages)
+                faults += self.device.pages.touch(table.name, pages)
             ctx.add_page_faults(faults)
         data.rwset_bytes = rwset_bytes
 

@@ -8,15 +8,18 @@ import pytest
 
 from helpers import bank_engine, tids, txn
 
+from repro.analysis import MEMCHECK, AccessKind
 from repro.analysis.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.analysis.passes import run_memcheck, run_pass, run_racecheck
+from repro.analysis.workload import build_workload
 from repro.core import LTPGConfig
+from repro.txn.batch import BatchScheduler
 
 
 def test_engine_sanitizer_disabled_by_default():
     engine, _, _ = bank_engine()
     assert engine.sanitizer is None
-    assert engine.device.memory.sanitizer is None
+    assert engine.device.sanitizer is None
 
 
 def test_sanitized_bank_batch_is_clean():
@@ -42,6 +45,33 @@ def test_sanitized_conflicting_batch_is_clean():
     result = engine.run_batch(batch)
     assert result.committed and result.aborted
     assert engine.sanitizer.clean, engine.sanitizer.report.render()
+
+
+def test_engine_memcheck_bounds_the_conflict_log_minima():
+    """Memcheck on the engine path is a bounds check on the conflict
+    log's minima buffers: a sanitized TPC-C batch registers both at
+    their minima sizes, and an access one past the end is caught."""
+    setup = build_workload("tpcc")
+    engine = setup.engine(batch_size=64)
+    scheduler = BatchScheduler(64)
+    scheduler.admit(setup.generator.make_batch(64))
+    engine.process(scheduler, max_batches=1)
+    san = engine.sanitizer
+    assert san.clean, san.report.render()
+    log = engine.conflict_log
+    minima = {
+        "conflict_log.read": log._min_read.size,
+        "conflict_log.write": log._min_write.size,
+    }
+    assert {name: san._buffers[name].size for name in minima} == minima
+    size = minima["conflict_log.write"]
+    san.begin_kernel("probe")
+    san.record("conflict_log.write", [size], 0, AccessKind.WRITE, atomic=True)
+    san.end_kernel()
+    oob = san.findings_for(MEMCHECK)
+    assert [(f.kind, f.subject, f.index) for f in oob] == [
+        ("out-of-bounds", "conflict_log.write", size)
+    ]
 
 
 @pytest.mark.analysis

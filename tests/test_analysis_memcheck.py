@@ -1,18 +1,10 @@
-"""Memcheck unit tests: shadow init-bitmaps, out-of-bounds reporting,
-and the AtomicArray bounds-validation contract (negative / OOB indices
-raise DeviceError instead of NumPy wraparound)."""
+"""Memcheck unit tests: the bounds check on sized shadow buffers.
+(The engine-path case — the conflict log's minima buffers — is in
+tests/test_analysis_engine.py.)"""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.analysis import AccessKind, Sanitizer
-from repro.errors import DeviceError
-from repro.gpusim.atomics import AtomicArray
-from repro.gpusim.device import Device
-from repro.gpusim.kernel import KernelContext, LaunchGeometry
-from repro.gpusim.config import DeviceConfig
 
 
 def _kinds(san: Sanitizer) -> dict[str, int]:
@@ -22,9 +14,6 @@ def _kinds(san: Sanitizer) -> dict[str, int]:
     return counts
 
 
-# ---------------------------------------------------------------------------
-# bounds
-# ---------------------------------------------------------------------------
 def test_out_of_bounds_read_reported():
     san = Sanitizer()
     san.register_buffer("buf", size=8)
@@ -66,131 +55,14 @@ def test_unbounded_buffers_skip_bounds_checks():
     assert san.clean
 
 
-# ---------------------------------------------------------------------------
-# init tracking
-# ---------------------------------------------------------------------------
-def test_uninitialized_read_reported():
-    san = Sanitizer()
-    san.register_buffer("buf", size=8, initialized=False)
-    san.begin_kernel("k")
-    san.record("buf", [2], 0, AccessKind.READ)
-    san.end_kernel()
-    f = san.findings[0]
-    assert f.kind == "uninitialized-read" and f.index == 2
-
-
-def test_write_then_read_is_initialized():
-    san = Sanitizer()
-    san.register_buffer("buf", size=8, initialized=False)
-    san.begin_kernel("k")
-    san.record("buf", [2], 0, AccessKind.WRITE)
-    san.end_kernel()
-    san.begin_kernel("k2")
-    san.record("buf", [2], 1, AccessKind.READ)
-    san.record("buf", [3], 1, AccessKind.READ)  # still uninit
-    san.end_kernel()
-    assert _kinds(san) == {"uninitialized-read": 1}
-    assert san.findings[0].index == 3
-
-
-def test_initialized_buffers_skip_init_tracking():
-    san = Sanitizer()
-    san.register_buffer("buf", size=8, initialized=True)
-    san.begin_kernel("k")
-    san.record("buf", [0], 0, AccessKind.READ)
-    san.end_kernel()
-    assert san.clean
-
-
 def test_register_buffer_grows_monotonically():
     san = Sanitizer()
-    san.register_buffer("buf", size=4, initialized=False)
-    san.register_buffer("buf", size=8)  # growth keeps the init bitmap
+    san.register_buffer("buf", size=4)
+    san.register_buffer("buf", size=8)  # grows the bound
+    san.register_buffer("buf", size=2)  # never shrinks it
     san.begin_kernel("k")
-    san.record("buf", [6], 0, AccessKind.READ)   # in the grown range
-    san.record("buf", [9], 0, AccessKind.READ)   # still OOB
+    san.record("buf", [7], 0, AccessKind.READ)  # inside the grown range
+    san.record("buf", [8], 0, AccessKind.READ)  # one past it
     san.end_kernel()
-    assert _kinds(san) == {"uninitialized-read": 1, "out-of-bounds": 1}
-
-
-def test_memory_manager_uninitialized_alloc():
-    """fill=None models cudaMalloc without memset: reads before writes
-    are flagged, writes initialize."""
-    device = Device()
-    san = Sanitizer()
-    device.attach_sanitizer(san)
-    buf = device.memory.alloc("scratch", 8, fill=None)
-    with device.kernel("k", threads=2):
-        buf.store([1], [42], threads=0)
-        buf.load([1], threads=0)   # fine: written above
-        buf.load([5], threads=1)   # uninitialized
-    assert _kinds(san) == {"uninitialized-read": 1}
-    assert san.findings[0].subject == "scratch"
-
-
-# ---------------------------------------------------------------------------
-# AtomicArray bounds validation (the satellite fix)
-# ---------------------------------------------------------------------------
-def test_atomic_scalar_rejects_negative_index():
-    arr = AtomicArray(8)
-    with pytest.raises(DeviceError):
-        arr.atomic_add(-1, 5)
-    assert (arr.data == 0).all()  # nothing wrapped around
-
-
-def test_atomic_scalar_rejects_out_of_range():
-    arr = AtomicArray(8)
-    for op in (arr.atomic_min, arr.atomic_max, arr.atomic_add, arr.atomic_exch):
-        with pytest.raises(DeviceError):
-            op(8, 1)
-    with pytest.raises(DeviceError):
-        arr.atomic_cas(99, 0, 1)
-
-
-def test_atomic_batch_rejects_negative_indices():
-    arr = AtomicArray(8)
-    with pytest.raises(DeviceError):
-        arr.atomic_add_many(np.array([0, -3, 2]), np.array([1, 1, 1]))
-    assert (arr.data == 0).all()  # batch rejected atomically, no partial apply
-
-
-def test_atomic_batch_rejects_oob_indices():
-    arr = AtomicArray(4)
-    for op in (arr.atomic_min_many, arr.atomic_max_many, arr.atomic_add_many,
-               arr.atomic_exch_many, arr.atomic_min_with_old):
-        with pytest.raises(DeviceError):
-            op(np.array([1, 4]), np.array([1, 1]))
-
-
-def test_atomic_in_bounds_still_works():
-    arr = AtomicArray(4)
-    arr.atomic_add_many(np.array([0, 0, 3]), np.array([2, 3, 7]))
-    assert arr.data[0] == 5 and arr.data[3] == 7
-
-
-def test_atomic_oob_reported_to_sanitizer_before_raise():
-    """A named, bound AtomicArray reports the bad address to memcheck
-    and then raises — the fixture names the buffer and the offender."""
-    san = Sanitizer()
-    ctx = KernelContext("k", LaunchGeometry.for_threads(4), DeviceConfig())
-    ctx.sanitizer = san
-    arr = AtomicArray(4, name="conflict_slots").bind(ctx)
-    san.begin_kernel("k")
-    with pytest.raises(DeviceError):
-        arr.atomic_add_many(np.array([0, 7]), np.array([1, 1]))
-    san.end_kernel()
-    oob = [f for f in san.findings if f.kind == "out-of-bounds"]
-    assert len(oob) == 1
-    assert oob[0].subject == "conflict_slots" and oob[0].index == 7
-
-
-def test_named_atomic_traffic_is_clean_for_racecheck():
-    san = Sanitizer()
-    ctx = KernelContext("k", LaunchGeometry.for_threads(8), DeviceConfig())
-    ctx.sanitizer = san
-    arr = AtomicArray(4, name="ctr").bind(ctx)
-    san.begin_kernel("k")
-    arr.atomic_add_many(np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.int64))
-    san.end_kernel()
-    assert san.clean
-    assert san.accesses_logged == 8
+    assert _kinds(san) == {"out-of-bounds": 1}
+    assert san.findings[0].index == 8

@@ -1,6 +1,9 @@
 """Racecheck unit tests: shadow logging, sync points, race taxonomy,
-plus Hypothesis properties (barrier-synced and all-atomic patterns are
-clean; seeded racy kernels produce exactly the expected finding)."""
+plus Hypothesis properties (kernel-boundary-synced and all-atomic
+patterns are clean; seeded racy kernels produce exactly the expected
+finding).  The sync point is the kernel boundary — a device-wide
+barrier: ``end_kernel`` / ``begin_kernel`` close one segment of the
+scan and open the next."""
 
 from __future__ import annotations
 
@@ -10,9 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import AccessKind, Sanitizer
-from repro.gpusim.atomics import AtomicArray
 from repro.gpusim.device import Device
-from repro.gpusim.interpreter import Warp
 
 
 def _kinds(san: Sanitizer) -> dict[str, int]:
@@ -100,26 +101,33 @@ def test_kernel_boundary_separates_accesses():
 
 
 def test_barrier_separates_accesses():
+    """Two writers of one address on either side of a kernel boundary
+    never race."""
     san = Sanitizer()
     san.begin_kernel("k")
     san.record("buf", [1], 0, AccessKind.WRITE)
-    san.barrier()
+    san.end_kernel()
+    san.begin_kernel("k")
     san.record("buf", [1], 1, AccessKind.WRITE)
     san.end_kernel()
     assert san.clean
-    assert san.barriers_seen == 1
+    assert san.kernels_scanned == 2
 
 
 def test_race_within_barrier_segment_still_detected():
+    """A boundary clears the segment before it, not the races inside the
+    segment after it."""
     san = Sanitizer()
-    san.begin_kernel("k")
+    san.begin_kernel("k1")
     san.record("buf", [1], 0, AccessKind.WRITE)
-    san.barrier()
+    san.end_kernel()
+    san.begin_kernel("k2")
     san.record("buf", [1], 1, AccessKind.WRITE)
     san.record("buf", [1], 2, AccessKind.WRITE)
     san.end_kernel()
     assert _kinds(san) == {"write-write": 1}
     assert san.findings[0].threads == (1, 2)
+    assert san.findings[0].kernel == "k2"
 
 
 def test_finding_flood_is_suppressed():
@@ -134,7 +142,7 @@ def test_finding_flood_is_suppressed():
 
 
 # ---------------------------------------------------------------------------
-# device / interpreter integration
+# device integration
 # ---------------------------------------------------------------------------
 def test_device_kernel_opens_sanitizer_epochs():
     device = Device()
@@ -149,74 +157,6 @@ def test_device_kernel_opens_sanitizer_epochs():
     assert san.kernels_scanned == 2
 
 
-def test_memory_manager_buffers_record_accesses():
-    device = Device()
-    san = Sanitizer()
-    device.attach_sanitizer(san)
-    buf = device.memory.alloc("data", 16)
-    with device.kernel("racy", threads=2):
-        buf.store([4], [1], threads=0)
-        buf.store([4], [2], threads=1)
-    assert _kinds(san) == {"write-write": 1}
-    assert san.findings[0].subject == "data"
-
-
-def test_warp_interpreter_seeded_race():
-    """All lanes store to address 0: racecheck names the buffer and a
-    thread pair inside the warp."""
-    san = Sanitizer()
-    mem = {"out": np.zeros(8, dtype=np.int64)}
-    program = [
-        ("lane", "l"),
-        ("const", "zero", 0),
-        ("st", "out", "zero", "l"),
-        ("halt",),
-    ]
-    san.begin_kernel("warp")
-    Warp(width=8).run(program, mem, sanitizer=san, thread_base=32)
-    san.end_kernel()
-    assert _kinds(san) == {"write-write": 1}
-    f = san.findings[0]
-    assert f.subject == "out"
-    assert f.threads == (32, 33)  # thread_base offsets the lane ids
-
-
-def test_warp_interpreter_barrier_instruction():
-    san = Sanitizer()
-    mem = {"out": np.zeros(8, dtype=np.int64)}
-    program = [
-        ("lane", "l"),
-        ("const", "zero", 0),
-        ("st", "out", "zero", "l"),
-        ("barrier",),
-        ("ld", "v", "out", "zero"),
-        ("halt",),
-    ]
-    san.begin_kernel("warp")
-    stats = Warp(width=4).run(program, mem, sanitizer=san)
-    san.end_kernel()
-    # The pre-barrier store race is real; the post-barrier loads add no
-    # read-write finding against it.
-    assert _kinds(san) == {"write-write": 1}
-    assert stats.instructions_issued > 0
-
-
-def test_warp_atomics_are_clean_under_sanitizer():
-    san = Sanitizer()
-    mem = {"ctr": AtomicArray(4)}
-    program = [
-        ("const", "zero", 0),
-        ("const", "one", 1),
-        ("atomic_add", "ctr", "zero", "one", "old"),
-        ("halt",),
-    ]
-    san.begin_kernel("warp")
-    Warp(width=16).run(program, mem, sanitizer=san)
-    san.end_kernel()
-    assert san.clean
-    assert mem["ctr"].data[0] == 16
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis properties
 # ---------------------------------------------------------------------------
@@ -227,19 +167,17 @@ def test_warp_atomics_are_clean_under_sanitizer():
         min_size=1,
         max_size=64,
     ),
-    segments=st.integers(1, 4),
 )
-def test_barrier_synchronized_writes_never_race(writes, segments):
-    """Property: any write pattern is clean if every thread's accesses
-    land in its own barrier-delimited segment per address-touching
-    round — here, one barrier between every pair of writes."""
+def test_barrier_synchronized_writes_never_race(writes):
+    """Property: any write pattern is clean when a kernel boundary
+    separates every pair of writes."""
     san = Sanitizer()
-    san.begin_kernel("k")
     for thread, index in writes:
+        san.begin_kernel("k")
         san.record("buf", [index], thread, AccessKind.WRITE)
-        san.barrier()
-    san.end_kernel()
+        san.end_kernel()
     assert san.clean
+    assert san.kernels_scanned == len(writes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -290,29 +228,6 @@ def test_seeded_write_write_always_found(t1, t2, index, readers):
     assert ww[0].subject == "target"
     assert set(ww[0].threads) == {min(t1, t2), max(t1, t2)}
     assert ww[0].index == index
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    lanes=st.integers(2, 16),
-    addr=st.integers(0, 7),
-)
-def test_seeded_warp_store_race_always_found(lanes, addr):
-    """Property: a warp where every lane stores to the same address
-    always yields exactly one write-write finding on that address."""
-    san = Sanitizer()
-    mem = {"out": np.zeros(8, dtype=np.int64)}
-    program = [
-        ("lane", "l"),
-        ("const", "a", addr),
-        ("st", "out", "a", "l"),
-        ("halt",),
-    ]
-    san.begin_kernel("warp")
-    Warp(width=lanes).run(program, mem, sanitizer=san)
-    san.end_kernel()
-    ww = [f for f in san.findings if f.kind == "write-write"]
-    assert len(ww) == 1 and ww[0].index == addr
 
 
 def test_record_rejects_misaligned_threads():

@@ -1,101 +1,10 @@
-"""Atomic-array semantics and contention accounting."""
+"""Contention accounting for batches of atomics."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.errors import DeviceError
-from repro.gpusim import AtomicArray, DeviceConfig, KernelContext, LaunchGeometry
 from repro.gpusim.atomics import collision_profile
-
-
-def make_ctx(threads: int = 32) -> KernelContext:
-    return KernelContext("k", LaunchGeometry.for_threads(threads), DeviceConfig())
-
-
-class TestScalarAtomics:
-    def test_atomic_min_updates_and_returns_old(self):
-        arr = AtomicArray(4, fill=100)
-        old = arr.atomic_min(1, 42)
-        assert old == 100
-        assert arr.data[1] == 42
-
-    def test_atomic_min_keeps_smaller_value(self):
-        arr = AtomicArray(4, fill=10)
-        arr.atomic_min(0, 50)
-        assert arr.data[0] == 10
-
-    def test_atomic_max(self):
-        arr = AtomicArray(2, fill=5)
-        assert arr.atomic_max(0, 9) == 5
-        assert arr.data[0] == 9
-
-    def test_atomic_add_returns_old(self):
-        arr = AtomicArray(2)
-        assert arr.atomic_add(0, 7) == 0
-        assert arr.atomic_add(0, 3) == 7
-        assert arr.data[0] == 10
-
-    def test_atomic_exch(self):
-        arr = AtomicArray(1, fill=4)
-        assert arr.atomic_exch(0, 9) == 4
-        assert arr.data[0] == 9
-
-    def test_atomic_cas_success_and_failure(self):
-        arr = AtomicArray(1, fill=4)
-        assert arr.atomic_cas(0, 4, 8) == 4
-        assert arr.data[0] == 8
-        assert arr.atomic_cas(0, 4, 99) == 8
-        assert arr.data[0] == 8  # compare failed, unchanged
-
-
-class TestBatchAtomics:
-    def test_min_many_takes_minimum_per_address(self):
-        arr = AtomicArray(3, fill=100)
-        arr.atomic_min_many([0, 0, 1, 2, 2], [5, 9, 7, 8, 2])
-        assert list(arr.data) == [5, 7, 2]
-
-    def test_add_many_accumulates_duplicates(self):
-        arr = AtomicArray(2)
-        arr.atomic_add_many([0, 0, 1], [1, 2, 5])
-        assert list(arr.data) == [3, 5]
-
-    def test_exch_many_last_thread_wins(self):
-        arr = AtomicArray(1, fill=-1)
-        old = arr.atomic_exch_many([0, 0, 0], [10, 20, 30])
-        assert arr.data[0] == 30
-        assert list(old) == [-1, 10, 20]
-
-    def test_min_with_old_serialized_ascending(self):
-        arr = AtomicArray(1, fill=50)
-        old = arr.atomic_min_with_old([0, 0, 0], [30, 40, 10])
-        # thread order: 30 sees 50; 40 sees 30; 10 sees 30.
-        assert list(old) == [50, 30, 30]
-        assert arr.data[0] == 10
-
-    def test_min_with_old_multiple_addresses(self):
-        arr = AtomicArray(3, fill=99)
-        old = arr.atomic_min_with_old([2, 0, 2, 0], [5, 7, 3, 1])
-        assert list(arr.data) == [1, 99, 3]
-        assert list(old) == [99, 99, 5, 7]
-
-    def test_mismatched_lengths_rejected(self):
-        arr = AtomicArray(2)
-        with pytest.raises(DeviceError):
-            arr.atomic_min_many([0, 1], [1])
-
-    def test_contention_recorded_into_context(self):
-        ctx = make_ctx()
-        arr = AtomicArray(4).bind(ctx)
-        arr.atomic_add_many([0, 0, 0, 1], [1, 1, 1, 1])
-        assert ctx.stats.atomic_ops == 4
-        assert ctx.stats.atomic_serialized == 2  # two waiters on addr 0
-        assert ctx.stats.atomic_max_chain == 3
-
-    def test_unbound_array_records_nothing(self):
-        arr = AtomicArray(2)
-        arr.atomic_add_many([0, 0], [1, 1])  # must not raise
 
 
 class TestCollisionProfile:

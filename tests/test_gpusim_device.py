@@ -1,20 +1,16 @@
-"""Device, streams, kernel costing, memory manager, profiler."""
+"""Device, streams, kernel costing, unified-memory pages, profiler."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.errors import DeviceError, OutOfDeviceMemory
+from repro.errors import DeviceError
 from repro.gpusim import (
     CostModel,
     Device,
     DeviceConfig,
     KernelStats,
     LaunchGeometry,
-    MemoryManager,
-    MemorySpace,
     PageTracker,
     Stream,
 )
@@ -176,40 +172,6 @@ class TestDevice:
         assert device.stream("compute").time_ns > 0
         total = device.stream("copy").busy_ns + device.stream("compute").busy_ns
         assert device.elapsed_ns() < total
-
-
-class TestMemoryManager:
-    def test_alloc_and_get(self):
-        mem = MemoryManager(DeviceConfig())
-        buf = mem.alloc("t", (8,), fill=3)
-        assert mem.get("t") is buf
-        assert buf.array[0] == 3
-
-    def test_duplicate_name_rejected(self):
-        mem = MemoryManager(DeviceConfig())
-        mem.alloc("t", (8,))
-        with pytest.raises(DeviceError):
-            mem.alloc("t", (8,))
-
-    def test_capacity_enforced(self):
-        cfg = dataclasses.replace(DeviceConfig(), device_memory_bytes=1024)
-        mem = MemoryManager(cfg)
-        with pytest.raises(OutOfDeviceMemory):
-            mem.alloc("big", (1024,))  # 8 KiB of int64 > 1 KiB
-
-    def test_free_returns_capacity(self):
-        cfg = dataclasses.replace(DeviceConfig(), device_memory_bytes=1024)
-        mem = MemoryManager(cfg)
-        mem.alloc("a", (64,))
-        assert mem.device_bytes_free == 1024 - 512
-        mem.free("a")
-        assert mem.device_bytes_free == 1024
-
-    def test_zero_copy_does_not_consume_device_memory(self):
-        cfg = dataclasses.replace(DeviceConfig(), device_memory_bytes=64)
-        mem = MemoryManager(cfg)
-        mem.alloc("host", (1024,), space=MemorySpace.ZERO_COPY)
-        assert mem.device_bytes_used == 0
 
 
 class TestPageTracker:

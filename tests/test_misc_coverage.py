@@ -17,7 +17,6 @@ class TestErrorHierarchy:
     def test_all_errors_are_repro_errors(self):
         for name in (
             "DeviceError",
-            "OutOfDeviceMemory",
             "StorageError",
             "KeyNotFound",
             "DuplicateKey",
@@ -30,7 +29,6 @@ class TestErrorHierarchy:
             assert issubclass(cls, errors.ReproError)
 
     def test_specialization(self):
-        assert issubclass(errors.OutOfDeviceMemory, errors.DeviceError)
         assert issubclass(errors.KeyNotFound, errors.StorageError)
         assert issubclass(errors.TransactionAborted, errors.TransactionError)
 

@@ -8,35 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeviceError
-from repro.gpusim import Device, DeviceConfig, KernelContext, LaunchGeometry
-from repro.gpusim.primitives import (
-    device_histogram,
-    device_prefix_sum,
-    device_radix_sort,
-    device_segmented_reduce,
-)
+from repro.gpusim import DeviceConfig, KernelContext, LaunchGeometry
+from repro.gpusim.primitives import device_radix_sort
 
 
 def ctx(threads=64):
     return KernelContext("k", LaunchGeometry.for_threads(threads), DeviceConfig())
-
-
-class TestPrefixSum:
-    def test_result(self):
-        assert list(device_prefix_sum([1, 2, 3, 4])) == [1, 3, 6, 10]
-
-    def test_empty(self):
-        assert device_prefix_sum([]).size == 0
-
-    def test_cost_recorded(self):
-        c = ctx()
-        device_prefix_sum(np.ones(1024, dtype=np.int64), c)
-        assert c.stats.coalesced_bytes > 0
-        assert c.stats.instructions >= 1024
-
-    def test_rejects_2d(self):
-        with pytest.raises(DeviceError):
-            device_prefix_sum(np.ones((2, 2)))
 
 
 class TestRadixSort:
@@ -72,41 +49,6 @@ class TestRadixSort:
     @settings(max_examples=25)
     def test_matches_sorted(self, keys):
         assert list(device_radix_sort(keys)) == sorted(keys)
-
-
-class TestHistogram:
-    def test_counts(self):
-        counts = device_histogram([0, 1, 1, 5, 9], 4)
-        # keys taken mod num_bins: 0,1,1,1,1
-        assert list(counts) == [1, 4, 0, 0]
-
-    def test_contention_recorded(self):
-        c = ctx()
-        device_histogram(np.zeros(100, dtype=np.int64), 16, c)
-        assert c.stats.atomic_max_chain == 100
-
-    def test_invalid_bins(self):
-        with pytest.raises(DeviceError):
-            device_histogram([1], 0)
-
-
-class TestSegmentedReduce:
-    def test_sums_per_segment(self):
-        got = device_segmented_reduce([2, 1, 2, 1, 3], [10, 1, 20, 2, 5])
-        assert got == {1: 3, 2: 30, 3: 5}
-
-    def test_empty(self):
-        assert device_segmented_reduce([], []) == {}
-
-    def test_misaligned(self):
-        with pytest.raises(DeviceError):
-            device_segmented_reduce([1], [1, 2])
-
-    def test_cost_recorded(self):
-        c = ctx()
-        device_segmented_reduce(np.zeros(64, dtype=np.int64), np.ones(64), c)
-        assert c.stats.global_writes == 1
-        assert c.stats.shared_accesses == 64
 
 
 class TestBandwidthCosting:
