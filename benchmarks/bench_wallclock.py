@@ -70,13 +70,6 @@ def main(argv: list[str]) -> int:
             f"{result.batched_speedup(headline):.2f}x (informational: what "
             "the twins save over one procedure call per transaction)"
         )
-    if headline in result.seconds.get("sharded", {}):
-        print(
-            f"sharded / batched on execute+conflict+writeback at batch "
-            f"{headline} ({result.meta.get('shards')} in-process shards): "
-            f"{result.sharded_speedup(headline):.2f}x (informational: "
-            "partitioning costs batch time)"
-        )
     print(f"wrote {out}")
     return 0
 

@@ -289,27 +289,22 @@ def check_serve(
 #: Keys the docs promise, as dotted paths; ``*`` is "every child, and
 #: at least one", ``{a,b}`` a fixed set of children.  Documented in
 #: EXPERIMENTS.md "Host wall-clock" / "Small batches" / "Transfer traffic
-#: under mockgpu" and docs/ARCHITECTURE.md §2, §7, §8, §9, §14.
+#: under mockgpu" and docs/ARCHITECTURE.md §2, §7, §8, §9.
 WALLCLOCK_SCHEMA = (
     "batch_sizes",
     "meta.{cpu_count,rounds,scale,seed,warehouses,workload}",
     "meta.{estimator,warmup_batches}",
-    "meta.{shards,python,numpy,platform}",
+    "meta.{python,numpy,platform}",
     "meta.array_backend.{backend,library,version}",
-    "seconds_per_batch.{columnar,batched,sharded,batched[mockgpu]}.*"
+    "seconds_per_batch.{columnar,batched,batched[mockgpu]}.*"
     ".{execute,conflict,writeback,assemble,total}",
-    "seconds_per_batch.{columnar,batched,sharded,batched[mockgpu]}.*"
+    "seconds_per_batch.{columnar,batched,batched[mockgpu]}.*"
     ".{commit_rate,attempts_per_commit}",
-    "seconds_per_batch.sharded.*.sequencer",
     "speedup_execute_total.*.{execute,total}",
-    "speedup_sharded.*.execute_conflict_writeback",
-    "sharded.shards",
-    "sharded.balance_ledger.*",
-    "sharded.metrics.{max_balance,mean_multi_home_fraction,sequencer_stall_ns}",
     "small_batch.{workload,warehouses,rounds,batches_per_round,lanes}",
     "small_batch.ms_per_batch.{per_transaction,batched}.*",
     "small_batch.speedup_batched.*",
-    "metrics.{abort_reasons,atomic,conflict_log,reschedule_depth,shard,warp}",
+    "metrics.{abort_reasons,atomic,conflict_log,reschedule_depth,warp}",
     "transfers_per_batch.*.*.{execute,conflict,writeback}",
 )
 

@@ -110,7 +110,7 @@ class SanitizeObserver:
         emit(Cells.concat([bl.writes, bl.adds]), atomic=False)
         emit(bl.delayed, atomic=True)
         # in the order the write-back claims their slots
-        ins = bl.inserts.take(bl.inserts.install_order(batch.rank, commit))
+        ins = bl.inserts.take(bl.inserts.install_order(commit))
         for txn_idx, table_id, key in zip(
             ins.txn.tolist(), ins.table.tolist(), ins.key.tolist()
         ):

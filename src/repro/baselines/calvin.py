@@ -29,9 +29,8 @@ from repro.txn.transaction import Transaction
 
 def deterministic_order(transactions: list[Transaction]) -> list[Transaction]:
     """Calvin's agreed-upon total order: ascending TID (stable, so
-    equal TIDs keep their admission order).  The sharded engine reuses
-    this as its cross-shard sequencer — multi-home transactions commit
-    in exactly the order Calvin's lock manager would grant them."""
+    equal TIDs keep their admission order) — the order its lock
+    manager grants locks in."""
     return sorted(transactions, key=lambda t: t.tid)
 
 

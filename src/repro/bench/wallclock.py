@@ -11,10 +11,7 @@ on TPC-C 50/50 and reports per-batch seconds for the default engine
 ``batched_exec=False`` (``columnar``: the same pipeline with every lane
 a scalar lane — what a registry without twins costs), plus their ratio
 on execute and total, recorded in ``BENCH_wallclock.json`` (see
-docs/ARCHITECTURE.md for how to read it).  A ``sharded`` column
-(``LTPGConfig(shards=SHARDS)``, in-process) and a
-per-shard balance ledger ride along; the ``sequencer`` entry in that
-column is the host cost of the deterministic router.  A separate
+docs/ARCHITECTURE.md for how to read it).  A separate
 ``small_batch`` section (:func:`measure_small_batch`) times driven
 batches of 1..256 lanes with and without the twins: their
 fixed cost per batch loses below a few dozen lanes, and the section
@@ -52,7 +49,6 @@ import numpy as np
 from repro.bench.common import ltpg_config, tpcc_bench
 from repro.bench.reporting import format_metrics, format_table
 from repro.core.stats import RunStats
-from repro.shard import BoundPartition
 from repro.txn import BatchScheduler, drive
 
 #: The paper's batch-size sweep (Fig. 6a uses the same span).
@@ -70,9 +66,6 @@ HEADLINE_BATCH = 16_384
 #: aborts it re-queues fill the later batches; at the headline shape it
 #: has settled (0.31-0.32) by batch 16.
 WARMUP_BATCHES = 16
-
-#: Shard count of the ``sharded`` column and the balance ledger.
-SHARDS = 4
 
 #: Lane counts of the ``small_batch`` section: what a deadline cut
 #: yields at low arrival rates, up to the served benchmark's
@@ -104,16 +97,8 @@ class WallclockResult:
     transfers: dict[str, dict[int, dict[str, dict[str, int]]]] = field(
         default_factory=dict
     )
-    #: multi-shard extras: shard count, per-table balance ledger
-    #: (rows by owning shard), and the ``shard`` metrics block from a
-    #: short traced sharded run at the headline batch
-    sharded: dict = field(default_factory=dict)
     #: :func:`measure_small_batch`'s section
     small_batch: dict = field(default_factory=dict)
-
-    def exec_conflict_writeback(self, path: str, batch: int) -> float:
-        phases = self.seconds[path][batch]
-        return phases["execute"] + phases["conflict"] + phases["writeback"]
 
     def batched_speedup(self, batch: int, phase: str = "execute") -> float:
         """Columnar / batched on one phase (or ``total``)."""
@@ -121,20 +106,11 @@ class WallclockResult:
             self.seconds["batched"][batch][phase], 1e-12
         )
 
-    def sharded_speedup(self, batch: int) -> float:
-        """Batched (in-process, unsharded) / sharded on the detection
-        pipeline (execute+conflict+writeback).  Below 1: partitioning
-        costs batch time, it is not a speed-up."""
-        return self.exec_conflict_writeback("batched", batch) / max(
-            self.exec_conflict_writeback("sharded", batch), 1e-12
-        )
-
     def backend_paths(self) -> list[str]:
         """The optional per-backend columns (``batched[<backend>]``)."""
         return sorted(p for p in self.seconds if p.startswith("batched["))
 
     def format(self) -> str:
-        have_sharded = "sharded" in self.seconds
         backends = self.backend_paths()
         headers = [
             "batch size",
@@ -144,8 +120,6 @@ class WallclockResult:
             "columnar exec (s)",
             "batched speedup (exec)",
         ]
-        if have_sharded:
-            headers += ["sharded e+c+w (s)", "sharded speedup (e+c+w)"]
         headers += [f"{p} exec (s)" for p in backends]
         rows = []
         for b in sorted(self.seconds.get("batched", {})):
@@ -157,11 +131,6 @@ class WallclockResult:
                 self.seconds["columnar"][b]["execute"],
                 f"{self.batched_speedup(b):.2f}x",
             ]
-            if have_sharded:
-                row += [
-                    self.exec_conflict_writeback("sharded", b),
-                    f"{self.sharded_speedup(b):.2f}x",
-                ]
             row += [self.seconds[p][b]["execute"] for p in backends]
             rows.append(row)
         table = format_table(
@@ -172,27 +141,8 @@ class WallclockResult:
             note="scheduled stream (TIDs assigned, aborts re-queued), "
             "commit rate and attempts per commit of the timed batched "
             "batches; batched speedup = columnar / batched on execute; "
-            "sharded speedup = batched / sharded on "
-            "execute+conflict+writeback; "
             "simulated-time results are identical by construction.",
         )
-        if self.sharded:
-            sheaders = ["table", "rows by owning shard"]
-            srows = [
-                [name, " / ".join(str(c) for c in counts)]
-                for name, counts in sorted(
-                    self.sharded.get("balance_ledger", {}).items()
-                )
-            ]
-            table += "\n\n" + format_table(
-                f"Per-shard balance ledger "
-                f"({self.sharded.get('shards')} shards, headline database)",
-                sheaders,
-                srows,
-                note="live rows per table by owning shard under the "
-                "workload's partition map; counter-keyed tables use the "
-                "default mod rule.",
-            )
         if self.transfers:
             xheaders = ["path", "batch size", "H2D (MB/batch)", "D2H (MB/batch)"]
             xrows = []
@@ -234,16 +184,6 @@ class WallclockResult:
                 for b in sorted(self.seconds.get("columnar", {}))
                 if b in self.seconds.get("batched", {})
             },
-            "speedup_sharded": {
-                str(b): {
-                    "execute_conflict_writeback": round(
-                        self.sharded_speedup(b), 3
-                    ),
-                }
-                for b in sorted(self.seconds.get("batched", {}))
-                if b in self.seconds.get("sharded", {})
-            },
-            "sharded": self.sharded,
             "small_batch": self.small_batch,
             "metrics": self.metrics,
             "transfers_per_batch": {
@@ -303,7 +243,6 @@ def measure_path(
     batched: bool = True,
     backend: str = "numpy",
     transfers_out: dict | None = None,
-    shards: int = 0,
 ) -> dict[str, float]:
     """Min-of-rounds per-phase host seconds for one path, with the
     ``commit_rate`` and ``attempts_per_commit`` (lanes run per lane
@@ -312,25 +251,22 @@ def measure_path(
     ``batched=False`` is ``LTPGConfig(batched_exec=False)``: every lane
     a scalar lane.  ``backend`` selects the ``repro.xp`` array backend
     (on a device the warm-up also absorbs the first-touch column
-    uploads).  ``shards`` > 1 is ``LTPGConfig(shards=...)`` (an
-    extra ``sequencer`` entry reports the deterministic router's host
-    cost and counts toward ``total``).
+    uploads).
 
     When ``transfers_out`` is given and the backend has a transfer
     ledger, the final measured batch's per-phase ledger deltas are
     stored there (deltas are deterministic per batch index, so the
     last — steadiest — batch is the representative one).
     """
-    phases = PHASES + ("sequencer",) if shards > 1 else PHASES
     run = RunStats()
     best: dict[str, float] = {}
     with _steady_tpcc(
         batch_size, scale, warehouses, neworder_pct, seed,
-        batched_exec=batched, array_backend=backend, shards=max(shards, 1),
+        batched_exec=batched, array_backend=backend,
     ) as (engine, stream):
         for result in islice(stream, max(rounds, 1)):
             run.add(result.stats)
-            for phase in phases:
+            for phase in PHASES:
                 t = engine.last_host_phase_s.get(phase, 0.0)
                 if phase not in best or t < best[phase]:
                     best[phase] = t
@@ -340,23 +276,12 @@ def measure_path(
             and engine.last_phase_transfers
         ):
             transfers_out.update(engine.last_phase_transfers)
-    best["total"] = sum(best[p] for p in phases)
+    best["total"] = sum(best[p] for p in PHASES)
     best["commit_rate"] = round(run.mean_commit_rate, 4)
     best["attempts_per_commit"] = round(
         run.total_admitted / max(run.total_committed, 1), 4
     )
     return best
-
-
-def _traced_run(batches: int, *bench_args, **config) -> tuple[RunStats, object]:
-    """``batches`` traced steady-state batches: their stats and the
-    engine's partition.  A separate run on purpose: the timed sweep
-    never pays span/metrics bookkeeping."""
-    run = RunStats()
-    with _steady_tpcc(*bench_args, trace=True, **config) as (engine, stream):
-        for result in islice(stream, max(batches, 1)):
-            run.add(result.stats)
-        return run, engine.partition
 
 
 def measure_metrics(
@@ -368,33 +293,16 @@ def measure_metrics(
     seed: int = 7,
 ) -> dict:
     """Observability summary (:meth:`RunStats.metrics_summary`) of a
-    short traced run at the (scaled) headline batch size."""
-    run, _ = _traced_run(batches, batch_size, scale, warehouses, neworder_pct, seed)
+    short traced run at the (scaled) headline batch size — a separate
+    run on purpose: the timed sweep never pays span/metrics
+    bookkeeping."""
+    run = RunStats()
+    with _steady_tpcc(
+        batch_size, scale, warehouses, neworder_pct, seed, trace=True
+    ) as (_, stream):
+        for result in islice(stream, max(batches, 1)):
+            run.add(result.stats)
     return run.metrics_summary()
-
-
-def measure_sharded_profile(
-    shards: int = SHARDS,
-    batch_size: int = HEADLINE_BATCH,
-    scale: float = 1.0,
-    batches: int = 2,
-    warehouses: int = 32,
-    neworder_pct: int = 50,
-    seed: int = 7,
-) -> dict:
-    """Multi-shard extras for ``BENCH_wallclock.json``: the per-table
-    balance ledger of the headline database under the workload's
-    partition map, plus the ``shard`` block (multi-home fraction,
-    balance, sequencer stall) of a short traced sharded run.
-    """
-    run, part = _traced_run(
-        batches, batch_size, scale, warehouses, neworder_pct, seed, shards=shards
-    )
-    return {
-        "shards": shards,
-        "balance_ledger": part.profile() if isinstance(part, BoundPartition) else {},
-        "metrics": run.metrics_summary().get("shard", {}),
-    }
 
 
 def measure_small_batch(
@@ -518,20 +426,18 @@ def run(
         "numpy": np.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "shards": SHARDS,
         # active array backend + library version: the per-backend
         # column's backend when one was requested, else the reference
         # every standard path runs on
         "array_backend": get_backend(backend or "numpy").device_info(),
     }
     paths = [
-        ("sharded", True, "numpy", SHARDS),
-        ("batched", True, "numpy", 0),
-        ("columnar", False, "numpy", 0),
+        ("batched", True, "numpy"),
+        ("columnar", False, "numpy"),
     ]
     if backend is not None and backend != "numpy":
-        paths.insert(0, (f"batched[{backend}]", True, backend, 0))
-    for path, batched, xp_name, shards in paths:
+        paths.insert(0, (f"batched[{backend}]", True, backend))
+    for path, batched, xp_name in paths:
         by_batch: dict[int, dict[str, float]] = {}
         for batch in batch_sizes:
             transfers: dict[str, dict[str, int]] = {}
@@ -539,16 +445,12 @@ def run(
                 batch, scale=scale, rounds=rounds,
                 warehouses=warehouses, neworder_pct=neworder_pct, seed=seed,
                 batched=batched, backend=xp_name,
-                transfers_out=transfers, shards=shards,
+                transfers_out=transfers,
             )
             if transfers:
                 result.transfers.setdefault(path, {})[batch] = transfers
         result.seconds[path] = by_batch
     result.metrics = measure_metrics(
-        scale=scale, warehouses=warehouses, neworder_pct=neworder_pct,
-        seed=seed,
-    )
-    result.sharded = measure_sharded_profile(
         scale=scale, warehouses=warehouses, neworder_pct=neworder_pct,
         seed=seed,
     )

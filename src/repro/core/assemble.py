@@ -110,23 +110,15 @@ class BatchResult:
 
 def assemble(engine, batch: Batch, ctx) -> None:
     """Ship the read/write sets and conflict flags back, then build
-    ``batch.result`` — its lists in admission order, whatever the lane
-    layout, so schedulers composing retries across batches see the same
-    sequences under any shard count."""
+    ``batch.result`` — its lists in admission (lane) order."""
     _ship_back(engine, batch)
     # The batch stays columns: three masks partition the lanes, the
     # counters are counts over them, and the only per-lane Python
     # left is stamping each transaction with its own verdict.
-    transactions = batch.admitted
+    transactions = batch.transactions
     flags = batch.flags
-
-    def admitted(by_lane: np.ndarray) -> np.ndarray:
-        out = np.empty_like(by_lane)
-        out[batch.rank] = by_lane
-        return out
-
-    commit = admitted(batch.commit)
-    logic = admitted(batch.logic_mask)
+    commit = batch.commit
+    logic = batch.logic_mask
     abort = ~(commit | logic)
     committed = list(compress(transactions, commit.tolist()))
     aborted = list(compress(transactions, abort.tolist()))
@@ -134,7 +126,7 @@ def assemble(engine, batch: Batch, ctx) -> None:
     committed_status = TxnStatus.COMMITTED
     for txn in committed:
         txn.status = committed_status
-    codes = admitted(flags.waw + 2 * flags.raw + 4 * flags.war)[abort]
+    codes = (flags.waw + 2 * flags.raw + 4 * flags.war)[abort]
     aborted_status = TxnStatus.ABORTED
     for txn, code in zip(aborted, codes.tolist()):
         txn.status = aborted_status
@@ -169,9 +161,6 @@ def assemble(engine, batch: Batch, ctx) -> None:
         occupancy=occupancy(
             KernelResources(threads_per_block=launch.geometry.block)
         ).occupancy,
-        multi_home_fraction=batch.multi_home_fraction,
-        shard_balance=batch.shard_balance,
-        sequencer_stall_ns=batch.sequencer_stall_ns,
     )
     batch.result = BatchResult(
         stats=stats,
@@ -179,7 +168,7 @@ def assemble(engine, batch: Batch, ctx) -> None:
         aborted=aborted,
         logic_aborted=logic_aborted,
         # lane-indexed like the reservations; the witness is keyed by TID
-        _witness=_WitnessColumns(batch.commit, batch.reads, batch.writes),
+        _witness=_WitnessColumns(commit, batch.reads, batch.writes),
     )
 
 

@@ -1,7 +1,7 @@
 """One batch on its way through the engine's stage table.
 
 :class:`Batch` is everything a batch owns between admission and its
-:class:`~repro.core.assemble.BatchResult`: the lanes and their layout,
+:class:`~repro.core.assemble.BatchResult`: the lanes,
 the scratch records the stages hand to each other, the verdicts, and —
 as :class:`StageClocks` — what the stage runner measured at every stage
 boundary.  A :class:`Stage` is one row of the table the runner walks
@@ -133,7 +133,6 @@ class StageClocks:
     def __init__(self, ledger: Ledger | None = None) -> None:
         self.timeline: dict[str, TimelineEntry] = {}
         self.launches: dict[str, KernelContext] = {}
-        #: stage -> seconds, plus ``sequencer`` from a sharded route
         self.host_s: dict[str, float] = {}
         self.transfers: dict[str, Ledger] = {}
         #: the ledger when the batch began, and at the latest stamp
@@ -176,17 +175,9 @@ class Batch:
     ) -> None:
         n = len(transactions)
         self.index = index
-        #: The batch in admission order, and in lane order (the same
-        #: list until a sharded route lays it out shard-major);
-        #: ``rank[lane]`` is the lane's admission position.
-        self.admitted = self.transactions = transactions
-        self.rank = np.arange(n, dtype=np.int64)
-        #: Routing tallies of a sharded route (lanes per coordinator
-        #: shard; empty when unsharded).
-        self.shard_lanes = np.empty(0, dtype=np.int64)
-        self.multi_home_fraction = 0.0
-        self.shard_balance = 0.0
-        self.sequencer_stall_ns = 0
+        #: The batch in admission order: lane ``j`` runs
+        #: ``transactions[j]``.
+        self.transactions = transactions
         #: Logged, and the snapshot is still as the batch found it: a
         #: failure now is marked in the log and skipped by recovery.
         self.clean = False
@@ -195,7 +186,7 @@ class Batch:
         self.start_ns = self.end_ns = 0.0
         self.transfer_ns = self.rwset_ns = 0.0
         #: The lanes as columns (``batch_columns``), set by the route
-        #: stage once the layout is final.
+        #: stage.
         self.tids: list[int] = []
         self.procedures: list[str] = []
         self.params: list[tuple] = []
@@ -223,12 +214,6 @@ class Batch:
         self.commit = np.empty(0, dtype=bool)
         self.rwset_bytes = 0
         self.result: BatchResult | None = None
-
-    def lay_out(self, order: list[int]) -> None:
-        """Re-lay the lanes: lane ``j`` runs the transaction admitted
-        at position ``order[j]``."""
-        self.rank = np.asarray(order, dtype=np.int64)
-        self.transactions = [self.admitted[i] for i in order]
 
     @property
     def total_ops(self) -> int:

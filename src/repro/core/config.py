@@ -85,16 +85,6 @@ class LTPGConfig:
     #: ``sanitize`` (the shadow log reads host arrays).
     array_backend: str = "numpy"
 
-    #: Engine shards (:mod:`repro.shard`): partition the database by the
-    #: workload's partition spec (recognized from the table names: TPC-C
-    #: by warehouse, SmallBank/YCSB by key range) and run conflict
-    #: registration + write-back per shard, with single-home
-    #: transactions executing entirely on their home shard and
-    #: multi-home ones sequenced Calvin-style at a deterministic
-    #: coordinator.  ``1`` (the default) routes nothing; any N produces
-    #: byte-identical final states.
-    shards: int = 1
-
     #: Columns managed by delayed updates: {(table, column), ...}.  These
     #: must be accessed only through ADD operations within a batch.
     delayed_columns: frozenset[tuple[str, str]] = frozenset()
@@ -133,8 +123,6 @@ class LTPGConfig:
                 "with sanitize: the shadow access log instruments host "
                 "arrays and would not observe device-resident kernels"
             )
-        if self.shards < 1:
-            raise ConfigError("shards must be >= 1")
 
     @property
     def effective_retry_delay(self) -> int:

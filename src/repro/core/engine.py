@@ -4,8 +4,7 @@ One :meth:`LTPGEngine.run_batch` call processes a batch exactly as the
 paper's Algorithm 1 does — a fixed list of kernels separated by
 ``cudaDeviceSynchronize`` — with the host's share on either side:
 
-1. **route** — lay the batch out (shard-major under ``shards > 1``,
-   :mod:`repro.shard`), log it, ship its parameters host -> device.
+1. **route** — log the batch, ship its parameters host -> device.
 2. **execute kernel** — every transaction runs against the snapshot,
    buffering effects in local sets and registering its TID in the
    conflict log (``atomicMin`` per accessed item, with dynamic hash
@@ -70,10 +69,8 @@ _tid_of = attrgetter("tid")
 
 
 def _route(engine: LTPGEngine, batch: Batch, ctx) -> None:
-    """Lay the batch out, log it in that layout — recovery replays what
-    ran, and re-routing a routed batch is the identity — and ship its
+    """Log the batch — recovery replays what ran — and ship its
     parameters host -> device (the h2d leg)."""
-    engine.partition.route(batch)
     transactions = batch.transactions
     columns = batch.tids, batch.procedures, batch.params = batch_columns(transactions)
     engine.batch_log.append_batch(batch.index, transactions, columns)
@@ -127,14 +124,6 @@ class LTPGEngine:
         config: LTPGConfig | None = None,
         device: Device | None = None,
     ):
-        # repro.shard builds on repro.core (the sharded conflict log)
-        from repro.shard import (
-            BoundPartition,
-            ShardedConflictLog,
-            Unpartitioned,
-            resolve_spec,
-        )
-
         self.database = database
         self.procedures = procedures
         self.config = config = config or LTPGConfig()
@@ -154,24 +143,10 @@ class LTPGEngine:
             ResidencyManager(self._backend, database)
             if self._backend.is_device else None
         )
-        #: Who owns which row (:mod:`repro.shard`): the route stage lays
-        #: a batch out by it, the conflict log registers by it and the
-        #: write-back installs by it.
-        self.partition: BoundPartition | Unpartitioned
-        if config.shards > 1:
-            self.partition = BoundPartition(
-                resolve_spec(database), database, config.shards
-            )
-            self.conflict_log: ConflictLog = ShardedConflictLog(
-                database, self.flags, self.partition,
-                dynamic_buckets=config.dynamic_buckets, xp=self._backend,
-            )
-        else:
-            self.partition = Unpartitioned()
-            self.conflict_log = ConflictLog(
-                database, self.flags,
-                dynamic_buckets=config.dynamic_buckets, xp=self._backend,
-            )
+        self.conflict_log = ConflictLog(
+            database, self.flags,
+            dynamic_buckets=config.dynamic_buckets, xp=self._backend,
+        )
         self.hotspot = HotspotDetector(database, config.hot_tables)
         self.memory_plan: MemoryPlan = resolve_memory_mode(
             config, database, self.device
@@ -234,8 +209,7 @@ class LTPGEngine:
 
     @property
     def last_host_phase_s(self) -> dict[str, float]:
-        """Host wall-clock seconds per stage of the last batch (plus
-        ``sequencer``, the router's share of ``route``, when sharded)."""
+        """Host wall-clock seconds per stage of the last batch."""
         return self._clocks.host_s
 
     @property

@@ -56,13 +56,6 @@ class BatchStats:
     #: large buckets allocated this batch
     bucket_load_factor: float = 0.0
     bucket_expanded_slots: int = 0
-    #: sharded-engine routing (repro.shard; zero when unsharded):
-    #: fraction of the batch classified multi-home, load imbalance
-    #: (max/mean lanes per shard), and host ns the deterministic
-    #: sequencer spent classifying and ordering the batch
-    multi_home_fraction: float = 0.0
-    shard_balance: float = 0.0
-    sequencer_stall_ns: int = 0
 
     @property
     def commit_rate(self) -> float:
@@ -211,20 +204,6 @@ class RunStats:
                 ),
                 "max_expanded_slots": max(
                     (b.bucket_expanded_slots for b in self.batches), default=0
-                ),
-            },
-            "shard": {
-                "mean_multi_home_fraction": (
-                    sum(b.multi_home_fraction for b in self.batches)
-                    / len(self.batches)
-                    if self.batches
-                    else 0.0
-                ),
-                "max_balance": max(
-                    (b.shard_balance for b in self.batches), default=0.0
-                ),
-                "sequencer_stall_ns": sum(
-                    b.sequencer_stall_ns for b in self.batches
                 ),
             },
             "abort_reasons": {

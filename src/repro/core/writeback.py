@@ -20,14 +20,7 @@ def writeback(engine, batch: Batch, ctx) -> None:
     committed writer per (row, conflict-group): committed write
     cells are disjoint, committed adds commute, and each
     transaction's own write-kills-add ordering was already resolved
-    when its local sets were built.
-
-    Cells install owner subset by owner subset, in ascending shard
-    order (``engine.partition``; one subset when unsharded).  The
-    subsets are disjoint — one owner per row — so the result is
-    byte-identical to one global scatter, and the delayed merge's cost
-    agrees too: deltas sum, and the subsets partition the distinct
-    target cells."""
+    when its local sets were built."""
     db = engine.database
     bl = batch.batch_locals
     commit = batch.commit
@@ -43,21 +36,18 @@ def writeback(engine, batch: Batch, ctx) -> None:
     cells = writes.size + adds.size
     xp = engine._backend
     residency = engine._residency
-    owner_subsets = engine.partition.owner_subsets
     for part, accumulate in ((writes, False), (adds, True)):
-        for m in owner_subsets(part.table, part.row):
-            own = part.take(m)
-            scatter_cells(
-                db, own.table, own.row, own.col, own.val, accumulate,
-                xp=xp, residency=residency,
-            )
+        scatter_cells(
+            db, part.table, part.row, part.col, part.val, accumulate,
+            xp=xp, residency=residency,
+        )
     # Inserts claim slots per table in (transaction, emission) order
     # — the scalar slot assignment — but install in bulk: keys that
     # already exist (or repeat within the committed batch; the
     # conflict phase guarantees a unique winner, this mirrors the
     # scalar get_row guard) drop out, the survivors take consecutive
     # slots, and the payload columns scatter per emission chunk.
-    ins = bl.inserts.take(bl.inserts.install_order(batch.rank, commit))
+    ins = bl.inserts.take(bl.inserts.install_order(commit))
     if ins.size:
         payloads = bl.payloads
         nlen = np.fromiter(
@@ -92,11 +82,10 @@ def writeback(engine, batch: Batch, ctx) -> None:
                 residency.note_appended(table, rows)
     ctx.add_global_writes(cells)
     ctx.add_instructions(APPLY_INSTRUCTIONS * max(1, cells))
-    for m in owner_subsets(delayed.table, delayed.row):
-        own = delayed.take(m)
-        engine.delayed.apply_arrays(
-            own.table, own.row, own.col, own.val, ctx, xp=xp, residency=residency,
-        )
+    engine.delayed.apply_arrays(
+        delayed.table, delayed.row, delayed.col, delayed.val, ctx,
+        xp=xp, residency=residency,
+    )
     if engine.memory_plan.mode is MemoryMode.UNIFIED and (writes.size or adds.size):
         faults = 0
         t_all = np.concatenate((writes.table, adds.table))

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 from repro.errors import StorageError
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -80,22 +78,6 @@ class Database:
             for name, tid in clone._by_name.items()
         }
         return clone
-
-    def partition_profile(self, owner_keys, shards: int) -> dict[str, list[int]]:
-        """Per-table live-row counts by owning shard.
-
-        ``owner_keys(table_id, keys) -> owners`` is the partition map
-        (a :class:`repro.shard.BoundPartition` method, kept callable-
-        typed here so storage stays partition-agnostic).  The result is
-        the per-shard balance ledger the sharded bench publishes.
-        """
-        profile: dict[str, list[int]] = {}
-        for table_id, table in enumerate(self._tables):
-            owners = np.asarray(owner_keys(table_id, table.keys_array()))
-            profile[table.name] = np.bincount(
-                owners, minlength=shards
-            ).astype(int).tolist()
-        return profile
 
     def state_digest(self) -> str:
         """SHA-256 over all live table data; equal digests mean equal

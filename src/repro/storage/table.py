@@ -312,15 +312,6 @@ class Table:
         """Vectorized gather of one column at many row slots."""
         return self.column(column)[np.asarray(rows, dtype=np.int64)]
 
-    def keys_array(self) -> np.ndarray:
-        return self._keys[: self._num_rows]
-
-    def keys_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`key_of`: primary keys at many row slots
-        (the partition router's cell->owner gather).  Keys live host-
-        side even under device residency, so no fence is needed."""
-        return self._keys[np.asarray(rows, dtype=np.int64)]
-
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self._num_rows:
             raise StorageError(

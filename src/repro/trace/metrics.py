@@ -22,6 +22,7 @@ cheap enough that populating the registry never shows in the perf gate.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter as _CounterDict
 from typing import Any
 
@@ -93,14 +94,18 @@ class LatencyDigest:
     most a few hundred thousand samples, and required because the serve
     differential tests assert *byte-identical* percentile output across
     runs.  Uses the same nearest-rank definition as
-    :meth:`repro.core.stats.RunStats.latency_percentile`."""
+    :meth:`repro.core.stats.RunStats.latency_percentile`.
+
+    The samples and their sorted copy are ``array('q')`` buffers, not
+    lists: a garbage collection late in a long served run visits each
+    buffer once instead of walking one object per sample."""
 
     __slots__ = ("name", "_values", "_sorted")
 
     def __init__(self, name: str = "latency"):
         self.name = name
-        self._values: list[int] = []
-        self._sorted: list[int] | None = None
+        self._values = array("q")
+        self._sorted: array | None = None
 
     def observe(self, value_ns: int | float) -> None:
         self._values.append(int(value_ns))
@@ -108,7 +113,7 @@ class LatencyDigest:
 
     def extend(self, values_ns: list[int]) -> None:
         """A whole batch of integer samples at once."""
-        self._values.extend(values_ns)
+        self._values.fromlist(values_ns)
         self._sorted = None
 
     def __len__(self) -> int:
@@ -129,7 +134,7 @@ class LatencyDigest:
         if not self._values:
             return 0
         if self._sorted is None:
-            self._sorted = sorted(self._values)
+            self._sorted = array("q", sorted(self._values))
         ordered = self._sorted
         rank = min(len(ordered) - 1, round(p / 100 * (len(ordered) - 1)))
         return ordered[rank]

@@ -140,13 +140,6 @@ class TraceObserver:
         depths = m.histogram("engine.reschedule_depth")
         for attempts, count in stats.commit_attempts.items():
             depths.observe(attempts - 1, count)
-        if batch.shard_lanes.size:  # a sharded route's tallies
-            m.gauge("multi_home_fraction").set(stats.multi_home_fraction)
-            m.gauge("shard_balance").set(stats.shard_balance)
-            m.counter("sequencer.stall_ns").inc(stats.sequencer_stall_ns)
-            lanes_hist = m.histogram("shard.lanes")
-            for s, lanes in enumerate(batch.shard_lanes.tolist()):
-                lanes_hist.observe(f"s{s}", lanes)
 
     def _record_groups(self, batch: Batch) -> None:
         """Per-procedure-group spans and counters for the execute stage.

@@ -121,14 +121,13 @@ class InsertRows(Rows):
     chunk: np.ndarray
     pos: np.ndarray
 
-    def install_order(self, rank: np.ndarray, commit: np.ndarray) -> np.ndarray:
-        """The committed inserts in the order they claim slots: by the
-        lane's *admission* position (``rank[lane]``), not its lane —
-        appended rows take the physical slots the scalar write-back
-        would give them whatever the layout, and slot order feeds the
+    def install_order(self, commit: np.ndarray) -> np.ndarray:
+        """The committed inserts in the order they claim slots: by lane
+        (admission order) — appended rows take the physical slots the
+        scalar write-back would give them, and slot order feeds the
         secondary/ordered indexes later batches observe — then by
         emission within the lane."""
-        order, _ = sorted_runs(rank[self.txn], self.seq)
+        order, _ = sorted_runs(self.txn, self.seq)
         return order[commit[self.txn[order]]]
 
 

@@ -174,31 +174,6 @@ def _register_batched(registry: ProcedureRegistry) -> None:
     registry.register_batched("send_payment", _send_payment_b)
 
 
-def smallbank_partition_spec():
-    """Account-range sharding: accounts split into contiguous blocks;
-    the two transfer procedures (amalgamate, send_payment) are
-    multi-home whenever their accounts land in different blocks."""
-    from repro.shard.partition import PartitionSpec, TableRule
-
-    block = TableRule("block")
-
-    def rules(database):
-        return {"smallbank": block}
-
-    def classify(txn, part):
-        own = part.owner_key
-        p = txn.params
-        if txn.procedure_name in ("amalgamate", "send_payment"):
-            homes = {own("smallbank", p[0]), own("smallbank", p[1])}
-        else:
-            homes = {own("smallbank", p[0])}
-        return tuple(sorted(homes))
-
-    return PartitionSpec(
-        name="smallbank", rules_for=rules, default=block, classify=classify
-    )
-
-
 class SmallBankGenerator:
     """Zipf-skewed account selection over the six procedures."""
 

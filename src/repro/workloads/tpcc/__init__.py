@@ -11,7 +11,6 @@ from repro.storage.database import Database
 from repro.txn.procedures import ProcedureRegistry
 from repro.workloads.tpcc.generator import TpccGenerator, TpccMix
 from repro.workloads.tpcc.loader import load_tpcc, tpcc_nbytes
-from repro.workloads.tpcc.partition import tpcc_partition_spec
 from repro.workloads.tpcc.procedures import (
     DELAYED_COLUMNS,
     HOT_TABLES,
@@ -46,7 +45,6 @@ __all__ = [
     "build_tpcc",
     "load_tpcc",
     "tpcc_nbytes",
-    "tpcc_partition_spec",
     "register_procedures",
     "TpccGenerator",
     "TpccMix",

@@ -197,37 +197,6 @@ def _ycsb_txn_b(btree_scans, bctx, params):
                 bctx.read_block("usertable", sl, rows, "f1")
 
 
-def ycsb_partition_spec():
-    """Key-range sharding for YCSB: the usertable splits into
-    contiguous blocks of its loaded key space; scan ranges are
-    contiguous, so a scan's homes are just the owners of its two
-    endpoints.  Generated insert keys grow past the loaded range and
-    land on the last shard (the ``block`` rule clamps)."""
-    from repro.shard.partition import PartitionSpec, TableRule
-
-    block = TableRule("block")
-
-    def rules(database):
-        return {"usertable": block}
-
-    def classify(txn, part):
-        own = part.owner_key
-        p = txn.params
-        homes = set()
-        for j in range(0, len(p) - 1, 2):
-            code, key = p[j], p[j + 1]
-            if code == 3:
-                homes.add(own("usertable", key))
-                homes.add(own("usertable", key + SCAN_LENGTH - 1))
-            else:
-                homes.add(own("usertable", key))
-        return tuple(sorted(homes))
-
-    return PartitionSpec(
-        name="ycsb", rules_for=rules, default=block, classify=classify
-    )
-
-
 class YcsbGenerator:
     """Produces batches for one YCSB core workload."""
 

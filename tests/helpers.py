@@ -275,7 +275,7 @@ def observe_cell(
     an engine built from ``config``.  Returns
     each batch's per-lane statuses and abort reasons, then the final
     state digest — what every cell must share with the reference cell,
-    ``observe_cell(workload, reference=True)``: the unsharded host-only
+    ``observe_cell(workload, reference=True)``: the host-only
     :class:`~reference_engine.ReferenceEngine`.
 
     Agreement with another engine is never the only evidence: every

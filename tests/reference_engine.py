@@ -14,7 +14,7 @@ result assembly).
 
 Every observable must agree with the engine byte for byte: statuses,
 abort reasons, ``txn.ops.raw``, every simulated time in ``BatchStats``,
-and the database digest.  Unsharded, host-only, no observers: the
+and the database digest.  Host-only, no observers: the
 configurations the engine must match *it* on, not the other way round.
 """
 
@@ -60,7 +60,6 @@ class ReferenceEngine(LTPGEngine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         assert not self.observers, "the oracle builds no frame to observe"
-        assert self.partition.shards == 1
         # Buffered effects of the batch in flight, execute -> write-back.
         self._locals: list[LocalSets] = []
         self._delayed_adds: list[list[tuple[int, int, str, int]]] = []

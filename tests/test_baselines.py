@@ -17,9 +17,16 @@ from repro.baselines import (
     make_engine,
 )
 from repro.baselines.base import OpProfile
+from repro.baselines.calvin import deterministic_order
 from repro.baselines.mvstore import BASE_TID, MultiVersionStore
 from repro.errors import BenchmarkError
-from repro.txn import BufferedContext, OpKind, TxnStatus, apply_local_sets
+from repro.txn import (
+    BufferedContext,
+    OpKind,
+    Transaction,
+    TxnStatus,
+    apply_local_sets,
+)
 from repro.txn.operations import OpRecord
 
 
@@ -160,6 +167,16 @@ class TestCalvinSchedule:
             make_batch(8, conflict=True)
         )
         assert high.latency_ns > low.latency_ns
+
+    def test_deterministic_order_is_stable_tid_sort(self):
+        txns = [
+            Transaction("balance", (i,), tid=tid)
+            for i, tid in enumerate([5, 1, 3, 1, 2])
+        ]
+        ordered = deterministic_order(txns)
+        assert [t.tid for t in ordered] == [1, 1, 2, 3, 5]
+        # stable: the two tid=1 entries keep their admission order
+        assert ordered[0].params[0] == 1 and ordered[1].params[0] == 3
 
 
 class TestBohm:

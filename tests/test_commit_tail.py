@@ -11,6 +11,7 @@ Three guards on what runs after write-back:
   records, latency digests — may cost garbage-collector-tracked objects
   in proportion to the batch's lanes.  That one is a *count*: a timer
   cannot tell a per-transaction object creeping back from a noisy host.
+  The latency digest's sample buffers hold no object per sample.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.serve.clock import run_simulation
 from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import make_policy
 from repro.storage import BatchLog, LogRecord
+from repro.trace.metrics import LatencyDigest
 from repro.txn import BatchScheduler, Transaction
 
 SEED = 77
@@ -35,7 +37,7 @@ SEED = 77
 
 # -- (a) the lazy witness is alias-safe ---------------------------------
 
-def _run_batches(name: str, shards: int, batches: int, eager: bool):
+def _run_batches(name: str, batches: int, eager: bool):
     """Serve ``batches`` batches (retries carried over); returns each
     batch's serial order — asked for at once (``eager``) or only after
     every later batch has run."""
@@ -43,7 +45,6 @@ def _run_batches(name: str, shards: int, batches: int, eager: bool):
     config = LTPGConfig(
         batch_size=256,
         batched_exec=True,
-        shards=shards,
         **setup.config_kwargs,
     )
     scheduler = BatchScheduler(256)
@@ -62,12 +63,10 @@ def _run_batches(name: str, shards: int, batches: int, eager: bool):
     return orders, results
 
 
-@pytest.mark.sharded
-@pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_serial_order_does_not_depend_on_when_it_is_asked(name, shards):
-    eager, _ = _run_batches(name, shards, batches=4, eager=True)
-    late, results = _run_batches(name, shards, batches=4, eager=False)
+def test_serial_order_does_not_depend_on_when_it_is_asked(name):
+    eager, _ = _run_batches(name, batches=4, eager=True)
+    late, results = _run_batches(name, batches=4, eager=False)
     assert late == eager
     for order, result in zip(late, results):
         assert sorted(order) == sorted(t.tid for t in result.committed)
@@ -187,3 +186,47 @@ def test_served_batches_retain_tracked_objects_per_batch_not_per_lane():
     # entry, one serve record: a few dozen.  One object per lane would
     # be LANES or more.
     assert per_batch < LANES / 4, f"{per_batch:.1f} tracked objects per batch"
+
+
+def _list_digest_summary(values: list[int]) -> dict:
+    """:meth:`LatencyDigest.summary` over a plain list: nearest rank."""
+    ordered = sorted(values)
+
+    def rank(p):
+        return ordered[min(len(ordered) - 1, round(p / 100 * (len(ordered) - 1)))]
+
+    return {
+        "count": len(values),
+        "mean": round(sum(values) / len(values), 3),
+        "p50": rank(50),
+        "p95": rank(95),
+        "p99": rank(99),
+        "max": rank(100),
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    batches=st.lists(
+        st.lists(st.integers(0, 2**62), min_size=1, max_size=40),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_latency_digest_holds_no_object_per_sample(batches):
+    """The served digest keeps every sample in two buffers whose
+    garbage-collector traversal reaches no sample — it visits the
+    buffer's type and nothing else (an ``array`` is itself tracked on
+    CPython >= 3.10; a list's traversal visits every element) — and its
+    percentiles stay the exact nearest-rank order statistics, however
+    the samples arrive."""
+    digest = LatencyDigest("serve.latency_ns")
+    values: list[int] = []
+    for first, *rest in batches:
+        digest.observe(first)
+        digest.extend(rest)
+        values += [first, *rest]
+        assert digest.summary() == _list_digest_summary(values)
+    assert len(digest) == len(values)
+    for buffer in (digest._values, digest._sorted):
+        assert gc.get_referents(buffer) == [type(buffer)]

@@ -7,7 +7,7 @@ cut out of it on first read.  Four guards:
 * what a transaction shows — ``ops.raw``, status, abort reason — is what
   the test oracle's per-transaction loop records, on every execution
   route (twin lanes, ``fall_back`` lanes, logic aborts, twin-less
-  groups), unsharded and across shards;
+  groups);
 * a frame is never written after its batch: ops read batches later are
   the ops of that attempt, and a retried transaction shows its latest;
 * ``run_batch`` allocates garbage-collector-tracked objects per
@@ -103,9 +103,8 @@ def _observe(engine, batches):
 
 # -- (a) the frame shows what the per-transaction oracle records --------
 
-@pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("workload", list(WORKLOADS))
-def test_framed_ops_equal_the_columnar_path(workload, shards):
+def test_framed_ops_equal_the_columnar_path(workload):
     build = WORKLOADS[workload]
     _, _, gen, _ = build()
     batches = [
@@ -120,9 +119,7 @@ def test_framed_ops_equal_the_columnar_path(workload, shards):
     )
     for batched_exec in (True, False):
         db, registry, _, marks = build()
-        config = LTPGConfig(
-            batch_size=256, batched_exec=batched_exec, shards=shards, **marks
-        )
+        config = LTPGConfig(batch_size=256, batched_exec=batched_exec, **marks)
         assert _observe(LTPGEngine(db, registry, config), batches) == expected
     # the comparison means something: ops were recorded, and on TPC-C
     # some lanes rolled back

@@ -5,8 +5,7 @@ them looks at what ``trace=True`` and ``sanitize=True`` *record*.  These
 goldens do: the Chrome trace JSON, the metrics snapshot and the
 sanitizer's shadow-access stream of three fixed 256-lane TPC-C batches,
 as sha256s recorded before the overlays moved out of the engine
-(``repro.trace.observer`` / ``repro.analysis.observer``) and sharding
-moved into it.  A change that reorders spans, drops a counter or
+(``repro.trace.observer`` / ``repro.analysis.observer``).  A change that reorders spans, drops a counter or
 records a different address set fails here, per cell.
 """
 
@@ -28,7 +27,6 @@ LANES = 256
 
 CELLS = {
     "default": {},
-    "shards2": dict(shards=2),
     # the device cell: a device backend is resident by definition (the
     # key keeps its name so the test ids do not move)
     "mockgpu-resident": dict(array_backend="mockgpu"),
@@ -40,11 +38,6 @@ GOLDEN = {
         "991d75bda3a819bcc3da66da576f019f229f4e85c49915ac04d0603b89c2beb9",
         "2ec6cbc0c089608b6734c0417e587bf13e12e307e0cd505be54d5de3d3a86c00",
         "f70898e75c7409554a44eac033823a1774e5cafa058c2eaaf2f7cdae9a64a914",
-    ),
-    "shards2": (
-        "51dc29d78fcc9504f3756b342e179628d3abc5155ee09c4feecca363fa4e9c44",
-        "4785667dd3e8abf682b873a15db68ca33ff5b1de61b3d5657b5e655e1b87db7f",
-        "13ebe27e0f07ad8246547259705d529cb1010761b78ef9186aa600f375411a9f",
     ),
 }
 # The device cell is the default cell plus the transfer ledger: with
@@ -117,8 +110,6 @@ def _trace_and_metrics(cell: str) -> tuple[dict, dict]:
     setup, engine = _run(cell, trace=True)
     _drive(setup, engine)
     snapshot = engine.metrics.snapshot()
-    # the one host-clock value in the registry
-    snapshot["counters"].pop("sequencer.stall_ns", None)
     return engine.tracer.to_chrome(), snapshot
 
 

@@ -248,7 +248,6 @@ def _refused(engine, batch, database):
         pytest.param(name, overrides, id=name + suffix)
         for suffix, overrides in (
             ("", {}),
-            ("-shards2", dict(shards=2)),
             ("-mockgpu", dict(array_backend="mockgpu")),
         )
         for name in WORKLOAD_NAMES
@@ -257,9 +256,8 @@ def _refused(engine, batch, database):
 def test_recovery_digest_matches_on_every_workload(name, overrides):
     """Snapshot + decoded log payloads reproduce the crashed state on
     TPC-C, YCSB-A and SmallBank (retries carried across batches).
-    Under sharding the log holds each batch as it ran — shard-major,
-    the route stage comes before the log append — and routing a routed
-    batch again changes nothing, so the replay runs the same lanes.
+    The log holds each batch in the lane order it ran, which is the
+    order it was admitted in, so the replay runs the same lanes.
 
     Between the scheduled batches the engine is handed what it must
     refuse — lanes straight from the generator, and one such lane among
@@ -298,12 +296,9 @@ def test_recovery_digest_matches_on_every_workload(name, overrides):
         [(r.tid, r.procedure, r.params) for r in entry.records]
         for entry in recovered.batch_log.batches()
     ]
-    if config.shards > 1:
-        plan = engine.partition.plan_batch
-        for batch, entry in zip(admitted, engine.batch_log.batches()):
-            lanes = transactions_from_record(entry)
-            assert [t.tid for t in lanes] == [batch[i].tid for i in plan(batch)[0]]
-            assert plan(lanes)[0] == list(range(len(lanes)))
+    for batch, entry in zip(admitted, engine.batch_log.batches()):
+        lanes = transactions_from_record(entry)
+        assert [t.tid for t in lanes] == [t.tid for t in batch]
 
 
 # -- crash it at every stage boundary -------------------------------------

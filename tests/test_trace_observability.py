@@ -360,8 +360,7 @@ def test_wallclock_measure_metrics_and_json():
 
     summary = measure_metrics(scale=512.0, batches=1)
     assert set(summary) == {
-        "atomic", "warp", "conflict_log", "shard", "abort_reasons",
-        "reschedule_depth",
+        "atomic", "warp", "conflict_log", "abort_reasons", "reschedule_depth",
     }
     assert summary["atomic"]["ops"] > 0
     result = WallclockResult(metrics=summary)

@@ -259,24 +259,25 @@ def test_rows_to_host_is_one_transfer_per_column_on_a_device():
 
 def test_insert_rows_install_in_admission_order():
     """One definition of insert order for the write-back and the
-    sanitizer: by the lane's admission rank, then emission — not by
-    lane index, which a sharded layout permutes."""
+    sanitizer: by lane (admission order), then by emission within the
+    lane — not by the order the rows were buffered in."""
     from repro.txn.batch_context import InsertRows
 
     def col(*values):
         return np.array(values, dtype=np.int64)
 
+    # buffered out of lane order, lane 2's two inserts out of emission
+    # order
     inserts = InsertRows(
-        col(0, 0, 1, 2, 2), col(0, 1, 0, 1, 0), col(5, 5, 5, 5, 5),
-        col(100, 101, 110, 121, 120), col(0, 0, 0, 0, 0), col(0, 1, 2, 3, 4),
+        col(2, 0, 1, 2, 0), col(1, 0, 0, 0, 1), col(5, 5, 5, 5, 5),
+        col(121, 100, 110, 120, 101), col(0, 0, 0, 0, 0), col(0, 1, 2, 3, 4),
     )
-    rank = col(2, 0, 1)  # lane 1 was admitted first, then lane 2, then lane 0
     commit = np.array([True, True, True])
-    order = inserts.install_order(rank, commit)
-    assert inserts.key[order].tolist() == [110, 120, 121, 100, 101]
-    commit[2] = False
-    order = inserts.install_order(rank, commit)
-    assert inserts.key[order].tolist() == [110, 100, 101]
+    order = inserts.install_order(commit)
+    assert inserts.key[order].tolist() == [100, 101, 110, 120, 121]
+    commit[0] = False
+    order = inserts.install_order(commit)
+    assert inserts.key[order].tolist() == [110, 120, 121]
 
 
 # ---------------------------------------------------------------------------
