@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.bench.common import ltpg_config
 from repro.core import LTPGEngine
 from repro.storage import SnapshotManager, recover
-from repro.txn import BatchScheduler
+from repro.txn import BatchScheduler, drive
 from repro.workloads.tpcc import build_tpcc
 
 BATCH = 512
@@ -29,14 +29,14 @@ def main() -> None:
     scheduler = BatchScheduler(BATCH)
     snapshots = SnapshotManager(interval_batches=SNAPSHOT_EVERY)
 
-    for i in range(BATCHES):
-        snapshots.maybe_capture(db, i)
-        scheduler.admit(generator.make_batch(BATCH - min(scheduler.backlog, BATCH)))
-        batch = scheduler.next_batch()
-        result = engine.run_batch(batch)
-        scheduler.requeue_aborted(result.aborted)
-        print(f"batch {i}: committed {result.stats.committed:4d}/"
-              f"{result.stats.num_txns}, snapshots kept: {len(snapshots)}")
+    # a snapshot's index counts the batches applied before it
+    snapshots.maybe_capture(db, 0)
+    batches = drive(engine, scheduler, generator.make_batch, max_batches=BATCHES)
+    for ran, result in enumerate(batches, start=1):
+        print(f"batch {result.stats.batch_index}: committed "
+              f"{result.stats.committed:4d}/{result.stats.num_txns}, "
+              f"snapshots kept: {len(snapshots)}")
+        snapshots.maybe_capture(db, ran)
 
     pre_crash = db.state_digest()
     last = snapshots.latest

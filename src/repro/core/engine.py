@@ -27,9 +27,10 @@ owns the failure path.
 
 The stages run functionally in Python/NumPy while recording hardware
 events; the simulated clock yields latency and throughput.  Aborted
-transactions keep their TIDs and are re-queued by the caller
-(:func:`repro.txn.batch.drive` over a
-:class:`~repro.txn.batch.BatchScheduler`, or the serve loop).
+transactions keep their TIDs and are re-queued by the caller:
+:func:`repro.txn.batch.step`, which both :func:`~repro.txn.batch.drive`
+and the serve loop run every cut through; an empty cut never reaches
+the engine, so its batch index counts the batches that ran.
 """
 
 from __future__ import annotations

@@ -121,7 +121,7 @@ def _build_report(
     snap = orchestrator.metrics.snapshot()
     counters = snap["counters"]
     committed = counters.get("serve.committed", 0)
-    sized = [len(r.members) for r in orchestrator.batch_records]
+    sized = [len(r.seqs) for r in orchestrator.batch_records]
     policy = orchestrator.policy
     policy_info: dict[str, Any] = {
         "name": policy.name,

@@ -8,10 +8,13 @@ single-transaction requests and the batch engine.  It owns:
   ordering (original TIDs first — Aria's starvation-freedom argument)
   and pipeline retry delays are identical between served and
   pre-assembled streams;
-* one batch-forming loop task that waits on arrivals/policy deadlines,
-  cuts batches via the pluggable :class:`~repro.serve.policies
-  .BatchPolicy`, runs them through ``engine.run_batch`` and advances the
-  virtual clock by each batch's *simulated* latency;
+* one batch-forming loop task that waits on arrivals/policy deadlines
+  and cuts batches via the pluggable :class:`~repro.serve.policies
+  .BatchPolicy`.  It runs each cut and re-queues its aborts through
+  :func:`repro.txn.batch.step`, the step :func:`~repro.txn.batch.drive`
+  takes, so a served stream's engine batches are numbered as a driven
+  one's are; it advances the virtual clock by each batch's *simulated*
+  latency;
 * the requests themselves, which are what callers wait on:
   :meth:`Orchestrator.post` returns the admitted request (a
   :data:`ServeTicket`), and that one object is both the transaction the
@@ -56,7 +59,7 @@ from __future__ import annotations
 import asyncio
 from array import array
 from asyncio import CancelledError, InvalidStateError
-from collections.abc import Callable, Generator, Iterable, Sequence
+from collections.abc import Callable, Generator, Iterable
 from contextvars import Context
 from dataclasses import dataclass
 from itertools import chain
@@ -71,7 +74,7 @@ from repro.serve.clock import SimClock
 from repro.serve.errors import BatchExecutionError, IngressClosed
 from repro.serve.policies import BatchPolicy, QueueView, SizePolicy
 from repro.trace.metrics import LatencyDigest, MetricsRegistry
-from repro.txn.batch import BatchScheduler
+from repro.txn.batch import BatchScheduler, step
 from repro.txn.transaction import Transaction, TxnStatus
 
 #: Tracer track names for the serve layer (virtual-clock timestamps).
@@ -279,27 +282,6 @@ def _call(
         )
 
 
-class _Members(Sequence):
-    """``(request seq, tid)`` pairs over a batch's two int columns."""
-
-    __slots__ = ("_seqs", "_tids")
-
-    def __init__(self, seqs: array, tids: array):
-        self._seqs = seqs
-        self._tids = tids
-
-    def __len__(self) -> int:
-        return len(self._seqs)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(self._seqs[i], self._tids[i]))
-        return (self._seqs[i], self._tids[i])
-
-    def __iter__(self):
-        return zip(self._seqs, self._tids)
-
-
 @dataclass(slots=True)
 class BatchRecord:
     """One cut batch, as the equivalence tests replay it."""
@@ -310,12 +292,6 @@ class BatchRecord:
     #: request seq and tid per member, in batch order
     seqs: array
     tids: array
-
-    @property
-    def members(self) -> Sequence[tuple[int, int]]:
-        """``(request seq, tid)`` per member, in batch order: a
-        read-only view over the two columns."""
-        return _Members(self.seqs, self.tids)
 
 
 class Orchestrator:
@@ -467,8 +443,7 @@ class Orchestrator:
             ):
                 # Only pipeline-delayed retries remain: cut (a possibly
                 # empty batch) to advance the batch index they are
-                # waiting on — mirrors what the pre-generated runner's
-                # fixed batch cadence does implicitly.
+                # waiting on, as drive's empty cuts do.
                 return True
             view = self._view(draining=self._closed)
             if view.eligible > 0 and self.policy.should_cut(view):
@@ -516,16 +491,13 @@ class Orchestrator:
         self.metrics.counter("serve.batches").inc()
         self.metrics.histogram("serve.batch_size").observe(len(batch))
         self.metrics.gauge("serve.queue_depth").set(len(queued))
-        if not batch:
-            # index-advancing empty cut (retry pipeline delay)
-            self.engine.run_batch(batch)
-            return
-
         try:
-            result = self.engine.run_batch(batch)
+            result = step(self.engine, self._scheduler, batch)
         except Exception as exc:
             self._fail_batch(record, batch, exc)
             return
+        if result is None:
+            return  # an empty cut only advanced the scheduler
         # Simulated execution time passes on the virtual clock while the
         # device "runs" the batch; fresh arrivals keep queueing.
         await self.clock.sleep_ns(round(result.stats.latency_ns))
@@ -533,7 +505,8 @@ class Orchestrator:
         record.done_ns = done_ns
         self.run_stats.add(result.stats)
 
-        self._scheduler.requeue_aborted(result.aborted)
+        # step re-queued the aborts with the scheduler; they rejoin the
+        # ingress queue as of the batch's end
         for request in result.aborted:
             request.enqueue_ns = done_ns
             queued[request.seq] = request

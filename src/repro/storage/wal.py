@@ -7,9 +7,10 @@ reference.  If re-execution is necessary, the system pulls the
 transactions from the log, while preserving their original TIDs."
 
 :class:`BatchLog` records, per batch, every transaction's (tid,
-procedure, params) plus the commit decisions, and can replay the whole
-history onto a snapshot — which is exactly how the determinism tests
-validate that re-running the log reproduces the database state.
+procedure, params) plus the commit decisions;
+:func:`repro.storage.recovery.recover` replays it onto a snapshot,
+which is how the determinism tests validate that re-running the log
+reproduces the database state.
 
 The log's granularity is the *batch*: one entry holds the batch's
 transactions as three columns (TIDs, procedure names, parameter
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import pickle
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from repro.errors import StorageError
 from repro.txn.transaction import batch_columns
@@ -155,8 +156,3 @@ class BatchLog:
             for entry in self._batches
             for record in entry.records
         ]
-
-    def replay(self, run_batch: Callable[[BatchRecord], None]) -> None:
-        """Feed every logged batch, in order, to ``run_batch``."""
-        for entry in self._batches:
-            run_batch(entry)

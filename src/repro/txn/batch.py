@@ -13,10 +13,12 @@ Aborted transactions carry their original (smaller) TIDs, so on retry
 they outrank the newer transactions in conflict detection — the
 starvation-freedom argument the paper inherits from Aria.
 
-:func:`drive` is the one admit -> cut -> run -> requeue loop over a
-scheduler and an engine; everything that runs more than one batch goes
-through it, except the async serve loop (it cuts on a clock and answers
-callers) and the recovery replay (it re-queues nothing).
+:func:`step` runs one cut batch and re-queues what it aborted; it is
+the only place a scheduled batch meets the engine.  :func:`drive` is
+the admit -> cut -> :func:`step` loop over a scheduler and an engine,
+and the async serve loop cuts on its own clock but runs every cut
+through :func:`step` too, so both number their batches alike.  Only the
+recovery replay runs batches otherwise (it re-queues nothing).
 """
 
 from __future__ import annotations
@@ -106,20 +108,37 @@ class BatchScheduler:
         return self.backlog > 0
 
 
+def step(engine, scheduler: BatchScheduler, batch: list[Transaction]):
+    """Run ``batch`` — just cut from ``scheduler`` — on ``engine`` and
+    re-queue every lane it left ``ABORTED``; returns what
+    ``engine.run_batch`` returned, or ``None`` for an empty cut, which
+    runs nothing (the cut already advanced the scheduler: an idle
+    device slot).
+
+    The verdicts are read off :attr:`Transaction.status`, so an
+    :class:`~repro.core.engine.LTPGEngine` and a
+    :class:`~repro.baselines.base.BaselineEngine` are driven by the
+    same code.  If ``run_batch`` raises, nothing is re-queued and the
+    caller, who cut the batch, still holds it.
+    """
+    if not batch:
+        return None
+    # looked up per call, never cached: tracers patch both on the class
+    result = engine.run_batch(batch)
+    scheduler.requeue_aborted(
+        [txn for txn in batch if txn.status is TxnStatus.ABORTED]
+    )
+    return result
+
+
 def drive(
     engine,
     scheduler: BatchScheduler,
     fresh: Callable[[int], list[Transaction]] | None = None,
     max_batches: int | None = None,
 ) -> Iterator:
-    """Cut batches from ``scheduler`` and run them on ``engine``,
-    yielding what ``engine.run_batch`` returned for each.
-
-    Before the next cut, every lane the batch left ``ABORTED`` is
-    re-queued; the verdicts are read off :attr:`Transaction.status`, so
-    an :class:`~repro.core.engine.LTPGEngine` and a
-    :class:`~repro.baselines.base.BaselineEngine` are driven by the
-    same code.
+    """Cut batches from ``scheduler`` and :func:`step` each, yielding
+    what ``engine.run_batch`` returned for every batch that ran.
 
     ``fresh(n)``, when given, supplies the ``n`` new transactions the
     next batch is short of full (the steady state of the paper's
@@ -127,9 +146,7 @@ def drive(
     load); such a stream never runs dry, so bound it with
     ``max_batches`` or stop consuming.  Without it the loop ends when
     the scheduler has no work left.  ``max_batches`` counts cuts, empty
-    ones included: when every retry is still serving its delay the cut
-    is empty, which advances the scheduler — an idle device slot — and
-    runs nothing.
+    ones included.
     """
     cuts = 0
     while max_batches is None or cuts < max_batches:
@@ -139,12 +156,7 @@ def drive(
                 scheduler.admit(fresh(shortfall))
         elif not scheduler.has_work():
             return
-        batch = scheduler.next_batch()
         cuts += 1
-        if not batch:
-            continue
-        result = engine.run_batch(batch)
-        scheduler.requeue_aborted(
-            [txn for txn in batch if txn.status is TxnStatus.ABORTED]
-        )
-        yield result
+        result = step(engine, scheduler, scheduler.next_batch())
+        if result is not None:
+            yield result

@@ -30,7 +30,7 @@ from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import make_policy
 from repro.storage import BatchLog, LogRecord
 from repro.trace.metrics import LatencyDigest
-from repro.txn import BatchScheduler, Transaction
+from repro.txn import BatchScheduler, Transaction, drive
 
 SEED = 77
 
@@ -50,11 +50,9 @@ def _run_batches(name: str, batches: int, eager: bool):
     scheduler = BatchScheduler(256)
     results, orders = [], []
     with LTPGEngine(setup.database, setup.registry, config) as engine:
-        for _ in range(batches):
-            fresh = 256 - scheduler.eligible_backlog
-            scheduler.admit(setup.generator.make_batch(fresh))
-            result = engine.run_batch(scheduler.next_batch())
-            scheduler.requeue_aborted(result.aborted)
+        for result in drive(
+            engine, scheduler, setup.generator.make_batch, max_batches=batches
+        ):
             results.append(result)
             if eager:
                 orders.append(result.serial_order())

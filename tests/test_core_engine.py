@@ -9,7 +9,7 @@ import pytest
 from helpers import bank_engine, build_bank, tids, txn
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
-from repro.txn import BatchScheduler, TxnStatus
+from repro.txn import BatchScheduler, TxnStatus, drive
 from repro.validate import replay_in_witness_order
 
 
@@ -177,10 +177,8 @@ class TestDeterminism:
         scheduler = BatchScheduler(batch_size=8)
         txns = [txn("transfer", 0, 1, 1) for _ in range(8)]
         scheduler.admit(txns)
-        batch = scheduler.next_batch()
-        result = engine.run_batch(batch)
+        (result,) = drive(engine, scheduler, max_batches=1)
         aborted_tids = [t.tid for t in result.aborted]
-        scheduler.requeue_aborted(result.aborted)
         nxt = scheduler.next_batch()
         assert [t.tid for t in nxt] == sorted(aborted_tids)
 

@@ -38,6 +38,7 @@ from repro.txn import (
     Transaction,
     TxnStatus,
     assign_tids,
+    drive,
 )
 from repro.txn.operations import OpFrame
 from repro.workloads.smallbank import build_smallbank
@@ -275,16 +276,11 @@ def test_run_batch_allocates_tracked_objects_per_group_not_per_lane(trace):
         batch_size=LANES, sanitize=False, batched_exec=True, trace=trace
     )
     scheduler = BatchScheduler(LANES)
-
-    def cut():
-        scheduler.admit(
-            setup.generator.make_batch(LANES - scheduler.eligible_backlog)
-        )
-        return scheduler.next_batch()
-
-    for _ in range(2):  # lazy caches, first-use registries
-        scheduler.requeue_aborted(engine.run_batch(cut()).aborted)
-    batch = cut()
+    # lazy caches, first-use registries
+    for _ in drive(engine, scheduler, setup.generator.make_batch, max_batches=2):
+        pass
+    scheduler.admit(setup.generator.make_batch(LANES - scheduler.eligible_backlog))
+    batch = scheduler.next_batch()
     objects0, buffers0 = _census()
     result = engine.run_batch(batch)
     objects1, buffers1 = _census()

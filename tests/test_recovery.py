@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain, count, islice
+
 import pytest
 
 from helpers import BoundaryObserver, build_bank, txn
@@ -11,20 +13,19 @@ from repro.errors import StorageError, TransactionError
 from repro.storage import BatchLog, Snapshot
 from repro.storage.recovery import recover, transactions_from_record
 from repro.trace import validate_nesting
-from repro.txn import BatchScheduler, ProcedureRegistry, assign_tids
+from repro.txn import BatchScheduler, ProcedureRegistry, assign_tids, drive
 from repro.workloads.smallbank import build_smallbank
 
 
-def run_workload(engine, scheduler, batches):
-    """Drive a few batches of contended transfers + deposits."""
-    for i in range(batches):
-        scheduler.admit(
-            [txn("transfer", (i + j) % 8, (i + j + 1) % 8, 1) for j in range(6)]
-            + [txn("deposit", j % 4, 5) for j in range(6)]
-        )
-        batch = scheduler.next_batch()
-        result = engine.run_batch(batch)
-        scheduler.requeue_aborted(result.aborted)
+def contended():
+    """``fresh(n)`` for :func:`drive`: contended transfers + deposits."""
+    rounds = (
+        [txn("transfer", (i + j) % 8, (i + j + 1) % 8, 1) for j in range(6)]
+        + [txn("deposit", j % 4, 5) for j in range(6)]
+        for i in count()
+    )
+    stream = chain.from_iterable(rounds)
+    return lambda n: list(islice(stream, n))
 
 
 class TestRecovery:
@@ -37,16 +38,10 @@ class TestRecovery:
         scheduler = BatchScheduler(16)
 
         snapshot = Snapshot.capture(db, batch_index=0)
-        for i in range(total_batches):
-            if i == snapshot_at:
-                snapshot = Snapshot.capture(db, batch_index=i)
-            scheduler.admit(
-                [txn("transfer", (i + j) % 8, (i + j + 1) % 8, 1) for j in range(6)]
-                + [txn("deposit", j % 4, 5) for j in range(6)]
-            )
-            batch = scheduler.next_batch()
-            result = engine.run_batch(batch)
-            scheduler.requeue_aborted(result.aborted)
+        batches = drive(engine, scheduler, contended(), max_batches=total_batches)
+        for ran, _result in enumerate(batches, start=1):
+            if ran == snapshot_at:
+                snapshot = Snapshot.capture(db, batch_index=ran)
         pre_crash_digest = db.state_digest()
 
         recovered_engine, report = recover(

@@ -12,7 +12,7 @@ workloads (TPC-C, YCSB-A, SmallBank):
   same retries-first ordering, same pipeline delays.
 * **deadline/hybrid replay** — deadline-cut batch compositions depend
   on arrival timing, so there is no closed-form reference.  Instead the
-  serve run records every cut batch's (request, TID) members, and the
+  serve run records every cut batch's (request, TID) columns, and the
   test replays those exact batches against a fresh engine + database;
   the digests must match, proving the serve path's *execution* adds
   nothing beyond batch forming.
@@ -29,7 +29,7 @@ from repro.analysis.workload import WORKLOAD_NAMES, build_workload
 from repro.serve.clock import run_simulation
 from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import make_policy
-from repro.txn.batch import BatchScheduler
+from repro.txn.batch import BatchScheduler, drive
 from repro.txn.transaction import Transaction
 
 pytestmark = pytest.mark.serve
@@ -66,7 +66,7 @@ def _engine(name: str, batch_size: int, **overrides):
 
 def _serve(name, specs, policy_name, batch_size, gap_ns=150, **overrides):
     """Serve ``specs`` in order on the virtual clock; return the final
-    digest, per-request responses, batch records, and retry count."""
+    digest, per-request responses and the orchestrator."""
     engine = _engine(name, batch_size, **overrides)
     policy = make_policy(policy_name, batch_size, max_wait_ns=2_000)
 
@@ -84,12 +84,17 @@ def _serve(name, specs, policy_name, batch_size, gap_ns=150, **overrides):
         digest = engine.database.state_digest()
     finally:
         engine.close()
-    retries = orch.metrics.counter("serve.retries").value
-    return digest, responses, orch.batch_records, retries
+    return digest, responses, orch
+
+
+def _retries(orch) -> int:
+    return orch.metrics.counter("serve.retries").value
 
 
 def _pregenerated(name, specs, batch_size, **overrides):
-    """The classic path: admit everything, drain fixed-size batches."""
+    """The classic path: admit everything, :func:`drive` fixed-size
+    batches until drained.  Returns the final digest, the transactions
+    and each batch's stats."""
     engine = _engine(name, batch_size, **overrides)
     txns = [Transaction(procedure, params) for procedure, params in specs]
     scheduler = BatchScheduler(
@@ -97,24 +102,22 @@ def _pregenerated(name, specs, batch_size, **overrides):
     )
     scheduler.admit(txns)
     try:
-        while scheduler.has_work():
-            result = engine.run_batch(scheduler.next_batch())
-            scheduler.requeue_aborted(result.aborted)
+        stats = [result.stats for result in drive(engine, scheduler)]
         digest = engine.database.state_digest()
     finally:
         engine.close()
-    return digest, txns
+    return digest, txns, stats
 
 
 def _replay(name, specs, records, **overrides):
     """Re-run the recorded batch compositions against a fresh engine."""
-    batch_size = max((len(r.members) for r in records), default=1)
+    batch_size = max((len(r.seqs) for r in records), default=1)
     engine = _engine(name, batch_size, **overrides)
     txns = [Transaction(procedure, params) for procedure, params in specs]
     try:
         for record in records:
             batch = []
-            for seq, tid in record.members:
+            for seq, tid in zip(record.seqs, record.tids):
                 txn = txns[seq]
                 if txn.tid < 0:
                     txn.tid = tid
@@ -132,13 +135,11 @@ def _replay(name, specs, records, **overrides):
 @pytest.mark.parametrize("batch_size", [16, 48])
 def test_size_policy_matches_pregenerated(workload, batch_size):
     specs = _specs(workload, 160)
-    served, responses, _records, retries = _serve(
-        workload, specs, "size", batch_size
-    )
-    pregen, txns = _pregenerated(workload, specs, batch_size)
+    served, responses, orch = _serve(workload, specs, "size", batch_size)
+    pregen, txns, _stats = _pregenerated(workload, specs, batch_size)
     assert served == pregen
     # not a trivial pass: the stream must have aborted and retried
-    assert retries > 0
+    assert _retries(orch) > 0
     # per-request verdicts line up too, not just the aggregate state
     assert [r.status for r in responses] == [t.status for t in txns]
     assert [r.tid for r in responses] == [t.tid for t in txns]
@@ -152,28 +153,36 @@ def test_size_policy_matches_pregenerated(workload, batch_size):
 def test_deadline_cuts_replay_identically(workload, policy_name, batch_size):
     specs = _specs(workload, 160)
     # dense arrivals so deadline cuts still form conflict-heavy batches
-    served, responses, records, retries = _serve(
+    served, responses, orch = _serve(
         workload, specs, policy_name, batch_size, gap_ns=40
     )
-    replayed, txns = _replay(workload, specs, records)
+    replayed, txns = _replay(workload, specs, orch.batch_records)
     assert served == replayed
-    assert retries > 0
+    assert _retries(orch) > 0
     assert [r.status for r in responses] == [t.status for t in txns]
     # deadline cuts must actually have produced partial batches, or this
     # test degenerates into the size-policy one
-    sizes = [len(r.members) for r in records if r.members]
+    sizes = [len(r.seqs) for r in orch.batch_records if r.seqs]
     assert any(s < batch_size for s in sizes)
 
 
 @pytest.mark.parametrize("workload", ["smallbank", "tpcc"])
 def test_pipelined_retry_delay_matches(workload):
     """Pipelined mode (retry +2 batches) exercises the orchestrator's
-    index-advancing empty cuts; state must still match the classic
-    path, which advances indices by cutting on a fixed cadence."""
+    index-advancing empty cuts.  They advance the scheduler and run
+    nothing, as :func:`drive`'s do: state, the engine's batch indices
+    and the batch log all match the classic path."""
     specs = _specs(workload, 120)
-    served, _responses, _records, retries = _serve(
+    served, _responses, orch = _serve(
         workload, specs, "size", 16, pipelined=True
     )
-    pregen, _txns = _pregenerated(workload, specs, 16, pipelined=True)
+    pregen, _txns, stats = _pregenerated(workload, specs, 16, pipelined=True)
     assert served == pregen
-    assert retries > 0
+    assert _retries(orch) > 0
+    if workload == "smallbank":
+        # not a trivial pass: this stream makes empty cuts
+        assert any(not r.seqs for r in orch.batch_records)
+    indices = [s.batch_index for s in orch.run_stats.batches]
+    assert indices == [s.batch_index for s in stats]
+    logged = [e.batch_index for e in orch.engine.batch_log.batches()]
+    assert logged == indices == list(range(len(indices)))

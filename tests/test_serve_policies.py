@@ -152,7 +152,7 @@ def test_every_request_in_exactly_one_batch(gaps, spec):
     orch, responses = _serve_trace(gaps, name, capacity, max_wait_ns)
     seen: list[int] = []
     for record in orch.batch_records:
-        seen.extend(seq for seq, _tid in record.members)
+        seen.extend(record.seqs)
     assert sorted(seen) == list(range(len(gaps)))
     assert len(seen) == len(set(seen))
     assert all(resp.committed for _i, _t, resp in responses)
@@ -165,7 +165,7 @@ def test_no_batch_exceeds_capacity(gaps, spec):
     orch, _responses = _serve_trace(gaps, name, capacity, max_wait_ns)
     assert orch.batch_records, "at least one batch must be cut"
     for record in orch.batch_records:
-        assert len(record.members) <= capacity
+        assert len(record.seqs) <= capacity
 
 
 @settings(deadline=None, max_examples=60)
@@ -202,14 +202,12 @@ def test_partition_holds_with_retries(gaps, capacity):
     )
     assert all(resp.committed for _i, _t, resp in responses)
     assert all(resp.attempts == 2 for _i, _t, resp in responses)
-    placements = [
-        seq for rec in orch.batch_records for seq, _tid in rec.members
-    ]
+    placements = [seq for rec in orch.batch_records for seq in rec.seqs]
     # each request appears exactly twice (original attempt + retry)
     assert sorted(set(placements)) == list(range(len(gaps)))
     assert len(placements) == 2 * len(gaps)
     for rec in orch.batch_records:
-        assert len(rec.members) <= capacity
+        assert len(rec.seqs) <= capacity
 
 
 class _CheckedOrchestrator(Orchestrator):

@@ -318,11 +318,3 @@ class TestBatchLog:
         assert len(lines) == 3
         rec = LogRecord.from_json(LogRecord(1, "p", (4, 5)).to_json())
         assert rec == LogRecord(1, "p", (4, 5))
-
-    def test_replay_order(self):
-        log = BatchLog()
-        log.append_batch(0, self.make_txns())
-        log.append_batch(1, [Transaction("q", (), tid=9)])
-        seen = []
-        log.replay(lambda entry: seen.append(entry.batch_index))
-        assert seen == [0, 1]

@@ -15,6 +15,7 @@
 import importlib.util
 import json
 from collections import Counter as CounterDict
+from itertools import chain, count, islice
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from repro.core import LTPGConfig
 from repro.core.stats import BatchStats, RunStats
 from repro.trace import validate_nesting
 from repro.trace.cli import capture, main
-from repro.txn.batch import BatchScheduler
+from repro.txn.batch import BatchScheduler, drive
 
 pytestmark = pytest.mark.trace
 
@@ -297,19 +298,23 @@ def test_abort_readmitted_after_exact_delay(delay):
         txn("audit", 2, 3),
         txn("audit", 4, 5),
     ])
+    # later batches are topped up with non-conflicting deposits, so no
+    # cut is empty and the k-th result is the k-th batch
+    deposits = (txn("deposit", account, 1) for account in count(16))
     appearances: dict[int, list[int]] = {}
     aborted_tids: list[int] = []
-    for k in range(delay + 2):
-        # keep later batches non-empty with non-conflicting deposits
-        scheduler.admit([txn("deposit", 16 + 2 * k + j, 1) for j in range(2)])
-        batch = scheduler.next_batch()
-        for t in batch:
+    batches = drive(
+        engine,
+        scheduler,
+        lambda n: list(islice(deposits, n)),
+        max_batches=delay + 2,
+    )
+    for k, result in enumerate(batches):
+        for t in chain(result.committed, result.aborted, result.logic_aborted):
             appearances.setdefault(t.tid, []).append(k)
-        result = engine.run_batch(batch)
         if k == 0:
             aborted_tids = [t.tid for t in result.aborted]
             assert len(aborted_tids) == 1
-        scheduler.requeue_aborted(result.aborted)
 
     # aborted in batch 0 -> re-admitted in batch 0 + delay, exactly once
     for tid in aborted_tids:
