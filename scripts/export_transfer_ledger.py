@@ -6,9 +6,8 @@ Runs the quick transfer-gate configuration (small TPC-C, mockgpu,
 the scheduled stream ``BENCH_wallclock.json`` is measured on) and dumps
 one steady-state batch's per-phase ledger deltas and their totals.
 mockgpu's ledger is deterministic, so the artifact is byte-stable for a
-given tree — CI uploads it next to the kernellint SARIF so a reviewer
-can see exactly which phase moved which bytes without rerunning
-anything.
+given tree — CI uploads it, so which phase moved which bytes can be
+read off the artifact without rerunning anything.
 """
 
 from __future__ import annotations

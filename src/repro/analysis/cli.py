@@ -1,12 +1,18 @@
 """Command line driver: ``python -m repro.analysis <pass> [options]``.
 
-Passes: ``racecheck`` ``memcheck`` ``detlint`` ``kernellint`` ``all``.
+Passes: ``detlint`` (the static determinism lint over every registered
+procedure and batched twin, plus the dynamic replay twin over a
+generated sample) and ``all``, which runs every pass.  The other
+invariants the paper's correctness argument rests on are checked at
+run time instead — ``BatchResult.serial_order()``, witness-order replay
+(``python -m repro.validate``), the conformance lattice, mockgpu's
+strict kernel phase and the goldens; docs/ARCHITECTURE.md §11 has the
+table of which catches what.
 
-Exit-code conventions (shared with ``scripts/run_analysis.py``):
+Exit codes:
 
 * ``0`` — every requested pass ran and reported zero findings.
-* ``1`` — at least one finding (race, out-of-bounds access,
-  determinism hazard).
+* ``1`` — at least one finding (a determinism hazard).
 * ``2`` — usage error (unknown pass/workload, bad arguments).
 """
 
@@ -14,64 +20,111 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
+from dataclasses import dataclass
 
-from repro.analysis.passes import run_pass
+from repro.analysis.detlint import Finding, lint_registry, replay_transactions
 from repro.analysis.workload import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_BATCHES,
     WORKLOAD_NAMES,
+    build_workload,
 )
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
+PASS_NAMES = ("detlint",)
+
+
+@dataclass
+class AnalysisResult:
+    """Outcome of one pass over one workload."""
+
+    pass_name: str
+    workload: str
+    findings: list[Finding]
+    procedures_checked: int
+
+    @property
+    def clean(self) -> bool:
+        return not self.findings
+
+    def render(self, limit: int = 50) -> str:
+        lines = [
+            f"[{self.pass_name}] workload={self.workload}"
+            f" procedures={self.procedures_checked}"
+        ]
+        if self.clean:
+            lines.append("clean: 0 findings")
+            return "\n".join(lines)
+        counts = Counter(f.kind for f in self.findings)
+        parts = ", ".join(f"{k}={c}" for k, c in sorted(counts.items()))
+        lines.append(f"{len(self.findings)} findings: {parts}")
+        lines += ["  " + f.describe() for f in self.findings[:limit]]
+        if len(self.findings) > limit:
+            lines.append(f"  ... and {len(self.findings) - limit} more")
+        return "\n".join(lines)
+
+
+def run_detlint(
+    workload: str = "tpcc",
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    seed: int = 7,
+    dynamic: bool = True,
+) -> AnalysisResult:
+    """Lint every registered procedure; optionally replay a sample."""
+    setup = build_workload(workload, seed=seed)
+    findings: list[Finding] = lint_registry(setup.registry)
+    if dynamic:
+        sample = setup.generator.make_batch(batch_size)
+        findings.extend(
+            replay_transactions(setup.database, setup.registry, sample)
+        )
+    return AnalysisResult(
+        "detlint", workload, findings, len(setup.registry.names())
+    )
+
+
+def run_pass(
+    pass_name: str,
+    workload: str = "tpcc",
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    seed: int = 7,
+) -> list[AnalysisResult]:
+    """Dispatch one pass (or ``all``); returns one result per pass run."""
+    if pass_name not in PASS_NAMES + ("all",):
+        raise ValueError(
+            f"unknown pass {pass_name!r}; expected one of "
+            f"{PASS_NAMES + ('all',)}"
+        )
+    return [run_detlint(workload, batch_size=batch_size, seed=seed)]
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description=(
-            "GPU sanitizer (racecheck + memcheck) for the SIMT simulator "
-            "and a determinism linter for stored procedures."
-        ),
+        description="Determinism linter for stored procedures and their twins.",
     )
     parser.add_argument(
         "pass_name",
         metavar="pass",
-        choices=("racecheck", "memcheck", "detlint", "kernellint", "all"),
+        choices=PASS_NAMES + ("all",),
         help="which analysis to run",
     )
     parser.add_argument(
         "--workload",
         choices=WORKLOAD_NAMES,
         default="tpcc",
-        help="workload to drive the engine with (default: tpcc)",
-    )
-    parser.add_argument(
-        "--batches",
-        type=int,
-        default=DEFAULT_BATCHES,
-        help=f"sanitized batches to run (default: {DEFAULT_BATCHES})",
+        help="workload whose procedures to lint (default: tpcc)",
     )
     parser.add_argument(
         "--batch-size",
         type=int,
         default=DEFAULT_BATCH_SIZE,
-        help=f"transactions per batch (default: {DEFAULT_BATCH_SIZE})",
+        help=f"transactions generated for the replay sample (default: {DEFAULT_BATCH_SIZE})",
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--json-out",
-        metavar="PATH",
-        default=None,
-        help="also write the findings as a JSON document",
-    )
-    parser.add_argument(
-        "--sarif-out",
-        metavar="PATH",
-        default=None,
-        help="also write the findings as a SARIF 2.1.0 log",
-    )
     return parser
 
 
@@ -82,29 +135,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; preserve it.
         return int(exc.code or 0)
-    if args.batches <= 0 or args.batch_size <= 0:
-        print("error: --batches and --batch-size must be positive",
-              file=sys.stderr)
+    if args.batch_size <= 0:
+        print("error: --batch-size must be positive", file=sys.stderr)
         return EXIT_USAGE
     results = run_pass(
         args.pass_name,
         workload=args.workload,
-        batches=args.batches,
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    findings = 0
     for result in results:
         print(result.render())
-        findings += len(result.report)
-    if args.json_out or args.sarif_out:
-        from repro.analysis import emit  # noqa: PLC0415 (optional output)
-
-        if args.json_out:
-            emit.write_json(args.json_out, results)
-        if args.sarif_out:
-            emit.write_sarif(args.sarif_out, results)
-    return EXIT_FINDINGS if findings else EXIT_CLEAN
+    clean = all(result.clean for result in results)
+    return EXIT_CLEAN if clean else EXIT_FINDINGS
 
 
 if __name__ == "__main__":

@@ -23,9 +23,9 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.analysis.findings import DETLINT, Finding
 from repro.errors import TransactionAborted
 from repro.storage.database import Database
 from repro.txn.context import BufferedContext
@@ -52,6 +52,21 @@ _BANNED_ATTRS = frozenset(
 _BANNED_BUILTINS = frozenset({"id", "hash", "object", "input"})
 #: Context methods that constitute writes (the effects side).
 _WRITE_METHODS = frozenset({"write", "write_at", "add", "insert"})
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One determinism hazard.  ``subject`` names the procedure
+    (``"<name>[batched]"`` for a twin); ``index`` is the source line
+    of a static finding."""
+
+    kind: str
+    subject: str
+    message: str
+    index: int | None = None
+
+    def describe(self) -> str:
+        return f"detlint:{self.kind} {self.subject}: {self.message}"
 
 
 def _attr_chain(node: ast.AST) -> list[str]:
@@ -96,7 +111,6 @@ class _ProcedureLinter(ast.NodeVisitor):
         line = getattr(node, "lineno", None)
         self.findings.append(
             Finding(
-                DETLINT,
                 kind,
                 self.proc_name,
                 message + (f" (line {line})" if line is not None else ""),
@@ -188,7 +202,7 @@ def lint_source(proc_name: str, source: str) -> list[Finding]:
     except SyntaxError as exc:
         return [
             Finding(
-                DETLINT, "unparseable", proc_name,
+                "unparseable", proc_name,
                 f"could not parse source: {exc}",
             )
         ]
@@ -204,7 +218,7 @@ def lint_procedure(proc_name: str, procedure: Callable[..., Any]) -> list[Findin
     except (OSError, TypeError):
         return [
             Finding(
-                DETLINT, "unlintable", proc_name,
+                "unlintable", proc_name,
                 "source unavailable (builtin/C callable?): cannot verify "
                 "determinism statically",
             )
@@ -276,7 +290,6 @@ def replay_procedure(
             )
             return [
                 Finding(
-                    DETLINT,
                     "replay-divergence",
                     proc_name,
                     f"replay {attempt + 1} diverged from replay 1 on an "

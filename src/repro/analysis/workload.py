@@ -1,9 +1,10 @@
-"""Workload construction for the analysis passes.
+"""The three shipped workloads at analysis scale.
 
 Builds the same three workloads the benchmarks run (TPC-C, YCSB-A,
-SmallBank) at an analysis-friendly scale, with each workload's LTPG
-optimization markings (delayed/split columns, hot tables) so the
-sanitized engine exercises the exact phase kernels the paper describes.
+SmallBank) at a scale small enough to run in seconds, with each
+workload's LTPG optimization markings (delayed/split columns, hot
+tables) so an engine built from it exercises the exact phase kernels
+the paper describes.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ WORKLOAD_NAMES = ("tpcc", "ycsb", "smallbank")
 
 #: Analysis-scale sizing: big enough to hit every phase-kernel code path
 #: (conflicts, inserts, delayed adds, hot buckets), small enough that a
-#: sanitized run finishes in seconds.
+#: run finishes in seconds.
 DEFAULT_BATCH_SIZE = 512
-DEFAULT_BATCHES = 3
 
 
 class _Generator(Protocol):
@@ -32,7 +32,7 @@ class _Generator(Protocol):
 
 @dataclass
 class WorkloadSetup:
-    """Everything an analysis pass needs to run one workload."""
+    """Everything needed to run one workload."""
 
     name: str
     database: Database
@@ -41,14 +41,11 @@ class WorkloadSetup:
     config_kwargs: dict[str, Any] = field(default_factory=dict)
 
     def engine(
-        self,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        sanitize: bool = True,
-        **overrides: Any,
+        self, batch_size: int = DEFAULT_BATCH_SIZE, **overrides: Any
     ) -> LTPGEngine:
         kwargs: dict[str, Any] = dict(self.config_kwargs)
         kwargs.update(overrides)
-        config = LTPGConfig(batch_size=batch_size, sanitize=sanitize, **kwargs)
+        config = LTPGConfig(batch_size=batch_size, **kwargs)
         return LTPGEngine(self.database, self.registry, config)
 
 

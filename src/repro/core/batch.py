@@ -6,7 +6,7 @@ the scratch records the stages hand to each other, the verdicts, and —
 as :class:`StageClocks` — what the stage runner measured at every stage
 boundary.  A :class:`Stage` is one row of the table the runner walks
 (:data:`repro.core.engine.STAGES`); a :class:`BatchObserver` is what an
-overlay (``config.sanitize``, ``config.trace``, a test's fault injector)
+overlay (``config.trace``, a test's fault injector)
 implements to be called at those boundaries.
 """
 

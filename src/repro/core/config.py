@@ -46,18 +46,12 @@ class LTPGConfig:
     pipelined: bool = False
     memory_mode: MemoryMode = MemoryMode.AUTO
 
-    #: Attach the shadow-access sanitizer (:mod:`repro.analysis`) to the
-    #: device: every phase kernel logs its reads/writes/atomics for
-    #: racecheck + memcheck.  Off by default — the shadow log costs real
-    #: host time and exists for analysis runs, not production batches.
-    sanitize: bool = False
-
     #: Attach the tracing + metrics subsystem (:mod:`repro.trace`): the
     #: engine records batch/phase/kernel spans over the simulated clock
     #: (exportable as Chrome trace_event JSON) and populates a
     #: counter/gauge/histogram registry with the contention signals the
-    #: cost model computes.  Off by default, like ``sanitize``: span
-    #: bookkeeping costs host time the perf gate must not see.
+    #: cost model computes.  Off by default: span bookkeeping costs host
+    #: time the perf gate must not see.
     trace: bool = False
 
     #: Batched procedure execution (the host analog of §IV-C's warp
@@ -81,8 +75,7 @@ class LTPGConfig:
     #: (:mod:`repro.xp.residency`): tables upload once, write-back and
     #: delayed updates scatter device-side, host readers fence lazily,
     #: and a batch moves parameters down and read/write sets back —
-    #: there is no flag for it.  ``mockgpu`` is incompatible with
-    #: ``sanitize`` (the shadow log reads host arrays).
+    #: there is no flag for it.
     array_backend: str = "numpy"
 
     #: Columns managed by delayed updates: {(table, column), ...}.  These
@@ -116,12 +109,6 @@ class LTPGConfig:
             raise ConfigError(
                 f"unknown array_backend {self.array_backend!r}; expected one "
                 f"of {', '.join(BACKEND_NAMES)}"
-            )
-        if self.array_backend != "numpy" and self.sanitize:
-            raise ConfigError(
-                f"array_backend={self.array_backend!r} is incompatible "
-                "with sanitize: the shadow access log instruments host "
-                "arrays and would not observe device-resident kernels"
             )
 
     @property

@@ -158,13 +158,6 @@ class ConflictLog:
         self._touched.append(touched)
         if ctx is not None:
             ctx.add_trace_arg(f"{buffer}.registrations", int(keys.size))
-            if ctx.sanitizer is not None:
-                # The atomicMin itself: per-TID atomic writes to the
-                # minima array, addressed by the encoded conflict key.
-                from repro.analysis.sanitizer import AccessKind
-
-                ctx.sanitizer.register_buffer(buffer, size=int(minima.size))
-                ctx.sanitizer.record(buffer, keys, tids, AccessKind.WRITE, atomic=True)
             total, serialized, chain = collision_profile(
                 self._slot_addresses(keys, tids, table_ids)
             )
@@ -203,12 +196,6 @@ class ConflictLog:
             # collide; same-key reservations still chain).
             hash_size = max(1024, 2 * int(insert_keys.size))
             slots = (table_ids << 32) | (insert_keys % hash_size)
-            if ctx.sanitizer is not None:
-                from repro.analysis.sanitizer import AccessKind
-
-                ctx.sanitizer.record(
-                    "conflict_log.insert", slots, tids, AccessKind.WRITE, atomic=True
-                )
             total, serialized, chain = collision_profile(slots)
             ctx.record_atomics(total, serialized, chain)
 

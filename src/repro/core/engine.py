@@ -22,8 +22,8 @@ paper's Algorithm 1 does — a fixed list of kernels separated by
 loop that walks it: it launches a kernel stage's kernel and closing
 sync, stamps the simulated, host and transfer-ledger clocks into the
 batch record (:class:`~repro.core.batch.Batch`), calls the observers
-(``config.sanitize``, ``config.trace``) at the stage's boundaries, and
-owns the failure path.
+(``config.trace``, a test's fault injector) at the stage's boundaries,
+and owns the failure path.
 
 The stages run functionally in Python/NumPy while recording hardware
 events; the simulated clock yields latency and throughput.  Aborted
@@ -152,21 +152,12 @@ class LTPGEngine:
         self.memory_plan: MemoryPlan = resolve_memory_mode(
             config, database, self.device
         )
-        #: The overlays, as stage-boundary observers (empty unless
-        #: configured; imported lazily so the engine has no analysis- or
-        #: trace-layer dependency when they are off).  ``sanitizer`` is
-        #: the shadow-access recorder (racecheck + memcheck) attached to
-        #: the device under ``config.sanitize``; ``tracer`` / ``metrics``
-        #: the span recorder and registry under ``config.trace``.
+        #: The overlay, as a stage-boundary observer (empty unless
+        #: configured; imported lazily so the engine has no trace-layer
+        #: dependency when it is off): ``tracer`` / ``metrics`` are the
+        #: span recorder and registry under ``config.trace``.
         observers: list[BatchObserver] = []
-        self.sanitizer = self.tracer = self.metrics = None
-        if config.sanitize:
-            from repro.analysis.observer import SanitizeObserver
-            from repro.analysis.sanitizer import Sanitizer
-
-            self.sanitizer = Sanitizer()
-            self.device.attach_sanitizer(self.sanitizer)
-            observers.append(SanitizeObserver(self.sanitizer))
+        self.tracer = self.metrics = None
         if config.trace:
             from repro.trace import MetricsRegistry, Tracer
             from repro.trace.observer import TraceObserver

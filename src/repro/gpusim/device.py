@@ -24,7 +24,7 @@ from typing import Iterator
 from repro.errors import DeviceError
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.costmodel import CostModel
-from repro.gpusim.kernel import KernelContext, LaunchGeometry, SanitizerHook
+from repro.gpusim.kernel import KernelContext, LaunchGeometry
 from repro.gpusim.memory import PageTracker
 from repro.gpusim.profiler import Profiler, TimelineEntry
 from repro.gpusim.stream import Event, Stream
@@ -49,10 +49,6 @@ class Device:
         # The profiler shares the stream table so resetting it rewinds
         # the clocks too (a fresh timeline must start at start_ns=0).
         self.profiler = Profiler(streams=self._streams)
-        #: Optional sanitizer (see :mod:`repro.analysis.sanitizer`).
-        #: When attached, every kernel launch opens a sanitizer epoch and
-        #: the launch context carries the hook for instrumented code.
-        self.sanitizer: SanitizerHook | None = None
         #: Optional span recorder (see :mod:`repro.trace`).  When
         #: attached, kernels, transfers and syncs emit spans on their
         #: stream's track alongside the profiler's flat timeline.
@@ -64,10 +60,6 @@ class Device:
         self.tracer = tracer
         for stream in self._streams.values():
             stream.tracer = tracer
-
-    def attach_sanitizer(self, sanitizer: SanitizerHook | None) -> None:
-        """Attach (or detach, with ``None``) a shadow-access recorder."""
-        self.sanitizer = sanitizer
 
     # -- streams -----------------------------------------------------------
     def stream(self, name: str = DEFAULT_STREAM) -> Stream:
@@ -98,16 +90,7 @@ class Device:
         if geometry is None:
             geometry = LaunchGeometry.for_threads(int(threads))
         ctx = KernelContext(name, geometry, self.config)
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            ctx.sanitizer = sanitizer
-            sanitizer.begin_kernel(name)
         yield ctx
-        if sanitizer is not None:
-            # Kernel completion is a synchronization point: analyze the
-            # epoch's shadow log.  (If the body raised, the epoch is
-            # discarded by the next begin_kernel instead.)
-            sanitizer.end_kernel()
         timing = self.cost_model.kernel_timing(ctx.stats)
         s = self.stream(stream)
         start = s.time_ns

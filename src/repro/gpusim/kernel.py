@@ -11,30 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from repro.errors import DeviceError
 from repro.gpusim.config import DeviceConfig
-
-
-@runtime_checkable
-class SanitizerHook(Protocol):
-    """What a kernel-attached sanitizer must provide.
-
-    The concrete implementation lives in :mod:`repro.analysis.sanitizer`;
-    gpusim only depends on this interface so the simulator stays
-    importable without the analysis layer.
-    """
-
-    def begin_kernel(self, name: str) -> None: ...
-
-    def end_kernel(self) -> None: ...
-
-    def register_buffer(self, name: str, size: int | None = None) -> None: ...
-
-    def record(
-        self, buffer: str, indices, threads, kind, atomic: bool = False
-    ) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -120,9 +99,6 @@ class KernelContext:
         self.geometry = geometry
         self.config = config
         self.stats = KernelStats(name=name, threads=geometry.threads)
-        #: Optional shadow-access recorder (set by the device at launch
-        #: when one is attached); the conflict log's atomics feed it.
-        self.sanitizer: SanitizerHook | None = None
         #: Free-form annotations that end up in the kernel's trace span
         #: ``args`` when a tracer is attached (e.g. the conflict log's
         #: per-side registration counts).  Always recordable; simply

@@ -41,9 +41,7 @@ def capture(
     """Run ``batches`` traced batches of a workload; returns the tracer,
     the populated metrics registry and the run's aggregate stats."""
     setup = build_workload(workload, seed=seed)
-    engine = setup.engine(
-        batch_size=batch_size, sanitize=False, trace=True, pipelined=pipelined
-    )
+    engine = setup.engine(batch_size=batch_size, trace=True, pipelined=pipelined)
     scheduler = BatchScheduler(
         batch_size, retry_delay_batches=engine.config.effective_retry_delay
     )

@@ -103,7 +103,7 @@ def check_serializability(report: ValidationReport, seed: int = 12) -> None:
         reference = setup.database.copy()
         batch = setup.generator.make_batch(512)
         assign_tids(batch, 0)
-        with setup.engine(batch_size=512, sanitize=False) as engine:
+        with setup.engine(batch_size=512) as engine:
             result = engine.run_batch(batch)
         replay_in_witness_order(reference, setup.registry, result)
         report.record(

@@ -180,7 +180,6 @@ def _orderstatus_b(bctx: BatchedContext, params: ParamColumns):
     _, orders_t = bctx.resolve("orders")
     lookup = orders_t.secondary["o_c_key"].lookup
     sel, sel_rows = [], []
-    # kernellint: allow[KL105] secondary-index probe over one explicit D2H
     for lane, ck in zip(xp.tolist(ok), xp.tolist(c_key[cf])):
         rows = lookup(ck)
         if rows:
@@ -246,7 +245,6 @@ def _delivery_b(bctx: BatchedContext, params: ParamColumns):
     flat_rows = np.fromiter(
         (
             -1 if (slot := get(k)) is None else slot
-            # kernellint: allow[KL105] hash-index probe over one explicit D2H
             for k in xp.tolist(flat_keys)
         ),
         dtype=np.int64,

@@ -38,12 +38,10 @@ from dataclasses import dataclass, field
 class BackendContract:
     """The machine-readable protocol surface of :class:`ArrayBackend`.
 
-    One source of truth for *both* enforcement layers: ``mockgpu``
-    builds its runtime interception (scalar-readback methods, kernel
-    dispatch accounting) from this object, and the static kernellint
-    pass (:mod:`repro.analysis.kernellint`) derives its allowed-call
-    set from the very same object — so the static and dynamic checkers
-    cannot drift apart.
+    One source of truth for every backend: ``mockgpu`` builds its
+    runtime interception (scalar-readback methods, kernel dispatch
+    accounting) from this object, and the backend tests check each
+    backend implements all of it.
     """
 
     #: The only sanctioned host<->device crossings.

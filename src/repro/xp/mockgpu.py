@@ -20,17 +20,22 @@ Inside a :meth:`kernel_phase` region the backend turns *strict*:
 * an **implicit** host round-trip — ``int()``, ``bool()``, ``tolist``,
   iteration on a device array — raises :class:`BackendContractError`
   (in non-strict mode it is merely counted in ``implicit_syncs``);
-* any primitive returning a **floating** dtype raises: the hot path is
-  int64-disciplined, and a float64 result means some call site forgot
-  to pin ``dtype`` (this is how the dtype-discipline audit is enforced
-  mechanically rather than by review).
+* any primitive *or operator* returning a **floating** dtype raises:
+  the hot path is int64-disciplined, and a float64 result means some
+  call site forgot to pin ``dtype`` or divided with ``/`` (this is how
+  the dtype-discipline audit is enforced mechanically rather than by
+  review).  Primitives are checked as they dispatch, operators and
+  ufuncs (``a / 1``, ``np.add(a, 0.5)``) in ``__array_wrap__``.
 
 Limitations, by design: the mock intercepts *Python-level* host access
-(``__int__``/``__bool__``/``__iter__``/``tolist``/``item``) — which is
-where real round-trips hide (host loops, data-dependent control flow).
-C-level buffer access by a raw ``numpy`` function bypasses it, so the
-enforcement is only as complete as the ``xp`` threading; the
-cross-backend byte-identity suite covers what the mock cannot.
+(``__int__``/``__bool__``/``__iter__``/``tolist``/``item``) and the
+result of every ufunc on a device array — which is where real
+round-trips and upcasts hide (host loops, data-dependent control flow,
+true division).  A raw ``numpy`` function that is not a ufunc
+(``np.concatenate``, ``np.sort``) reads the buffer at C level and
+returns a plain host array the mock never sees; under NumPy semantics
+that changes no value, so the cross-backend byte-identity suite covers
+what the mock cannot.
 """
 
 from __future__ import annotations
@@ -88,6 +93,16 @@ def _make_device_class(backend: "MockGpuBackend") -> type:
             _guard(self, "scalar-index")
         return res
 
+    def __array_wrap__(self, obj, *args):
+        # operator results (``a / 1``, ``a * 0.5``) never pass through
+        # ``_kernel``: the dtype discipline is checked here instead
+        if backend.strict and backend._phase is not None and obj.dtype.kind == "f":
+            raise BackendContractError(
+                f"mockgpu: operator produced {obj.dtype} inside kernel phase "
+                f"{backend._phase!r}; the hot path is int64-disciplined"
+            )
+        return np.ndarray.__array_wrap__(self, obj, *args)
+
     def _reduction(name: str):
         base = getattr(np.ndarray, name)
 
@@ -111,9 +126,9 @@ def _make_device_class(backend: "MockGpuBackend") -> type:
         "__index__": __index__,
         "__iter__": __iter__,
         "__getitem__": __getitem__,
+        "__array_wrap__": __array_wrap__,
     }
     # the sanctioned scalar-readback set comes from the shared contract
-    # (the same object kernellint checks against statically)
     for name in CONTRACT.scalar_readbacks:
         members[name] = _reduction(name)
     return type("MockDeviceArray", (np.ndarray,), members)

@@ -21,8 +21,9 @@ Coherence protocol (the dirty-epoch fence):
 * Host readers (``Table.read``/``column``/``state_signature``/``copy``
   — validation, recovery, tests) trigger a **lazy fence**
   through the ``Table._resident_view`` hook: the dirty column ships
-  down once (D2H) and the dirty bit clears.  This is the runtime
-  stale-host-read check; kernellint's KL106 is its static twin.
+  down once (D2H) and the dirty bit clears.  A reader that bypasses
+  the hook (``t._columns[...]``) sees the stale host value, so the
+  mockgpu conformance cells catch it as a digest mismatch.
 * A scalar-executed lane (a ``fall_back`` lane, a twin-less procedure)
   reads point cells through ``BufferedContext.read``, inside the
   execute kernel and once per op: it takes the one cell off the device

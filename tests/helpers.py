@@ -295,7 +295,7 @@ def observe_cell(
             LTPGConfig(batch_size=batch_size, **setup.config_kwargs, **config),
         )
     else:
-        engine = setup.engine(batch_size=batch_size, sanitize=False, **config)
+        engine = setup.engine(batch_size=batch_size, **config)
     out: list = []
     next_tid = 0
     with engine:

@@ -17,7 +17,7 @@ Riding along, because they are cheapest to assert right here:
   (the mechanical dtype-discipline audit);
 * the numpy backend's zero-transfer contract;
 * ``LTPGConfig.array_backend`` validation (unknown names, ``auto``
-  among them, and ``sanitize``);
+  among them);
 * the ``transfer.*`` metrics surfaced through the observability stack.
 """
 
@@ -240,20 +240,11 @@ def _smallbank_engine(**config_kwargs):
         (dict(array_backend="cuda"), "unknown"),
         (dict(array_backend="NUMPY"), "unknown"),  # names are case-sensitive
         (dict(array_backend="auto"), "unknown"),  # nothing to resolve
-        (
-            dict(
-                array_backend="mockgpu",
-                batched_exec=True,
-                sanitize=True,
-            ),
-            "sanitize",
-        ),
     ],
     ids=[
         "unknown-name",
         "case-sensitive",
         "no-auto",
-        "no-sanitize",
     ],
 )
 def test_invalid_backend_configs_raise_config_error(kwargs, match):
@@ -262,7 +253,7 @@ def test_invalid_backend_configs_raise_config_error(kwargs, match):
 
 
 def test_explicit_numpy_accepts_every_mode():
-    for kwargs in (dict(batched_exec=False), dict(sanitize=True)):
+    for kwargs in (dict(batched_exec=False), dict(trace=True)):
         engine = _smallbank_engine(batch_size=64, array_backend="numpy", **kwargs)
         assert engine._backend.name == "numpy"
 

@@ -147,7 +147,7 @@ def _tracked_objects() -> int:
 
 def test_served_batches_retain_tracked_objects_per_batch_not_per_lane():
     setup = build_workload("smallbank", seed=SEED)
-    engine = setup.engine(batch_size=LANES, sanitize=False, batched_exec=True)
+    engine = setup.engine(batch_size=LANES, batched_exec=True)
 
     # hybrid: a full batch cuts at once, the retry tail after a deadline
     policy = make_policy("hybrid", LANES, max_wait_ns=2_000)

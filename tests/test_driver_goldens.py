@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from helpers import build_bank, tiny_fig6b, tiny_table2, tiny_table4, txn
-from repro.analysis.passes import run_racecheck
 from repro.analysis.workload import build_workload
 from repro.baselines import AriaEngine
 from repro.bench import ablations, calibration
@@ -63,7 +62,7 @@ def _pipelined_drain():
     every other cut is empty: the scheduler advances, the engine's
     batch counter does not."""
     setup = build_workload("smallbank", seed=7)
-    engine = setup.engine(batch_size=64, sanitize=False, pipelined=True)
+    engine = setup.engine(batch_size=64, pipelined=True)
     scheduler = BatchScheduler(64, engine.config.effective_retry_delay)
     scheduler.admit(setup.generator.make_batch(40))
     with pipelined(engine):
@@ -83,11 +82,6 @@ def _baseline_run_transactions():
         txns, batch_size=4, max_batches=20
     )
     return _batches(run), [t.tid for t in txns], [t.attempts for t in txns]
-
-
-def _racecheck():
-    result = run_racecheck("smallbank")
-    return result.batches_run, result.accesses_logged, result.clean
 
 
 GOLDEN = {
@@ -152,7 +146,6 @@ GOLDEN = {
         [0, 1, 2, 3],
         [1, 2, 3, 4],
     ),
-    _racecheck: (6, 23885, True),
 }
 
 

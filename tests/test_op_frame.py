@@ -216,7 +216,7 @@ def test_default_config_attaches_a_frame_direct_and_served(monkeypatch):
 
 def test_ops_outlive_later_batches_and_retries_show_the_latest_attempt():
     setup = build_workload("smallbank", seed=77)
-    engine = setup.engine(batch_size=256, sanitize=False, batched_exec=True)
+    engine = setup.engine(batch_size=256, batched_exec=True)
     # the same batches, one transaction at a time, on a twin database:
     # what each attempt's ops must read as
     twin = build_workload("smallbank", seed=77)
@@ -273,7 +273,7 @@ def _census() -> tuple[int, int]:
 def test_run_batch_allocates_tracked_objects_per_group_not_per_lane(trace):
     setup = build_workload("smallbank", seed=77)
     engine = setup.engine(
-        batch_size=LANES, sanitize=False, batched_exec=True, trace=trace
+        batch_size=LANES, batched_exec=True, trace=trace
     )
     scheduler = BatchScheduler(LANES)
     # lazy caches, first-use registries
@@ -323,7 +323,7 @@ def test_transaction_attributes_all_exist_from_init():
 
 def test_serve_request_attributes_all_exist_from_init(monkeypatch):
     setup = build_workload("smallbank", seed=77)
-    engine = setup.engine(batch_size=64, sanitize=False, batched_exec=True)
+    engine = setup.engine(batch_size=64, batched_exec=True)
     seen: list = []
     run_batch = engine.run_batch
 

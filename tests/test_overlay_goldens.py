@@ -1,12 +1,11 @@
 """What the overlays emit, pinned byte for byte.
 
 The equivalence suites compare statuses, stats and digests; none of
-them looks at what ``trace=True`` and ``sanitize=True`` *record*.  These
-goldens do: the Chrome trace JSON, the metrics snapshot and the
-sanitizer's shadow-access stream of three fixed 256-lane TPC-C batches,
-as sha256s recorded before the overlays moved out of the engine
-(``repro.trace.observer`` / ``repro.analysis.observer``).  A change that reorders spans, drops a counter or
-records a different address set fails here, per cell.
+them looks at what ``trace=True`` *records*.  These goldens do: the
+Chrome trace JSON and the metrics snapshot of three fixed 256-lane
+TPC-C batches, as sha256s recorded before the overlay moved out of the
+engine (``repro.trace.observer``).  A change that reorders spans or
+drops a counter fails here, per cell.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from repro.analysis.workload import build_workload
@@ -32,21 +30,19 @@ CELLS = {
     "mockgpu-resident": dict(array_backend="mockgpu"),
 }
 
-#: cell -> (trace JSON, metrics snapshot, sanitizer stream).
+#: cell -> (trace JSON, metrics snapshot).
 GOLDEN = {
     "default": (
         "991d75bda3a819bcc3da66da576f019f229f4e85c49915ac04d0603b89c2beb9",
         "2ec6cbc0c089608b6734c0417e587bf13e12e307e0cd505be54d5de3d3a86c00",
-        "f70898e75c7409554a44eac033823a1774e5cafa058c2eaaf2f7cdae9a64a914",
     ),
 }
 # The device cell is the default cell plus the transfer ledger: with
 # the per-batch ``transfers`` counter events out of the trace and the
 # ``transfer.*`` counters out of the metrics, what is left must hash to
 # the *default* cell's goldens (a device changes where the bytes live,
-# nothing else the overlays say about a batch).  The device backend
-# rejects ``sanitize`` (the shadow log reads host arrays).
-GOLDEN["mockgpu-resident"] = (*GOLDEN["default"][:2], None)
+# nothing else the overlay says about a batch).
+GOLDEN["mockgpu-resident"] = GOLDEN["default"]
 
 #: The ledger itself, value by value, so a change that moves it shows
 #: which counter moved and by how much.  History: scalar lanes reading
@@ -85,9 +81,7 @@ LEDGER = {
 
 def _run(cell: str, **overlay):
     setup = build_workload("tpcc")
-    engine = setup.engine(
-        batch_size=LANES, **{"sanitize": False, **overlay, **CELLS[cell]}
-    )
+    engine = setup.engine(batch_size=LANES, **overlay, **CELLS[cell])
     return setup, engine
 
 
@@ -124,51 +118,9 @@ def _take_ledger(trace: dict, snapshot: dict) -> dict:
     return ledger
 
 
-def _sanitizer_stream(cell: str) -> str:
-    """sha256 over every kernel epoch's shadow accesses: per epoch and
-    (buffer, kind, atomic) the sorted (address, thread) pairs, so how a
-    stage splits its records inside one epoch is not part of the pin."""
-    setup, engine = _run(cell, sanitize=True)
-    san = engine.sanitizer
-    epochs: list[tuple[str, dict]] = []
-    begin_kernel, record = san.begin_kernel, san.record
-
-    def on_begin(name):
-        epochs.append((name, {}))
-        begin_kernel(name)
-
-    def on_record(buffer, indices, threads, kind, atomic=False):
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        thr = np.broadcast_to(np.asarray(threads, dtype=np.int64), idx.shape)
-        epochs[-1][1].setdefault((buffer, int(kind), bool(atomic)), []).append(
-            np.stack((idx, thr))
-        )
-        record(buffer, indices, threads, kind, atomic)
-
-    san.begin_kernel, san.record = on_begin, on_record
-    _drive(setup, engine)
-    assert san.clean
-    h = hashlib.sha256()
-    for name, groups in epochs:
-        h.update(name.encode())
-        for key in sorted(groups):
-            pairs = np.concatenate(groups[key], axis=1)
-            pairs = pairs[:, np.lexsort((pairs[1], pairs[0]))]
-            h.update(repr(key).encode())
-            h.update(np.ascontiguousarray(pairs).tobytes())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_trace_and_metrics_match_their_goldens(cell):
     trace, metrics = _trace_and_metrics(cell)
     if cell in LEDGER:
         assert _take_ledger(trace, metrics) == LEDGER[cell]
-    assert (_sha(trace), _sha(metrics)) == GOLDEN[cell][:2]
-
-
-@pytest.mark.parametrize(
-    "cell", sorted(c for c in CELLS if GOLDEN[c][2] is not None)
-)
-def test_sanitizer_stream_matches_its_golden(cell):
-    assert _sanitizer_stream(cell) == GOLDEN[cell][2]
+    assert (_sha(trace), _sha(metrics)) == GOLDEN[cell]

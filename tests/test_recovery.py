@@ -260,7 +260,7 @@ def test_recovery_digest_matches_on_every_workload(name, overrides):
     commits the same TIDs per batch (``recover`` checks) and reaches
     the same digest only if a refused batch changed nothing."""
     setup = build_workload(name, seed=5)
-    engine = setup.engine(batch_size=128, sanitize=False, **overrides)
+    engine = setup.engine(batch_size=128, **overrides)
     config = engine.config
     scheduler = BatchScheduler(128)
     snapshot = Snapshot.capture(setup.database, batch_index=0)

@@ -61,7 +61,7 @@ def _engine(name: str, batch_size: int, **overrides):
     setup = build_workload(name, seed=SEED)
     merged = dict(CONFLICT_OVERRIDES[name])
     merged.update(overrides)
-    return setup.engine(batch_size=batch_size, sanitize=False, **merged)
+    return setup.engine(batch_size=batch_size, **merged)
 
 
 def _serve(name, specs, policy_name, batch_size, gap_ns=150, **overrides):
@@ -186,3 +186,22 @@ def test_pipelined_retry_delay_matches(workload):
     assert indices == [s.batch_index for s in stats]
     logged = [e.batch_index for e in orch.engine.batch_log.batches()]
     assert logged == indices == list(range(len(indices)))
+
+
+def test_simulated_serve_on_the_device_backend_matches_the_host():
+    """``simulate_serve`` — behind ``python -m repro.serve`` and
+    ``python -m repro.bench serve`` — builds the engine it is asked for
+    and nothing more, so a device-backend override serves the same
+    report as the host (the transfer counters aside)."""
+    from repro.serve.api import simulate_serve
+
+    reports = [
+        simulate_serve(
+            "smallbank", num_requests=128, engine_overrides={"array_backend": b}
+        ).__dict__
+        for b in ("numpy", "mockgpu")
+    ]
+    for report in reports:
+        del report["metrics"]
+    assert reports[0] == reports[1]
+    assert reports[0]["committed"] > 0

@@ -407,7 +407,7 @@ def test_one_tracked_object_per_request_and_one_callback_per_batch():
     the request while it is in flight, its response once decided, and
     nothing else — no Future, Handle, Context or list each."""
     setup = build_workload("smallbank", seed=7)
-    engine = setup.engine(batch_size=N, sanitize=False)
+    engine = setup.engine(batch_size=N)
     specs = [(t.procedure_name, t.params) for t in setup.generator.make_batch(2 * N)]
     delivered = []
 

@@ -50,7 +50,7 @@ def _check_trace_module():
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
 def test_profiler_phase_totals_match_batch_stats(workload):
     setup = build_workload(workload, seed=11)
-    engine = setup.engine(batch_size=96, sanitize=False)
+    engine = setup.engine(batch_size=96)
     scheduler = BatchScheduler(
         96, retry_delay_batches=engine.config.effective_retry_delay
     )

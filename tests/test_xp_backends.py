@@ -258,9 +258,9 @@ def test_rows_to_host_is_one_transfer_per_column_on_a_device():
 
 
 def test_insert_rows_install_in_admission_order():
-    """One definition of insert order for the write-back and the
-    sanitizer: by lane (admission order), then by emission within the
-    lane — not by the order the rows were buffered in."""
+    """One definition of insert order for the write-back: by lane
+    (admission order), then by emission within the lane — not by the
+    order the rows were buffered in."""
     from repro.txn.batch_context import InsertRows
 
     def col(*values):
@@ -444,6 +444,18 @@ def test_float_result_recorded_in_non_strict_mode():
     assert ("astype", "float64") in xp.upcasts
 
 
+def test_float_operator_result_raises_only_inside_a_kernel_phase():
+    xp = get_backend("mockgpu")
+    a = xp.from_host(np.arange(4, dtype=np.int64))
+    assert (a / 2).dtype == np.float64  # between phases: host-side math
+    with xp.kernel_phase("execute"):
+        assert xp.is_device_array(a + 1) and xp.is_device_array(a // 2)
+        with pytest.raises(BackendContractError, match="operator produced float64"):
+            a / 1
+        with pytest.raises(BackendContractError, match="operator produced"):
+            np.add(a, 0.5)
+
+
 def test_int64_pipeline_records_no_upcasts():
     xp = get_backend("mockgpu")
     a = xp.from_host(np.arange(16, dtype=np.int64))
@@ -486,8 +498,7 @@ def test_nested_kernel_phases_fold_into_the_outer_region():
 
 
 # ---------------------------------------------------------------------------
-# The exported BackendContract: one source of truth for mockgpu (runtime)
-# and kernellint (static)
+# The exported BackendContract: one source of truth for every backend
 # ---------------------------------------------------------------------------
 def test_contract_surface_is_implemented_by_backends():
     from repro.xp import CONTRACT
@@ -524,18 +535,3 @@ def test_mockgpu_scalar_readbacks_come_from_contract():
             getattr(arr, name)()
             assert xp.transfer_stats().d2h_count == i + 1
     assert xp.transfer_stats().implicit_syncs == 0
-
-
-def test_kernellint_allowed_calls_match_contract():
-    # the static linter's allow-set is derived from the same CONTRACT
-    # object mockgpu enforces at runtime — they cannot drift apart
-    from repro.analysis import kernellint
-    from repro.xp import CONTRACT
-
-    assert CONTRACT.all_methods() <= kernellint._ALLOWED_XP
-    assert set(CONTRACT.scalar_readbacks) == set(
-        kernellint._SCALAR_READBACKS
-    )
-    assert set(CONTRACT.crossings) - {"from_host"} == set(
-        kernellint._XP_TO_HOST
-    )
