@@ -29,28 +29,33 @@ from repro.xp import sorted_runs
 def collect_columnar(engine, batch: Batch, ctx) -> None:
     """Batch-wide columnar op collection.
 
-    One flat ``(n_ops, 6)`` int64 matrix feeds everything: warp
+    The frame's op columns, in emission order, feed everything: warp
     planning, ``np.bincount`` cost accounting, touched-page collection,
     table popularity counts (with which the log is opened,
-    :func:`open_log`) and the sorted reservation dedup.  Leaves the
-    batch's ``reads`` / ``writes`` / ``inserts`` / ``ranges``.
+    :func:`open_log`) and the sorted reservation dedup — none of which
+    depends on the order of the ops.  Leaves the batch's ``reads`` /
+    ``writes`` / ``inserts`` / ``ranges``.
     """
     db = engine.database
     transactions = batch.transactions
     n = len(transactions)
-    mat, counts = batch.frame.mat, batch.frame.counts
+    frame = batch.frame
+    cols, op_txn = frame.cols, frame.txn
     tids = np.fromiter(batch.tids, dtype=np.int64, count=n)
     registers = ~batch.logic_mask
-    total = mat.shape[0]
-    kind = mat[:, 0]
-    table = mat[:, 1]
-    row = mat[:, 2]
-    col = mat[:, 3]
-    key = mat[:, 5]
-    op_txn = np.repeat(np.arange(n, dtype=np.int64), counts)
+    total = op_txn.size
+    kind = cols[0]
+    table = cols[1]
+    row = cols[2]
+    col = cols[3]
+    key = cols[5]
 
-    # Warp planning over the whole batch (grouped vs naive).
-    exec_plan = plan_arrays(kind, table, counts, engine.config.adaptive_warps)
+    # Warp planning over the whole batch.  Grouped planning counts ops
+    # per class; the naive ablation walks each lane's ops step by step,
+    # so it alone needs the frame laid out lane-major.
+    grouped = engine.config.adaptive_warps
+    plan_cols = cols if grouped else frame.matrix.T
+    exec_plan = plan_arrays(plan_cols[0], plan_cols[1], frame.counts, grouped)
     ctx.add_divergent_branches(exec_plan.divergent_branches)
 
     # Per-op hardware costs, batch-wide by kind.
@@ -112,7 +117,10 @@ def collect_columnar(engine, batch: Batch, ctx) -> None:
         delayed_ops = engine.delayed.delayed_mask(table, col)
         bad = non_insert & delayed_ops & ~is_add
         if bad.any():
-            offender = column_name(int(col[np.flatnonzero(bad)[0]]))
+            # name the lowest lane's first offence: argmin keeps the
+            # first of that lane's ops, and they are in program order
+            at = np.flatnonzero(bad)
+            offender = column_name(int(col[at[np.argmin(op_txn[at])]]))
             raise TransactionError(
                 f"column {offender!r} is delayed-update managed and "
                 f"may only be accessed with ADD in a batch"

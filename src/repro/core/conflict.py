@@ -7,6 +7,7 @@ import numpy as np
 
 from repro.core.batch import CHECK_INSTRUCTIONS, Batch
 from repro.core.occ import ConflictFlags, commit_mask
+from repro.xp.rows import run_starts
 
 
 def detect(engine, batch: Batch, ctx) -> None:
@@ -62,18 +63,18 @@ def detect(engine, batch: Batch, ctx) -> None:
 
     # Cost: every op reads its own slot; additionally each *distinct*
     # large bucket is swept once (all s_u sub-slots) to find the
-    # minimum — charging the sweep per op would double-count it.
+    # minimum — charging the sweep per op would double-count it.  Keys
+    # of different tables never collide, so the distinct keys are
+    # counted per expanded table (a plain sort and its runs).
     bucket_reads = batch.total_ops
-    touched = np.concatenate((reads.key, writes.key))
-    touched_tables = np.concatenate((reads.table, writes.table))
-    if touched.size:
-        uniq_keys, first = np.unique(touched, return_index=True)
-        for table_id, s_u_count in zip(
-            *np.unique(touched_tables[first], return_counts=True)
-        ):
-            s_u = log.bucket_size(int(table_id))
-            if s_u > 1:
-                bucket_reads += int(s_u_count) * (s_u - 1)
+    for table_id in range(engine.database.num_tables):
+        s_u = log.bucket_size(table_id)
+        if s_u > 1:
+            touched = np.concatenate((
+                reads.key[reads.table == table_id],
+                writes.key[writes.table == table_id],
+            ))
+            bucket_reads += run_starts(np.sort(touched)).size * (s_u - 1)
     ctx.add_global_reads(bucket_reads)
     ctx.add_instructions(CHECK_INSTRUCTIONS * max(1, batch.total_ops))
 

@@ -34,11 +34,12 @@ def run_procedures(engine, batch: Batch) -> None:
     lanes the twin sends to fallback run one at a time through their
     scalar procedure, so third-party procedures keep working.  Either
     way a lane's ops go into the batch's :class:`OpFrame`
-    (``batch.frame``), from which the collector takes the whole batch
-    and each transaction its own ``ops``, and its buffered effects
-    into the batch-wide columnar locals (``batch.batch_locals``) for
-    the scatter-based write-back: a twin-less group is one more
-    group of the same bulk.
+    (``batch.frame``) in the order they were emitted — the collector
+    takes the whole batch as columns, and the frame lays them out
+    lane-major only if somebody reads a transaction's ``ops`` — and
+    its buffered effects into the batch-wide columnar locals
+    (``batch.batch_locals``) for the scatter-based write-back: a
+    twin-less group is one more group of the same bulk.
     """
     transactions = batch.transactions
     n = len(transactions)
@@ -75,9 +76,9 @@ def run_procedures(engine, batch: Batch) -> None:
             residency=engine._residency,
         )
         batched(bctx, bctx.params)
-        mat, counts, g_locals, ranges_by_lane = bctx.finalize()
+        lane, cols, g_locals, ranges_by_lane = bctx.finalize()
         parts.append(_apply_batched_group(
-            engine, batch, proc, idxs, mat, counts, g_locals,
+            engine, batch, proc, idxs, lane, cols, g_locals,
             ranges_by_lane, bctx.fallback, bctx.aborted,
         ))
     batch.batch_locals = GroupLocals.merge(parts, n)
@@ -121,20 +122,20 @@ def _apply_batched_group(
     batch: Batch,
     proc,
     idxs: np.ndarray,
-    mat: np.ndarray,
-    counts: np.ndarray,
+    lane: np.ndarray,
+    cols: np.ndarray,
     g_locals: GroupLocals,
     ranges_by_lane: dict,
     fallback: np.ndarray,
     aborted: np.ndarray,
 ) -> GroupLocals:
-    """Apply one group's finalized vectorized results: the op matrix
-    goes to the frame whole, and only the lanes that differ from
-    the rest are visited — logic aborts get their status, range
+    """Apply one group's finalized vectorized results: the op columns
+    go to the frame whole, as emitted, and only the lanes that differ
+    from the rest are visited — logic aborts get their status, range
     readers their predicates, fallback lanes a scalar re-run."""
     transactions = batch.transactions
     part = g_locals.rekeyed(idxs, len(transactions))
-    batch.frame.add_group(idxs, mat, counts, aborted)
+    batch.frame.add_group(idxs, lane, cols, aborted)
     for i in idxs[aborted].tolist():
         txn = transactions[i]
         txn.status = TxnStatus.LOGIC_ABORTED

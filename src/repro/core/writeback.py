@@ -8,6 +8,7 @@ import numpy as np
 from repro.core.batch import APPLY_INSTRUCTIONS, Batch
 from repro.core.config import MemoryMode
 from repro.core.scatter import scatter_cells
+from repro.xp import sorted_runs
 
 
 def writeback(engine, batch: Batch, ctx) -> None:
@@ -61,8 +62,11 @@ def writeback(engine, batch: Batch, ctx) -> None:
             kt, ct, pt = ins.key[m], ins.chunk[m], ins.pos[m]
             keep = table.rows_of_keys(kt) < 0
             if kt.size > 1:
+                # the stable sort leads each key's run with its first
+                # occurrence
+                order, starts = sorted_runs(kt)
                 first = np.zeros(kt.size, dtype=bool)
-                first[np.unique(kt, return_index=True)[1]] = True
+                first[order[starts]] = True
                 keep &= first
             if not keep.any():
                 continue

@@ -13,9 +13,11 @@ so the same instruction stream runs data-parallel across lanes.
 Byte-identity with the scalar path is preserved structurally:
 
 * every emitted op carries its lane, and chunks append in program
-  order, so one stable argsort by lane in
-  :meth:`BatchedContext.finalize` puts the ops back in exactly the
-  order a per-transaction execution would have recorded;
+  order, so within a lane emission order *is* the order a
+  per-transaction execution would have recorded:
+  :meth:`BatchedContext.finalize` hands the ops on as emitted, and
+  whoever needs them lane-major (a transaction's ``ops``) gets them
+  from one stable sort by lane;
 * lanes that hit a case the vectorized code cannot express (duplicate
   keys needing read-your-own-writes, etc.) are *fallback* lanes — their
   chunk contributions are discarded and the engine re-runs them through
@@ -296,8 +298,8 @@ class BatchedContext:
         # op chunks: (lanes, kind, table, rows, col, values, keys); the
         # scalar fields broadcast at finalize.  Chunks append in program
         # order, so each lane's ops appear across chunks exactly in the
-        # order a per-transaction execution would record them — a stable
-        # sort by lane at finalize is all the reordering ever needed.
+        # order a per-transaction execution would record them — nothing
+        # downstream needs them reordered.
         self._chunks: list[tuple] = []
         # insert payloads: (lanes, table_id, keys, names, values_matrix)
         # — value columns stay vectorized until finalize.
@@ -557,50 +559,36 @@ class BatchedContext:
 
     # -- finalize -------------------------------------------------------------
     def finalize(self) -> tuple:
-        """Resolve chunks into per-lane op streams and columnar locals.
+        """Resolve chunks into the group's op columns and columnar
+        locals.
 
-        Returns ``(flat_ops, counts, locals, ranges_by_lane)`` where
-        ``flat_ops`` is the ``(total, OP_FIELDS)`` matrix over
-        non-fallback lanes in lane order (a stable argsort by lane:
-        each lane's ops keep their program order), ``counts`` the
-        per-lane op counts, and ``locals`` a :class:`GroupLocals` keyed
-        by *lane* (the engine re-keys to batch positions).
+        Returns ``(lane, cols, locals, ranges_by_lane)``: op ``i`` was
+        emitted by lane ``lane[i]`` and its fields are ``cols[:, i]``
+        (``(OP_FIELDS, n_ops)``) — the chunks as emitted, rows of
+        fallback lanes dropped, nothing reordered, so each lane's ops
+        keep their program order — and ``locals`` is a
+        :class:`GroupLocals` keyed by *lane* (the engine re-keys to
+        batch positions).
         """
         xp = self.xp
-        n = self.n
         if self._chunks:
             sizes = [c[0].size for c in self._chunks]
-            total = sum(sizes)
-            cols = xp.empty((7, total), dtype=np.int64)
+            block = xp.empty((1 + OP_FIELDS, sum(sizes)), dtype=np.int64)
             pos = 0
             for chunk, size in zip(self._chunks, sizes):
-                block = cols[:, pos:pos + size]
-                for f in range(7):
-                    block[f] = chunk[f]
+                part = block[:, pos:pos + size]
+                for f in range(1 + OP_FIELDS):
+                    part[f] = chunk[f]
                 pos += size
-            lane = cols[0]
-            # stable by lane: chunks already hold each lane's ops in
-            # program order, so no secondary sort key is needed; lane
-            # fits int32, which halves the radix passes
             if self.fallback.any():
                 fb = xp.from_host(self.fallback)
-                keep = xp.flatnonzero(~fb[lane])
-                perm = keep[
-                    xp.argsort(xp.astype(lane[keep], np.int32), stable=True)
-                ]
-            else:
-                perm = xp.argsort(xp.astype(lane, np.int32), stable=True)
-            lane = lane[perm]
-            mat = xp.empty((perm.size, OP_FIELDS), dtype=np.int64)
-            for f in range(1, 7):
-                mat[:, f - 1] = cols[f, perm]
-            counts = xp.bincount(lane, minlength=n)
+                block = block[:, ~fb[block[0]]]
+            lane, cols = block[0], block[1:]
         else:
-            mat = np.empty((0, OP_FIELDS), dtype=np.int64)
-            counts = np.zeros(n, dtype=np.int64)
             lane = np.empty(0, dtype=np.int64)
+            cols = np.empty((OP_FIELDS, 0), dtype=np.int64)
 
-        locals_ = self._resolve_locals(mat, lane)
+        locals_ = self._resolve_locals(cols, lane)
         ranges_by_lane: dict[int, list[tuple[int, int, int]]] = {}
         for lanes, table_id, lo, hi in self._range_chunks:
             lanes_h = xp.to_host(lanes)
@@ -610,11 +598,12 @@ class BatchedContext:
                 ranges_by_lane.setdefault(int(lanes_h[i]), []).append(
                     (table_id, int(lo_h[i]), int(hi_h[i]))
                 )
-        # the finalize boundary is the read/write-set shipping step: op
-        # matrix and per-lane counts come back to the host in one D2H
-        return xp.to_host(mat), xp.to_host(counts), locals_, ranges_by_lane
+        # the finalize boundary is the read/write-set shipping step: the
+        # lane column and the op columns come back to the host, one D2H
+        # each
+        return xp.to_host(lane), xp.to_host(cols), locals_, ranges_by_lane
 
-    def _resolve_locals(self, mat: np.ndarray, lane: np.ndarray) -> GroupLocals:
+    def _resolve_locals(self, cols: np.ndarray, lane: np.ndarray) -> GroupLocals:
         """Columnar twin of ``LocalSets`` semantics: last write per
         location wins, a write kills earlier adds on its location, adds
         after the last write sum, delayed-column adds split out."""
@@ -629,16 +618,18 @@ class BatchedContext:
             live = ~xp.from_host(self.aborted)[lane]
         else:
             live = np.zeros(0, dtype=bool)
-        kind = mat[:, 0]
+        kind = cols[0]
         wa = live & ((kind == _WRITE) | (kind == _ADD))
         if wa.any():
-            cells = Cells(lane[wa], mat[wa, 1], mat[wa, 2], mat[wa, 3], mat[wa, 4])
+            sel = cols[1:5, wa]
+            cells = Cells(lane[wa], sel[0], sel[1], sel[2], sel[3])
             # One sorted pass over writes and adds, delayed columns
             # included: the sort is stable, so within each (lane, cell)
-            # run the emission order survives as the index order.  A
-            # delayed column is only ever ADDed (the collector rejects
-            # the batch otherwise), so its runs hold no write and come
-            # out of the add rule below as plain per-cell sums.
+            # run the emission order — the lane's program order —
+            # survives as the index order.  A delayed column is only
+            # ever ADDed (the collector rejects the batch otherwise),
+            # so its runs hold no write and come out of the add rule
+            # below as plain per-cell sums.
             order, starts = sorted_runs(
                 cells.txn, cells.table, cells.row, cells.col, xp=xp
             )

@@ -18,6 +18,11 @@ interned process-wide (:func:`intern_column`) so the column field is an
 per-operation view — indexing or iterating an :class:`OpColumns`
 materializes records on demand, which keeps the baselines and tests
 that think in objects working unchanged.
+
+Under :class:`~repro.core.LTPGEngine` a batch's ops live in one
+:class:`OpFrame`: six ``int64`` columns plus a lane column, in the
+order they were emitted.  A transaction's :class:`OpColumns` is cut
+out of the frame's lane-major layout only when its ``ops`` is read.
 """
 
 from __future__ import annotations
@@ -101,9 +106,6 @@ _KEY_COLUMN_ID = intern_column(KEY_COLUMN)
 
 #: Fields per op row in :class:`OpColumns` (kind, table, row, col, value, key).
 OP_FIELDS = 6
-
-#: One op row as an opaque item.
-_OP_ROW = np.dtype((np.void, OP_FIELDS * 8))
 
 
 class OpColumns:
@@ -227,46 +229,59 @@ class OpColumns:
 
 
 class OpFrame:
-    """One batch's ops as a single lane-major ``(n_ops, OP_FIELDS)``
-    matrix — what the engine's execute phase hands its collector.
+    """One batch's ops as contiguous columns in emission order — what
+    the engine's execute phase hands its collector.
 
-    Lanes are batch positions.  While a batch executes, each procedure
-    group registers its lane-sorted op matrix (:meth:`add_group`) and
+    Op ``i`` belongs to lane ``txn[i]`` (a batch position) and its six
+    fields are ``cols[:, i]``.  While a batch executes, each procedure
+    group registers its finalized op columns (:meth:`add_group`) and
     each scalar-path lane its recorded buffer (:meth:`add_scalar`);
-    :meth:`seal` lays them out in batch order.  Until then every lane
-    reads as empty, which is also how a batch whose execute phase
-    raised is left.  A sealed frame is never written again:
-    transactions of the batch read their ops out of it
+    :meth:`seal` concatenates them.  Nothing is reordered: the
+    collector's passes do not depend on op order, and each lane's ops
+    already appear in program order (a group's chunks append in program
+    order, a scalar buffer is recorded in it).  The lane-major matrix
+    (:attr:`matrix`) — what a transaction's ``ops`` and naive warp
+    planning read — is built the first time one of them asks.
+
+    Until sealed every lane reads as empty, which is also how a batch
+    whose execute phase raised is left.  A sealed frame is never
+    written again: transactions of the batch read their ops out of it
     (:meth:`ops_of`) however many batches later.
     """
 
-    __slots__ = ("mat", "counts", "logic", "_bounds", "_groups", "_scalars")
+    __slots__ = (
+        "txn", "cols", "counts", "logic", "_groups", "_scalars",
+        "_matrix", "_bounds",
+    )
 
     def __init__(self, num_lanes: int) -> None:
-        #: all ops of the batch, lane-major (set by :meth:`seal`)
-        self.mat = np.empty((0, OP_FIELDS), dtype=np.int64)
+        #: lane of every op (set by :meth:`seal`)
+        self.txn = np.empty(0, dtype=np.int64)
+        #: the ops' fields, ``(OP_FIELDS, n_ops)`` (set by :meth:`seal`)
+        self.cols = np.empty((OP_FIELDS, 0), dtype=np.int64)
         #: ops per lane
         self.counts = np.zeros(num_lanes, dtype=np.int64)
         #: lanes whose procedure rolled itself back
         self.logic = np.zeros(num_lanes, dtype=bool)
-        self._bounds = np.zeros(num_lanes + 1, dtype=np.int64)
-        self._groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._groups: list[tuple[np.ndarray, np.ndarray]] = []
         self._scalars: list[tuple[int, array]] = []
+        self._matrix: np.ndarray | None = None
+        self._bounds: np.ndarray | None = None
 
     def add_group(
         self,
         lanes: np.ndarray,
-        mat: np.ndarray,
-        counts: np.ndarray,
+        op_lane: np.ndarray,
+        cols: np.ndarray,
         aborted: np.ndarray,
     ) -> None:
-        """One procedure group's finalized twin output: ``mat`` holds
-        the ops of ``lanes`` (ascending batch positions) lane by lane,
-        ``counts[i]`` of them for ``lanes[i]``; ``aborted`` marks the
-        group lanes that logic-aborted."""
-        self.counts[lanes] = counts
+        """One procedure group's finalized twin output: op ``i`` was
+        emitted by the group's lane ``op_lane[i]`` — batch position
+        ``lanes[op_lane[i]]`` — and its fields are ``cols[:, i]``;
+        ``aborted`` marks the group lanes that logic-aborted."""
+        self.counts[lanes] = np.bincount(op_lane, minlength=lanes.size)
         self.logic[lanes[aborted]] = True
-        self._groups.append((lanes, mat, counts))
+        self._groups.append((lanes[op_lane], cols))
 
     def add_scalar(self, lane: int, ops: OpColumns, logic_aborted: bool) -> None:
         """A lane that ran through its scalar procedure."""
@@ -275,33 +290,42 @@ class OpFrame:
         self._scalars.append((lane, ops.buffer))
 
     def seal(self) -> None:
-        """Lay every registered lane's rows out in batch order."""
-        groups, scalars = self._groups, self._scalars
+        """Concatenate every registered group's columns and scalar
+        lane's buffer."""
+        parts, scalars = self._groups, self._scalars
         self._groups, self._scalars = [], []
-        bounds = self._bounds
-        np.cumsum(self.counts, out=bounds[1:])
-        if len(groups) == 1 and not scalars and groups[0][0].size == self.counts.size:
-            # one group covering the batch is already in batch order
-            self.mat = groups[0][1]
-            return
-        mat = np.empty((int(bounds[-1]), OP_FIELDS), dtype=np.int64)
-        # whole rows move as single items: half the cost of a 2-D store
-        rows = mat.view(_OP_ROW).reshape(-1)
-        for lanes, g_mat, g_counts in groups:
-            # row j of the group's lane i goes to bounds[lanes[i]] + j
-            shift = bounds[lanes] - (np.cumsum(g_counts) - g_counts)
-            rows[np.repeat(shift, g_counts) + np.arange(g_mat.shape[0])] = (
-                np.ascontiguousarray(g_mat).view(_OP_ROW).reshape(-1)
+        if scalars:
+            lanes = np.fromiter(
+                (lane for lane, _ in scalars), dtype=np.int64, count=len(scalars)
             )
-        for lane, buf in scalars:
-            mat[bounds[lane]:bounds[lane + 1]] = np.frombuffer(
-                buf, dtype=np.int64
-            ).reshape(-1, OP_FIELDS)
-        self.mat = mat
+            flat = np.frombuffer(b"".join(buf for _, buf in scalars), dtype=np.int64)
+            parts.append((
+                np.repeat(lanes, self.counts[lanes]),
+                flat.reshape(-1, OP_FIELDS).T,
+            ))
+        if len(parts) == 1:
+            self.txn, cols = parts[0]
+            self.cols = np.ascontiguousarray(cols)
+        elif parts:
+            self.txn = np.concatenate([txn for txn, _ in parts])
+            self.cols = np.concatenate([cols for _, cols in parts], axis=1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """All ops lane-major, as an ``(n_ops, OP_FIELDS)`` matrix: one
+        stable argsort by :attr:`txn` (each lane's ops keep their
+        program order), made on first use and cached."""
+        if self._matrix is None:
+            order = np.argsort(self.txn, kind="stable")
+            self._matrix = self.cols.T[order]
+            self._bounds = np.zeros(self.counts.size + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(self.txn, minlength=self.counts.size),
+                out=self._bounds[1:],
+            )
+        return self._matrix
 
     def ops_of(self, lane: int) -> OpColumns:
         """A copy of one lane's ops."""
-        bounds = self._bounds
-        return OpColumns.from_flat(
-            self.mat[bounds[lane]:bounds[lane + 1]].tobytes()
-        )
+        mat, bounds = self.matrix, self._bounds
+        return OpColumns.from_flat(mat[bounds[lane]:bounds[lane + 1]].tobytes())

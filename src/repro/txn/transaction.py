@@ -61,8 +61,10 @@ class Transaction:
         (empty before the first execution).
 
         After a run under ``LTPGEngine`` the ops live in the batch's
-        frame; the first read copies this lane's rows out (and lets go
-        of the frame), later reads return the same buffer.
+        frame; the first read copies this lane's rows out of the
+        frame's lane-major layout (built by the first read of any of
+        the batch's lanes) and lets go of the frame, later reads return
+        the same buffer.
         """
         frame = self._frame
         if frame is None:

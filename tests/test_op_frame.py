@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gc
 
+import numpy as np
 import pytest
 
 from helpers import mixed_bank_registry, mixed_bank_specs
@@ -40,6 +41,7 @@ from repro.txn import (
     assign_tids,
     drive,
 )
+from repro.txn.decompose import plan_naive
 from repro.txn.operations import OpFrame
 from repro.workloads.smallbank import build_smallbank
 from repro.workloads.tpcc import DELAYED_COLUMNS, SPLIT_COLUMNS, TpccMix, build_tpcc
@@ -153,6 +155,73 @@ def test_framed_ops_on_every_execution_route():
             assert raw and reason == "logic"  # a rolled-back lane keeps its ops
     assert by_proc["bad"] == {TxnStatus.LOGIC_ABORTED}
     assert set(by_proc) == {"transfer", "deposit", "audit", "open_account", "bad"}
+
+
+def test_lane_major_ops_out_of_an_emission_order_frame():
+    """The frame holds the batch's ops as emitted — one twin chunk
+    after another, so lanes interleave — and a transaction's ``ops``,
+    cut from the lane-major layout whichever lane is read first, is
+    what the oracle records: on twin lanes, ``fall_back`` lanes, logic
+    aborts and a twin-less group alike."""
+    specs = mixed_bank_specs()
+    batch = [Transaction(n, p, tid=i) for i, (n, p) in enumerate(specs)]
+    copies = [Transaction(n, p, tid=i) for i, (n, p) in enumerate(specs)]
+    db, registry = mixed_bank_registry()
+    LTPGEngine(db, registry, LTPGConfig(batch_size=256)).run_batch(batch)
+    db, registry = mixed_bank_registry()
+    ReferenceEngine(db, registry, LTPGConfig(batch_size=256)).run_batch(copies)
+
+    frame = batch[0]._frame
+    assert (np.diff(frame.txn) < 0).any()  # not already lane-major
+    assert frame._matrix is None
+    for txn, copy in zip(batch[::-1], copies[::-1]):  # last lane first
+        assert txn.ops.raw == copy.ops.raw
+        assert (txn.status, txn.abort_reason) == (copy.status, copy.abort_reason)
+    statuses = {t.procedure_name: t.status for t in copies}
+    assert statuses["bad"] is TxnStatus.LOGIC_ABORTED
+    assert {"transfer", "deposit", "audit"} <= set(statuses)
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_default_run_batch_leaves_the_lane_major_layout_unbuilt(workload):
+    """Nothing in a default batch reads ops lane-major: the collector,
+    conflict detection, write-back, assembly and tracing all take the
+    frame's columns as emitted, so the sort stays unmade until a
+    transaction's ``ops`` is read."""
+    db, registry, gen, marks = WORKLOADS[workload]()
+    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=256, trace=True, **marks))
+    scheduler = BatchScheduler(256)
+    frames = []
+    for result in drive(engine, scheduler, gen.make_batch, max_batches=3):
+        txns = result.committed + result.aborted + result.logic_aborted
+        frames.append(txns[0]._frame)
+    assert len({id(f) for f in frames}) == 3
+    assert all(f._matrix is None for f in frames)
+    txns[0].ops  # ...and the first read builds it
+    assert frames[-1]._matrix is not None
+
+
+@pytest.mark.parametrize("workload", ["tpcc-full-mix", "smallbank"])
+def test_naive_warp_plan_matches_the_object_planner(workload):
+    """Under ``adaptive_warps=False`` the engine plans warps over the
+    frame's lane-major layout; its divergence count is what
+    :func:`~repro.txn.decompose.plan_naive` finds walking the oracle's
+    per-transaction op lists of the same batch."""
+    build = WORKLOADS[workload]
+    _, _, gen, _ = build()
+    specs = [(t.procedure_name, t.params) for t in gen.make_batch(256)]
+    db, registry, _, marks = build()
+    config = LTPGConfig(batch_size=256, adaptive_warps=False, **marks)
+    batch = [Transaction(n, p, tid=i) for i, (n, p) in enumerate(specs)]
+    result = LTPGEngine(db, registry, config).run_batch(batch)
+    db, registry, _, marks = build()
+    copies = [Transaction(n, p, tid=i) for i, (n, p) in enumerate(specs)]
+    ReferenceEngine(db, registry, LTPGConfig(batch_size=256, **marks)).run_batch(
+        copies
+    )
+    expected = plan_naive(copies).divergent_branches
+    assert expected > 0
+    assert result.stats.divergent_branches == expected
 
 
 def test_a_batch_that_raises_leaves_empty_ops():

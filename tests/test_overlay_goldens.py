@@ -58,22 +58,29 @@ GOLDEN["mockgpu-resident"] = GOLDEN["default"]
 #:
 #: and the per-batch (D2H, H2D) pairs from (748,490, 2,515,728),
 #: (724,306, 155,009), (783,154, 162,244); docs/ARCHITECTURE.md §13
-#: attributes every byte of that to a call site.
+#: attributes every byte of that to a call site.  The op frame kept in
+#: emission order (``finalize`` ships each group's lane column where it
+#: shipped per-lane counts) moved execute's D2H alone —
+#:
+#:   transfer.d2h_bytes     2,222,916 -> 2,427,452   (execute: same +204,536)
+#:
+#: per batch 737,868 / 713,188 / 771,860 -> 805,868 / 778,508 / 843,076;
+#: ``transfer.count`` and every H2D figure are unchanged (§13 again).
 LEDGER = {
     "mockgpu-resident": {
         "transfer.count": 919,
-        "transfer.d2h_bytes": 2_222_916,
+        "transfer.d2h_bytes": 2_427_452,
         "transfer.h2d_bytes": 2_870_677,
-        "transfer.execute.d2h_bytes": 2_078_972,
+        "transfer.execute.d2h_bytes": 2_283_508,
         "transfer.execute.h2d_bytes": 1_562_117,
         "transfer.conflict.d2h_bytes": 143_944,
         "transfer.conflict.h2d_bytes": 0,
         "transfer.writeback.d2h_bytes": 0,
         "transfer.writeback.h2d_bytes": 1_308_560,
         "per_batch": [
-            {"d2h_bytes": 737_868, "h2d_bytes": 2_528_224},
-            {"d2h_bytes": 713_188, "h2d_bytes": 167_113},
-            {"d2h_bytes": 771_860, "h2d_bytes": 175_340},
+            {"d2h_bytes": 805_868, "h2d_bytes": 2_528_224},
+            {"d2h_bytes": 778_508, "h2d_bytes": 167_113},
+            {"d2h_bytes": 843_076, "h2d_bytes": 175_340},
         ],
     },
 }
