@@ -56,6 +56,7 @@ _READ = int(OpKind.READ)
 _WRITE = int(OpKind.WRITE)
 _ADD = int(OpKind.ADD)
 _INSERT = int(OpKind.INSERT)
+_STEP_KINDS = {"read": _READ, "write": _WRITE, "add": _ADD}
 _EMPTY_COL = intern_column("")
 _KEY_COL = intern_column(KEY_COLUMN)
 
@@ -263,6 +264,59 @@ class GroupLocals:
             )
 
 
+class _Steps:
+    """A :meth:`BatchedContext.emit_steps` chunk: ``steps[s]`` holds
+    step ``s``'s op fields (each scalar or one value per pair), and
+    ``keep`` the flat indices of the ``(pair, step)`` slots reached
+    (``None``: all of them).  :meth:`write` lays it out pair-major
+    straight into the finalize block, so no step is copied twice."""
+
+    __slots__ = ("lanes", "steps", "keep")
+
+    def __init__(self, lanes: np.ndarray, steps: list[tuple], keep):
+        self.lanes = lanes
+        self.steps = steps
+        self.keep = keep
+
+    @property
+    def size(self) -> int:
+        if self.keep is None:
+            return self.lanes.size * len(self.steps)
+        return self.keep.size
+
+    def write(self, out: np.ndarray, xp: ArrayBackend) -> None:
+        """Fill ``out``, a ``(1 + OP_FIELDS, size)`` view, field by
+        field: a field's scalars tiled in one pass, then one strided
+        pass per step that has an array."""
+        n, k = self.lanes.size, len(self.steps)
+        full = out
+        if self.keep is not None:
+            full = xp.empty((1 + OP_FIELDS, n * k), dtype=np.int64)
+        # each row is contiguous, so its (n, k) reshape is a view
+        full[0].reshape(n, k)[:] = self.lanes[:, None]
+        for f, values in enumerate(zip(*self.steps), 1):
+            row = full[f]
+            is_array = [isinstance(v, np.ndarray) for v in values]
+            if not all(is_array):
+                _tile(row, [0 if a else v for a, v in zip(is_array, values)])
+            for s, v in enumerate(values):
+                if is_array[s]:
+                    row[s::k] = v
+        if self.keep is not None:
+            out[:] = full[:, self.keep]
+
+
+def _tile(row: np.ndarray, pattern: list[int]) -> None:
+    """``row[:] = pattern`` repeated, by doubling copies — a broadcast
+    assignment of a short pattern loops once per repetition."""
+    row[:len(pattern)] = pattern
+    done = len(pattern)
+    while done < row.size:
+        step = min(done, row.size - done)
+        row[done:done + step] = row[:step]
+        done += step
+
+
 class BatchedContext:
     """The vectorized execution context handed to a ``BatchProcedure``.
 
@@ -295,8 +349,9 @@ class BatchedContext:
         #: lanes to re-run through the scalar procedure
         self.fallback = np.zeros(self.n, dtype=bool)
         self._delayed_mask_fn = delayed_mask_fn
-        # op chunks: (lanes, kind, table, rows, col, values, keys); the
-        # scalar fields broadcast at finalize.  Chunks append in program
+        # op chunks: (lanes, kind, table, rows, col, values, keys), the
+        # scalar fields broadcast at finalize, or an emit_steps
+        # :class:`_Steps`, laid out at finalize.  Chunks append in program
         # order, so each lane's ops appear across chunks exactly in the
         # order a per-transaction execution would record them — nothing
         # downstream needs them reordered.
@@ -532,19 +587,67 @@ class BatchedContext:
         if exists.any():
             self.logic_abort(lanes[exists])
         ok = ~exists
-        ok_lanes = lanes[ok]
-        if ok_lanes.size == 0:
-            return ok
-        ok_keys = keys[ok]
-        names = tuple(values)
-        cols = xp.stack(
-            [xp.broadcast_to(xp.asarray(values[c], dtype=np.int64), lanes.shape)[ok]
-             for c in names],
-            axis=1,
-        ) if names else np.zeros((ok_lanes.size, 0), dtype=np.int64)
-        self._ins_chunks.append((ok_lanes, table_id, ok_keys, names, cols))
-        self._emit(ok_lanes, _INSERT, table_id, -1, _EMPTY_COL, 0, ok_keys)
+        ok_lanes, ok_keys = self._buffer_inserts(table_id, lanes, keys, values, ok)
+        if ok_lanes.size:
+            self._emit(ok_lanes, _INSERT, table_id, -1, _EMPTY_COL, 0, ok_keys)
         return ok
+
+    def _buffer_inserts(self, table_id, lanes, keys, values, sel):
+        """Buffer the payload rows ``sel`` of an insert whose ``keys``
+        and ``values`` align with ``lanes`` as one insert chunk; returns
+        the selected ``(lanes, keys)``."""
+        xp = self.xp
+        lanes, keys = lanes[sel], keys[sel]
+        if lanes.size:
+            names = tuple(values)
+            cols = xp.stack(
+                [xp.broadcast_to(xp.asarray(values[c], dtype=np.int64), sel.shape)[sel]
+                 for c in names],
+                axis=1,
+            ) if names else np.zeros((lanes.size, 0), dtype=np.int64)
+            self._ins_chunks.append((lanes, table_id, keys, names, cols))
+        return lanes, keys
+
+    def emit_steps(
+        self, lanes: np.ndarray, reached: np.ndarray, steps: tuple
+    ) -> None:
+        """Emit up to ``k = len(steps)`` consecutive ops per *pair* in
+        one chunk — :meth:`read_block` generalised to any op kind and to
+        pairs that stop early.
+
+        Pair ``i`` belongs to lane ``lanes[i]`` (a lane may own several
+        pairs, in program order) and emits the first ``reached[i]``
+        steps.  A step is an emission method's name and its arguments
+        less ``lanes``, aligned with the pairs (rows and values may be
+        scalars, an insert's keys may not):
+        ``("read", table, rows, column, values)`` — the values the twin
+        gathered — ``("write" | "add", table, rows, column, values)``
+        and ``("insert", table, keys, payload)``.  The ops land
+        pair-major, so each lane's ops keep its program order, and
+        :meth:`finalize` writes each step once, straight into the
+        group's op block; the payloads of the pairs that reach an
+        insert step become one insert chunk.  Nothing is probed: the
+        caller resolved the keys and chose ``reached`` from them."""
+        xp = self.xp
+        k = len(steps)
+        if lanes.size == 0 or not k:
+            return
+        fields = []
+        for s, (kind, table, *args) in enumerate(steps):
+            table_id, _ = self._db.resolve(table)
+            if kind == "insert":
+                keys, payload = args
+                self._buffer_inserts(table_id, lanes, keys, payload, reached > s)
+                fields.append((_INSERT, table_id, -1, _EMPTY_COL, 0, keys))
+            else:
+                rows, column, values = args
+                fields.append((
+                    _STEP_KINDS[kind], table_id, rows, intern_column(column), values, 0
+                ))
+        keep = (xp.arange(k, dtype=np.int64) < reached[:, None]).reshape(-1)
+        self._chunks.append(
+            _Steps(lanes, fields, None if keep.all() else xp.flatnonzero(keep))
+        )
 
     def range_predicate(
         self, table: str, lanes: np.ndarray, lo: np.ndarray, hi: np.ndarray
@@ -572,13 +675,18 @@ class BatchedContext:
         """
         xp = self.xp
         if self._chunks:
-            sizes = [c[0].size for c in self._chunks]
+            sizes = [
+                c.size if isinstance(c, _Steps) else c[0].size for c in self._chunks
+            ]
             block = xp.empty((1 + OP_FIELDS, sum(sizes)), dtype=np.int64)
             pos = 0
             for chunk, size in zip(self._chunks, sizes):
                 part = block[:, pos:pos + size]
-                for f in range(1 + OP_FIELDS):
-                    part[f] = chunk[f]
+                if isinstance(chunk, _Steps):
+                    chunk.write(part, xp)
+                else:
+                    for f in range(1 + OP_FIELDS):
+                        part[f] = chunk[f]
                 pos += size
             if self.fallback.any():
                 fb = xp.from_host(self.fallback)

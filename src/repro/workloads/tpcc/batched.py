@@ -1,9 +1,15 @@
 """Vectorized twins of the TPC-C stored procedures.
 
 Each twin replays its scalar procedure's exact op-emission order with
-NumPy over a :class:`~repro.txn.batch_context.BatchedContext`, stepping
-item/order loops position-by-position so every lane's per-op sequence
-numbers line up with a per-transaction execution.
+NumPy over a :class:`~repro.txn.batch_context.BatchedContext`, so every
+lane's per-op sequence lines up with a per-transaction execution.
+NewOrder's item loop is one pass over every (lane, item slot) pair:
+each key is resolved once, each pair gets the number of loop steps the
+scalar procedure reaches in that slot, and
+:meth:`~repro.txn.batch_context.BatchedContext.emit_steps` lays the
+steps out pair-major — so its cost does not grow with the longest
+order in the group.  Delivery still walks its orders one position at a
+time.
 
 Lanes that would need a read-your-own-writes overlay fall back to the
 scalar procedure (the engine re-runs them one at a time):
@@ -51,6 +57,12 @@ def _segment_sums(
     return sums
 
 
+def _rows_of_keys(bctx: BatchedContext, table: str, keys: np.ndarray) -> np.ndarray:
+    """Row slot per key, ``-1`` where absent; aborts nothing."""
+    _, t = bctx.resolve(table)
+    return t.rows_of_keys(keys, bctx.xp)
+
+
 def _dup_in_rows(
     xp: ArrayBackend, matrix: np.ndarray, valid: np.ndarray
 ) -> np.ndarray:
@@ -76,53 +88,58 @@ def _neworder_b(scale: TpccScale, bctx: BatchedContext, params: ParamColumns):
     o_id = params.column(3)
     rollback = params.column(4)
     n_items = (params.lengths - 5) // 2
-    max_items = int(n_items.max()) if lanes.size else 0
-    if max_items:
-        items = xp.stack(
-            [params.column(5 + 2 * j) for j in range(max_items)], axis=1
-        )
-        qtys = xp.stack(
-            [params.column(6 + 2 * j) for j in range(max_items)], axis=1
-        )
-        valid = xp.arange(max_items, dtype=np.int64) < n_items[:, None]
-        # a repeated item id needs the second stock read to see the
-        # first decrement — scalar territory
-        bctx.fall_back(lanes[_dup_in_rows(xp, items, valid)])
+    # item slot j of every lane (views of the parameter matrix)
+    items = params.padded[:, 5::2]
+    qtys = params.padded[:, 6::2]
+    valid = xp.arange(items.shape[1], dtype=np.int64) < n_items[:, None]
+    # a repeated item id needs the second stock read to see the first
+    # decrement — scalar territory
+    bctx.fall_back(lanes[_dup_in_rows(xp, items, valid)])
 
     start = bctx.active_lanes()
     crows, cf = bctx.rows_for_keys("customer", start, c_key[start])
-    cur0 = start[cf]
-    bctx.read_rows("customer", cur0, crows[cf], "c_discount")
+    cur = start[cf]
+    bctx.read_rows("customer", cur, crows[cf], "c_discount")
     d_key = w * DISTRICTS_PER_WAREHOUSE + d
 
-    for j in range(max_items):
-        cur = xp.flatnonzero(bctx.active_mask() & (n_items > j))
-        if not cur.size:
-            continue
-        irows, if_ = bctx.rows_for_keys("item", cur, items[cur, j])
-        cur = cur[if_]
-        price = bctx.read_rows("item", cur, irows[if_], "i_price")
-        s_key = w[cur] * scale.num_items + items[cur, j]
-        srows, sf = bctx.rows_for_keys("stock", cur, s_key)
-        cur, sr, price = cur[sf], srows[sf], price[sf]
-        qty = qtys[cur, j]
-        s_qty = bctx.read_rows("stock", cur, sr, "s_quantity")
-        base = s_qty - qty
-        new_qty = xp.where(base >= 10, base, base + 91)
-        bctx.write("stock", cur, sr, "s_quantity", new_qty)
-        bctx.add("stock", cur, sr, "s_ytd", qty)
-        bctx.add("stock", cur, sr, "s_order_cnt", 1)
-        bctx.insert(
-            "order_line",
-            cur,
-            o_id[cur] * MAX_ORDER_LINES + j,
-            {
-                "ol_o_id": o_id[cur],
-                "ol_i_id": items[cur, j],
-                "ol_quantity": qty,
-                "ol_amount": price * qty,
-            },
-        )
+    # Every (lane, item slot) pair at once, lane-major.  Each key is
+    # resolved once, and each pair gets the depth the scalar loop
+    # reaches in that slot: 0 item missing, 1 stock missing, 5
+    # order_line key taken, 6 done.  A lane stops at its first short
+    # slot, so the slots after it reach nothing, and the lane aborts.
+    counts = n_items[cur]
+    lane = xp.repeat(cur, counts)
+    slot = _lane_major_offsets(xp, counts)
+    item, qty = items[lane, slot], qtys[lane, slot]
+    irows = _rows_of_keys(bctx, "item", item)
+    srows = _rows_of_keys(bctx, "stock", w[lane] * scale.num_items + item)
+    ol_key = o_id[lane] * MAX_ORDER_LINES + slot
+    taken = _rows_of_keys(bctx, "order_line", ol_key) >= 0
+    depth = xp.where(irows < 0, 0, xp.where(srows < 0, 1, xp.where(taken, 5, 6)))
+    short = depth < 6
+    before = xp.cumsum(short) - short  # short pairs before each pair
+    stopped = before > before[xp.repeat(xp.cumsum(counts) - counts, counts)]
+    reached = xp.where(stopped, 0, depth)
+    bctx.logic_abort(lane[short])
+
+    # a missing row gathers at -1: junk no reached step emits
+    price = bctx.column_of("item", "i_price")[irows]
+    s_qty = bctx.column_of("stock", "s_quantity")[srows]
+    base = s_qty - qty
+    new_qty = xp.where(base >= 10, base, base + 91)
+    bctx.emit_steps(lane, reached, (
+        ("read", "item", irows, "i_price", price),
+        ("read", "stock", srows, "s_quantity", s_qty),
+        ("write", "stock", srows, "s_quantity", new_qty),
+        ("add", "stock", srows, "s_ytd", qty),
+        ("add", "stock", srows, "s_order_cnt", 1),
+        ("insert", "order_line", ol_key, {
+            "ol_o_id": o_id[lane],
+            "ol_i_id": item,
+            "ol_quantity": qty,
+            "ol_amount": price * qty,
+        }),
+    ))
 
     bctx.logic_abort(xp.flatnonzero(bctx.active_mask() & (rollback != 0)))
     rem = bctx.active_lanes()

@@ -29,10 +29,18 @@ from helpers import (
 from reference_engine import ReferenceEngine
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
+from repro.storage.table import Table
 from repro.txn import ProcedureRegistry, Transaction
+from repro.txn.batch_context import BatchedContext
 from repro.txn.operations import column_name
 from repro.workloads.smallbank import build_smallbank
-from repro.workloads.tpcc import DELAYED_COLUMNS, SPLIT_COLUMNS, TpccMix, build_tpcc
+from repro.workloads.tpcc import (
+    DELAYED_COLUMNS,
+    SPLIT_COLUMNS,
+    TpccMix,
+    TpccScale,
+    build_tpcc,
+)
 from repro.workloads.ycsb import build_ycsb
 from repro.workloads.ycsb.generator import ycsb_delayed_columns
 
@@ -103,6 +111,122 @@ def test_tpcc_full_mix_three_way_identical():
         return engine_cls(db, registry, config)
 
     _three_way(build, make())
+
+
+# ---------------------------------------------------------------------------
+# TPC-C NewOrder: every way a lane's item loop stops, one cell each
+# ---------------------------------------------------------------------------
+_SCALE = TpccScale(warehouses=2, num_items=2000)
+_NO_ITEM = 10**9  # no such item (nor stock row)
+
+
+def _neworder(o_id, items, w=0, c=5, rollback=0):
+    """A NewOrder spec: ``items`` ordered 3 at a time by customer ``c``
+    of district (0, 1); ``w`` names the stock rows' warehouse."""
+    flat = [x for item in items for x in (item, 3)]
+    c_key = _SCALE.customer_key(0, 1, c)
+    return ("neworder", (w, 1, c_key, o_id, rollback, *flat))
+
+
+def _payment(h_id):
+    return ("payment", (1, 2, _SCALE.customer_key(1, 2, h_id), 100, h_id))
+
+
+#: cell -> (batches, logic aborts among them).  Each batch's other
+#: lanes run the whole loop, so a short lane shares its group with
+#: complete ones.
+NEWORDER_CELLS = {
+    "item-missing-first": ([[_neworder(1, [_NO_ITEM, 11, 12, 13]), _neworder(2, [21, 22])]], 1),
+    "item-missing-middle": ([[_neworder(1, [11, 12, _NO_ITEM, 13, 14]), _neworder(2, [21, 22])]], 1),
+    "item-missing-last": ([[_neworder(1, [11, 12, 13, 14, _NO_ITEM]), _neworder(2, [21, 22])]], 1),
+    # warehouse 2 does not exist: the item reads, its stock row is missing
+    "stock-missing": ([[_neworder(1, [11, 12, 13], w=2), _neworder(2, [21, 22])]], 1),
+    # the second batch reuses o_id 1, whose order lines the first installed
+    "order-line-taken": ([
+        [_neworder(1, [11, 12, 13]), _neworder(2, [21, 22])],
+        [_neworder(1, [31, 32]), _neworder(3, [41, 42, 43])],
+    ], 1),
+    "rollback": ([[_neworder(1, [11, 12, 13], rollback=1), _neworder(2, [21, 22])]], 1),
+    "repeated-item": ([[_neworder(1, [11, 12, 11]), _neworder(2, [21, 22])]], 0),
+    "customer-missing": ([[_neworder(1, [11, 12], c=10**6), _neworder(2, [21, 22])]], 1),
+    "1-and-15-items": (
+        [[_neworder(1, [11]), _neworder(2, range(100, 115)), _neworder(3, [31, 32])]], 0,
+    ),
+    "one-lane-group": ([[_payment(1), _neworder(1, [11, 12, 13]), _payment(2)]], 0),
+    "all-at-once": ([
+        [_neworder(1, [11, 12]), _neworder(2, [21, 22])],
+        [
+            _neworder(3, [_NO_ITEM, 11]), _neworder(4, [12, 13, _NO_ITEM, 14]),
+            _neworder(5, [15, 16], w=2), _neworder(1, [17]),
+            _neworder(6, [18, 19], rollback=1), _neworder(7, [20, 21, 20]),
+            _neworder(8, [22], c=10**6), _neworder(9, range(200, 215)),
+            _neworder(10, [23]), _payment(3),
+        ],
+    ], 6),
+}
+
+
+def _build_small_tpcc(mode_kwargs, engine_cls=LTPGEngine):
+    db, registry, _ = build_tpcc(
+        warehouses=_SCALE.warehouses, num_items=_SCALE.num_items, seed=7
+    )
+    config = LTPGConfig(
+        batch_size=64,
+        delayed_columns=DELAYED_COLUMNS,
+        split_columns=SPLIT_COLUMNS,
+        **mode_kwargs,
+    )
+    return engine_cls(db, registry, config)
+
+
+@pytest.mark.parametrize("cell", NEWORDER_CELLS)
+def test_neworder_short_lanes_three_way_identical(cell):
+    batches, logic_aborts = NEWORDER_CELLS[cell]
+
+    def observe(engine):
+        out = _observe(engine, batches)
+        # the slots the order lines landed in, which the digest (rows
+        # ordered by key) does not see
+        order_line = engine.database.table("order_line")
+        out.append([order_line.key_of(r) for r in range(order_line.num_rows)])
+        return out
+
+    reference = observe(_build_small_tpcc({}, ReferenceEngine))
+    assert observe(_build_small_tpcc(dict(batched_exec=False))) == reference
+    assert observe(_build_small_tpcc({})) == reference
+    assert sum(b["logic_aborted"] for b in reference[: len(batches)]) == logic_aborts
+
+
+def test_neworder_twin_cost_does_not_grow_with_max_items(monkeypatch):
+    """The twin runs every item slot in one pass: a group whose lanes
+    order at most 5 items and one whose lanes order 15 record the same
+    number of op and insert chunks and make the same number of key
+    resolutions."""
+    seen = []
+    finalize = BatchedContext.finalize
+    monkeypatch.setattr(
+        BatchedContext, "finalize",
+        lambda self: seen.append((len(self._chunks), len(self._ins_chunks)))
+        or finalize(self),
+    )
+    probes = []
+    rows_of_keys = Table.rows_of_keys
+    monkeypatch.setattr(
+        Table, "rows_of_keys",
+        lambda self, *a, **k: probes.append(self.name) or rows_of_keys(self, *a, **k),
+    )
+    counts = {}
+    for max_items in (5, 15):
+        engine = _build_small_tpcc({})
+        specs = [
+            _neworder(o_id, range(100 * o_id, 100 * o_id + 1 + o_id % max_items))
+            for o_id in range(1, 9)
+        ]
+        seen.clear()
+        probes.clear()
+        _observe(engine, [specs])
+        counts[max_items] = (list(seen), sorted(probes))
+    assert counts[5] == counts[15]
 
 
 # ---------------------------------------------------------------------------

@@ -66,21 +66,31 @@ GOLDEN["mockgpu-resident"] = GOLDEN["default"]
 #:
 #: per batch 737,868 / 713,188 / 771,860 -> 805,868 / 778,508 / 843,076;
 #: ``transfer.count`` and every H2D figure are unchanged (§13 again).
+#: The NewOrder twin running every item slot in one pass (no per-slot
+#: ``active_mask()`` upload, key probes or insert chunks) moved execute
+#: alone once more —
+#:
+#:   transfer.count               919 ->       493
+#:   transfer.d2h_bytes     2,427,452 -> 2,427,194   (execute: same -258)
+#:   transfer.h2d_bytes     2,870,677 -> 2,865,202   (execute: same -5,475)
+#:
+#: per batch D2H -86 each, H2D -1,800 / -1,815 / -1,860 (§13 has the
+#: call sites).
 LEDGER = {
     "mockgpu-resident": {
-        "transfer.count": 919,
-        "transfer.d2h_bytes": 2_427_452,
-        "transfer.h2d_bytes": 2_870_677,
-        "transfer.execute.d2h_bytes": 2_283_508,
-        "transfer.execute.h2d_bytes": 1_562_117,
+        "transfer.count": 493,
+        "transfer.d2h_bytes": 2_427_194,
+        "transfer.h2d_bytes": 2_865_202,
+        "transfer.execute.d2h_bytes": 2_283_250,
+        "transfer.execute.h2d_bytes": 1_556_642,
         "transfer.conflict.d2h_bytes": 143_944,
         "transfer.conflict.h2d_bytes": 0,
         "transfer.writeback.d2h_bytes": 0,
         "transfer.writeback.h2d_bytes": 1_308_560,
         "per_batch": [
-            {"d2h_bytes": 805_868, "h2d_bytes": 2_528_224},
-            {"d2h_bytes": 778_508, "h2d_bytes": 167_113},
-            {"d2h_bytes": 843_076, "h2d_bytes": 175_340},
+            {"d2h_bytes": 805_782, "h2d_bytes": 2_526_424},
+            {"d2h_bytes": 778_422, "h2d_bytes": 165_298},
+            {"d2h_bytes": 842_990, "h2d_bytes": 173_480},
         ],
     },
 }
