@@ -11,7 +11,7 @@ replaying the logged batches.  The recovered state is byte-identical.
 
 from __future__ import annotations
 
-from repro.bench.common import ltpg_config
+from repro.bench import ltpg_config
 from repro.core import LTPGEngine
 from repro.storage import SnapshotManager, recover
 from repro.txn import BatchScheduler, drive

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 
-from repro.bench.common import ltpg_config
+from repro.bench import ltpg_config
 from repro.txn import assign_tids
 from repro.workloads.tpcc import TpccMix, build_tpcc
 

@@ -10,8 +10,7 @@ aborted transactions must wait two batches before retrying.
 
 from __future__ import annotations
 
-from repro.bench.common import ltpg_config, tpcc_bench
-from repro.bench.runner import steady_state_run
+from repro.bench import ltpg_config, steady_state_run, tpcc_bench
 from repro.core.pipeline import pipelined
 
 BATCHES = 12

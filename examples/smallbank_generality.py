@@ -13,7 +13,7 @@ then sweeps account skew to show where optimism starts paying aborts.
 
 from __future__ import annotations
 
-from repro.bench.runner import steady_state_run
+from repro.bench import steady_state_run
 from repro.core import LTPGConfig, LTPGEngine
 from repro.workloads.smallbank import build_smallbank
 

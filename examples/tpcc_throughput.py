@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench.common import ltpg_config, scaled, tpcc_bench
-from repro.bench.runner import steady_state_run
+from repro.bench import ltpg_config, scaled, steady_state_run, tpcc_bench
 from repro.workloads.tpcc import TpccMix
 
 

@@ -13,7 +13,7 @@ collapse begins.
 
 from __future__ import annotations
 
-from repro.bench.runner import steady_state_run
+from repro.bench import steady_state_run
 from repro.core import LTPGConfig, LTPGEngine
 from repro.workloads.ycsb import build_ycsb, ycsb_delayed_columns
 

@@ -170,7 +170,7 @@ def _steady_transfers(
     and a byte that does is the database's.  The warm-up absorbs the
     initial and first-touch uploads; mockgpu's ledger is deterministic,
     so the gate reproduces exactly on any host."""
-    from repro.bench.common import ltpg_config, tpcc_bench
+    from repro.bench import ltpg_config, tpcc_bench
     from repro.bench.wallclock import driven
     from repro.workloads.tpcc import TpccGenerator, TpccScale
 

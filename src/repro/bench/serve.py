@@ -23,7 +23,7 @@ import platform
 import sys
 from dataclasses import dataclass, field
 
-from repro.bench.reporting import format_table
+from repro.bench.paper import format_table
 
 #: (policy name, max queue wait in us or None for size-only) per row.
 #: 25 us is deliberately tighter than the ~32 us a full batch takes to

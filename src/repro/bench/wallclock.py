@@ -46,8 +46,7 @@ from itertools import islice
 
 import numpy as np
 
-from repro.bench.common import ltpg_config, tpcc_bench
-from repro.bench.reporting import format_metrics, format_table
+from repro.bench.paper import format_metrics, format_table, ltpg_config, tpcc_bench
 from repro.core.stats import RunStats
 from repro.txn import BatchScheduler, drive
 

@@ -75,11 +75,11 @@ class BatchPolicy(ABC):
 class SizePolicy(BatchPolicy):
     """Cut exactly when a full batch is waiting (throughput-greedy).
 
-    The pre-generated benchmark path in :func:`repro.bench.runner.
-    steady_state_run` is this policy with an always-full queue, which is
-    why a served stream under ``SizePolicy`` commits byte-identical
-    state to the pre-assembled batch sequence (see
-    ``tests/test_serve_equivalence.py``).
+    The pre-generated benchmark path in
+    :func:`repro.bench.steady_state_run` is this policy with an
+    always-full queue, which is why a served stream under
+    ``SizePolicy`` commits byte-identical state to the pre-assembled
+    batch sequence (see ``tests/test_serve_equivalence.py``).
     """
 
     name = "size"

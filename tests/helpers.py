@@ -6,8 +6,9 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import pytest
 
-from repro.bench import fig6, table2, table4
+from repro.bench import paper
 from repro.core import LTPGConfig, LTPGEngine
 from repro.storage import Database, make_schema
 from repro.txn import ProcedureRegistry, Transaction
@@ -16,23 +17,66 @@ from repro.txn import ProcedureRegistry, Transaction
 #: The smoke scale of the bench tests: paper sizes divided by 64.
 TINY = 64.0
 
+#: One smoke run per case: (experiment, scale, rounds, axis overrides).
+#: ``tests/test_bench.py`` holds each case to its spec's shape predicate
+#: and renders it; ``tests/test_driver_goldens.py`` pins its cells.
+SMOKE: dict[str, tuple[str, float, int, dict]] = {
+    "table2": ("table2", TINY, 2, dict(pct=(50,), warehouses=(8,))),
+    # GaccO's payment-only lead needs a reasonable payments-per-warehouse
+    # ratio: a moderate scale rather than the smoke scale
+    "table2@16": (
+        "table2",
+        16.0,
+        2,
+        dict(pct=(50, 0), warehouses=(8,), system=("ltpg", "gacco", "calvin")),
+    ),
+    "table3": ("table3", TINY, 2, dict(pct=(50,), warehouses=(8,), batch=(2**8, 2**14))),
+    "table4": ("table4", TINY, 2, dict(warehouses=(8,), batch=(8_192,))),
+    "table5": ("table5", TINY, 2, dict(batch=(1_024, 65_536))),
+    "table6": ("table6", TINY, 2, dict(warehouses=(8,), batch=(16_384,))),
+    "table7": ("table7", TINY, 2, {}),
+    "table8": ("table8", TINY, 2, dict(warehouses=(8, 64))),
+    "table9": ("table9", 64.0, 1, {}),
+    # spread the batch sizes: adjacent small sizes sit in the
+    # fixed-cost-dominated regime where latencies nearly tie
+    "fig6a": ("fig6a", TINY, 2, dict(batch=(2**8, 2**16))),
+    "fig6b": ("fig6b", TINY, 2, {}),
+    "fig7": (
+        "fig7",
+        TINY,
+        2,
+        dict(data_size=(10_000,), workload=("a", "b", "c", "e"), batch=(2**10,)),
+    ),
+    "ablations": ("ablations", 64.0, 2, {}),
+    "sweep": ("sweep", 32.0, 2, dict(hot=(0.0, 1.0))),
+    "fullmix": ("fullmix", 32.0, 3, {}),
+    "calibration": (
+        "calibration",
+        64.0,
+        2,
+        dict(source=("table2",), anchor=((50, 8, "gacco"),)),
+    ),
+    "calibration@table7": ("calibration", TINY, 2, dict(source=("table7",))),
+}
+
 
 @functools.cache
-def tiny_table2() -> table2.Table2Result:
-    """Table II's mixed 8-warehouse column, all nine systems, at the
-    smoke scale — run once for the shape assertions in ``test_bench``
-    and the exact goldens in ``test_driver_goldens`` (read-only)."""
-    return table2.run(scale=TINY, rounds=2, configs=((50, 8),))
+def smoke(case: str) -> dict[tuple, dict]:
+    """A smoke case's records as ``{key: values}``, run once per test run
+    (read-only: the shape tests and the goldens share it)."""
+    name, scale, rounds, axes = SMOKE[case]
+    return dict(paper.run(name, scale, rounds, **axes))
 
 
-@functools.cache
-def tiny_table4() -> table4.Table4Result:
-    return table4.run(scale=TINY, rounds=2, configs=((8, 8_192),))
+def violates(case: str, key: tuple, column: str, value: float) -> None:
+    """The spec's shape predicate rejects the smoke records with one
+    cell's column set to ``value``."""
+    name, scale, _, _ = SMOKE[case]
+    records = {k: dict(v) for k, v in smoke(case).items()}
+    records[key][column] = value
+    with pytest.raises(AssertionError):
+        paper.SPECS[name].shape(records, scale)
 
-
-@functools.cache
-def tiny_fig6b() -> fig6.Fig6bResult:
-    return fig6.run_b(scale=TINY, rounds=2)
 
 
 def build_bank(accounts: int = 64, balance: int = 1000) -> tuple[Database, ProcedureRegistry]:

@@ -1,38 +1,92 @@
-"""Bench harnesses: smoke every experiment at tiny scale and assert the
-paper's qualitative shapes."""
+"""The paper's experiments as spec rows: every smoke case holds its
+spec's who-wins shape and renders, each named claim is one the shape
+predicate really enforces, and the committed ``BENCH_paper.json`` holds
+every shape at its own scale."""
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
-from helpers import TINY, tiny_fig6b, tiny_table2, tiny_table4
-from repro.bench import (
-    fig6,
-    fig7,
-    reporting,
-    table2,
-    table3,
-    table5,
-    table6,
-    table7,
-    table8,
-    table9,
-)
-from repro.bench.common import scaled, tpcc_bench
+from helpers import SMOKE, TINY, smoke, violates
+from repro.bench import format_table, paper, scaled, steady_state_run, tpcc_bench
 from repro.errors import BenchmarkError
+
+ARTIFACT = pathlib.Path(__file__).resolve().parents[1] / "BENCH_paper.json"
+
+
+@pytest.mark.parametrize("case", SMOKE)
+def test_smoke_case_holds_its_shape_and_renders(case):
+    """Smoke records -> the spec's shape predicate -> the formatter
+    output names the title, every measured column and every key label."""
+    name, scale, _, _ = SMOKE[case]
+    spec = paper.SPECS[name]
+    records = smoke(case)
+    spec.shape(records, scale)
+    text = paper.format_records(spec, list(records.items()))
+    assert spec.title in text
+    shown = [*spec.rows, *spec.cols, *([spec.block] if spec.block else [])]
+    axes = [a for a, _ in spec.axes]
+    for key, values in records.items():
+        assert all(column in text for column in values)
+        assert all(paper._label(key[axes.index(a)]) in text for a in shown)
+
+
+def test_every_spec_has_a_smoke_case():
+    assert {name for name, *_ in SMOKE.values()} == set(paper.SPECS)
+
+
+def test_committed_artifact_holds_every_shape():
+    meta, results = paper.load(str(ARTIFACT))
+    assert set(meta) == {"scale", "rounds", "seed"}
+    assert list(results) == list(paper.SPECS)
+    for name, records in results.items():
+        spec = paper.SPECS[name]
+        assert [key for key, _ in records] == paper.keys(spec), name
+        spec.shape(dict(records), meta["scale"])
+
+
+def test_artifact_round_trips(tmp_path):
+    results = {
+        name: list(smoke(case).items())
+        for case, (name, *_) in SMOKE.items()
+        if "@" not in case
+    }
+    path = tmp_path / "paper.json"
+    paper.write(str(path), results, TINY, 2)
+    meta, back = paper.load(str(path))
+    assert meta == {"scale": TINY, "rounds": 2, "seed": paper.SEED}
+    assert back == results
+
+
+def test_fig7_cell_is_independent_of_the_cells_before_it():
+    """Each cell builds its own database and generator: a cell run after
+    another batch size equals the same cell run alone."""
+    axes = dict(data_size=(10_000,), workload=("a",))
+    alone = paper.run("fig7", 64.0, 2, batch=(2**14,), **axes)
+    after = paper.run("fig7", 64.0, 2, batch=(2**10, 2**14), **axes)
+    assert alone == after[1:]
+
+
+def test_unknown_experiment_and_axis_rejected():
+    with pytest.raises(BenchmarkError):
+        paper.run("tableX")
+    with pytest.raises(BenchmarkError):
+        paper.run("table5", warehouses=(8,))
+
+
+def mtps(case: str, key: tuple) -> float:
+    return smoke(case)[key]["mtps"]
 
 
 class TestReporting:
     def test_format_table_alignment(self):
-        text = reporting.format_table("T", ["a", "bb"], [[1, 2.5], ["x", 10000.0]])
+        text = format_table("T", ["a", "bb"], [[1, 2.5], ["x", 10000.0]])
         lines = text.splitlines()
         assert lines[0] == "T"
         assert "bb" in lines[2]
         assert "10,000" in text
-
-    def test_units(self):
-        assert reporting.mtps(2e6) == 2.0
-        assert reporting.us(1500.0) == 1.5
 
 
 class TestCommon:
@@ -48,146 +102,89 @@ class TestCommon:
 
 class TestTable2:
     def test_shape_ltpg_beats_gacco_on_mixed_and_gacco_wins_payment(self):
-        # GaccO's payment-only advantage comes from hot-row contention,
-        # which needs a reasonable payments-per-warehouse ratio: use a
-        # moderate scale here rather than the tiny smoke scale.
-        result = table2.run(
-            scale=16.0,
-            rounds=2,
-            systems=("ltpg", "gacco", "calvin"),
-            configs=((50, 8), (0, 8)),
-        )
-        assert result.mtps[("ltpg", 50, 8)] > result.mtps[("calvin", 50, 8)]
-        assert result.mtps[("gacco", 0, 8)] > result.mtps[("ltpg", 0, 8)]
-        text = result.format()
-        assert "ltpg" in text and "50-8" in text
+        ltpg = mtps("table2@16", (0, 8, "ltpg"))
+        violates("table2@16", (0, 8, "gacco"), "mtps", 0.5 * ltpg)
+        violates("table2@16", (50, 8, "ltpg"), "mtps", 0.5 * mtps("table2@16", (50, 8, "gacco")))
 
     def test_gpu_systems_beat_cpu_systems_on_mixed(self):
-        result = tiny_table2()
-        assert result.mtps[("ltpg", 50, 8)] > result.mtps[("aria", 50, 8)]
-        assert result.mtps[("aria", 50, 8)] > result.mtps[("bohm", 50, 8)]
+        violates("table2", (50, 8, "aria"), "mtps", 2 * mtps("table2", (50, 8, "ltpg")))
+        violates("table2", (50, 8, "bohm"), "mtps", 2 * mtps("table2", (50, 8, "aria")))
 
 
 class TestTable3:
     def test_throughput_improves_with_batch_size(self):
-        result = table3.run(
-            scale=TINY,
-            rounds=2,
-            batch_sizes=(2**8, 2**14),
-            configs=((50, 8),),
-        )
-        small = result.mtps[(2**8, 50, 8)]
-        large = result.mtps[(2**14, 50, 8)]
-        assert large > small
-        assert "2^14" in result.format()
+        small = mtps("table3", (50, 8, 2**8))
+        violates("table3", (50, 8, 2**14), "mtps", 0.5 * small)
 
 
 class TestTable4:
     def test_ltpg_latency_below_gacco(self):
-        result = tiny_table4()
-        lat_l, xfer_l = result.cells[("ltpg", 8, 8_192)]
-        lat_g, xfer_g = result.cells[("gacco", 8, 8_192)]
-        assert lat_l < lat_g
-        assert xfer_l < xfer_g
+        ltpg = smoke("table4")[(8, 8_192, "ltpg")]
+        violates("table4", (8, 8_192, "gacco"), "latency_us", ltpg["latency_us"])
+        violates("table4", (8, 8_192, "gacco"), "transfer_us", ltpg["transfer_us"])
 
 
 class TestTable5:
     def test_copy_cost_grows_with_batch(self):
-        result = table5.run(scale=TINY, rounds=2, batch_sizes=(1_024, 65_536))
-        assert result.rwset_us[65_536] > result.rwset_us[1_024]
+        small = smoke("table5")[(1_024,)]["rwset_us"]
+        violates("table5", (65_536,), "rwset_us", small)
 
 
 class TestTable6:
     def test_optimizations_lift_payment_commit_rate(self):
-        result = table6.run(scale=TINY, rounds=2, configs=((8, 16_384),))
-        with_opt = result.cells[(8, 16_384, True)]
-        without = result.cells[(8, 16_384, False)]
-        assert with_opt.rate_payment > 4 * without.rate_payment
-        assert abs(with_opt.rate_neworder - without.rate_neworder) < 0.2
-        assert with_opt.rate_total > without.rate_total
+        off = smoke("table6")[(8, 16_384, False)]
+        violates("table6", (8, 16_384, True), "rate_payment", 2 * off["rate_payment"])
+        violates("table6", (8, 16_384, True), "rate_neworder", off["rate_neworder"] + 0.3)
 
 
 class TestTable7:
     def test_large_buckets_cut_marking_latency(self):
-        result = table7.run()
-        for grid, block in table7.GEOMETRIES:
-            for h in table7.HASH_SIZES:
-                std = result.cells[(grid, block, h, 1)]
-                big = result.cells[(grid, block, h, 32)]
-                assert big.mark_us < std.mark_us
-                # reading is insensitive to bucket size
-                assert big.read_us == pytest.approx(std.read_us)
+        std = smoke("table7")[(512, 512, 32, 1)]
+        violates("table7", (512, 512, 32, 32), "mark_us", std["mark_us"])
+        violates("table7", (512, 512, 32, 32), "read_us", 2 * std["read_us"])
 
     def test_contention_grows_with_smaller_hash(self):
-        result = table7.run()
-        hot = result.cells[(1024, 1024, 1, 1)]
-        cold = result.cells[(1024, 1024, 512, 1)]
-        assert hot.mark_us > cold.mark_us
+        cold = smoke("table7")[(1024, 1024, 512, 1)]
+        violates("table7", (1024, 1024, 1, 1), "mark_us", cold["mark_us"])
 
 
 class TestTable8:
     def test_large_fraction_is_small_and_flat(self):
-        result = table8.run(scale=TINY, warehouses=(8, 64))
-        large_8, std_8 = result.pct[8]
-        large_64, _ = result.pct[64]
-        assert large_8 + std_8 == pytest.approx(100.0)
-        assert large_8 < 10.0
-        assert large_64 < 10.0
+        violates("table8", (64,), "large_pct", 50.0)
+        violates("table8", (64,), "standard_pct", 50.0)
 
 
 class TestTable9:
     def test_unified_memory_inflates_phases(self):
-        result = table9.run(scale=64.0, rounds=1)
-        zc = result.phases[table9.ZERO_COPY_SCALES[0]]
-        um = result.phases[table9.UNIFIED_SCALES[-1]]
-        assert result.modes[32] == "zero_copy"
-        assert result.modes[2048] == "unified"
-        assert um["execute"] > zc["execute"]
+        zero_copy = smoke("table9")[(32,)]["execute_us"]
+        violates("table9", (2048,), "execute_us", 1.5 * zero_copy)
+        violates("table9", (2048,), "mode", "zero_copy")
 
 
 class TestFig6:
     def test_commit_rate_band_and_latency_growth(self):
-        # spread the batch sizes: at smoke scale adjacent sizes sit in
-        # the fixed-cost-dominated regime where latencies nearly tie
-        result = fig6.run_a(scale=TINY, rounds=2, batch_sizes=(2**8, 2**16))
-        assert result.latency_us[2**16] > result.latency_us[2**8]
-        assert 0.0 < result.commit_rate[2**16] <= 1.0
+        small = smoke("fig6a")[(2**8,)]["latency_us"]
+        violates("fig6a", (2**16,), "latency_us", small)
+        violates("fig6a", (2**16,), "commit_rate", 0.1)
 
     def test_each_optimization_step_helps(self):
-        result = tiny_fig6b()
-        base = result.mtps["baseline"]
-        assert result.mtps["+high-contention"] > base
-        assert result.mtps["+hash-buckets"] >= result.mtps["+high-contention"] * 0.9
-        assert "vs baseline" in result.format()
+        base = mtps("fig6b", ("baseline",))
+        violates("fig6b", ("+high-contention",), "mtps", base)
+        violates("fig6b", ("+hash-buckets",), "mtps", base)
 
 
 class TestFig7:
     def test_read_only_beats_scans(self):
-        result = fig7.run(
-            scale=TINY,
-            rounds=2,
-            workloads=("c", "e"),
-            batch_sizes=(2**10,),
-            data_sizes=(10_000,),
-        )
-        c = result.mtps[("c", 2**10, 10_000)]
-        e = result.mtps[("e", 2**10, 10_000)]
-        assert c > e
+        c = mtps("fig7", (10_000, "c", 2**10))
+        violates("fig7", (10_000, "e", 2**10), "mtps", c)
 
     def test_update_heavy_below_read_heavy(self):
-        result = fig7.run(
-            scale=TINY,
-            rounds=2,
-            workloads=("a", "b"),
-            batch_sizes=(2**10,),
-            data_sizes=(10_000,),
-        )
-        assert result.mtps[("b", 2**10, 10_000)] >= result.mtps[("a", 2**10, 10_000)]
+        b = mtps("fig7", (10_000, "b", 2**10))
+        violates("fig7", (10_000, "a", 2**10), "mtps", 2 * b)
 
 
 class TestRunnerValidation:
     def test_zero_batches_rejected(self):
-        from repro.bench.runner import steady_state_run
 
         bench = tpcc_bench(2, scale=TINY)
         with pytest.raises(BenchmarkError):

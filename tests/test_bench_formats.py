@@ -1,117 +1,85 @@
-"""Rendering of every bench result object (regression guard for the
-CLI output the EXPERIMENTS.md tables are diffed against)."""
+"""Rendering of every spec's records (regression guard for the CLI
+output the EXPERIMENTS.md tables are diffed against): each layout of the
+pivot formatter — a rows x cols grid, one line per key, one line per
+measured column, one table per block — on a smoke case."""
 
 from __future__ import annotations
 
-import pytest
+from helpers import SMOKE, smoke
+from repro.bench import paper
 
-from repro.bench.ablations import AblationResult
-from repro.bench.calibration import CalibrationResult
-from repro.bench.fig6 import Fig6aResult, Fig6bResult
-from repro.bench.fig7 import Fig7Result
-from repro.bench.fullmix import FullMixResult
-from repro.bench.sweep import SweepResult
-from repro.bench.table2 import Table2Result
-from repro.bench.table3 import Table3Result
-from repro.bench.table4 import Table4Result
-from repro.bench.table5 import Table5Result
-from repro.bench.table6 import Table6Cell, Table6Result
-from repro.bench.table8 import Table8Result
-from repro.bench.table9 import Table9Result
+
+def rendered(case: str) -> str:
+    name = SMOKE[case][0]
+    return paper.format_records(paper.SPECS[name], list(smoke(case).items()))
 
 
 class TestTableFormats:
     def test_table2_partial_configs(self):
-        r = Table2Result()
-        r.mtps[("ltpg", 50, 8)] = 18.4
-        r.mtps[("gacco", 50, 8)] = 16.1
-        text = r.format()
-        assert "50-8" in text and "ltpg" in text and "18.4" in text
-        assert "100-8" not in text  # absent configs stay out
+        text = rendered("table2")
+        header = text.splitlines()[2]
+        assert "system" in header and "50/8" in header and "ltpg" in text
+        assert "100/8" not in text  # absent configs stay out
+        assert "cell = mtps" in text
 
     def test_table3(self):
-        r = Table3Result()
-        r.mtps[(256, 50, 8)] = 1.5
-        text = r.format()
-        assert "2^8" in text
+        header = rendered("table3").splitlines()[2]
+        assert header.split() == ["batch", "50/8"]
 
     def test_table4(self):
-        r = Table4Result()
-        r.cells[("ltpg", 8, 8192)] = (100.0, 20.0)
-        r.cells[("gacco", 8, 8192)] = (200.0, 50.0)
-        text = r.format()
-        assert "100, 20" in text
+        text = rendered("table4")
+        ltpg = smoke("table4")[(8, 8192, "ltpg")]
         assert "8/8192" in text
+        assert f"{ltpg['latency_us']:.1f}, {ltpg['transfer_us']:.1f}" in text
+        assert "cell = latency_us, transfer_us" in text
 
     def test_table5(self):
-        r = Table5Result()
-        r.rwset_us[1024] = 9.5
-        assert "9.5" in r.format()
+        lines = rendered("table5").splitlines()
+        assert lines[2].split() == ["metric", "1024", "65536"]
+        assert lines[4].split()[0] == "rwset_us"
 
     def test_table6(self):
-        r = Table6Result()
-        r.cells[(8, 4096, True)] = Table6Cell(100, 60, 40, 0.8, 0.9, 0.7)
-        r.cells[(8, 4096, False)] = Table6Cell(50, 49, 1, 0.4, 0.9, 0.01)
-        text = r.format()
-        assert "yes" in text and "no" in text
-        assert "8/4096" in text
+        lines = rendered("table6").splitlines()
+        assert lines[2].split()[:2] == ["warehouses/batch/optimized", "committed_total"]
+        assert [line.split()[0] for line in lines[4:]] == ["8/16384/True", "8/16384/False"]
 
     def test_table8(self):
-        r = Table8Result()
-        r.pct[8] = (1.2, 98.8)
-        text = r.format()
-        assert "1.200" in text and "98.800" in text
+        lines = rendered("table8").splitlines()
+        assert [line.split()[0] for line in lines[4:]] == ["large_pct", "standard_pct"]
+        assert lines[2].split() == ["metric", "8", "64"]
 
     def test_table9(self):
-        r = Table9Result()
-        r.phases[32] = {"execute": 45_000.0, "conflict": 4_000.0, "writeback": 10_000.0}
-        r.modes[32] = "zero_copy"
-        text = r.format()
-        assert "zero_copy" in text and "45" in text
+        text = rendered("table9")
+        assert "zero_copy" in text and "unified" in text and "execute_us" in text
 
     def test_fig6(self):
-        a = Fig6aResult()
-        a.commit_rate[256] = 0.9
-        a.latency_us[256] = 77.0
-        assert "77" in a.format()
-        b = Fig6bResult()
-        b.mtps["baseline"] = 2.0
-        b.mtps["+high-contention"] = 4.0
-        text = b.format()
-        assert "2.00x" in text
+        assert "latency_us" in rendered("fig6a")
+        assert [line.split()[0] for line in rendered("fig6b").splitlines()[4:]] == list(
+            paper.STEPS
+        )
 
     def test_fig7(self):
-        r = Fig7Result()
-        r.mtps[("a", 1024, 10_000)] = 3.0
-        text = r.format()
-        assert "10,000 records" in text and "A" in text
+        assert rendered("fig7").startswith(
+            "Fig 7: YCSB throughput (10^6 TXs/s), Zipf alpha 2.5 — data_size 10000"
+        )
 
     def test_fullmix(self):
-        r = FullMixResult(mtps=5.0, commit_rate=0.7, p50_us=90.0, p99_us=120.0)
-        r.per_proc_rate["neworder"] = 0.6
-        r.retry_histogram[1] = 100
-        text = r.format()
-        assert "neworder commit %" in text
-        assert "attempt 1" in text
+        text = rendered("fullmix")
+        assert "neworder_rate" in text and "retries" in text
+        assert text.splitlines()[2].split() == ["metric", "value"]
 
     def test_sweep(self):
-        r = SweepResult()
-        r.cells[(0.5, True)] = (7.0, 0.65)
-        r.cells[(0.5, False)] = (2.0, 0.23)
-        text = r.format()
-        assert "0.50" in text
+        header = rendered("sweep").splitlines()[2]
+        assert header.split() == ["hot", "True", "False"]
 
     def test_ablation(self):
-        r = AblationResult("T", "metric")
-        r.rows["x"] = (1.0, 0.5, 3.0)
-        text = r.format()
-        assert "metric" in text and "50.0" in text
+        text = rendered("ablations")
+        for study in paper.ABLATIONS:
+            assert f"Ablation — study {study}" in text
+        assert text.count("variant") == len(paper.ABLATIONS)
 
     def test_calibration_worst_ratio(self):
-        r = CalibrationResult()
-        r.record("a", 2.0, 1.0)
-        r.record("b", 1.0, 1.0)
-        assert r.worst_ratio() == pytest.approx(2.0)
-        assert "2.00x" in r.format()
-        r.record("zero", 0.0, 1.0)
-        assert r.worst_ratio() == float("inf")
+        [(key, v)] = smoke("calibration").items()
+        assert key == ("table2", (50, 8, "gacco"))
+        assert v["ratio"] == v["measured"] / v["paper"]
+        assert "table2/50/8/gacco" in rendered("calibration")

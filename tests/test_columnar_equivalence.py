@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from helpers import build_bank
 from reference_engine import ReferenceEngine
-from repro.bench.common import ltpg_config, tpcc_bench
+from repro.bench import ltpg_config, steady_state_run, tpcc_bench
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
 from repro.txn import Transaction

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import build_bank, txn
-from repro.bench.runner import steady_state_run
+from repro.bench import steady_state_run
 from repro.core import LTPGConfig, LTPGEngine
 from repro.core.pipeline import pipelined, run_pipelined
 from repro.txn import BatchScheduler

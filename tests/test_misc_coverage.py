@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro import errors
-from repro.bench.reporting import _fmt, format_table
+from repro.bench.paper import _fmt, format_table
 from repro.core import LTPGConfig, MemoryMode
 from repro.core.memory_modes import MemoryPlan, transfer_latency_factor
 from repro.gpusim import Device, DeviceConfig, KernelStats

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.common import ltpg_config
-from repro.bench.runner import steady_state_run
+from repro.bench import ltpg_config, steady_state_run
 from repro.core import LTPGEngine
 from repro.txn import assign_tids
 from repro.validate import replay_in_witness_order

@@ -24,8 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.workload import WORKLOAD_NAMES, build_workload
-from repro.bench.reporting import format_metrics
-from repro.bench.runner import steady_state_run
+from repro.bench import format_metrics, steady_state_run
 from repro.core import LTPGConfig
 from repro.core.stats import BatchStats, RunStats
 from repro.trace import validate_nesting
