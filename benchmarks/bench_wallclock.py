@@ -36,7 +36,7 @@ def test_wallclock_batched_speedup(benchmark, bench_scale, bench_rounds):
     # At scaled-down batch sizes the per-batch times are sub-millisecond
     # and noisy, so only sanity-check that the sweep produced data; the
     # full-scale numbers are recorded in BENCH_wallclock.json and gated
-    # by scripts/check_wallclock.py.
+    # by scripts/check_wallclock.py (schema, execute).
     assert all(
         result.seconds[path][b]["execute"] > 0
         for path in ("batched", "columnar")
@@ -55,13 +55,9 @@ def main(argv: list[str]) -> int:
     if argv:
         print(f"usage: {sys.argv[0]} [--small-batch]", file=sys.stderr)
         return 2
-    # min-of-8: matches the perf gate's estimator (scripts/check_wallclock.py).
-    # The mockgpu column is what fills transfers_per_batch — the
-    # per-phase transfer ledger EXPERIMENTS.md documents for every batch
-    # size (scripts/check_wallclock.py --schema holds the file to it).
-    result = wallclock.run_and_write(
-        scale=1.0, rounds=8, path=out, backend="mockgpu"
-    )
+    # min-of-8: matches the execute gate's estimator
+    # (scripts/check_wallclock.py execute).
+    result = wallclock.run_and_write(scale=1.0, rounds=8, path=out)
     print(result.format())
     headline = wallclock.HEADLINE_BATCH
     if headline in result.seconds.get("batched", {}):

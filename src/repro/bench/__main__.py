@@ -18,7 +18,6 @@ import sys
 import time
 
 from repro.bench import paper, serve, wallclock
-from repro.xp import BACKEND_NAMES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,13 +34,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--rounds", type=int, default=paper.DEFAULT_ROUNDS, help="measured batches per cell"
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=BACKEND_NAMES,
-        help="add a batched[<backend>] column to the wallclock sweep "
-        "(repro.xp backend name)",
-    )
     args = parser.parse_args(argv)
     names = list(paper.SPECS) if args.experiment == "all" else [args.experiment]
     results = {}
@@ -49,10 +41,7 @@ def main(argv: list[str] | None = None) -> int:
         start = time.time()
         if name == "wallclock":
             # Host wall-clock (not simulated time); writes BENCH_wallclock.json.
-            result = wallclock.run_and_write(
-                scale=args.scale, rounds=args.rounds, backend=args.backend
-            )
-            print(result.format())
+            print(wallclock.run_and_write(scale=args.scale, rounds=args.rounds).format())
         elif name == "serve":
             # End-to-end client latency through the async ingress
             # (virtual clock, deterministic); writes BENCH_serve.json.

@@ -7,11 +7,15 @@ differential tests in ``tests/test_columnar_equivalence.py`` and
 oracle).  This harness measures the one thing that *does* differ: how
 long the host takes to run each phase.  It sweeps batch sizes 2^10..2^16
 on TPC-C 50/50 and reports per-batch seconds for the default engine
-(``batched``: one vectorized twin call per procedure group) and for
+(``batched``: one vectorized twin call per procedure group), for
 ``batched_exec=False`` (``columnar``: the same pipeline with every lane
-a scalar lane — what a registry without twins costs), plus their ratio
-on execute and total, recorded in ``BENCH_wallclock.json`` (see
-docs/ARCHITECTURE.md for how to read it).  A separate
+a scalar lane — what a registry without twins costs) and for the
+default engine on mockgpu (``batched[mockgpu]``, the one device backend,
+whose transfer ledger fills ``transfers_per_batch``), plus the first
+two's ratio on execute and total, recorded in ``BENCH_wallclock.json``
+(see docs/ARCHITECTURE.md for how to read it;
+``scripts/check_wallclock.py schema`` holds the file to the keys the
+docs name).  A separate
 ``small_batch`` section (:func:`measure_small_batch`) times driven
 batches of 1..256 lanes with and without the twins: their
 fixed cost per batch loses below a few dozen lanes, and the section
@@ -55,6 +59,13 @@ BATCH_SIZES: tuple[int, ...] = tuple(2**k for k in range(10, 17))
 
 #: Engine phases as reported by ``LTPGEngine.last_host_phase_s``.
 PHASES: tuple[str, ...] = ("execute", "conflict", "writeback", "assemble")
+
+#: Measured paths: column name -> (``batched_exec``, array backend).
+PATHS: dict[str, tuple[bool, str]] = {
+    "batched[mockgpu]": (True, "mockgpu"),
+    "batched": (True, "numpy"),
+    "columnar": (False, "numpy"),
+}
 
 #: The acceptance batch size (2^14, the paper's headline batch).
 HEADLINE_BATCH = 16_384
@@ -105,12 +116,7 @@ class WallclockResult:
             self.seconds["batched"][batch][phase], 1e-12
         )
 
-    def backend_paths(self) -> list[str]:
-        """The optional per-backend columns (``batched[<backend>]``)."""
-        return sorted(p for p in self.seconds if p.startswith("batched["))
-
     def format(self) -> str:
-        backends = self.backend_paths()
         headers = [
             "batch size",
             "commit rate",
@@ -118,20 +124,19 @@ class WallclockResult:
             "batched exec (s)",
             "columnar exec (s)",
             "batched speedup (exec)",
+            "batched[mockgpu] exec (s)",
         ]
-        headers += [f"{p} exec (s)" for p in backends]
         rows = []
         for b in sorted(self.seconds.get("batched", {})):
-            row = [
+            rows.append([
                 b,
                 self.seconds["batched"][b]["commit_rate"],
                 self.seconds["batched"][b]["attempts_per_commit"],
                 self.seconds["batched"][b]["execute"],
                 self.seconds["columnar"][b]["execute"],
                 f"{self.batched_speedup(b):.2f}x",
-            ]
-            row += [self.seconds[p][b]["execute"] for p in backends]
-            rows.append(row)
+                self.seconds["batched[mockgpu]"][b]["execute"],
+            ])
         table = format_table(
             "Host wall-clock per batch: vectorized twins (batched) vs "
             "scalar lanes (columnar) (TPC-C 50/50)",
@@ -404,11 +409,9 @@ def run(
     warehouses: int = 32,
     neworder_pct: int = 50,
     seed: int = 7,
-    backend: str | None = None,
 ) -> WallclockResult:
-    """Sweep all paths; a non-numpy ``backend`` adds a per-backend
-    column (a ``batched[<backend>]`` series measured through the
-    ``repro.xp`` shim, with its transfer ledger)."""
+    """Sweep every path of :data:`PATHS` (the mockgpu column with its
+    transfer ledger) over ``batch_sizes``."""
     from repro.xp import get_backend
 
     result = WallclockResult()
@@ -425,18 +428,10 @@ def run(
         "numpy": np.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        # active array backend + library version: the per-backend
-        # column's backend when one was requested, else the reference
-        # every standard path runs on
-        "array_backend": get_backend(backend or "numpy").device_info(),
+        # the device column's backend and its library version
+        "array_backend": get_backend("mockgpu").device_info(),
     }
-    paths = [
-        ("batched", True, "numpy"),
-        ("columnar", False, "numpy"),
-    ]
-    if backend is not None and backend != "numpy":
-        paths.insert(0, (f"batched[{backend}]", True, backend))
-    for path, batched, xp_name in paths:
+    for path, (batched, xp_name) in PATHS.items():
         by_batch: dict[int, dict[str, float]] = {}
         for batch in batch_sizes:
             transfers: dict[str, dict[str, int]] = {}

@@ -14,8 +14,8 @@ Three layers of convenience over :class:`~repro.serve.orchestrator
 
 Reports carry exact nearest-rank latency percentiles plus goodput in
 *simulated* transactions/second — deterministic for a fixed (workload,
-policy, seed) triple, which is what lets ``scripts/check_wallclock.py``
-gate on p99 without flake.
+policy, seed) triple, which is what lets CI regenerate
+``BENCH_serve.json`` and require it unchanged.
 """
 
 from __future__ import annotations
