@@ -47,16 +47,14 @@ Ledger = dict[str, int]
 
 class Reservations(Rows):
     """One side's reservations, one row per reserved (lane, item):
-    lane ``txn`` with TID ``tid`` reserved conflict group ``group`` of
-    ``(table, row)``, whose conflict-log key is ``key``."""
+    lane ``txn`` with TID ``tid`` reserved the conflict-log key ``key``
+    (a row's conflict group, packed) of ``table``."""
 
-    FIELDS = ("txn", "tid", "table", "row", "group", "key")
+    FIELDS = ("txn", "tid", "table", "key")
     __slots__ = FIELDS
     txn: np.ndarray
     tid: np.ndarray
     table: np.ndarray
-    row: np.ndarray
-    group: np.ndarray
     key: np.ndarray
 
 

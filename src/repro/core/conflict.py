@@ -65,16 +65,19 @@ def detect(engine, batch: Batch, ctx) -> None:
     # large bucket is swept once (all s_u sub-slots) to find the
     # minimum — charging the sweep per op would double-count it.  Keys
     # of different tables never collide, so the distinct keys are
-    # counted per expanded table (a plain sort and its runs).
+    # counted per expanded table: each side's reservations arrive in
+    # key order, so its distinct keys are its runs, and the keys both
+    # sides hold are found by binary search instead of a sort.
     bucket_reads = batch.total_ops
     for table_id in range(engine.database.num_tables):
         s_u = log.bucket_size(table_id)
         if s_u > 1:
-            touched = np.concatenate((
-                reads.key[reads.table == table_id],
-                writes.key[writes.table == table_id],
-            ))
-            bucket_reads += run_starts(np.sort(touched)).size * (s_u - 1)
+            r = reads.key[reads.table == table_id]
+            w = writes.key[writes.table == table_id]
+            r, w = r[run_starts(r)], w[run_starts(w)]
+            at = np.minimum(np.searchsorted(r, w), max(r.size - 1, 0))
+            shared = np.count_nonzero(r[at] == w) if r.size else 0
+            bucket_reads += (r.size + w.size - shared) * (s_u - 1)
     ctx.add_global_reads(bucket_reads)
     ctx.add_instructions(CHECK_INSTRUCTIONS * max(1, batch.total_ops))
 

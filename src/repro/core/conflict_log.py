@@ -137,31 +137,35 @@ class ConflictLog:
         ctx: KernelContext | None,
         buffer: str,
     ) -> None:
+        """Registrations arrive grouped by key (``keys`` ascending, as
+        the collector's key order leaves them), so each key's minimum
+        TID is one ``minimum.reduceat`` over its run — the
+        per-registration atomicMin and the dedup for the touched list
+        with no sort."""
         if keys.size == 0:
             return
         if keys.size != tids.size or keys.size != table_ids.size:
             raise TransactionError("registration arrays must align")
+        # sorted keys make the bounds check two reads
+        if keys[0] < 0 or keys[-1] >= self._base[-1] or (keys[1:] < keys[:-1]).any():
+            raise TransactionError(
+                "registrations must arrive grouped by key, ascending "
+                "within the batch's key space"
+            )
         xp = self.xp
-        # the execute phase's write-set shipping: encoded keys and TIDs
-        # go down once per registration call (identity on numpy)
-        dkeys = xp.from_host(keys)
-        dtids = xp.from_host(tids)
-        # one sort replaces the per-registration atomicMin and the
-        # dedup for the touched list: of the distinct (key, TID) rows,
-        # the first of each key carries the key's minimum TID
-        order, starts = sorted_runs(dkeys, dtids, xp=xp, stable=False)
-        rows = order[starts]
-        keys_by_tid = dkeys[rows]
-        first = run_starts(keys_by_tid, xp=xp)
-        touched = keys_by_tid[first]
-        minima[touched] = xp.minimum(minima[touched], dtids[rows[first]])
+        starts = run_starts(keys)
+        touched = keys[starts]
+        # the execute phase's write-set shipping: each distinct key and
+        # its minimum TID go down once per registration call (identity
+        # on numpy)
+        dkeys = xp.from_host(touched)
+        minima[dkeys] = xp.minimum(
+            minima[dkeys], xp.from_host(np.minimum.reduceat(tids, starts))
+        )
         self._touched.append(touched)
         if ctx is not None:
             ctx.add_trace_arg(f"{buffer}.registrations", int(keys.size))
-            total, serialized, chain = collision_profile(
-                self._slot_addresses(keys, tids, table_ids)
-            )
-            ctx.record_atomics(total, serialized, chain)
+            ctx.record_atomics(*self._collisions(tids, table_ids, starts))
 
     def register_inserts(
         self,
@@ -199,39 +203,34 @@ class ConflictLog:
             total, serialized, chain = collision_profile(slots)
             ctx.record_atomics(total, serialized, chain)
 
-    def _slot_addresses(
-        self, keys: np.ndarray, tids: np.ndarray, table_ids: np.ndarray
-    ) -> np.ndarray:
-        """Physical bucket-slot address of each registration.
+    def _collisions(
+        self, tids: np.ndarray, table_ids: np.ndarray, starts: np.ndarray
+    ) -> tuple[int, int, int]:
+        """``collision_profile`` of the registrations' bucket-slot
+        addresses, read off their key runs (``starts``).
 
-        Standard tables: one slot per key.  Popular tables: ``s_u``
-        sub-slots per key, chosen by ``TID mod s_u`` (the paper's
-        re-hash), which shortens per-address chains by ``s_u``.
-
-        Callers only feed the result to ``collision_profile`` (a pure
-        read), so the one-slot-per-key cases return ``keys`` itself
-        without allocating a copy.
+        Standard tables: one slot per key, so a key's chain is its run.
+        Popular tables: ``s_u`` sub-slots per key, chosen by ``TID mod
+        s_u`` (the paper's re-hash), which shortens per-address chains
+        by ``s_u`` — one ``bincount`` over (popular key run, sub-slot).
         """
-        if not self.dynamic_buckets or not self._heats:
-            return keys  # one slot per key; read-only use, no copy
-        sizes = np.ones(self._db.num_tables, dtype=np.int64)
-        for table_id, heat in self._heats.items():
-            sizes[table_id] = heat.bucket_size
-        s_u = sizes[table_ids]
-        smax = int(s_u.max())
-        if smax == 1:
-            return keys
-        # Unique slot ids: stretch each key by the largest s_u.  Guard
-        # the stretch against silent int64 wrap-around for huge key
-        # spaces — wrapped addresses would alias unrelated buckets and
-        # corrupt the contention profile.
-        if keys.size and int(keys.max()) > (np.iinfo(np.int64).max - smax) // smax:
-            raise TransactionError(
-                "conflict-log slot addressing overflows int64: key space "
-                f"{int(keys.max())} x bucket size {smax} exceeds 2^63-1; "
-                "shrink the table/group key space or disable dynamic_buckets"
-            )
-        return keys * smax + (tids % s_u)
+        total = int(tids.size)
+        lengths = np.diff(starts, append=total)
+        sizes = np.array(
+            [self.bucket_size(t) for t in range(self._db.num_tables)],
+            dtype=np.int64,
+        )
+        s_u = sizes[table_ids[starts]]
+        wide = s_u > 1
+        chains = lengths
+        if wide.any():
+            smax = int(s_u.max())
+            in_wide = np.repeat(wide, lengths)
+            slot = np.repeat((np.cumsum(wide) - 1) * smax, lengths)[in_wide]
+            slot += tids[in_wide] % np.repeat(s_u, lengths)[in_wide]
+            per_slot = np.bincount(slot)
+            chains = np.concatenate((lengths[~wide], per_slot[per_slot > 0]))
+        return total, total - int(chains.size), int(chains.max())
 
     # -- detection-phase queries ------------------------------------------------
     # The gathers run on the device; the gathered minima (one word per

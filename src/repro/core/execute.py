@@ -37,9 +37,10 @@ def run_procedures(engine, batch: Batch) -> None:
     (``batch.frame``) in the order they were emitted — the collector
     takes the whole batch as columns, and the frame lays them out
     lane-major only if somebody reads a transaction's ``ops`` — and
-    its buffered effects into the batch-wide columnar locals
-    (``batch.batch_locals``) for the scatter-based write-back: a
-    twin-less group is one more group of the same bulk.
+    its inserts into the batch-wide columnar locals
+    (``batch.batch_locals``); the collector resolves every lane's
+    writes and adds there from the frame, so a twin-less group is one
+    more group of the same bulk.
     """
     transactions = batch.transactions
     n = len(transactions)
@@ -59,36 +60,44 @@ def run_procedures(engine, batch: Batch) -> None:
             np.flatnonzero(member),
             list(compress(batch.params, member.tolist())),
         ))
-    delayed_fn = engine.delayed.delayed_mask if engine.delayed.columns else None
+    locals_ = batch.batch_locals = GroupLocals(n)
     use_twins = engine.config.batched_exec
-    parts = []
     for name, idxs, params in groups:
         proc = engine._resolve_procedure(name)
         batched = engine.procedures.get_batched(name) if use_twins else None
         if batched is None:
-            parts.append(_scalar_group(engine, batch, proc, idxs))
+            for i in idxs.tolist():
+                _scalar_lane(engine, batch, proc, i)
             continue
         bctx = BatchedContext(
-            engine.database,
-            params,
-            delayed_mask_fn=delayed_fn,
-            xp=engine._backend,
+            engine.database, params, xp=engine._backend,
             residency=engine._residency,
         )
         batched(bctx, bctx.params)
-        lane, cols, g_locals, ranges_by_lane = bctx.finalize()
-        parts.append(_apply_batched_group(
-            engine, batch, proc, idxs, lane, cols, g_locals,
-            ranges_by_lane, bctx.fallback, bctx.aborted,
-        ))
-    batch.batch_locals = GroupLocals.merge(parts, n)
+        lane, cols, inserts, payloads, ranges_by_lane = bctx.finalize()
+        # the op columns go to the frame whole, as emitted, and only the
+        # lanes that differ from the rest are visited: logic aborts get
+        # their status, range readers their predicates, fallback lanes
+        # a scalar re-run
+        frame.add_group(idxs, lane, cols, bctx.aborted)
+        locals_.add_inserts(idxs, inserts, payloads)
+        for i in idxs[bctx.aborted].tolist():
+            txn = transactions[i]
+            txn.status = TxnStatus.LOGIC_ABORTED
+            txn.abort_reason = "logic"
+        for li, lane_ranges in ranges_by_lane.items():
+            batch.ranges_by_tid[batch.tids[idxs[li]]] = lane_ranges
+        for i in idxs[bctx.fallback].tolist():
+            _scalar_lane(engine, batch, proc, i)
+    locals_.seal()
     frame.seal()
     batch.logic_mask = frame.logic
 
 
-def _scalar_lane(engine, batch: Batch, proc, part: GroupLocals, i: int) -> None:
+def _scalar_lane(engine, batch: Batch, proc, i: int) -> None:
     """One lane through its scalar procedure: recorded ops into the
-    frame, buffered effects into its group's columnar locals."""
+    frame, buffered inserts into the batch's columnar locals (its
+    writes and adds are read back off its ops, like a twin lane's)."""
     txn = batch.transactions[i]
     local_ctx = BufferedContext(engine.database)
     try:
@@ -103,47 +112,6 @@ def _scalar_lane(engine, batch: Batch, proc, part: GroupLocals, i: int) -> None:
         batch.frame.add_scalar(i, local_ctx.ops, True)
         return
     batch.frame.add_scalar(i, local_ctx.ops, False)
-    part.add_scalar_locals(i, local_ctx.local, engine.delayed.columns)
+    batch.batch_locals.add_scalar_inserts(i, local_ctx.local.inserts)
     if local_ctx.ranges:
         batch.ranges_by_tid[txn.tid] = local_ctx.ranges
-
-
-def _scalar_group(engine, batch: Batch, proc, idxs: np.ndarray) -> GroupLocals:
-    """One twin-less group through the scalar path, folded columnar."""
-    part = GroupLocals(len(batch.transactions))
-    for i in idxs.tolist():
-        _scalar_lane(engine, batch, proc, part, i)
-    part.seal()
-    return part
-
-
-def _apply_batched_group(
-    engine,
-    batch: Batch,
-    proc,
-    idxs: np.ndarray,
-    lane: np.ndarray,
-    cols: np.ndarray,
-    g_locals: GroupLocals,
-    ranges_by_lane: dict,
-    fallback: np.ndarray,
-    aborted: np.ndarray,
-) -> GroupLocals:
-    """Apply one group's finalized vectorized results: the op columns
-    go to the frame whole, as emitted, and only the lanes that differ
-    from the rest are visited — logic aborts get their status, range
-    readers their predicates, fallback lanes a scalar re-run."""
-    transactions = batch.transactions
-    part = g_locals.rekeyed(idxs, len(transactions))
-    batch.frame.add_group(idxs, lane, cols, aborted)
-    for i in idxs[aborted].tolist():
-        txn = transactions[i]
-        txn.status = TxnStatus.LOGIC_ABORTED
-        txn.abort_reason = "logic"
-    tids = batch.tids
-    for li, lane_ranges in ranges_by_lane.items():
-        batch.ranges_by_tid[tids[idxs[li]]] = lane_ranges
-    for i in idxs[fallback].tolist():
-        _scalar_lane(engine, batch, proc, part, i)
-    part.seal()
-    return part

@@ -125,11 +125,11 @@ def _group_sizes_from_arrays(
 ) -> dict[tuple[int, int], int]:
     if kinds.size == 0:
         return {}
+    # the (kind, table) code space is tiny: count it, do not sort it
     span = int(tables.max()) + 1
-    enc = kinds * span + tables
-    uniq, counts = np.unique(enc, return_counts=True)
+    counts = np.bincount(kinds * span + tables)
     return {
-        (int(e // span), int(e % span)): int(c) for e, c in zip(uniq, counts)
+        (int(e // span), int(e % span)): int(counts[e]) for e in np.flatnonzero(counts)
     }
 
 

@@ -185,9 +185,11 @@ class ReferenceEngine(LTPGEngine):
         )
 
         def reservations(entries: list[tuple]) -> Reservations:
-            table, row, group, tid, lane = _columns(entries, 5)
+            # the conflict log takes registrations grouped by key, and
+            # (table, row, group) order is conflict-key order
+            table, row, group, tid, lane = _columns(sorted(entries), 5)
             key = self.conflict_log.encode(table, row, group)
-            return Reservations(lane, tid, table, row, group, key)
+            return Reservations(lane, tid, table, key)
 
         data.reads, data.writes = reservations(read), reservations(write)
         table, key, tid, lane = _columns(ins, 4)

@@ -4,12 +4,15 @@ and bucket-geometry invariants."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConflictLog, FlagGroups, HotspotDetector, NO_TID
 from repro.core.hotspot import bucket_size_for
+from repro.errors import TransactionError
 from repro.gpusim import DeviceConfig, KernelContext, LaunchGeometry
+from repro.gpusim.atomics import collision_profile
 from repro.storage import Database, make_schema
 
 
@@ -56,6 +59,7 @@ def test_minima_match_dict_oracle(stream, hot):
     def register(pairs, fn):
         if not pairs:
             return
+        pairs = sorted(pairs)  # the log takes registrations grouped by key
         rows_arr = np.array([p[0] for p in pairs], dtype=np.int64)
         tids = np.array([p[1] for p in pairs], dtype=np.int64)
         keys = log.encode(
@@ -95,8 +99,6 @@ def test_bucket_size_divides_chain(count, s_u):
     """The TID mod s_u re-hash cuts the longest chain to ~count/s_u."""
     tids = np.arange(count, dtype=np.int64)
     slots = tids % s_u  # one hot key spread over s_u sub-slots
-    from repro.gpusim.atomics import collision_profile
-
     _, _, chain = collision_profile(slots)
     assert chain == -(-count // s_u)  # ceil division
 
@@ -119,7 +121,7 @@ def test_bucket_size_formula_invariants(freq):
 def test_dynamic_buckets_never_lengthen_chains(stream):
     """Contention recorded with dynamic buckets is <= without, always."""
     rows, ops = stream
-    writes = [(r, t) for r, t, w in ops if w]
+    writes = sorted((r, t) for r, t, w in ops if w)
     if not writes:
         return
     chains = {}
@@ -139,3 +141,37 @@ def test_dynamic_buckets_never_lengthen_chains(stream):
         log.register_writes(keys, tids, np.zeros(len(writes), dtype=np.int64), ctx)
         chains[dynamic] = ctx.stats.atomic_max_chain
     assert chains[True] <= chains[False]
+
+
+@given(op_streams(), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_collision_counts_match_collision_profile(stream, hot, dynamic):
+    """What registration records — read off the key runs — is
+    ``collision_profile`` over the bucket-slot addresses: the key on a
+    standard table, ``key * s_u + TID mod s_u`` on a popular one."""
+    rows, ops = stream
+    pairs = sorted((r, t) for r, t, _ in ops)
+    if not pairs:
+        return
+    log = make_log(rows, hot)
+    log.dynamic_buckets = dynamic
+    ctx = KernelContext("k", LaunchGeometry.for_threads(len(pairs)), DeviceConfig())
+    zeros = np.zeros(len(pairs), dtype=np.int64)
+    keys = log.encode(zeros, np.array([r for r, _ in pairs], dtype=np.int64), zeros)
+    tids = np.array([t for _, t in pairs], dtype=np.int64)
+    log.register_writes(keys, tids, zeros, ctx)
+    s_u = log.bucket_size(0)
+    assert (hot and dynamic) == (s_u > 1)
+    assert (
+        ctx.stats.atomic_ops, ctx.stats.atomic_serialized, ctx.stats.atomic_max_chain
+    ) == collision_profile(keys * s_u + tids % s_u)
+
+
+@pytest.mark.parametrize("keys", [[3, 1], [-1, 2], [2, 8]])
+def test_registrations_out_of_key_order_or_space_are_refused(keys):
+    log = make_log(8, hot=False)  # keys 0..7
+    with pytest.raises(TransactionError, match="grouped by key"):
+        log.register_reads(
+            np.array(keys, dtype=np.int64), np.array([1, 2], dtype=np.int64),
+            np.zeros(2, dtype=np.int64),
+        )

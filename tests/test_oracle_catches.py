@@ -252,7 +252,9 @@ ROWS = {
         _plain_writes_to_a_delayed_column, "replay-smallbank",
         "is delayed-update managed",
     ),
-    "memcheck-negative-key": (_negative_conflict_keys, "ledger", "ledger differs"),
+    "memcheck-negative-key": (
+        _negative_conflict_keys, "ledger", "within the batch's key space",
+    ),
     "KL101-iterate": (
         _twin(smallbank, "_transact_savings_b", read_rows=_read_then(_iterate)),
         "mockgpu-smallbank", "implicit host round-trip (iter)",

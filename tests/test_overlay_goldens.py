@@ -75,22 +75,33 @@ GOLDEN["mockgpu-resident"] = GOLDEN["default"]
 #:   transfer.h2d_bytes     2,870,677 -> 2,865,202   (execute: same -5,475)
 #:
 #: per batch D2H -86 each, H2D -1,800 / -1,815 / -1,860 (§13 has the
-#: call sites).
+#: call sites).  The batch's one key order — writes and adds resolved
+#: once per batch on the host, off the op columns the groups already
+#: shipped, and each registration call shipping one row per distinct
+#: key instead of one per registration — moved execute alone again:
+#:
+#:   transfer.count               493 ->       289
+#:   transfer.d2h_bytes     2,427,194 -> 1,906,158   (execute: same -521,036)
+#:   transfer.h2d_bytes     2,865,202 -> 2,819,298   (execute: same -45,904)
+#:
+#: per batch (D2H, H2D) (805,782, 2,526,424), (778,422, 165,298),
+#: (842,990, 173,480) -> (633,290, 2,511,208), (610,210, 150,130),
+#: (662,658, 157,960); conflict and write-back are unchanged (§13).
 LEDGER = {
     "mockgpu-resident": {
-        "transfer.count": 493,
-        "transfer.d2h_bytes": 2_427_194,
-        "transfer.h2d_bytes": 2_865_202,
-        "transfer.execute.d2h_bytes": 2_283_250,
-        "transfer.execute.h2d_bytes": 1_556_642,
+        "transfer.count": 289,
+        "transfer.d2h_bytes": 1_906_158,
+        "transfer.h2d_bytes": 2_819_298,
+        "transfer.execute.d2h_bytes": 1_762_214,
+        "transfer.execute.h2d_bytes": 1_510_738,
         "transfer.conflict.d2h_bytes": 143_944,
         "transfer.conflict.h2d_bytes": 0,
         "transfer.writeback.d2h_bytes": 0,
         "transfer.writeback.h2d_bytes": 1_308_560,
         "per_batch": [
-            {"d2h_bytes": 805_782, "h2d_bytes": 2_526_424},
-            {"d2h_bytes": 778_422, "h2d_bytes": 165_298},
-            {"d2h_bytes": 842_990, "h2d_bytes": 173_480},
+            {"d2h_bytes": 633_290, "h2d_bytes": 2_511_208},
+            {"d2h_bytes": 610_210, "h2d_bytes": 150_130},
+            {"d2h_bytes": 662_658, "h2d_bytes": 157_960},
         ],
     },
 }
