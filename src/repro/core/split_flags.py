@@ -79,7 +79,8 @@ class FlagGroups:
             for t, col_id, group in pairs:
                 lut[t, col_id] = group
             self._lut = lut
-        return self._lut[table_ids, col_ids]
+        # one flat gather: cheaper than the two-index one
+        return self._lut.ravel()[table_ids * self._lut.shape[1] + col_ids]
 
     def num_groups(self, table_id: int) -> int:
         """How many conflict groups this table's rows fan out into."""
