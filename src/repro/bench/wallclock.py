@@ -299,14 +299,22 @@ def measure_metrics(
     """Observability summary (:meth:`RunStats.metrics_summary`) of a
     short traced run at the (scaled) headline batch size — a separate
     run on purpose: the timed sweep never pays span/metrics
-    bookkeeping."""
+    bookkeeping.  The conflict log's peak pressure over the measured
+    batches comes off the tracer's ``conflict_log.*`` gauges."""
     run = RunStats()
     with _steady_tpcc(
         batch_size, scale, warehouses, neworder_pct, seed, trace=True
-    ) as (_, stream):
+    ) as (engine, stream):
+        engine.metrics.reset()  # past the warm-up
         for result in islice(stream, max(batches, 1)):
             run.add(result.stats)
-    return run.metrics_summary()
+        gauges = engine.metrics.snapshot()["gauges"]
+    summary = run.metrics_summary()
+    summary["conflict_log"].update(
+        max_load_factor=gauges["conflict_log.load_factor"]["max"],
+        max_expanded_slots=int(gauges["conflict_log.expanded_slots"]["max"]),
+    )
+    return summary
 
 
 def measure_small_batch(

@@ -51,9 +51,3 @@ def run_pipelined(
     with pipelined(engine):
         return engine.process(scheduler, max_batches=max_batches)
 
-
-def pipeline_makespan_ns(engine: LTPGEngine) -> float:
-    """Wall-clock of everything processed so far on this device (the
-    max over stream clocks — what a final ``cudaDeviceSynchronize``
-    would observe)."""
-    return engine.device.elapsed_ns()

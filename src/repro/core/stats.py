@@ -51,11 +51,6 @@ class BatchStats:
     divergent_branches: int = 0
     #: theoretical occupancy of the execute launch (0..1)
     occupancy: float = 0.0
-    #: conflict-log pressure (populated on traced runs): fraction of the
-    #: key space actually registered, and the extra slots the dynamic
-    #: large buckets allocated this batch
-    bucket_load_factor: float = 0.0
-    bucket_expanded_slots: int = 0
 
     @property
     def commit_rate(self) -> float:
@@ -198,12 +193,6 @@ class RunStats:
                 ),
                 "registered_writes": sum(
                     b.registered_writes for b in self.batches
-                ),
-                "max_load_factor": max(
-                    (b.bucket_load_factor for b in self.batches), default=0.0
-                ),
-                "max_expanded_slots": max(
-                    (b.bucket_expanded_slots for b in self.batches), default=0
                 ),
             },
             "abort_reasons": {

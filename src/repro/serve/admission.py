@@ -74,11 +74,6 @@ class TokenBucket:
         # ceil-divide: the first instant the deficit is covered
         return -(-deficit // self.rate_per_s)
 
-    @property
-    def tokens(self) -> float:
-        """Current (fractional) token count — introspection only."""
-        return self._scaled / self._SCALE
-
 
 @dataclass(frozen=True)
 class TenantQuota:

@@ -146,9 +146,6 @@ class BTreeIndex:
             if pos < len(node.keys) and node.keys[pos] > hi:
                 return
 
-    def count_range(self, lo: int, hi: int) -> int:
-        return sum(1 for _ in self.range(lo, hi))
-
     def items(self) -> Iterator[tuple[int, int]]:
         yield from self.range(-(2**62), 2**62)
 

@@ -82,8 +82,7 @@ class TraceObserver:
         end_ns = batch.end_ns
         self._record_groups(batch)
         log_metrics = engine.conflict_log.batch_metrics()
-        stats.bucket_load_factor = float(log_metrics["load_factor"])
-        stats.bucket_expanded_slots = int(log_metrics["expanded_slots"])
+        load_factor = float(log_metrics["load_factor"])
         tracer.async_span(
             f"batch {stats.batch_index}",
             id=stats.batch_index,
@@ -103,7 +102,7 @@ class TraceObserver:
             ops=stats.atomic_ops, serialized=stats.atomic_serialized,
         )
         tracer.counter(
-            "conflict_log_load", end_ns, load_factor=stats.bucket_load_factor
+            "conflict_log_load", end_ns, load_factor=load_factor
         )
         m.counter("txn.admitted").inc(stats.num_txns)
         m.counter("txn.committed").inc(stats.committed)
@@ -114,8 +113,8 @@ class TraceObserver:
         m.gauge("atomic.max_chain").set(stats.max_atomic_chain)
         m.counter("warp.divergent_branches").inc(stats.divergent_branches)
         m.gauge("kernel.occupancy.execute").set(stats.occupancy)
-        m.gauge("conflict_log.load_factor").set(stats.bucket_load_factor)
-        m.gauge("conflict_log.expanded_slots").set(stats.bucket_expanded_slots)
+        m.gauge("conflict_log.load_factor").set(load_factor)
+        m.gauge("conflict_log.expanded_slots").set(log_metrics["expanded_slots"])
         m.counter("conflict_log.registered_reads").inc(stats.registered_reads)
         m.counter("conflict_log.registered_writes").inc(stats.registered_writes)
         transfers = clocks.total_transfers()

@@ -125,9 +125,6 @@ class BufferedContext:
         table_id, t = self._resolve(table)
         return self._slot_read(t, table_id, row, column)
 
-    def _read_slot(self, table_id: int, row: int, column: str) -> int:
-        return self._slot_read(self._db.table_by_id(table_id), table_id, row, column)
-
     def _slot_read(self, t, table_id: int, row: int, column: str) -> int:
         loc = (table_id, row, column)
         local = self.local
@@ -147,22 +144,6 @@ class BufferedContext:
         key = t.key_of(row)
         self._emit((_READ, table_id, row, _KEY_COL, int(key), 0))
         return key
-
-    def last_row_by_secondary(self, table: str, index: str, skey: int) -> int:
-        """Most recent row slot under a secondary index key.
-
-        Only sees rows that existed at batch start (hash indexes are
-        rebuilt at write-back), which is the paper's pre-resolved-key
-        semantics for range-style lookups.
-        """
-        t = self._db.table(table)
-        try:
-            sec = t.secondary[index]
-        except KeyError:
-            raise TransactionError(
-                f"table {table!r} has no secondary index {index!r}"
-            ) from None
-        return sec.last(skey)
 
     def range_read(
         self, table: str, lo: int, hi: int, column: str, limit: int | None = None

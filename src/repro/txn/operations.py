@@ -220,10 +220,6 @@ class OpColumns:
             raise IndexError("op index out of range")
         return self._record(index)
 
-    def to_records(self) -> list[OpRecord]:
-        """Materialize every op as an :class:`OpRecord` (test helper)."""
-        return [self._record(i) for i in range(len(self))]
-
     def __repr__(self) -> str:
         return f"OpColumns(n={len(self)})"
 

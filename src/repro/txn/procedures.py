@@ -97,9 +97,6 @@ class ProcedureRegistry:
         """The vectorized twin, or ``None`` (caller falls back)."""
         return self._batched.get(name)
 
-    def has_batched(self, name: str) -> bool:
-        return name in self._batched
-
     def batched_names(self) -> list[str]:
         """Names with a registered vectorized twin (sorted; what the
         twin linters walk)."""

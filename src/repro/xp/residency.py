@@ -142,10 +142,6 @@ class DeviceTableView:
         self._dirty.add(name)
         self.device_epoch += 1
 
-    @property
-    def dirty_columns(self) -> frozenset[str | None]:
-        return frozenset(self._dirty)
-
     # -- the fence (host readers) -------------------------------------------
     def fence_column(self, name: str | None) -> None:
         """Lazy stale-host-read sync: if ``name`` is dirty, ship the
