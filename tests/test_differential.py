@@ -14,7 +14,7 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_bank
+from helpers import build_bank, draw_bank_specs
 from repro.baselines import AriaEngine
 from repro.core import LTPGConfig, LTPGEngine
 from repro.txn import Transaction
@@ -22,25 +22,7 @@ from repro.txn import Transaction
 
 @st.composite
 def mixed_batches(draw):
-    n = draw(st.integers(1, 20))
-    specs = []
-    for _ in range(n):
-        kind = draw(
-            st.sampled_from(["transfer", "deposit", "audit", "open_account", "bad"])
-        )
-        a = draw(st.integers(0, 11))
-        b = draw(st.integers(0, 11))
-        if kind == "transfer":
-            specs.append((kind, (a, (a + 1 + b) % 12, 1 + a)))
-        elif kind == "deposit":
-            specs.append((kind, (a, 1 + b)))
-        elif kind == "audit":
-            specs.append((kind, (a, b)))
-        elif kind == "open_account":
-            specs.append((kind, (100 + draw(st.integers(0, 5)), 7)))
-        else:
-            specs.append((kind, (a,)))
-    return specs
+    return draw_bank_specs(draw, 20)
 
 
 def run_ltpg(specs):
