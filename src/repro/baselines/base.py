@@ -75,6 +75,8 @@ class BaselineEngine(abc.ABC):
 
     #: short system name used in benchmark tables
     name: str = "baseline"
+    #: aborts retry in the next batch (:func:`repro.txn.batch.step`)
+    retry_delay: int = 1
 
     def __init__(
         self,

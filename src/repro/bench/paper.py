@@ -25,7 +25,6 @@ paper's full configuration.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -39,7 +38,6 @@ import numpy as np
 from repro.baselines import make_engine
 from repro.core.config import LTPGConfig, MemoryMode
 from repro.core.engine import LTPGEngine
-from repro.core.pipeline import pipelined
 from repro.core.stats import RunStats
 from repro.errors import BenchmarkError
 from repro.gpusim.atomics import collision_profile
@@ -183,17 +181,12 @@ def steady_state_run(
     """
     if num_batches <= 0:
         raise BenchmarkError("need at least one batch")
+    scheduler = BatchScheduler(batch_size)
+    run = RunStats()
     if not isinstance(engine, LTPGEngine):
-        run = RunStats()
-        for stats in drive(
-            engine, BatchScheduler(batch_size), generator.make_batch, num_batches
-        ):
+        for stats in drive(engine, scheduler, generator.make_batch, num_batches):
             run.add(stats)
         return SteadyStateResult(run=run)
-    scheduler = BatchScheduler(
-        batch_size, retry_delay_batches=engine.config.effective_retry_delay
-    )
-    run = RunStats()
     start_ns = engine.device.elapsed_ns()
     for result in drive(engine, scheduler, generator.make_batch, num_batches):
         run.add(result.stats)
@@ -319,9 +312,7 @@ def run(name: str, scale: float = 8.0, rounds: int = DEFAULT_ROUNDS, **axes) -> 
 
 def _cell(spec: Spec, key: Key, scale: float, rounds: int) -> dict[str, Any]:
     engine, generator, batch_size = spec.setup(*key, scale=scale)
-    pipe = isinstance(engine, LTPGEngine) and engine.config.pipelined
-    with pipelined(engine) if pipe else contextlib.nullcontext():
-        r = steady_state_run(engine, generator, batch_size, spec.rounds(key, rounds))
+    r = steady_state_run(engine, generator, batch_size, spec.rounds(key, rounds))
     return {
         c: getattr(r, f) if isinstance(f, str) else f(r, engine)
         for c, f in spec.columns.items()

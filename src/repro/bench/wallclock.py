@@ -211,10 +211,7 @@ def driven(engine, batch_size: int, fresh, warmup: int = WARMUP_BATCHES):
     ``batch_size`` — TIDs assigned, aborts re-queued, ``fresh(n)``
     topping each batch up — with the first ``warmup`` batches run and
     discarded; iterate it for the batch results that follow."""
-    scheduler = BatchScheduler(
-        batch_size, retry_delay_batches=engine.config.effective_retry_delay
-    )
-    stream = drive(engine, scheduler, fresh)
+    stream = drive(engine, BatchScheduler(batch_size), fresh)
     deque(islice(stream, warmup), maxlen=0)
     return stream
 

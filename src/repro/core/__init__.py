@@ -25,7 +25,6 @@ from repro.core.engine import BatchResult, LTPGEngine
 from repro.core.hotspot import HotspotDetector, TableHeat, bucket_size_for
 from repro.core.memory_modes import MemoryPlan, resolve_memory_mode
 from repro.core.occ import ConflictFlags, abort_reason, commit_mask, logical_order
-from repro.core.pipeline import pipelined, run_pipelined
 from repro.core.split_flags import DEFAULT_GROUP, FlagGroups
 from repro.core.stats import BatchStats, RunStats
 
@@ -46,8 +45,6 @@ __all__ = [
     "abort_reason",
     "commit_mask",
     "logical_order",
-    "pipelined",
-    "run_pipelined",
     "DEFAULT_GROUP",
     "FlagGroups",
     "BatchStats",

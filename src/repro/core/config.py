@@ -10,6 +10,12 @@ ablation benches (Fig 6(b), Table VI) can enable them one at a time:
 * ``delayed_update``    — §V-D delayed commutative updates.
 * ``pipelined``         — §V-E batch-to-batch pipeline (aborts retry +2).
 * ``memory_mode``       — §V-E zero-copy vs. unified vs. auto.
+
+``pipelined`` is the pipeline's only switch: the engine reads it once,
+at construction, to put the h2d / compute / d2h legs on three streams
+(one otherwise) and to fix ``LTPGEngine.retry_delay`` at
+:attr:`LTPGConfig.effective_retry_delay`, the delay every driver's
+aborts then retry after.
 """
 
 from __future__ import annotations
@@ -95,7 +101,8 @@ class LTPGConfig:
     #: read/write-set shipping), which is the paper's preferred mode.
     full_sync_interval: int | None = None
 
-    #: How many batches later an abort retries (1, or 2 when pipelined).
+    #: How many batches later an abort retries at least; pipelining
+    #: raises it to 2 (:attr:`effective_retry_delay`).
     retry_delay_batches: int = 1
 
     def __post_init__(self) -> None:
@@ -113,7 +120,8 @@ class LTPGConfig:
 
     @property
     def effective_retry_delay(self) -> int:
-        """Pipelining forces aborts to wait an extra batch (§V-E)."""
+        """The engine's retry delay: pipelining forces aborts to wait an
+        extra batch (§V-E), since the next batch is already in flight."""
         return max(self.retry_delay_batches, 2 if self.pipelined else 1)
 
     def all_split_columns(self) -> frozenset[tuple[str, str]]:

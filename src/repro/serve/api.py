@@ -169,12 +169,11 @@ def serve_run(
     requests_per_session: int = 16,
     think_us: int = 0,
     arrival_seed: int = 23,
-    fresh_clocks: bool = True,
     debug: bool | None = None,
 ) -> ServeReport:
     """Serve ``engine`` from simulated clients on a fresh virtual clock.
 
-    ``fresh_clocks`` rewinds the engine's run-scoped clocks first
+    The engine's run-scoped clocks are rewound first
     (:meth:`~repro.core.engine.LTPGEngine.reset_run_state`), so the
     serve timeline and the device timeline both start at ``t=0`` and
     back-to-back runs are bit-identical.
@@ -185,8 +184,7 @@ def serve_run(
         policy = make_policy(
             policy, engine.config.batch_size, max_wait_ns=max_wait_us * 1000
         )
-    if fresh_clocks:
-        engine.reset_run_state()
+    engine.reset_run_state()
     source = RequestSource(generator, profile or ClientProfile())
 
     async def main() -> tuple[ClientStats, int, Orchestrator]:

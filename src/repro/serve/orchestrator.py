@@ -315,10 +315,7 @@ class Orchestrator:
         self.queue_wait = LatencyDigest("serve.queue_wait_ns")
         self.batch_records: list[BatchRecord] = []
 
-        self._scheduler = BatchScheduler(
-            self.policy.capacity,
-            retry_delay_batches=engine.config.effective_retry_delay,
-        )
+        self._scheduler = BatchScheduler(self.policy.capacity)
         self._queued: dict[int, _Request] = {}
         self._next_seq = 0
         self._submitted = self.metrics.counter("serve.submitted")

@@ -3,10 +3,10 @@
 Runs one of the benchmark workloads with ``LTPGConfig.trace`` enabled
 and writes the captured span tree as Chrome ``trace_event`` JSON — open
 the file in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``
-to see batch pipelining across streams.  Batches run through the
-batch-to-batch pipeline by default so the h2d / compute / d2h legs land
-on three distinct stream tracks (pass ``--no-pipeline`` for the
-single-stream view).
+to see batch pipelining across streams.  The engine is built with
+``LTPGConfig.pipelined`` by default, so the h2d / compute / d2h legs land
+on three distinct stream tracks and aborts retry two batches later (pass
+``--no-pipeline`` for the single-stream view).
 
 Exit codes: ``0`` — trace captured and written; ``2`` — usage error.
 """
@@ -18,7 +18,6 @@ import json
 import sys
 
 from repro.analysis.workload import WORKLOAD_NAMES, build_workload
-from repro.core.pipeline import run_pipelined
 from repro.core.stats import RunStats
 from repro.trace.metrics import MetricsRegistry
 from repro.trace.tracer import Tracer, validate_nesting
@@ -42,14 +41,9 @@ def capture(
     the populated metrics registry and the run's aggregate stats."""
     setup = build_workload(workload, seed=seed)
     engine = setup.engine(batch_size=batch_size, trace=True, pipelined=pipelined)
-    scheduler = BatchScheduler(
-        batch_size, retry_delay_batches=engine.config.effective_retry_delay
-    )
+    scheduler = BatchScheduler(batch_size)
     scheduler.admit(setup.generator.make_batch(batches * batch_size))
-    if pipelined:
-        run = run_pipelined(engine, scheduler, max_batches=batches)
-    else:
-        run = engine.process(scheduler, max_batches=batches)
+    run = engine.process(scheduler, max_batches=batches)
     assert engine.tracer is not None and engine.metrics is not None
     return engine.tracer, engine.metrics, run
 

@@ -6,12 +6,7 @@ the concurrency-control protocol.
 """
 
 from repro.txn.batch import BatchScheduler, drive
-from repro.txn.context import (
-    BufferedContext,
-    LocalSets,
-    apply_local_sets,
-    execute_buffered,
-)
+from repro.txn.context import BufferedContext, LocalSets, apply_local_sets
 from repro.txn.decompose import (
     ExecutionPlan,
     plan,
@@ -35,7 +30,6 @@ __all__ = [
     "BufferedContext",
     "LocalSets",
     "apply_local_sets",
-    "execute_buffered",
     "ExecutionPlan",
     "plan",
     "plan_arrays",

@@ -2,12 +2,17 @@
 
 The scheduler admits client transactions, forms fixed-size batches,
 assigns TIDs on first admission (kept across re-executions), and
-re-queues concurrency-control aborts:
+re-queues concurrency-control aborts ``delay`` batches later:
 
 * normally into the *next* batch,
 * under the batch-to-batch pipeline (paper §V-E) into the batch *two*
   slots later, because batch *n+1*'s inputs are already in flight to the
   GPU while batch *n* executes.
+
+The delay is the engine's: :func:`step` passes ``engine.retry_delay``,
+which an :class:`~repro.core.engine.LTPGEngine` takes from its config
+(two when ``pipelined``) and a baseline fixes at one, so no driver
+chooses it.
 
 Aborted transactions carry their original (smaller) TIDs, so on retry
 they outrank the newer transactions in conflict detection — the
@@ -33,13 +38,10 @@ from repro.txn.transaction import Transaction, TxnStatus, assign_tids
 class BatchScheduler:
     """Forms batches from new arrivals plus retry traffic."""
 
-    def __init__(self, batch_size: int, retry_delay_batches: int = 1):
+    def __init__(self, batch_size: int):
         if batch_size <= 0:
             raise TransactionError("batch size must be positive")
-        if retry_delay_batches < 1:
-            raise TransactionError("retry delay must be at least one batch")
         self.batch_size = batch_size
-        self.retry_delay_batches = retry_delay_batches
         self._pending: deque[Transaction] = deque()
         #: retries that are eligible now, kept sorted by TID at pop time
         self._retries: list[Transaction] = []
@@ -53,14 +55,17 @@ class BatchScheduler:
         """Queue newly arrived transactions."""
         self._pending.extend(transactions)
 
-    def requeue_aborted(self, transactions) -> None:
-        """Schedule concurrency-control aborts for re-execution.
+    def requeue_aborted(self, transactions, delay: int = 1) -> None:
+        """Schedule concurrency-control aborts for re-execution
+        ``delay`` batches later.
 
         Called after the failing batch ran, i.e. ``batch_index`` has
         already advanced past it; a delay of one means "the very next
         batch formed from now".
         """
-        eligible_at = self.batch_index + self.retry_delay_batches - 1
+        if delay < 1:
+            raise TransactionError("retry delay must be at least one batch")
+        eligible_at = self.batch_index + delay - 1
         for txn in transactions:
             if txn.tid < 0:
                 raise TransactionError("aborted transaction was never admitted")
@@ -110,7 +115,8 @@ class BatchScheduler:
 
 def step(engine, scheduler: BatchScheduler, batch: list[Transaction]):
     """Run ``batch`` — just cut from ``scheduler`` — on ``engine`` and
-    re-queue every lane it left ``ABORTED``; returns what
+    re-queue every lane it left ``ABORTED``, ``engine.retry_delay``
+    batches later; returns what
     ``engine.run_batch`` returned, or ``None`` for an empty cut, which
     runs nothing (the cut already advanced the scheduler: an idle
     device slot).
@@ -126,7 +132,8 @@ def step(engine, scheduler: BatchScheduler, batch: list[Transaction]):
     # looked up per call, never cached: tracers patch both on the class
     result = engine.run_batch(batch)
     scheduler.requeue_aborted(
-        [txn for txn in batch if txn.status is TxnStatus.ABORTED]
+        [txn for txn in batch if txn.status is TxnStatus.ABORTED],
+        engine.retry_delay,
     )
     return result
 

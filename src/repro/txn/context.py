@@ -247,13 +247,3 @@ def apply_local_sets(database: Database, local: LocalSets) -> None:
         if table.get_row(key) is None:
             table.insert(key, values)
 
-
-def execute_buffered(database: Database, procedure, params: tuple) -> BufferedContext:
-    """Run a procedure against a fresh buffered context.
-
-    Returns the context; raises :class:`TransactionAborted` if the
-    procedure rolled itself back (caller decides how to record that).
-    """
-    ctx = BufferedContext(database)
-    procedure(ctx, *params)
-    return ctx

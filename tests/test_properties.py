@@ -151,15 +151,19 @@ def test_table_against_dict_model(entries):
 @given(st.integers(1, 16), st.integers(1, 40), st.integers(1, 3))
 @settings(max_examples=30)
 def test_scheduler_never_loses_transactions(batch_size, n, delay):
-    scheduler = BatchScheduler(batch_size, retry_delay_batches=delay)
+    scheduler = BatchScheduler(batch_size)
     scheduler.admit([txn("p") for _ in range(n)])
     seen: list[int] = []
+    retried: set[int] = set()
     guard = 0
     while scheduler.has_work() and guard < 200:
         batch = scheduler.next_batch()
         seen.extend(t.tid for t in batch)
+        # every lane's first attempt aborts and retries ``delay`` later
+        scheduler.requeue_aborted([t for t in batch if t.tid not in retried], delay)
+        retried.update(t.tid for t in batch)
         guard += 1
-    assert sorted(seen) == list(range(n))
+    assert sorted(seen) == sorted(2 * list(range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,7 @@ def _check_trace_module():
 def test_profiler_phase_totals_match_batch_stats(workload):
     setup = build_workload(workload, seed=11)
     engine = setup.engine(batch_size=96)
-    scheduler = BatchScheduler(
-        96, retry_delay_batches=engine.config.effective_retry_delay
-    )
+    scheduler = BatchScheduler(96)
     scheduler.admit(setup.generator.make_batch(2 * 96))
     run = engine.process(scheduler, max_batches=2)
     assert run.num_batches == 2
@@ -95,9 +93,9 @@ def test_phase_span_duration_covers_kernel(tmp_path):
 
 # -- satellite 4: Profiler.reset + trace reproducibility --------------------
 
-def _traced_bank_engine():
+def _traced_bank_engine(**config):
     engine, _db, _reg = bank_engine(
-        config=LTPGConfig(batch_size=8, trace=True)
+        config=LTPGConfig(batch_size=8, trace=True, **config)
     )
     return engine
 
@@ -288,8 +286,8 @@ def test_all_aborted_run_aggregates(num_batches, batch_size):
 
 @pytest.mark.parametrize("delay", [1, 2, 3])
 def test_abort_readmitted_after_exact_delay(delay):
-    engine = _traced_bank_engine()
-    scheduler = BatchScheduler(4, retry_delay_batches=delay)
+    engine = _traced_bank_engine(retry_delay_batches=delay)
+    scheduler = BatchScheduler(4)
     # two transfers on the same accounts: the higher TID loses on WAW
     scheduler.admit([
         txn("transfer", 0, 1, 5),

@@ -179,10 +179,10 @@ class TestBatchScheduler:
         assert len(nxt) == 4
 
     def test_retry_delay_two_batches(self):
-        s = BatchScheduler(batch_size=2, retry_delay_batches=2)
+        s = BatchScheduler(batch_size=2)
         s.admit([txn("p"), txn("p")])
         batch = s.next_batch()  # batch_index now 1
-        s.requeue_aborted([batch[0]])
+        s.requeue_aborted([batch[0]], delay=2)
         assert s.next_batch() == []  # not eligible yet (index 1)
         nxt = s.next_batch()  # index 2: eligible
         assert [t.tid for t in nxt] == [0]
@@ -203,8 +203,10 @@ class TestBatchScheduler:
     def test_invalid_params(self):
         with pytest.raises(TransactionError):
             BatchScheduler(batch_size=0)
+        s = BatchScheduler(batch_size=1)
+        s.admit([txn("p")])
         with pytest.raises(TransactionError):
-            BatchScheduler(batch_size=1, retry_delay_batches=0)
+            s.requeue_aborted(s.next_batch(), delay=0)
 
 
 class TestDecomposition:
