@@ -28,6 +28,22 @@ _KEY_COL = intern_column(KEY_COLUMN)
 _COL_ID = _COLUMN_IDS.get
 
 
+def _snapshot_cell(t, row: int, column: str) -> int:
+    """One committed cell of table ``t``.  When the snapshot is on the
+    device it takes the one cell, not ``Table.read``'s whole-column
+    fence: a scalar lane reads once per op, inside the execute kernel,
+    from columns that are dirty every batch."""
+    view = t._resident_view
+    try:
+        if view is None:
+            return int(t._columns[column][row])
+        return view.read_cell(column, row)
+    except KeyError:
+        raise StorageError(
+            f"table {t.name!r} has no column {column!r}"
+        ) from None
+
+
 @dataclass(slots=True)
 class LocalSets:
     """A transaction's buffered effects."""
@@ -101,18 +117,7 @@ class BufferedContext:
         loc = (table_id, row, column)
         value = local.writes.get(loc)
         if value is None:
-            view = t._resident_view
-            try:
-                if view is None:
-                    value = int(t._columns[column][row])
-                else:
-                    # the snapshot is on the device: take the one
-                    # cell, not Table.read's whole-column fence
-                    value = view.read_cell(column, row)
-            except KeyError:
-                raise StorageError(
-                    f"table {t.name!r} has no column {column!r}"
-                ) from None
+            value = _snapshot_cell(t, row, column)
         value += local.adds.get(loc, 0)
         col_id = _COL_ID(column)
         if col_id is None:
@@ -130,7 +135,9 @@ class BufferedContext:
         local = self.local
         value = local.writes.get(loc)
         if value is None:
-            value = t.read(row, column)
+            if not 0 <= row < t._num_rows:
+                t._check_row(row)
+            value = _snapshot_cell(t, row, column)
         value += local.adds.get(loc, 0)
         col_id = _COL_ID(column)
         if col_id is None:
