@@ -38,11 +38,11 @@ def main() -> None:
 
         label = "dynamic buckets" if dynamic else "standard buckets"
         print(f"== {label} ==")
-        stats = engine.device.profiler.last_kernel_stats("execute")
+        stats = result.stats
         print(f"  execute-phase atomics: {stats.atomic_ops:,}, "
-              f"longest same-slot chain: {stats.atomic_max_chain:,}")
-        print(f"  execute phase: {result.stats.phase_ns['execute'] / 1e3:.1f} us, "
-              f"batch latency: {result.stats.latency_ns / 1e3:.1f} us")
+              f"longest same-slot chain: {stats.max_atomic_chain:,}")
+        print(f"  execute phase: {stats.phase_ns['execute'] / 1e3:.1f} us, "
+              f"batch latency: {stats.latency_ns / 1e3:.1f} us")
         if dynamic:
             print("  popularity verdicts (E = T/D):")
             for heat in engine.last_heats.values():

@@ -104,7 +104,7 @@ class GaccoEngine(BaselineEngine):
                 )
                 device_radix_sort(keys, key_bits=60, ctx=ctx)
         preprocess_ns = (
-            self.device.profiler.entries[-1].duration_ns
+            ctx.duration_ns
             + ops_total * self.access_op_ns / lanes
             + cfg.kernel_launch_ns
         )

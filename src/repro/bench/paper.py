@@ -572,12 +572,6 @@ def _occupancy(kind: int) -> Column:
     return pct
 
 
-def _divergence(r: SteadyStateResult, engine) -> float:
-    stats = engine.device.profiler.kernel_stats
-    events = sum(s.divergent_branches for s in stats if s.name == "execute")
-    return events / max(1, r.run.num_batches)
-
-
 def _raw_abort_pct(r: SteadyStateResult, engine) -> float:
     raw = sum(
         count
@@ -937,7 +931,7 @@ SPECS: dict[str, Spec] = {
             {
                 "mtps": "mtps",
                 "commit_rate": "commit_rate",
-                "divergence": _divergence,
+                "divergence": _per_batch(lambda b: b.divergent_branches),
                 "latency_us": "mean_latency_us",
                 "raw_abort_pct": _raw_abort_pct,
             },

@@ -16,6 +16,7 @@ from repro.core.memory_modes import transfer_latency_factor
 from repro.core.occ import abort_reason, logical_order
 from repro.core.stats import BatchStats
 from repro.gpusim.occupancy import KernelResources, occupancy
+from repro.gpusim.stream import Event
 from repro.txn.transaction import Transaction, TxnStatus
 from repro.xp import sorted_runs
 from repro.xp.rows import run_ends
@@ -176,10 +177,9 @@ def _ship_back(engine, batch: Batch) -> None:
     """device -> host: read/write sets + conflict flags (the d2h leg),
     closing the batch's simulated envelope."""
     device = engine.device
-    compute_done = device.create_event("compute_done")
-    device.stream(engine.compute_stream).record_event(compute_done)
+    compute = device.stream(engine.compute_stream)
     d2h = device.stream(engine.d2h_stream)
-    d2h.wait_event(compute_done)
+    d2h.wait_event(compute.record_event(Event("compute_done")))
     d2h_bytes = batch.rwset_bytes + len(batch.transactions) * TXN_FLAG_BYTES
     batch.rwset_ns = device.copy(
         int(d2h_bytes * transfer_latency_factor(engine.memory_plan)),

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core.occ import ConflictFlags
 from repro.gpusim.kernel import KernelContext
-from repro.gpusim.profiler import TimelineEntry
 from repro.txn.batch_context import GroupLocals
 from repro.txn.operations import OpFrame
 from repro.txn.transaction import Transaction
@@ -124,12 +123,12 @@ class BatchObserver(Protocol):
 
 class StageClocks:
     """The runner's three clocks, stamped per stage name: simulated
-    device time (kernel stages only), host seconds, and the array
-    backend's transfer-ledger delta.  Outlives its batch as the
-    engine's ``last_*`` properties."""
+    device time (kernel stages only: the launch, which carries its own
+    start and duration), host seconds, and the array backend's
+    transfer-ledger delta.  Outlives its batch as the engine's
+    ``last_*`` properties."""
 
     def __init__(self, ledger: Ledger | None = None) -> None:
-        self.timeline: dict[str, TimelineEntry] = {}
         self.launches: dict[str, KernelContext] = {}
         self.host_s: dict[str, float] = {}
         self.transfers: dict[str, Ledger] = {}
@@ -144,7 +143,7 @@ class StageClocks:
         self.transfers[stage] = {k: ledger[k] - before[k] for k in ledger}
 
     def sim_ns(self) -> dict[str, float]:
-        return {name: e.duration_ns for name, e in self.timeline.items()}
+        return {name: ctx.duration_ns for name, ctx in self.launches.items()}
 
     def total_transfers(self) -> Ledger:
         return {k: v - self._start[k] for k, v in self._ledger.items()}
@@ -156,7 +155,7 @@ class StageClocks:
             return {}
         out = {
             name: delta for name, delta in self.transfers.items()
-            if name in self.timeline
+            if name in self.launches
         }
         out["other"] = {
             key: value - sum(delta[key] for delta in out.values())

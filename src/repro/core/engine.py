@@ -59,6 +59,7 @@ from repro.core.writeback import writeback
 from repro.errors import TransactionError
 from repro.gpusim.device import DEFAULT_STREAM, Device
 from repro.gpusim.kernel import KernelContext
+from repro.gpusim.stream import Event
 from repro.storage.database import Database
 from repro.storage.wal import BatchLog
 from repro.txn.batch import BatchScheduler, drive
@@ -91,9 +92,7 @@ def _route(engine: LTPGEngine, batch: Batch, ctx) -> None:
         int(h2d_bytes * transfer_latency_factor(engine.memory_plan)),
         "h2d", name="params", stream=engine.h2d_stream,
     )
-    h2d_done = device.create_event("h2d_done")
-    h2d.record_event(h2d_done)
-    compute.wait_event(h2d_done)
+    compute.wait_event(h2d.record_event(Event("h2d_done")))
     engine._kernels_began_ns = compute.time_ns
 
 
@@ -235,9 +234,8 @@ class LTPGEngine:
         """Rewind every run-scoped clock and counter so the next batch
         starts a fresh timeline at ``t=0``.
 
-        The ``Profiler.reset`` clock-hygiene contract, extended to the
-        whole engine: stream clocks + profiler history (via
-        :meth:`Device.reset_clock`), tracer spans, the metrics registry,
+        :meth:`Device.reset_clock`'s contract, extended to the whole
+        engine: the stream clocks, tracer spans, the metrics registry,
         the batch counter (span/stat names embed batch indices), the
         batch log and the last batch's stage clocks.  Database state,
         procedure caches and device allocations survive —
@@ -333,7 +331,6 @@ class LTPGEngine:
             stream=self.compute_stream,
         ) as ctx, self._backend.kernel_phase(stage.name):
             yield ctx
-        batch.clocks.timeline[stage.name] = device.profiler.entries[-1]
         batch.clocks.launches[stage.name] = ctx
         device.stream(self.compute_stream).enqueue(device.cost_model.sync_ns())
         for observer in self.observers:

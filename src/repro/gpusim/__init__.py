@@ -13,8 +13,11 @@ preserves the paper's experimental shapes.
 Public surface:
 
 * :class:`DeviceConfig`, :class:`CpuConfig` — calibration constants.
-* :class:`Device` — streams, kernel launches, copies, synchronize.
-* :class:`LaunchGeometry`, :class:`KernelContext`, :class:`KernelStats`.
+* :class:`Device` — streams, kernel launches and copies; it keeps a
+  clock per stream, not a history.
+* :class:`LaunchGeometry`, :class:`KernelStats`, and
+  :class:`KernelContext` — a launch's recorded events and, once it
+  returns, its own ``start_ns`` / ``duration_ns``.
 * :func:`collision_profile` — same-address contention of an atomic batch.
 * :class:`PageTracker` — the unified-memory LRU resident set.
 """
@@ -32,7 +35,6 @@ from repro.gpusim.occupancy import (
     effective_lanes,
     occupancy,
 )
-from repro.gpusim.profiler import Profiler, TimelineEntry
 from repro.gpusim.stream import Event, Stream
 
 __all__ = [
@@ -53,8 +55,6 @@ __all__ = [
     "effective_lanes",
     "occupancy",
     "PageTracker",
-    "Profiler",
-    "TimelineEntry",
     "Event",
     "Stream",
 ]

@@ -1,18 +1,21 @@
-"""The simulated GPU device: launch kernels, copy data, synchronize.
+"""The simulated GPU device: launch kernels, copy data, keep clocks.
 
 Kernels execute *functionally* — the body is a Python callable that does
 the real work with NumPy and records hardware events on the provided
 :class:`~repro.gpusim.kernel.KernelContext`.  The device converts those
 events into simulated time with the cost model and advances the target
 stream's clock, so an engine built on top of :class:`Device` gets both
-correct results and a hardware-plausible timeline.
+correct results and a hardware-plausible timeline.  The device keeps
+clocks, not a history: a launch's place on its stream is stamped on its
+own :class:`~repro.gpusim.kernel.KernelContext`, and spans are kept only
+by an attached tracer.
 
 Typical use::
 
     device = Device()
     with device.kernel("execute", threads=batch_size) as ctx:
         ...  # NumPy work + ctx.add_* recording
-    device.synchronize()
+    ctx.duration_ns  # the launch's simulated time
     elapsed = device.elapsed_ns()
 """
 
@@ -26,8 +29,7 @@ from repro.gpusim.config import DeviceConfig
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.kernel import KernelContext, LaunchGeometry
 from repro.gpusim.memory import PageTracker
-from repro.gpusim.profiler import Profiler, TimelineEntry
-from repro.gpusim.stream import Event, Stream
+from repro.gpusim.stream import Stream
 from repro.trace.tracer import Tracer
 
 #: Name of the stream used when the caller does not pass one.
@@ -35,7 +37,7 @@ DEFAULT_STREAM = "stream0"
 
 
 class Device:
-    """One simulated GPU with streams, memory, a profiler and a clock."""
+    """One simulated GPU with streams, memory and a clock per stream."""
 
     def __init__(self, config: DeviceConfig | None = None):
         self.config = cfg = config or DeviceConfig()
@@ -46,12 +48,9 @@ class Device:
             cfg.device_memory_bytes * cfg.um_resident_fraction // cfg.um_page_bytes
         )))
         self._streams: dict[str, Stream] = {DEFAULT_STREAM: Stream(DEFAULT_STREAM)}
-        # The profiler shares the stream table so resetting it rewinds
-        # the clocks too (a fresh timeline must start at start_ns=0).
-        self.profiler = Profiler(streams=self._streams)
         #: Optional span recorder (see :mod:`repro.trace`).  When
-        #: attached, kernels, transfers and syncs emit spans on their
-        #: stream's track alongside the profiler's flat timeline.
+        #: attached, kernels and transfers emit spans on their stream's
+        #: track.
         self.tracer: Tracer | None = None
 
     def attach_tracer(self, tracer: Tracer | None) -> None:
@@ -68,9 +67,6 @@ class Device:
             self._streams[name] = Stream(name, tracer=self.tracer)
         return self._streams[name]
 
-    def create_event(self, name: str) -> Event:
-        return Event(name=name)
-
     # -- kernels -------------------------------------------------------------
     @contextlib.contextmanager
     def kernel(
@@ -83,7 +79,8 @@ class Device:
         """Launch a functional kernel; the body runs inside the ``with``.
 
         Exactly one of ``threads`` / ``geometry`` must be given.  On exit
-        the recorded stats are costed and the stream clock advances.
+        the recorded stats are costed, ``ctx.start_ns`` / ``ctx.duration_ns``
+        are set and the stream clock advances.
         """
         if (threads is None) == (geometry is None):
             raise DeviceError("pass exactly one of threads= or geometry=")
@@ -93,12 +90,8 @@ class Device:
         yield ctx
         timing = self.cost_model.kernel_timing(ctx.stats)
         s = self.stream(stream)
-        start = s.time_ns
+        ctx.start_ns, ctx.duration_ns = s.time_ns, timing.total_ns
         s.enqueue(timing.total_ns)
-        self.profiler.record(
-            TimelineEntry("kernel", name, stream, start, timing.total_ns)
-        )
-        self.profiler.record_kernel(ctx.stats, timing)
         if self.tracer is not None:
             stats = ctx.stats
             args: dict[str, object] = {
@@ -116,7 +109,7 @@ class Device:
             }
             args.update(ctx.trace_args)
             self.tracer.complete(
-                name, stream, start, timing.total_ns, cat="kernel", args=args
+                name, stream, ctx.start_ns, timing.total_ns, cat="kernel", args=args
             )
 
     # -- transfers -------------------------------------------------------------
@@ -138,9 +131,6 @@ class Device:
         s = self.stream(stream)
         start = s.time_ns
         s.enqueue(duration)
-        self.profiler.record(
-            TimelineEntry("transfer", f"{name}:{kind}", stream, start, duration)
-        )
         if self.tracer is not None:
             self.tracer.complete(
                 f"{name}:{kind}", stream, start, duration,
@@ -148,28 +138,14 @@ class Device:
             )
         return duration
 
-    # -- synchronization ----------------------------------------------------
-    def synchronize(self) -> float:
-        """``cudaDeviceSynchronize``: align all stream clocks; returns the
-        device time after the sync."""
-        latest = max(s.time_ns for s in self._streams.values())
-        latest += self.cost_model.sync_ns()
-        for s in self._streams.values():
-            s.advance_to(latest)
-        self.profiler.record(
-            TimelineEntry("sync", "device_sync", "*", latest, 0.0)
-        )
-        if self.tracer is not None:
-            for name in self._streams:
-                self.tracer.instant("device_sync", name, latest)
-        return latest
-
+    # -- clocks ---------------------------------------------------------------
     def elapsed_ns(self) -> float:
         """Current device time (max over stream clocks)."""
         return max(s.time_ns for s in self._streams.values())
 
     def reset_clock(self) -> None:
-        """Zero every stream clock and drop profiler history.
-        Unified-memory residency survives (it models persistent device
-        state)."""
-        self.profiler.reset()  # rewinds the shared stream clocks too
+        """Zero every stream clock, so the next launch starts a fresh
+        timeline at ``t=0``.  Unified-memory residency survives (it
+        models persistent device state)."""
+        for s in self._streams.values():
+            s.time_ns = 0.0

@@ -70,21 +70,6 @@ class KernelStats:
     #: against the device bandwidth, not per-lane latency
     coalesced_bytes: int = 0
 
-    def merge(self, other: "KernelStats") -> None:
-        """Accumulate ``other`` into this record (used when one logical
-        phase is split over several helper passes)."""
-        self.threads = max(self.threads, other.threads)
-        self.instructions += other.instructions
-        self.global_reads += other.global_reads
-        self.global_writes += other.global_writes
-        self.shared_accesses += other.shared_accesses
-        self.atomic_ops += other.atomic_ops
-        self.atomic_serialized += other.atomic_serialized
-        self.atomic_max_chain = max(self.atomic_max_chain, other.atomic_max_chain)
-        self.divergent_branches += other.divergent_branches
-        self.um_page_faults += other.um_page_faults
-        self.coalesced_bytes += other.coalesced_bytes
-
 
 class KernelContext:
     """Recording handle passed to functional kernel bodies.
@@ -99,6 +84,10 @@ class KernelContext:
         self.geometry = geometry
         self.config = config
         self.stats = KernelStats(name=name, threads=geometry.threads)
+        #: Where the launch sat on its stream (simulated ns), set by
+        #: :meth:`~repro.gpusim.device.Device.kernel` once the body
+        #: returns: a launch is its own timing record.
+        self.start_ns = self.duration_ns = 0.0
         #: Free-form annotations that end up in the kernel's trace span
         #: ``args`` when a tracer is attached (e.g. the conflict log's
         #: per-side registration counts).  Always recordable; simply

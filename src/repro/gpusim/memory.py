@@ -27,7 +27,6 @@ class PageTracker:
             raise DeviceError("unified-memory resident set must hold >= 1 page")
         self.capacity_pages = capacity_pages
         self._resident: OrderedDict[tuple[str, int], None] = OrderedDict()
-        self.total_faults = 0
 
     def touch(self, buffer_name: str, page_indices) -> int:
         """Access the given pages; return how many faulted."""
@@ -41,11 +40,7 @@ class PageTracker:
                 self._resident[key] = None
                 if len(self._resident) > self.capacity_pages:
                     self._resident.popitem(last=False)
-        self.total_faults += faults
         return faults
-
-    def resident_pages(self) -> int:
-        return len(self._resident)
 
     def clear(self) -> None:
         self._resident.clear()

@@ -35,30 +35,19 @@ class Stream:
     def __init__(self, name: str, tracer: "Tracer | None" = None):
         self.name = name
         self.time_ns = 0.0
-        self.busy_ns = 0.0
         #: optional span recorder: record/wait event pairs become flow
         #: arrows so cross-stream ordering is visible in the trace
         self.tracer = tracer
-        self._destroyed = False
 
-    def _check(self) -> None:
-        if self._destroyed:
-            raise DeviceError(f"stream {self.name!r} has been destroyed")
-
-    def enqueue(self, duration_ns: float, not_before_ns: float = 0.0) -> float:
-        """Run a unit of work of ``duration_ns`` on this stream; it may
-        not start before ``not_before_ns``.  Returns the completion time.
-        """
-        self._check()
+    def enqueue(self, duration_ns: float) -> float:
+        """Run a unit of work of ``duration_ns`` on this stream.
+        Returns the completion time."""
         if duration_ns < 0:
             raise DeviceError("work duration must be non-negative")
-        start = max(self.time_ns, not_before_ns)
-        self.time_ns = start + duration_ns
-        self.busy_ns += duration_ns
+        self.time_ns += duration_ns
         return self.time_ns
 
     def record_event(self, event: Event) -> Event:
-        self._check()
         event.timestamp_ns = self.time_ns
         event.recorded = True
         if self.tracer is not None:
@@ -69,7 +58,6 @@ class Stream:
 
     def wait_event(self, event: Event) -> None:
         """Stall this stream until ``event`` has completed."""
-        self._check()
         if not event.recorded:
             raise DeviceError(f"event {event.name!r} has not been recorded")
         self.time_ns = max(self.time_ns, event.timestamp_ns)
@@ -79,8 +67,4 @@ class Stream:
             )
 
     def advance_to(self, time_ns: float) -> None:
-        self._check()
         self.time_ns = max(self.time_ns, time_ns)
-
-    def destroy(self) -> None:
-        self._destroyed = True

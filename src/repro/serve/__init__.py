@@ -17,7 +17,7 @@ large GPU batches everything downstream assumes:
   returned — a whole decided batch per loop callback;
 * :mod:`repro.serve.workload` — simulated open-/closed-loop client
   populations with Zipf-skewed users;
-* :mod:`repro.serve.api` — sessions, reports, and the one-call
+* :mod:`repro.serve.api` — whole-run reports and the one-call
   :func:`simulate_serve` the CLI and bench harness use.
 
 Run one from the shell::
@@ -32,7 +32,6 @@ from repro.serve.admission import (
 )
 from repro.serve.api import (
     ServeReport,
-    ServeSession,
     serve_run,
     simulate_serve,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "ServeError",
     "ServeReport",
     "ServeResponse",
-    "ServeSession",
     "ServeTicket",
     "SimClock",
     "SizePolicy",

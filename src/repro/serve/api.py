@@ -1,10 +1,8 @@
-"""High-level serve API: sessions, whole-run reports, one-call sims.
+"""High-level serve API: whole-run reports, one-call sims.
 
-Three layers of convenience over :class:`~repro.serve.orchestrator
+Two layers of convenience over :class:`~repro.serve.orchestrator
 .Orchestrator`:
 
-* :class:`ServeSession` — a thin per-tenant client handle (the shape a
-  network transport would wrap);
 * :func:`serve_run` — drive an *existing* engine with simulated open- or
   closed-loop clients on a fresh virtual clock and collect a
   :class:`ServeReport`;
@@ -26,7 +24,7 @@ from typing import Any
 
 from repro.serve.admission import AdmissionController
 from repro.serve.errors import ServeError
-from repro.serve.orchestrator import Orchestrator, ServeResponse, ServeTicket
+from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import BatchPolicy, make_policy
 from repro.serve.workload import (
     ClientProfile,
@@ -35,29 +33,6 @@ from repro.serve.workload import (
     closed_loop,
     open_loop,
 )
-
-
-class ServeSession:
-    """A thin client handle bound to one tenant.
-
-    This is the seam a real transport (HTTP handler, RPC stub) would
-    occupy: it only knows ``submit``/``post``, never batch mechanics.
-    """
-
-    def __init__(self, orchestrator: Orchestrator, tenant: str = "default"):
-        self._orchestrator = orchestrator
-        self.tenant = tenant
-
-    def post(self, procedure: str, params: tuple) -> ServeTicket:
-        """Fire-and-forget submit; returns the request's awaitable
-        ticket (completes with its :class:`ServeResponse`)."""
-        return self._orchestrator.post(procedure, params, self.tenant)
-
-    async def submit(self, procedure: str, params: tuple) -> ServeResponse:
-        """Submit and await the transaction's final verdict."""
-        return await self._orchestrator.submit(
-            procedure, params, self.tenant
-        )
 
 
 @dataclass

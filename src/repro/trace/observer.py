@@ -143,7 +143,7 @@ class TraceObserver:
     def _record_groups(self, batch: Batch) -> None:
         """Per-procedure-group spans and counters for the execute stage.
 
-        The simulated execute kernel is one timeline entry; its window
+        The simulated execute kernel is one launch; its window
         is subdivided proportionally by each group's op count (the same
         work measure the cost model charges), which keeps the spans
         deterministic — pure integer-derived float math over simulated
@@ -161,8 +161,8 @@ class TraceObserver:
         groups = list(zip(names, lane_counts.tolist(), op_counts.tolist()))
         if not groups:
             return
-        entry = batch.clocks.timeline["execute"]
-        g_start, g_dur = entry.start_ns, entry.duration_ns
+        launch = batch.clocks.launches["execute"]
+        g_start, g_dur = launch.start_ns, launch.duration_ns
         total_ops = sum(ops for _, _, ops in groups) or 1
         cursor = g_start
         for gi, (name, lanes, ops) in enumerate(groups):

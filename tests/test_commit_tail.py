@@ -180,9 +180,8 @@ def test_served_batches_retain_tracked_objects_per_batch_not_per_lane():
     assert len(engine.batch_log) == batches1
     assert len(orch.latency) == len(orch.queue_wait) == 14 * LANES
     per_batch = (objects1 - objects0) / batches
-    # BatchStats with its counters, kernel timeline entries, one log
-    # entry, one serve record: a few dozen.  One object per lane would
-    # be LANES or more.
+    # BatchStats with its counters, one log entry, one serve record: a
+    # few dozen.  One object per lane would be LANES or more.
     assert per_batch < LANES / 4, f"{per_batch:.1f} tracked objects per batch"
 
 

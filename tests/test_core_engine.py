@@ -227,3 +227,29 @@ class TestProcessLoop:
         assert stats.total_admitted >= 10
         assert stats.throughput_tps > 0
         assert stats.mean_commit_rate > 0
+
+
+def test_long_lived_engine_device_keeps_nothing_per_batch():
+    # the device keeps clocks, not a history: what a launch recorded
+    # lives only as long as the last batch's stage clocks hold it
+    import gc
+    from itertools import islice
+
+    from repro.gpusim import KernelStats, KernelTiming
+    from repro.workloads.smallbank import build_smallbank
+
+    db, registry, generator = build_smallbank(num_accounts=1024, seed=3)
+    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=64))
+    stream = drive(engine, BatchScheduler(64), generator.make_batch)
+
+    def live_records() -> int:
+        gc.collect()
+        kinds = (KernelStats, KernelTiming)
+        return sum(isinstance(o, kinds) for o in gc.get_objects())
+
+    for _ in islice(stream, 10):
+        pass
+    after_10 = live_records()
+    for _ in islice(stream, 200):
+        pass
+    assert live_records() == after_10 <= 3

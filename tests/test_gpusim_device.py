@@ -1,4 +1,4 @@
-"""Device, streams, kernel costing, unified-memory pages, profiler."""
+"""Device, streams, kernel costing, unified-memory pages."""
 
 from __future__ import annotations
 
@@ -96,7 +96,8 @@ class TestStream:
     def test_not_before_constraint(self):
         s = Stream("s")
         s.enqueue(10.0)
-        assert s.enqueue(5.0, not_before_ns=100.0) == 105.0
+        s.advance_to(100.0)  # idle gap
+        assert s.enqueue(5.0) == 105.0
 
     def test_events_order_cross_stream(self):
         a, b = Stream("a"), Stream("b")
@@ -114,20 +115,17 @@ class TestStream:
         with pytest.raises(DeviceError):
             Stream("s").wait_event(Event("nope"))
 
-    def test_destroyed_stream_unusable(self):
-        s = Stream("s")
-        s.destroy()
-        with pytest.raises(DeviceError):
-            s.enqueue(1.0)
-
 
 class TestDevice:
     def test_kernel_advances_clock_and_profiles(self):
         device = Device()
+        device.stream().enqueue(7.0)
         with device.kernel("k1", threads=64) as ctx:
             ctx.add_instructions(1000)
-        assert device.elapsed_ns() > 0
-        assert device.profiler.by_kernel()["k1"] > 0
+        # the launch carries its own place on the stream
+        assert ctx.start_ns == 7.0
+        assert ctx.duration_ns > 0
+        assert device.elapsed_ns() == 7.0 + ctx.duration_ns
 
     def test_kernel_requires_exactly_one_shape(self):
         device = Device()
@@ -148,30 +146,24 @@ class TestDevice:
         with pytest.raises(DeviceError):
             Device().copy(10, "sideways")
 
-    def test_synchronize_aligns_streams(self):
-        device = Device()
-        device.stream("a").enqueue(1000.0)
-        device.stream("b").enqueue(10.0)
-        t = device.synchronize()
-        assert device.stream("b").time_ns == t
-
     def test_reset_clock(self):
         device = Device()
         device.copy(1000, "h2d")
+        device.copy(1000, "h2d", stream="other")
         device.reset_clock()
         assert device.elapsed_ns() == 0
-        assert not device.profiler.entries
+        assert device.stream("other").time_ns == 0
 
     def test_independent_streams_overlap(self):
         device = Device()
-        device.copy(1_000_000, "h2d", stream="copy")
+        copy_ns = device.copy(1_000_000, "h2d", stream="copy")
         with device.kernel("k", threads=32, stream="compute") as ctx:
             ctx.add_instructions(10)
         # both ran from t=0 on their own timelines
-        assert device.stream("copy").time_ns > 0
-        assert device.stream("compute").time_ns > 0
-        total = device.stream("copy").busy_ns + device.stream("compute").busy_ns
-        assert device.elapsed_ns() < total
+        assert ctx.start_ns == 0.0
+        assert device.stream("copy").time_ns == copy_ns > 0
+        assert device.stream("compute").time_ns == ctx.duration_ns > 0
+        assert device.elapsed_ns() < copy_ns + ctx.duration_ns
 
 
 class TestPageTracker:

@@ -1,5 +1,5 @@
-"""Focused tests for smaller surfaces: profiler queries, reporting,
-memory-mode factors, error hierarchy, kernel stats merging."""
+"""Focused tests for smaller surfaces: reporting, memory-mode factors,
+error hierarchy, device-config validation."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from repro import errors
 from repro.bench.paper import _fmt, format_table
 from repro.core import LTPGConfig, MemoryMode
 from repro.core.memory_modes import MemoryPlan, transfer_latency_factor
-from repro.gpusim import Device, DeviceConfig, KernelStats
-from repro.gpusim.profiler import Profiler, TimelineEntry
+from repro.gpusim import DeviceConfig
 
 
 class TestErrorHierarchy:
@@ -31,46 +30,6 @@ class TestErrorHierarchy:
     def test_specialization(self):
         assert issubclass(errors.KeyNotFound, errors.StorageError)
         assert issubclass(errors.TransactionAborted, errors.TransactionError)
-
-
-class TestProfiler:
-    def test_by_kernel_and_filters(self):
-        p = Profiler()
-        p.record(TimelineEntry("kernel", "execute", "s0", 0, 10))
-        p.record(TimelineEntry("kernel", "execute", "s0", 10, 5))
-        p.record(TimelineEntry("kernel", "conflict", "s0", 15, 2))
-        p.record(TimelineEntry("transfer", "params:h2d", "s0", 17, 3))
-        assert p.by_kernel() == {"execute": 15, "conflict": 2}
-        assert p.transfer_ns() == 3
-        assert p.total_ns(kind="kernel", name_prefix="exec") == 15
-        assert p.total_ns() == 20
-
-    def test_last_kernel_stats(self):
-        p = Profiler()
-        from repro.gpusim.costmodel import KernelTiming
-
-        timing = KernelTiming(1, 1, 0, 0, 0)
-        p.record_kernel(KernelStats(name="a", instructions=1), timing)
-        p.record_kernel(KernelStats(name="b", instructions=2), timing)
-        p.record_kernel(KernelStats(name="a", instructions=3), timing)
-        assert p.last_kernel_stats("a").instructions == 3
-        assert p.last_kernel_stats("zzz") is None
-
-    def test_entry_end(self):
-        e = TimelineEntry("kernel", "k", "s", 5.0, 2.5)
-        assert e.end_ns == 7.5
-
-
-class TestKernelStatsMerge:
-    def test_merge_accumulates(self):
-        a = KernelStats(threads=10, instructions=5, atomic_max_chain=3)
-        b = KernelStats(threads=20, instructions=7, atomic_max_chain=2,
-                        um_page_faults=4)
-        a.merge(b)
-        assert a.threads == 20
-        assert a.instructions == 12
-        assert a.atomic_max_chain == 3
-        assert a.um_page_faults == 4
 
 
 class TestReportingFormat:
@@ -121,16 +80,6 @@ class TestDeviceConfigValidation:
     def test_total_lanes(self):
         cfg = DeviceConfig()
         assert cfg.total_lanes == cfg.num_sms * cfg.lanes_per_sm
-
-
-class TestStreamBusyAccounting:
-    def test_busy_vs_elapsed(self):
-        device = Device()
-        s = device.stream("s")
-        s.enqueue(10.0)
-        s.enqueue(5.0, not_before_ns=100.0)  # idle gap
-        assert s.busy_ns == 15.0
-        assert s.time_ns == 105.0
 
 
 class TestConfigReplacement:
