@@ -125,16 +125,17 @@ class AdmissionController:
 
     def admit(self, tenant: str, queue_depth: int, now_ns: int) -> None:
         """Raise a typed :class:`AdmissionRejected` subclass, or return
-        with one tenant token consumed and the request admitted."""
+        with one tenant token consumed and the request admitted.  A shed
+        request spends no token."""
         bucket = self._bucket(tenant)
-        if bucket is not None and not bucket.try_take(now_ns):
+        if bucket is not None and (wait := bucket.retry_after_ns(now_ns)):
             self.shed_counts[TenantThrottled.reason] = (
                 self.shed_counts.get(TenantThrottled.reason, 0) + 1
             )
             raise TenantThrottled(
                 tenant=tenant,
                 queue_depth=queue_depth,
-                retry_after_ns=bucket.retry_after_ns(now_ns),
+                retry_after_ns=wait,
             )
         if queue_depth >= self.max_queue_depth:
             self.shed_counts[QueueFullRejected.reason] = (
@@ -145,3 +146,5 @@ class AdmissionController:
                 queue_depth=queue_depth,
                 max_depth=self.max_queue_depth,
             )
+        if bucket is not None:
+            bucket.try_take(now_ns)

@@ -57,6 +57,22 @@ def test_token_bucket_never_exceeds_burst():
     assert taken == 3
 
 
+def test_queue_full_shed_spends_no_token():
+    """Only an admitted request takes a token: admit, queue-full shed,
+    admit again leaves a burst-2 tenant one admission, not throttled."""
+    admission = AdmissionController(
+        max_queue_depth=1, default_quota=TenantQuota(rate_per_s=1, burst=2)
+    )
+    admission.admit("acme", queue_depth=0, now_ns=0)
+    with pytest.raises(QueueFullRejected):
+        admission.admit("acme", queue_depth=1, now_ns=0)
+    admission.admit("acme", queue_depth=0, now_ns=0)
+    assert admission.shed_counts == {"queue_full": 1}
+    # both tokens are spent now: the throttle is still checked first
+    with pytest.raises(TenantThrottled):
+        admission.admit("acme", queue_depth=1, now_ns=0)
+
+
 # -- typed shedding -----------------------------------------------------
 
 
