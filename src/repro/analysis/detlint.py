@@ -51,7 +51,7 @@ _BANNED_ATTRS = frozenset(
 #: Builtins whose results depend on addresses or hash randomization.
 _BANNED_BUILTINS = frozenset({"id", "hash", "object", "input"})
 #: Context methods that constitute writes (the effects side).
-_WRITE_METHODS = frozenset({"write", "write_at", "add", "insert"})
+_WRITE_METHODS = frozenset({"write", "add", "insert"})
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,15 @@ version tagged with the writer's TID; its second phase resolves every
 read to the newest version with TID strictly below the reader's (falling
 through to the pre-batch "base" version).  This module implements that
 structure for real — the BOHM engine uses it both to validate version
-visibility and to extract the chain statistics that drive its cost.
+visibility and to extract the chain statistics that drive its cost.  A
+version is its writer's TID and nothing more: the cost reads chain
+lengths and visibility, never a value.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-
-from repro.errors import TransactionError
 
 #: Sentinel TID of the pre-batch base version.
 BASE_TID = -1
@@ -24,19 +24,12 @@ class VersionChain:
     """Versions of one item, ordered by TID."""
 
     tids: list[int] = field(default_factory=list)
-    values: dict[int, int | None] = field(default_factory=dict)
 
     def insert_placeholder(self, tid: int) -> None:
         pos = bisect.bisect_left(self.tids, tid)
         if pos < len(self.tids) and self.tids[pos] == tid:
             return  # one version per (item, txn)
         self.tids.insert(pos, tid)
-        self.values[tid] = None
-
-    def fill(self, tid: int, value: int) -> None:
-        if tid not in self.values:
-            raise TransactionError(f"no placeholder for tid {tid}")
-        self.values[tid] = value
 
     def visible_tid(self, reader_tid: int) -> int:
         """TID of the version a reader sees (BASE_TID if none)."""
@@ -44,15 +37,6 @@ class VersionChain:
         if pos == 0:
             return BASE_TID
         return self.tids[pos - 1]
-
-    def read(self, reader_tid: int) -> tuple[int, int | None]:
-        """(version tid, value) visible to the reader; value is None for
-        an unfilled placeholder (the reader must wait) or for BASE_TID
-        (read the base table)."""
-        tid = self.visible_tid(reader_tid)
-        if tid == BASE_TID:
-            return BASE_TID, None
-        return tid, self.values[tid]
 
     def __len__(self) -> int:
         return len(self.tids)
@@ -63,7 +47,6 @@ class MultiVersionStore:
 
     def __init__(self) -> None:
         self._chains: dict[tuple, VersionChain] = {}
-        self.placeholder_count = 0
 
     def chain(self, item: tuple) -> VersionChain:
         c = self._chains.get(item)
@@ -73,10 +56,7 @@ class MultiVersionStore:
         return c
 
     def insert_placeholder(self, item: tuple, tid: int) -> None:
-        before = len(self.chain(item))
         self.chain(item).insert_placeholder(tid)
-        if len(self.chain(item)) > before:
-            self.placeholder_count += 1
 
     def visible_tid(self, item: tuple, reader_tid: int) -> int:
         c = self._chains.get(item)
@@ -88,9 +68,3 @@ class MultiVersionStore:
         if not self._chains:
             return 0
         return max(len(c) for c in self._chains.values())
-
-    def total_versions(self) -> int:
-        return sum(len(c) for c in self._chains.values())
-
-    def num_items(self) -> int:
-        return len(self._chains)

@@ -77,37 +77,6 @@ class BatchResult:
             self._witness = None
         return list(self._serial_order)
 
-    def explain(self, limit: int = 20) -> str:
-        """A human-readable per-transaction outcome summary (debugging
-        aid; the first ``limit`` transactions of each outcome class)."""
-        lines = [
-            f"batch {self.stats.batch_index}: {self.stats.committed} committed, "
-            f"{self.stats.aborted} aborted, {self.stats.logic_aborted} "
-            f"logic-aborted of {self.stats.num_txns}"
-        ]
-        if self.stats.abort_reasons:
-            # Same counters the stats carry; per-txn lines below show the
-            # same reasons so the two views always agree.
-            summary = ", ".join(
-                f"{reason}={count}"
-                for reason, count in sorted(self.stats.abort_reasons.items())
-            )
-            lines.append(f"  abort reasons: {summary}")
-        for label, group in (
-            ("committed", self.committed),
-            ("aborted", self.aborted),
-            ("logic-aborted", self.logic_aborted),
-        ):
-            for txn in group[:limit]:
-                reason = f" [{txn.abort_reason}]" if txn.abort_reason else ""
-                lines.append(
-                    f"  {label:>13} tid={txn.tid} {txn.procedure_name}"
-                    f" attempt={txn.attempts}{reason}"
-                )
-            if len(group) > limit:
-                lines.append(f"  ... and {len(group) - limit} more {label}")
-        return "\n".join(lines)
-
 
 def assemble(engine, batch: Batch, ctx) -> None:
     """Ship the read/write sets and conflict flags back, then build
@@ -133,7 +102,7 @@ def assemble(engine, batch: Batch, ctx) -> None:
         txn.status = aborted_status
         txn.abort_reason = _ABORT_REASONS[code]
     # Logic aborts carry the reason their execution stamped, so the
-    # stats and explain() read the same thing.
+    # stats and each transaction's abort_reason agree.
     abort_reasons = Counter(t.abort_reason for t in logic_aborted)
     for code, count in enumerate(np.bincount(codes, minlength=8).tolist()):
         if count:

@@ -242,14 +242,6 @@ class ConflictLog:
     def min_write(self, keys: np.ndarray) -> np.ndarray:
         return self.xp.to_host(self._min_write[keys])
 
-    def insert_winner(self, table_id: int, key: int) -> int:
-        lo = int(np.searchsorted(self._ins_tables, table_id, side="left"))
-        hi = int(np.searchsorted(self._ins_tables, table_id, side="right"))
-        pos = lo + int(np.searchsorted(self._ins_keys[lo:hi], key))
-        if pos < hi and int(self._ins_keys[pos]) == key:
-            return int(self._ins_tids[pos])
-        return NO_TID
-
     def insert_winners(
         self, table_ids: np.ndarray, insert_keys: np.ndarray
     ) -> np.ndarray:

@@ -181,10 +181,6 @@ class LTPGEngine:
         # stats must stay byte-identical between the engine and the
         # test oracle, and host timings never are.
         self._clocks = StageClocks()
-        # Procedure lookups cached across batches; invalidated only when
-        # the registry version changes (registration bumps it).
-        self._proc_cache: dict[str, Procedure] = {}
-        self._proc_cache_version = -1
         # The batch-to-batch pipeline (§V-E) is three streams, so batch
         # n+1's upload overlaps batch n's kernels and its aborts miss
         # the batch already in flight: they retry two batches later.
@@ -237,11 +233,11 @@ class LTPGEngine:
         :meth:`Device.reset_clock`'s contract, extended to the whole
         engine: the stream clocks, tracer spans, the metrics registry,
         the batch counter (span/stat names embed batch indices), the
-        batch log and the last batch's stage clocks.  Database state,
-        procedure caches and device allocations survive —
-        they model persistent state, not run history.  Back-to-back
-        serve runs reset through here must produce bit-identical traces
-        (pinned by ``tests/test_trace_observability.py``).
+        batch log and the last batch's stage clocks.  Database state
+        and device allocations survive — they model persistent state,
+        not run history.  Back-to-back serve runs reset through here
+        must produce bit-identical traces (pinned by
+        ``tests/test_trace_observability.py``).
         """
         self.device.reset_clock()
         if self.tracer is not None:
@@ -337,32 +333,17 @@ class LTPGEngine:
             observer.stage_synced(self, batch, stage)
 
     # ------------------------------------------------------------------
-    def _procedure_cache(self) -> dict[str, Procedure]:
-        """Engine-level procedure lookup cache, rebuilt only when the
-        registry actually changes (not once per batch)."""
-        version = self.procedures.version
-        if version != self._proc_cache_version:
-            self._proc_cache = {}
-            self._proc_cache_version = version
-        return self._proc_cache
-
     def _resolve_procedure(self, name: str) -> Procedure:
-        """Cached procedure lookup that can never poison the cache: an
-        unknown name raises a clear engine error naming the procedure
-        (and what *is* registered) without caching anything."""
-        cache = self._procedure_cache()
-        proc = cache.get(name)
-        if proc is None:
-            try:
-                proc = self.procedures.get(name)
-            except TransactionError:
-                known = ", ".join(self.procedures.names()) or "(none)"
-                raise TransactionError(
-                    f"batch references unknown procedure {name!r}; "
-                    f"registered procedures: {known}"
-                ) from None
-            cache[name] = proc
-        return proc
+        """The registry's procedure for ``name``; an unknown name raises
+        an engine error naming it and what *is* registered."""
+        try:
+            return self.procedures.get(name)
+        except TransactionError:
+            known = ", ".join(self.procedures.names()) or "(none)"
+            raise TransactionError(
+                f"batch references unknown procedure {name!r}; "
+                f"registered procedures: {known}"
+            ) from None
 
     # ------------------------------------------------------------------
     def process(

@@ -32,7 +32,6 @@ from repro.gpusim.occupancy import (
     KernelResources,
     OccupancyResult,
     SmLimits,
-    effective_lanes,
     occupancy,
 )
 from repro.gpusim.stream import Event, Stream
@@ -52,7 +51,6 @@ __all__ = [
     "KernelResources",
     "OccupancyResult",
     "SmLimits",
-    "effective_lanes",
     "occupancy",
     "PageTracker",
     "Event",

@@ -9,10 +9,10 @@ larger than raw ALU latencies.
 :func:`occupancy` reproduces the standard occupancy-calculator rules:
 resident blocks per SM are limited by (i) the warp-slot budget, (ii)
 the register file, (iii) shared memory, and (iv) the hardware block
-cap; occupancy follows from the winner of those limits.  The cost model
-can scale its throughput term by the result via
-:meth:`~repro.gpusim.costmodel.CostModel` callers passing an effective
-lane count.
+cap; occupancy follows from the winner of those limits.  The engine
+reports its execute launch's occupancy in
+:attr:`~repro.core.stats.BatchStats.occupancy`; nothing scales the cost
+model's lane count by it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import DeviceError
-from repro.gpusim.config import DeviceConfig
 
 
 @dataclass(frozen=True)
@@ -111,18 +110,4 @@ def occupancy(
         warps_per_sm=warps,
         occupancy=warps / limits.max_warps,
         limiter=limiter,
-    )
-
-
-def effective_lanes(
-    config: DeviceConfig,
-    resources: KernelResources,
-    limits: SmLimits | None = None,
-) -> int:
-    """Lane count scaled by occupancy — plug into throughput estimates
-    for kernels whose resource footprint is known."""
-    result = occupancy(resources, limits, warp_size=config.warp_size)
-    return max(
-        config.warp_size,
-        int(config.total_lanes * result.occupancy),
     )

@@ -24,31 +24,23 @@ RADIX_BITS = 8
 
 def device_radix_sort(
     keys,
-    values=None,
     key_bits: int = 64,
     ctx: KernelContext | None = None,
-):
-    """LSD radix sort; returns sorted keys (and gathered values).
+) -> np.ndarray:
+    """LSD radix sort; returns the sorted keys.
 
-    The result is exact (``np.argsort`` stable order); the cost model
-    charges ``ceil(key_bits / 8)`` count+scatter passes, which is what
-    dominates GaccO's preprocessing time.
+    The result is exact (``np.sort``); the cost model charges
+    ``ceil(key_bits / 8)`` count+scatter passes, which is what dominates
+    GaccO's preprocessing time.
     """
     arr = np.asarray(keys, dtype=np.int64)
     if arr.ndim != 1:
         raise DeviceError("radix sort expects a one-dimensional array")
     if not 1 <= key_bits <= 64:
         raise DeviceError("key_bits must be in 1..64")
-    order = np.argsort(arr, kind="stable")
     if ctx is not None and arr.size:
         passes = math.ceil(key_bits / RADIX_BITS)
         ctx.add_instructions(arr.size * passes)
         # count read + scatter read + scatter write, 8B keys, coalesced
         ctx.add_coalesced_bytes(arr.size * passes * 24)
-    sorted_keys = arr[order]
-    if values is None:
-        return sorted_keys
-    vals = np.asarray(values)
-    if vals.shape[0] != arr.size:
-        raise DeviceError("values must align with keys")
-    return sorted_keys, vals[order]
+    return np.sort(arr)

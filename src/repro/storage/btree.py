@@ -149,22 +149,6 @@ class BTreeIndex:
     def items(self) -> Iterator[tuple[int, int]]:
         yield from self.range(-(2**62), 2**62)
 
-    def min_key(self) -> int:
-        node = self._root
-        if not node.keys and node.is_leaf:
-            raise KeyNotFound("B-tree is empty")
-        while not node.is_leaf:
-            node = node.children[0]
-        return node.keys[0]
-
-    def max_key(self) -> int:
-        node = self._root
-        if not node.keys and node.is_leaf:
-            raise KeyNotFound("B-tree is empty")
-        while not node.is_leaf:
-            node = node.children[-1]
-        return node.keys[-1]
-
     def copy(self) -> "BTreeIndex":
         clone = BTreeIndex(self._order)
         for key, value in self.items():

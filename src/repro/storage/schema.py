@@ -59,14 +59,6 @@ class Schema:
         """Bytes per row including the key (int64 everywhere)."""
         return 8 * (self.num_columns + 1)
 
-    def column_index(self, name: str) -> int:
-        for i, col in enumerate(self.columns):
-            if col.name == name:
-                return i
-        raise StorageError(
-            f"table {self.table_name!r} has no column {name!r}"
-        )
-
 
 def make_schema(table_name: str, key_column: str, *column_names: str) -> Schema:
     """Convenience constructor from bare column names."""

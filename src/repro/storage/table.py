@@ -308,10 +308,6 @@ class Table:
                 f"table {self.name!r} has no column {name!r}"
             ) from None
 
-    def read_many(self, rows, column: str) -> np.ndarray:
-        """Vectorized gather of one column at many row slots."""
-        return self.column(column)[np.asarray(rows, dtype=np.int64)]
-
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self._num_rows:
             raise StorageError(

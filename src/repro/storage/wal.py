@@ -17,24 +17,18 @@ transactions as three columns (TIDs, procedure names, parameter
 tuples) serialized once into a single ``bytes`` payload.  Rows
 (:class:`LogRecord`) are decoded only when somebody asks for them, so
 appending costs a constant number of garbage-collector-tracked objects
-per batch however many lanes it has.
+per batch however many lanes it has.  The payload is the log's only
+serialized form: command logging at batch granularity needs nothing
+but what recovery reads back.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 from typing import NamedTuple
 
 from repro.errors import StorageError
 from repro.txn.transaction import batch_columns
-
-
-def _as_tuples(value):
-    """JSON arrays back to the (nested) tuples they were dumped from."""
-    if isinstance(value, list):
-        return tuple(_as_tuples(v) for v in value)
-    return value
 
 
 class LogRecord(NamedTuple):
@@ -43,20 +37,6 @@ class LogRecord(NamedTuple):
     tid: int
     procedure: str
     params: tuple
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"tid": self.tid, "procedure": self.procedure, "params": list(self.params)}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LogRecord":
-        obj = json.loads(text)
-        return cls(
-            tid=obj["tid"],
-            procedure=obj["procedure"],
-            params=_as_tuples(obj["params"]),
-        )
 
 
 class BatchRecord:
@@ -141,18 +121,3 @@ class BatchLog:
 
     def batches(self) -> list[BatchRecord]:
         return list(self._batches)
-
-    def dump_lines(self) -> list[str]:
-        """Serialized log lines (one JSON record per transaction)."""
-        return [
-            json.dumps(
-                {
-                    "batch": entry.batch_index,
-                    "tid": record.tid,
-                    "procedure": record.procedure,
-                    "params": list(record.params),
-                }
-            )
-            for entry in self._batches
-            for record in entry.records
-        ]

@@ -32,7 +32,6 @@ from repro.trace.tracer import (
     AsyncSpan,
     CounterSample,
     FlowEvent,
-    InstantEvent,
     Span,
     Tracer,
     validate_nesting,
@@ -46,7 +45,6 @@ __all__ = [
     "FlowEvent",
     "Gauge",
     "Histogram",
-    "InstantEvent",
     "LatencyDigest",
     "MetricsRegistry",
     "Span",

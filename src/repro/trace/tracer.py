@@ -87,16 +87,6 @@ class FlowEvent:
 
 
 @dataclass
-class InstantEvent:
-    """A zero-duration marker (device syncs, epoch boundaries)."""
-
-    name: str
-    track: str
-    ts_ns: float
-    args: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class CounterSample:
     """One sample of a named counter series."""
 
@@ -126,7 +116,6 @@ class Tracer:
         self.spans: list[Span] = []
         self.async_spans: list[AsyncSpan] = []
         self.flows: list[FlowEvent] = []
-        self.instants: list[InstantEvent] = []
         self.counters: list[CounterSample] = []
         self._stacks: dict[str, list[_Open]] = {}
         self._next_flow_id = 0
@@ -219,11 +208,6 @@ class Tracer:
                     ts_ns: float) -> None:
         self.flows.append(FlowEvent(name, flow_id, track, ts_ns, "f"))
 
-    # -- instants -----------------------------------------------------------
-    def instant(self, name: str, track: str, ts_ns: float,
-                **args: Any) -> None:
-        self.instants.append(InstantEvent(name, track, ts_ns, dict(args)))
-
     # -- counters -----------------------------------------------------------
     def counter(self, name: str, ts_ns: float, **values: float) -> None:
         self.counters.append(CounterSample(name, ts_ns, dict(values)))
@@ -236,7 +220,6 @@ class Tracer:
         self.spans.clear()
         self.async_spans.clear()
         self.flows.clear()
-        self.instants.clear()
         self.counters.clear()
         self._stacks.clear()
         self._next_flow_id = 0
@@ -266,7 +249,6 @@ class Tracer:
                     {s.track for s in self.spans}
                     | {s.track for s in self.async_spans}
                     | {f.track for f in self.flows}
-                    | {e.track for e in self.instants}
                 )
             )
         }
@@ -307,17 +289,6 @@ class Tracer:
                 "pid": 0,
                 "ts": sample.ts_ns / 1e3,
                 "args": sample.values,
-            })
-        for inst in self.instants:
-            events.append({
-                "ph": "i",
-                "name": inst.name,
-                "cat": "marker",
-                "pid": 0,
-                "tid": track_ids[inst.track],
-                "ts": inst.ts_ns / 1e3,
-                "s": "t",  # thread-scoped instant
-                "args": inst.args,
             })
         for flow in self.flows:
             events.append({

@@ -491,62 +491,6 @@ class BatchedContext:
         self._emit(lanes, _READ, table_id, rows, intern_column(column), values)
         return values
 
-    def read_keys(
-        self, table: str, lanes: np.ndarray, keys: np.ndarray, column: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`rows_for_keys` + :meth:`read_rows` in one call.
-
-        Returns ``(values, rows, found)``; values/rows are compacted to
-        the found lanes (``lanes[found]``)."""
-        rows, found = self.rows_for_keys(table, lanes, keys)
-        ok_lanes = lanes[found]
-        ok_rows = rows[found]
-        return self.read_rows(table, ok_lanes, ok_rows, column), ok_rows, found
-
-    def read_block(
-        self,
-        table: str,
-        lanes: np.ndarray,
-        rows_per_lane: np.ndarray,
-        column: str,
-    ) -> np.ndarray:
-        """Emit ``k`` consecutive reads per lane in one chunk.
-
-        ``rows_per_lane`` is ``(len(lanes), k)`` row slots; returns the
-        gathered values in the same shape (scan fast path)."""
-        if lanes.size == 0:
-            return np.empty((0, 0), dtype=np.int64)
-        table_id, t = self._db.resolve(table)
-        k = rows_per_lane.shape[1]
-        flat_rows = rows_per_lane.reshape(-1)
-        values = self._column(t, column)[flat_rows]
-        self._emit(
-            self.xp.repeat(lanes, k), _READ, table_id, flat_rows,
-            intern_column(column), values,
-        )
-        return values.reshape(lanes.size, k)
-
-    def read_var(
-        self,
-        table: str,
-        lanes: np.ndarray,
-        counts: np.ndarray,
-        flat_rows: np.ndarray,
-        column: str,
-    ) -> np.ndarray:
-        """Variable-per-lane gather: lane ``i`` reads ``counts[i]``
-        rows, given lane-major in ``flat_rows``.  Returns the flat
-        gathered values."""
-        if lanes.size == 0:
-            return np.empty(0, dtype=np.int64)
-        table_id, t = self._db.resolve(table)
-        values = self._column(t, column)[flat_rows]
-        self._emit(
-            self.xp.repeat(lanes, counts), _READ, table_id, flat_rows,
-            intern_column(column), values,
-        )
-        return values
-
     def key_at_rows(
         self, table: str, lanes: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
@@ -618,8 +562,7 @@ class BatchedContext:
         self, lanes: np.ndarray, reached: np.ndarray, steps: tuple
     ) -> None:
         """Emit up to ``k = len(steps)`` consecutive ops per *pair* in
-        one chunk — :meth:`read_block` generalised to any op kind and to
-        pairs that stop early.
+        one chunk, of any op kind, for pairs that may stop early.
 
         Pair ``i`` belongs to lane ``lanes[i]`` (a lane may own several
         pairs, in program order) and emits the first ``reached[i]``

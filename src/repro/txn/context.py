@@ -194,17 +194,6 @@ class BufferedContext:
             col_id = intern_column(column)
         self._emit((_WRITE, table_id, row, col_id, value, 0))
 
-    def write_at(self, table: str, row: int, column: str, value: int) -> None:
-        table_id, _ = self._resolve(table)
-        loc = (table_id, row, column)
-        local = self.local
-        local.writes[loc] = value = int(value)
-        local.adds.pop(loc, None)  # write overrides pending adds
-        col_id = _COL_ID(column)
-        if col_id is None:
-            col_id = intern_column(column)
-        self._emit((_WRITE, table_id, row, col_id, value, 0))
-
     def add(self, table: str, key: int, column: str, delta: int) -> None:
         """Commutative ``column += delta`` (delayed-update eligible)."""
         table_id, t = self._resolve(table)

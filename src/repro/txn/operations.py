@@ -111,10 +111,10 @@ OP_FIELDS = 6
 class OpColumns:
     """A growable columnar buffer of operations.
 
-    Appends extend a flat ``array('q')`` (int64) of row-major 6-field
-    groups — a single C-level call per op, the cheapest append path
-    CPython offers.  Recording hot paths may extend :attr:`buffer`
-    directly (6 values at a time); the typed ``(n, 6)`` int64 matrix is
+    Ops live in a flat ``array('q')`` (int64) of row-major 6-field
+    groups.  A recording context extends :attr:`buffer` with one op's
+    6 values at a time — a single C-level call per op, the cheapest
+    append path CPython offers; the typed ``(n, 6)`` int64 matrix is
     materialized per access (one memcpy of the buffer), so there is no
     cache to invalidate.  Sequence access (``len``/indexing/iteration)
     yields :class:`OpRecord` views for object-oriented consumers.
@@ -132,18 +132,6 @@ class OpColumns:
         ops = cls()
         ops._buf.frombytes(raw)
         return ops
-
-    # -- recording --------------------------------------------------------
-    def append_op(
-        self,
-        kind: int,
-        table_id: int,
-        row: int,
-        col_id: int,
-        value: int,
-        key: int = 0,
-    ) -> None:
-        self._buf.extend((kind, table_id, row, col_id, value, key))
 
     @property
     def buffer(self) -> array:

@@ -31,7 +31,6 @@ class ProcedureRegistry:
     def __init__(self) -> None:
         self._procs: dict[str, Procedure] = {}
         self._batched: dict[str, BatchProcedure] = {}
-        self._version = 0
 
     def register(self, name: str, procedure: Procedure | None = None):
         """Register a procedure; usable directly or as a decorator::
@@ -53,13 +52,6 @@ class ProcedureRegistry:
         if name in self._procs:
             raise TransactionError(f"procedure {name!r} already registered")
         self._procs[name] = procedure
-        self._version += 1
-
-    @property
-    def version(self) -> int:
-        """Bumped on every registration; lets engines cache lookups and
-        invalidate only when the registry actually changes."""
-        return self._version
 
     def register_batched(self, name: str, procedure: BatchProcedure | None = None):
         """Register the vectorized twin of an already-registered scalar
@@ -80,7 +72,6 @@ class ProcedureRegistry:
                     f"batched procedure {name!r} already registered"
                 )
             self._batched[name] = fn
-            self._version += 1
             return fn
 
         if procedure is not None:

@@ -11,25 +11,6 @@ import numpy as np
 
 from repro.errors import WorkloadError
 
-#: TPC-C's NURand C constants (any value is spec-legal; fixed for
-#: reproducibility).
-_C_255 = 91
-_C_1023 = 463
-_C_8191 = 2177
-
-_C_FOR_A = {255: _C_255, 1023: _C_1023, 8191: _C_8191}
-
-
-def nurand(rng: np.random.Generator, a: int, x: int, y: int) -> int:
-    """TPC-C non-uniform random: NURand(A, x, y)."""
-    try:
-        c = _C_FOR_A[a]
-    except KeyError:
-        raise WorkloadError(f"unsupported NURand A constant {a}") from None
-    r1 = int(rng.integers(0, a + 1))
-    r2 = int(rng.integers(x, y + 1))
-    return (((r1 | r2) + c) % (y - x + 1)) + x
-
 
 class ZipfGenerator:
     """Bounded Zipfian sampler over ``0..n-1`` with exponent ``alpha``.

@@ -215,8 +215,8 @@ def _orderstatus_b(bctx: BatchedContext, params: ParamColumns):
     keep, flat_rows = bctx.rows_for_flat_keys(
         "order_line", sl, ol_cnt, flat_keys
     )
-    bctx.read_var(
-        "order_line", sl[keep], ol_cnt[keep], flat_rows, "ol_amount"
+    bctx.read_rows(
+        "order_line", xp.repeat(sl[keep], ol_cnt[keep]), flat_rows, "ol_amount"
     )
 
 
@@ -234,7 +234,9 @@ def _stocklevel_b(scale: TpccScale, bctx: BatchedContext, params: ParamColumns):
     valid = xp.arange(max_ids, dtype=np.int64) < n_ids[:, None]
     s_keys = (w[:, None] * scale.num_items + items)[valid]
     keep, flat_rows = bctx.rows_for_flat_keys("stock", lanes, n_ids, s_keys)
-    bctx.read_var("stock", lanes[keep], n_ids[keep], flat_rows, "s_quantity")
+    bctx.read_rows(
+        "stock", xp.repeat(lanes[keep], n_ids[keep]), flat_rows, "s_quantity"
+    )
 
 
 def _delivery_b(bctx: BatchedContext, params: ParamColumns):
@@ -291,8 +293,8 @@ def _delivery_b(bctx: BatchedContext, params: ParamColumns):
             "order_line", cur, ol_cnt, flat_keys
         )
         cur, orow, ol_cnt = cur[keep], orow[keep], ol_cnt[keep]
-        amounts = bctx.read_var(
-            "order_line", cur, ol_cnt, flat_rows, "ol_amount"
+        amounts = bctx.read_rows(
+            "order_line", xp.repeat(cur, ol_cnt), flat_rows, "ol_amount"
         )
         totals = _segment_sums(xp, ol_cnt, amounts)
         c_key = bctx.read_rows("orders", cur, orow, "o_c_key")

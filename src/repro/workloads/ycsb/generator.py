@@ -194,7 +194,9 @@ def _ycsb_txn_b(btree_scans, bctx, params):
                         "usertable", sl, lo, lo + SCAN_LENGTH - 1
                     )
                 rows = lo[:, None] + xp.arange(SCAN_LENGTH, dtype=np.int64)
-                bctx.read_block("usertable", sl, rows, "f1")
+                bctx.read_rows(
+                    "usertable", xp.repeat(sl, SCAN_LENGTH), rows.reshape(-1), "f1"
+                )
 
 
 class YcsbGenerator:

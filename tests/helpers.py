@@ -319,10 +319,12 @@ def mixed_bank_registry():
         a = p.column(0)[lanes]
         b = p.column(1)[lanes]
         amount = p.column(2)[lanes]
-        bal_a, rows_a, found = bctx.read_keys("accounts", lanes, a, "balance")
-        lanes, b, amount = lanes[found], b[found], amount[found]
-        bal_b, rows_b, found_b = bctx.read_keys("accounts", lanes, b, "balance")
-        lanes = lanes[found_b]
+        rows_a, found = bctx.rows_for_keys("accounts", lanes, a)
+        lanes, rows_a, b, amount = lanes[found], rows_a[found], b[found], amount[found]
+        bal_a = bctx.read_rows("accounts", lanes, rows_a, "balance")
+        rows_b, found_b = bctx.rows_for_keys("accounts", lanes, b)
+        lanes, rows_b = lanes[found_b], rows_b[found_b]
+        bal_b = bctx.read_rows("accounts", lanes, rows_b, "balance")
         bctx.write(
             "accounts", lanes, rows_a[found_b], "balance",
             bal_a[found_b] - amount[found_b],
@@ -633,7 +635,9 @@ class ContentionBank:
             mask = p.column(0)[lanes]
             for i in range(ops):
                 keys = p.column(1 + i)[lanes]
-                value, rows, _ = bctx.read_keys("accounts", lanes, keys, "balance")
+                rows, found = bctx.rows_for_keys("accounts", lanes, keys)
+                rows = rows[found]
+                value = bctx.read_rows("accounts", lanes[found], rows, "balance")
                 w = ((mask >> i) & 1) == 1
                 bctx.write("accounts", lanes[w], rows[w], "balance", value[w] + 1)
 

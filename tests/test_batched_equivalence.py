@@ -196,7 +196,7 @@ def test_twin_less_registry_folds_once_per_batch(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Unknown procedure names: clear error, no cache poisoning
+# Unknown procedure names: clear error, engine still usable
 # ---------------------------------------------------------------------------
 def test_unknown_procedure_clear_error_and_clean_cache():
     db, registry = build_bank(accounts=8)
@@ -209,8 +209,8 @@ def test_unknown_procedure_clear_error_and_clean_cache():
     assert "registered procedures" in message
     assert "deposit" in message  # tells the user what *is* available
 
-    # the failed lookup must not have poisoned the procedure cache:
-    # a valid batch still executes on the same engine...
+    # the failed lookup leaves the engine usable: a valid batch still
+    # executes on it...
     result = engine.run_batch([Transaction("deposit", (1, 5), tid=0)])
     assert result.stats.committed == 1
 

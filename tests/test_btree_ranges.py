@@ -59,17 +59,6 @@ class TestBTreeBasics:
         assert list(tree.range(6, 9)) == []
         assert list(tree.range(9, 6)) == []
 
-    def test_min_max(self):
-        tree = BTreeIndex(order=4)
-        for k in [17, 3, 99]:
-            tree.insert(k, k)
-        assert tree.min_key() == 3
-        assert tree.max_key() == 99
-
-    def test_empty_min_max(self):
-        with pytest.raises(KeyNotFound):
-            BTreeIndex().min_key()
-
     def test_items_sorted(self):
         tree = BTreeIndex(order=4)
         keys = [9, 2, 7, 4, 11, 0]

@@ -134,7 +134,7 @@ def test_plan_arrays_matches_plan(per_txn_ops, grouped):
     for ops in per_txn_ops:
         cols = OpColumns()
         for kind, table in ops:
-            cols.append_op(kind, table, 0, 0, 0)
+            cols.buffer.extend((kind, table, 0, 0, 0, 0))
             kinds.append(kind)
             tables.append(table)
         counts.append(len(ops))

@@ -126,11 +126,8 @@ class TestConflictLog:
     def test_insert_winner_is_min_tid(self):
         log, _ = self.make_log()
         log.register_inserts(self.arr(0, 0, 0), self.arr(42, 42, 7), self.arr(9, 2, 5))
-        assert log.insert_winner(0, 42) == 2
-        assert log.insert_winner(0, 7) == 5
-        assert log.insert_winner(0, 999) == NO_TID
-        winners = log.insert_winners(self.arr(0, 0), self.arr(42, 7))
-        assert list(winners) == [2, 5]
+        winners = log.insert_winners(self.arr(0, 0, 0), self.arr(42, 7, 999))
+        assert list(winners) == [2, 5, NO_TID]
 
     def test_split_groups_do_not_collide(self):
         log, _ = self.make_log(split=frozenset({("t", "a")}))

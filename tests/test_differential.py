@@ -74,15 +74,3 @@ def test_ltpg_without_reordering_commits_subset(specs):
         t.tid for t in batch_reorder if t.status is TxnStatus.COMMITTED
     }
     assert committed_strict <= committed_reorder
-
-
-def test_explain_output():
-    specs = [("transfer", (0, 1, 1)), ("transfer", (0, 2, 1)), ("bad", (3,))]
-    db, registry = build_bank(accounts=12)
-    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=8))
-    batch = [Transaction(k, p, tid=i) for i, (k, p) in enumerate(specs)]
-    result = engine.run_batch(batch)
-    text = result.explain()
-    assert "committed tid=0 transfer" in text
-    assert "aborted tid=1" in text
-    assert "logic-aborted tid=2 bad" in text

@@ -5,12 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DeviceError
-from repro.gpusim import DeviceConfig
 from repro.gpusim.occupancy import (
     KernelResources,
     OccupancyResult,
     SmLimits,
-    effective_lanes,
     occupancy,
 )
 
@@ -70,16 +68,3 @@ class TestOccupancy:
             KernelResources(32, registers_per_thread=-1)
         with pytest.raises(DeviceError):
             SmLimits(max_warps=0)
-
-
-class TestEffectiveLanes:
-    def test_full_occupancy_full_lanes(self):
-        cfg = DeviceConfig()
-        lanes = effective_lanes(cfg, KernelResources(256, registers_per_thread=16))
-        assert lanes == cfg.total_lanes
-
-    def test_low_occupancy_scales_down(self):
-        cfg = DeviceConfig()
-        lanes = effective_lanes(cfg, KernelResources(256, registers_per_thread=255))
-        assert lanes < cfg.total_lanes // 4
-        assert lanes >= cfg.warp_size

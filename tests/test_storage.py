@@ -39,12 +39,6 @@ class TestSchema:
         with pytest.raises(StorageError):
             make_schema("t", "id", "not a name")
 
-    def test_column_index(self):
-        s = make_schema("t", "id", "a", "b")
-        assert s.column_index("b") == 1
-        with pytest.raises(StorageError):
-            s.column_index("c")
-
 
 class TestTable:
     def make(self) -> Table:
@@ -134,13 +128,6 @@ class TestTable:
         t = self.make()
         with pytest.raises(StorageError):
             t.read(0, "a")
-
-    def test_read_many_vectorized(self):
-        t = self.make()
-        for k in range(5):
-            t.insert(k, {"a": k * 10})
-        got = t.read_many([0, 2, 4], "a")
-        assert list(got) == [0, 20, 40]
 
     def test_bulk_load_dense_fast_path(self):
         t = self.make()
@@ -310,11 +297,3 @@ class TestBatchLog:
         log = BatchLog()
         with pytest.raises(StorageError):
             log.record_outcome(5, [], [])
-
-    def test_dump_and_record_roundtrip(self):
-        log = BatchLog()
-        log.append_batch(0, self.make_txns())
-        lines = log.dump_lines()
-        assert len(lines) == 3
-        rec = LogRecord.from_json(LogRecord(1, "p", (4, 5)).to_json())
-        assert rec == LogRecord(1, "p", (4, 5))

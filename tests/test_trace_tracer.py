@@ -71,11 +71,10 @@ def test_reset_clears_everything():
     t.begin("a", "s0", 0.0)
     t.async_span("b", id=1, start_ns=0.0, end_ns=1.0)
     t.flow_start("e", "s0", 0.0)
-    t.instant("i", "s0", 0.0)
     t.counter("c", 0.0, v=1.0)
     t.reset()
     assert not t.spans and not t.async_spans and not t.flows
-    assert not t.instants and not t.counters
+    assert not t.counters
     assert t.open_depth("s0") == 0
     # flow ids restart from zero
     assert t.flow_start("e", "s0", 0.0) == 0
@@ -118,7 +117,6 @@ def test_to_chrome_event_structure():
                  args={"committed": 3})
     fid = t.flow_start("h2d_done", "h2d", 500.0)
     t.flow_finish("h2d_done", fid, "compute", 900.0)
-    t.instant("device_sync", "compute", 4500.0)
     t.counter("commit_rate", 5000.0, rate=0.75)
 
     trace = t.to_chrome()
@@ -140,7 +138,6 @@ def test_to_chrome_event_structure():
     assert by_ph["f"][0]["bp"] == "e"
     assert by_ph["s"][0]["id"] == by_ph["f"][0]["id"]
     assert by_ph["C"][0]["args"] == {"rate": 0.75}
-    assert by_ph["i"][0]["name"] == "device_sync"
 
 
 def test_write_round_trips_json(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import WorkloadError
 from repro.txn import BufferedContext, assign_tids
-from repro.workloads import ZipfGenerator, nurand
+from repro.workloads import ZipfGenerator
 from repro.workloads.tpcc import (
     DELAYED_COLUMNS,
     TpccGenerator,
@@ -19,7 +19,7 @@ from repro.workloads.tpcc import (
     build_tpcc,
     tpcc_nbytes,
 )
-from repro.workloads.tpcc.generator import ROLLBACK_PROB
+from repro.workloads.tpcc.generator import ROLLBACK_PROB, _nurand_customer
 from repro.workloads.tpcc.schema import (
     CUSTOMERS_PER_DISTRICT,
     DISTRICTS_PER_WAREHOUSE,
@@ -34,14 +34,14 @@ from repro.workloads.ycsb.generator import (
 
 class TestRandHelpers:
     def test_nurand_in_range(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            v = nurand(rng, 1023, 1, 3000)
-            assert 1 <= v <= 3000
-
-    def test_nurand_invalid_a(self):
-        with pytest.raises(WorkloadError):
-            nurand(np.random.default_rng(0), 7, 1, 10)
+        """The TPC-C generator's NURand(1023, 0, 2999) over every r1 and
+        a spread of r2 (C = 463)."""
+        assert CUSTOMERS_PER_DISTRICT == 3000
+        for r1 in range(1024):
+            for r2 in (0, 1, r1, 1023, 1024, 1500, 2047, 2048, 2998, 2999):
+                c = _nurand_customer(r1, r2)
+                assert c == ((r1 | r2) + 463) % 3000
+                assert 0 <= c < 3000
 
     def test_zipf_bounds_and_skew(self):
         z = ZipfGenerator(1000, 2.5)
