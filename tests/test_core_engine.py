@@ -253,3 +253,126 @@ def test_long_lived_engine_device_keeps_nothing_per_batch():
     for _ in islice(stream, 200):
         pass
     assert live_records() == after_10 <= 3
+
+
+#: SmallBank (seed 7) driven four batches of 128, then the mixed bank's
+#: batch (reversed) to completion, batched and twin-less: per batch the
+#: items of ``total_by_proc``, ``committed_by_proc``, ``abort_reasons``
+#: and ``commit_attempts``, in each Counter's insertion order.
+_SMALLBANK_ORDERS = [
+    (
+        (("amalgamate", 22), ("send_payment", 19), ("write_check", 16),
+         ("deposit_checking", 34), ("balance", 17), ("transact_savings", 20)),
+        (("amalgamate", 5), ("send_payment", 4), ("write_check", 8),
+         ("deposit_checking", 18), ("balance", 17), ("transact_savings", 13)),
+        (("waw+raw+war", 63),),
+        ((1, 65),),
+    ),
+    (
+        (("transact_savings", 17), ("deposit_checking", 34), ("send_payment", 28),
+         ("amalgamate", 23), ("write_check", 17), ("balance", 9)),
+        (("transact_savings", 8), ("deposit_checking", 10), ("send_payment", 2),
+         ("amalgamate", 2), ("write_check", 5), ("balance", 9)),
+        (("logic", 7), ("waw+raw+war", 85)),
+        ((2, 8), (1, 28)),
+    ),
+    (
+        (("deposit_checking", 39), ("amalgamate", 27), ("write_check", 17),
+         ("send_payment", 23), ("transact_savings", 16), ("balance", 6)),
+        (("deposit_checking", 12), ("amalgamate", 6), ("transact_savings", 5),
+         ("balance", 6), ("write_check", 2)),
+        (("logic", 2), ("waw+raw+war", 95)),
+        ((3, 7), (2, 3), (1, 21)),
+    ),
+    (
+        (("deposit_checking", 38), ("write_check", 22), ("amalgamate", 26),
+         ("send_payment", 24), ("transact_savings", 14), ("balance", 4)),
+        (("deposit_checking", 8), ("write_check", 5), ("send_payment", 2),
+         ("amalgamate", 1), ("balance", 4), ("transact_savings", 1)),
+        (("logic", 1), ("waw+raw+war", 106)),
+        ((4, 5), (3, 3), (1, 13)),
+    ),
+]
+
+_MIXED_BANK_ORDERS = [
+    (
+        (("audit", 21), ("deposit", 20), ("transfer", 20), ("open_account", 2),
+         ("bad", 1)),
+        (("audit", 21), ("deposit", 20), ("open_account", 2)),
+        (("logic", 1), ("waw+raw+war", 20)),
+        ((1, 43),),
+    ),
+    (
+        (("transfer", 34), ("deposit", 14), ("bad", 2), ("audit", 13),
+         ("open_account", 1)),
+        (("transfer", 7), ("deposit", 5), ("audit", 13), ("open_account", 1)),
+        (("logic", 2), ("waw+raw+war", 36)),
+        ((2, 7), (1, 19)),
+    ),
+    (
+        (("transfer", 36), ("deposit", 18), ("audit", 9), ("open_account", 1)),
+        (("transfer", 7), ("deposit", 7), ("audit", 9), ("open_account", 1)),
+        (("waw+raw+war", 40),),
+        ((3, 7), (2, 7), (1, 10)),
+    ),
+    (
+        (("transfer", 34), ("deposit", 16), ("audit", 5), ("bad", 1),
+         ("open_account", 1)),
+        (("transfer", 7), ("deposit", 7), ("audit", 5), ("open_account", 1)),
+        (("logic", 1), ("waw+raw+war", 36)),
+        ((4, 6), (3, 3), (2, 5), (1, 6)),
+    ),
+    (
+        (("transfer", 27), ("deposit", 9)),
+        (("transfer", 7), ("deposit", 7)),
+        (("waw+raw+war", 22),),
+        ((4, 7), (3, 4), (2, 3)),
+    ),
+    (
+        (("transfer", 20), ("deposit", 2)),
+        (("transfer", 7), ("deposit", 2)),
+        (("waw+raw+war", 13),),
+        ((5, 6), (4, 1), (3, 2)),
+    ),
+    ((("transfer", 13),), (("transfer", 7),), (("waw+raw+war", 6),), ((5, 7),)),
+    ((("transfer", 6),), (("transfer", 6),), (), ((6, 1), (5, 5))),
+]
+
+
+def _counter_orders(results) -> list[tuple]:
+    return [
+        tuple(
+            tuple(counter.items())
+            for counter in (
+                r.stats.total_by_proc,
+                r.stats.committed_by_proc,
+                r.stats.abort_reasons,
+                r.stats.commit_attempts,
+            )
+        )
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "twin-less"])
+def test_batch_stats_counter_orders_are_pinned(batched):
+    """Batches with logic and concurrency-control aborts, retried lanes
+    and procedures that commit in another order than they arrived: every
+    ``BatchStats`` Counter keeps the insertion order recorded."""
+    from helpers import mixed_bank_registry, mixed_bank_specs
+    from repro.analysis.workload import build_workload
+    from repro.txn import Transaction
+
+    setup = build_workload("smallbank", seed=7)
+    engine = setup.engine(batch_size=128, batched_exec=batched)
+    results = drive(
+        engine, BatchScheduler(128), setup.generator.make_batch, max_batches=4
+    )
+    assert _counter_orders(results) == _SMALLBANK_ORDERS
+
+    engine = LTPGEngine(
+        *mixed_bank_registry(), LTPGConfig(batch_size=64, batched_exec=batched)
+    )
+    scheduler = BatchScheduler(64)
+    scheduler.admit([Transaction(n, p) for n, p in mixed_bank_specs()[::-1]])
+    assert _counter_orders(drive(engine, scheduler)) == _MIXED_BANK_ORDERS
