@@ -48,7 +48,7 @@ def collect_columnar(engine, batch: Batch, ctx) -> None:
     n = len(transactions)
     frame = batch.frame
     cols, op_txn = frame.cols, frame.txn
-    tids = np.fromiter(batch.tids, dtype=np.int64, count=n)
+    tids = batch.tids
     registers = ~batch.logic_mask
     total = op_txn.size
     kind = cols[0]

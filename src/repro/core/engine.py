@@ -38,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import time
 from collections.abc import Iterator
-from operator import attrgetter
 
 from repro.core.assemble import BatchResult, assemble
 from repro.core.batch import TXN_PARAM_BYTES, Batch, BatchObserver, Stage, StageClocks
@@ -64,18 +63,16 @@ from repro.storage.database import Database
 from repro.storage.wal import BatchLog
 from repro.txn.batch import BatchScheduler, drive
 from repro.txn.procedures import Procedure, ProcedureRegistry
-from repro.txn.transaction import Transaction, batch_columns
+from repro.txn.transaction import Transaction
 from repro.xp import ResidencyManager, get_backend
-
-_tid_of = attrgetter("tid")
 
 
 def _route(engine: LTPGEngine, batch: Batch, ctx) -> None:
     """Log the batch — recovery replays what ran — and ship its
-    parameters host -> device (the h2d leg)."""
+    parameters host -> device (the h2d leg).  The lanes were read into
+    columns, and stamped, as the batch was built (:class:`Batch`)."""
     transactions = batch.transactions
-    columns = batch.tids, batch.procedures, batch.params = batch_columns(transactions)
-    engine.batch_log.append_batch(batch.index, transactions, columns)
+    engine.batch_log.append_batch(batch.index, transactions, batch.log_columns)
     batch.clean = True
     device = engine.device
     h2d = device.stream(engine.h2d_stream)
@@ -98,12 +95,10 @@ def _route(engine: LTPGEngine, batch: Batch, ctx) -> None:
 
 def _log_outcome(engine: LTPGEngine, batch: Batch, ctx) -> None:
     """The commit decisions join the batch's log entry."""
-    result = batch.result
-    assert result is not None  # the assemble stage built it
     engine.batch_log.record_outcome(
         batch.index,
-        list(map(_tid_of, result.committed)),
-        list(map(_tid_of, result.aborted)),
+        batch.tids[batch.commit].tolist(),
+        batch.tids[~(batch.commit | batch.logic_mask)].tolist(),
     )
 
 
@@ -268,24 +263,21 @@ class LTPGEngine:
         Every lane must carry its TID (a :class:`~repro.txn.batch.
         BatchScheduler` or :func:`~repro.txn.transaction.assign_tids`
         stamps it): the commit rule orders the batch by TID, so a lane
-        without one has no place in it, and the batch is refused before
-        the engine has counted, logged or registered anything."""
+        without one has no place in it, and the batch is refused (by
+        :class:`Batch`'s walk over the lanes) before the engine has
+        counted, logged or registered anything."""
         if not transactions:
             empty = BatchStats(self._batch_counter, 0, 0, 0)
             self._batch_counter += 1
             return BatchResult(empty, [], [], [])
-        if min(map(_tid_of, transactions)) < 0:
-            raise TransactionError(
-                "batch holds a transaction without a TID; admit it through "
-                "a BatchScheduler (or assign_tids) before run_batch"
-            )
+        # the route stage's host time starts with the walk over the lanes
+        host_t0 = time.perf_counter()
         ledger = self._backend.transfer_stats()
         batch = Batch(self._batch_counter, transactions, ledger.snapshot())
         self._batch_counter += 1
         self._clocks = batch.clocks
         try:
             for stage in self.STAGES:
-                host_t0 = time.perf_counter()
                 with self._launch(stage, batch) as ctx:
                     for observer in self.observers:
                         observer.stage_entered(self, batch, stage)
@@ -293,9 +285,9 @@ class LTPGEngine:
                     stage.run(self, batch, ctx)
                     for observer in self.observers:
                         observer.stage_leaving(self, batch, stage)
-                batch.clocks.stamp(
-                    stage.name, time.perf_counter() - host_t0, ledger.snapshot()
-                )
+                host_t1 = time.perf_counter()
+                batch.clocks.stamp(stage.name, host_t1 - host_t0, ledger.snapshot())
+                host_t0 = host_t1
         except Exception:
             if batch.clean:
                 self.batch_log.mark_failed(batch.index)

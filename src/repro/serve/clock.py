@@ -88,8 +88,9 @@ class SimClock:
     stay exact, and ``round()`` of the loop's float seconds is stable
     for any timestamp below ~2^53 ns (≈104 days of simulated time)."""
 
-    def now_ns(self) -> int:
-        return round(asyncio.get_running_loop().time() / NS)
+    def now_ns(self, loop: asyncio.AbstractEventLoop | None = None) -> int:
+        """Now, on ``loop`` (the running loop if ``None``)."""
+        return round((loop or asyncio.get_running_loop()).time() / NS)
 
     async def sleep_ns(self, delay_ns: int | float) -> None:
         if delay_ns > 0:

@@ -28,7 +28,6 @@ import pickle
 from typing import NamedTuple
 
 from repro.errors import StorageError
-from repro.txn.transaction import batch_columns
 
 
 class LogRecord(NamedTuple):
@@ -92,10 +91,14 @@ class BatchLog:
         self, batch_index: int, transactions, columns: tuple | None = None
     ) -> BatchRecord:
         """Log a batch's inputs before execution.  A caller that already
-        holds the batch's :func:`~repro.txn.transaction.batch_columns`
+        holds the batch as ``(tids, procedure names, params)`` columns
         passes them as ``columns``."""
         if columns is None:
-            columns = batch_columns(transactions)
+            columns = (
+                [t.tid for t in transactions],
+                [t.procedure_name for t in transactions],
+                [t.params for t in transactions],
+            )
         entry = BatchRecord(batch_index, *columns)
         self._batches.append(entry)
         self._by_index[batch_index] = entry

@@ -28,11 +28,14 @@ recovery replay runs batches otherwise (it re-queues nothing).
 
 from __future__ import annotations
 
-from collections import deque
+import time
 from collections.abc import Callable, Iterator
+from operator import attrgetter
 
 from repro.errors import TransactionError
 from repro.txn.transaction import Transaction, TxnStatus, assign_tids
+
+_tid_of = attrgetter("tid")
 
 
 class BatchScheduler:
@@ -42,13 +45,16 @@ class BatchScheduler:
         if batch_size <= 0:
             raise TransactionError("batch size must be positive")
         self.batch_size = batch_size
-        self._pending: deque[Transaction] = deque()
-        #: retries that are eligible now, kept sorted by TID at pop time
+        #: fresh arrivals, oldest first
+        self._pending: list[Transaction] = []
+        #: retries that are eligible now, in TID order
         self._retries: list[Transaction] = []
         #: batch_index -> retries that become eligible at that index
         self._delayed: dict[int, list[Transaction]] = {}
         self._next_tid = 0
         self.batch_index = 0
+        #: host seconds of the last cut and re-queue (engine stage clock)
+        self.host_s = {"cut": 0.0, "requeue": 0.0}
 
     # -- intake -----------------------------------------------------------
     def admit(self, transactions) -> None:
@@ -63,35 +69,51 @@ class BatchScheduler:
         already advanced past it; a delay of one means "the very next
         batch formed from now".
         """
+        start = time.perf_counter()
         if delay < 1:
             raise TransactionError("retry delay must be at least one batch")
-        eligible_at = self.batch_index + delay - 1
-        for txn in transactions:
-            if txn.tid < 0:
-                raise TransactionError("aborted transaction was never admitted")
-            self._delayed.setdefault(eligible_at, []).append(txn)
+        lanes = list(transactions)
+        # every lane is checked before any is queued
+        if min(map(_tid_of, lanes), default=0) < 0:
+            raise TransactionError("aborted transaction was never admitted")
+        if lanes:
+            self._delayed.setdefault(self.batch_index + delay - 1, []).extend(lanes)
+        self.host_s["requeue"] = time.perf_counter() - start
 
     # -- batch formation ------------------------------------------------------
     def next_batch(self) -> list[Transaction]:
         """Form the next batch: eligible retries first (TID order), then
         new arrivals, up to ``batch_size``.  Assigns fresh TIDs to the
-        new arrivals and advances the batch index."""
-        newly_eligible = self._delayed.pop(self.batch_index, [])
-        self._retries.extend(newly_eligible)
-        self._retries.sort(key=lambda t: t.tid)
+        new arrivals and advances the batch index.
 
-        batch: list[Transaction] = []
-        take = min(len(self._retries), self.batch_size)
-        batch.extend(self._retries[:take])
-        del self._retries[:take]
-        while len(batch) < self.batch_size and self._pending:
-            batch.append(self._pending.popleft())
-
-        self._next_tid = assign_tids(batch, self._next_tid)
+        The one walk over the lanes stamps the new arrivals' TIDs:
+        retries merge by a sort on TID (``step`` re-queues them in TID
+        order, so it merges sorted runs), and both queues are sliced."""
+        start = time.perf_counter()
+        retries = self._retries
+        eligible = self._delayed.pop(self.batch_index, None)
+        if eligible:
+            retries += eligible
+            retries.sort(key=_tid_of)
+        batch = retries[: self.batch_size]
+        del retries[: self.batch_size]
+        room = self.batch_size - len(batch)
+        fresh = self._pending[:room]
+        del self._pending[:room]
+        self._next_tid = assign_tids(fresh, self._next_tid)
+        batch += fresh
         self.batch_index += 1
+        self.host_s["cut"] = time.perf_counter() - start
         return batch
 
     # -- introspection -----------------------------------------------------
+    def heads(self) -> list[Transaction]:
+        """The first fresh arrival, every eligible retry and the first
+        lane of each delayed re-queue: whichever joined first is here."""
+        heads = self._pending[:1] + self._retries
+        heads += [lanes[0] for lanes in self._delayed.values()]
+        return heads
+
     @property
     def backlog(self) -> int:
         """Transactions admitted or retried but not yet batched."""

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from operator import attrgetter
 
 from repro.txn.operations import OpColumns, OpFrame, OpRecord
 
@@ -25,33 +23,46 @@ class TxnStatus(enum.Enum):
     LOGIC_ABORTED = "logic_aborted"  # procedure rolled itself back: final
 
 
-@dataclass
 class Transaction:
     """One transaction instance flowing through an engine.
 
-    Every attribute an instance will ever carry is a field assigned in
-    ``__init__``: engines stamp batches of these in tight loops, and an
-    attribute first stored later would move the instance off CPython's
-    compact attribute layout.
+    A ``__slots__`` class whose ``__init__`` stores every slot once:
+    engines stamp batches of these in tight loops, and the serve layer
+    builds one per request, so the instance stays a fixed-size record.
+    Equality is identity: a transaction is one lifecycle, not a value.
     """
 
-    procedure_name: str
-    params: tuple
-    tid: int = -1
-    status: TxnStatus = TxnStatus.PENDING
-    #: How many batches this transaction has been through (1 = first try).
-    attempts: int = 0
-    #: Backing store of :attr:`ops` while no frame is attached; until
-    #: something stores ops, every instance shares the one empty tuple.
-    _ops: OpColumns | Sequence[OpRecord] = field(default=(), compare=False)
-    #: Why the last conflict-detection pass aborted it (for diagnostics):
-    #: one of "", "waw", "raw", "war", "raw+war", "logic".
-    abort_reason: str = ""
-    #: The batch-wide :class:`~repro.txn.operations.OpFrame` holding the
-    #: latest attempt's ops, and this transaction's lane in it (``None``
-    #: when the ops are held in ``_ops``).
-    _frame: OpFrame | None = field(default=None, compare=False)
-    _lane: int = field(default=0, compare=False)
+    __slots__ = (
+        "procedure_name", "params", "tid", "status", "attempts",
+        "_ops", "abort_reason", "_frame", "_lane",
+    )
+
+    def __init__(
+        self,
+        procedure_name: str,
+        params: tuple,
+        tid: int = -1,
+        status: TxnStatus = TxnStatus.PENDING,
+        attempts: int = 0,
+        abort_reason: str = "",
+    ) -> None:
+        self.procedure_name = procedure_name
+        self.params = params
+        self.tid = tid
+        self.status = status
+        #: How many batches this transaction has been through (1 = first try).
+        self.attempts = attempts
+        #: Backing store of :attr:`ops` while no frame is attached; until
+        #: something stores ops, every instance shares the one empty tuple.
+        self._ops: OpColumns | Sequence[OpRecord] = ()
+        #: Why the last conflict-detection pass aborted it (for diagnostics):
+        #: one of "", "waw", "raw", "war", "raw+war", "logic".
+        self.abort_reason = abort_reason
+        #: The batch-wide :class:`~repro.txn.operations.OpFrame` holding the
+        #: latest attempt's ops, and this transaction's lane in it (``None``
+        #: when the ops are held in ``_ops``).
+        self._frame: OpFrame | None = None
+        self._lane = 0
 
     @property
     def ops(self) -> OpColumns | Sequence[OpRecord]:
@@ -97,24 +108,6 @@ class Transaction:
         )
 
 
-_tid_of = attrgetter("tid")
-_procedure_of = attrgetter("procedure_name")
-_params_of = attrgetter("params")
-
-
-def batch_columns(
-    transactions: list[Transaction],
-) -> tuple[list[int], list[str], list[tuple]]:
-    """A batch as three aligned columns ``(tids, procedure names,
-    params)`` — one attribute pass each, for consumers that would
-    otherwise each walk the transactions themselves."""
-    return (
-        list(map(_tid_of, transactions)),
-        list(map(_procedure_of, transactions)),
-        list(map(_params_of, transactions)),
-    )
-
-
 def assign_tids(transactions: list[Transaction], start: int) -> int:
     """Assign consecutive TIDs to transactions that lack one; returns the
     next unused TID.  Already-assigned TIDs (re-executions) are kept."""
@@ -125,18 +118,3 @@ def assign_tids(transactions: list[Transaction], start: int) -> int:
             next_tid += 1
     return next_tid
 
-
-def begin_framed_attempt(transactions: list[Transaction], frame: OpFrame) -> None:
-    """:meth:`Transaction.reset_for_execution` for a whole batch whose
-    ops will live in ``frame`` (lane = batch position).
-
-    Every lane is stamped ``EXECUTED`` — what all but a few end the
-    execute phase as; the engine overwrites the lanes that differ.
-    """
-    executed = TxnStatus.EXECUTED
-    for lane, txn in enumerate(transactions):
-        txn._frame = frame
-        txn._lane = lane
-        txn.status = executed
-        txn.abort_reason = ""
-        txn.attempts += 1

@@ -67,8 +67,8 @@ class ReferenceEngine(LTPGEngine):
     # -- execute ----------------------------------------------------------
     def _run_one(self, txn) -> tuple[LocalSets, list, list]:
         """``(local sets, delayed deltas, range predicates)`` of one
-        transaction run through its scalar procedure."""
-        txn.reset_for_execution()
+        transaction run through its scalar procedure (the shared route
+        stage already counted the attempt; assemble stamps the verdict)."""
         proc = self._resolve_procedure(txn.procedure_name)
         ctx = BufferedContext(self.database)
         try:

@@ -314,7 +314,7 @@ def test_a_ticket_is_one_request_not_a_value():
     a, b = run_simulation(main())
     assert isinstance(a, ServeTicket)
     assert a != b and a == a and len({a, b}) == 2
-    assert "future" not in vars(a)
+    assert not hasattr(a, "future")
 
 
 def test_second_callback_takes_the_overflow_list():
