@@ -48,16 +48,16 @@ def main(argv: list[str]) -> int:
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     out = os.path.join(root, "BENCH_wallclock.json")
     if argv == ["--small-batch"]:
-        section = wallclock.refresh_small_batch(out, rounds=8)
+        section = wallclock.refresh_small_batch(out, rounds=16)
         print(wallclock.format_small_batch(section))
         print(f"rewrote small_batch in {out}")
         return 0
     if argv:
         print(f"usage: {sys.argv[0]} [--small-batch]", file=sys.stderr)
         return 2
-    # min-of-8: matches the execute gate's estimator
+    # min-of-16: matches the execute gate's estimator
     # (scripts/check_wallclock.py execute).
-    result = wallclock.run_and_write(scale=1.0, rounds=8, path=out)
+    result = wallclock.run_and_write(scale=1.0, rounds=16, path=out)
     print(result.format())
     headline = wallclock.HEADLINE_BATCH
     if headline in result.seconds.get("batched", {}):
