@@ -10,10 +10,16 @@ from helpers import BoundaryObserver, build_bank, txn
 from repro.analysis.workload import WORKLOAD_NAMES, build_workload
 from repro.core import NO_TID, LTPGConfig, LTPGEngine
 from repro.errors import StorageError, TransactionError
-from repro.storage import BatchLog, Snapshot
+from repro.storage import BatchLog, LogRecord, Snapshot
 from repro.storage.recovery import recover, transactions_from_record
 from repro.trace import validate_nesting
-from repro.txn import BatchScheduler, ProcedureRegistry, assign_tids, drive
+from repro.txn import (
+    BatchScheduler,
+    ProcedureRegistry,
+    Transaction,
+    assign_tids,
+    drive,
+)
 from repro.workloads.smallbank import build_smallbank
 
 
@@ -451,3 +457,61 @@ class TestRecoveryProperty:
             assert report.final_digest == expected
 
         check()
+
+
+# -- one mixed batch: what the log decodes to, what recovery reaches -----
+
+
+MIXED_BATCH_DIGEST = "70833e79b273d1219a577f68892862c53b99df5d49582f7fd6c973fe968332b0"
+
+
+def _mixed_tpcc_batch():
+    """A TPC-C engine and one batch holding every params shape the
+    shipped procedures take: NewOrder at every item count the generator
+    draws, Payment, StockLevel, Delivery with and without order ids — and
+    two twin-less procedures, one with no params and one with the int64
+    extremes, a ``bool`` and an ``np.int64``."""
+    import numpy as np
+
+    from repro.workloads.tpcc import TpccMix, build_tpcc
+
+    mix = TpccMix(neworder=0.5, payment=0.2, stocklevel=0.1, delivery=0.2)
+    db, registry, generator = build_tpcc(2, num_items=2000, mix=mix, seed=3)
+
+    @registry.register("ping")
+    def ping(ctx):
+        ctx.read("warehouse", 0, "w_tax")
+
+    @registry.register("extremes")
+    def extremes(ctx, hi, lo, flag, c_key):
+        ctx.write("customer", c_key, "c_discount", (hi - lo) // 2**62 + flag)
+
+    big = 2**63 - 1
+    batch = [Transaction("delivery", (1, 4))] + generator.make_batch(120)
+    batch += [
+        Transaction("ping", ()),
+        Transaction("extremes", (big, -big, True, np.int64(7))),
+    ]
+    counts = {len(t.params) // 2 - 2 for t in batch if t.procedure_name == "neworder"}
+    assert counts == set(range(5, 16))
+    assert {len(t.params) for t in batch if t.procedure_name == "delivery"} == {2, 4}
+    assert {"payment", "stocklevel"} <= {t.procedure_name for t in batch}
+    assign_tids(batch, 100)
+    return db, registry, batch
+
+
+def test_a_mixed_batch_decodes_and_recovers_as_pinned():
+    db, registry, batch = _mixed_tpcc_batch()
+    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=len(batch)))
+    snapshot = Snapshot.capture(db, batch_index=0)
+    engine.run_batch(batch)
+    (entry,) = engine.batch_log.batches()
+    assert entry.records == [
+        LogRecord(t.tid, t.procedure_name, tuple(t.params)) for t in batch
+    ]
+    _, report = recover(
+        snapshot,
+        engine.batch_log,
+        lambda database: LTPGEngine(database, registry, engine.config),
+    )
+    assert report.final_digest == db.state_digest() == MIXED_BATCH_DIGEST
