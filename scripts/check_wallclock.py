@@ -38,7 +38,8 @@ EXECUTE_ROUNDS = 16
 #: A device holds the snapshot, so steady-state H2D per batch must be
 #: op-proportional (parameters, conflict registration, write-back
 #: scatters), never whole columns: TXN_PARAM_BYTES per transaction is the
-#: parameter upload (~18 int64 ParamColumns fields), the factor the other
+#: parameter upload (~18 int64 fields of a group's ParamColumns, gathered
+#: from the batch's command block), the factor the other
 #: streams.  The budget does not scale with the database, and bites with
 #: no second mode to compare: the same stream against a database four
 #: times the size must cost the same H2D to within TRANSFER_SPREAD, which

@@ -15,8 +15,8 @@ The rest of the paper's correctness argument (one committed writer per
 conflict item, readers serialised before writers) is checked at run
 time by ``BatchResult.serial_order()``, witness-order replay
 (:mod:`repro.validate`), the conformance lattice and mockgpu's strict
-kernel phase; docs/ARCHITECTURE.md §11 records which oracle catches
-which seeded defect.
+kernel phase; tests/test_oracle_catches.py records which oracle
+catches which seeded defect.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ generated sample) and ``all``, which runs every pass.  The other
 invariants the paper's correctness argument rests on are checked at
 run time instead — ``BatchResult.serial_order()``, witness-order replay
 (``python -m repro.validate``), the conformance lattice, mockgpu's
-strict kernel phase and the goldens; docs/ARCHITECTURE.md §11 has the
-table of which catches what.
+strict kernel phase and the goldens; tests/test_oracle_catches.py is
+the table of which catches what.
 
 Exit codes:
 

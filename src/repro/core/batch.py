@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.occ import ConflictFlags
 from repro.errors import TransactionError
 from repro.gpusim.kernel import KernelContext
+from repro.storage.wal import encode_params
 from repro.txn.batch_context import GroupLocals
 from repro.txn.operations import OpFrame
 from repro.txn.transaction import Transaction
@@ -169,10 +170,10 @@ class Batch:
     """Scratch state shared by the stages of one batch.
 
     Building one is the route stage's walk over the lanes: TIDs,
-    procedures, params and attempts become columns, and each lane gets
-    its new attempt, the frame and its lane in it.  A lane without a TID
-    refuses the batch before anything is counted or logged, and the
-    lanes before it get their attempt, frame and lane back.
+    procedures and attempts become columns, each lane gets its new
+    attempt, the frame and its lane in it; then the params are flattened
+    once (``encode_params``).  A lane without a TID or a non-int64 param
+    refuses the batch: nothing counted or logged, every lane as it was.
     """
 
     def __init__(
@@ -180,35 +181,35 @@ class Batch:
     ) -> None:
         n = len(transactions)
         frame = self.frame = OpFrame(n)
-        tids, codes, attempts = [0] * n, [0] * n, [0] * n
-        names: list[str] = [""] * n
-        params: list[tuple] = [()] * n
+        tids, codes, attempts, params = [0] * n, [0] * n, [0] * n, [()] * n
         code_of: dict[str, int] = {}
         #: lanes whose previous attempt's ops are still in its frame
         held: list[tuple[Transaction, OpFrame, int]] = []
-        for lane, txn in enumerate(transactions):
-            tid = tids[lane] = txn.tid
-            if tid < 0:
-                for seen in transactions[:lane]:
-                    seen.attempts -= 1
-                    seen._frame = None
-                for seen, held_frame, held_lane in held:
-                    seen._frame, seen._lane = held_frame, held_lane
-                raise TransactionError(
-                    "batch holds a transaction without a TID; admit it through "
-                    "a BatchScheduler (or assign_tids) before run_batch"
-                )
-            name = names[lane] = txn.procedure_name
-            codes[lane] = code_of.setdefault(name, len(code_of))
-            params[lane] = txn.params
-            attempts[lane] = txn.attempts = txn.attempts + 1
-            if txn._frame is not None:
-                held.append((txn, txn._frame, txn._lane))
-            txn._frame = frame
-            txn._lane = lane
+        try:
+            for lane, txn in enumerate(transactions):
+                tid = tids[lane] = txn.tid
+                if tid < 0:
+                    raise TransactionError(
+                        "batch holds a transaction without a TID; admit it "
+                        "through a BatchScheduler (or assign_tids) before run_batch"
+                    )
+                codes[lane] = code_of.setdefault(txn.procedure_name, len(code_of))
+                params[lane] = txn.params
+                attempts[lane] = txn.attempts = txn.attempts + 1
+                if txn._frame is not None:
+                    held.append((txn, txn._frame, txn._lane))
+                txn._frame = frame
+                txn._lane = lane
+            self.lengths, self.flat = encode_params(params)
+        except TransactionError:
+            for txn in transactions:
+                if txn._frame is frame:
+                    txn.attempts -= 1
+                    txn._frame = None
+            for txn, held_frame, held_lane in held:
+                txn._frame, txn._lane = held_frame, held_lane
+            raise
         #: The lanes as columns; procedure groups by first appearance.
-        self.log_columns = (tids, names, params)
-        self.params = params
         self.tids = np.array(tids, dtype=np.int64)
         self.attempts = np.array(attempts, dtype=np.int64)
         self.group_names = list(code_of)

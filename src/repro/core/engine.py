@@ -72,7 +72,8 @@ def _route(engine: LTPGEngine, batch: Batch, ctx) -> None:
     parameters host -> device (the h2d leg).  The lanes were read into
     columns, and stamped, as the batch was built (:class:`Batch`)."""
     transactions = batch.transactions
-    engine.batch_log.append_batch(batch.index, transactions, batch.log_columns)
+    block = batch.tids, batch.group_ids, batch.group_names, batch.lengths, batch.flat
+    engine.batch_log.append_batch(batch.index, transactions, block)
     batch.clean = True
     device = engine.device
     h2d = device.stream(engine.h2d_stream)

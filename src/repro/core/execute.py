@@ -9,7 +9,7 @@ import numpy as np
 from repro.core.batch import Batch
 from repro.core.collect import collect_columnar, register_batch
 from repro.errors import KeyNotFound, TransactionAborted
-from repro.txn.batch_context import BatchedContext, GroupLocals
+from repro.txn.batch_context import BatchedContext, GroupLocals, ParamColumns
 from repro.txn.context import BufferedContext
 
 
@@ -26,43 +26,35 @@ def run_procedures(engine, batch: Batch) -> None:
     """Group-by-procedure execution of one batch.
 
     Each group with a registered ``BatchProcedure`` twin runs as one
-    vectorized call over a :class:`BatchedContext`; groups without a
-    twin — every group under ``batched_exec=False`` — and individual
-    lanes the twin sends to fallback run one at a time through their
-    scalar procedure, so third-party procedures keep working.  Either
-    way a lane's ops go into the batch's :class:`OpFrame`
-    (``batch.frame``) in the order they were emitted — the collector
-    takes the whole batch as columns, and the frame lays them out
-    lane-major only if somebody reads a transaction's ``ops`` — and
-    its inserts into the batch-wide columnar locals
-    (``batch.batch_locals``); the collector resolves every lane's
-    writes and adds there from the frame, so a twin-less group is one
-    more group of the same bulk.
+    vectorized call over a :class:`BatchedContext`; twin-less groups
+    (every group under ``batched_exec=False``) and the lanes a twin
+    sends to fallback run one at a time through their scalar procedure,
+    so third-party procedures keep working.  Either way a lane's ops go
+    into the batch's :class:`OpFrame` (``batch.frame``) in emission
+    order — laid out lane-major only if somebody reads a transaction's
+    ``ops`` — and its inserts into ``batch.batch_locals``; the collector
+    resolves every lane's writes and adds there from the frame, so a
+    twin-less group is one more group of the same bulk.
     """
     n = len(batch.transactions)
     frame = batch.frame
-    # Procedure groups in first-appearance order, as lane indices; the
-    # groups' params are one gather over the lanes between them.
-    names, params = batch.group_names, batch.params
+    # Procedure groups in first-appearance order, as lane indices; a
+    # group's params are a row gather of the batch's command block.
+    names, lengths = batch.group_names, batch.lengths
+    starts = np.cumsum(lengths) - lengths
     members = (np.flatnonzero(batch.group_ids == k) for k in range(len(names)))
-    groups = [
-        (name, idxs, list(map(params.__getitem__, idxs.tolist())))
-        for name, idxs in zip(names, members)
-    ]
     locals_ = batch.batch_locals = GroupLocals(n)
     use_twins = engine.config.batched_exec
-    for name, idxs, params in groups:
+    for name, idxs in zip(names, members):
         proc = engine._resolve_procedure(name)
         batched = engine.procedures.get_batched(name) if use_twins else None
         if batched is None:
             for i in idxs.tolist():
                 _scalar_lane(engine, batch, proc, i)
             continue
-        bctx = BatchedContext(
-            engine.database, params, xp=engine._backend,
-            residency=engine._residency,
-        )
-        batched(bctx, bctx.params)
+        params = ParamColumns(batch.flat, starts[idxs], lengths[idxs], engine._backend)
+        bctx = BatchedContext(engine.database, params, residency=engine._residency)
+        batched(bctx, params)
         lane, cols, inserts, payloads, ranges_by_lane = bctx.finalize()
         # the op columns go to the frame whole, as emitted, and only the
         # lanes that differ from the rest are visited: logic aborts get

@@ -38,7 +38,6 @@ scatters instead of per-transaction ``apply_local_sets`` calls.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from repro.txn.operations import (
     column_name,
     intern_column,
 )
-from repro.xp import HOST, ArrayBackend, Rows, segment_sum, sorted_runs
+from repro.xp import ArrayBackend, Rows, segment_sum, sorted_runs
 from repro.xp.rows import run_starts
 
 _READ = int(OpKind.READ)
@@ -67,26 +66,23 @@ class ParamColumns:
     """A group's transaction parameters as padded int64 columns.
 
     ``padded[lane, i]`` is parameter ``i`` of lane ``lane`` (0 past the
-    lane's actual parameter count); ``lengths[lane]`` is that count.
+    lane's actual parameter count); ``lengths[lane]`` is that count,
+    and its row is gathered from the batch's ``flat`` at ``starts[lane]``.
     """
 
     __slots__ = ("padded", "lengths", "n", "xp")
 
-    def __init__(self, params_list: list[tuple], xp: ArrayBackend | None = None):
-        self.xp = xp if xp is not None else HOST
-        self.n = len(params_list)
-        lengths = np.fromiter(
-            map(len, params_list), dtype=np.int64, count=self.n
-        )
-        max_len = int(lengths.max()) if self.n else 0
-        padded = np.zeros((self.n, max_len), dtype=np.int64)
-        if max_len:
-            flat = np.fromiter(
-                chain.from_iterable(params_list),
-                dtype=np.int64,
-                count=int(lengths.sum()),
-            )
-            padded[np.arange(max_len) < lengths[:, None]] = flat
+    def __init__(
+        self, flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+        xp: ArrayBackend,
+    ):
+        self.xp = xp
+        self.n = len(lengths)
+        width = int(lengths.max()) if self.n else 0
+        slots = np.arange(width)
+        present = slots < lengths[:, None]
+        padded = np.zeros((self.n, width), dtype=np.int64)
+        padded[present] = flat[(starts[:, None] + slots)[present]]
         # the per-batch parameter shipping: one H2D of the padded
         # parameter matrix per group (identity on the host backend)
         self.lengths = self.xp.from_host(lengths)
@@ -333,22 +329,16 @@ class BatchedContext:
     must only be called with lanes that are still :attr:`active`.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        params_list: list[tuple],
-        xp: ArrayBackend | None = None,
-        residency=None,
-    ):
+    def __init__(self, database: Database, params: ParamColumns, residency=None):
         self._db = database
         #: the array backend all emission/finalize math runs on
-        self.xp = xp if xp is not None else HOST
+        self.xp = params.xp
         #: the engine's device-resident snapshot
         #: (:class:`~repro.xp.residency.ResidencyManager`) when ``xp``
         #: is a device; ``None`` on the host
         self._residency = residency
-        self.n = len(params_list)
-        self.params = ParamColumns(params_list, xp=self.xp)
+        self.n = params.n
+        self.params = params
         #: lanes not yet logic-aborted and not sent to fallback
         self.active = np.ones(self.n, dtype=bool)
         #: lanes that logic-aborted (keep emitted ops, empty locals)

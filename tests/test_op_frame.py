@@ -21,6 +21,7 @@ cut out of it on first read.  Four guards:
 
 from __future__ import annotations
 
+import asyncio
 import gc
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.analysis.workload import build_workload
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
 from repro.serve.clock import run_simulation
+from repro.serve.errors import BatchExecutionError
 from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import make_policy
 from repro.txn import (
@@ -241,33 +243,92 @@ def test_ops_outlive_later_batches_and_retries_show_the_latest_attempt():
     assert read_late and retried
 
 
+def _two_batches():
+    """A SmallBank engine after two scheduled batches, and the second
+    batch, whose retried lanes' first-attempt ops were read."""
+    setup = build_workload("smallbank", seed=77)
+    engine = setup.engine(batch_size=256, batched_exec=True)
+    scheduler = BatchScheduler(256)
+    for first in (True, False):
+        scheduler.admit(
+            setup.generator.make_batch(256 - scheduler.eligible_backlog)
+        )
+        batch = scheduler.next_batch()
+        scheduler.requeue_aborted(engine.run_batch(batch).aborted)
+        if first:
+            for txn in batch:
+                txn.ops  # the first attempt's ops, read
+    return engine, batch
+
+
+def _assert_refused(engine, batch, bad: Transaction, match: str) -> None:
+    """``bad`` at the end of ``batch`` refuses it: nothing is counted or
+    logged, and every lane keeps its attempts and the ops of its latest
+    attempt, as on a twin that never saw the refusal."""
+    _, twin = _two_batches()
+    assert any(txn.attempts == 2 for txn in batch)
+    before = (engine._batch_counter, len(engine.batch_log), engine.database.state_digest())
+    with pytest.raises(TransactionError, match=match):
+        engine.run_batch(batch + [bad])
+    assert before == (
+        engine._batch_counter, len(engine.batch_log), engine.database.state_digest()
+    )
+    assert [t.attempts for t in batch] == [t.attempts for t in twin]
+    assert [t.ops.raw for t in batch] == [t.ops.raw for t in twin]
+
+
 def test_a_refused_batch_leaves_each_lane_as_it_was():
     """A batch with a lane that has no TID is refused.  Every lane before
     that one keeps its attempts and the ops of its latest attempt, not
     the ops that were read after an earlier attempt."""
+    engine, batch = _two_batches()
+    _assert_refused(engine, batch, Transaction("balance", (1,)), "without a TID")
 
-    def two_batches():
-        setup = build_workload("smallbank", seed=77)
-        engine = setup.engine(batch_size=256, batched_exec=True)
-        scheduler = BatchScheduler(256)
-        for first in (True, False):
-            scheduler.admit(
-                setup.generator.make_batch(256 - scheduler.eligible_backlog)
-            )
-            batch = scheduler.next_batch()
-            scheduler.requeue_aborted(engine.run_batch(batch).aborted)
-            if first:
-                for txn in batch:
-                    txn.ops  # the first attempt's ops, read
-        return engine, batch
 
-    engine, batch = two_batches()
-    _, twin = two_batches()  # the same two batches, never refused
-    assert any(txn.attempts == 2 for txn in batch)
-    with pytest.raises(TransactionError, match="without a TID"):
-        engine.run_batch(batch + [Transaction("balance", (1,))])
-    assert [t.attempts for t in batch] == [t.attempts for t in twin]
-    assert [t.ops.raw for t in batch] == [t.ops.raw for t in twin]
+#: Params a client may send that the int64 command block cannot hold;
+#: each is a function of account 3's savings.
+_NOT_INT64 = {
+    "fraction": lambda savings: (3, -(savings + 0.5)),
+    "str-amount": lambda savings: (3, "3"),
+    "above-int64": lambda savings: (3, 2**63),
+    "nested": lambda savings: (3, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NOT_INT64))
+def test_params_that_are_not_int64_refuse_the_batch(kind):
+    """A lane whose params are not ints in int64 range refuses the
+    batch like a lane without a TID.  (A fraction used to be truncated
+    by the twins' int64 flatten — the twin committed ``-10000`` where
+    the scalar procedure and a replay logic-abort ``-10000.5``.)"""
+    engine, batch = _two_batches()
+    savings = engine.database.table("smallbank").read(3, "savings")
+    bad = Transaction("transact_savings", _NOT_INT64[kind](savings), tid=10**9)
+    _assert_refused(engine, batch, bad, "int64")
+
+
+@pytest.mark.parametrize("kind", list(_NOT_INT64))
+def test_a_served_lane_that_is_not_int64_fails_its_batch(kind):
+    """Served, the refusal fails exactly that batch through the
+    orchestrator's failure path, and the next batch is served."""
+    setup = build_workload("smallbank", seed=77)
+    engine = setup.engine(batch_size=4, batched_exec=True)
+    bad = _NOT_INT64[kind](10_000)
+
+    async def main():
+        async with Orchestrator(engine, policy=make_policy("size", 4)) as orch:
+            tickets = [orch.post("balance", (k,)) for k in range(3)]
+            tickets.append(orch.post("transact_savings", bad))
+            await asyncio.sleep(0)
+            tickets += [orch.post("balance", (k,)) for k in range(4)]
+            return await asyncio.gather(*tickets, return_exceptions=True), orch
+
+    outcomes, orch = run_simulation(main())
+    assert all(isinstance(o, BatchExecutionError) for o in outcomes[:4])
+    assert all(isinstance(o.cause, TransactionError) for o in outcomes[:4])
+    assert all(o.committed for o in outcomes[4:])
+    assert orch.metrics.counter("serve.batch_failures").value == 1
+    assert [e.batch_index for e in engine.batch_log.batches()] == [0]
 
 
 # -- (c) tracked objects per batch: O(groups), not O(lanes) --------------

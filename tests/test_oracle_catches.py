@@ -1,13 +1,14 @@
 """The analysis catch table, executable.
 
-docs/ARCHITECTURE.md §11 seeds one mutant per rule of the deleted
-analysis passes (kernellint, racecheck, memcheck) and records which
-surviving oracle catches it.  Every row whose mutant changes something
-observable on a supported backend — a digest, the commit set, the
-transfer ledger, or a raise — is a row here: the mutant is applied and
-the named oracle must catch it.  Rows whose mutant changes none of those
+The study behind docs/ARCHITECTURE.md §11 seeded one mutant per rule of
+the deleted analysis passes (kernellint, racecheck, memcheck) and
+recorded which surviving oracle catches it.  Every mutant that changes
+something observable on a supported backend — a digest, the commit set,
+the transfer ledger, or a raise — is a row here: the mutant is applied
+and the named oracle must catch it.  Mutants that change none of those
 (``np.add(v, 0)`` in a twin, set-ordered emission, a dropped write-side
-WAW flag, ...) have nothing to catch and stay in the table only.
+WAW flag, ...) have nothing to catch and are recorded only with the
+study, in CHANGES.md.
 
 No source is copied: a twin mutant runs the real twin against a proxy of
 its own ``bctx`` that drops or alters one call, and a stage mutant wraps
