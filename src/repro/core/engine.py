@@ -98,8 +98,8 @@ def _log_outcome(engine: LTPGEngine, batch: Batch, ctx) -> None:
     """The commit decisions join the batch's log entry."""
     engine.batch_log.record_outcome(
         batch.index,
-        batch.tids[batch.commit].tolist(),
-        batch.tids[~(batch.commit | batch.logic_mask)].tolist(),
+        batch.tids[batch.commit],
+        batch.tids[~(batch.commit | batch.logic_mask)],
     )
 
 

@@ -32,7 +32,12 @@ single-transaction requests and the batch engine.  It owns:
 
 Admission control runs synchronously at :meth:`Orchestrator.post` time —
 sheds raise typed errors before a request is ever created, so rejected
-requests cannot leak resources or deadlock a drain.
+requests cannot leak resources or deadlock a drain.  Before it, params
+that are not ints in int64 range raise the ``TransactionError`` the
+batch would, so one bad request never fails the requests cut beside it.
+
+While it runs, the batch-forming loop sizes the collector's young
+generation to :data:`YOUNG_BATCHES` batches (:meth:`Orchestrator._batch_loop`).
 
 Where a ticket differs from ``asyncio.Future``, on purpose:
 
@@ -57,6 +62,7 @@ byte-identical final database state.
 from __future__ import annotations
 
 import asyncio
+import gc
 from array import array
 from asyncio import CancelledError, InvalidStateError
 from collections.abc import Callable, Generator, Iterable
@@ -73,6 +79,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.clock import SimClock
 from repro.serve.errors import BatchExecutionError, IngressClosed
 from repro.serve.policies import BatchPolicy, QueueView, SizePolicy
+from repro.storage.wal import int64_params
 from repro.trace.metrics import LatencyDigest, MetricsRegistry
 from repro.txn.batch import BatchScheduler, step
 from repro.txn.transaction import Transaction, TxnStatus
@@ -90,6 +97,9 @@ _response = tuple.__new__
 #: ``searchsorted(_POW2, x, side="right")`` is ``x.bit_length()`` for
 #: every positive int64.
 _POW2 = 1 << np.arange(63, dtype=np.int64)
+
+#: Twice the largest measured per-batch swing of ``gc.get_count()[0]``, 2.0 x capacity (ycsb_read).
+YOUNG_BATCHES = 4
 
 
 class ServeResponse(NamedTuple):
@@ -380,11 +390,15 @@ class Orchestrator:
         completes with its :class:`ServeResponse`.
 
         Raises a typed :class:`~repro.serve.errors.AdmissionRejected`
-        subclass synchronously when the request is shed, and
-        :class:`IngressClosed` after :meth:`drain` began.
+        subclass synchronously when the request is shed,
+        :class:`IngressClosed` after :meth:`drain` began, and, before
+        admission, the :class:`~repro.errors.TransactionError` the batch
+        would raise for a param that is not an int in int64 range.
         """
         if self._closed:
             raise IngressClosed("ingress is closed; request not admitted")
+        params = tuple(params)
+        int64_params(params)
         if self._task is None:
             self.start()
         loop = self._loop
@@ -397,7 +411,7 @@ class Orchestrator:
             raise
         seq = self._next_seq
         self._next_seq = seq + 1
-        request = _Request(procedure, tuple(params), seq, tenant, now, loop)
+        request = _Request(procedure, params, seq, tenant, now, loop)
         self._scheduler.admit((request,))
         self._depth += 1
         self._submitted.value += 1
@@ -433,11 +447,28 @@ class Orchestrator:
 
     # -- the batch-forming loop ----------------------------------------
     async def _batch_loop(self) -> None:
+        """Cut and run batches until drained.
+
+        Meanwhile the collector's generation-0 threshold is at least
+        :data:`YOUNG_BATCHES` batches, so it stops walking the requests
+        in flight.  The threshold is process-wide: the loop puts it back
+        at the end only if it still reads the loop's value, so of two
+        orchestrators that stop out of order one serves on without the
+        raise, or it outlives both (speed only, never outcomes).
+        """
         assert self._arrival is not None
-        while True:
-            if not await self._wait_for_cut():
-                return
-            await self._run_one_batch()
+        before, *older = gc.get_threshold()
+        young = max(before, YOUNG_BATCHES * self.policy.capacity)
+        gc.set_threshold(young, *older)
+        try:
+            while True:
+                if not await self._wait_for_cut():
+                    return
+                await self._run_one_batch()
+        finally:
+            held, *older = gc.get_threshold()
+            if held == young != before:
+                gc.set_threshold(before, *older)
 
     async def _wait_for_cut(self) -> bool:
         """Block until a batch should be cut; False = drained, stop."""

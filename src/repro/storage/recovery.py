@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import StorageError
 from repro.storage.snapshot import Snapshot
 from repro.storage.wal import BatchLog, BatchRecord
@@ -81,14 +83,14 @@ def recover(
         batch = transactions_from_record(record)
         result = engine.run_batch(batch)
         # None = the crash came before the outcome was logged; an
-        # empty list is an outcome like any other and must match.
+        # empty column is an outcome like any other and must match.
         expected = record.committed_tids
-        got = sorted(t.tid for t in result.committed)
-        if expected is not None and got != sorted(expected):
+        got = np.sort(np.fromiter((t.tid for t in result.committed), np.int64))
+        if expected is not None and not np.array_equal(got, expected):
             raise StorageError(
                 f"non-deterministic replay of batch {record.batch_index}: "
-                f"expected commits {sorted(expected)[:8]}..., got "
-                f"{got[:8]}..."
+                f"expected commits {expected[:8].tolist()}..., got "
+                f"{got[:8].tolist()}..."
             )
         replayed += 1
         txn_count += len(batch)

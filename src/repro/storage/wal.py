@@ -20,8 +20,10 @@ serialized form: command logging needs nothing recovery does not read.
 
 from __future__ import annotations
 
-from array import array
+from collections.abc import Iterable
 from itertools import chain
+from struct import Struct
+from struct import error as StructError
 from typing import NamedTuple
 
 import numpy as np
@@ -37,15 +39,27 @@ class LogRecord(NamedTuple):
     params: tuple
 
 
-def encode_params(params: list) -> tuple[np.ndarray, np.ndarray]:
-    """Every lane's params as ``(lengths, flat)`` int64 columns; a param that
-    is not an int in int64 range raises :class:`TransactionError`."""
-    lengths, flat = array("q"), array("q")
+#: int64 packers for a row of up to 63 params (one request's), built once
+_ROWS = tuple(Struct(f"{n}q") for n in range(64))
+
+
+def int64_params(values: Iterable) -> bytes:
+    """``values`` packed as native int64s.  The one rule for a param: an
+    int in int64 range (``bool`` and ``np.int64`` pass); anything else
+    raises :class:`TransactionError`."""
     try:
-        lengths.fromlist(list(map(len, params)))
-        flat.fromlist(list(chain.from_iterable(params)))
-    except (TypeError, OverflowError) as exc:
+        values = tuple(values)
+        n = len(values)
+        return (_ROWS[n] if n < len(_ROWS) else Struct(f"{n}q")).pack(*values)
+    except (StructError, TypeError) as exc:
         raise TransactionError(f"params must be ints in int64 range: {exc}") from None
+
+
+def encode_params(params: list) -> tuple[np.ndarray, np.ndarray]:
+    """Every lane's params as read-only ``(lengths, flat)`` int64 columns,
+    under :func:`int64_params`'s rule."""
+    lengths = int64_params(map(len, params))
+    flat = int64_params(chain.from_iterable(params))
     return np.frombuffer(lengths, np.int64), np.frombuffer(flat, np.int64)
 
 
@@ -56,8 +70,8 @@ class BatchRecord:
     (into ``group_names``, an object array: no tracked container), the
     params' ``lengths`` and ``flat`` — that :attr:`records` decodes.
 
-    ``committed_tids`` / ``aborted_tids`` stay ``None`` until
-    :meth:`BatchLog.record_outcome` ran: "no outcome recorded" and
+    ``committed_tids`` / ``aborted_tids``, sorted read-only int64 columns,
+    stay ``None`` until :meth:`BatchLog.record_outcome` ran: "no outcome recorded" and
     "recorded, nothing committed" are different facts to recovery.
     ``failed`` is the third fact: the engine raised on this batch
     before touching the snapshot (:meth:`BatchLog.mark_failed`), so it
@@ -78,8 +92,8 @@ class BatchRecord:
             column.flags.writeable = False
         self.tids, self.group_ids, self.lengths, self.flat = block
         self.group_names = np.array(group_names, dtype=object)
-        self.committed_tids: list[int] | None = None
-        self.aborted_tids: list[int] | None = None
+        self.committed_tids: np.ndarray | None = None
+        self.aborted_tids: np.ndarray | None = None
         self.failed = False
 
     @property
@@ -89,6 +103,12 @@ class BatchRecord:
         params = [tuple(flat[e - k:e]) for e, k in zip(ends, self.lengths.tolist())]
         names = self.group_names[self.group_ids].tolist()
         return list(map(LogRecord._make, zip(self.tids.tolist(), names, params)))
+
+
+def _sorted_column(tids) -> np.ndarray:
+    column = np.sort(np.asarray(tids, np.int64))
+    column.flags.writeable = False
+    return column
 
 
 class BatchLog:
@@ -126,12 +146,10 @@ class BatchLog:
             raise StorageError(f"batch {batch_index} was never logged")
         return entry
 
-    def record_outcome(
-        self, batch_index: int, committed: list[int], aborted: list[int]
-    ) -> None:
+    def record_outcome(self, batch_index: int, committed, aborted) -> None:
+        """The batch's committed and concurrency-aborted TIDs (any order)."""
         entry = self._entry(batch_index)
-        entry.committed_tids = sorted(committed)
-        entry.aborted_tids = sorted(aborted)
+        entry.committed_tids, entry.aborted_tids = map(_sorted_column, (committed, aborted))
 
     def mark_failed(self, batch_index: int) -> None:
         """The engine raised on this batch and left the snapshot as it

@@ -962,7 +962,7 @@ def observe_cell(
                 (tuple(r.seqs), tuple(r.tids)) for r in orch.batch_records
             )
         out["log"] = [
-            (e.batch_index, e.committed_tids) for e in engine.batch_log.batches()
+            (e.batch_index, e.committed_tids.tolist()) for e in engine.batch_log.batches()
         ]
     out["batches"] = seen
     out["digest"] = db.state_digest()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,11 +117,17 @@ def test_log_payload_is_one_untracked_object_per_batch():
     log = BatchLog()
     txns = [Transaction("p", (i, -i, 2**40), tid=i) for i in range(500)]
     entry = log.append_batch(0, txns)
-    log.record_outcome(0, [t.tid for t in txns[::2]], [t.tid for t in txns[1::2]])
-    held = [o for o in gc.get_referents(entry) if not isinstance(o, type)]
-    assert sum(map(gc.is_tracked, held)) == 2  # the two outcome lists
-    assert not any(c.flags.writeable for c in (entry.tids, entry.lengths, entry.flat))
-    assert not any(isinstance(obj, LogRecord) for obj in held)
+    for recorded in (False, True):
+        if recorded:  # the outcome arrives in lane order, as TID arrays
+            tids = np.array([t.tid for t in txns])[::-1]
+            log.record_outcome(0, tids[::2], tids[1::2])
+        held = [o for o in gc.get_referents(entry) if not isinstance(o, type)]
+        assert not any(map(gc.is_tracked, held))
+        assert not any(isinstance(obj, LogRecord) for obj in held)
+    columns = (entry.tids, entry.lengths, entry.flat, entry.committed_tids, entry.aborted_tids)
+    assert not any(c.flags.writeable for c in columns)
+    assert entry.committed_tids.tolist() == list(range(1, 500, 2))
+    assert entry.aborted_tids.tolist() == list(range(0, 500, 2))
 
 
 # -- (c) retained tracked objects grow per batch, not per lane -----------

@@ -188,8 +188,8 @@ class TestDeterminism:
         run_batch(engine, txns)
         entry = engine.batch_log.batches()[0]
         assert len(entry.records) == 2
-        assert entry.committed_tids == [0]
-        assert entry.aborted_tids == [1]
+        assert entry.committed_tids.tolist() == [0]
+        assert entry.aborted_tids.tolist() == [1]
 
 
 class TestSerializability:

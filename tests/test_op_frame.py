@@ -38,8 +38,8 @@ from reference_engine import ReferenceEngine
 from repro.analysis.workload import build_workload
 from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import TransactionError
+from repro.serve.admission import AdmissionController, TenantQuota
 from repro.serve.clock import run_simulation
-from repro.serve.errors import BatchExecutionError
 from repro.serve.orchestrator import Orchestrator
 from repro.serve.policies import make_policy
 from repro.txn import (
@@ -308,27 +308,29 @@ def test_params_that_are_not_int64_refuse_the_batch(kind):
 
 
 @pytest.mark.parametrize("kind", list(_NOT_INT64))
-def test_a_served_lane_that_is_not_int64_fails_its_batch(kind):
-    """Served, the refusal fails exactly that batch through the
-    orchestrator's failure path, and the next batch is served."""
+def test_a_served_request_that_is_not_int64_is_refused_at_post(kind):
+    """Served, the refusal comes at ``post``, before admission: the bad
+    request spends no tenant token and queues nothing, and the requests
+    posted beside it form one batch that commits."""
     setup = build_workload("smallbank", seed=77)
     engine = setup.engine(batch_size=4, batched_exec=True)
     bad = _NOT_INT64[kind](10_000)
+    admission = AdmissionController(default_quota=TenantQuota(rate_per_s=1, burst=4))
 
     async def main():
-        async with Orchestrator(engine, policy=make_policy("size", 4)) as orch:
+        policy = make_policy("size", 4)
+        async with Orchestrator(engine, policy=policy, admission=admission) as orch:
             tickets = [orch.post("balance", (k,)) for k in range(3)]
-            tickets.append(orch.post("transact_savings", bad))
-            await asyncio.sleep(0)
-            tickets += [orch.post("balance", (k,)) for k in range(4)]
-            return await asyncio.gather(*tickets, return_exceptions=True), orch
+            with pytest.raises(TransactionError, match="int64"):
+                orch.post("transact_savings", bad)
+            assert orch.queue_depth == 3
+            assert orch.metrics.counter("serve.submitted").value == 3
+            tickets.append(orch.post("balance", (3,)))  # the burst's last token
+            return await asyncio.gather(*tickets)
 
-    outcomes, orch = run_simulation(main())
-    assert all(isinstance(o, BatchExecutionError) for o in outcomes[:4])
-    assert all(isinstance(o.cause, TransactionError) for o in outcomes[:4])
-    assert all(o.committed for o in outcomes[4:])
-    assert orch.metrics.counter("serve.batch_failures").value == 1
-    assert [e.batch_index for e in engine.batch_log.batches()] == [0]
+    responses = run_simulation(main())
+    assert all(r.committed for r in responses)
+    assert [len(e.tids) for e in engine.batch_log.batches()] == [4]
 
 
 # -- (c) tracked objects per batch: O(groups), not O(lanes) --------------

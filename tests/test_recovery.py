@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import chain, count, islice
 
+import numpy as np
 import pytest
 
 from helpers import BoundaryObserver, build_bank, txn
@@ -74,7 +75,7 @@ class TestRecovery:
         batch[0].tid = 0
         engine.run_batch(batch)
         # Corrupt the log's recorded outcome: replay must detect it.
-        engine.batch_log.batches()[0].committed_tids = [999]
+        engine.batch_log.batches()[0].committed_tids = np.array([999])
         with pytest.raises(StorageError):
             recover(snapshot, engine.batch_log, self.make_engine)
 
@@ -89,7 +90,7 @@ class TestRecovery:
         result = engine.run_batch(batch)
         assert result.committed == [] and len(result.logic_aborted) == 2
         entry = engine.batch_log.batches()[0]
-        assert entry.committed_tids == [] and entry.aborted_tids == []
+        assert entry.committed_tids.size == 0 and entry.aborted_tids.size == 0
 
         # faithful replay: nothing commits, recovery agrees
         _, report = recover(snapshot, engine.batch_log, self.make_engine)
@@ -163,7 +164,7 @@ class TestRecovery:
         entries = engine.batch_log.batches()
         assert [e.failed for e in entries] == [False, True, False]
         assert entries[1].committed_tids is None
-        assert entries[0].committed_tids and entries[2].committed_tids
+        assert entries[0].committed_tids.size and entries[2].committed_tids.size
 
         recovered, report = recover(
             snapshot, engine.batch_log, lambda d: LTPGEngine(d, self.registry, config)

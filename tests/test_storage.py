@@ -268,15 +268,15 @@ class TestBatchLog:
         log.append_batch(0, self.make_txns())
         log.record_outcome(0, committed=[0, 2], aborted=[1])
         entry = log.batches()[0]
-        assert entry.committed_tids == [0, 2]
-        assert entry.aborted_tids == [1]
+        assert entry.committed_tids.tolist() == [0, 2]
+        assert entry.aborted_tids.tolist() == [1]
 
     def test_outcome_is_none_until_recorded(self):
         log = BatchLog()
         entry = log.append_batch(0, self.make_txns())
         assert entry.committed_tids is None and entry.aborted_tids is None
         log.record_outcome(0, committed=[], aborted=[2, 0, 1])
-        assert entry.committed_tids == [] and entry.aborted_tids == [0, 1, 2]
+        assert entry.committed_tids.tolist() == [] and entry.aborted_tids.tolist() == [0, 1, 2]
 
     def test_outcome_goes_to_the_latest_entry_of_an_index(self):
         log = BatchLog()
@@ -285,7 +285,7 @@ class TestBatchLog:
         again = log.append_batch(3, self.make_txns())
         log.record_outcome(3, committed=[1], aborted=[])
         assert first.committed_tids is None
-        assert again.committed_tids == [1]
+        assert again.committed_tids.tolist() == [1]
 
     def test_records_decode_on_demand(self):
         log = BatchLog()
