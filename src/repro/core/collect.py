@@ -21,9 +21,15 @@ from repro.core.batch import (
 )
 from repro.core.config import MemoryMode
 from repro.errors import TransactionError
-from repro.txn.batch_context import Cells
+from repro.txn.batch_context import Cells, GroupLocals
 from repro.txn.decompose import plan_arrays
-from repro.txn.operations import NUM_OP_KINDS, OpKind, column_name
+from repro.txn.operations import (
+    KEY_COLUMN,
+    NUM_OP_KINDS,
+    OpKind,
+    column_interner_size,
+    column_name,
+)
 from repro.xp import sorted_runs
 
 #: The reservation sides of each op kind (bit 1: read, bit 2: write):
@@ -136,6 +142,7 @@ def collect_columnar(engine, batch: Batch, ctx) -> None:
         skip_delayed = delayed_ops & is_add
     else:
         skip_delayed = np.zeros(total, dtype=bool)
+    check_columns(db, table, col, batch.batch_locals)
 
     open_log(engine, table_txns, touched_rows, ctx)
 
@@ -193,6 +200,26 @@ def collect_columnar(engine, batch: Batch, ctx) -> None:
         Cells(op_txn, table, row, col, val), keyed[wa],
         op_kind[wa] == OpKind.WRITE, np.cumsum(new_cell)[wa], skip_delayed,
     )
+
+
+def check_columns(db, table: np.ndarray, col: np.ndarray, locals_: GroupLocals) -> None:
+    """Refuse the batch if an op (``table``, ``col``: the frame's
+    columns) or an insert payload names a column its table lacks — here,
+    before anything installs, as a read of one already fails in execute
+    (write-back would stop half way).  One check per distinct (table,
+    column) and (table, payload chunk) pair of the batch."""
+    ncols = column_interner_size()
+    seen = np.zeros((db.num_tables, ncols), dtype=bool)
+    seen.reshape(-1)[table * ncols + col] = True
+    ins = locals_.inserts
+    chunks = np.zeros((db.num_tables, len(locals_.payloads)), dtype=bool)
+    chunks[ins.table, ins.chunk] = True
+    for t, c in zip(*np.nonzero(seen)):
+        name = column_name(c)
+        if name not in ("", KEY_COLUMN):  # insert and key-read ops
+            db.table_by_id(int(t)).check_columns((name,))
+    for t, c in zip(*np.nonzero(chunks)):
+        db.table_by_id(int(t)).check_columns(locals_.payloads[c][0])
 
 
 def open_log(

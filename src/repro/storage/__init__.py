@@ -7,7 +7,7 @@ that throughput comparisons measure concurrency control, not storage.
 
 from repro.storage.btree import BTreeIndex
 from repro.storage.database import Database
-from repro.storage.index import PrimaryIndex, SecondaryIndex
+from repro.storage.index import PrimaryIndex
 from repro.storage.recovery import RecoveryReport, recover
 from repro.storage.schema import ColumnDef, Schema, make_schema
 from repro.storage.snapshot import Snapshot, SnapshotManager
@@ -20,7 +20,6 @@ __all__ = [
     "RecoveryReport",
     "recover",
     "PrimaryIndex",
-    "SecondaryIndex",
     "ColumnDef",
     "Schema",
     "make_schema",

@@ -1,10 +1,10 @@
-"""Hash indexes: primary (unique key -> row slot) and secondary
-(non-unique key -> row slots).
+"""The primary hash index (unique key -> row slot).
 
 The paper indexes every table with primary and secondary hash tables and
-pre-resolves range-query keys (hash indexes cannot scan).  The secondary
-index here supports exactly that access path: equality lookup returning
-the matching row slots in insertion order, which is deterministic.
+pre-resolves range-query keys (hash indexes cannot scan).  A secondary
+index is a plain ``dict`` of ints kept by :class:`~repro.storage.table.Table`:
+column value -> the newest row slot holding it, the one thing its reader
+(TPC-C OrderStatus's "latest order") asks for.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ class PrimaryIndex:
 
     def __len__(self) -> int:
         return len(self._map)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._map
 
     def insert(self, key: int, row: int) -> None:
         if key in self._map:
@@ -50,41 +47,8 @@ class PrimaryIndex:
         """The row slot of each key, ``-1`` where it is absent."""
         return list(map(self._map.get, keys, repeat(-1)))
 
-    def keys(self):
-        return self._map.keys()
-
     def copy(self) -> "PrimaryIndex":
         clone = PrimaryIndex()
         clone._map = dict(self._map)
         return clone
 
-
-class SecondaryIndex:
-    """Non-unique int key -> row slots, in deterministic insert order."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self._map: dict[int, list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def insert(self, key: int, row: int) -> None:
-        self._map.setdefault(key, []).append(row)
-
-    def lookup(self, key: int) -> list[int]:
-        """All row slots for ``key`` (empty list if none)."""
-        return list(self._map.get(key, ()))
-
-    def last(self, key: int) -> int:
-        """The most recently inserted row for ``key`` (TPC-C
-        OrderStatus-style 'latest order' lookups)."""
-        rows = self._map.get(key)
-        if not rows:
-            raise KeyNotFound(f"secondary index {self.name!r}: key {key} not found")
-        return rows[-1]
-
-    def copy(self) -> "SecondaryIndex":
-        clone = SecondaryIndex(self.name)
-        clone._map = {k: list(v) for k, v in self._map.items()}
-        return clone

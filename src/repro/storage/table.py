@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import DuplicateKey, StorageError
 from repro.storage.btree import BTreeIndex
-from repro.storage.index import PrimaryIndex, SecondaryIndex
+from repro.storage.index import PrimaryIndex
 from repro.storage.schema import Schema
 from repro.xp import HOST, ArrayBackend
 
@@ -36,7 +36,9 @@ class Table:
             for c in schema.columns
         }
         self.primary = PrimaryIndex()
-        self.secondary: dict[str, SecondaryIndex] = {}
+        #: Secondary indexes by column: value -> the newest row slot
+        #: holding it (an int-only dict, which the collector never tracks).
+        self.secondary: dict[str, dict[int, int]] = {}
         #: Optional B-tree over primary keys (range-query extension).
         self.ordered: BTreeIndex | None = None
         #: Keys below this value map to row == key (dense fast path set
@@ -94,8 +96,7 @@ class Table:
         if self.ordered is not None:
             raise StorageError(f"table {self.name!r} already has an ordered index")
         index = BTreeIndex()
-        for row in range(self._num_rows):
-            index.insert(int(self._keys[row]), row)
+        self._index_rows(0, self._num_rows, {}, index)
         self.ordered = index
         return index
 
@@ -110,17 +111,17 @@ class Table:
         return list(self.ordered.range(lo, hi))
 
     # -- secondary indexes ------------------------------------------------------
-    def add_secondary_index(self, column: str) -> SecondaryIndex:
-        """Index rows by the value of ``column``; maintained on insert."""
+    def add_secondary_index(self, column: str) -> dict[int, int]:
+        """Map each value of ``column`` to the newest row holding it;
+        maintained on insert."""
         if column not in self._columns:
             raise StorageError(
                 f"cannot index {self.name!r} on unknown column {column!r}"
             )
         if column in self.secondary:
             raise StorageError(f"secondary index on {column!r} already exists")
-        index = SecondaryIndex(column)
-        for row in range(self._num_rows):
-            index.insert(int(self._columns[column][row]), row)
+        index: dict[int, int] = {}
+        self._index_rows(0, self._num_rows, {column: index}, None)
         self.secondary[column] = index
         return index
 
@@ -134,10 +135,14 @@ class Table:
         """
         if self._num_rows:
             raise StorageError("bulk_load requires an empty table")
+        self.check_columns(columns)
         keys = np.asarray(keys, dtype=np.int64)
         n = keys.size
         if n == 0:
             return
+        dense = bool(keys[0] == 0 and keys[-1] == n - 1 and np.all(np.diff(keys) == 1))
+        if not dense and np.unique(keys).size != n:
+            raise DuplicateKey("bulk_load keys must be unique")
         self._grow(n)
         self._keys[:n] = keys
         for name, values in columns.items():
@@ -146,25 +151,16 @@ class Table:
         self._num_rows = n
         if self._resident_view is not None:
             self._resident_view.host_written_all()
-        dense = bool(keys[0] == 0 and keys[-1] == n - 1 and np.all(np.diff(keys) == 1))
         if dense:
             self._dense_limit = n
         else:
-            if np.unique(keys).size != n:
-                raise DuplicateKey("bulk_load keys must be unique")
-            for row in range(n):
-                self.primary.insert(int(keys[row]), row)
-        for column, index in self.secondary.items():
-            values = self._columns[column]
-            for row in range(n):
-                index.insert(int(values[row]), row)
-        if self.ordered is not None:
-            for row in range(n):
-                self.ordered.insert(int(keys[row]), row)
+            self.primary.bulk_insert(keys.tolist(), range(n))
+        self._index_rows(0, n, self.secondary, self.ordered)
 
     # -- writes -------------------------------------------------------------
     def insert(self, key: int, values: dict[str, int] | None = None) -> int:
         """Insert a row; returns its slot."""
+        self.check_columns(values or ())
         if self._resident_view is not None:
             self._resident_view.fence()
         if self._num_rows + 1 > self._capacity:
@@ -176,16 +172,9 @@ class Table:
         self._keys[row] = key
         if values:
             for name, value in values.items():
-                if name not in self._columns:
-                    raise StorageError(
-                        f"table {self.name!r} has no column {name!r}"
-                    )
                 self._columns[name][row] = value
         self._num_rows += 1
-        for column, index in self.secondary.items():
-            index.insert(int(self._columns[column][row]), row)
-        if self.ordered is not None:
-            self.ordered.insert(int(key), row)
+        self._index_rows(row, row + 1, self.secondary, self.ordered)
         if self._resident_view is not None:
             self._resident_view.host_written_all()
         return row
@@ -215,15 +204,26 @@ class Table:
 
     def index_appended(self, rows: np.ndarray) -> None:
         """Phase two of a vectorized append: secondary and ordered index
-        maintenance for ``rows``, in slot order."""
-        row_list = rows.tolist()
-        for column, index in self.secondary.items():
-            ins = index.insert
-            for v, row in zip(self._columns[column][rows].tolist(), row_list):
-                ins(v, row)
-        if self.ordered is not None:
-            ins = self.ordered.insert
-            for key, row in zip(self._keys[rows].tolist(), row_list):
+        maintenance for ``rows``, the consecutive slots one
+        :meth:`append_keys` call claimed."""
+        if rows.size:
+            start, stop = int(rows[0]), int(rows[-1]) + 1
+            self._index_rows(start, stop, self.secondary, self.ordered)
+
+    def _index_rows(
+        self, start: int, stop: int, secondary: dict[str, dict[int, int]],
+        ordered: BTreeIndex | None,
+    ) -> None:
+        """Point ``secondary``'s indexes and ``ordered`` at slots
+        ``start..stop-1`` — every insert, load, append and backfill.
+        Slots go in in order, so a value's newest row overwrites its
+        older ones; the B-tree takes its keys one at a time."""
+        rows = range(start, stop)
+        for column, index in secondary.items():
+            index.update(zip(self._columns[column][start:stop].tolist(), rows))
+        if ordered is not None:
+            ins = ordered.insert
+            for key, row in zip(self._keys[start:stop].tolist(), rows):
                 ins(key, row)
 
     def write(self, row: int, column: str, value: int) -> None:
@@ -308,6 +308,12 @@ class Table:
                 f"table {self.name!r} has no column {name!r}"
             ) from None
 
+    def check_columns(self, names) -> None:
+        """Raise :class:`StorageError` unless every name is a column."""
+        for name in names:
+            if name not in self._columns:
+                raise StorageError(f"table {self.name!r} has no column {name!r}")
+
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self._num_rows:
             raise StorageError(
@@ -325,7 +331,7 @@ class Table:
         clone._keys = self._keys.copy()
         clone._columns = {n: a.copy() for n, a in self._columns.items()}
         clone.primary = self.primary.copy()
-        clone.secondary = {n: ix.copy() for n, ix in self.secondary.items()}
+        clone.secondary = {n: dict(ix) for n, ix in self.secondary.items()}
         clone.ordered = self.ordered.copy() if self.ordered is not None else None
         clone._dense_limit = self._dense_limit
         return clone

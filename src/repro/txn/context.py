@@ -170,7 +170,9 @@ class BufferedContext:
         self.ranges.append((table_id, int(lo), int(hi)))
         return [self._slot_read(t, table_id, row, column) for _, row in pairs]
 
-    def rows_by_secondary(self, table: str, index: str, skey: int) -> list[int]:
+    def newest_row(self, table: str, index: str, skey: int) -> int | None:
+        """The newest row of ``table`` whose ``index`` column holds
+        ``skey`` (``None`` if none does), through its secondary index."""
         t = self._db.table(table)
         try:
             sec = t.secondary[index]
@@ -178,7 +180,7 @@ class BufferedContext:
             raise TransactionError(
                 f"table {table!r} has no secondary index {index!r}"
             ) from None
-        return sec.lookup(skey)
+        return sec.get(skey)
 
     # -- writes -------------------------------------------------------------
     def write(self, table: str, key: int, column: str, value: int) -> None:

@@ -26,6 +26,7 @@ nearly every lane stays on the vectorized path.
 from __future__ import annotations
 
 import functools
+from itertools import repeat
 
 import numpy as np
 
@@ -192,20 +193,19 @@ def _orderstatus_b(bctx: BatchedContext, params: ParamColumns):
     ok = lanes[cf]
     bctx.read_rows("customer", ok, crows[cf], "c_balance")
     # latest order via the secondary index — host work, like the scalar
-    # path; the probe keys come back in one explicit D2H (lanes without
-    # orders stop here)
+    # path: the probe keys come back in one explicit D2H, one probe
+    # resolves them all, and the positions that found an order ship
+    # down with their rows (lanes without orders stop here)
     _, orders_t = bctx.resolve("orders")
-    lookup = orders_t.secondary["o_c_key"].lookup
-    sel, sel_rows = [], []
-    for lane, ck in zip(xp.tolist(ok), xp.tolist(c_key[cf])):
-        rows = lookup(ck)
-        if rows:
-            sel.append(lane)
-            sel_rows.append(rows[-1])
-    if not sel:
+    newest = orders_t.secondary["o_c_key"].get
+    slots = np.fromiter(
+        map(newest, xp.tolist(c_key[cf]), repeat(-1)), dtype=np.int64
+    )
+    hit = np.flatnonzero(slots >= 0)
+    if not hit.size:
         return
-    sl = xp.from_host(np.asarray(sel, dtype=np.int64))
-    srow = xp.from_host(np.asarray(sel_rows, dtype=np.int64))
+    sl = ok[xp.from_host(hit)]
+    srow = xp.from_host(slots[hit])
     ol_cnt = bctx.read_rows("orders", sl, srow, "o_ol_cnt")
     order_id = bctx.key_at_rows("orders", sl, srow)
     flat_keys = (

@@ -122,10 +122,9 @@ def register_procedures(registry: ProcedureRegistry, scale: TpccScale) -> None:
     def orderstatus(ctx: BufferedContext, c_key):
         """Read a customer's balance and their latest order's lines."""
         ctx.read("customer", c_key, "c_balance")
-        rows = ctx.rows_by_secondary("orders", "o_c_key", c_key)
-        if not rows:
+        row = ctx.newest_row("orders", "o_c_key", c_key)
+        if row is None:
             return
-        row = rows[-1]
         # Read the order header, then its lines via predefined keys.
         ol_cnt = ctx.read_at("orders", row, "o_ol_cnt")
         order_id = ctx.key_at("orders", row)

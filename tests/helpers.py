@@ -361,7 +361,7 @@ def mixed_bank_specs() -> list[tuple[str, tuple]]:
 # engine runs is also replayed serially in its witness order.
 
 #: All five TPC-C procedures, so delivery/orderstatus/stocklevel twins
-#: (secondary-index walks, range-ish reads, fallback lanes) all run.
+#: (secondary-index probes, range-ish reads, fallback lanes) all run.
 FULL_MIX = TpccMix(
     neworder=0.4, payment=0.3, orderstatus=0.1, stocklevel=0.1, delivery=0.1
 )

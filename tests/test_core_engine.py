@@ -8,7 +8,7 @@ import pytest
 
 from helpers import bank_engine, build_bank, tids, txn
 from repro.core import LTPGConfig, LTPGEngine
-from repro.errors import TransactionError
+from repro.errors import StorageError, TransactionError
 from repro.txn import BatchScheduler, TxnStatus, drive
 from repro.validate import replay_in_witness_order
 
@@ -254,6 +254,47 @@ def test_long_lived_engine_device_keeps_nothing_per_batch():
         pass
     assert live_records() == after_10 <= 3
 
+
+
+def _misnamed_bank(twin: bool):
+    """:func:`build_bank` plus ``misnamed(kind, a)``, which adds to
+    (kind 0) or inserts a payload naming (kind 1) a column ``accounts``
+    lacks — as a scalar procedure, or through a twin."""
+    db, registry = build_bank(accounts=64)
+
+    @registry.register("misnamed")
+    def misnamed(ctx, kind, a):
+        if kind == 0:
+            ctx.add("accounts", a, "nope", 1)
+        else:
+            ctx.insert("accounts", 1000 + a, {"balance": 1, "nope": 1})
+
+    if twin:
+
+        @registry.register_batched("misnamed")
+        def misnamed_b(bctx, p):
+            lanes = bctx.all_lanes()
+            kind, a = p.column(0), p.column(1)
+            adds = lanes[kind == 0]
+            rows, found = bctx.rows_for_keys("accounts", adds, a[adds])
+            bctx.add("accounts", adds[found], rows[found], "nope", 1)
+            ins = lanes[kind != 0]
+            bctx.insert("accounts", ins, 1000 + a[ins], {"balance": 1, "nope": 1})
+
+    return db, registry
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["twin-less", "twin"])
+@pytest.mark.parametrize("kind", [0, 1], ids=["add", "insert"])
+def test_unknown_column_refuses_the_batch_before_any_install(twin, kind):
+    db, registry = _misnamed_bank(twin)
+    engine = LTPGEngine(db, registry, LTPGConfig(batch_size=8))
+    digest, rows = db.state_digest(), db.table("accounts").num_rows
+    with pytest.raises(StorageError, match="no column 'nope'"):
+        run_batch(engine, [txn("transfer", 0, 1, 5), txn("misnamed", kind, 3)])
+    assert db.state_digest() == digest
+    assert db.table("accounts").num_rows == rows
+    assert db.table("accounts").read(0, "balance") == 1000
 
 #: SmallBank (seed 7) driven four batches of 128, then the mixed bank's
 #: batch (reversed) to completion, batched and twin-less: per batch the

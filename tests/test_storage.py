@@ -60,7 +60,12 @@ class TestTable:
     def test_unknown_column_rejected(self):
         t = self.make()
         with pytest.raises(StorageError):
-            t.insert(1, {"nope": 2})
+            t.insert(1, {"a": 1, "nope": 2})
+        # refused before anything moved: the key is free, the row unused
+        assert t.num_rows == 0 and len(t.primary) == 0
+        assert t.get_row(1) is None
+        row = t.insert(1, {"a": 3})
+        assert (row, t.read(row, "a"), t.lookup(1)) == (0, 3, 0)
 
     def test_lookup_missing_key(self):
         t = self.make()
@@ -146,6 +151,24 @@ class TestTable:
         with pytest.raises(DuplicateKey):
             t.bulk_load(np.array([3, 3]), {})
 
+    @pytest.mark.parametrize(
+        "keys, columns, error",
+        [
+            ([5, 5, 7], {"a": [1, 2, 3]}, DuplicateKey),
+            ([5, 6, 7], {"a": [1, 2, 3], "nope": [0, 0, 0]}, StorageError),
+        ],
+        ids=["duplicate-keys", "unknown-column"],
+    )
+    def test_refused_bulk_load_leaves_the_table_empty(self, keys, columns, error):
+        t = self.make()
+        with pytest.raises(error):
+            t.bulk_load(np.array(keys), {k: np.array(v) for k, v in columns.items()})
+        assert t.num_rows == 0 and len(t.primary) == 0
+        assert t.get_row(5) is None
+        t.bulk_load(np.array([5, 6, 7]), {"a": np.array([1, 2, 3])})
+        assert [t.lookup(k) for k in (5, 6, 7)] == [0, 1, 2]
+        assert t.read(2, "a") == 3
+
     def test_bulk_load_requires_empty(self):
         t = self.make()
         t.insert(1)
@@ -166,14 +189,33 @@ class TestTable:
         t.insert(1, {"a": 42})
         t.insert(2, {"a": 42})
         t.insert(3, {"a": 7})
-        assert t.secondary["a"].lookup(42) == [0, 1]
-        assert t.secondary["a"].last(42) == 1
+        assert t.secondary["a"] == {42: 1, 7: 2}
 
     def test_secondary_index_backfills_existing_rows(self):
         t = self.make()
         t.insert(1, {"a": 5})
+        t.insert(2, {"a": 5})
         t.add_secondary_index("a")
-        assert t.secondary["a"].lookup(5) == [0]
+        assert t.secondary["a"] == {5: 1}
+
+    def test_every_index_path_keeps_the_newest_row(self):
+        """bulk_load, append_keys + index_appended and insert all leave
+        each value pointing at its newest slot, and so does a backfill
+        over the rows they made."""
+        t = self.make()
+        t.add_secondary_index("a")
+        t.bulk_load(np.array([10, 11, 12]), {"a": np.array([1, 2, 1])})
+        rows = t.append_keys(np.array([20, 21]))
+        t.host_column("a")[rows] = [2, 3]
+        t.index_appended(rows)
+        t.insert(30, {"a": 3})
+        expected = {1: 2, 2: 3, 3: 5}
+        assert t.secondary["a"] == expected
+        t.add_secondary_index("b")
+        assert t.secondary["b"] == {0: 5}
+        clone = t.copy()
+        t.insert(31, {"a": 1})
+        assert clone.secondary["a"] == expected
 
     def test_secondary_index_unknown_column(self):
         t = self.make()

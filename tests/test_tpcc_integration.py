@@ -127,3 +127,26 @@ class TestTpccEndToEnd:
         assert procs == {
             "neworder", "payment", "orderstatus", "stocklevel", "delivery",
         }
+
+
+def test_tracked_objects_stay_flat_across_neworder_batches():
+    """Steady NewOrder batches add rows, not objects the cyclic
+    collector walks: the orders index is an int-only dict, so after
+    warm-up the tracked-object count may grow by a small constant per
+    batch (the batch log's record), not by one per new customer key."""
+    import gc
+
+    from repro.txn import BatchScheduler, drive
+
+    db, registry, gen = build_tpcc(
+        warehouses=2, num_items=2000, mix=TpccMix.neworder_percentage(100), seed=7
+    )
+    engine = LTPGEngine(db, registry, ltpg_config(256))
+    counts = []
+    with engine:
+        for _ in drive(engine, BatchScheduler(256), gen.make_batch, max_batches=11):
+            gc.collect()
+            counts.append(len(gc.get_objects()))
+    grown = counts[-1] - counts[2]
+    assert engine.database.table("orders").num_rows > 100
+    assert grown <= 2 * (len(counts) - 3), counts

@@ -102,7 +102,13 @@ class TestBufferedContext:
     def test_secondary_lookup_missing_index(self):
         ctx = BufferedContext(self.db)
         with pytest.raises(TransactionError):
-            ctx.rows_by_secondary("accounts", "zzz", 1)
+            ctx.newest_row("accounts", "zzz", 1)
+
+    def test_newest_row_by_secondary(self):
+        self.db.table("accounts").add_secondary_index("flags")
+        ctx = BufferedContext(self.db)
+        assert ctx.newest_row("accounts", "flags", 0) == 7
+        assert ctx.newest_row("accounts", "flags", 1) is None
 
 
 class TestProcedureRegistry:
