@@ -42,7 +42,7 @@ class Table:
         #: Optional B-tree over primary keys (range-query extension).
         self.ordered: BTreeIndex | None = None
         #: Keys below this value map to row == key (dense fast path set
-        #: up by :meth:`bulk_load`); keys at or above it use the dict.
+        #: up by :meth:`bulk_load`); keys at or above it use the index.
         self._dense_limit = 0
         #: Device-resident view hook (:mod:`repro.xp.residency`): while
         #: set, device-side scatters may leave host columns stale, and
@@ -74,19 +74,24 @@ class Table:
         new_capacity = self._capacity
         while new_capacity < needed:
             new_capacity *= 2
-        # Zeroed allocation + one copy of the old contents: the new tail
-        # is never written, so capacity no row occupies yet costs no
-        # resident page (np.resize tiles the old array across it).
+        # One allocation + one copy of the old contents; the new tail
+        # holds the column's default, like a fresh table's capacity.  A
+        # default-0 tail is a zeroed allocation that is never written,
+        # so capacity no row occupies yet costs no resident page
+        # (np.resize tiles the old array across it).
         old_capacity = self._capacity
 
-        def grown(arr: np.ndarray) -> np.ndarray:
-            out = np.zeros(new_capacity, dtype=arr.dtype)
+        def grown(arr: np.ndarray, default: int = 0) -> np.ndarray:
+            if default:
+                out = np.full(new_capacity, default, dtype=arr.dtype)
+            else:
+                out = np.zeros(new_capacity, dtype=arr.dtype)
             out[:old_capacity] = arr
             return out
 
         self._keys = grown(self._keys)
-        for name, arr in self._columns.items():
-            self._columns[name] = grown(arr)
+        for c in self.schema.columns:
+            self._columns[c.name] = grown(self._columns[c.name], c.default)
         self._capacity = new_capacity
 
     # -- ordered (B-tree) index ------------------------------------------------
@@ -130,7 +135,7 @@ class Table:
         """Vectorized population of an empty table.
 
         ``keys`` must be unique; when they are exactly ``0..n-1`` the
-        primary index switches to a dense fast path (no per-key dict),
+        primary index switches to a dense fast path (no index entries),
         which is what makes 10M-row YCSB tables loadable.
         """
         if self._num_rows:
@@ -154,7 +159,7 @@ class Table:
         if dense:
             self._dense_limit = n
         else:
-            self.primary.bulk_insert(keys.tolist(), range(n))
+            self.primary.bulk_insert(keys, np.arange(n, dtype=np.int64))
         self._index_rows(0, n, self.secondary, self.ordered)
 
     # -- writes -------------------------------------------------------------
@@ -199,7 +204,7 @@ class Table:
         rows = np.arange(start, start + k, dtype=np.int64)
         self._keys[start:start + k] = keys
         self._num_rows = start + k
-        self.primary.bulk_insert(keys.tolist(), rows.tolist())
+        self.primary.bulk_insert(keys, rows)
         return rows
 
     def index_appended(self, rows: np.ndarray) -> None:
@@ -256,15 +261,14 @@ class Table:
         """Vectorized :meth:`get_row`: the row slot of each key, ``-1``
         where it is absent — the one place "dense below the limit, else
         probe the index" is decided for arrays.  ``keys`` and the
-        result live on ``xp``; the hash probes are host work, so the
-        non-dense keys are read back explicitly and their slots ship
-        down in one go."""
+        result live on ``xp``; the index lives on the host, so the
+        non-dense keys are read back explicitly, probed together, and
+        their slots ship down in one go."""
         dense = (keys >= 0) & (keys < self._dense_limit)
         rows = xp.where(dense, keys, -1)
         if not dense.all():
             nd = xp.flatnonzero(~dense)
-            slots = self.primary.slots(xp.tolist(keys[nd]))
-            rows[nd] = xp.from_host(np.array(slots, dtype=np.int64))
+            rows[nd] = xp.from_host(self.primary.rows_of(xp.to_host(keys[nd])))
         return rows
 
     def key_of(self, row: int) -> int:

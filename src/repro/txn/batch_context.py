@@ -357,6 +357,10 @@ class BatchedContext:
         self._ins_chunks: list[tuple] = []
         # range predicates: (lane, table_id, lo, hi) in emission order
         self._range_chunks: list[tuple] = []
+        # whether a lane fell back after some op chunk was emitted: only
+        # then can the op block hold rows finalize must drop (a lane
+        # that falls back first emits nothing, being inactive after)
+        self._fell_after_emit = False
 
     # -- lane management ----------------------------------------------------
     # The active/aborted/fallback masks are *host* control state: twins
@@ -379,6 +383,8 @@ class BatchedContext:
         """Send lanes to the scalar procedure: everything they emitted
         is discarded and the engine re-runs them one at a time."""
         lanes = self.xp.to_host(lanes)
+        if lanes.size and self._chunks:
+            self._fell_after_emit = True
         self.fallback[lanes] = True
         self.active[lanes] = False
 
@@ -630,7 +636,7 @@ class BatchedContext:
                     for f in range(1 + OP_FIELDS):
                         part[f] = chunk[f]
                 pos += size
-            if self.fallback.any():
+            if self._fell_after_emit:
                 fb = xp.from_host(self.fallback)
                 block = block[:, ~fb[block[0]]]
             lane, cols = block[0], block[1:]

@@ -255,21 +255,12 @@ def _delivery_b(bctx: BatchedContext, params: ParamColumns):
     # pre-resolve every order row against the snapshot index so
     # intra-lane duplicate *customers* can be detected up front (the
     # second balance read would need the first credit's overlay); the
-    # probe keys come back to the host in one explicit D2H
-    _, orders_t = bctx.resolve("orders")
-    get = orders_t.primary.get
+    # valid cells probe the index in one call
     orow_mx = xp.full(orders_mx.shape, -1, dtype=np.int64)
     flat_idx = xp.flatnonzero(valid.reshape(-1))
-    flat_keys = orders_mx.reshape(-1)[flat_idx]
-    flat_rows = np.fromiter(
-        (
-            -1 if (slot := get(k)) is None else slot
-            for k in xp.tolist(flat_keys)
-        ),
-        dtype=np.int64,
-        count=flat_idx.size,
+    orow_mx.reshape(-1)[flat_idx] = _rows_of_keys(
+        bctx, "orders", orders_mx.reshape(-1)[flat_idx]
     )
-    orow_mx.reshape(-1)[flat_idx] = xp.from_host(flat_rows)
     found = valid & (orow_mx >= 0)
     ckey_mx = bctx.column_of("orders", "o_c_key")[xp.where(found, orow_mx, 0)]
     bctx.fall_back(lanes[_dup_in_rows(xp, ckey_mx, found)])

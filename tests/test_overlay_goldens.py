@@ -87,21 +87,29 @@ GOLDEN["mockgpu-resident"] = GOLDEN["default"]
 #: per batch (D2H, H2D) (805,782, 2,526,424), (778,422, 165,298),
 #: (842,990, 173,480) -> (633,290, 2,511,208), (610,210, 150,130),
 #: (662,658, 157,960); conflict and write-back are unchanged (§13).
+#: A NewOrder group whose duplicate-item lanes fall back before they
+#: emit anything no longer uploads its fallback mask to compress an op
+#: block that holds none of their rows:
+#:
+#:   transfer.count               289 ->       286
+#:   transfer.h2d_bytes     2,819,298 -> 2,818,933   (execute: same -365)
+#:
+#: per batch H2D -120 / -121 / -124 (one byte per NewOrder lane).
 LEDGER = {
     "mockgpu-resident": {
-        "transfer.count": 289,
+        "transfer.count": 286,
         "transfer.d2h_bytes": 1_906_158,
-        "transfer.h2d_bytes": 2_819_298,
+        "transfer.h2d_bytes": 2_818_933,
         "transfer.execute.d2h_bytes": 1_762_214,
-        "transfer.execute.h2d_bytes": 1_510_738,
+        "transfer.execute.h2d_bytes": 1_510_373,
         "transfer.conflict.d2h_bytes": 143_944,
         "transfer.conflict.h2d_bytes": 0,
         "transfer.writeback.d2h_bytes": 0,
         "transfer.writeback.h2d_bytes": 1_308_560,
         "per_batch": [
-            {"d2h_bytes": 633_290, "h2d_bytes": 2_511_208},
-            {"d2h_bytes": 610_210, "h2d_bytes": 150_130},
-            {"d2h_bytes": 662_658, "h2d_bytes": 157_960},
+            {"d2h_bytes": 633_290, "h2d_bytes": 2_511_088},
+            {"d2h_bytes": 610_210, "h2d_bytes": 150_009},
+            {"d2h_bytes": 662_658, "h2d_bytes": 157_836},
         ],
     },
 }

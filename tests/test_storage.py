@@ -16,6 +16,7 @@ from repro.storage import (
     Table,
     make_schema,
 )
+from repro.storage.schema import ColumnDef
 from repro.txn import Transaction
 from repro.workloads import build_smallbank, build_tpcc, build_ycsb
 
@@ -98,6 +99,20 @@ class TestTable:
         for arr in (t._keys, t.column("a"), t.column("b")):
             assert arr.size == 32 and not arr[20:].any()
 
+    def test_grown_tail_takes_the_column_default(self):
+        """Rows past the initial capacity read each column's default
+        when nothing writes them, by ``insert`` and by the write-back's
+        ``append_keys`` (which scatters only the payload columns)."""
+        schema = Schema("t", "id", (ColumnDef("a", default=5), ColumnDef("b")))
+        by_insert, by_append = Table(schema, capacity=2), Table(schema, capacity=2)
+        for k in range(4):
+            by_insert.insert(10 + k)
+            by_append.index_appended(by_append.append_keys(np.array([10 + k])))
+        for t in (by_insert, by_append):
+            assert t._capacity == 4
+            assert t.column("a")[:4].tolist() == [5, 5, 5, 5]
+            assert t.column("b")[:4].tolist() == [0, 0, 0, 0]
+
     @pytest.mark.parametrize(
         "build, digest",
         [
@@ -139,7 +154,7 @@ class TestTable:
         t.bulk_load(np.arange(1000), {"a": np.arange(1000) * 2})
         assert t.lookup(999) == 999
         assert t.read(500, "a") == 1000
-        assert len(t.primary) == 0  # dense path: no dict entries
+        assert len(t.primary) == 0  # dense path: no index entries
 
     def test_bulk_load_sparse_keys(self):
         t = self.make()
