@@ -28,7 +28,7 @@ from repro.gpusim.atomics import collision_profile
 from repro.gpusim.kernel import KernelContext
 from repro.storage.database import Database
 from repro.xp import ArrayBackend, get_backend, sorted_runs
-from repro.xp.rows import run_ends, run_starts
+from repro.xp.rows import run_starts
 
 #: "No TID registered" sentinel; larger than any real TID.
 NO_TID = np.iinfo(np.int64).max
@@ -174,25 +174,16 @@ class ConflictLog:
         tids: np.ndarray,
         ctx: KernelContext | None = None,
     ) -> None:
-        """Reserve primary keys being inserted; the smallest TID wins
-        each key, and losers will see a WAW at detection time."""
+        """Reserve the batch's inserted primary keys, once per batch
+        (between :meth:`begin_batch` and :meth:`end_batch`, which both
+        clear the reservations): the smallest TID wins each key, and
+        losers will see a WAW at detection time."""
         if insert_keys.size == 0:
             return
         order, starts = sorted_runs(table_ids, insert_keys)
         first = order[starts]
-        t_new, k_new = table_ids[first], insert_keys[first]
-        tid_new = np.minimum.reduceat(tids[order], starts)
-        if self._ins_keys.size:
-            # A later registration call overrides an earlier winner for
-            # the same (table, key): the sort is stable, so the *last*
-            # entry of each old-then-new pair run is the new one.
-            t_all = np.concatenate((self._ins_tables, t_new))
-            k_all = np.concatenate((self._ins_keys, k_new))
-            tid_all = np.concatenate((self._ins_tids, tid_new))
-            order, starts = sorted_runs(t_all, k_all)
-            last = order[run_ends(starts, order.size) - 1]
-            t_new, k_new, tid_new = t_all[last], k_all[last], tid_all[last]
-        self._ins_tables, self._ins_keys, self._ins_tids = t_new, k_new, tid_new
+        self._ins_tables, self._ins_keys = table_ids[first], insert_keys[first]
+        self._ins_tids = np.minimum.reduceat(tids[order], starts)
         if ctx is not None:
             # Insert reservations hash the new key into a per-table
             # insert region sized for the batch (the engine grows the

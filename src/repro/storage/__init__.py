@@ -5,9 +5,8 @@ LTPG and all eight baselines operate on the same :class:`Database` so
 that throughput comparisons measure concurrency control, not storage.
 """
 
-from repro.storage.btree import BTreeIndex
 from repro.storage.database import Database
-from repro.storage.index import PrimaryIndex
+from repro.storage.index import OrderedIndex, PrimaryIndex
 from repro.storage.recovery import RecoveryReport, recover
 from repro.storage.schema import ColumnDef, Schema, make_schema
 from repro.storage.snapshot import Snapshot, SnapshotManager
@@ -15,10 +14,10 @@ from repro.storage.table import Table
 from repro.storage.wal import BatchLog, BatchRecord, LogRecord
 
 __all__ = [
-    "BTreeIndex",
     "Database",
     "RecoveryReport",
     "recover",
+    "OrderedIndex",
     "PrimaryIndex",
     "ColumnDef",
     "Schema",

@@ -1,4 +1,4 @@
-"""The primary hash index (unique int64 key -> row slot), as arrays.
+"""A table's indexes (unique int64 key -> row slot), as int64 arrays.
 
 The paper gives every table a primary hash table that GPU threads probe
 together.  This one is open addressing over two int64 arrays, ``keys``
@@ -21,6 +21,16 @@ the capacity (TPC-C's monotone order ids, ``order_line``'s
 terms fold the higher bits in, so keys that differ only there
 (``i << 20``) do not pile onto one slot.
 
+A table loaded with exactly the keys ``0..n-1`` (:meth:`PrimaryIndex.load`)
+keeps them as a dense prefix: key ``k < n`` is row ``k`` and holds no
+entry, which is what makes 10M-row YCSB tables loadable.  Every read
+and insert applies the prefix, so no caller decides it.
+
+The ordered index (:class:`OrderedIndex`, the paper's range-query
+future work) is two int64 arrays kept sorted by key: a range is two
+binary searches and a slice, and the cost model prices it as the B+-tree
+it stands for (:attr:`OrderedIndex.height`).
+
 A secondary index is kept by :class:`~repro.storage.table.Table` as an
 int-only mapping: column value -> the newest row slot holding it, the
 one thing its reader (TPC-C OrderStatus's "latest order") asks for.
@@ -31,6 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DuplicateKey, KeyNotFound
+from repro.xp import HOST, ArrayBackend
 
 #: Capacity of an empty index (a power of two).
 _MIN_BITS = 4
@@ -47,6 +58,8 @@ class PrimaryIndex:
 
     def __init__(self) -> None:
         self._n = 0
+        #: Keys ``0..dense_limit-1`` are their own row slots (no entries).
+        self._dense_limit = 0
         self._allocate(_MIN_BITS)
 
     def _allocate(self, bits: int) -> None:
@@ -64,6 +77,7 @@ class PrimaryIndex:
         self._row_view = memoryview(self._rows)
 
     def __len__(self) -> int:
+        """The entry count (the dense prefix holds none)."""
         return self._n
 
     def _reserve(self, n: int) -> None:
@@ -101,6 +115,8 @@ class PrimaryIndex:
 
     # -- scalar ---------------------------------------------------------------
     def insert(self, key: int, row: int) -> None:
+        if 0 <= key < self._dense_limit:
+            raise DuplicateKey(f"primary key {key} already present")
         if (self._n + 1) << 1 > self._mask + 1:
             self._reserve(self._n + 1)
         keys, rows, mask = self._key_view, self._row_view, self._mask
@@ -114,6 +130,8 @@ class PrimaryIndex:
         self._n += 1
 
     def get(self, key: int) -> int | None:
+        if 0 <= key < self._dense_limit:
+            return key
         keys, rows, mask = self._key_view, self._row_view, self._mask
         s = _home(key, self._bits, mask)
         while (row := rows[s]) >= 0:
@@ -123,12 +141,29 @@ class PrimaryIndex:
         return None
 
     def lookup(self, key: int) -> int:
+        # the prefix test repeats get's: a scalar read of a loaded table
+        # (every BufferedContext read, write and add) then makes one call
+        if 0 <= key < self._dense_limit:
+            return key
         row = self.get(key)
         if row is None:
             raise KeyNotFound(f"primary key {key} not found")
         return row
 
     # -- bulk -----------------------------------------------------------------
+    def load(self, keys: np.ndarray) -> None:
+        """Index the keys of an empty table's rows ``0..n-1``: exactly
+        ``0..n-1`` become the dense prefix, any other set must be unique
+        (else :class:`DuplicateKey`, with nothing indexed)."""
+        keys = np.asarray(keys, dtype=np.int64)
+        n = keys.size
+        if n and keys[0] == 0 and keys[-1] == n - 1 and (np.diff(keys) == 1).all():
+            self._dense_limit = n
+            return
+        if np.unique(keys).size != n:
+            raise DuplicateKey("bulk_load keys must be unique")
+        self.bulk_insert(keys, np.arange(n, dtype=np.int64))
+
     def bulk_insert(self, keys: np.ndarray, rows: np.ndarray) -> None:
         """Register many (key, row) pairs at once; the caller guarantees
         the keys are new and distinct (the batched write-back dedups
@@ -140,12 +175,24 @@ class PrimaryIndex:
         self._claim(keys, np.asarray(rows, dtype=np.int64))
         self._n += keys.size
 
-    def rows_of(self, keys: np.ndarray) -> np.ndarray:
-        """The row slot of each key, ``-1`` where it is absent: every
-        key probes its home slot at once, and each round the keys that
-        met neither their own entry nor a free slot probe the next.  A
-        free slot's key reads 0, so key 0 "meets" it and reads its row,
-        -1 — the right answer, since a free slot ends every probe."""
+    def rows_of(self, keys: np.ndarray, xp: ArrayBackend = HOST) -> np.ndarray:
+        """The row slot of each key, ``-1`` where it is absent.  ``keys``
+        and the result live on ``xp``: the dense prefix resolves there,
+        and the other keys are read back explicitly, probed together on
+        the host, and their slots ship down in one go."""
+        dense = (keys >= 0) & (keys < self._dense_limit)
+        rows = xp.where(dense, keys, -1)
+        if not dense.all():
+            nd = xp.flatnonzero(~dense)
+            rows[nd] = xp.from_host(self._probe(xp.to_host(keys[nd])))
+        return rows
+
+    def _probe(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`rows_of` past the prefix: every key probes its home
+        slot at once, and each round the keys that met neither their
+        own entry nor a free slot probe the next.  A free slot's key
+        reads 0, so key 0 "meets" it and reads its row, -1 — the right
+        answer, since a free slot ends every probe."""
         keys = np.asarray(keys, dtype=np.int64)
         table_keys, table_rows, mask = self._keys, self._rows, self._mask
         slot = _home(keys, self._bits, mask)
@@ -166,6 +213,62 @@ class PrimaryIndex:
     def copy(self) -> "PrimaryIndex":
         clone = PrimaryIndex()
         clone._n, clone._bits, clone._mask = self._n, self._bits, self._mask
+        clone._dense_limit = self._dense_limit
         clone._keys, clone._rows = self._keys.copy(), self._rows.copy()
         clone._views()
+        return clone
+
+
+#: Keys per node of the B+-tree whose height :attr:`OrderedIndex.height`
+#: reports (fan-out 33).
+_NODE_KEYS = 32
+
+
+class OrderedIndex:
+    """Unique int key -> row slot in key order: two int64 arrays kept
+    sorted by key.  Each :meth:`add` merges into new arrays and never
+    writes into the old ones, so a :meth:`copy` shares them."""
+
+    def __init__(self) -> None:
+        self._keys = np.empty(0, dtype=np.int64)
+        self._rows = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self._keys.size
+
+    @property
+    def height(self) -> int:
+        """The levels of a B+-tree of :data:`_NODE_KEYS` keys per node
+        that took these entries by ascending appends — the cost model's
+        index probe reads this many nodes.  Its leaves split in half
+        when full, so it first has h+1 levels at t(h+1) = 17·t(h) −
+        (16h − 1) entries, t(2) = 33: at 33, 530, 8,963, 152,308 and
+        2,589,157 (each equal to a node-by-node tree's under ascending
+        inserts, the only order the workloads produce)."""
+        half = _NODE_KEYS // 2
+        n, h, t = self._keys.size, 1, _NODE_KEYS + 1
+        while n >= t:
+            h += 1
+            t = (half + 1) * t - (half * h - 1)
+        return h
+
+    def add(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Merge (key, row) pairs whose keys are absent and distinct (the
+        primary index has refused any other) in one pass."""
+        order = np.argsort(keys, kind="stable")
+        keys, rows = keys[order], rows[order]
+        at = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, at, keys)
+        self._rows = np.insert(self._rows, at, rows)
+
+    def range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys with ``lo <= key <= hi`` and their rows, in key
+        order (empty when ``lo > hi``)."""
+        start = np.searchsorted(self._keys, lo, side="left")
+        stop = np.searchsorted(self._keys, hi, side="right")
+        return self._keys[start:stop], self._rows[start:stop]
+
+    def copy(self) -> "OrderedIndex":
+        clone = OrderedIndex()
+        clone._keys, clone._rows = self._keys, self._rows
         return clone

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import DuplicateKey, StorageError
-from repro.storage.btree import BTreeIndex
-from repro.storage.index import PrimaryIndex
+from repro.errors import StorageError
+from repro.storage.index import OrderedIndex, PrimaryIndex
 from repro.storage.schema import Schema
 from repro.xp import HOST, ArrayBackend
 
@@ -39,11 +38,8 @@ class Table:
         #: Secondary indexes by column: value -> the newest row slot
         #: holding it (an int-only dict, which the collector never tracks).
         self.secondary: dict[str, dict[int, int]] = {}
-        #: Optional B-tree over primary keys (range-query extension).
-        self.ordered: BTreeIndex | None = None
-        #: Keys below this value map to row == key (dense fast path set
-        #: up by :meth:`bulk_load`); keys at or above it use the index.
-        self._dense_limit = 0
+        #: Optional ordered index over primary keys (range-query extension).
+        self.ordered: OrderedIndex | None = None
         #: Device-resident view hook (:mod:`repro.xp.residency`): while
         #: set, device-side scatters may leave host columns stale, and
         #: the host accessors below fence lazily before reading.
@@ -94,13 +90,13 @@ class Table:
             self._columns[c.name] = grown(self._columns[c.name], c.default)
         self._capacity = new_capacity
 
-    # -- ordered (B-tree) index ------------------------------------------------
-    def add_ordered_index(self) -> BTreeIndex:
-        """Build a B-tree over primary keys, enabling
+    # -- ordered index ------------------------------------------------------------
+    def add_ordered_index(self) -> OrderedIndex:
+        """Build an ordered index over primary keys, enabling
         :meth:`range_rows`.  Maintained automatically on insert."""
         if self.ordered is not None:
             raise StorageError(f"table {self.name!r} already has an ordered index")
-        index = BTreeIndex()
+        index = OrderedIndex()
         self._index_rows(0, self._num_rows, {}, index)
         self.ordered = index
         return index
@@ -113,7 +109,8 @@ class Table:
                 f"table {self.name!r} has no ordered index; call "
                 f"add_ordered_index() to enable range queries"
             )
-        return list(self.ordered.range(lo, hi))
+        keys, rows = self.ordered.range(lo, hi)
+        return list(zip(keys.tolist(), rows.tolist()))
 
     # -- secondary indexes ------------------------------------------------------
     def add_secondary_index(self, column: str) -> dict[int, int]:
@@ -132,12 +129,10 @@ class Table:
 
     # -- bulk loading ---------------------------------------------------------
     def bulk_load(self, keys: np.ndarray, columns: dict[str, np.ndarray]) -> None:
-        """Vectorized population of an empty table.
-
-        ``keys`` must be unique; when they are exactly ``0..n-1`` the
-        primary index switches to a dense fast path (no index entries),
-        which is what makes 10M-row YCSB tables loadable.
-        """
+        """Vectorized population of an empty table: row ``i`` takes
+        ``keys[i]``, which must be unique (:meth:`PrimaryIndex.load
+        <repro.storage.index.PrimaryIndex.load>` indexes them, and
+        refuses duplicates before any row moves)."""
         if self._num_rows:
             raise StorageError("bulk_load requires an empty table")
         self.check_columns(columns)
@@ -145,9 +140,7 @@ class Table:
         n = keys.size
         if n == 0:
             return
-        dense = bool(keys[0] == 0 and keys[-1] == n - 1 and np.all(np.diff(keys) == 1))
-        if not dense and np.unique(keys).size != n:
-            raise DuplicateKey("bulk_load keys must be unique")
+        self.primary.load(keys)
         self._grow(n)
         self._keys[:n] = keys
         for name, values in columns.items():
@@ -156,10 +149,6 @@ class Table:
         self._num_rows = n
         if self._resident_view is not None:
             self._resident_view.host_written_all()
-        if dense:
-            self._dense_limit = n
-        else:
-            self.primary.bulk_insert(keys, np.arange(n, dtype=np.int64))
         self._index_rows(0, n, self.secondary, self.ordered)
 
     # -- writes -------------------------------------------------------------
@@ -171,8 +160,6 @@ class Table:
         if self._num_rows + 1 > self._capacity:
             self._grow(self._num_rows + 1)
         row = self._num_rows
-        if 0 <= key < self._dense_limit:
-            raise DuplicateKey(f"primary key {key} already present")
         self.primary.insert(int(key), row)
         self._keys[row] = key
         if values:
@@ -217,19 +204,17 @@ class Table:
 
     def _index_rows(
         self, start: int, stop: int, secondary: dict[str, dict[int, int]],
-        ordered: BTreeIndex | None,
+        ordered: OrderedIndex | None,
     ) -> None:
         """Point ``secondary``'s indexes and ``ordered`` at slots
         ``start..stop-1`` — every insert, load, append and backfill.
         Slots go in in order, so a value's newest row overwrites its
-        older ones; the B-tree takes its keys one at a time."""
+        older ones; the ordered index merges them in one pass."""
         rows = range(start, stop)
         for column, index in secondary.items():
             index.update(zip(self._columns[column][start:stop].tolist(), rows))
         if ordered is not None:
-            ins = ordered.insert
-            for key, row in zip(self._keys[start:stop].tolist(), rows):
-                ins(key, row)
+            ordered.add(self._keys[start:stop], np.arange(start, stop, dtype=np.int64))
 
     def write(self, row: int, column: str, value: int) -> None:
         self._check_row(row)
@@ -246,30 +231,15 @@ class Table:
     # -- reads ------------------------------------------------------------------
     def lookup(self, key: int) -> int:
         """Primary-key lookup; raises :class:`KeyNotFound`."""
-        key = int(key)
-        if 0 <= key < self._dense_limit:
-            return key
-        return self.primary.lookup(key)
+        return self.primary.lookup(int(key))
 
     def get_row(self, key: int) -> int | None:
-        key = int(key)
-        if 0 <= key < self._dense_limit:
-            return key
-        return self.primary.get(key)
+        return self.primary.get(int(key))
 
     def rows_of_keys(self, keys: np.ndarray, xp: ArrayBackend = HOST) -> np.ndarray:
         """Vectorized :meth:`get_row`: the row slot of each key, ``-1``
-        where it is absent — the one place "dense below the limit, else
-        probe the index" is decided for arrays.  ``keys`` and the
-        result live on ``xp``; the index lives on the host, so the
-        non-dense keys are read back explicitly, probed together, and
-        their slots ship down in one go."""
-        dense = (keys >= 0) & (keys < self._dense_limit)
-        rows = xp.where(dense, keys, -1)
-        if not dense.all():
-            nd = xp.flatnonzero(~dense)
-            rows[nd] = xp.from_host(self.primary.rows_of(xp.to_host(keys[nd])))
-        return rows
+        where it is absent; ``keys`` and the result live on ``xp``."""
+        return self.primary.rows_of(keys, xp)
 
     def key_of(self, row: int) -> int:
         self._check_row(row)
@@ -337,7 +307,6 @@ class Table:
         clone.primary = self.primary.copy()
         clone.secondary = {n: dict(ix) for n, ix in self.secondary.items()}
         clone.ordered = self.ordered.copy() if self.ordered is not None else None
-        clone._dense_limit = self._dense_limit
         return clone
 
     def state_signature(self) -> bytes:

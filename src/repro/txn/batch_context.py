@@ -417,11 +417,6 @@ class BatchedContext:
         _, t = self._db.resolve(table)
         return self._column(t, column)
 
-    def dense_limit(self, table: str) -> int:
-        """Keys below this resolve to their own row slot (twins use it
-        to decide when a vectorized range is safe without index descent)."""
-        return self._db.table(table)._dense_limit
-
     def rows_for_keys(
         self, table: str, lanes: np.ndarray, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -98,22 +98,19 @@ class BufferedContext:
         if local.inserts:
             own = local.inserts.get((table_id, int(key)))
             if own is not None:
-                default = dict(
-                    (c.name, c.default) for c in t.schema.columns
-                ).get(column)
-                if column not in t.schema.column_names:
-                    raise TransactionError(
-                        f"table {table!r} has no column {column!r}"
+                t.check_columns((column,))
+                value = own.get(column)
+                if value is None:
+                    value = next(
+                        c.default for c in t.schema.columns if c.name == column
                     )
-                value = own.get(column, default)
                 self._emit(
                     (_READ, table_id, -1, intern_column(column), int(value), int(key))
                 )
                 return int(value)
-        # Inlined Table.lookup / Table.read (this is the hottest path in
-        # the repo; rows from the primary index never need bounds checks).
-        key = int(key)
-        row = key if 0 <= key < t._dense_limit else t.primary.lookup(key)
+        # Inlined Table.read (this is the hottest path in the repo; rows
+        # from the primary index never need bounds checks).
+        row = t.primary.lookup(int(key))
         loc = (table_id, row, column)
         value = local.writes.get(loc)
         if value is None:
@@ -156,7 +153,7 @@ class BufferedContext:
         self, table: str, lo: int, hi: int, column: str, limit: int | None = None
     ) -> list[int]:
         """Read ``column`` of every row with ``lo <= key <= hi`` through
-        the table's B-tree (the range-query extension; the table needs
+        the table's ordered index (the range-query extension; the table needs
         :meth:`~repro.storage.table.Table.add_ordered_index`).
 
         The predicate itself is recorded so the engine can abort this
@@ -185,8 +182,7 @@ class BufferedContext:
     # -- writes -------------------------------------------------------------
     def write(self, table: str, key: int, column: str, value: int) -> None:
         table_id, t = self._resolve(table)
-        key = int(key)
-        row = key if 0 <= key < t._dense_limit else t.primary.lookup(key)
+        row = t.primary.lookup(int(key))
         loc = (table_id, row, column)
         local = self.local
         local.writes[loc] = value = int(value)
@@ -199,8 +195,7 @@ class BufferedContext:
     def add(self, table: str, key: int, column: str, delta: int) -> None:
         """Commutative ``column += delta`` (delayed-update eligible)."""
         table_id, t = self._resolve(table)
-        key = int(key)
-        row = key if 0 <= key < t._dense_limit else t.primary.lookup(key)
+        row = t.primary.lookup(int(key))
         loc = (table_id, row, column)
         adds = self.local.adds
         adds[loc] = adds.get(loc, 0) + (delta := int(delta))

@@ -114,10 +114,9 @@ class OpColumns:
     Ops live in a flat ``array('q')`` (int64) of row-major 6-field
     groups.  A recording context extends :attr:`buffer` with one op's
     6 values at a time — a single C-level call per op, the cheapest
-    append path CPython offers; the typed ``(n, 6)`` int64 matrix is
-    materialized per access (one memcpy of the buffer), so there is no
-    cache to invalidate.  Sequence access (``len``/indexing/iteration)
-    yields :class:`OpRecord` views for object-oriented consumers.
+    append path CPython offers.  Sequence access (``len``/indexing/
+    iteration) yields :class:`OpRecord` views for object-oriented
+    consumers.
     """
 
     __slots__ = ("_buf",)
@@ -145,41 +144,6 @@ class OpColumns:
         """The ops as fixed-width tuple rows (copies; test helper)."""
         b = self._buf
         return [tuple(b[i : i + OP_FIELDS]) for i in range(0, len(b), OP_FIELDS)]
-
-    # -- columnar views ---------------------------------------------------
-    @property
-    def matrix(self) -> np.ndarray:
-        """All ops as an ``(n, OP_FIELDS)`` int64 matrix (copies out of
-        the append buffer, so later appends never race a live view)."""
-        n = len(self._buf) // OP_FIELDS
-        return np.frombuffer(self._buf.tobytes(), dtype=np.int64).reshape(
-            n, OP_FIELDS
-        )
-
-    @property
-    def kinds(self) -> np.ndarray:
-        return self.matrix[:, 0]
-
-    @property
-    def tables(self) -> np.ndarray:
-        return self.matrix[:, 1]
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.matrix[:, 2]
-
-    @property
-    def columns(self) -> np.ndarray:
-        """Interned column ids (decode with :func:`column_name`)."""
-        return self.matrix[:, 3]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix[:, 4]
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self.matrix[:, 5]
 
     # -- OpRecord compatibility ------------------------------------------
     def _record(self, index: int) -> OpRecord:

@@ -98,8 +98,9 @@ def _register_procedures(
                 value = ctx.read("usertable", key, "f1")
                 ctx.write("usertable", key, "f1", value + 1)
             elif btree_scans:
-                # Range-query extension: one ordered-index descent plus
-                # a contiguous leaf walk, with phantom protection.
+                # Range-query extension: one ordered-index search (priced
+                # at a B+-tree's height) and a contiguous scan, with
+                # phantom protection.
                 ctx.range_read("usertable", key, key + SCAN_LENGTH - 1, "f1")
             else:
                 for offset in range(SCAN_LENGTH):
@@ -155,7 +156,7 @@ def _ycsb_txn_b(btree_scans, bctx, params):
             hazard |= ij & (reads_f1 | (eq & ((c2 == 1) | (c2 == 2))))
     bctx.fall_back(xp.flatnonzero(hazard))
 
-    dense_limit = bctx.dense_limit("usertable")
+    span = xp.arange(SCAN_LENGTH, dtype=np.int64)
     for j in range(max_ops):
         act = bctx.active_mask() & valid[:, j]
         cj = codes[:, j]
@@ -180,22 +181,23 @@ def _ycsb_txn_b(btree_scans, bctx, params):
             bctx.write("usertable", ok, r, "f1", value + 1)
         lanes3 = xp.flatnonzero(act & (cj == 3))
         if lanes3.size:
+            # a scan whose keys do not all resolve falls back (generated
+            # scans always resolve: starts are clamped below the initial
+            # table size)
             lo = kj[lanes3]
-            # the fast path needs every key of the range to resolve
-            # densely (generated scans always do: starts are clamped
-            # below the initial table size, inserts go above it)
-            in_dense = (lo >= 0) & (lo + SCAN_LENGTH - 1 < dense_limit)
-            bctx.fall_back(lanes3[~in_dense])
-            sl = lanes3[in_dense]
+            counts = np.full(lanes3.size, SCAN_LENGTH, dtype=np.int64)
+            keep, rows = bctx.rows_for_flat_keys(
+                "usertable", lanes3, counts, (lo[:, None] + span).reshape(-1)
+            )
+            sl = lanes3[keep]
             if sl.size:
-                lo = lo[in_dense]
                 if btree_scans:
+                    lo = lo[keep]
                     bctx.range_predicate(
                         "usertable", sl, lo, lo + SCAN_LENGTH - 1
                     )
-                rows = lo[:, None] + xp.arange(SCAN_LENGTH, dtype=np.int64)
                 bctx.read_rows(
-                    "usertable", xp.repeat(sl, SCAN_LENGTH), rows.reshape(-1), "f1"
+                    "usertable", xp.repeat(sl, SCAN_LENGTH), rows, "f1"
                 )
 
 

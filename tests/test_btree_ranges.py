@@ -1,4 +1,4 @@
-"""B-tree index and the range-query extension (phantom-safe scans)."""
+"""The ordered index and the range-query extension (phantom-safe scans)."""
 
 from __future__ import annotations
 
@@ -9,90 +9,114 @@ from hypothesis import strategies as st
 
 from helpers import build_bank, txn
 from repro.core import LTPGConfig, LTPGEngine
-from repro.errors import DuplicateKey, KeyNotFound, StorageError
-from repro.storage import Table, make_schema
-from repro.storage.btree import BTreeIndex
+from repro.errors import DuplicateKey, StorageError
+from repro.storage import OrderedIndex, Table, make_schema
 from repro.txn import BufferedContext, TxnStatus
 from repro.workloads.ycsb import build_ycsb
 
 
+KEYS = st.integers(-(10**6), 10**6)
+BOUND = st.integers(-(2 * 10**6), 2 * 10**6)
+
+
+def _ordered(*keys: int) -> OrderedIndex:
+    """An ordered index holding ``keys``, row ``10 * key`` each."""
+    index = OrderedIndex()
+    arr = np.array(keys, dtype=np.int64)
+    index.add(arr, arr * 10)
+    return index
+
+
+def _range(index: OrderedIndex, lo: int, hi: int) -> list[tuple[int, int]]:
+    keys, rows = index.range(lo, hi)
+    assert keys.dtype == rows.dtype == np.int64
+    return list(zip(keys.tolist(), rows.tolist()))
+
+
 class TestBTreeBasics:
+    """The ordered index behind the range-query extension: sorted
+    arrays, priced as the B+-tree of 32 keys per node it models."""
+
     def test_insert_and_lookup(self):
-        tree = BTreeIndex(order=4)
-        for k in [5, 1, 9, 3, 7]:
-            tree.insert(k, k * 10)
-        assert tree.lookup(3) == 30
-        assert tree.lookup(9) == 90
-        assert len(tree) == 5
+        index = _ordered(5, 1, 9, 3, 7)
+        assert _range(index, 3, 3) == [(3, 30)]
+        assert _range(index, 9, 9) == [(9, 90)]
+        assert len(index) == 5
 
     def test_duplicate_rejected(self):
-        tree = BTreeIndex(order=4)
-        tree.insert(1, 1)
+        # the primary index refuses the key before the ordered one sees it
+        table = Table(make_schema("t", "id", "v"))
+        table.add_ordered_index()
+        table.insert(1)
         with pytest.raises(DuplicateKey):
-            tree.insert(1, 2)
+            table.insert(1)
+        assert _range(table.ordered, 0, 9) == [(1, 0)]
 
     def test_missing_key(self):
-        tree = BTreeIndex()
-        with pytest.raises(KeyNotFound):
-            tree.lookup(42)
-        assert tree.get(42) is None
-        assert 42 not in tree
+        assert _range(OrderedIndex(), 42, 42) == []
+        assert _range(_ordered(41, 43), 42, 42) == []
 
     def test_splits_grow_height(self):
-        tree = BTreeIndex(order=4)
-        for k in range(100):
-            tree.insert(k, k)
-        assert tree.height > 1
-        for k in range(100):
-            assert tree.lookup(k) == k
+        """Pinned on each side of every step: a tree filled by
+        ascending appends first has h+1 levels at 33, 530, 8,963 and
+        152,308 entries."""
+        pins = [(0, 1), (1, 1), (32, 1), (33, 2), (529, 2), (530, 3),
+                (8_962, 3), (8_963, 4), (152_307, 4), (152_308, 5)]
+        for entries, height in pins:
+            keys = np.arange(entries, dtype=np.int64)
+            index = OrderedIndex()
+            index.add(keys, keys)
+            assert index.height == height, entries
 
     def test_range_inclusive(self):
-        tree = BTreeIndex(order=4)
-        for k in range(0, 40, 2):
-            tree.insert(k, k)
-        got = [k for k, _ in tree.range(10, 20)]
-        assert got == [10, 12, 14, 16, 18, 20]
+        index = _ordered(*range(0, 40, 2))
+        assert [k for k, _ in _range(index, 10, 20)] == [10, 12, 14, 16, 18, 20]
 
     def test_range_empty_and_inverted(self):
-        tree = BTreeIndex(order=4)
-        tree.insert(5, 5)
-        assert list(tree.range(6, 9)) == []
-        assert list(tree.range(9, 6)) == []
+        index = _ordered(5)
+        assert _range(index, 6, 9) == []
+        assert _range(index, 9, 6) == []
+        assert _range(index, 5, 4) == []
 
     def test_items_sorted(self):
-        tree = BTreeIndex(order=4)
         keys = [9, 2, 7, 4, 11, 0]
-        for k in keys:
-            tree.insert(k, k)
-        assert [k for k, _ in tree.items()] == sorted(keys)
+        index = OrderedIndex()
+        for k in keys:  # one add per key, in any order
+            index.add(np.array([k]), np.array([k]))
+        assert [k for k, _ in _range(index, -(2**62), 2**62)] == sorted(keys)
 
     def test_copy_independent(self):
-        tree = BTreeIndex(order=4)
-        tree.insert(1, 1)
-        clone = tree.copy()
-        clone.insert(2, 2)
-        assert 2 not in tree
+        index = _ordered(5, 1)
+        clone = index.copy()
+        clone.add(np.array([3]), np.array([30]))
+        index.add(np.array([9]), np.array([90]))
+        assert _range(index, 0, 10) == [(1, 10), (5, 50), (9, 90)]
+        assert _range(clone, 0, 10) == [(1, 10), (3, 30), (5, 50)]
 
-    def test_invalid_order(self):
-        with pytest.raises(StorageError):
-            BTreeIndex(order=2)
-
-    @given(st.lists(st.integers(-(10**6), 10**6), unique=True, max_size=300))
-    @settings(max_examples=30)
-    def test_against_sorted_dict_oracle(self, keys):
-        tree = BTreeIndex(order=4)
-        for i, k in enumerate(keys):
-            tree.insert(k, i)
-        assert len(tree) == len(keys)
-        model = dict(zip(keys, range(len(keys))))
-        for k, v in model.items():
-            assert tree.lookup(k) == v
-        assert [k for k, _ in tree.items()] == sorted(model)
-        if keys:
-            lo, hi = min(keys), max(keys)
-            mid_lo, mid_hi = sorted([keys[0], keys[-1]])
-            expected = sorted(k for k in model if mid_lo <= k <= mid_hi)
-            assert [k for k, _ in tree.range(mid_lo, mid_hi)] == expected
+    @given(
+        st.lists(st.lists(KEYS, max_size=40), max_size=8),
+        st.lists(st.tuples(BOUND, BOUND), max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_against_sorted_dict_oracle(self, calls, bounds):
+        """Adds in several calls, each in any key order, then ranges
+        with empty, inverted and out-of-span bounds."""
+        index, model = OrderedIndex(), {}
+        for keys in calls:
+            new = [k for k in dict.fromkeys(keys) if k not in model]
+            rows = list(range(len(model), len(model) + len(new)))
+            index.add(np.array(new, dtype=np.int64), np.array(rows, dtype=np.int64))
+            model.update(zip(new, rows))
+            assert len(index) == len(model)
+        span = sorted(model)
+        edges = [(-(3 * 10**6), 3 * 10**6)]
+        if span:
+            edges += [(span[0], span[-1]), (span[-1] + 1, span[-1] + 9),
+                      (span[0] - 9, span[0] - 1), (span[-1], span[0])]
+        for lo, hi in edges + bounds:
+            assert _range(index, lo, hi) == [
+                (k, model[k]) for k in span if lo <= k <= hi
+            ]
 
 
 class TestTableOrderedIndex:

@@ -27,8 +27,11 @@ STEPS = st.lists(
 )
 
 
-def _agrees(index: PrimaryIndex, model: dict[int, int], probes) -> None:
-    """Every read path of ``index`` answers ``probes`` as ``model`` does."""
+def _agrees(
+    index: PrimaryIndex, model: dict[int, int], probes, prefix: int = 0
+) -> None:
+    """Every read path of ``index`` answers ``probes`` as ``model`` does;
+    the ``prefix`` keys ``0..prefix-1`` hold no entry."""
     probes = list(probes)
     got = index.rows_of(np.array(probes, dtype=np.int64))
     assert got.dtype == np.int64
@@ -40,16 +43,21 @@ def _agrees(index: PrimaryIndex, model: dict[int, int], probes) -> None:
         else:
             with pytest.raises(KeyNotFound):
                 index.lookup(k)
-    assert len(index) == len(model)
+    assert len(index) == len(model) - prefix
 
 
 @settings(max_examples=150, deadline=None)
-@given(STEPS)
-def test_index_matches_a_dict_model(steps):
+@given(STEPS, st.sampled_from((0, 0, 1, 17, 64)))
+def test_index_matches_a_dict_model(steps, prefix):
     """Bulk and scalar inserts, bulk and scalar probes, growth through
     several doublings (up to ~800 keys from 16 slots) and copies taken
-    along the way, which later inserts must not reach."""
+    along the way, which later inserts must not reach — after a load
+    of ``0..prefix-1`` (the dense prefix, whose keys are their own rows
+    and refuse a second insert), probed on both sides of it."""
     index, model = PrimaryIndex(), {}
+    if prefix:
+        index.load(np.arange(prefix, dtype=np.int64))
+        model = {k: k for k in range(prefix)}
     copies = []
     for op, keys in steps:
         if op == "bulk":
@@ -66,12 +74,30 @@ def test_index_matches_a_dict_model(steps):
                     index.insert(k, len(model))
                     model[k] = len(model)
         elif op == "probe":
-            _agrees(index, model, keys)
+            _agrees(index, model, keys, prefix)
         else:
             copies.append((index.copy(), dict(model)))
-    _agrees(index, model, model)
+    edges = [-1, 0, prefix - 1, prefix, prefix + 1, -(2**63)]
+    _agrees(index, model, [*model, *edges], prefix)
     for clone, seen in copies:
-        _agrees(clone, seen, model)
+        _agrees(clone, seen, [*model, *edges], prefix)
+
+
+@pytest.mark.parametrize(
+    "keys, entries",
+    [([0, 1, 2, 3], 0), ([0, 2, 1, 3], 4), ([1, 2, 3], 3), ([0, 2, 3], 3)],
+    ids=["dense", "unordered", "offset", "gap"],
+)
+def test_load_takes_a_dense_prefix_or_unique_keys(keys, entries):
+    """Exactly ``0..n-1`` loads as a prefix with no entries; any other
+    set is indexed key by key, its rows the load positions."""
+    index = PrimaryIndex()
+    index.load(np.array(keys, dtype=np.int64))
+    assert len(index) == entries
+    rows = list(range(len(keys)))
+    assert index.rows_of(np.array(keys, dtype=np.int64)).tolist() == rows
+    assert [index.get(k) for k in keys] == rows
+    assert index.get(4) is None and index.get(-1) is None
 
 
 def test_growth_doubles_and_keeps_every_entry():

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import build_bank, txn
 from repro.errors import (
+    StorageError,
     TransactionAborted,
     TransactionError,
     WorkloadError,
@@ -72,6 +73,22 @@ class TestBufferedContext:
         ctx.insert("accounts", 200, {})
         with pytest.raises(TransactionError):
             ctx.insert("accounts", 200, {})
+
+    def test_unknown_column_read_is_a_storage_error(self):
+        """A stored row and the transaction's own insert refuse an
+        unknown column alike, as ``Table.column`` does."""
+        ctx = BufferedContext(self.db)
+        ctx.insert("accounts", 100, {"balance": 5})
+        for key in (1, 100):
+            with pytest.raises(StorageError):
+                ctx.read("accounts", key, "nope")
+
+    def test_own_insert_read_falls_back_to_the_column_default(self):
+        ctx = BufferedContext(self.db)
+        ctx.insert("accounts", 100, {"balance": 5})
+        assert ctx.read("accounts", 100, "balance") == 5
+        assert ctx.read("accounts", 100, "flags") == 0
+        assert [op.key for op in ctx.ops[1:]] == [100, 100]
 
     def test_key_at(self):
         ctx = BufferedContext(self.db)
