@@ -25,7 +25,7 @@ from typing import Any
 from repro.serve.admission import AdmissionController
 from repro.serve.errors import ServeError
 from repro.serve.orchestrator import Orchestrator
-from repro.serve.policies import BatchPolicy, make_policy
+from repro.serve.policies import BatchPolicy, SizePolicy, make_policy
 from repro.serve.workload import (
     ClientProfile,
     ClientStats,
@@ -152,12 +152,21 @@ def serve_run(
     (:meth:`~repro.core.engine.LTPGEngine.reset_run_state`), so the
     serve timeline and the device timeline both start at ``t=0`` and
     back-to-back runs are bit-identical.
+
+    A closed loop under a :class:`SizePolicy` is refused with a
+    :class:`ServeError`: its last requests never fill a batch, and the
+    ingress drains only after every session has finished.
     """
     from repro.serve.clock import run_simulation
 
     if isinstance(policy, str):
         policy = make_policy(
             policy, engine.config.batch_size, max_wait_ns=max_wait_us * 1000
+        )
+    if mode == "closed" and isinstance(policy, SizePolicy):
+        raise ServeError(
+            "a closed loop never fills its last size-only batch; "
+            "use the 'hybrid' or 'deadline' policy"
         )
     engine.reset_run_state()
     source = RequestSource(generator, profile or ClientProfile())

@@ -28,7 +28,10 @@ single-transaction requests and the batch engine.  It owns:
   batch is delivered by **one** ``loop.call_soon``: the callbacks of all
   its requests run back to back, in decision order, from that single
   loop callback; one that raises is reported to the loop's exception
-  handler and the rest still run.
+  handler and the rest still run.  The loop yields once after
+  scheduling it, so the delivery — and every request its callbacks
+  post — comes before the next cut: a closed-loop caller re-posts into
+  the next batch, not the one after it.
 
 Admission control runs synchronously at :meth:`Orchestrator.post` time —
 sheds raise typed errors before a request is ever created, so rejected
@@ -447,7 +450,8 @@ class Orchestrator:
 
     # -- the batch-forming loop ----------------------------------------
     async def _batch_loop(self) -> None:
-        """Cut and run batches until drained.
+        """Cut and run batches until drained, delivering each decided
+        batch before the next cut.
 
         Meanwhile the collector's generation-0 threshold is at least
         :data:`YOUNG_BATCHES` batches, so it stops walking the requests
@@ -464,7 +468,8 @@ class Orchestrator:
             while True:
                 if not await self._wait_for_cut():
                     return
-                await self._run_one_batch()
+                if await self._run_one_batch():
+                    await asyncio.sleep(0)  # the delivery, before the next cut
         finally:
             held, *older = gc.get_threshold()
             if held == young != before:
@@ -508,7 +513,8 @@ class Orchestrator:
                 except asyncio.TimeoutError:
                     pass
 
-    async def _run_one_batch(self) -> None:
+    async def _run_one_batch(self) -> bool:
+        """Cut, run and book one batch; True if it scheduled a delivery."""
         cut_ns = self.clock.now_ns()
         # every transaction the scheduler holds is a _Request of ours
         batch = cast("list[_Request]", self._scheduler.next_batch())
@@ -528,9 +534,9 @@ class Orchestrator:
             result = step(self.engine, self._scheduler, batch)
         except Exception as exc:
             self._fail_batch(record, batch, exc)
-            return
+            return True
         if result is None:
-            return  # an empty cut only advanced the scheduler
+            return False  # an empty cut only advanced the scheduler
         # Simulated execution time passes on the virtual clock while the
         # device "runs" the batch; fresh arrivals keep queueing.
         await self.clock.sleep_ns(round(result.stats.latency_ns))
@@ -543,7 +549,7 @@ class Orchestrator:
         for request in result.aborted:
             request.enqueue_ns = done_ns
         self._depth += len(result.aborted)
-        self._resolve(result.committed, result.logic_aborted, done_ns)
+        delivered = self._resolve(result.committed, result.logic_aborted, done_ns)
         for name, group in (
             ("serve.retries", result.aborted),
             ("serve.committed", result.committed),
@@ -570,16 +576,17 @@ class Orchestrator:
             tracer.counter(
                 SERVE_QUEUE_COUNTER, float(done_ns), depth=self._depth
             )
+        return delivered
 
     def _resolve(
         self,
         committed: list[_Request],
         logic_aborted: list[_Request],
         done_ns: int,
-    ) -> None:
+    ) -> bool:
         """Stamp every decided request of one batch with its response,
         book the batch's latencies in one go, and schedule the batch's
-        one delivery."""
+        one delivery; False when nothing was decided."""
         latencies: list[int] = []
         waits: list[int] = []
         add_latency, add_wait = latencies.append, waits.append
@@ -594,7 +601,7 @@ class Orchestrator:
                     request.abort_reason, submit_ns, first_cut_ns, done_ns,
                 ))
         if not latencies:
-            return
+            return False
         assert self._loop is not None
         self._loop.call_soon(_deliver, chain(committed, logic_aborted))
         self.latency.extend(latencies)
@@ -605,6 +612,7 @@ class Orchestrator:
         histogram = self.metrics.histogram("serve.latency_us_pow2")
         for nbits in np.flatnonzero(bits).tolist():
             histogram.observe(1 << nbits, int(bits[nbits]))
+        return True
 
     def _fail_batch(
         self, record: BatchRecord, batch: list[_Request], exc: Exception

@@ -215,6 +215,19 @@ def test_virtual_deadlock_is_detected_not_hung():
         run_simulation(main())
 
 
+@pytest.mark.parametrize("sessions", [32, 64])
+def test_a_closed_loop_under_a_size_only_cut_is_refused(sessions):
+    """``python -m repro.serve --mode closed --policy size`` (batch 64):
+    the last requests of the sessions never fill a batch and the ingress
+    drains only after every session has finished, so the run would never
+    end; it is refused up front, naming the policies that do end."""
+    from repro.serve.api import simulate_serve
+
+    with pytest.raises(ServeError, match="hybrid.*deadline") as refused:
+        simulate_serve("smallbank", mode="closed", policy="size", sessions=sessions)
+    assert not isinstance(refused.value, VirtualTimeDeadlock)
+
+
 def test_sim_clock_requires_running_loop():
     clock = SimClock()
     with pytest.raises(RuntimeError):

@@ -338,3 +338,26 @@ def test_pipelined_smallbank_views_and_admission_depths_are_pinned():
     assert (len(admission.depths), _digest(admission.depths)) == (
         240, "d872f94eca2519cf"
     )
+
+
+@pytest.mark.parametrize(
+    "max_wait_us, batches, mean_lanes, p50_ns",
+    [(0, 228, 53.01, 44_482), (5, 227, 53.24, 49_382)],
+)
+def test_closed_loop_smallbank_batches_and_latency_are_pinned(
+    max_wait_us, batches, mean_lanes, p50_ns
+):
+    """64 closed-loop SmallBank sessions on a 128-lane deadline cut.  At
+    ``max_wait_us=0`` the cut waits for nothing, so what a batch holds
+    is whatever the previous batch's callers posted before it was cut;
+    at 5 us the policy's own wait lets them in either way."""
+    from repro.serve.api import simulate_serve
+
+    report = simulate_serve(
+        "smallbank", batch_size=128, mode="closed", sessions=64,
+        requests_per_session=20, policy="deadline", max_wait_us=max_wait_us,
+    )
+    assert report.committed + report.logic_aborted == 64 * 20
+    assert (report.batches, round(report.mean_batch_size, 2), report.latency["p50"]) == (
+        batches, mean_lanes, p50_ns
+    )

@@ -16,6 +16,7 @@ import asyncio
 import contextvars
 import gc
 from collections import Counter
+from functools import partial
 
 import pytest
 from helpers import StubEngine
@@ -330,6 +331,70 @@ def test_second_callback_takes_the_overflow_list():
         assert ticket._callback is None  # delivered, and let go of
 
     run_simulation(main())
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["deciding", "failing"])
+def test_a_decided_batch_is_delivered_before_the_next_batch_runs(fail):
+    """A closed loop of twice as many clients as lanes, each
+    done-callback posting that client's next request: every request
+    decided in batch k has its callbacks run before the engine starts
+    batch k+1, so a client re-posts into the next batch, not the one
+    after it."""
+    capacity, rounds = 4, 5
+    clients = 2 * capacity
+
+    def verdict(txn):
+        if fail and len(engine.batches) % 3 == 0:
+            raise RuntimeError("device fault")  # the whole batch fails
+        return "commit"
+
+    engine = StubEngine(batch_size=capacity, latency_ns=1_000, verdict=verdict)
+    events = []
+    run_batch = engine.run_batch
+
+    def logged_run_batch(batch):
+        events.append(("run", len(orch.batch_records) - 1))
+        return run_batch(batch)
+
+    engine.run_batch = logged_run_batch
+    orch = Orchestrator(engine, policy=SizePolicy(capacity))
+
+    async def main():
+        posted = [0] * clients
+        all_posted = asyncio.get_running_loop().create_future()
+
+        def post(client):
+            posted[client] += 1
+            orch.post("noop", (client,)).add_done_callback(partial(on_done, client))
+            if sum(posted) == clients * rounds:
+                all_posted.set_result(None)
+
+        def on_done(client, ticket):
+            events.append(("done", ticket.seq))
+            if posted[client] < rounds:
+                post(client)
+
+        for client in range(clients):
+            post(client)
+        await all_posted
+        await orch.drain()
+
+    run_simulation(main())
+    deciding = {}  # seq -> index of the batch that decided it (its last)
+    for record in orch.batch_records:
+        deciding.update(dict.fromkeys(record.seqs, record.index))
+    started = {index: at for at, (kind, index) in enumerate(events) if kind == "run"}
+    delivered = [(at, seq) for at, (kind, seq) in enumerate(events) if kind == "done"]
+    assert len(delivered) == clients * rounds
+    assert len(orch.batch_records) == clients * rounds // capacity
+    if fail:
+        assert orch.metrics.counter("serve.batch_failures").value > 0
+    late = [
+        (seq, deciding[seq])
+        for at, seq in delivered
+        if started.get(deciding[seq] + 1, at) < at
+    ]
+    assert late == []
 
 
 def test_cancelled_lane_still_executes_and_counts():
