@@ -28,10 +28,10 @@ single-transaction requests and the batch engine.  It owns:
   batch is delivered by **one** ``loop.call_soon``: the callbacks of all
   its requests run back to back, in decision order, from that single
   loop callback; one that raises is reported to the loop's exception
-  handler and the rest still run.  The loop yields once after
-  scheduling it, so the delivery — and every request its callbacks
-  post — comes before the next cut: a closed-loop caller re-posts into
-  the next batch, not the one after it.
+  handler and the rest still run.  The batch loop yields once after
+  every batch, so the delivery — and every request its callbacks post —
+  comes before the next cut: a closed-loop caller re-posts into the
+  next batch, not the one after it.
 
 Admission control runs synchronously at :meth:`Orchestrator.post` time —
 sheds raise typed errors before a request is ever created, so rejected
@@ -468,8 +468,8 @@ class Orchestrator:
             while True:
                 if not await self._wait_for_cut():
                     return
-                if await self._run_one_batch():
-                    await asyncio.sleep(0)  # the delivery, before the next cut
+                await self._run_one_batch()
+                await asyncio.sleep(0)  # the delivery, before the next cut
         finally:
             held, *older = gc.get_threshold()
             if held == young != before:
@@ -513,8 +513,7 @@ class Orchestrator:
                 except asyncio.TimeoutError:
                     pass
 
-    async def _run_one_batch(self) -> bool:
-        """Cut, run and book one batch; True if it scheduled a delivery."""
+    async def _run_one_batch(self) -> None:
         cut_ns = self.clock.now_ns()
         # every transaction the scheduler holds is a _Request of ours
         batch = cast("list[_Request]", self._scheduler.next_batch())
@@ -534,9 +533,9 @@ class Orchestrator:
             result = step(self.engine, self._scheduler, batch)
         except Exception as exc:
             self._fail_batch(record, batch, exc)
-            return True
+            return
         if result is None:
-            return False  # an empty cut only advanced the scheduler
+            return  # an empty cut only advanced the scheduler
         # Simulated execution time passes on the virtual clock while the
         # device "runs" the batch; fresh arrivals keep queueing.
         await self.clock.sleep_ns(round(result.stats.latency_ns))
@@ -549,7 +548,7 @@ class Orchestrator:
         for request in result.aborted:
             request.enqueue_ns = done_ns
         self._depth += len(result.aborted)
-        delivered = self._resolve(result.committed, result.logic_aborted, done_ns)
+        self._resolve(result.committed, result.logic_aborted, done_ns)
         for name, group in (
             ("serve.retries", result.aborted),
             ("serve.committed", result.committed),
@@ -576,17 +575,16 @@ class Orchestrator:
             tracer.counter(
                 SERVE_QUEUE_COUNTER, float(done_ns), depth=self._depth
             )
-        return delivered
 
     def _resolve(
         self,
         committed: list[_Request],
         logic_aborted: list[_Request],
         done_ns: int,
-    ) -> bool:
+    ) -> None:
         """Stamp every decided request of one batch with its response,
         book the batch's latencies in one go, and schedule the batch's
-        one delivery; False when nothing was decided."""
+        one delivery."""
         latencies: list[int] = []
         waits: list[int] = []
         add_latency, add_wait = latencies.append, waits.append
@@ -601,7 +599,7 @@ class Orchestrator:
                     request.abort_reason, submit_ns, first_cut_ns, done_ns,
                 ))
         if not latencies:
-            return False
+            return
         assert self._loop is not None
         self._loop.call_soon(_deliver, chain(committed, logic_aborted))
         self.latency.extend(latencies)
@@ -612,7 +610,6 @@ class Orchestrator:
         histogram = self.metrics.histogram("serve.latency_us_pow2")
         for nbits in np.flatnonzero(bits).tolist():
             histogram.observe(1 << nbits, int(bits[nbits]))
-        return True
 
     def _fail_batch(
         self, record: BatchRecord, batch: list[_Request], exc: Exception
