@@ -14,7 +14,8 @@ large GPU batches everything downstream assumes:
 * :mod:`repro.serve.orchestrator` — the transport-agnostic core that
   cuts batches, runs the engine, re-queues concurrency-control aborts
   and completes each request — the :data:`ServeTicket` that ``post()``
-  returned — a whole decided batch per loop callback;
+  returned, which is its own response — a whole decided batch per loop
+  callback;
 * :mod:`repro.serve.workload` — simulated open-/closed-loop client
   populations with Zipf-skewed users;
 * :mod:`repro.serve.api` — whole-run reports and the one-call
@@ -48,7 +49,6 @@ from repro.serve.errors import (
 from repro.serve.orchestrator import (
     BatchRecord,
     Orchestrator,
-    ServeResponse,
     ServeTicket,
 )
 from repro.serve.policies import (
@@ -84,7 +84,6 @@ __all__ = [
     "RequestSource",
     "ServeError",
     "ServeReport",
-    "ServeResponse",
     "ServeTicket",
     "SimClock",
     "SizePolicy",

@@ -110,8 +110,6 @@ class AdmissionController:
         self._default_quota = default_quota
         self._quotas = dict(tenant_quotas or {})
         self._buckets: dict[str, TokenBucket] = {}
-        #: sheds by typed reason (mirrors the orchestrator metrics)
-        self.shed_counts: dict[str, int] = {}
 
     def _bucket(self, tenant: str) -> TokenBucket | None:
         bucket = self._buckets.get(tenant)
@@ -129,18 +127,12 @@ class AdmissionController:
         request spends no token."""
         bucket = self._bucket(tenant)
         if bucket is not None and (wait := bucket.retry_after_ns(now_ns)):
-            self.shed_counts[TenantThrottled.reason] = (
-                self.shed_counts.get(TenantThrottled.reason, 0) + 1
-            )
             raise TenantThrottled(
                 tenant=tenant,
                 queue_depth=queue_depth,
                 retry_after_ns=wait,
             )
         if queue_depth >= self.max_queue_depth:
-            self.shed_counts[QueueFullRejected.reason] = (
-                self.shed_counts.get(QueueFullRejected.reason, 0) + 1
-            )
             raise QueueFullRejected(
                 tenant=tenant,
                 queue_depth=queue_depth,

@@ -13,18 +13,20 @@ single-transaction requests and the batch engine.  It owns:
   .BatchPolicy`.  It runs each cut and re-queues its aborts through
   :func:`repro.txn.batch.step`, the step :func:`~repro.txn.batch.drive`
   takes, so a served stream's engine batches are numbered as a driven
-  one's are; it advances the virtual clock by each batch's *simulated*
-  latency;
+  one's are; it waits out whatever of each batch's *simulated* latency
+  the host did not already spend running it;
 * the requests themselves, which are what callers wait on:
   :meth:`Orchestrator.post` returns the admitted request (a
   :data:`ServeTicket`), and that one object is both the transaction the
   engine runs and an asyncio future-like — ``await`` it, ``gather`` it,
   ``wait_for`` it, hang ``add_done_callback`` on it.  No
   ``asyncio.Future``, ``Handle`` or ``Context`` exists per request.
-  Committed / logic-aborted requests complete with a
-  :class:`ServeResponse` carrying the full latency breakdown;
-  concurrency-control aborts re-enter the ingress queue transparently
-  (the client just sees a longer wait and ``attempts > 1``).  A decided
+  A committed / logic-aborted request completes with itself: the
+  ticket carries its verdict and the full latency breakdown
+  (``done_ns``, ``latency_ns``, ...), and ``await``, ``gather`` and
+  ``result()`` return it; concurrency-control aborts re-enter the
+  ingress queue transparently (the client just sees a longer wait and
+  ``attempts > 1``).  A decided
   batch is delivered by **one** ``loop.call_soon``: the callbacks of all
   its requests run back to back, in decision order, from that single
   loop callback; one that raises is reported to the loop's exception
@@ -73,7 +75,7 @@ from contextvars import Context
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Any, NamedTuple, cast
+from typing import Any, cast
 
 import numpy as np
 
@@ -93,9 +95,10 @@ SERVE_QUEUE_COUNTER = "serve.queue_depth"
 
 
 _enqueue_of = attrgetter("enqueue_ns")
-#: ``_response(ServeResponse, fields)`` builds the NamedTuple without the
-#: call through its Python-level ``__new__``.
-_response = tuple.__new__
+#: ``_outcome`` of a decided request, whose result is the request itself
+#: (not ``self``: a self-reference would leave every ticket to the
+#: cyclic collector).
+_DECIDED = object()
 
 #: ``searchsorted(_POW2, x, side="right")`` is ``x.bit_length()`` for
 #: every positive int64.
@@ -103,39 +106,6 @@ _POW2 = 1 << np.arange(63, dtype=np.int64)
 
 #: Twice the largest measured per-batch swing of ``gc.get_count()[0]``, 2.0 x capacity (ycsb_read).
 YOUNG_BATCHES = 4
-
-
-class ServeResponse(NamedTuple):
-    """What a client gets back for one admitted request (immutable)."""
-
-    status: TxnStatus
-    tid: int
-    attempts: int
-    abort_reason: str
-    #: virtual-clock timestamps of the request lifecycle
-    submit_ns: int
-    first_cut_ns: int
-    done_ns: int
-
-    @property
-    def queue_wait_ns(self) -> int:
-        """Time from submission to joining the *first* batch."""
-        return self.first_cut_ns - self.submit_ns
-
-    @property
-    def service_ns(self) -> int:
-        """Time from first batch membership to the final verdict
-        (includes retry rounds for rescheduled transactions)."""
-        return self.done_ns - self.first_cut_ns
-
-    @property
-    def latency_ns(self) -> int:
-        """End-to-end client latency: queue wait + batch residency."""
-        return self.done_ns - self.submit_ns
-
-    @property
-    def committed(self) -> bool:
-        return self.status is TxnStatus.COMMITTED
 
 
 class _Request(Transaction):
@@ -151,7 +121,8 @@ class _Request(Transaction):
 
     __slots__ = (
         "seq", "tenant", "submit_ns", "enqueue_ns", "_loop", "first_cut_ns",
-        "_outcome", "_callback", "_context", "_more", "_asyncio_future_blocking",
+        "done_ns", "_outcome", "_callback", "_context", "_more",
+        "_asyncio_future_blocking",
     )
 
     def __init__(
@@ -171,9 +142,11 @@ class _Request(Transaction):
         self.submit_ns = self.enqueue_ns = now_ns
         self._loop = loop
         self.first_cut_ns: int | None = None
-        #: ``None`` while pending; then the response, the error that
+        #: when its batch was decided (the orchestrator's clock)
+        self.done_ns: int | None = None
+        #: ``None`` while pending; then :data:`_DECIDED`, the error that
         #: failed its batch, or the ``CancelledError`` :meth:`cancel` made
-        self._outcome: ServeResponse | BaseException | None = None
+        self._outcome: object = None
         #: the first done-callback and the context it asked for, and any
         #: further ``(callback, context)`` pairs
         self._callback: Callable[[Any], object] | None = None
@@ -195,23 +168,43 @@ class _Request(Transaction):
     def cancelled(self) -> bool:
         return isinstance(self._outcome, CancelledError)
 
-    def result(self) -> ServeResponse:
+    @property
+    def queue_wait_ns(self) -> int:
+        """Time from submission to joining the *first* batch."""
+        return self.first_cut_ns - self.submit_ns  # type: ignore[operator]
+
+    @property
+    def service_ns(self) -> int:
+        """Time from first batch membership to the final verdict
+        (includes retry rounds for rescheduled transactions)."""
+        return self.done_ns - self.first_cut_ns  # type: ignore[operator]
+
+    @property
+    def latency_ns(self) -> int:
+        """End-to-end client latency: queue wait + batch residency."""
+        return self.done_ns - self.submit_ns  # type: ignore[operator]
+
+    @property
+    def committed(self) -> bool:
+        return self.status is TxnStatus.COMMITTED
+
+    def result(self) -> _Request:
         outcome = self._outcome
-        if isinstance(outcome, ServeResponse):
-            return outcome
+        if outcome is _DECIDED:
+            return self
         if outcome is None:
             raise InvalidStateError("Result is not ready.")
-        raise outcome
+        raise cast(BaseException, outcome)
 
     def exception(self) -> BaseException | None:
         outcome = self._outcome
         if outcome is None:
             raise InvalidStateError("Exception is not set.")
-        if isinstance(outcome, ServeResponse):
+        if outcome is _DECIDED:
             return None
         if isinstance(outcome, CancelledError):
             raise outcome
-        return outcome
+        return cast(BaseException, outcome)
 
     def cancel(self, msg: Any = None) -> bool:
         """Stop waiting: the ticket reads cancelled and its callbacks
@@ -245,7 +238,7 @@ class _Request(Transaction):
         self._more = kept[1:] or None
         return len(pairs) - len(kept)
 
-    def __await__(self) -> Generator[Any, None, ServeResponse]:
+    def __await__(self) -> Generator[Any, None, _Request]:
         if self._outcome is None:
             self._asyncio_future_blocking = True
             yield self  # the running Task registers its wake-up on us
@@ -267,7 +260,7 @@ class _Request(Transaction):
 
 
 #: What :meth:`Orchestrator.post` returns: an awaitable, future-like
-#: handle on one admitted request, completing with a :class:`ServeResponse`.
+#: handle on one admitted request, completing with itself.
 ServeTicket = _Request
 
 
@@ -390,7 +383,7 @@ class Orchestrator:
         self, procedure: str, params: tuple, tenant: str = "default"
     ) -> ServeTicket:
         """Admit one request; returns it — the :data:`ServeTicket` that
-        completes with its :class:`ServeResponse`.
+        completes with itself once decided.
 
         Raises a typed :class:`~repro.serve.errors.AdmissionRejected`
         subclass synchronously when the request is shed,
@@ -423,8 +416,8 @@ class Orchestrator:
 
     async def submit(
         self, procedure: str, params: tuple, tenant: str = "default"
-    ) -> ServeResponse:
-        """Admit one request and await its response (closed-loop API)."""
+    ) -> ServeTicket:
+        """Admit one request and await its verdict (closed-loop API)."""
         return await self.post(procedure, params, tenant)
 
     # -- introspection -------------------------------------------------
@@ -536,9 +529,12 @@ class Orchestrator:
             return
         if result is None:
             return  # an empty cut only advanced the scheduler
-        # Simulated execution time passes on the virtual clock while the
-        # device "runs" the batch; fresh arrivals keep queueing.
-        await self.clock.sleep_ns(round(result.stats.latency_ns))
+        # The device "runs" the batch for its simulated latency, of which
+        # the host already spent what step took; fresh arrivals keep
+        # queueing meanwhile.
+        await self.clock.sleep_ns(
+            round(result.stats.latency_ns) - (self.clock.now_ns() - cut_ns)
+        )
         done_ns = self.clock.now_ns()
         record.done_ns = done_ns
         self.run_stats.add(result.stats)
@@ -582,22 +578,19 @@ class Orchestrator:
         logic_aborted: list[_Request],
         done_ns: int,
     ) -> None:
-        """Stamp every decided request of one batch with its response,
-        book the batch's latencies in one go, and schedule the batch's
-        one delivery."""
+        """Stamp every decided request of one batch with its verdict's
+        time, book the batch's latencies in one go, and schedule the
+        batch's one delivery."""
         latencies: list[int] = []
         waits: list[int] = []
         add_latency, add_wait = latencies.append, waits.append
         for request in chain(committed, logic_aborted):
             submit_ns = request.submit_ns
-            first_cut_ns = request.first_cut_ns
             add_latency(done_ns - submit_ns)
-            add_wait(first_cut_ns - submit_ns)  # type: ignore[operator]
+            add_wait(request.first_cut_ns - submit_ns)  # type: ignore[operator]
+            request.done_ns = done_ns
             if request._outcome is None:  # else: cancelled while queued
-                request._outcome = _response(ServeResponse, (
-                    request.status, request.tid, request.attempts,
-                    request.abort_reason, submit_ns, first_cut_ns, done_ns,
-                ))
+                request._outcome = _DECIDED
         if not latencies:
             return
         assert self._loop is not None

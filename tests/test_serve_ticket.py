@@ -25,7 +25,7 @@ from repro.analysis.workload import build_workload
 from repro.serve import ServeTicket
 from repro.serve.clock import run_simulation
 from repro.serve.errors import BatchExecutionError
-from repro.serve.orchestrator import Orchestrator, ServeResponse, _deliver
+from repro.serve.orchestrator import Orchestrator, _deliver
 from repro.serve.policies import SizePolicy
 from repro.txn.transaction import TxnStatus
 
@@ -36,30 +36,34 @@ pytestmark = pytest.mark.serve
 
 
 class FutureKit:
-    """Plain ``asyncio.Future`` objects, completed by hand."""
+    """Plain ``asyncio.Future`` objects, completed by hand, each with a
+    stand-in value of its own."""
 
     def __init__(self, fail: bool):
         self.fail = fail
-        self.made: list[asyncio.Future] = []
+        #: every future made, in creation order, with its stand-in value
+        self.values: dict[asyncio.Future, tuple] = {}
 
     def new(self) -> asyncio.Future:
         future = asyncio.get_running_loop().create_future()
-        self.made.append(future)
+        self.values[future] = ("settled", len(self.values))
         return future
+
+    def value(self, future: asyncio.Future) -> tuple:
+        """What ``future`` completes with."""
+        return self.values[future]
 
     async def settle(self) -> None:
         """Complete everything still pending, in creation order, and let
         the loop deliver."""
         error = BatchExecutionError(0, RuntimeError("device fault"))
-        for n, future in enumerate(self.made):
+        for future, value in self.values.items():
             if future.done():
                 continue
             if self.fail:
                 future.set_exception(error)
             else:
-                future.set_result(
-                    ServeResponse(TxnStatus.COMMITTED, n, 1, "", 0, 0, 0)
-                )
+                future.set_result(value)
         await asyncio.sleep(0)
 
 
@@ -80,6 +84,10 @@ class TicketKit:
     def new(self) -> ServeTicket:
         ticket = self.orch.post("noop", (len(self.made),))
         self.made.append(ticket)
+        return ticket
+
+    def value(self, ticket: ServeTicket) -> ServeTicket:
+        """A decided ticket completes with itself."""
         return ticket
 
     async def settle(self) -> None:
@@ -116,7 +124,7 @@ async def await_returns_the_response(kit):
     assert not task.done()
     await kit.settle()
     response = await task
-    assert isinstance(response, ServeResponse) and response.committed
+    assert response is kit.value(subject)
     assert subject.result() is response and subject.exception() is None
     assert await subject is response  # awaiting a done one does not park
 
@@ -138,8 +146,10 @@ async def gather_collects_results(kit):
     gathered = asyncio.gather(*subjects, subjects[0], return_exceptions=True)
     await kit.settle()
     outcomes = await gathered
-    assert [o.committed for o in outcomes] == [True] * 4
-    assert outcomes[3] is outcomes[0]  # the duplicate argument
+    expected = [kit.value(subject) for subject in subjects]
+    expected.append(expected[0])  # the duplicate argument
+    assert len(outcomes) == 4
+    assert all(o is e for o, e in zip(outcomes, expected))
 
 
 async def gather_collects_failures(kit):
@@ -242,7 +252,7 @@ async def gather_reports_a_cancelled_child(kit):
     dropped.cancel("not interested")
     await kit.settle()
     response, error = await gathered
-    assert response.committed
+    assert response is kit.value(kept)
     assert isinstance(error, asyncio.CancelledError)
     assert error.args == ("not interested",)
 
@@ -415,10 +425,83 @@ def test_cancelled_lane_still_executes_and_counts():
     assert engine.batches == [[("noop", tid) for tid in range(4)]]
     assert orch.metrics.snapshot()["counters"]["serve.committed"] == 4
     assert len(orch.latency) == 4
-    assert tickets[1].cancelled() and tickets[1].status is TxnStatus.COMMITTED
-    assert [t.result().committed for t in tickets if not t.cancelled()] == [True] * 3
+    # deciding its lane leaves it cancelled, stamped like the rest
+    dropped = tickets[1]
+    assert dropped.cancelled() and dropped.status is TxnStatus.COMMITTED
+    assert dropped.done_ns == orch.batch_records[0].done_ns
+    with pytest.raises(asyncio.CancelledError):
+        dropped.result()
+    kept = [t for t in tickets if not t.cancelled()]
+    assert [t.result() for t in kept] == kept and all(t.committed for t in kept)
     # its callback ran at the cancel; the batch's delivery did not repeat it
     assert calls == [tickets[1], tickets[0], tickets[2], tickets[3]]
+
+
+def test_a_decided_ticket_is_its_own_response():
+    """``submit()``, ``await``, ``gather`` and ``result()`` all hand back
+    the ticket, which carries the verdict and the latency breakdown."""
+    verdicts = {0: "commit", 1: "logic", 2: "abort"}
+
+    def verdict(txn):
+        # request 2 aborts once, then commits on its retry
+        return verdicts[txn.params[0]] if txn.attempts == 1 else "commit"
+
+    engine = StubEngine(batch_size=4, latency_ns=1_000, verdict=verdict)
+
+    async def main():
+        async with Orchestrator(engine, policy=SizePolicy(4)) as orch:
+            tickets = [orch.post("noop", (i,)) for i in range(3)]
+            submitted = asyncio.ensure_future(orch.submit("noop", (0,)))
+            await asyncio.sleep(0)  # it posts the fourth lane
+        # the retry is cut alone once the ingress drains
+        return orch, tickets, await asyncio.gather(*tickets), await submitted
+
+    orch, tickets, gathered, submitted = run_simulation(main())
+    assert all(g is t and t.result() is t for g, t in zip(gathered, tickets))
+    assert isinstance(submitted, ServeTicket) and submitted.result() is submitted
+    first, second = orch.batch_records
+    done, logic, retried = tickets
+    assert (done.status, done.committed, done.abort_reason) == (
+        TxnStatus.COMMITTED, True, "",
+    )
+    assert (logic.status, logic.committed, logic.abort_reason) == (
+        TxnStatus.LOGIC_ABORTED, False, "stub-logic",
+    )
+    assert (retried.committed, retried.attempts) == (True, 2)
+    assert [t.tid for t in tickets] == list(first.tids[:3])
+    for ticket, done_ns in ((done, first.done_ns), (retried, second.done_ns)):
+        assert (ticket.submit_ns, ticket.first_cut_ns) == (0, first.cut_ns)
+        assert ticket.done_ns == done_ns
+        assert ticket.queue_wait_ns == first.cut_ns
+        assert ticket.service_ns == done_ns - first.cut_ns
+        assert ticket.latency_ns == done_ns
+    assert second.done_ns - first.cut_ns == 2_000
+
+
+@pytest.mark.parametrize("host_ns, device_ns", [(300, 1_000), (5_000, 1_000)])
+def test_a_batch_is_done_at_the_later_of_device_and_host_time(host_ns, device_ns):
+    """The device time the host already spent in ``run_batch`` is not
+    waited out again: a batch is done ``max(device, host)`` after its
+    cut, not their sum."""
+    engine = StubEngine(batch_size=4, latency_ns=device_ns)
+    run_batch = engine.run_batch
+
+    def slow_run_batch(batch):
+        loop = asyncio.get_running_loop()
+        loop._virtual_now += host_ns * 1e-9  # the host's own time
+        return run_batch(batch)
+
+    engine.run_batch = slow_run_batch
+
+    async def main():
+        async with Orchestrator(engine, policy=SizePolicy(4)) as orch:
+            tickets = [orch.post("noop", (i,)) for i in range(4)]
+        return orch, tickets
+
+    orch, tickets = run_simulation(main())
+    (record,) = orch.batch_records
+    assert record.done_ns - record.cut_ns == max(host_ns, device_ns)
+    assert all(t.done_ns == record.done_ns for t in tickets)
 
 
 _var: contextvars.ContextVar[str] = contextvars.ContextVar("_var", default="unset")
@@ -475,8 +558,8 @@ def _census() -> Counter:
 
 def test_one_tracked_object_per_request_and_one_callback_per_batch():
     """What the collector walks and what the loop queues, per request:
-    the request while it is in flight, its response once decided, and
-    nothing else — no Future, Handle, Context or list each."""
+    the request while it is in flight, nothing more once decided (it is
+    its own response) — no Future, Handle, Context, tuple or list each."""
     setup = build_workload("smallbank", seed=7)
     engine = setup.engine(batch_size=N)
     specs = [(t.procedure_name, t.params) for t in setup.generator.make_batch(2 * N)]
@@ -496,8 +579,7 @@ def test_one_tracked_object_per_request_and_one_callback_per_batch():
 
         async with Orchestrator(engine, policy=SizePolicy(N)) as orch:
             # a first batch fills the lazy caches and first-use registries
-            # (held, so that a decided request and its response stay
-            # alive to be counted)
+            # (held, so that a decided request stays alive to be counted)
             held = [orch.post(procedure, params) for procedure, params in specs[:N]]
             for ticket in held:
                 ticket.add_done_callback(on_done)
@@ -542,9 +624,8 @@ def test_one_tracked_object_per_request_and_one_callback_per_batch():
     assert sum(posted.values()) <= fresh + 16, posted.most_common(5)
 
     resolved = decided - in_flight
-    assert resolved["ServeResponse"] == done
     per_request = {name: n for name, n in resolved.items() if n >= done // 2}
-    assert per_request == {"ServeResponse": done}, resolved.most_common(5)
+    assert per_request == {}, resolved.most_common(5)
 
     # one loop callback delivered the whole batch
     assert scheduled.count(_deliver) == 1
