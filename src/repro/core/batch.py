@@ -48,19 +48,9 @@ Ledger = dict[str, int]
 
 class Reservations(Rows):
     """One side's reservations, one row per reserved (lane, item):
-    lane ``txn`` with TID ``tid`` reserved the conflict-log key ``key``
-    (a row's conflict group, packed) of ``table``."""
-
-    FIELDS = ("txn", "tid", "table", "key")
-    __slots__ = FIELDS
-    txn: np.ndarray
-    tid: np.ndarray
-    table: np.ndarray
-    key: np.ndarray
-
-
-class InsertReservations(Rows):
-    """Primary keys being inserted, one row per (lane, key)."""
+    lane ``txn`` with TID ``tid`` reserved ``key`` of ``table`` — the
+    conflict-log key (a row's conflict group, packed) on the read and
+    write sides, the primary key being inserted on the insert side."""
 
     FIELDS = ("txn", "tid", "table", "key")
     __slots__ = FIELDS
@@ -234,8 +224,7 @@ class Batch:
         self.logic_mask = np.empty(0, dtype=bool)
         #: What each lane reserved, per side (set by the collector, read
         #: by every later stage).
-        self.reads = self.writes = Reservations.empty()
-        self.inserts = InsertReservations.empty()
+        self.reads = self.writes = self.inserts = Reservations.empty()
         self.ranges = RangeReservations.empty()
         #: The conflict stage's verdicts and the commit rule's answer;
         #: write-back bytes for the copy-back leg; the assembled result.

@@ -15,7 +15,6 @@ from repro.core.batch import (
     WRITE_GLOBAL_READS,
     WRITE_GLOBAL_WRITES,
     Batch,
-    InsertReservations,
     RangeReservations,
     Reservations,
 )
@@ -149,7 +148,7 @@ def collect_columnar(engine, batch: Batch, ctx) -> None:
     # Insert reservations (registering transactions only).
     ins = np.flatnonzero(reg_op & (kind == OpKind.INSERT))
     txn = op_txn[ins]
-    batch.inserts = InsertReservations(txn, tids[txn], table[ins], key[ins])
+    batch.inserts = Reservations(txn, tids[txn], table[ins], key[ins])
 
     # The batch's one key order: every registering lane's op on a real
     # row, sorted by (conflict key, lane, column) — the key is (table,

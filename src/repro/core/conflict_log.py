@@ -1,10 +1,14 @@
 """The conflict log: TID registration tables with dynamic hash buckets.
 
-Functionally, the log stores — per data item ``(table, row, group)`` —
-the minimum TID that read the item and the minimum TID that wrote it
-this batch (exactly the two fields the paper keeps per bucket).  The
-conflict-detection phase compares each transaction's TID against those
-minima.
+Functionally, the log stores — per data item ``(table, row, group)``
+the batch accessed — the minimum TID that read the item and the minimum
+TID that wrote it this batch (exactly the two fields the paper keeps
+per bucket), as two batch-local columns per side: the distinct keys,
+sorted — read off the runs of the collector's key order, GPUTx's
+sort-by-key — and each key's minimum.  A query is a binary search; a
+key nobody registered answers :data:`NO_TID`.  Nothing the log holds is
+sized by the database.  The conflict-detection phase compares each
+transaction's TID against those minima.
 
 For *cost*, the log also models the physical hash tables: every
 registration is an ``atomicMin`` on a bucket slot, and concurrent
@@ -14,7 +18,9 @@ atomics on the same slot serialize.  Standard buckets have one slot
 serialization chain by a factor of ``s_u`` (paper §V-C, Table VII).
 The split between exact minima (correctness) and modeled slots (cost)
 is deliberate: open addressing resolves distinct-key collisions, so
-bucket geometry never changes *results*, only timing.
+bucket geometry never changes *results*, only timing — and the modeled
+tables are what :meth:`ConflictLog.memory_report` prices (Table VIII),
+not the columns the host keeps.
 """
 
 from __future__ import annotations
@@ -27,11 +33,14 @@ from repro.errors import TransactionError
 from repro.gpusim.atomics import collision_profile
 from repro.gpusim.kernel import KernelContext
 from repro.storage.database import Database
-from repro.xp import ArrayBackend, get_backend, sorted_runs
+from repro.xp import HOST, ArrayBackend, get_backend, sorted_runs
 from repro.xp.rows import run_starts
 
 #: "No TID registered" sentinel; larger than any real TID.
 NO_TID = np.iinfo(np.int64).max
+
+#: A side or reservation column with nothing registered.
+_NONE = np.empty(0, dtype=np.int64)
 
 #: Bytes per bucket slot: min-read TID + min-write TID (paper keeps both).
 _SLOT_BYTES = 8
@@ -50,24 +59,18 @@ class ConflictLog:
         self._db = database
         self._flags = flags
         self.dynamic_buckets = dynamic_buckets
-        #: backend owning the minima arrays (the registration tables
-        #: live device-resident; registrations ship keys/TIDs down and
-        #: the detection phase reads the gathered minima back up)
+        #: backend the minima columns live on (registrations ship each
+        #: side's distinct keys and minima down once; detection reads
+        #: one minimum per queried key back up)
         self.xp = xp if xp is not None else get_backend("numpy")
-        self._min_read = np.empty(0, dtype=np.int64)
-        self._min_write = np.empty(0, dtype=np.int64)
         self._base = np.zeros(database.num_tables + 1, dtype=np.int64)
         self._rows = np.zeros(database.num_tables, dtype=np.int64)
         self._groups = np.array(
             [flags.num_groups(t) for t in range(database.num_tables)],
             dtype=np.int64,
         )
-        self._touched: list[np.ndarray] = []
-        # Insert reservations, sorted by (table, key): winner per pair.
-        self._ins_tables = np.empty(0, dtype=np.int64)
-        self._ins_keys = np.empty(0, dtype=np.int64)
-        self._ins_tids = np.empty(0, dtype=np.int64)
         self._heats: dict[int, TableHeat] = {}
+        self._clear()
 
     # -- batch lifecycle -----------------------------------------------------
     def begin_batch(self, heats: dict[int, TableHeat]) -> None:
@@ -77,29 +80,18 @@ class ConflictLog:
         for t in range(self._db.num_tables):
             self._rows[t] = self._db.table_by_id(t).num_rows
         np.cumsum(self._rows * self._groups, out=self._base[1:])
-        total = int(self._base[-1])
-        if total > self._min_read.size:
-            # Grow with slack: tables gain rows every batch (inserts), so
-            # sizing exactly would reallocate the minima arrays per batch.
-            capacity = max(total + total // 4, 1024)
-            self._min_read = self.xp.full(capacity, NO_TID, dtype=np.int64)
-            self._min_write = self.xp.full(capacity, NO_TID, dtype=np.int64)
-        self._touched = []
-        self._clear_inserts()
+        self._clear()
 
     def end_batch(self) -> None:
-        """Reset every touched minimum back to the sentinel."""
-        if self._touched:
-            keys = np.concatenate(self._touched)
-            self._min_read[keys] = NO_TID
-            self._min_write[keys] = NO_TID
-        self._touched = []
-        self._clear_inserts()
+        """Drop this batch's registrations."""
+        self._clear()
 
-    def _clear_inserts(self) -> None:
-        self._ins_tables = np.empty(0, dtype=np.int64)
-        self._ins_keys = np.empty(0, dtype=np.int64)
-        self._ins_tids = np.empty(0, dtype=np.int64)
+    def _clear(self) -> None:
+        # Per side, the batch's distinct keys (sorted) and each one's
+        # minimum TID.
+        self._sides = {"read": (_NONE, _NONE), "write": (_NONE, _NONE)}
+        # Insert reservations, sorted by (table, key): winner per pair.
+        self._ins_tables = self._ins_keys = self._ins_tids = _NONE
 
     # -- key encoding -----------------------------------------------------------
     def encode(self, table_ids: np.ndarray, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -118,30 +110,27 @@ class ConflictLog:
         self, keys: np.ndarray, tids: np.ndarray, table_ids: np.ndarray,
         ctx: KernelContext | None = None,
     ) -> None:
-        self._register(self._min_read, keys, tids, table_ids, ctx, "conflict_log.read")
+        self._register("read", keys, tids, table_ids, ctx)
 
     def register_writes(
         self, keys: np.ndarray, tids: np.ndarray, table_ids: np.ndarray,
         ctx: KernelContext | None = None,
     ) -> None:
-        self._register(
-            self._min_write, keys, tids, table_ids, ctx, "conflict_log.write"
-        )
+        self._register("write", keys, tids, table_ids, ctx)
 
     def _register(
         self,
-        minima: np.ndarray,
+        side: str,
         keys: np.ndarray,
         tids: np.ndarray,
         table_ids: np.ndarray,
         ctx: KernelContext | None,
-        buffer: str,
     ) -> None:
         """Registrations arrive grouped by key (``keys`` ascending, as
-        the collector's key order leaves them), so each key's minimum
-        TID is one ``minimum.reduceat`` over its run — the
-        per-registration atomicMin and the dedup for the touched list
-        with no sort."""
+        the collector's key order leaves them), so the side's columns
+        are the key runs' heads and one ``minimum.reduceat`` over the
+        runs — the per-registration atomicMin with no sort.  A second
+        call on one side in a batch merges into the first."""
         if keys.size == 0:
             return
         if keys.size != tids.size or keys.size != table_ids.size:
@@ -154,17 +143,22 @@ class ConflictLog:
             )
         xp = self.xp
         starts = run_starts(keys)
-        touched = keys[starts]
         # the execute phase's write-set shipping: each distinct key and
         # its minimum TID go down once per registration call (identity
         # on numpy)
-        dkeys = xp.from_host(touched)
-        minima[dkeys] = xp.minimum(
-            minima[dkeys], xp.from_host(np.minimum.reduceat(tids, starts))
-        )
-        self._touched.append(touched)
+        column = xp.from_host(keys[starts])
+        minima = xp.from_host(np.minimum.reduceat(tids, starts))
+        held, held_minima = self._sides[side]
+        if held.size:
+            column = xp.concatenate((held, column))
+            minima = xp.concatenate((held_minima, minima))
+            order = xp.argsort(column)
+            column, minima = column[order], minima[order]
+            runs = run_starts(column, xp=xp)
+            column, minima = column[runs], np.minimum.reduceat(minima, runs)
+        self._sides[side] = column, minima
         if ctx is not None:
-            ctx.add_trace_arg(f"{buffer}.registrations", int(keys.size))
+            ctx.add_trace_arg(f"conflict_log.{side}.registrations", int(keys.size))
             ctx.record_atomics(*self._collisions(tids, table_ids, starts))
 
     def register_inserts(
@@ -224,41 +218,33 @@ class ConflictLog:
         return total, total - int(chains.size), int(chains.max())
 
     # -- detection-phase queries ------------------------------------------------
-    # The gathers run on the device; the gathered minima (one word per
+    # The searches run on the device; the minima they find (one word per
     # queried key, not the whole table) come back explicitly — this is
     # the conflict-flag readback the paper's per-batch sync method ships.
     def min_read(self, keys: np.ndarray) -> np.ndarray:
-        return self.xp.to_host(self._min_read[keys])
+        return self.xp.to_host(_lookup(self.xp, *self._sides["read"], keys))
 
     def min_write(self, keys: np.ndarray) -> np.ndarray:
-        return self.xp.to_host(self._min_write[keys])
+        return self.xp.to_host(_lookup(self.xp, *self._sides["write"], keys))
 
     def insert_winners(
         self, table_ids: np.ndarray, insert_keys: np.ndarray
     ) -> np.ndarray:
-        """Winning TID per queried (table, key) pair — a sorted-array
-        lookup over the reservation arrays built at registration."""
+        """Winning TID per queried (table, key) pair — a lookup in the
+        table's segment of the reservations built at registration."""
         out = np.full(table_ids.size, NO_TID, dtype=np.int64)
-        if self._ins_keys.size == 0 or table_ids.size == 0:
-            return out
         for table_id in np.unique(table_ids):
-            lo = int(np.searchsorted(self._ins_tables, table_id, side="left"))
-            hi = int(np.searchsorted(self._ins_tables, table_id, side="right"))
-            if lo == hi:
-                continue
+            lo, hi = np.searchsorted(self._ins_tables, [table_id, table_id + 1])
             mask = table_ids == table_id
-            seg = self._ins_keys[lo:hi]
-            pos = np.searchsorted(seg, insert_keys[mask])
-            in_seg = pos < seg.size
-            safe = np.minimum(pos, seg.size - 1)
-            hit = in_seg & (seg[safe] == insert_keys[mask])
-            out[mask] = np.where(hit, self._ins_tids[lo:hi][safe], NO_TID)
+            out[mask] = _lookup(
+                HOST, self._ins_keys[lo:hi], self._ins_tids[lo:hi], insert_keys[mask]
+            )
         return out
 
     # -- per-batch observability (repro.trace) --------------------------------
     def batch_metrics(self) -> dict[str, float]:
         """This batch's hash-table pressure, read *before*
-        :meth:`end_batch` wipes the touched set.
+        :meth:`end_batch` drops the registrations.
 
         ``load_factor`` is distinct registered keys over the key space —
         the quantity whose growth drives the dynamic-bucket rule;
@@ -266,10 +252,10 @@ class ConflictLog:
         of popular tables allocated (0 when every ``s_u`` is 1).
         """
         capacity = int(self._base[-1])
-        if self._touched:
-            touched = int(np.unique(np.concatenate(self._touched)).size)
-        else:
-            touched = 0
+        # the host shipped these keys down itself: counting them is
+        # bookkeeping, not a readback
+        reads, writes = (np.asarray(keys) for keys, _ in self._sides.values())
+        touched = int(np.union1d(reads, writes).size)
         expanded_tables = 0
         expanded_slots = 0
         for t in range(self._db.num_tables):
@@ -302,3 +288,13 @@ class ConflictLog:
             else:
                 standard += keys * _SLOT_BYTES
         return standard, large
+
+
+def _lookup(xp: ArrayBackend, column, minima, queries: np.ndarray):
+    """Each query's entry of ``minima`` where sorted, distinct
+    ``column`` holds it, :data:`NO_TID` where it does not — on ``xp``,
+    where the two columns live."""
+    if column.size == 0:
+        return xp.full(queries.size, NO_TID, dtype=np.int64)
+    at = xp.minimum(xp.searchsorted(column, queries), column.size - 1)
+    return xp.where(column[at] == queries, minima[at], NO_TID)

@@ -31,7 +31,6 @@ from repro.core.batch import (
     READ_GLOBAL_READS,
     WRITE_GLOBAL_READS,
     WRITE_GLOBAL_WRITES,
-    InsertReservations,
     RangeReservations,
     Reservations,
 )
@@ -193,7 +192,7 @@ class ReferenceEngine(LTPGEngine):
 
         data.reads, data.writes = reservations(read), reservations(write)
         table, key, tid, lane = _columns(ins, 4)
-        data.inserts = InsertReservations(lane, tid, table, key)
+        data.inserts = Reservations(lane, tid, table, key)
         table, lo, hi, tid, lane = _columns(rng, 5)
         data.ranges = RangeReservations(lane, tid, table, lo, hi)
         register_batch(self, data, ctx)

@@ -3,6 +3,8 @@ and bucket-geometry invariants."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,9 +44,11 @@ def op_streams(draw):
     return rows, ops
 
 
-@given(op_streams(), st.booleans())
+@given(op_streams(), st.booleans(), st.integers(1, 2))
 @settings(max_examples=60, deadline=None)
-def test_minima_match_dict_oracle(stream, hot):
+def test_minima_match_dict_oracle(stream, hot, calls):
+    """``calls`` registrations per side, each of a slice of the stream
+    in its own key order: a second call merges into the first."""
     rows, ops = stream
     log = make_log(rows, hot)
     oracle_r: dict[int, int] = {}
@@ -57,17 +61,19 @@ def test_minima_match_dict_oracle(stream, hot):
         oracle_w[r] = min(oracle_w.get(r, NO_TID), t)
 
     def register(pairs, fn):
-        if not pairs:
-            return
-        pairs = sorted(pairs)  # the log takes registrations grouped by key
-        rows_arr = np.array([p[0] for p in pairs], dtype=np.int64)
-        tids = np.array([p[1] for p in pairs], dtype=np.int64)
-        keys = log.encode(
-            np.zeros(len(pairs), dtype=np.int64),
-            rows_arr,
-            np.zeros(len(pairs), dtype=np.int64),
-        )
-        fn(keys, tids, np.zeros(len(pairs), dtype=np.int64))
+        for part in range(calls):
+            # the log takes registrations grouped by key
+            chunk = sorted(pairs[part::calls])
+            if not chunk:
+                continue
+            rows_arr = np.array([p[0] for p in chunk], dtype=np.int64)
+            tids = np.array([p[1] for p in chunk], dtype=np.int64)
+            keys = log.encode(
+                np.zeros(len(chunk), dtype=np.int64),
+                rows_arr,
+                np.zeros(len(chunk), dtype=np.int64),
+            )
+            fn(keys, tids, np.zeros(len(chunk), dtype=np.int64))
 
     register(reads, log.register_reads)
     register(writes, log.register_writes)
@@ -175,3 +181,25 @@ def test_registrations_out_of_key_order_or_space_are_refused(keys):
             np.array(keys, dtype=np.int64), np.array([1, 2], dtype=np.int64),
             np.zeros(2, dtype=np.int64),
         )
+
+
+def test_log_state_is_sized_by_the_batch_not_the_database():
+    """A batch that registers 100 keys of a 10^6-row table allocates
+    columns for those keys, not a minimum per row of the database."""
+    rows = 1_000_000
+    db = Database()
+    db.create_table(make_schema("t", "id", "a")).bulk_load(np.arange(rows), {})
+    log = ConflictLog(db, FlagGroups(db))
+    heats = HotspotDetector(db).measure({0: 100})
+    zeros = np.zeros(100, dtype=np.int64)
+    tids = np.arange(100, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        log.begin_batch(heats)
+        keys = log.encode(zeros, np.arange(0, rows, rows // 100), zeros)
+        log.register_writes(keys, tids, zeros)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (log.min_write(keys) == tids).all()

@@ -241,7 +241,8 @@ def _refused(engine, batch, database):
         engine._batch_counter, len(engine.batch_log), database.state_digest()
     )
     log = engine.conflict_log
-    assert (log._min_read == NO_TID).all() and (log._min_write == NO_TID).all()
+    keys = np.arange(log._base[-1], dtype=np.int64)
+    assert (log.min_read(keys) == NO_TID).all() and (log.min_write(keys) == NO_TID).all()
 
 
 @pytest.mark.parametrize(
